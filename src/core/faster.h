@@ -716,18 +716,20 @@ class FasterKv {
 
   /// Doubles the hash index on-line (Appendix B). Requires an active
   /// session; all live sessions must keep issuing operations (or Refresh)
-  /// for the grow to complete.
-  void GrowIndex() FASTER_REQUIRES_EPOCH() {
+  /// for the grow to complete. Returns kOutOfMemory, with the index
+  /// unchanged, if the doubled table cannot be mapped.
+  Status GrowIndex() FASTER_REQUIRES_EPOCH() {
     assert(epoch_.IsProtected());
     if constexpr (obs::kStatsEnabled) {
       trace_.Emit(obs::Ev::kGrowBegin,
                   static_cast<uint32_t>(std::bit_width(index_.size()) - 1));
     }
-    index_.Grow();
+    Status s = index_.Grow();
     if constexpr (obs::kStatsEnabled) {
       trace_.Emit(obs::Ev::kGrowEnd,
                   static_cast<uint32_t>(std::bit_width(index_.size()) - 1));
     }
+    return s;
   }
 
   /// Roll-to-tail log compaction (Appendix C): scans [begin, until),

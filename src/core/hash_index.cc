@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <new>
 #include <thread>
 
 namespace faster {
@@ -60,24 +61,24 @@ HashIndex::HashIndex(uint64_t table_size, LightEpoch* epoch,
 #else
   table_size = RoundUpPowerOf2(std::max<uint64_t>(table_size, 64));
 #endif
-  tables_[0].store(AllocateTable(table_size), std::memory_order_release);
+  table_regions_[0] = AllocateTable(table_size);
+  if (!table_regions_[0]) throw std::bad_alloc();
+  tables_[0].store(table_regions_[0].As<HashBucket>(),
+                   std::memory_order_release);
   table_size_[0].store(table_size, std::memory_order_release);
   set_resize_state(Phase::kStable, 0);
 }
 
 HashIndex::~HashIndex() {
-  QuiescentRegion quiesce;  // noexcept body: model ops must not schedule
+  // The tables themselves are unmapped by their regions.
   for (int v = 0; v < 2; ++v) {
-    std::free(tables_[v].load(std::memory_order_relaxed));
     for (HashBucket* b : overflow_pool_[v]) std::free(b);
   }
 }
 
-HashBucket* HashIndex::AllocateTable(uint64_t num_buckets) {
-  void* mem = std::aligned_alloc(64, num_buckets * sizeof(HashBucket));
-  if (mem == nullptr) return nullptr;
-  std::memset(mem, 0, num_buckets * sizeof(HashBucket));
-  return static_cast<HashBucket*>(mem);
+MemoryRegion HashIndex::AllocateTable(uint64_t num_buckets) {
+  if (num_buckets > UINT64_MAX / sizeof(HashBucket)) return {};
+  return MemoryRegion::Reserve(num_buckets * sizeof(HashBucket));
 }
 
 HashBucket* HashIndex::AllocateOverflowBucket(uint8_t version) {
@@ -351,7 +352,7 @@ uint64_t HashIndex::NumUsedEntries() const {
 // On-line grow (Appendix B).
 // ---------------------------------------------------------------------------
 
-void HashIndex::Grow() {
+Status HashIndex::Grow() {
   std::lock_guard<Mutex> grow_lock{grow_mutex_};
   assert(epoch_->IsProtected());
 
@@ -361,12 +362,17 @@ void HashIndex::Grow() {
   uint64_t old_size = table_size_[old_version].load(std::memory_order_acquire);
   uint64_t new_size = old_size * 2;
 
+  // Map the new table before touching any state, so a failure leaves the
+  // index exactly as it was.
+  MemoryRegion fresh = AllocateTable(new_size);
+  if (!fresh) return Status::kOutOfMemory;
+
   // Free any table left from the previous grow and set up the new one.
-  std::free(tables_[new_version].load(std::memory_order_relaxed));
   for (HashBucket* b : overflow_pool_[new_version]) std::free(b);
   overflow_pool_[new_version].clear();
-  tables_[new_version].store(AllocateTable(new_size),
+  tables_[new_version].store(fresh.As<HashBucket>(),
                              std::memory_order_release);
+  table_regions_[new_version] = std::move(fresh);
   table_size_[new_version].store(new_size, std::memory_order_release);
 
   num_chunks_ = (old_size + kChunkSize - 1) / kChunkSize;
@@ -410,8 +416,10 @@ void HashIndex::Grow() {
   // chunk from the old size, and zeroing it here would send that thread out
   // of bounds of pins_/migrated_. The epoch wait below guarantees all such
   // threads are gone before the next Grow() reuses this slot.
-  HashBucket* old_table = tables_[old_version].load(std::memory_order_acquire);
   tables_[old_version].store(nullptr, std::memory_order_release);
+  // std::function needs a copyable action: share the retired mapping.
+  auto old_table =
+      std::make_shared<MemoryRegion>(std::move(table_regions_[old_version]));
   std::vector<HashBucket*> old_overflow;
   {
     std::lock_guard<Mutex> lock{overflow_mutex_};
@@ -422,7 +430,7 @@ void HashIndex::Grow() {
   Atomic<bool> freed{false};
   epoch_->BumpCurrentEpoch([old_table, old_overflow = std::move(old_overflow),
                             &freed]() {
-    std::free(old_table);
+    old_table->Reset();
     for (HashBucket* b : old_overflow) std::free(b);
     freed.store(true, std::memory_order_release);
   });
@@ -430,6 +438,7 @@ void HashIndex::Grow() {
     epoch_->Refresh();
     thread_yield();
   }
+  return Status::kOk;
 }
 
 void HashIndex::EnsureMigrated(uint64_t chunk) {
@@ -593,16 +602,22 @@ Status HashIndex::ReadCheckpoint(int fd) {
   IndexCheckpointHeader header;
   if (!ReadAll(fd, &header, sizeof(header))) return Status::kIoError;
   if (header.magic != kIndexMagic) return Status::kCorruption;
+  if (header.table_size == 0 ||
+      (header.table_size & (header.table_size - 1)) != 0) {
+    return Status::kCorruption;
+  }
 
   ResizeInfo info = resize_info();
   if (info.phase != Phase::kStable) return Status::kInvalid;
   uint8_t v = info.version;
-  std::free(tables_[v].load(std::memory_order_relaxed));
+  MemoryRegion fresh = AllocateTable(header.table_size);
+  if (!fresh) return Status::kOutOfMemory;
   for (HashBucket* b : overflow_pool_[v]) std::free(b);
   overflow_pool_[v].clear();
-  HashBucket* fresh_table = AllocateTable(header.table_size);
+  HashBucket* fresh_table = fresh.As<HashBucket>();
   tables_[v].store(fresh_table, std::memory_order_release);
   table_size_[v].store(header.table_size, std::memory_order_release);
+  table_regions_[v] = std::move(fresh);
 
   std::vector<HashBucket*> overflow_list;
   overflow_list.reserve(header.num_overflow);

@@ -14,6 +14,7 @@
 #include "core/epoch_check.h"
 #include "core/hash_bucket.h"
 #include "core/key_hash.h"
+#include "core/memory_region.h"
 #include "core/status.h"
 #include "obs/stats.h"
 
@@ -65,7 +66,9 @@ class HashIndex {
   /// Creates an index with `table_size` buckets (rounded up to a power of
   /// two, minimum 64). `epoch` must outlive the index. `tag_bits` (1..15)
   /// controls how many tag bits entries carry — Sec. 7.2.2 measures the
-  /// robustness of FASTER to smaller tags (larger address sizes).
+  /// robustness of FASTER to smaller tags (larger address sizes). The
+  /// table is reserved, not touched: buckets become resident as they are
+  /// used. Throws std::bad_alloc if the table cannot be mapped.
   HashIndex(uint64_t table_size, LightEpoch* epoch, uint32_t tag_bits = 15);
   ~HashIndex();
 
@@ -126,6 +129,12 @@ class HashIndex {
   /// Number of buckets in the active version.
   uint64_t size() const {
     return table_size_[resize_info().version].load(std::memory_order_acquire);
+  }
+
+  /// The active table's mapping, for residency checks. Not safe against a
+  /// concurrent Grow.
+  const MemoryRegion& table_region() const {
+    return table_regions_[resize_info().version];
   }
 
   /// Counts non-empty entries (O(table); for tests and stats).
@@ -192,8 +201,9 @@ class HashIndex {
 
   /// Doubles the index on-line (Appendix B). Must be called from an
   /// epoch-protected thread; concurrent operations cooperate. Blocks until
-  /// the grow completes.
-  void Grow() FASTER_REQUIRES_EPOCH();
+  /// the grow completes. Returns kOutOfMemory, with the index untouched,
+  /// if the doubled table cannot be mapped.
+  Status Grow() FASTER_REQUIRES_EPOCH();
 
   /// True while a grow is in progress.
   bool IsResizing() const {
@@ -211,7 +221,8 @@ class HashIndex {
   Status WriteCheckpoint(int fd, const EntryTransform& transform = {}) const
       FASTER_REQUIRES_EPOCH();
   /// Restores a table written by WriteCheckpoint. The index must be
-  /// otherwise idle.
+  /// otherwise idle. Returns kOutOfMemory, with the index untouched, if
+  /// the table cannot be mapped.
   Status ReadCheckpoint(int fd);
 
   /// Observability (compiled out unless FASTER_STATS): probe depth, CAS
@@ -263,8 +274,9 @@ class HashIndex {
                         std::memory_order_release);
   }
 
-  /// Allocates a zeroed, cache-aligned bucket array.
-  static HashBucket* AllocateTable(uint64_t num_buckets);
+  /// Maps a bucket array the kernel zero-fills on first touch, followed by
+  /// a guard page. Empty on failure.
+  static MemoryRegion AllocateTable(uint64_t num_buckets);
 
   /// Overflow-bucket allocation for table version `version`.
   HashBucket* AllocateOverflowBucket(uint8_t version);
@@ -292,9 +304,12 @@ class HashIndex {
   // *contents* alive, but the pointer/size reads themselves are racy.
   // order: release stores in Grow/checkpoint-restore (install or retire a
   // version, publishing the array it points to); acquire loads in
-  // OpScope/MigrateChunk/stats; relaxed load only to free a retired
-  // version no reader can reach (destructor, next Grow).
+  // OpScope/MigrateChunk/stats.
   Atomic<HashBucket*> tables_[2] = {nullptr, nullptr};
+  // The mappings behind tables_; a retired one is unmapped by an epoch
+  // trigger in Grow. Changed only under grow_mutex_, in the constructor,
+  // or by ReadCheckpoint on an idle index.
+  MemoryRegion table_regions_[2];
   // order: release store paired with the tables_ install; acquire loads.
   Atomic<uint64_t> table_size_[2] = {0, 0};
   // order: release store on every phase transition (writes to the new

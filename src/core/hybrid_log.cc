@@ -1,8 +1,8 @@
 #include "core/hybrid_log.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 
 #include "obs/log.h"
@@ -37,19 +37,14 @@ HybridLog::HybridLog(const LogConfig& config, IDevice* device,
   ro_lag_pages_ = static_cast<uint64_t>(mf * static_cast<double>(buffer_pages_));
   if (ro_lag_pages_ >= buffer_pages_) ro_lag_pages_ = buffer_pages_ - 1;
 
-  frames_.resize(buffer_pages_);
+  frames_ = MemoryRegion::Reserve(Address::kPageSize, buffer_pages_);
+  if (!frames_) throw std::bad_alloc();
   for (uint64_t i = 0; i < buffer_pages_; ++i) {
-    frames_[i] = static_cast<uint8_t*>(
-        std::aligned_alloc(4096, Address::kPageSize));
-    std::memset(frames_[i], 0, Address::kPageSize);
     closed_page_.push_back(std::make_unique<Atomic<int64_t>>(-1));
   }
 }
 
-HybridLog::~HybridLog() {
-  device_->Drain();
-  for (uint8_t* f : frames_) std::free(f);
-}
+HybridLog::~HybridLog() { device_->Drain(); }
 
 bool HybridLog::MonotonicUpdate(Atomic<uint64_t>& a, Address desired,
                                 Address* winner) {
@@ -208,7 +203,7 @@ bool HybridLog::NewPage(uint64_t old_page) {
     return false;  // Eviction trigger hasn't run; caller refreshes.
   }
 
-  std::memset(frames_[frame], 0, Address::kPageSize);
+  std::memset(Frame(new_page), 0, Address::kPageSize);
   obs_stats_.pages_opened.Inc();
   uint64_t expected = tail_page_offset_.load(std::memory_order_acquire);
   while ((expected >> 32) == old_page) {
@@ -375,7 +370,7 @@ void HybridLog::RecoverTo(Address begin, Address tail) {
     last = p;
     closed_page_[f]->store(last < 0 ? -1 : last, std::memory_order_release);
   }
-  std::memset(frames_[tail_page % buffer_pages_], 0, Address::kPageSize);
+  std::memset(Frame(tail_page), 0, Address::kPageSize);
   tail_page_offset_.store((tail_page << 32) | tail.offset(),
                           std::memory_order_release);
 }

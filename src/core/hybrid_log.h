@@ -14,6 +14,7 @@
 #include "core/annotations.h"
 #include "core/epoch.h"
 #include "core/epoch_check.h"
+#include "core/memory_region.h"
 #include "core/status.h"
 #include "core/sync.h"
 #include "device/device.h"
@@ -55,7 +56,9 @@ struct LogConfig {
 /// keys, linked lists) belong to the store layered on top.
 class HybridLog {
  public:
-  /// `device` and `epoch` must outlive the log.
+  /// `device` and `epoch` must outlive the log. The frame buffer is
+  /// reserved, not touched: a frame becomes resident when its first page
+  /// opens. Throws std::bad_alloc if the frames cannot be mapped.
   HybridLog(const LogConfig& config, IDevice* device, LightEpoch* epoch);
   ~HybridLog();
 
@@ -96,7 +99,7 @@ class HybridLog {
         address >= head_address(),
         "log dereference (Get) below the head address — the frame may "
         "already be recycled for a newer page");
-    return frames_[address.page() % buffer_pages_] + address.offset();
+    return Frame(address.page()) + address.offset();
   }
 
   /// As Get(), but for addresses in a range the eviction callback is being
@@ -108,7 +111,7 @@ class HybridLog {
     FASTER_EPOCH_VERIFY(
         epoch_->IsProtected(),
         "log dereference (GetEvicted) without epoch protection");
-    return frames_[address.page() % buffer_pages_] + address.offset();
+    return Frame(address.page()) + address.offset();
   }
 
   /// Prefetches the first `bytes` of the in-memory record at `address`
@@ -220,6 +223,9 @@ class HybridLog {
 
   /// Number of page frames in the circular buffer.
   uint64_t buffer_pages() const { return buffer_pages_; }
+  /// The mapping holding every frame (block f is frame f), for residency
+  /// checks.
+  const MemoryRegion& frame_region() const { return frames_; }
   /// Pages of read-only lag between the read-only offset and the tail.
   uint64_t read_only_lag_pages() const { return ro_lag_pages_; }
 
@@ -253,6 +259,11 @@ class HybridLog {
   }
 
  private:
+  /// The frame hosting `page`.
+  uint8_t* Frame(uint64_t page) const {
+    return frames_.block(page % buffer_pages_);
+  }
+
   static Address Load(const Atomic<uint64_t>& a) {
     return Address{a.load(std::memory_order_acquire)};
   }
@@ -286,7 +297,9 @@ class HybridLog {
   uint64_t ro_lag_pages_;
   bool read_cache_mode_;
 
-  std::vector<uint8_t*> frames_;
+  /// All `buffer_pages_` frames, one guard page after each; the kernel
+  /// zeroes a frame on first use, NewPage/RecoverTo on reuse.
+  MemoryRegion frames_;
   /// closed_page_[f]: the latest page whose eviction from frame f has
   /// completed; frame f may host page P iff P < buffer_pages_ or
   /// closed_page_[f] == P - buffer_pages_.
@@ -300,7 +313,8 @@ class HybridLog {
   /// size while a page transition is in progress.
   // order: acq_rel fetch_add in Allocate/AllocateExtent (Alg. 1); acq_rel
   // CAS for the page rollover — threads that observe the new page's offset
-  // also observe its memset; acquire loads; release store in RecoverTo.
+  // also observe its zeroing (memset on reuse, kernel-zeroed on first use);
+  // acquire loads; release store in RecoverTo.
   alignas(64) Atomic<uint64_t> tail_page_offset_;
   // Region markers: monotone frontiers — acquire loads, acq_rel CAS-loop
   // in MonotonicUpdate; release store only in RecoverTo (idle log).

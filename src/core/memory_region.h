@@ -1,0 +1,67 @@
+#ifndef FASTER_CORE_MEMORY_REGION_H_
+#define FASTER_CORE_MEMORY_REGION_H_
+
+#include <cstdint>
+#include <utility>
+
+namespace faster {
+
+/// An anonymous private mapping carved into `count` equal blocks, each
+/// followed by a PROT_NONE guard page (DESIGN.md §5, "Frame and table
+/// memory"):
+///
+///   | block 0 | guard | block 1 | guard | ... | block count-1 | guard |
+///
+/// The kernel zero-fills a page on its first touch, so reserving a region
+/// costs address space, not resident memory: the log's frame budget and the
+/// index's bucket tables become resident only as they are used. A write
+/// that runs off the end of a block faults on its guard page in every
+/// build. Blocks start page-aligned; a block whose size is not a multiple
+/// of the OS page ends before its guard, in the page's unused tail.
+///
+/// Move-only; the destructor unmaps the whole region.
+class MemoryRegion {
+ public:
+  MemoryRegion() = default;
+  ~MemoryRegion() { Reset(); }
+
+  MemoryRegion(MemoryRegion&& other) noexcept { *this = std::move(other); }
+  MemoryRegion& operator=(MemoryRegion&& other) noexcept;
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
+
+  /// Maps `count` blocks of `block_bytes` each, plus their guard pages.
+  /// Returns an empty region (false in a boolean context) if either
+  /// argument is zero, the size overflows, or the kernel refuses the
+  /// mapping or a guard page.
+  static MemoryRegion Reserve(uint64_t block_bytes, uint64_t count = 1);
+
+  /// Unmaps the region (no-op when empty) and leaves it empty.
+  void Reset();
+
+  explicit operator bool() const { return base_ != nullptr; }
+
+  /// Start of block `i`. Blocks are the block size rounded up to the OS
+  /// page, plus one guard page, apart.
+  uint8_t* block(uint64_t i) const { return base_ + i * stride_; }
+  /// Block 0 as an array of T (the index's bucket table).
+  template <class T>
+  T* As() const {
+    return reinterpret_cast<T*>(base_);
+  }
+  uint64_t block_bytes() const { return block_bytes_; }
+
+  /// Bytes of block `i` currently resident in memory (mincore), in whole
+  /// OS pages. For tests and introspection.
+  uint64_t ResidentBytes(uint64_t i) const;
+
+ private:
+  uint8_t* base_ = nullptr;
+  uint64_t block_bytes_ = 0;
+  uint64_t stride_ = 0;
+  uint64_t count_ = 0;
+};
+
+}  // namespace faster
+
+#endif  // FASTER_CORE_MEMORY_REGION_H_

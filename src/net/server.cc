@@ -43,6 +43,19 @@ void AppendU64(std::string* out, uint64_t v) {
   out->append(buf, static_cast<size_t>(n));
 }
 
+/// Resident set size of this process (/proc/self/statm), or 0 if
+/// unavailable.
+uint64_t RssBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long size_pages = 0;
+  unsigned long long resident_pages = 0;
+  int fields = std::fscanf(f, "%llu %llu", &size_pages, &resident_pages);
+  std::fclose(f);
+  if (fields != 2) return 0;
+  return resident_pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
 }  // namespace
 
 /// One command's reply recipe, recorded in per-connection order during
@@ -903,8 +916,21 @@ std::string FasterServer::InfoText() {
   AppendU64(&out, regions.tail.control() - regions.head.control());
   out += "\r\n";
   out += "# Index\r\n";
+  uint64_t index_buckets = store_->index().size();
   out += "index_table_size:";
-  AppendU64(&out, store_->index().size());
+  AppendU64(&out, index_buckets);
+  out += "\r\n";
+  // # Memory: what the log and index reserve (mapped on demand) next to
+  // what the process actually holds, like Redis's used_memory_rss.
+  out += "# Memory\r\n";
+  out += "log_budget_bytes:";
+  AppendU64(&out, store_->hlog().buffer_pages() * Address::kPageSize);
+  out += "\r\n";
+  out += "index_bytes:";
+  AppendU64(&out, index_buckets * sizeof(HashBucket));
+  out += "\r\n";
+  out += "rss_bytes:";
+  AppendU64(&out, RssBytes());
   out += "\r\n";
   out += "# Epoch\r\n";
   out += "epoch_current:";
@@ -931,6 +957,9 @@ std::string FasterServer::InfoText() {
   out += "\r\n";
   out += "slowlog_total_recorded:";
   AppendU64(&out, slowlog.TotalRecorded());
+  out += "\r\n";
+  out += "slowlog_dropped:";
+  AppendU64(&out, slowlog.Dropped());
   out += "\r\n";
   out += "# Perf\r\n";
   const obs::PerfAttribution& perf = obs::GlobalPerf();

@@ -27,16 +27,30 @@ void SlowLog::MaybeRecord(SlowOpKind kind, uint64_t key_hash,
   if (threshold == kDisabled || total_ns < threshold) return;
   uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq % kCapacity];
-  slot.wall_ns.store(WallNs(), std::memory_order_relaxed);
-  slot.key_hash.store(key_hash, std::memory_order_relaxed);
-  slot.total_ns.store(total_ns, std::memory_order_relaxed);
+  // Seqlock write side. Claim the slot by swinging its tag to kBusy; a
+  // writer that finds it busy (a lapping writer is mid-store) or already
+  // holding a newer entry — both tags above `seq` — drops this one rather
+  // than interleave with it.
+  uint64_t tag = slot.commit.load(std::memory_order_relaxed);
+  if (tag > seq ||
+      !slot.commit.compare_exchange_strong(tag, kBusy,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Release field stores order the kBusy claim before each of them: a
+  // reader whose acquire load sees any of them then sees the tag moved.
+  slot.wall_ns.store(WallNs(), std::memory_order_release);
+  slot.key_hash.store(key_hash, std::memory_order_release);
+  slot.total_ns.store(total_ns, std::memory_order_release);
   for (uint32_t i = 0; i < kNumSlowStages; ++i) {
-    slot.stage_ns[i].store(stage_ns[i], std::memory_order_relaxed);
+    slot.stage_ns[i].store(stage_ns[i], std::memory_order_release);
   }
   slot.meta.store(static_cast<uint64_t>(kind) |
                       (pending ? (uint64_t{1} << 8) : 0) |
                       (static_cast<uint64_t>(tid) << 16),
-                  std::memory_order_relaxed);
+                  std::memory_order_release);
   slot.commit.store(seq + 1, std::memory_order_release);
 }
 
@@ -62,21 +76,14 @@ std::vector<SlowLog::Entry> SlowLog::Snapshot(uint64_t max_entries) const {
   out.reserve(static_cast<size_t>(end - lo));
   for (uint64_t seq = end; seq > lo && out.size() < max_entries; --seq) {
     const Slot& slot = slots_[(seq - 1) % kCapacity];
-    // Acquire pairs with the writer's release commit; a mismatched tag
-    // means the slot is mid-overwrite by a newer entry — skip it.
+    // Seqlock read side. Acquire pairs with the writer's release commit; a
+    // mismatched tag means the slot is mid-overwrite by a newer entry.
     if (slot.commit.load(std::memory_order_acquire) != seq) continue;
     Entry e;
-    e.id = seq - 1;
-    e.wall_ns = slot.wall_ns.load(std::memory_order_relaxed);
-    e.key_hash = slot.key_hash.load(std::memory_order_relaxed);
-    e.total_ns = slot.total_ns.load(std::memory_order_relaxed);
-    for (uint32_t i = 0; i < kNumSlowStages; ++i) {
-      e.stage_ns[i] = slot.stage_ns[i].load(std::memory_order_relaxed);
-    }
-    uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    e.kind = static_cast<SlowOpKind>(meta & 0xff);
-    e.pending = ((meta >> 8) & 0xff) != 0;
-    e.tid = static_cast<uint32_t>(meta >> 16);
+    CopyFields(slot, seq - 1, &e);
+    // A writer that lapped the ring during the copy moved the tag before
+    // any store the copy's acquire loads can have seen: drop the copy.
+    if (slot.commit.load(std::memory_order_relaxed) != seq) continue;
     out.push_back(e);
   }
   return out;
@@ -85,18 +92,22 @@ std::vector<SlowLog::Entry> SlowLog::Snapshot(uint64_t max_entries) const {
 bool SlowLog::ReadEntryRaw(uint64_t seq, Entry* out) const {
   const Slot& slot = slots_[seq % kCapacity];
   if (slot.commit.load(std::memory_order_relaxed) != seq + 1) return false;
-  out->id = seq;
-  out->wall_ns = slot.wall_ns.load(std::memory_order_relaxed);
-  out->key_hash = slot.key_hash.load(std::memory_order_relaxed);
-  out->total_ns = slot.total_ns.load(std::memory_order_relaxed);
+  CopyFields(slot, seq, out);
+  return true;
+}
+
+void SlowLog::CopyFields(const Slot& slot, uint64_t id, Entry* out) {
+  out->id = id;
+  out->wall_ns = slot.wall_ns.load(std::memory_order_acquire);
+  out->key_hash = slot.key_hash.load(std::memory_order_acquire);
+  out->total_ns = slot.total_ns.load(std::memory_order_acquire);
   for (uint32_t i = 0; i < kNumSlowStages; ++i) {
-    out->stage_ns[i] = slot.stage_ns[i].load(std::memory_order_relaxed);
+    out->stage_ns[i] = slot.stage_ns[i].load(std::memory_order_acquire);
   }
-  uint64_t meta = slot.meta.load(std::memory_order_relaxed);
+  uint64_t meta = slot.meta.load(std::memory_order_acquire);
   out->kind = static_cast<SlowOpKind>(meta & 0xff);
   out->pending = ((meta >> 8) & 0xff) != 0;
   out->tid = static_cast<uint32_t>(meta >> 16);
-  return true;
 }
 
 std::string SlowLog::Json() const {

@@ -27,8 +27,9 @@
 ///
 /// Everything here is always compiled; hot-path call sites go through
 /// the Stat* aliases and `kStatsEnabled` guards like the rest of
-/// `src/obs`. The ring itself is all-atomic (relaxed fields, release
-/// commit tags) so concurrent writers and readers are TSan-clean.
+/// `src/obs`. The ring itself is all-atomic (a seqlock per slot: commit
+/// tag plus release/acquire fields) so concurrent writers and readers are
+/// TSan-clean.
 
 #include <atomic>
 #include <cstdint>
@@ -109,7 +110,9 @@ class SlowLog {
   bool armed() const { return threshold_ns() != kDisabled; }
 
   /// Appends an entry if `total_ns` crosses the threshold. Concurrent and
-  /// lock-free (one fetch_add + relaxed stores + one release store).
+  /// lock-free (one fetch_add, one CAS claiming the slot, then release
+  /// stores — plain moves on x86). If a writer that lapped the ring holds
+  /// the slot, the entry is dropped and counted in Dropped().
   void MaybeRecord(SlowOpKind kind, uint64_t key_hash, uint64_t total_ns,
                    const uint64_t stage_ns[kNumSlowStages], bool pending,
                    uint32_t tid);
@@ -122,16 +125,21 @@ class SlowLog {
   uint64_t TotalRecorded() const {
     return next_.load(std::memory_order_relaxed);
   }
+  /// Entries that crossed the threshold but lost their slot to a
+  /// concurrent writer (monotone).
+  uint64_t Dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
   /// Copies current entries, newest first (Redis order). Entries being
-  /// overwritten concurrently are skipped.
+  /// overwritten concurrently are skipped, never returned torn.
   std::vector<Entry> Snapshot(uint64_t max_entries = kCapacity) const;
 
   /// /debug/slowlog body.
   std::string Json() const;
 
   /// Async-signal-safe raw read for the flight recorder: copies the entry
-  /// at ring sequence `seq` if committed (relaxed loads, torn-tolerant).
+  /// at ring sequence `seq` if committed (no re-check: torn-tolerant).
   bool ReadEntryRaw(uint64_t seq, Entry* out) const;
   /// Async-signal-safe: next ring sequence (exclusive end).
   uint64_t RawEnd() const { return next_.load(std::memory_order_relaxed); }
@@ -144,21 +152,29 @@ class SlowLog {
   }
 
  private:
+  /// Commit tag of a slot a writer is filling.
+  static constexpr uint64_t kBusy = UINT64_MAX;
+
   struct Slot {
-    // order: release store of seq+1 publishes the relaxed fields below;
-    // acquire loads in Snapshot pair with it. Relaxed loads in the
-    // crash-dump path (torn-tolerant).
+    // Seqlock tag: 0 empty, seq+1 committed, kBusy while a writer fills it.
+    // order: acquire CAS claims the slot (kBusy) after the previous
+    // tenant's stores; release store of seq+1 publishes the fields below.
+    // Snapshot: acquire load before the copy, relaxed re-load after it
+    // (the fields' acquire loads order it). Relaxed loads in the writer's
+    // pre-check and the crash-dump path (torn-tolerant).
     std::atomic<uint64_t> commit{0};
-    // order: relaxed; published by `commit`.
+    // Fields: release stores, each ordering the slot's kBusy claim before
+    // it; acquire loads, so a reader that sees a lapping writer's store
+    // also sees the tag it moved. Published by `commit`.
+    // order: release; acquire.
     std::atomic<uint64_t> wall_ns{0};
-    // order: relaxed; published by `commit`.
+    // order: release; acquire.
     std::atomic<uint64_t> key_hash{0};
-    // order: relaxed; published by `commit`.
+    // order: release; acquire.
     std::atomic<uint64_t> total_ns{0};
-    // order: relaxed; published by `commit`.
+    // order: release; acquire.
     std::atomic<uint64_t> stage_ns[kNumSlowStages] = {};
-    // order: relaxed; published by `commit`. Packs kind | pending<<8 |
-    // tid<<16.
+    // order: release; acquire. Packs kind | pending<<8 | tid<<16.
     std::atomic<uint64_t> meta{0};
   };
 
@@ -169,7 +185,11 @@ class SlowLog {
   std::atomic<uint64_t> next_{0};
   // order: relaxed; Reset lazily hides entries below the floor.
   std::atomic<uint64_t> reset_floor_{0};
+  // order: relaxed; a monotone statistic.
+  std::atomic<uint64_t> dropped_{0};
   Slot slots_[kCapacity];
+
+  static void CopyFields(const Slot& slot, uint64_t id, Entry* out);
 };
 
 /// Global instance used by the store, server, exporter, and flight

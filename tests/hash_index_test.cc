@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <new>
 #include <random>
 #include <set>
 #include <thread>
@@ -264,6 +266,93 @@ TEST_F(HashIndexTest, CheckpointRoundTrip) {
     HashIndex::FindResult fr;
     ASSERT_TRUE(restored.FindEntry(scope, h, &fr));
   }
+}
+
+// The bucket table is reserved, not touched: a 2^22-bucket (256 MB)
+// index is not resident after construction, and one insert faults in one
+// page.
+TEST_F(HashIndexTest, TableBecomesResidentOnlyWhenUsed) {
+  HashIndex index{uint64_t{1} << 22, &epoch_};
+  const MemoryRegion& table = index.table_region();
+  ASSERT_EQ(table.block_bytes(), (uint64_t{1} << 22) * sizeof(HashBucket));
+  EXPECT_EQ(table.ResidentBytes(0), 0u);
+  KeyHash h{Mix64(42)};
+  HashIndex::OpScope scope{index, h};
+  HashIndex::FindResult fr;
+  index.FindOrCreateEntry(scope, h, &fr);
+  EXPECT_EQ(table.ResidentBytes(0),
+            static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)));
+}
+
+// 2^41 buckets are 2^47 bytes, more than a 47-bit user address space can
+// map under any overcommit policy.
+TEST_F(HashIndexTest, UnmappableTableThrows) {
+  EXPECT_THROW((HashIndex{uint64_t{1} << 41, &epoch_}), std::bad_alloc);
+}
+
+/// Bytes of address space this process has mapped (/proc/self/statm).
+uint64_t MappedBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  unsigned long long pages = 0;
+  if (f != nullptr) {
+    if (std::fscanf(f, "%llu", &pages) != 1) pages = 0;
+    std::fclose(f);
+  }
+  return pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// Grow maps the doubled table before changing any state: when the mapping
+// fails (here under an address-space limit too tight for it) the index is
+// left exactly as it was, and a later Grow still works.
+TEST_F(HashIndexTest, GrowFailureLeavesIndexUntouched) {
+  constexpr uint64_t kBuckets = uint64_t{1} << 16;  // 4 MB; doubled: 8 MB
+  HashIndex index{kBuckets, &epoch_};
+  constexpr uint64_t kKeys = 1000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    KeyHash h{Mix64(k)};
+    HashIndex::OpScope scope{index, h};
+    HashIndex::FindResult fr;
+    index.FindOrCreateEntry(scope, h, &fr);
+    ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{k + 1, 0}));
+  }
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_AS, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = MappedBytes() + (kBuckets * sizeof(HashBucket)) / 2;
+  if (saved.rlim_cur != RLIM_INFINITY && saved.rlim_cur < tight.rlim_cur) {
+    GTEST_SKIP() << "address-space limit already tighter than the test's";
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &tight), 0);
+  Status s = index.Grow();
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &saved), 0);
+
+  EXPECT_EQ(s, Status::kOutOfMemory);
+  EXPECT_EQ(index.size(), kBuckets);
+  EXPECT_FALSE(index.IsResizing());
+  EXPECT_EQ(index.NumUsedEntries(), kKeys);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    KeyHash h{Mix64(k)};
+    HashIndex::OpScope scope{index, h};
+    HashIndex::FindResult fr;
+    ASSERT_TRUE(index.FindEntry(scope, h, &fr)) << "key " << k;
+  }
+  EXPECT_EQ(index.Grow(), Status::kOk);
+  EXPECT_EQ(index.size(), 2 * kBuckets);
+}
+
+// A one-byte write just past the bucket table lands on its guard page and
+// faults, in every build (not only under ASan).
+void WritePastTableEnd() {
+  LightEpoch epoch;
+  HashIndex index{1024, &epoch};
+  volatile uint8_t* end =
+      index.table_region().block(0) + index.size() * sizeof(HashBucket);
+  *end = 1;
+}
+
+TEST(HashIndexDeathTest, WritePastTableEndFaults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(WritePastTableEnd(), "");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -215,6 +216,82 @@ TEST_F(HybridLogTest, ReadCacheModeEvictsWithoutFlushing) {
   device_.Drain();
   EXPECT_EQ(device_.bytes_written(), 0u);
   EXPECT_GT(log.head_address().page(), 0u);
+}
+
+// The frame budget is reserved, not touched: construction leaves the
+// frames non-resident, and opening page k faults in frames 0..k only.
+TEST_F(HybridLogTest, FramesBecomeResidentOnlyWhenOpened) {
+  HybridLog log{SmallLog(64, 0.9), &device_, &epoch_};  // 256 MB budget
+  const MemoryRegion& frames = log.frame_region();
+  ASSERT_EQ(log.buffer_pages(), 64u);
+  auto resident_frames = [&] {
+    uint64_t n = 0;
+    for (uint64_t f = 0; f < log.buffer_pages(); ++f) {
+      if (frames.ResidentBytes(f) > 0) ++n;
+    }
+    return n;
+  };
+  EXPECT_LE(resident_frames(), 1u);
+
+  constexpr uint64_t kPage = 3;
+  constexpr uint32_t kSize = 4096;
+  for (Address a; a.page() < kPage;) {
+    a = MustAllocate(log, epoch_, kSize);
+    std::memset(log.Get(a), 0xAB, kSize);
+  }
+  for (uint64_t f = 0; f < log.buffer_pages(); ++f) {
+    if (f <= kPage) {
+      EXPECT_GT(frames.ResidentBytes(f), 0u) << "frame " << f;
+    } else {
+      EXPECT_EQ(frames.ResidentBytes(f), 0u) << "frame " << f;
+    }
+  }
+}
+
+// A recycled frame still reads as zero padding past the tail: NewPage
+// re-zeroes what the kernel zeroed on first use.
+TEST_F(HybridLogTest, RecycledFrameReadsZeroPastTail) {
+  HybridLog log{SmallLog(4, 0.5), &device_, &epoch_};
+  constexpr uint32_t kSize = 4096;
+  while (log.tail_address().page() < 2 * log.buffer_pages() + 1) {
+    Address a = MustAllocate(log, epoch_, kSize);
+    std::memset(log.Get(a), 0xAB, kSize);
+  }
+  Address a = MustAllocate(log, epoch_, 64);
+  std::memset(log.Get(a), 0xCD, 64);
+  Address tail = log.tail_address();
+  ASSERT_EQ(tail.page(), a.page());
+  ASSERT_LT(tail.offset(), Address::kPageSize);
+  const uint8_t* p = log.Get(tail);
+  uint64_t nonzero = 0;
+  for (uint64_t off = 0; off < Address::kPageSize - tail.offset(); ++off) {
+    nonzero += p[off] != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+}
+
+// A budget no machine can map is a std::bad_alloc, not a crash.
+TEST_F(HybridLogTest, UnmappableBudgetThrows) {
+  LogConfig cfg;
+  cfg.memory_size_bytes = uint64_t{1} << 46;
+  EXPECT_THROW((HybridLog{cfg, &device_, &epoch_}), std::bad_alloc);
+}
+
+// A one-byte write just past a frame lands on its guard page and faults,
+// in every build (not only under ASan).
+void WritePastFrameEnd() {
+  LightEpoch epoch;
+  MemoryDevice device;
+  HybridLog log{SmallLog(4, 0.9), &device, &epoch};
+  epoch.Protect();
+  Address a = MustAllocate(log, epoch, 64);
+  volatile uint8_t* end = log.Get(a) - a.offset() + Address::kPageSize;
+  *end = 1;
+}
+
+TEST(HybridLogDeathTest, WritePastFrameEndFaults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(WritePastFrameEnd(), "");
 }
 
 }  // namespace

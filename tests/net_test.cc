@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -537,19 +538,33 @@ TEST_F(NetServerTest, PerfCommands) {
   obs::GlobalPerf().Reset();
 }
 
+// Value of the numeric INFO field `name` (0 if absent).
+uint64_t InfoField(const std::string& info, const std::string& name) {
+  size_t at = info.find("\n" + name + ":");
+  if (at == std::string::npos) return 0;
+  return std::strtoull(info.c_str() + at + name.size() + 2, nullptr, 10);
+}
+
 TEST_F(NetServerTest, InfoIsSectioned) {
   StartServer();
   UniqueFd fd = Connect();
   Exchange(fd.get(), "SET 1 1\r\n", 1);
   std::string info = Exchange(fd.get(), "INFO\r\n", 1);
   for (const char* needle :
-       {"# Server", "# Clients", "# Stats", "# Log", "# Index", "# Epoch",
-        "# Slowlog", "# Perf", "connected_clients:",
+       {"# Server", "# Clients", "# Stats", "# Log", "# Index", "# Memory",
+        "# Epoch", "# Slowlog", "# Perf", "connected_clients:",
         "total_commands_processed:", "log_tail_address:", "epoch_current:",
-        "slowlog_enabled:", "build_git_sha:", "build_flags:",
-        "perf_enabled:", "perf_counter_mask:"}) {
+        "slowlog_enabled:", "slowlog_dropped:", "build_git_sha:",
+        "build_flags:", "perf_enabled:", "perf_counter_mask:"}) {
     EXPECT_NE(info.find(needle), std::string::npos) << needle;
   }
+  // # Memory: the budgets are exact, and the budget is reserved rather
+  // than resident, so RSS is positive but need not cover it.
+  EXPECT_EQ(InfoField(info, "log_budget_bytes"),
+            server_->store().hlog().buffer_pages() * Address::kPageSize);
+  EXPECT_EQ(InfoField(info, "index_bytes"),
+            server_->store().index().size() * sizeof(HashBucket));
+  EXPECT_GT(InfoField(info, "rss_bytes"), 0u);
 }
 
 TEST_F(NetServerTest, DebugConnectionsTracksLiveConnections) {
