@@ -3,8 +3,6 @@
 #include <unistd.h>
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <new>
@@ -66,13 +64,14 @@ HashIndex::HashIndex(uint64_t table_size, LightEpoch* epoch,
   tables_[0].store(table_regions_[0].As<HashBucket>(),
                    std::memory_order_release);
   table_size_[0].store(table_size, std::memory_order_release);
+  table_granule_.store(table_regions_[0].granule(), std::memory_order_relaxed);
   set_resize_state(Phase::kStable, 0);
 }
 
 HashIndex::~HashIndex() {
   // The tables themselves are unmapped by their regions.
   for (int v = 0; v < 2; ++v) {
-    for (HashBucket* b : overflow_pool_[v]) std::free(b);
+    for (HashBucket* b : overflow_pool_[v]) delete b;
   }
 }
 
@@ -82,9 +81,7 @@ MemoryRegion HashIndex::AllocateTable(uint64_t num_buckets) {
 }
 
 HashBucket* HashIndex::AllocateOverflowBucket(uint8_t version) {
-  void* mem = std::aligned_alloc(64, sizeof(HashBucket));
-  std::memset(mem, 0, sizeof(HashBucket));
-  auto* bucket = static_cast<HashBucket*>(mem);
+  auto* bucket = new HashBucket{};
   obs_stats_.overflow_allocs.Inc();
   std::lock_guard<Mutex> lock{overflow_mutex_};
   overflow_pool_[version].push_back(bucket);
@@ -368,10 +365,11 @@ Status HashIndex::Grow() {
   if (!fresh) return Status::kOutOfMemory;
 
   // Free any table left from the previous grow and set up the new one.
-  for (HashBucket* b : overflow_pool_[new_version]) std::free(b);
+  for (HashBucket* b : overflow_pool_[new_version]) delete b;
   overflow_pool_[new_version].clear();
   tables_[new_version].store(fresh.As<HashBucket>(),
                              std::memory_order_release);
+  table_granule_.store(fresh.granule(), std::memory_order_relaxed);
   table_regions_[new_version] = std::move(fresh);
   table_size_[new_version].store(new_size, std::memory_order_release);
 
@@ -431,7 +429,7 @@ Status HashIndex::Grow() {
   epoch_->BumpCurrentEpoch([old_table, old_overflow = std::move(old_overflow),
                             &freed]() {
     old_table->Reset();
-    for (HashBucket* b : old_overflow) std::free(b);
+    for (HashBucket* b : old_overflow) delete b;
     freed.store(true, std::memory_order_release);
   });
   while (!freed.load(std::memory_order_acquire)) {
@@ -612,11 +610,12 @@ Status HashIndex::ReadCheckpoint(int fd) {
   uint8_t v = info.version;
   MemoryRegion fresh = AllocateTable(header.table_size);
   if (!fresh) return Status::kOutOfMemory;
-  for (HashBucket* b : overflow_pool_[v]) std::free(b);
+  for (HashBucket* b : overflow_pool_[v]) delete b;
   overflow_pool_[v].clear();
   HashBucket* fresh_table = fresh.As<HashBucket>();
   tables_[v].store(fresh_table, std::memory_order_release);
   table_size_[v].store(header.table_size, std::memory_order_release);
+  table_granule_.store(fresh.granule(), std::memory_order_relaxed);
   table_regions_[v] = std::move(fresh);
 
   std::vector<HashBucket*> overflow_list;

@@ -136,6 +136,11 @@ class HashIndex {
   const MemoryRegion& table_region() const {
     return table_regions_[resize_info().version];
   }
+  /// The newest table's MemoryRegion::granule(), for INFO; safe against a
+  /// concurrent Grow.
+  uint64_t table_granule() const {
+    return table_granule_.load(std::memory_order_relaxed);
+  }
 
   /// Counts non-empty entries (O(table); for tests and stats).
   uint64_t NumUsedEntries() const;
@@ -312,6 +317,10 @@ class HashIndex {
   MemoryRegion table_regions_[2];
   // order: release store paired with the tables_ install; acquire loads.
   Atomic<uint64_t> table_size_[2] = {0, 0};
+  // table_regions_[v].granule() of the last installed table, readable
+  // without racing Grow's moves of table_regions_.
+  // order: relaxed stores and loads: a statistic, it publishes nothing.
+  Atomic<uint64_t> table_granule_{0};
   // order: release store on every phase transition (writes to the new
   // version's arrays happen-before the announcement); acquire load in
   // resize_info().

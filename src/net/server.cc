@@ -12,6 +12,7 @@
 #include <deque>
 #include <optional>
 
+#include "core/memory_region.h"
 #include "obs/build_info.h"
 #include "obs/log.h"
 #include "obs/perf.h"
@@ -54,6 +55,19 @@ uint64_t RssBytes() {
   std::fclose(f);
   if (fields != 2) return 0;
   return resident_pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// The process's memory backed by transparent huge pages (0 if unknown).
+uint64_t AnonHugeBytes() {
+  std::FILE* f = std::fopen("/proc/self/smaps_rollup", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr &&
+         std::sscanf(line, "AnonHugePages: %llu kB", &kb) != 1) {
+  }
+  std::fclose(f);
+  return kb * 1024;
 }
 
 }  // namespace
@@ -931,6 +945,25 @@ std::string FasterServer::InfoText() {
   out += "\r\n";
   out += "rss_bytes:";
   AppendU64(&out, RssBytes());
+  out += "\r\n";
+  // Whether the frames and the table took huge pages (DESIGN.md §5); 0
+  // means the kernel refused or ignored the advice, which thp_enabled
+  // explains.
+  const bool log_huge =
+      store_->hlog().frame_region().granule() == MemoryRegion::kHugePage;
+  const bool index_huge =
+      store_->index().table_granule() == MemoryRegion::kHugePage;
+  out += "log_huge:";
+  AppendU64(&out, log_huge ? 1 : 0);
+  out += "\r\n";
+  out += "index_huge:";
+  AppendU64(&out, index_huge ? 1 : 0);
+  out += "\r\n";
+  out += "thp_enabled:";
+  out += ThpEnabledMode();
+  out += "\r\n";
+  out += "anon_huge_bytes:";
+  AppendU64(&out, AnonHugeBytes());
   out += "\r\n";
   out += "# Epoch\r\n";
   out += "epoch_current:";

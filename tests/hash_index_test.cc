@@ -270,7 +270,7 @@ TEST_F(HashIndexTest, CheckpointRoundTrip) {
 
 // The bucket table is reserved, not touched: a 2^22-bucket (256 MB)
 // index is not resident after construction, and one insert faults in one
-// page.
+// granule (a huge page where the kernel backs the table with them).
 TEST_F(HashIndexTest, TableBecomesResidentOnlyWhenUsed) {
   HashIndex index{uint64_t{1} << 22, &epoch_};
   const MemoryRegion& table = index.table_region();
@@ -280,8 +280,7 @@ TEST_F(HashIndexTest, TableBecomesResidentOnlyWhenUsed) {
   HashIndex::OpScope scope{index, h};
   HashIndex::FindResult fr;
   index.FindOrCreateEntry(scope, h, &fr);
-  EXPECT_EQ(table.ResidentBytes(0),
-            static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)));
+  EXPECT_EQ(table.ResidentBytes(0), table.granule());
 }
 
 // 2^41 buckets are 2^47 bytes, more than a 47-bit user address space can

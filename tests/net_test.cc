@@ -538,6 +538,18 @@ TEST_F(NetServerTest, PerfCommands) {
   obs::GlobalPerf().Reset();
 }
 
+// Raw value of the INFO field `name`, up to its CRLF ("" if absent).
+std::string InfoValue(const std::string& info, const std::string& name) {
+  size_t at = info.find("\n" + name + ":");
+  if (at == std::string::npos) return "";
+  at += name.size() + 2;
+  return info.substr(at, info.find("\r\n", at) - at);
+}
+
+bool IsDecimal(const std::string& s) {
+  return !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
+}
+
 // Value of the numeric INFO field `name` (0 if absent).
 uint64_t InfoField(const std::string& info, const std::string& name) {
   size_t at = info.find("\n" + name + ":");
@@ -565,6 +577,20 @@ TEST_F(NetServerTest, InfoIsSectioned) {
   EXPECT_EQ(InfoField(info, "index_bytes"),
             server_->store().index().size() * sizeof(HashBucket));
   EXPECT_GT(InfoField(info, "rss_bytes"), 0u);
+  // Huge-page backing: two flags, the kernel's THP mode, and a byte count.
+  const std::string thp = InfoValue(info, "thp_enabled");
+  EXPECT_TRUE(thp == "always" || thp == "madvise" || thp == "never" ||
+              thp == "unsupported")
+      << thp;
+  for (const char* flag : {"log_huge", "index_huge"}) {
+    const std::string v = InfoValue(info, flag);
+    EXPECT_TRUE(v == "0" || v == "1") << flag << "=" << v;
+    if (thp == "never" || thp == "unsupported") {
+      EXPECT_EQ(v, "0") << flag;
+    }
+  }
+  EXPECT_TRUE(IsDecimal(InfoValue(info, "anon_huge_bytes")))
+      << InfoValue(info, "anon_huge_bytes");
 }
 
 TEST_F(NetServerTest, DebugConnectionsTracksLiveConnections) {

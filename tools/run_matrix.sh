@@ -3,6 +3,7 @@
 # ctest in the three configurations the project gates on.
 #
 #   release     -O2, -Werror, full ctest suite (including long-labeled tests)
+#               + benchsuite/run.py --smoke
 #   tsan        FASTER_SANITIZE=thread, ctest minus long/model tests
 #   asan        FASTER_SANITIZE=address,undefined, ctest minus long/model
 #   epochcheck  FASTER_EPOCH_CHECK=ON — runtime epoch/region verifier,
@@ -157,6 +158,10 @@ suppressions=$(pwd)/tsan.supp history_size=7")
   cmake --build "${build_dir}" -j "${JOBS}"
   echo "=== [${config}] test ==="
   (cd "${build_dir}" && "${env_prefix[@]}" ctest "${ctest_args[@]}")
+  if [[ "${config}" == release ]]; then
+    echo "=== [${config}] benchmark smoke ==="
+    python3 benchsuite/run.py --smoke
+  fi
   ccache_report "${config}"
   echo "=== [${config}] OK ==="
 }
