@@ -181,148 +181,16 @@ class FasterKv {
   /// (Appendix E).
   Status Read(const Key& key, const Input& input, Output* output,
               void* user_context = nullptr) FASTER_REQUIRES_EPOCH() {
-    ThreadState& ts = AutoRefresh();
-    ++ts.reads;
-    obs::StatOpSpan span{obs::SpanKind::kRead};
-    obs::StatSlowOpScope slow_scope{obs::SlowOpKind::kRead};
-    // Single-op path: the whole op is one execute segment (the batch
-    // pipeline attributes hash/resolve separately); nested scopes
-    // (io_queue at submit) pause this one, so counters never double-count.
-    obs::StatPerfScope perf_scope{obs::PerfStage::kExecute};
-    KeyHash hash = Hasher{}(key);
-    slow_scope.set_key_hash(hash.control());
-    for (;;) {
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      if (!index_.FindEntry(scope, hash, &fr)) {
-        obs_stats_.read_miss.Inc();
-        return Status::kNotFound;
-      }
-      Address addr;
-      RecordT* rc_rec = nullptr;
-      if (!ResolveEntry(fr, &addr, &rc_rec)) {
-        // The cache page was evicted but the entry is not yet redirected;
-        // drive the epoch and retry (Appendix D).
-        epoch_.Refresh();
-        continue;
-      }
-      if (rc_rec != nullptr && rc_rec->key == key) {
-        // Read-cache hit. A hit in the cache's read-only region earns the
-        // record a second chance at the cache tail (Appendix D).
-        if (StripRc(fr.entry.address()) < rc_log_->read_only_address()) {
-          RcSecondChance(key, rc_rec, fr);
-        }
-        F::SingleReader(key, input, rc_rec->value, *output);
-        ++ts.rc_hits;
-        obs_stats_.read_rc.Inc();
-        return Status::kOk;
-      }
-      Address begin = hlog_.begin_address();
-      if (!addr.IsValid() || addr < begin) {
-        if (rc_rec == nullptr) {
-          // Stale entry left behind by log truncation (Appendix C).
-          index_.TryDeleteEntry(&fr);
-        }
-        obs_stats_.read_miss.Inc();
-        return Status::kNotFound;
-      }
-      if constexpr (kMergeable) {
-        return MergeableRead(ts, key, hash, addr, output);
-      }
-      Address head = hlog_.head_address();
-      Address min_mem = std::max(head, begin);
-      RecordT* rec = nullptr;
-      addr = TraceBack(key, addr, min_mem, &rec);
-      if (rec != nullptr) {
-        if (rec->info().tombstone()) {
-          obs_stats_.read_miss.Inc();
-          return Status::kNotFound;
-        }
-        if (addr < hlog_.safe_read_only_address()) {
-          obs_stats_.read_readonly.Inc();
-          F::SingleReader(key, input, rec->value, *output);
-        } else {
-          if constexpr (obs::kStatsEnabled) {
-            // Classification only; avoid the extra load when compiled out.
-            if (addr >= hlog_.read_only_address()) {
-              obs_stats_.read_mutable.Inc();
-            } else {
-              obs_stats_.read_fuzzy.Inc();
-            }
-          }
-          F::ConcurrentReader(key, input, rec->value, *output);
-        }
-        return Status::kOk;
-      }
-      if (!addr.IsValid() || addr < begin) {
-        // The index tag matched but no record carried the key: a tag
-        // false positive (Sec. 3.2) or a truncated chain.
-        obs_stats_.tag_false_positives.Inc();
-        obs_stats_.read_miss.Inc();
-        return Status::kNotFound;
-      }
-      // The chain continues on storage: go asynchronous (Sec. 5.3).
-      obs_stats_.read_stable.Inc();
-      return IssuePendingIo(ts, OpType::kRead, key, hash, input, output,
-                            addr, user_context);
-    }
+    return RunSingle(
+        OpRef{OpKind::kRead, key, &input, nullptr, output, user_context});
   }
 
   /// Blind upsert (Alg. 3): replaces the value for `key`, in place if the
   /// newest record is in the mutable region, otherwise by appending a new
   /// record. Never performs storage reads. Always completes synchronously.
   Status Upsert(const Key& key, const Value& value) FASTER_REQUIRES_EPOCH() {
-    ThreadState& ts = AutoRefresh();
-    ++ts.upserts;
-    obs::StatOpSpan span{obs::SpanKind::kUpsert};
-    obs::StatSlowOpScope slow_scope{obs::SlowOpKind::kUpsert};
-    obs::StatPerfScope perf_scope{obs::PerfStage::kExecute};
-    KeyHash hash = Hasher{}(key);
-    slow_scope.set_key_hash(hash.control());
-    for (;;) {
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      index_.FindOrCreateEntry(scope, hash, &fr);
-      Address addr;
-      RecordT* rc_rec = nullptr;
-      if (!ResolveEntry(fr, &addr, &rc_rec)) {
-        epoch_.Refresh();
-        continue;
-      }
-      Address begin = hlog_.begin_address();
-      Address head = hlog_.head_address();
-      RecordT* rec = nullptr;
-      if (rc_rec == nullptr && addr.IsValid() && addr >= begin &&
-          addr >= head) {
-        Address found = TraceBack(key, addr, std::max(head, begin), &rec);
-        if (rec != nullptr && !rec->info().tombstone() && !config_.force_rcu &&
-            found >= hlog_.read_only_address()) {
-          // Mutable region: in-place update (Table 1 row 4).
-          hlog_.VerifyMutableAddress(found);
-          F::ConcurrentWriter(key, value, rec->value);
-          obs_stats_.upsert_inplace.Inc();
-          return Status::kOk;
-        }
-      }
-      // Every other region (read-only, fuzzy, on disk, absent, or behind a
-      // read-cache entry): append a new record — blind updates need not
-      // read the old value (Table 2). The new record's chain skips any
-      // cache record (its copy lives on the primary log already).
-      Address new_addr = TryAllocateRecord();
-      if (!new_addr.IsValid()) continue;  // Epoch refreshed; restart.
-      RecordT* new_rec = RecordAt(new_addr);
-      new_rec->key = key;
-      F::SingleWriter(key, value, new_rec->value);
-      new_rec->set_info(RecordInfo{addr, false, false});
-      if (index_.TryUpdateEntry(&fr, new_addr)) {
-        ++ts.appended_records;
-        obs_stats_.upsert_append.Inc();
-        // Appendix C: flag the superseded in-memory version for GC.
-        if (rec != nullptr) rec->SetOverwritten();
-        return Status::kOk;
-      }
-      new_rec->SetInvalid();  // Lost the CAS; record is garbage.
-    }
+    return RunSingle(
+        OpRef{OpKind::kUpsert, key, nullptr, &value, nullptr, nullptr});
   }
 
   /// Read-modify-write (Alg. 4): updates the value using F's updaters.
@@ -331,103 +199,15 @@ class FasterKv {
   /// the completion callback with `user_context` (Appendix E).
   Status Rmw(const Key& key, const Input& input,
              void* user_context = nullptr) FASTER_REQUIRES_EPOCH() {
-    ThreadState& ts = AutoRefresh();
-    ++ts.rmws;
-    obs::StatOpSpan span{obs::SpanKind::kRmw};
-    obs::StatSlowOpScope slow_scope{obs::SlowOpKind::kRmw};
-    obs::StatPerfScope perf_scope{obs::PerfStage::kExecute};
-    KeyHash hash = Hasher{}(key);
-    slow_scope.set_key_hash(hash.control());
-    RmwOutcome oc = RmwInMemory(ts, key, hash, input, DiskState::kNone,
-                                nullptr, Address::Invalid());
-    switch (oc.kind) {
-      case RmwOutcome::kDone:
-        return oc.status;
-      case RmwOutcome::kIo:
-        return IssuePendingIo(ts, OpType::kRmw, key, hash, input, nullptr,
-                              oc.io_address, user_context);
-      case RmwOutcome::kFuzzy: {
-        // Fuzzy region (Sec. 6.2): defer to the pending list; retried at
-        // CompletePending once the safe read-only offset catches up.
-        ++ts.fuzzy_rmws;
-        obs_stats_.rmw_fuzzy_deferred.Inc();
-        obs_stats_.pending_retries.Inc();
-        trace_.Emit(obs::Ev::kFuzzyRmwDeferred, Thread::Id());
-        auto* ctx = new PendingContext(this, OpType::kRmw, key, hash, input,
-                                       nullptr, Thread::Id());
-        ctx->user_context = user_context;
-        CaptureTrace(ctx);
-        ts.retries.push_back(ctx);
-        return Status::kPending;
-      }
-    }
-    return Status::kAborted;  // unreachable
+    return RunSingle(
+        OpRef{OpKind::kRmw, key, &input, nullptr, nullptr, user_context});
   }
 
   /// Deletes `key` (Sec. 4 / Sec. 5.3): sets the tombstone bit in place in
   /// the mutable region, otherwise appends a tombstone record.
   Status Delete(const Key& key) FASTER_REQUIRES_EPOCH() {
-    ThreadState& ts = AutoRefresh();
-    ++ts.deletes;
-    obs::StatOpSpan span{obs::SpanKind::kDelete};
-    obs::StatSlowOpScope slow_scope{obs::SlowOpKind::kDelete};
-    obs::StatPerfScope perf_scope{obs::PerfStage::kExecute};
-    KeyHash hash = Hasher{}(key);
-    slow_scope.set_key_hash(hash.control());
-    for (;;) {
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      if (!index_.FindEntry(scope, hash, &fr)) return Status::kNotFound;
-      Address addr;
-      RecordT* rc_rec = nullptr;
-      if (!ResolveEntry(fr, &addr, &rc_rec)) {
-        epoch_.Refresh();
-        continue;
-      }
-      Address begin = hlog_.begin_address();
-      if (!addr.IsValid() || addr < begin) {
-        if (rc_rec != nullptr) {
-          // The cached key's only version was truncated away.
-          index_.TryUpdateEntry(&fr, addr);
-          return Status::kNotFound;
-        }
-        index_.TryDeleteEntry(&fr);
-        return Status::kNotFound;
-      }
-      Address head = hlog_.head_address();
-      RecordT* rec = nullptr;
-      Address found = Address::Invalid();
-      if (addr >= head) {
-        found = TraceBack(key, addr, std::max(head, begin), &rec);
-      } else {
-        found = addr;  // chain starts on disk
-      }
-      if (rec != nullptr) {
-        if (rec->info().tombstone()) return Status::kNotFound;
-        if (!config_.force_rcu && found >= hlog_.read_only_address()) {
-          hlog_.VerifyMutableAddress(found);
-          rec->SetTombstone();
-          obs_stats_.delete_inplace.Inc();
-          return Status::kOk;
-        }
-      } else if (!found.IsValid() || found < begin) {
-        return Status::kNotFound;  // key definitely absent in memory & log
-      }
-      // Read-only / fuzzy / on-disk: append a tombstone record (blind).
-      Address new_addr = TryAllocateRecord();
-      if (!new_addr.IsValid()) continue;
-      RecordT* new_rec = RecordAt(new_addr);
-      new_rec->key = key;
-      new_rec->value = Value{};
-      new_rec->set_info(RecordInfo{addr, false, /*tombstone=*/true});
-      if (index_.TryUpdateEntry(&fr, new_addr)) {
-        ++ts.appended_records;
-        obs_stats_.delete_append.Inc();
-        if (rec != nullptr) rec->SetOverwritten();  // Appendix C
-        return Status::kOk;
-      }
-      new_rec->SetInvalid();
-    }
+    return RunSingle(
+        OpRef{OpKind::kDelete, key, nullptr, nullptr, nullptr, nullptr});
   }
 
   // -------------------------------------------------------------------
@@ -435,14 +215,12 @@ class FasterKv {
   // DESIGN.md "Batched pipeline"). Each chunk of up to kBatchChunk ops is
   // processed in three stages: (1) hash every key and prefetch its hash
   // bucket, (2) resolve all index entries against one stable-table
-  // snapshot and prefetch the head records, (3) execute each op against
-  // the now-warm cache lines. Ops the fast path cannot serve (resize in
-  // flight, read-cache entries, tentative/CAS conflicts, intra-batch
-  // dependencies, page rollovers) fall through to the single-op methods,
-  // so results are always identical to executing the ops sequentially in
-  // issue order. All on-disk reads discovered in a chunk are issued as one
-  // coalesced device submission and complete through CompletePending() as
-  // usual. One epoch refresh check covers the whole chunk.
+  // snapshot and prefetch the head records, (3) Apply each op to its
+  // resolution against the now-warm lines — the Apply single ops use. An
+  // op that cannot use its resolution re-resolves like a single op, so
+  // results are identical to executing the ops one at a time in order.
+  // Storage reads found in stage 3 go to the device as one submission.
+  // One epoch refresh check covers the whole chunk.
   // -------------------------------------------------------------------
 
   /// Largest number of ops processed per pipeline pass; bigger batches are
@@ -483,66 +261,35 @@ class FasterKv {
                  Status* statuses, size_t count,
                  void* const* user_contexts = nullptr)
       FASTER_REQUIRES_EPOCH() {
-    BatchOp ops[kBatchChunk];
-    size_t done = 0;
-    while (done < count) {
-      size_t n = std::min(count - done, kBatchChunk);
-      for (size_t i = 0; i < n; ++i) {
-        ops[i] = BatchOp{};
-        ops[i].kind = BatchOp::Kind::kRead;
-        ops[i].key = keys[done + i];
-        ops[i].input = inputs[done + i];
-        ops[i].output = &outputs[done + i];
-        if (user_contexts != nullptr) {
-          ops[i].user_context = user_contexts[done + i];
-        }
-      }
-      ExecuteChunk(ops, n);
-      for (size_t i = 0; i < n; ++i) statuses[done + i] = ops[i].status;
-      done += n;
-    }
+    ExecuteTyped(statuses, count, [&](BatchOp& op, size_t i) {
+      op.kind = BatchOp::Kind::kRead;
+      op.key = keys[i];
+      op.input = inputs[i];
+      op.output = &outputs[i];
+      if (user_contexts != nullptr) op.user_context = user_contexts[i];
+    });
   }
 
   /// Batched blind upserts; always complete synchronously.
   void UpsertBatch(const Key* keys, const Value* values, Status* statuses,
                    size_t count) FASTER_REQUIRES_EPOCH() {
-    BatchOp ops[kBatchChunk];
-    size_t done = 0;
-    while (done < count) {
-      size_t n = std::min(count - done, kBatchChunk);
-      for (size_t i = 0; i < n; ++i) {
-        ops[i] = BatchOp{};
-        ops[i].kind = BatchOp::Kind::kUpsert;
-        ops[i].key = keys[done + i];
-        ops[i].value = values[done + i];
-      }
-      ExecuteChunk(ops, n);
-      for (size_t i = 0; i < n; ++i) statuses[done + i] = ops[i].status;
-      done += n;
-    }
+    ExecuteTyped(statuses, count, [&](BatchOp& op, size_t i) {
+      op.kind = BatchOp::Kind::kUpsert;
+      op.key = keys[i];
+      op.value = values[i];
+    });
   }
 
   /// Batched RMWs; kPending statuses complete via CompletePending.
   void RmwBatch(const Key* keys, const Input* inputs, Status* statuses,
                 size_t count, void* const* user_contexts = nullptr)
       FASTER_REQUIRES_EPOCH() {
-    BatchOp ops[kBatchChunk];
-    size_t done = 0;
-    while (done < count) {
-      size_t n = std::min(count - done, kBatchChunk);
-      for (size_t i = 0; i < n; ++i) {
-        ops[i] = BatchOp{};
-        ops[i].kind = BatchOp::Kind::kRmw;
-        ops[i].key = keys[done + i];
-        ops[i].input = inputs[done + i];
-        if (user_contexts != nullptr) {
-          ops[i].user_context = user_contexts[done + i];
-        }
-      }
-      ExecuteChunk(ops, n);
-      for (size_t i = 0; i < n; ++i) statuses[done + i] = ops[i].status;
-      done += n;
-    }
+    ExecuteTyped(statuses, count, [&](BatchOp& op, size_t i) {
+      op.kind = BatchOp::Kind::kRmw;
+      op.key = keys[i];
+      op.input = inputs[i];
+      if (user_contexts != nullptr) op.user_context = user_contexts[i];
+    });
   }
 
   /// Processes this thread's pending work: storage-read completions and
@@ -845,10 +592,10 @@ class FasterKv {
   Stats GetStats() const {
     Stats s;
     for (const ThreadState& ts : thread_states_) {
-      s.reads += ts.reads.get();
-      s.upserts += ts.upserts.get();
-      s.rmws += ts.rmws.get();
-      s.deletes += ts.deletes.get();
+      s.reads += ts.ops[static_cast<size_t>(OpKind::kRead)].get();
+      s.upserts += ts.ops[static_cast<size_t>(OpKind::kUpsert)].get();
+      s.rmws += ts.ops[static_cast<size_t>(OpKind::kRmw)].get();
+      s.deletes += ts.ops[static_cast<size_t>(OpKind::kDelete)].get();
       s.fuzzy_rmws += ts.fuzzy_rmws.get();
       s.pending_ios += ts.ios_issued.get();
       s.completed_pending += ts.completed.get();
@@ -894,8 +641,8 @@ class FasterKv {
     // Batched pipeline (group prefetching). Prefetch-hit ratio =
     // batch_fast / (batch_fast + batch_fallback).
     obs::StatHistogram batch_sizes;    // ops per executed chunk
-    obs::StatCounter batch_fast;       // ops completed in stage 3
-    obs::StatCounter batch_fallback;   // ops routed to the single-op path
+    obs::StatCounter batch_fast;       // ops applied to their stage-2 entry
+    obs::StatCounter batch_fallback;   // ops that re-resolved instead
     obs::StatHistogram batch_io_group_size;  // reads per coalesced submit
   };
   const ObsStats& obs_stats() const { return obs_stats_; }
@@ -1197,24 +944,45 @@ class FasterKv {
     return buf;
   }
 
-  enum class OpType : uint8_t { kRead, kRmw };
+  /// The store's op kinds (the slowlog's vocabulary); a BatchOp::Kind
+  /// converts by value.
+  using OpKind = obs::SlowOpKind;
+  static_assert(static_cast<OpKind>(BatchOp::Kind::kRead) == OpKind::kRead &&
+                static_cast<OpKind>(BatchOp::Kind::kUpsert) ==
+                    OpKind::kUpsert &&
+                static_cast<OpKind>(BatchOp::Kind::kRmw) == OpKind::kRmw);
+
+  /// One op as Resolve and Apply see it. It refers to the caller's
+  /// arguments (or BatchOp fields), so a single-op Upsert never copies its
+  /// value.
+  struct OpRef {
+    OpKind kind;
+    const Key& key;
+    const Input* input;  // reads and RMWs
+    const Value* value;  // upserts
+    Output* output;      // reads
+    void* user_context;  // reads and RMWs
+  };
+
   enum class DiskState : uint8_t { kNone, kValue, kAbsent };
 
   /// Context carried by an operation that went pending (Sec. 5.3): enough
   /// to resume after the asynchronous storage read (or fuzzy retry).
   struct PendingContext {
-    PendingContext(FasterKv* s, OpType o, const Key& k, KeyHash h,
-                   const Input& in, Output* out, uint32_t own)
-        : store{s}, op{o}, key{k}, hash{h}, input{in}, output{out},
-          owner{own} {}
+    // `o` by value: a reference escaping into this (out-of-line)
+    // constructor would keep the compiler from folding the op kind.
+    PendingContext(FasterKv* s, OpRef o, KeyHash h)
+        : store{s}, op{o.kind}, key{o.key}, hash{h}, input{*o.input},
+          output{o.output}, user_context{o.user_context},
+          owner{Thread::Id()} {}
 
     FasterKv* store;
-    OpType op;
+    OpKind op;
     Key key;
     KeyHash hash;
     Input input;
     Output* output;
-    void* user_context = nullptr;
+    void* user_context;
     uint32_t owner;
     Address address = Address::Invalid();     // record being read
     Address chain_bottom = Address::Invalid();  // first disk address of chain
@@ -1262,7 +1030,7 @@ class FasterKv {
     uint64_t outstanding_ios = 0;
     uint32_t ops_since_refresh = 0;
     // Statistics.
-    RelaxedTally reads, upserts, rmws, deletes;
+    RelaxedTally ops[4];  // by OpKind
     RelaxedTally fuzzy_rmws, ios_issued, completed;
     RelaxedTally appended_records;
     RelaxedTally rc_hits;
@@ -1286,14 +1054,6 @@ class FasterKv {
 
   RecordT* RcRecordAt(Address addr) const FASTER_REQUIRES_EPOCH() {
     return reinterpret_cast<RecordT*>(rc_log_->Get(addr));
-  }
-
-  /// Record access for the eviction redirect only: RcEvict walks cache
-  /// addresses that are already below the cache's head (the frames survive
-  /// until the eviction trigger returns), which Get()'s head check would
-  /// reject.
-  RecordT* RcRecordAtEvicted(Address addr) const FASTER_REQUIRES_EPOCH() {
-    return reinterpret_cast<RecordT*>(rc_log_->GetEvicted(addr));
   }
 
   /// Resolves an index entry to the primary-log chain start, surfacing the
@@ -1361,6 +1121,12 @@ class FasterKv {
   void RcSecondChance(const Key& key, RecordT* rc_rec,
                       const HashIndex::FindResult& fr)
       FASTER_REQUIRES_EPOCH() {
+    // Skip a copy whose CAS is bound to fail: the entry already moved on
+    // since `fr` was resolved (say, an earlier read of the key in the same
+    // batch made the copy).
+    if (fr.slot->load(std::memory_order_acquire) != fr.entry.control()) {
+      return;
+    }
     Address new_addr = TryAllocateRcRecord();
     if (!new_addr.IsValid()) return;
     RecordT* rec = RcRecordAt(new_addr);
@@ -1384,13 +1150,17 @@ class FasterKv {
     // action; the running thread is protected, but the analysis cannot see
     // through the type-erased callback, so re-establish the capability.
     AssertEpochProtected(epoch_);
-    Address addr = from;
+    // The cache's first page starts with the log's reserved bytes, whose
+    // zero header would read as padding and skip the page's records.
+    Address addr = std::max(from, rc_log_->begin_address());
     while (addr < to) {
       if (addr.offset() + RecordT::size() > Address::kPageSize) {
         addr = addr.NextPageStart();
         continue;
       }
-      RecordT* rec = RcRecordAtEvicted(addr);
+      // The addresses are already below the cache's head (the frames
+      // survive until this trigger returns), which Get() would reject.
+      auto* rec = reinterpret_cast<RecordT*>(rc_log_->GetEvicted(addr));
       if (!rec->info().in_use()) {
         addr = addr.NextPageStart();  // page padding
         continue;
@@ -1410,9 +1180,11 @@ class FasterKv {
     }
   }
 
-  ThreadState& AutoRefresh() FASTER_REQUIRES_EPOCH() {
+  /// Counts `ops` toward the refresh interval, refreshing when it is due.
+  ThreadState& AutoRefresh(uint32_t ops) FASTER_REQUIRES_EPOCH() {
     ThreadState& ts = thread_states_[Thread::Id()];
-    if (++ts.ops_since_refresh >= config_.refresh_interval) {
+    ts.ops_since_refresh += ops;
+    if (ts.ops_since_refresh >= config_.refresh_interval) {
       ts.ops_since_refresh = 0;
       epoch_.Refresh();
     }
@@ -1516,136 +1288,449 @@ class FasterKv {
     return Address::Invalid();
   }
 
-  struct RmwOutcome {
-    enum Kind { kDone, kIo, kFuzzy } kind;
-    Status status = Status::kOk;
-    Address io_address = Address::Invalid();
+  // -------------------------------------------------------------------
+  // The op engine (Alg. 2-4, Tables 1-2). Every op is Resolve + Apply:
+  // Resolve hashes the key and finds its index entry; Apply runs the
+  // region dispatch on that entry. Single ops resolve under an OpScope
+  // (Resolve below); batch stages 1-2 resolve a whole chunk at once and
+  // stage 3 calls the same Apply. Apply returns false when the op must
+  // re-resolve: a lost CAS, a page rollover, a read-cache eviction
+  // redirect in flight, or — on a stage-2 resolution — a write to a key
+  // with no index entry yet. Otherwise it sets `*status`. The engine is
+  // forced inline, so each entry point compiles to straight-line code for
+  // its op kind (out-of-line calls cost 5-20% per op on a cache-resident
+  // store; EXPERIMENTS.md "One op engine").
+  // -------------------------------------------------------------------
+
+  /// What a batch chunk lends to Apply: stage 2's append extent and the
+  /// storage reads to submit as one group. Only a stage-2 resolution gets
+  /// it: one that predates the extent, so a record placed there lands
+  /// above the version it supersedes (DESIGN.md §8 "Append extents").
+  struct ChunkRes {
+    Address extent = Address::Invalid();
+    uint32_t extent_left = 0;
+    PendingContext* ios[kBatchChunk];
+    size_t num_ios = 0;
   };
 
-  /// The in-memory portion of RMW (Alg. 4). `disk_state`/`disk_value`
-  /// carry the result of a completed storage read for chain bottom
-  /// `disk_bottom` (continuation path); kNone on the initial attempt.
-  RmwOutcome RmwInMemory(ThreadState& ts, const Key& key, KeyHash hash,
-                         const Input& input, DiskState disk_state,
-                         const Value* disk_value, Address disk_bottom)
+  /// The single-op entry. The whole op is one execute segment (the batch
+  /// pipeline attributes hash/resolve separately); nested scopes (io_queue
+  /// at submit) pause this one, so counters never double-count.
+  [[gnu::always_inline]]
+  Status RunSingle(const OpRef& op) FASTER_REQUIRES_EPOCH() {
+    ThreadState& ts = AutoRefresh(1);
+    ++ts.ops[static_cast<size_t>(op.kind)];
+    constexpr obs::SpanKind kSpans[] = {
+        obs::SpanKind::kRead, obs::SpanKind::kUpsert, obs::SpanKind::kRmw,
+        obs::SpanKind::kDelete};
+    obs::StatOpSpan span{kSpans[static_cast<size_t>(op.kind)]};
+    obs::StatSlowOpScope slow_scope{op.kind};
+    obs::StatPerfScope perf_scope{obs::PerfStage::kExecute};
+    KeyHash hash = Hasher{}(op.key);
+    slow_scope.set_key_hash(hash.control());
+    return Resolve(ts, op, hash);
+  }
+
+  /// Resolve for single ops and for the batch ops stage 3 hands back:
+  /// finds the key's index entry under an OpScope — creating it for
+  /// upserts and RMWs — and applies the op, until Apply completes it.
+  [[gnu::always_inline]]
+  Status Resolve(ThreadState& ts, const OpRef& op, KeyHash hash)
       FASTER_REQUIRES_EPOCH() {
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
-      index_.FindOrCreateEntry(scope, hash, &fr);
-      Address addr;
-      RecordT* rc_rec = nullptr;
-      if (!ResolveEntry(fr, &addr, &rc_rec)) {
-        epoch_.Refresh();
-        continue;
+      bool has_entry = true;
+      if (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw) {
+        index_.FindOrCreateEntry(scope, hash, &fr);
+      } else {
+        has_entry = index_.FindEntry(scope, hash, &fr);
       }
-      if (rc_rec != nullptr && rc_rec->key == key) {
-        // Read-cache hit (Appendix D): the cached copy is the newest
-        // version, so RMW can copy-update from it without a storage read.
-        // The new record's chain skips the cache record.
-        if (AppendRecordWithPrev(ts, key, input, &fr, RecordKind::kCopy,
-                                 &rc_rec->value, addr)) {
-          return {RmwOutcome::kDone, Status::kOk, {}};
-        }
-        continue;
+      Status status = Status::kOk;
+      if (Apply(ts, op, hash, has_entry, fr, nullptr, &status)) return status;
+    }
+  }
+
+  [[gnu::always_inline]]
+  bool Apply(ThreadState& ts, const OpRef& op, KeyHash hash, bool has_entry,
+             HashIndex::FindResult& fr, ChunkRes* chunk, Status* status)
+      FASTER_REQUIRES_EPOCH() {
+    switch (op.kind) {
+      case OpKind::kRead:
+        return ApplyRead(ts, op, hash, has_entry, fr, chunk, status);
+      case OpKind::kUpsert:
+        return ApplyUpsert(ts, op, has_entry, fr, chunk, status);
+      case OpKind::kRmw:
+        return ApplyRmw(ts, op, hash, has_entry, fr, chunk, status);
+      case OpKind::kDelete:
+        return ApplyDelete(ts, op, has_entry, fr, status);
+    }
+    return false;  // unreachable
+  }
+
+  /// Read (Alg. 2): a read-cache hit, else the newest in-memory record
+  /// through the reader its region allows, else a storage read.
+  [[gnu::always_inline]]
+  bool ApplyRead(ThreadState& ts, const OpRef& op, KeyHash hash,
+                 bool has_entry, HashIndex::FindResult& fr, ChunkRes* chunk,
+                 Status* status) FASTER_REQUIRES_EPOCH() {
+    *status = Status::kNotFound;
+    if (!has_entry) {
+      obs_stats_.read_miss.Inc();
+      return true;
+    }
+    Address addr;
+    RecordT* rc_rec = nullptr;
+    if (!ResolveEntry(fr, &addr, &rc_rec)) {
+      // The cache page was evicted but the entry is not yet redirected;
+      // drive the epoch and retry (Appendix D).
+      epoch_.Refresh();
+      return false;
+    }
+    if (rc_rec != nullptr && rc_rec->key == op.key) {
+      // Read-cache hit. A hit in the cache's read-only region earns the
+      // record a second chance at the cache tail (Appendix D); read first,
+      // since the copy may refresh the epoch.
+      F::SingleReader(op.key, *op.input, rc_rec->value, *op.output);
+      if (StripRc(fr.entry.address()) < rc_log_->read_only_address()) {
+        RcSecondChance(op.key, rc_rec, fr);
       }
-      Address begin = hlog_.begin_address();
-      Address head = hlog_.head_address();
-      RecordT* rec = nullptr;
-      Address found = Address::Invalid();
-      if (addr.IsValid() && addr >= begin) {
-        if (addr >= head) {
-          found = TraceBack(key, addr, std::max(head, begin), &rec);
-        } else {
-          found = addr;  // chain starts on disk
-        }
+      ++ts.rc_hits;
+      obs_stats_.read_rc.Inc();
+      *status = Status::kOk;
+      return true;
+    }
+    Address begin = hlog_.begin_address();
+    if (!addr.IsValid() || addr < begin) {
+      if (rc_rec == nullptr) {
+        // Stale entry left behind by log truncation (Appendix C).
+        index_.TryDeleteEntry(&fr);
       }
-      if (rec != nullptr && !rec->info().tombstone()) {
-        if (!config_.force_rcu && found >= hlog_.read_only_address()) {
-          // Mutable region: in-place update (Table 2 bottom row).
-          hlog_.VerifyMutableAddress(found);
-          F::InPlaceUpdater(key, input, rec->value);
-          obs_stats_.rmw_inplace.Inc();
-          return {RmwOutcome::kDone, Status::kOk, {}};
-        }
-        if (!config_.force_rcu && found >= hlog_.safe_read_only_address()) {
-          // Fuzzy region (Sec. 6.2): an in-place update elsewhere could be
-          // lost if we copied now. (In force_rcu mode no update is ever
-          // in-place, so the lost-update anomaly cannot occur and RCU is
-          // safe anywhere — the Sec. 5 append-only strawman.)
-          if constexpr (kMergeable) {
-            // CRDT (Sec. 6.3): append a delta record instead of waiting.
-            if (AppendRecord(ts, key, input, &fr, RecordKind::kDelta,
-                             nullptr)) {
-              return {RmwOutcome::kDone, Status::kOk, {}};
-            }
-            continue;
+      obs_stats_.read_miss.Inc();
+      return true;
+    }
+    if constexpr (kMergeable) {
+      *status = MergeableRead(ts, op, hash, addr, chunk);
+      return true;
+    }
+    Address head = hlog_.head_address();
+    RecordT* rec = nullptr;
+    addr = TraceBack(op.key, addr, std::max(head, begin), &rec);
+    if (rec != nullptr) {
+      if (rec->info().tombstone()) {
+        obs_stats_.read_miss.Inc();
+        return true;
+      }
+      if (addr < hlog_.safe_read_only_address()) {
+        obs_stats_.read_readonly.Inc();
+        F::SingleReader(op.key, *op.input, rec->value, *op.output);
+      } else {
+        if constexpr (obs::kStatsEnabled) {
+          // Classification only; avoid the extra load when compiled out.
+          if (addr >= hlog_.read_only_address()) {
+            obs_stats_.read_mutable.Inc();
+          } else {
+            obs_stats_.read_fuzzy.Inc();
           }
-          return {RmwOutcome::kFuzzy, Status::kPending, {}};
         }
-        // Safe read-only region: read-copy-update to the tail.
-        if (AppendRecord(ts, key, input, &fr,
-                         kMergeable ? RecordKind::kDelta : RecordKind::kCopy,
-                         &rec->value)) {
-          if constexpr (!kMergeable) rec->SetOverwritten();  // Appendix C
-          return {RmwOutcome::kDone, Status::kOk, {}};
-        }
-        continue;
+        F::ConcurrentReader(op.key, *op.input, rec->value, *op.output);
       }
-      if (rec != nullptr) {
-        // Newest record is a tombstone: treat the key as absent.
-        if (AppendRecord(ts, key, input, &fr, RecordKind::kInitial, nullptr)) {
-          return {RmwOutcome::kDone, Status::kOk, {}};
-        }
-        continue;
+      *status = Status::kOk;
+      return true;
+    }
+    if (!addr.IsValid() || addr < begin) {
+      // The index tag matched but no record carried the key: a tag
+      // false positive (Sec. 3.2) or a truncated chain.
+      obs_stats_.tag_false_positives.Inc();
+      obs_stats_.read_miss.Inc();
+      return true;
+    }
+    // The chain continues on storage: go asynchronous (Sec. 5.3).
+    obs_stats_.read_stable.Inc();
+    *status =
+        StartPendingIo(ts, new PendingContext(this, op, hash), addr, chunk);
+    return true;
+  }
+
+  /// Blind upsert (Alg. 3): in place in the mutable region; every other
+  /// region (read-only, fuzzy, on disk, absent, or behind a read-cache
+  /// entry) appends a new record — blind updates need not read the old
+  /// value (Table 2).
+  [[gnu::always_inline]]
+  bool ApplyUpsert(ThreadState& ts, const OpRef& op, bool has_entry,
+                   HashIndex::FindResult& fr, ChunkRes* chunk,
+                   Status* status) FASTER_REQUIRES_EPOCH() {
+    if (!has_entry) return false;  // Resolve creates the entry
+    Address addr;
+    RecordT* rc_rec = nullptr;
+    if (!ResolveEntry(fr, &addr, &rc_rec)) {
+      epoch_.Refresh();
+      return false;
+    }
+    *status = Status::kOk;
+    Address begin = hlog_.begin_address();
+    Address head = hlog_.head_address();
+    RecordT* rec = nullptr;
+    if (rc_rec == nullptr && addr.IsValid() && addr >= begin &&
+        addr >= head) {
+      Address found = TraceBack(op.key, addr, std::max(head, begin), &rec);
+      if (rec != nullptr && !rec->info().tombstone() && !config_.force_rcu &&
+          found >= hlog_.read_only_address()) {
+        // Mutable region: in-place update (Table 1 row 4).
+        hlog_.VerifyMutableAddress(found);
+        F::ConcurrentWriter(op.key, *op.value, rec->value);
+        obs_stats_.upsert_inplace.Inc();
+        return true;
       }
-      if (found.IsValid() && found >= begin) {
-        // Chain bottoms out on storage.
+    }
+    // The new record's chain skips any cache record (its copy lives on
+    // the primary log already).
+    Address new_addr;
+    if (chunk != nullptr && chunk->extent_left > 0) {
+      new_addr = chunk->extent;
+      chunk->extent = chunk->extent + RecordT::size();
+      --chunk->extent_left;
+    } else {
+      new_addr = TryAllocateRecord();
+      if (!new_addr.IsValid()) return false;  // epoch refreshed
+    }
+    RecordT* new_rec = RecordAt(new_addr);
+    new_rec->key = op.key;
+    F::SingleWriter(op.key, *op.value, new_rec->value);
+    new_rec->set_info(RecordInfo{addr, false, false});
+    if (index_.TryUpdateEntry(&fr, new_addr)) {
+      ++ts.appended_records;
+      obs_stats_.upsert_append.Inc();
+      // Appendix C: flag the superseded in-memory version for GC.
+      if (rec != nullptr) rec->SetOverwritten();
+      return true;
+    }
+    new_rec->SetInvalid();  // Lost the CAS; record is garbage.
+    return false;
+  }
+
+  /// RMW (Alg. 4) as a fresh op: the region dispatch, then a storage read
+  /// or a fuzzy-region deferral for the outcomes that go pending.
+  [[gnu::always_inline]]
+  bool ApplyRmw(ThreadState& ts, const OpRef& op, KeyHash hash,
+                bool has_entry, HashIndex::FindResult& fr, ChunkRes* chunk,
+                Status* status) FASTER_REQUIRES_EPOCH() {
+    RmwOutcome oc;
+    if (!has_entry || !DispatchRmw(ts, op.key, *op.input, fr, DiskState::kNone,
+                                   nullptr, Address::Invalid(), &oc)) {
+      return false;
+    }
+    if (oc.kind == RmwOutcome::kDone) {
+      *status = Status::kOk;
+      return true;
+    }
+    auto* ctx = new PendingContext(this, op, hash);
+    if (oc.kind == RmwOutcome::kIo) {
+      *status = StartPendingIo(ts, ctx, oc.io_address, chunk);
+      return true;
+    }
+    CaptureTrace(ctx);
+    DeferFuzzyRmw(ts, ctx);
+    *status = Status::kPending;
+    return true;
+  }
+
+  /// Fuzzy region (Sec. 6.2): parks an RMW on the retry list, which
+  /// CompletePending retries once the safe read-only offset catches up.
+  void DeferFuzzyRmw(ThreadState& ts, PendingContext* ctx) {
+    ++ts.fuzzy_rmws;
+    obs_stats_.rmw_fuzzy_deferred.Inc();
+    obs_stats_.pending_retries.Inc();
+    trace_.Emit(obs::Ev::kFuzzyRmwDeferred, ctx->owner);
+    ts.retries.push_back(ctx);
+  }
+
+  /// Delete: a tombstone in place in the mutable region, otherwise a
+  /// tombstone record appended blind.
+  [[gnu::always_inline]]
+  bool ApplyDelete(ThreadState& ts, const OpRef& op, bool has_entry,
+                   HashIndex::FindResult& fr, Status* status)
+      FASTER_REQUIRES_EPOCH() {
+    *status = Status::kNotFound;
+    if (!has_entry) return true;
+    Address addr;
+    RecordT* rc_rec = nullptr;
+    if (!ResolveEntry(fr, &addr, &rc_rec)) {
+      epoch_.Refresh();
+      return false;
+    }
+    Address begin = hlog_.begin_address();
+    if (!addr.IsValid() || addr < begin) {
+      if (rc_rec != nullptr) {
+        // The cached key's only version was truncated away.
+        index_.TryUpdateEntry(&fr, addr);
+      } else {
+        index_.TryDeleteEntry(&fr);
+      }
+      return true;
+    }
+    Address head = hlog_.head_address();
+    RecordT* rec = nullptr;
+    Address found = addr;  // a chain that starts on disk
+    if (addr >= head) {
+      found = TraceBack(op.key, addr, std::max(head, begin), &rec);
+    }
+    if (rec != nullptr) {
+      if (rec->info().tombstone()) return true;
+      if (!config_.force_rcu && found >= hlog_.read_only_address()) {
+        hlog_.VerifyMutableAddress(found);
+        rec->SetTombstone();
+        obs_stats_.delete_inplace.Inc();
+        *status = Status::kOk;
+        return true;
+      }
+    } else if (!found.IsValid() || found < begin) {
+      return true;  // key definitely absent in memory & log
+    }
+    // Read-only / fuzzy / on-disk: append a tombstone record (blind).
+    Address new_addr = TryAllocateRecord();
+    if (!new_addr.IsValid()) return false;
+    RecordT* new_rec = RecordAt(new_addr);
+    new_rec->key = op.key;
+    new_rec->value = Value{};
+    new_rec->set_info(RecordInfo{addr, false, /*tombstone=*/true});
+    if (index_.TryUpdateEntry(&fr, new_addr)) {
+      ++ts.appended_records;
+      obs_stats_.delete_append.Inc();
+      if (rec != nullptr) rec->SetOverwritten();  // Appendix C
+      *status = Status::kOk;
+      return true;
+    }
+    new_rec->SetInvalid();
+    return false;
+  }
+
+  struct RmwOutcome {
+    enum Kind { kDone, kIo, kFuzzy } kind = kDone;
+    Address io_address = Address::Invalid();
+  };
+
+  /// The RMW region dispatch (Alg. 4) on a resolved entry, shared by fresh
+  /// ops and continuations. `disk_state`/`disk_value` carry the result of
+  /// a completed storage read for chain bottom `disk_bottom`
+  /// (continuation path); kNone on the initial attempt. Returns false if
+  /// the op must re-resolve.
+  [[gnu::always_inline]]
+  bool DispatchRmw(ThreadState& ts, const Key& key, const Input& input,
+                   HashIndex::FindResult& fr, DiskState disk_state,
+                   const Value* disk_value, Address disk_bottom,
+                   RmwOutcome* oc) FASTER_REQUIRES_EPOCH() {
+    *oc = RmwOutcome{};
+    Address addr;
+    RecordT* rc_rec = nullptr;
+    if (!ResolveEntry(fr, &addr, &rc_rec)) {
+      epoch_.Refresh();
+      return false;
+    }
+    if (rc_rec != nullptr && rc_rec->key == key) {
+      // Read-cache hit (Appendix D): the cached copy is the newest
+      // version, so RMW can copy-update from it without a storage read.
+      return AppendRecord(ts, key, input, &fr, RecordKind::kCopy,
+                          &rc_rec->value, addr);
+    }
+    Address begin = hlog_.begin_address();
+    Address head = hlog_.head_address();
+    RecordT* rec = nullptr;
+    Address found = Address::Invalid();
+    if (addr.IsValid() && addr >= begin) {
+      if (addr >= head) {
+        found = TraceBack(key, addr, std::max(head, begin), &rec);
+      } else {
+        found = addr;  // chain starts on disk
+      }
+    }
+    if (rec != nullptr && !rec->info().tombstone()) {
+      if (!config_.force_rcu && found >= hlog_.read_only_address()) {
+        // Mutable region: in-place update (Table 2 bottom row).
+        hlog_.VerifyMutableAddress(found);
+        F::InPlaceUpdater(key, input, rec->value);
+        obs_stats_.rmw_inplace.Inc();
+        return true;
+      }
+      if (!config_.force_rcu && found >= hlog_.safe_read_only_address()) {
+        // Fuzzy region (Sec. 6.2): an in-place update elsewhere could be
+        // lost if we copied now. (In force_rcu mode no update is ever
+        // in-place, so the lost-update anomaly cannot occur and RCU is
+        // safe anywhere — the Sec. 5 append-only strawman.)
         if constexpr (kMergeable) {
-          // CRDTs never read the old value: append a delta (Table 2).
-          if (AppendRecord(ts, key, input, &fr, RecordKind::kDelta,
-                           nullptr)) {
-            return {RmwOutcome::kDone, Status::kOk, {}};
-          }
-          continue;
+          // CRDT (Sec. 6.3): append a delta record instead of waiting.
+          return AppendRecord(ts, key, input, &fr, RecordKind::kDelta,
+                              nullptr, addr);
         }
-        if (disk_state != DiskState::kNone && found == disk_bottom) {
-          // Continuation: we already resolved this chain bottom.
-          bool ok = (disk_state == DiskState::kValue)
-                        ? AppendRecord(ts, key, input, &fr, RecordKind::kCopy,
-                                       disk_value)
-                        : AppendRecord(ts, key, input, &fr,
-                                       RecordKind::kInitial, nullptr);
-          if (ok) return {RmwOutcome::kDone, Status::kOk, {}};
-          continue;
-        }
-        return {RmwOutcome::kIo, Status::kPending, found};
+        oc->kind = RmwOutcome::kFuzzy;
+        return true;
       }
-      // Key absent: create the initial record.
-      if (AppendRecord(ts, key, input, &fr, RecordKind::kInitial, nullptr)) {
-        return {RmwOutcome::kDone, Status::kOk, {}};
+      // Safe read-only region: read-copy-update to the tail.
+      if (!AppendRecord(ts, key, input, &fr,
+                        kMergeable ? RecordKind::kDelta : RecordKind::kCopy,
+                        &rec->value, addr)) {
+        return false;
+      }
+      if constexpr (!kMergeable) rec->SetOverwritten();  // Appendix C
+      return true;
+    }
+    if (rec != nullptr) {
+      // Newest record is a tombstone: treat the key as absent.
+      return AppendRecord(ts, key, input, &fr, RecordKind::kInitial, nullptr,
+                          addr);
+    }
+    if (found.IsValid() && found >= begin) {
+      // Chain bottoms out on storage.
+      if constexpr (kMergeable) {
+        // CRDTs never read the old value: append a delta (Table 2).
+        return AppendRecord(ts, key, input, &fr, RecordKind::kDelta, nullptr,
+                            addr);
+      }
+      if (disk_state != DiskState::kNone && found == disk_bottom) {
+        // Continuation: we already resolved this chain bottom.
+        return disk_state == DiskState::kValue
+                   ? AppendRecord(ts, key, input, &fr, RecordKind::kCopy,
+                                  disk_value, addr)
+                   : AppendRecord(ts, key, input, &fr, RecordKind::kInitial,
+                                  nullptr, addr);
+      }
+      oc->kind = RmwOutcome::kIo;
+      oc->io_address = found;
+      return true;
+    }
+    // Key absent: create the initial record.
+    return AppendRecord(ts, key, input, &fr, RecordKind::kInitial, nullptr,
+                        addr);
+  }
+
+  /// RMW continuations (a completed storage read, a fuzzy-region retry)
+  /// re-resolve like a single op and run the same dispatch.
+  RmwOutcome RmwInMemory(ThreadState& ts, const Key& key, KeyHash hash,
+                         const Input& input, DiskState disk_state,
+                         const Value* disk_value, Address disk_bottom)
+      FASTER_REQUIRES_EPOCH() {
+    RmwOutcome oc;
+    for (;;) {
+      typename HashIndex::OpScope scope{index_, hash};
+      HashIndex::FindResult fr;
+      index_.FindOrCreateEntry(scope, hash, &fr);
+      if (DispatchRmw(ts, key, input, fr, disk_state, disk_value,
+                      disk_bottom, &oc)) {
+        return oc;
       }
     }
   }
 
   enum class RecordKind : uint8_t { kInitial, kCopy, kDelta };
 
-  /// Allocates and links a new RMW record at the tail. Returns false if
-  /// the operation must restart (allocation refreshed the epoch, or the
-  /// index CAS failed). `old_value` is required for kCopy.
+  /// Allocates and links a new RMW record at the tail, after `prev` (the
+  /// primary-log chain start: a read-cache record is skipped). Returns
+  /// false if the operation must restart (allocation refreshed the epoch,
+  /// or the index CAS failed). `old_value` is required for kCopy.
   bool AppendRecord(ThreadState& ts, const Key& key, const Input& input,
                     HashIndex::FindResult* fr, RecordKind kind,
-                    const Value* old_value) FASTER_REQUIRES_EPOCH() {
-    return AppendRecordWithPrev(ts, key, input, fr, kind, old_value,
-                                fr->entry.address());
-  }
-
-  /// As AppendRecord, but with an explicit previous-address for the new
-  /// record (the read cache skips the cache record in the chain).
-  bool AppendRecordWithPrev(ThreadState& ts, const Key& key,
-                            const Input& input, HashIndex::FindResult* fr,
-                            RecordKind kind, const Value* old_value,
-                            Address prev) FASTER_REQUIRES_EPOCH() {
+                    const Value* old_value, Address prev)
+      FASTER_REQUIRES_EPOCH() {
     Address new_addr = TryAllocateRecord();
     if (!new_addr.IsValid()) return false;
     RecordT* new_rec = RecordAt(new_addr);
@@ -1693,13 +1778,11 @@ class FasterKv {
     }
   }
 
-  Status IssuePendingIo(ThreadState& ts, OpType op, const Key& key,
-                        KeyHash hash, const Input& input, Output* output,
-                        Address addr, void* user_context = nullptr)
-      FASTER_REQUIRES_EPOCH() {
-    auto* ctx =
-        new PendingContext(this, op, key, hash, input, output, Thread::Id());
-    ctx->user_context = user_context;
+  /// Starts a fresh op's storage read (Sec. 5.3). In a batch chunk the
+  /// submission is deferred so the chunk's reads reach the device as one
+  /// group.
+  Status StartPendingIo(ThreadState& ts, PendingContext* ctx, Address addr,
+                        ChunkRes* chunk) {
     ctx->address = addr;
     ctx->chain_bottom = addr;
     CaptureTrace(ctx);
@@ -1708,12 +1791,10 @@ class FasterKv {
     obs_stats_.pending_ios.Inc();
     if constexpr (obs::kStatsEnabled) ctx->issue_ns = obs::NowNs();
     trace_.Emit(obs::Ev::kPendingIoIssued, ctx->owner);
-    {
-      // Submission work (and any inline execution a polling device runs
-      // under it) is io_queue; device paths nest io_exec inside.
-      obs::StatPerfScope perf_scope{obs::PerfStage::kIoQueue};
-      hlog_.AsyncGetFromDisk(addr, RecordT::size(), ctx->buffer,
-                             &FasterKv::IoCallback, ctx);
+    if (chunk != nullptr) {
+      chunk->ios[chunk->num_ios++] = ctx;
+    } else {
+      SubmitIo(ctx);
     }
     return Status::kPending;
   }
@@ -1736,8 +1817,14 @@ class FasterKv {
         ctx->slow.callback_ns = 0;
       }
     }
+    SubmitIo(ctx);
+  }
+
+  void SubmitIo(PendingContext* ctx) {
+    // Submission work (and any inline execution a polling device runs
+    // under it) is io_queue; device paths nest io_exec inside.
     obs::StatPerfScope perf_scope{obs::PerfStage::kIoQueue};
-    hlog_.AsyncGetFromDisk(addr, RecordT::size(), ctx->buffer,
+    hlog_.AsyncGetFromDisk(ctx->address, RecordT::size(), ctx->buffer,
                            &FasterKv::IoCallback, ctx);
   }
 
@@ -1745,176 +1832,21 @@ class FasterKv {
   // Batched pipeline internals (see the public batch API above).
   // -------------------------------------------------------------------
 
-  /// Executes one op through the ordinary single-op entry points.
-  void ExecuteSingle(BatchOp& op) FASTER_REQUIRES_EPOCH() {
-    switch (op.kind) {
-      case BatchOp::Kind::kRead:
-        op.status = Read(op.key, op.input, op.output, op.user_context);
-        break;
-      case BatchOp::Kind::kUpsert:
-        op.status = Upsert(op.key, op.value);
-        break;
-      case BatchOp::Kind::kRmw:
-        op.status = Rmw(op.key, op.input, op.user_context);
-        break;
-    }
-  }
-
-  /// Builds a pending read context with the same bookkeeping as
-  /// IssuePendingIo, but defers the device submission so a chunk's disk
-  /// reads coalesce into one grouped submission.
-  PendingContext* MakePendingRead(ThreadState& ts, BatchOp& op, KeyHash hash,
-                                  Address addr) {
-    auto* ctx = new PendingContext(this, OpType::kRead, op.key, hash,
-                                   op.input, op.output, Thread::Id());
-    ctx->user_context = op.user_context;
-    ctx->address = addr;
-    ctx->chain_bottom = addr;
-    CaptureTrace(ctx);
-    ++ts.outstanding_ios;
-    ++ts.ios_issued;
-    obs_stats_.pending_ios.Inc();
-    if constexpr (obs::kStatsEnabled) ctx->issue_ns = obs::NowNs();
-    trace_.Emit(obs::Ev::kPendingIoIssued, ctx->owner);
-    return ctx;
-  }
-
-  /// Stage-3 read against a stage-2 resolution. Returns false if the op
-  /// must take the single-op path; otherwise fills op.status (possibly
-  /// kPending, appending the I/O context to `io_ctxs` for coalescing).
-  bool FastRead(ThreadState& ts, BatchOp& op, KeyHash hash, bool entry_found,
-                HashIndex::FindResult& fr, PendingContext** io_ctxs,
-                size_t* num_ios) FASTER_REQUIRES_EPOCH() {
-    if (rc_log_ != nullptr) return false;  // cache lookups → single-op
-    if constexpr (kMergeable) return false;  // CRDT reads reconcile chains
-    if (!entry_found) {
-      ++ts.reads;
-      obs_stats_.read_miss.Inc();
-      op.status = Status::kNotFound;
-      return true;
-    }
-    Address addr = fr.entry.address();
-    Address begin = hlog_.begin_address();
-    if (!addr.IsValid() || addr < begin) {
-      return false;  // stale entry: single-op path runs the lazy cleanup
-    }
-    Address head = hlog_.head_address();
-    Address min_mem = std::max(head, begin);
-    RecordT* rec = nullptr;
-    Address found = TraceBack(op.key, addr, min_mem, &rec);
-    if (rec != nullptr) {
-      ++ts.reads;
-      if (rec->info().tombstone()) {
-        obs_stats_.read_miss.Inc();
-        op.status = Status::kNotFound;
-        return true;
+  /// The typed batch wrappers: runs the `count` ops that `fill(op, i)`
+  /// describes, a chunk at a time, and copies out their statuses.
+  template <class Fill>
+  void ExecuteTyped(Status* statuses, size_t count, Fill&& fill)
+      FASTER_REQUIRES_EPOCH() {
+    BatchOp ops[kBatchChunk];
+    for (size_t done = 0; done < count; done += kBatchChunk) {
+      size_t n = std::min(count - done, kBatchChunk);
+      for (size_t i = 0; i < n; ++i) {
+        ops[i] = BatchOp{};
+        fill(ops[i], done + i);
       }
-      if (found < hlog_.safe_read_only_address()) {
-        obs_stats_.read_readonly.Inc();
-        F::SingleReader(op.key, op.input, rec->value, *op.output);
-      } else {
-        if constexpr (obs::kStatsEnabled) {
-          if (found >= hlog_.read_only_address()) {
-            obs_stats_.read_mutable.Inc();
-          } else {
-            obs_stats_.read_fuzzy.Inc();
-          }
-        }
-        F::ConcurrentReader(op.key, op.input, rec->value, *op.output);
-      }
-      op.status = Status::kOk;
-      return true;
+      ExecuteChunk(ops, n);
+      for (size_t i = 0; i < n; ++i) statuses[done + i] = ops[i].status;
     }
-    if (!found.IsValid() || found < begin) {
-      ++ts.reads;
-      obs_stats_.tag_false_positives.Inc();
-      obs_stats_.read_miss.Inc();
-      op.status = Status::kNotFound;
-      return true;
-    }
-    // Chain continues on storage: coalesce with the chunk's other misses.
-    ++ts.reads;
-    obs_stats_.read_stable.Inc();
-    io_ctxs[(*num_ios)++] = MakePendingRead(ts, op, hash, found);
-    op.status = Status::kPending;
-    return true;
-  }
-
-  /// Stage-3 upsert. Consumes a pre-reserved extent slot when available.
-  bool FastUpsert(ThreadState& ts, BatchOp& op, bool entry_found,
-                  HashIndex::FindResult& fr, Address* extent,
-                  uint32_t* extent_left) FASTER_REQUIRES_EPOCH() {
-    if (rc_log_ != nullptr) return false;  // cache-aware chains → single-op
-    if (!entry_found) return false;  // needs FindOrCreateEntry
-    Address addr = fr.entry.address();
-    Address begin = hlog_.begin_address();
-    Address head = hlog_.head_address();
-    RecordT* rec = nullptr;
-    if (addr.IsValid() && addr >= begin && addr >= head) {
-      Address found = TraceBack(op.key, addr, std::max(head, begin), &rec);
-      if (rec != nullptr && !rec->info().tombstone() && !config_.force_rcu &&
-          found >= hlog_.read_only_address()) {
-        ++ts.upserts;
-        hlog_.VerifyMutableAddress(found);
-        F::ConcurrentWriter(op.key, op.value, rec->value);
-        obs_stats_.upsert_inplace.Inc();
-        op.status = Status::kOk;
-        return true;
-      }
-    }
-    // Append path (read-only/fuzzy/on-disk/key-absent chain), mirroring
-    // the single-op blind append.
-    Address new_addr;
-    bool from_extent = *extent_left > 0;
-    if (from_extent) {
-      new_addr = *extent;
-      *extent = *extent + RecordT::size();
-      --*extent_left;
-    } else {
-      new_addr = TryAllocateRecord();
-      if (!new_addr.IsValid()) {
-        return false;  // page rollover refreshed the epoch: re-resolve
-      }
-    }
-    RecordT* new_rec = RecordAt(new_addr);
-    new_rec->key = op.key;
-    F::SingleWriter(op.key, op.value, new_rec->value);
-    new_rec->set_info(RecordInfo{addr, false, false});
-    if (index_.TryUpdateEntry(&fr, new_addr)) {
-      ++ts.upserts;
-      ++ts.appended_records;
-      obs_stats_.upsert_append.Inc();
-      if (rec != nullptr) rec->SetOverwritten();  // Appendix C
-      op.status = Status::kOk;
-      return true;
-    }
-    new_rec->SetInvalid();  // lost the CAS; single-op path retries
-    return false;
-  }
-
-  /// Stage-3 RMW: only the mutable-region in-place case runs here; every
-  /// other outcome (copy, initial, fuzzy deferral, disk) reuses the
-  /// single-op machinery.
-  bool FastRmw(ThreadState& ts, BatchOp& op, bool entry_found,
-               HashIndex::FindResult& fr) FASTER_REQUIRES_EPOCH() {
-    if (rc_log_ != nullptr) return false;
-    if (!entry_found) return false;  // InitialUpdater needs FindOrCreate
-    Address addr = fr.entry.address();
-    Address begin = hlog_.begin_address();
-    Address head = hlog_.head_address();
-    if (!addr.IsValid() || addr < begin || addr < head) return false;
-    RecordT* rec = nullptr;
-    Address found = TraceBack(op.key, addr, std::max(head, begin), &rec);
-    if (rec == nullptr || rec->info().tombstone() || config_.force_rcu ||
-        found < hlog_.read_only_address()) {
-      return false;
-    }
-    ++ts.rmws;
-    hlog_.VerifyMutableAddress(found);
-    F::InPlaceUpdater(op.key, op.input, rec->value);
-    obs_stats_.rmw_inplace.Inc();
-    op.status = Status::kOk;
-    return true;
   }
 
   /// The three-stage pipeline over one chunk of at most kBatchChunk ops.
@@ -1922,17 +1854,11 @@ class FasterKv {
     if (n == 0) return;
     assert(n <= kBatchChunk);
     assert(epoch_.IsProtected());
-    ThreadState& ts = thread_states_[Thread::Id()];
     // One refresh check covers the chunk (amortized epoch bookkeeping).
-    ts.ops_since_refresh += static_cast<uint32_t>(n);
-    if (ts.ops_since_refresh >= config_.refresh_interval) {
-      ts.ops_since_refresh = 0;
-      epoch_.Refresh();
-    }
+    ThreadState& ts = AutoRefresh(static_cast<uint32_t>(n));
     obs_stats_.batch_sizes.Record(n);
     // The chunk is one trace: the three stages appear as child spans, and
-    // any op routed to the single-op fallback nests its own span (and any
-    // pending-I/O continuation) under the same trace id.
+    // any pending-I/O continuation lands under the same trace id.
     obs::StatOpSpan chunk_span{obs::SpanKind::kBatchChunk,
                                static_cast<uint32_t>(n)};
     // Slowlog attribution (only when armed): stages 1 and 2 are chunk-
@@ -1957,8 +1883,8 @@ class FasterKv {
       // Intra-batch dependencies: an op must observe the effects of every
       // earlier write in the same chunk, but stage-2 resolutions are all
       // taken before any of the chunk executes. Conservatively (by hash, so
-      // tag collisions are covered too) route any op that follows a write
-      // with an equal hash to the ordered single-op path.
+      // tag collisions are covered too) make any op that follows a write
+      // with an equal hash re-resolve when its turn comes.
       size_t write_idx[kBatchChunk];
       size_t num_writes = 0;
       for (size_t i = 0; i < n; ++i) {
@@ -1979,14 +1905,13 @@ class FasterKv {
 
     // ---- Stage 2: resolve index entries; prefetch head records. ----
     // BatchScope pins the validity of everything resolved here: if this
-    // thread refreshes its epoch mid-chunk (page rollover or a fallback
+    // thread refreshes its epoch mid-chunk (page rollover, a re-resolved
     // op), all remaining resolutions are discarded.
     LightEpoch::BatchScope batch_scope{epoch_};
     HashIndex::FindResult frs[kBatchChunk];
     bool entry_found[kBatchChunk];
     bool stable;
-    Address extent = Address::Invalid();
-    uint32_t extent_left = 0;
+    ChunkRes chunk;
     {
       obs::StatChildSpan stage{obs::SpanKind::kBatchResolve};
       obs::StatPerfScope perf_stage{obs::PerfStage::kResolve};
@@ -1997,25 +1922,28 @@ class FasterKv {
         Address read_only = hlog_.read_only_address();
         uint32_t predicted_appends = 0;
         for (size_t i = 0; i < n; ++i) {
-          if (dep[i]) continue;
+          if (dep[i] || !entry_found[i]) continue;
           Address a = frs[i].entry.address();
-          bool in_mem = entry_found[i] &&
-                        (rc_log_ == nullptr || !InReadCache(a)) &&
-                        a.IsValid() && a >= begin && a >= head;
+          bool in_cache = rc_log_ != nullptr && InReadCache(a);
+          bool in_mem = !in_cache && a.IsValid() && a >= begin && a >= head;
           if (in_mem) {
             hlog_.Prefetch(a, static_cast<uint32_t>(RecordT::size()));
+          } else if (in_cache && StripRc(a) >= rc_log_->head_address()) {
+            rc_log_->Prefetch(StripRc(a),
+                              static_cast<uint32_t>(RecordT::size()));
           }
-          if (ops[i].kind == BatchOp::Kind::kUpsert && rc_log_ == nullptr &&
-              entry_found[i] && !(in_mem && a >= read_only)) {
-            // Likely an append (chain head immutable, on disk, or invalid).
+          if (ops[i].kind == BatchOp::Kind::kUpsert &&
+              !(in_mem && a >= read_only)) {
+            // Likely an append (chain head immutable, on disk, invalid,
+            // or a read-cache copy).
             ++predicted_appends;
           }
         }
         if (predicted_appends >= 2) {
-          extent = hlog_.AllocateExtent(
+          chunk.extent = hlog_.AllocateExtent(
               static_cast<uint32_t>(RecordT::size()), predicted_appends);
-          if (extent.IsValid()) {
-            extent_left = predicted_appends;
+          if (chunk.extent.IsValid()) {
+            chunk.extent_left = predicted_appends;
             // Give every reserved slot a dead header now: log scans treat
             // an all-zero slot as page padding and would skip the rest of
             // the page. A slot is made live only while this thread has not
@@ -2023,7 +1951,7 @@ class FasterKv {
             // can have been issued, so the dead header is never persisted
             // for a slot that later becomes live.
             for (uint32_t s = 0; s < predicted_appends; ++s) {
-              RecordAt(extent + s * RecordT::size())
+              RecordAt(chunk.extent + s * RecordT::size())
                   ->set_info(
                       RecordInfo{Address::Invalid(), /*invalid=*/true, false});
             }
@@ -2037,60 +1965,39 @@ class FasterKv {
       slow_share2 = (now - slow_stage_start) / n;
     }
 
-    // ---- Stage 3: execute against warm lines; fall back as needed. ----
-    // Perf attribution is per-chunk, not per-op: fallback ops nest their
-    // own (same-stage) scope, pending submissions nest io_queue.
+    // ---- Stage 3: Apply each op to its stage-2 resolution. ----
+    // Perf attribution is per-chunk, not per-op; pending submissions nest
+    // io_queue.
     obs::StatChildSpan exec_stage{obs::SpanKind::kBatchExecute};
     obs::StatPerfScope perf_exec_stage{obs::PerfStage::kExecute};
     obs::SlowOpState slow_state;
-    PendingContext* io_ctxs[kBatchChunk];
-    size_t num_ios = 0;
     for (size_t i = 0; i < n; ++i) {
       BatchOp& op = ops[i];
-      bool fast = false;
+      auto kind = static_cast<OpKind>(op.kind);
+      OpRef ref{kind, op.key, &op.input, &op.value, op.output, op.user_context};
+      ++ts.ops[static_cast<size_t>(kind)];
       if (slow_armed) {
-        // Arm the ambient slow-op state for this op: fast-path pendings
-        // capture it via MakePendingRead; fallback ops nest their own
-        // single-op scope over it.
+        // Arm the ambient slow-op state for this op; an op that goes
+        // pending transfers it to its context.
         slow_state = obs::SlowOpState{};
-        slow_state.kind = op.kind == BatchOp::Kind::kRead
-                              ? obs::SlowOpKind::kRead
-                              : (op.kind == BatchOp::Kind::kUpsert
-                                     ? obs::SlowOpKind::kUpsert
-                                     : obs::SlowOpKind::kRmw);
+        slow_state.kind = kind;
         slow_state.key_hash = hashes[i].control();
         slow_state.hash_ns = slow_share1;
         slow_state.resolve_ns = slow_share2;
         slow_state.start_ns = obs::NowNs();
         obs::CurrentSlowOp() = &slow_state;
       }
-      if (stable && !dep[i] && !batch_scope.interrupted()) {
-        switch (op.kind) {
-          case BatchOp::Kind::kRead:
-            fast = FastRead(ts, op, hashes[i], entry_found[i], frs[i],
-                            io_ctxs, &num_ios);
-            break;
-          case BatchOp::Kind::kUpsert:
-            fast = FastUpsert(ts, op, entry_found[i], frs[i], &extent,
-                              &extent_left);
-            break;
-          case BatchOp::Kind::kRmw:
-            fast = FastRmw(ts, op, entry_found[i], frs[i]);
-            break;
-        }
-      }
-      if (fast) {
+      if (stable && !dep[i] && !batch_scope.interrupted() &&
+          Apply(ts, ref, hashes[i], entry_found[i], frs[i], &chunk,
+                &op.status)) {
         obs_stats_.batch_fast.Inc();
       } else {
         obs_stats_.batch_fallback.Inc();
-        ExecuteSingle(op);
+        op.status = Resolve(ts, ref, hashes[i]);
       }
       if (slow_armed) {
         obs::CurrentSlowOp() = nullptr;
-        // Fallback ops record through their own single-op scope; fast
-        // pendings were transferred to the context.
-        if (fast && !slow_state.transferred &&
-            op.status != Status::kPending) {
+        if (!slow_state.transferred) {
           uint64_t execute = obs::NowNs() - slow_state.start_ns;
           uint64_t stages[obs::kNumSlowStages] = {
               slow_share1, slow_share2, execute, 0, 0, 0};
@@ -2103,11 +2010,12 @@ class FasterKv {
     }
     // Unused extent slots keep the dead headers written at reservation.
 
-    // Coalesced submission of every disk read the chunk discovered.
+    // Coalesced submission of every disk read stage 3 discovered.
+    size_t num_ios = chunk.num_ios;
     if (num_ios > 0) {
       IoReadRequest reqs[kBatchChunk];
       for (size_t i = 0; i < num_ios; ++i) {
-        PendingContext* c = io_ctxs[i];
+        PendingContext* c = chunk.ios[i];
         reqs[i] = IoReadRequest{c->address.control(), c->buffer,
                                 static_cast<uint32_t>(RecordT::size()),
                                 &FasterKv::IoCallback, c};
@@ -2122,7 +2030,7 @@ class FasterKv {
         // and never fire callbacks; fail them through the normal
         // completion machinery so each still completes exactly once.
         for (size_t k = accepted; k < num_ios; ++k) {
-          IoCallback(io_ctxs[k], Status::kIoError, 0);
+          IoCallback(chunk.ios[k], Status::kIoError, 0);
         }
       }
     }
@@ -2177,7 +2085,7 @@ class FasterKv {
   void NotifyCompletion(PendingContext* ctx, Status result) {
     if (config_.completion_callback != nullptr) {
       config_.completion_callback(
-          ctx->op == OpType::kRead ? UserOp::kRead : UserOp::kRmw, result,
+          ctx->op == OpKind::kRead ? UserOp::kRead : UserOp::kRmw, result,
           ctx->user_context);
     }
   }
@@ -2226,7 +2134,7 @@ class FasterKv {
         continue;
       }
       // Key matched on storage.
-      if (ctx->op == OpType::kRead) {
+      if (ctx->op == OpKind::kRead) {
         if constexpr (kMergeable) {
           CompleteMergeStep(ts, ctx, rec);
           continue;
@@ -2253,7 +2161,7 @@ class FasterKv {
   /// The disk chain ran out without finding the key.
   void CompleteChainMiss(ThreadState& ts, PendingContext* ctx)
       FASTER_REQUIRES_EPOCH() {
-    if (ctx->op == OpType::kRead) {
+    if (ctx->op == OpKind::kRead) {
       if constexpr (kMergeable) {
         CompleteMergeFinal(ts, ctx);
         return;
@@ -2270,7 +2178,7 @@ class FasterKv {
                                 disk_value, ctx->chain_bottom);
     switch (oc.kind) {
       case RmwOutcome::kDone:
-        FinishPending(ts, ctx, oc.status);
+        FinishPending(ts, ctx, Status::kOk);
         return;
       case RmwOutcome::kIo:
         // The chain bottom changed while we were reading; chase it.
@@ -2280,14 +2188,10 @@ class FasterKv {
       case RmwOutcome::kFuzzy:
         // The record migrated into the fuzzy region; fall back to the
         // retry list (the context stops being an outstanding I/O).
-        ++ts.fuzzy_rmws;
         --ts.outstanding_ios;
         obs_stats_.pending_ios.Dec();
-        obs_stats_.rmw_fuzzy_deferred.Inc();
-        obs_stats_.pending_retries.Inc();
-        trace_.Emit(obs::Ev::kFuzzyRmwDeferred, ctx->owner);
         ctx->chain_bottom = Address::Invalid();
-        ts.retries.push_back(ctx);
+        DeferFuzzyRmw(ts, ctx);
         return;
     }
   }
@@ -2311,7 +2215,7 @@ class FasterKv {
             // the retry list folds into io_complete the same way.
             obs::RecordSlowPending(&ctx->slow, obs::NowNs());
           }
-          NotifyCompletion(ctx, oc.status);
+          NotifyCompletion(ctx, Status::kOk);
           delete ctx;
           break;
         case RmwOutcome::kIo:
@@ -2332,8 +2236,8 @@ class FasterKv {
   // Mergeable (CRDT) reads: reconcile all delta records (Sec. 6.3).
   // -------------------------------------------------------------------
 
-  Status MergeableRead(ThreadState& ts, const Key& key, KeyHash hash,
-                       Address addr, Output* output) FASTER_REQUIRES_EPOCH() {
+  Status MergeableRead(ThreadState& ts, OpRef op, KeyHash hash, Address addr,
+                       ChunkRes* chunk) FASTER_REQUIRES_EPOCH() {
     static_assert(!kMergeable || std::is_same_v<Value, Output>,
                   "mergeable stores require Output == Value");
     Value acc{};
@@ -2344,11 +2248,11 @@ class FasterKv {
     // Merge every matching in-memory record, newest to oldest.
     while (addr.IsValid() && addr >= min_mem) {
       RecordT* r = RecordAt(addr);
-      if (r->key == key) {
+      if (r->key == op.key) {
         if (r->info().tombstone()) {
           // Older records are dead; finish with what we have.
           if (found) {
-            *output = acc;
+            *op.output = acc;
             return Status::kOk;
           }
           return Status::kNotFound;
@@ -2360,30 +2264,14 @@ class FasterKv {
     }
     if (!addr.IsValid() || addr < begin) {
       if (!found) return Status::kNotFound;
-      *output = acc;
+      *op.output = acc;
       return Status::kOk;
     }
     // Continue reconciliation on storage.
-    auto* ctx = new PendingContext(this, OpType::kRead, key, hash, Input{},
-                                   output, Thread::Id());
+    auto* ctx = new PendingContext(this, op, hash);
     ctx->merge_acc = acc;
     ctx->merge_found = found;
-    ctx->address = addr;
-    ctx->chain_bottom = addr;
-    CaptureTrace(ctx);
-    ++ts.outstanding_ios;
-    ++ts.ios_issued;
-    obs_stats_.pending_ios.Inc();
-    if constexpr (obs::kStatsEnabled) ctx->issue_ns = obs::NowNs();
-    trace_.Emit(obs::Ev::kPendingIoIssued, ctx->owner);
-    {
-      // Submission work (and any inline execution a polling device runs
-      // under it) is io_queue; device paths nest io_exec inside.
-      obs::StatPerfScope perf_scope{obs::PerfStage::kIoQueue};
-      hlog_.AsyncGetFromDisk(addr, RecordT::size(), ctx->buffer,
-                             &FasterKv::IoCallback, ctx);
-    }
-    return Status::kPending;
+    return StartPendingIo(ts, ctx, addr, chunk);
   }
 
   void CompleteMergeStep(ThreadState& ts, PendingContext* ctx,

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cassert>
 #include <map>
 #include <memory>
@@ -13,9 +14,10 @@ namespace faster {
 namespace {
 
 uint64_t RoundUpPowerOf2(uint64_t v) {
-  uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+  // No power of two above 2^63 fits in 64 bits: such a table is as
+  // unmappable as any other too large one.
+  if (v > (uint64_t{1} << 63)) throw std::bad_alloc();
+  return std::bit_ceil(v);
 }
 
 constexpr int64_t kChunkLocked = INT64_MIN;

@@ -3,9 +3,9 @@
 // observably identical to issuing the same ops one at a time in order —
 // across every HybridLog region (mutable in-place, safe-read-only RCU,
 // fuzzy deferral, on-storage pending reads), through intra-batch
-// dependencies, and across an index Grow. The harness runs every sequence
-// against a mirror store using the single-op API and compares statuses,
-// outputs, and final state.
+// dependencies, across an index Grow, and through the read cache. The
+// harness runs every sequence against a mirror store using the single-op
+// API and compares statuses, outputs, and final state.
 
 #include <gtest/gtest.h>
 
@@ -379,6 +379,88 @@ TEST_F(BatchTest, TypedWrappersMatchSequential) {
     ASSERT_EQ(outputs[i], expect) << "key " << keys[i];
   }
   AssertSameState(batch, mirror, 100);
+  batch.StopSession();
+  mirror.StopSession();
+}
+
+// --- Read cache: batches take the same cache-aware paths. -----------------
+
+// Each store gets a one-thread device, so storage reads complete — and
+// promote into the read cache — in issue order in both stores, and the two
+// caches stay laid out alike.
+TEST(BatchReadCacheTest, ReadCacheMatchesSequential) {
+  MemoryDevice device_a{1}, device_b{1};
+  auto cfg = Cfg();
+  cfg.table_size = uint64_t{1} << 18;  // keys rarely share an index entry
+  cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;
+  cfg.log.mutable_fraction = 0.5;
+  cfg.enable_read_cache = true;
+  cfg.read_cache.memory_size_bytes = 2ull << Address::kOffsetBits;
+  // No mutable lag: once the cache opens its second page, the whole first
+  // page is its read-only region.
+  cfg.read_cache.mutable_fraction = 0.0;
+  Store batch{cfg, &device_a};
+  Store mirror{cfg, &device_b};
+  batch.StartSession();
+  mirror.StartSession();
+  constexpr uint64_t kKeys = 600000;  // keys below ~349k end up on storage
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(batch.Upsert(k, k * 2 + 1), Status::kOk);
+    ASSERT_EQ(mirror.Upsert(k, k * 2 + 1), Status::kOk);
+  }
+  constexpr uint64_t kPerCachePage =
+      Address::kPageSize / Store::RecordT::size();
+  auto reads = [](uint64_t from, uint64_t to) {
+    std::vector<TestOp> ops;
+    for (uint64_t k = from; k < to; ++k) ops.push_back({Kind::kRead, k});
+    return ops;
+  };
+
+  // 1. Cold reads go pending and promote into the cache on completion:
+  //    more than a cache page's worth, so the first page turns read-only.
+  auto cold = reads(0, kPerCachePage + 20000);
+  RunBoth(batch, mirror, cold, 64);
+  for (const TestOp& op : cold) {
+    ASSERT_EQ(op.batch_status, Status::kPending) << "key " << op.key;
+  }
+  uint64_t ios_after_promote = batch.GetStats().pending_ios;
+  uint64_t hits_before = batch.GetStats().read_cache_hits;
+
+  // 2. Cache hits: read-only-region hits (copied to the cache tail) and
+  //    mutable-region hits, all synchronous.
+  auto hits = reads(1000, 1064);
+  auto mutable_hits = reads(kPerCachePage + 1000, kPerCachePage + 1064);
+  hits.insert(hits.end(), mutable_hits.begin(), mutable_hits.end());
+  RunBoth(batch, mirror, hits, 32);
+  for (const TestOp& op : hits) {
+    ASSERT_EQ(op.batch_status, Status::kOk) << "key " << op.key;
+    ASSERT_EQ(op.batch_out, op.key * 2 + 1) << "key " << op.key;
+  }
+  EXPECT_EQ(batch.GetStats().pending_ios, ios_after_promote);
+  EXPECT_EQ(batch.GetStats().read_cache_hits, hits_before + hits.size());
+
+  // 3. Upserts and RMWs on cached keys, with reads in between: RMWs
+  //    copy-update from the cached value without storage reads.
+  auto writes = RandomMix(512, 512, /*seed=*/46);
+  for (TestOp& op : writes) op.key += 2000;
+  RunBoth(batch, mirror, writes, 64);
+  EXPECT_EQ(batch.GetStats().pending_ios, ios_after_promote);
+
+  // 4. Read every key of the read-only cache page once more: each hit is
+  //    copied to the tail until the tail needs a new page, which evicts
+  //    the old page partway through a batch; the keys read after that go
+  //    back to storage.
+  auto evict = reads(0, kPerCachePage - 100);
+  RunBoth(batch, mirror, evict, 64);
+  EXPECT_EQ(evict.front().batch_status, Status::kOk);
+  EXPECT_EQ(evict.back().batch_status, Status::kPending);
+
+  AssertSameState(batch, mirror, 4096);
+  if constexpr (obs::kStatsEnabled) {
+    EXPECT_GT(batch.obs_stats().batch_fast.Sum(), 0u);
+    EXPECT_GT(batch.obs_stats().rc_second_chance.Sum(), 0u);
+    EXPECT_GT(batch.obs_stats().rc_evictions.Sum(), 0u);
+  }
   batch.StopSession();
   mirror.StopSession();
 }

@@ -287,6 +287,10 @@ TEST_F(HashIndexTest, TableBecomesResidentOnlyWhenUsed) {
 // map under any overcommit policy.
 TEST_F(HashIndexTest, UnmappableTableThrows) {
   EXPECT_THROW((HashIndex{uint64_t{1} << 41, &epoch_}), std::bad_alloc);
+  // Past 2^63 no power of two fits in 64 bits to round the size up to.
+  EXPECT_THROW((HashIndex{(uint64_t{1} << 63) + 1, &epoch_}),
+               std::bad_alloc);
+  EXPECT_THROW((HashIndex{UINT64_MAX, &epoch_}), std::bad_alloc);
 }
 
 /// Bytes of address space this process has mapped (/proc/self/statm).

@@ -133,6 +133,36 @@ TEST_F(ReadCacheTest, EvictionRedirectsBackToPrimaryLog) {
   store.StopSession();
 }
 
+// With one tag bit, many keys share an index entry, so an RMW often finds
+// its entry pointing at another key's cached copy. The record it appends
+// must chain to the primary log past that copy: a chain link into the
+// cache would send later walks of the chain through a cache address.
+TEST_F(ReadCacheTest, RmwBehindAnotherKeysCachedCopy) {
+  auto cfg = CacheConfig();
+  cfg.tag_bits = 1;
+  cfg.table_size = uint64_t{1} << 17;
+  Store store{cfg, &device_};
+  store.StartSession();
+  Spill(store, 400000);
+  constexpr uint64_t kKeys = 2000;
+  for (uint64_t k = 0; k < kKeys; ++k) MustRead(store, k);  // cache them
+  // In reverse, so an RMW meets an entry that an earlier-read key's copy
+  // still holds.
+  for (uint64_t k = kKeys; k-- > 0;) {
+    Status s = store.Rmw(k, 5);
+    if (s == Status::kPending) {
+      ASSERT_TRUE(store.CompletePending(true));
+    } else {
+      ASSERT_EQ(s, Status::kOk) << "key " << k;
+    }
+  }
+  for (uint64_t k = 0; k < 2 * kKeys; ++k) {
+    EXPECT_EQ(MustRead(store, k), k + 1 + (k < kKeys ? 5 : 0))
+        << "key " << k;
+  }
+  store.StopSession();
+}
+
 TEST_F(ReadCacheTest, CheckpointWithReadCacheRecovers) {
   std::string dir = "/tmp/faster_rc_ckpt_test";
   std::filesystem::remove_all(dir);

@@ -32,22 +32,48 @@ namespace {
 
 using Store = FasterKv<CountStoreFunctions>;
 
-TEST(StressBatchTest, BatchedOpsUnderChurn) {
+// `read_cache` adds the read cache and a cold key range, written once up
+// front, that the last kColdReads ops of every batch read: those reads go
+// to storage and promote into the cache, so batch ops also race cache
+// promotions and hits, the checkpoint's entry transform, compaction and
+// Grow. Cold values never change, so each cold read is checked exactly.
+// (Two cache pages hold ~350k records, more than a run promotes, so cache
+// evictions are left to batch_test's ReadCacheMatchesSequential.)
+void RunBatchedOpsUnderChurn(bool read_cache) {
   constexpr int kBatchThreads = 2;
   constexpr int kSingleThreads = 1;
   constexpr int kThreads = kBatchThreads + kSingleThreads;
   constexpr uint64_t kKeySpace = 4096;
   constexpr size_t kBatch = 32;
-  const uint64_t kBatchesPerThread = stress::ScaleOps(60000);
+  // The cold range outgrows the read-cache variant's 2-page log; its
+  // oldest third, which the cold reads target, starts out on storage.
+  constexpr uint64_t kColdKeys = uint64_t{3} << 17;
+  constexpr size_t kColdReads = 8;
+  const size_t owned_ops = kBatch - (read_cache ? kColdReads : 1);
+  auto cold_value = [](uint64_t k) { return k * 7 + 1; };
+  // Cold reads wait on storage: fewer, slower batches.
+  const uint64_t kBatchesPerThread =
+      stress::ScaleOps(read_cache ? 10000 : 60000);
   const std::string ckpt_dir = "/tmp/faster_stress_batch_ckpt";
   std::filesystem::remove_all(ckpt_dir);
 
   MemoryDevice device;
   Store::Config cfg;
-  cfg.table_size = 2048;
-  cfg.log.memory_size_bytes = 4ull << Address::kOffsetBits;  // 4 pages
+  cfg.table_size = read_cache ? uint64_t{1} << 16 : 2048;  // short chains
+  cfg.log.memory_size_bytes =
+      (read_cache ? 2ull : 4ull) << Address::kOffsetBits;  // 2 or 4 pages
   cfg.log.mutable_fraction = 0.5;  // constant region crossings
+  cfg.enable_read_cache = read_cache;
+  cfg.read_cache.memory_size_bytes = 2ull << Address::kOffsetBits;
+  cfg.read_cache.mutable_fraction = 0.5;
   Store store{cfg, &device};
+  if (read_cache) {
+    store.StartSession();
+    for (uint64_t k = kKeySpace; k < kKeySpace + kColdKeys; ++k) {
+      ASSERT_EQ(store.Upsert(k, cold_value(k)), Status::kOk);
+    }
+    store.StopSession();
+  }
 
   std::vector<std::unordered_map<uint64_t, uint64_t>> models(kThreads);
   std::atomic<uint64_t> read_errors{0};
@@ -60,16 +86,14 @@ TEST(StressBatchTest, BatchedOpsUnderChurn) {
   };
 
   std::vector<std::thread> threads;
-  // Batched workers: mixed chunks of distinct owned keys + one foreign
-  // read per batch (its value races, but it must not crash or tear).
+  // Batched workers: mixed chunks of distinct owned keys, then one foreign
+  // read per batch (its value races, but it must not crash or tear) or
+  // the cold reads.
   for (int t = 0; t < kBatchThreads; ++t) {
     threads.emplace_back([&, t] {
       std::mt19937_64 rng = stress::ThreadRng(static_cast<uint64_t>(t));
       auto& model = models[t];
       std::vector<uint64_t> outs(kBatch);
-      // Foreign-read sink; thread_local so a pending read completing in a
-      // later CompletePending still has a live destination.
-      thread_local uint64_t foreign_out;
       store.StartSession();
       for (uint64_t i = 0; i < kBatchesPerThread; ++i) {
         Store::BatchOp ops[kBatch];
@@ -77,7 +101,7 @@ TEST(StressBatchTest, BatchedOpsUnderChurn) {
         uint64_t args[kBatch];
         // Distinct owned keys within the batch keep the model exact.
         uint64_t base = rng() % (kKeySpace / kThreads);
-        for (size_t j = 0; j + 1 < kBatch; ++j) {
+        for (size_t j = 0; j < owned_ops; ++j) {
           keys[j] = ((base + j) % (kKeySpace / kThreads)) * kThreads +
                     static_cast<uint64_t>(t);
           uint64_t p = rng() % 100;
@@ -98,10 +122,14 @@ TEST(StressBatchTest, BatchedOpsUnderChurn) {
             ops[j].output = &outs[j];
           }
         }
-        ops[kBatch - 1] = Store::BatchOp{};
-        ops[kBatch - 1].kind = Store::BatchOp::Kind::kRead;
-        ops[kBatch - 1].key = rng() % kKeySpace;  // foreign
-        ops[kBatch - 1].output = &foreign_out;
+        for (size_t j = owned_ops; j < kBatch; ++j) {
+          ops[j] = Store::BatchOp{};
+          ops[j].kind = Store::BatchOp::Kind::kRead;
+          ops[j].key = read_cache ? kKeySpace + rng() % (kColdKeys / 3)
+                                  : rng() % kKeySpace;  // foreign
+          outs[j] = UINT64_MAX;
+          ops[j].output = &outs[j];
+        }
 
         store.ExecuteBatch(ops, kBatch);
 
@@ -113,7 +141,14 @@ TEST(StressBatchTest, BatchedOpsUnderChurn) {
           ASSERT_TRUE(store.CompletePending(true));
         }
 
-        for (size_t j = 0; j + 1 < kBatch; ++j) {
+        for (size_t j = owned_ops; read_cache && j < kBatch; ++j) {
+          if ((ops[j].status != Status::kOk &&
+               ops[j].status != Status::kPending) ||
+              outs[j] != cold_value(ops[j].key)) {
+            read_errors.fetch_add(1);
+          }
+        }
+        for (size_t j = 0; j < owned_ops; ++j) {
           switch (ops[j].kind) {
             case Store::BatchOp::Kind::kUpsert:
               ASSERT_EQ(ops[j].status, Status::kOk);
@@ -128,7 +163,10 @@ TEST(StressBatchTest, BatchedOpsUnderChurn) {
               Status s = ops[j].status;
               auto it = model.find(keys[j]);
               if (it == model.end()) {
-                if (s != Status::kNotFound) {
+                // kPending only to rule out an index tag shared with a
+                // key on storage (rife with the cold range).
+                if (s != Status::kNotFound &&
+                    (s != Status::kPending || outs[j] != UINT64_MAX)) {
                   read_errors.fetch_add(1);
                 }
               } else if (s == Status::kOk || s == Status::kPending) {
@@ -224,7 +262,16 @@ TEST(StressBatchTest, BatchedOpsUnderChurn) {
   // The run must actually have exercised the fast path and the log:
   Store::Stats stats = store.GetStats();
   EXPECT_GT(stats.appended_records, 0u);
+  if (read_cache) {
+    EXPECT_GT(stats.read_cache_hits, 0u);
+  }
   std::filesystem::remove_all(ckpt_dir);
+}
+
+TEST(StressBatchTest, BatchedOpsUnderChurn) { RunBatchedOpsUnderChurn(false); }
+
+TEST(StressBatchTest, BatchedOpsUnderChurnWithReadCache) {
+  RunBatchedOpsUnderChurn(true);
 }
 
 }  // namespace
