@@ -471,7 +471,27 @@ class FasterKv {
       trace_.Emit(obs::Ev::kGrowBegin,
                   static_cast<uint32_t>(std::bit_width(index_.size()) - 1));
     }
-    Status s = index_.Grow();
+    HashIndex::EntryRebase rebase;
+    if (rc_log_ != nullptr) {
+      // Grow points both children of a bucket at its chain, but RcEvict
+      // redirects only the child the cached record's key hashes to; the
+      // other would keep the evicted address. So migration swings cached
+      // addresses back to the primary log, as checkpoints do (Appendix D).
+      rebase = [this](uint64_t control) -> uint64_t {
+        // Runs inside MigrateChunk, whose callers hold an active session.
+        AssertEpochProtected(epoch_);
+        HashBucketEntry e{control};
+        if (!InReadCache(e.address())) return control;
+        // The frame is intact even below the cache's head: RcEvict looks
+        // the record's key up first, which migrates this chunk, before the
+        // frame can be recycled.
+        auto* rec = reinterpret_cast<RecordT*>(
+            rc_log_->GetEvicted(StripRc(e.address())));
+        return HashBucketEntry{rec->info().previous_address(), e.tag(), false}
+            .control();
+      };
+    }
+    Status s = index_.Grow(rebase);
     if constexpr (obs::kStatsEnabled) {
       trace_.Emit(obs::Ev::kGrowEnd,
                   static_cast<uint32_t>(std::bit_width(index_.size()) - 1));
@@ -510,7 +530,10 @@ class FasterKv {
     // pointers into log frames can dangle (frames recycle under us).
     alignas(8) uint8_t buf[sizeof(RecordT)];
     Address addr = begin;
-    while (addr < until) {
+    for (uint64_t step = 1; addr < until; ++step) {
+      // Keep the epoch moving: a long pass would otherwise hold back every
+      // epoch trigger (page evictions, flushes) until it ends.
+      if (step % 1024 == 0) epoch_.Refresh();
       if (addr.offset() + RecordT::size() > Address::kPageSize) {
         addr = addr.NextPageStart();
         continue;
@@ -881,22 +904,18 @@ class FasterKv {
     return out;
   }
 
-  /// Registers this store's diagnostics (epoch table, event ring, the
-  /// global span ring, metric pointers) with the process-wide crash
-  /// flight recorder and arms it (fatal-signal handlers + the
-  /// FASTER_EPOCH_CHECK hook). The destructor detaches. Metric names are
-  /// copied at attach time; legacy kValue tallies are snapshot then and
-  /// marked "(at attach)" in the dump.
+  /// Registers this store's diagnostics (epoch table, event ring, metric
+  /// pointers) and, once per process, the global span, log and slow-op
+  /// rings with the process-wide crash flight recorder and arms it
+  /// (fatal-signal handlers + the FASTER_EPOCH_CHECK hook). The destructor
+  /// detaches. Metric names are copied at attach time; legacy kValue
+  /// tallies are snapshot then and marked "(at attach)" in the dump.
   void AttachFlightRecorder() {
     obs::FlightRecorder& rec = obs::FlightRecorder::Instance();
     rec.Install();
     rec.AttachEpoch(this, &epoch_);
     rec.AttachEventRing(this, "store", &trace_);
-    if constexpr (obs::kStatsEnabled) {
-      rec.AttachSpanRing(this, &obs::GlobalSpanRing());
-      rec.AttachLogRing(this, &obs::Logger::Global().ring());
-      rec.AttachSlowLog(this, &obs::GlobalSlowLog());
-    }
+    if constexpr (obs::kStatsEnabled) rec.AttachProcessRings();
     obs::StatRegistry reg;
     CollectStats(reg);
     rec.AttachMetrics(this, reg);

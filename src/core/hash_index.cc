@@ -351,7 +351,7 @@ uint64_t HashIndex::NumUsedEntries() const {
 // On-line grow (Appendix B).
 // ---------------------------------------------------------------------------
 
-Status HashIndex::Grow() {
+Status HashIndex::Grow(const EntryRebase& rebase) {
   std::lock_guard<Mutex> grow_lock{grow_mutex_};
   assert(epoch_->IsProtected());
 
@@ -383,6 +383,7 @@ Status HashIndex::Grow() {
     migrated_.push_back(std::make_unique<Atomic<bool>>(false));
   }
   num_migrated_chunks_.store(0, std::memory_order_release);
+  rebase_ = rebase ? &rebase : nullptr;
 
   // Announce the resize; once every thread has observed the prepare phase
   // (i.e., the bumped epoch is safe), flip to the resizing phase.
@@ -406,6 +407,7 @@ Status HashIndex::Grow() {
   while (num_migrated_chunks_.load(std::memory_order_acquire) < num_chunks_) {
     thread_yield();
   }
+  rebase_ = nullptr;
 
   // Publish the new version and return to normal operation.
   set_resize_state(Phase::kStable, new_version);
@@ -490,6 +492,8 @@ void HashIndex::MigrateChunk(uint64_t chunk) {
         // shorter hash prefix). Point both children at the chain; lookups
         // compare full keys, so correctness is preserved (Appendix B: "a
         // split causes both new hash entries to point to the same record").
+        uint64_t value =
+            rebase_ != nullptr ? (*rebase_)(entry.control()) : entry.control();
         for (uint64_t child : {i, i + old_size}) {
           HashBucket* dst = &new_table[child];
           Atomic<uint64_t>* free_slot = nullptr;
@@ -513,7 +517,7 @@ void HashIndex::MigrateChunk(uint64_t chunk) {
           }
           // Only this thread writes this chunk's child buckets, so plain
           // stores are fine; release so post-migration readers see them.
-          free_slot->store(entry.control(), std::memory_order_release);
+          free_slot->store(value, std::memory_order_release);
         }
       }
     }

@@ -204,11 +204,17 @@ class HashIndex {
     return static_cast<uint32_t>(__builtin_popcount(tag_mask_));
   }
 
+  /// Maps a migrated entry's value to the value both child buckets get.
+  using EntryRebase = std::function<uint64_t(uint64_t)>;
+
   /// Doubles the index on-line (Appendix B). Must be called from an
   /// epoch-protected thread; concurrent operations cooperate. Blocks until
   /// the grow completes. Returns kOutOfMemory, with the index untouched,
-  /// if the doubled table cannot be mapped.
-  Status Grow() FASTER_REQUIRES_EPOCH();
+  /// if the doubled table cannot be mapped. `rebase`, if provided, runs on
+  /// every migrated entry, from whichever thread migrates its chunk (the
+  /// read cache uses it to swing cached addresses back to the primary log,
+  /// Appendix D).
+  Status Grow(const EntryRebase& rebase = {}) FASTER_REQUIRES_EPOCH();
 
   /// True while a grow is in progress.
   bool IsResizing() const {
@@ -339,6 +345,9 @@ class HashIndex {
   // phase is announced.
   Atomic<uint64_t> num_migrated_chunks_{0};
   uint64_t num_chunks_ = 0;
+  // Grow's `rebase` while it runs; published to migrating threads by the
+  // resize_state_ announcement, like num_chunks_.
+  const EntryRebase* rebase_ = nullptr;
   Mutex grow_mutex_;  // serializes concurrent Grow() callers only
 
   // Overflow bucket pools, per version.

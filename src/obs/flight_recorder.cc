@@ -110,6 +110,28 @@ const char* SignalName(int sig) {
   }
 }
 
+/// Fills the first free slot of `slots` under the attach mutex; the
+/// release store of `used` publishes what `fill` wrote.
+template <typename S, size_t K, typename Fill>
+void Claim(S (&slots)[K], const void* owner, Fill fill) {
+  for (S& slot : slots) {
+    if (slot.used.load(std::memory_order_acquire)) continue;
+    slot.owner = owner;
+    fill(slot);
+    slot.used.store(true, std::memory_order_release);
+    return;
+  }
+}
+
+template <typename S, size_t K>
+void Release(S (&slots)[K], const void* owner) {
+  for (S& slot : slots) {
+    if (slot.used.load(std::memory_order_acquire) && slot.owner == owner) {
+      slot.used.store(false, std::memory_order_release);
+    }
+  }
+}
+
 }  // namespace
 
 FlightRecorder& FlightRecorder::Instance() {
@@ -150,58 +172,15 @@ void FlightRecorder::Install() {
 void FlightRecorder::AttachEventRing(const void* owner, const char* name,
                                      const EventRing* ring) {
   std::lock_guard<std::mutex> guard{attach_mutex_};
-  for (EventRingSlot& slot : event_rings_) {
-    if (slot.used.load(std::memory_order_acquire)) continue;
-    slot.owner = owner;
+  Claim(event_rings_, owner, [&](EventRingSlot& slot) {
     CopyName(slot.name, sizeof slot.name, name);
     slot.ring = ring;
-    slot.used.store(true, std::memory_order_release);
-    return;
-  }
-}
-
-void FlightRecorder::AttachSpanRing(const void* owner, const SpanRing* ring) {
-  std::lock_guard<std::mutex> guard{attach_mutex_};
-  for (SpanRingSlot& slot : span_rings_) {
-    if (slot.used.load(std::memory_order_acquire)) continue;
-    slot.owner = owner;
-    slot.ring = ring;
-    slot.used.store(true, std::memory_order_release);
-    return;
-  }
+  });
 }
 
 void FlightRecorder::AttachEpoch(const void* owner, const LightEpoch* epoch) {
   std::lock_guard<std::mutex> guard{attach_mutex_};
-  for (EpochSlot& slot : epochs_) {
-    if (slot.used.load(std::memory_order_acquire)) continue;
-    slot.owner = owner;
-    slot.epoch = epoch;
-    slot.used.store(true, std::memory_order_release);
-    return;
-  }
-}
-
-void FlightRecorder::AttachLogRing(const void* owner, const LogRing* ring) {
-  std::lock_guard<std::mutex> guard{attach_mutex_};
-  for (LogRingSlot& slot : log_rings_) {
-    if (slot.used.load(std::memory_order_acquire)) continue;
-    slot.owner = owner;
-    slot.ring = ring;
-    slot.used.store(true, std::memory_order_release);
-    return;
-  }
-}
-
-void FlightRecorder::AttachSlowLog(const void* owner, const SlowLog* slowlog) {
-  std::lock_guard<std::mutex> guard{attach_mutex_};
-  for (SlowLogSlot& slot : slowlogs_) {
-    if (slot.used.load(std::memory_order_acquire)) continue;
-    slot.owner = owner;
-    slot.slowlog = slowlog;
-    slot.used.store(true, std::memory_order_release);
-    return;
-  }
+  Claim(epochs_, owner, [&](EpochSlot& slot) { slot.epoch = epoch; });
 }
 
 void FlightRecorder::AttachMetrics(const void* owner, const Registry& reg) {
@@ -209,53 +188,31 @@ void FlightRecorder::AttachMetrics(const void* owner, const Registry& reg) {
   reg.ForEach([&](const std::string& name, Registry::Kind kind,
                   const Counter* c, const Gauge* g, const Histogram* h,
                   uint64_t value) {
-    for (MetricSlot& slot : metrics_) {
-      if (slot.used.load(std::memory_order_acquire)) continue;
-      slot.owner = owner;
+    Claim(metrics_, owner, [&](MetricSlot& slot) {
       CopyName(slot.name, sizeof slot.name, name.c_str());
       slot.kind = kind;
       slot.counter = c;
       slot.gauge = g;
       slot.histogram = h;
       slot.value = value;
-      slot.used.store(true, std::memory_order_release);
-      return;
-    }
+    });
   });
+}
+
+void FlightRecorder::AttachProcessRings() {
+  std::lock_guard<std::mutex> guard{attach_mutex_};
+  if (process_rings_.load(std::memory_order_acquire)) return;
+  spans_ = &GlobalSpanRing();
+  log_ = &Logger::Global().ring();
+  slowlog_ = &GlobalSlowLog();
+  process_rings_.store(true, std::memory_order_release);
 }
 
 void FlightRecorder::Detach(const void* owner) {
   std::lock_guard<std::mutex> guard{attach_mutex_};
-  for (EventRingSlot& slot : event_rings_) {
-    if (slot.used.load(std::memory_order_acquire) && slot.owner == owner) {
-      slot.used.store(false, std::memory_order_release);
-    }
-  }
-  for (SpanRingSlot& slot : span_rings_) {
-    if (slot.used.load(std::memory_order_acquire) && slot.owner == owner) {
-      slot.used.store(false, std::memory_order_release);
-    }
-  }
-  for (EpochSlot& slot : epochs_) {
-    if (slot.used.load(std::memory_order_acquire) && slot.owner == owner) {
-      slot.used.store(false, std::memory_order_release);
-    }
-  }
-  for (LogRingSlot& slot : log_rings_) {
-    if (slot.used.load(std::memory_order_acquire) && slot.owner == owner) {
-      slot.used.store(false, std::memory_order_release);
-    }
-  }
-  for (SlowLogSlot& slot : slowlogs_) {
-    if (slot.used.load(std::memory_order_acquire) && slot.owner == owner) {
-      slot.used.store(false, std::memory_order_release);
-    }
-  }
-  for (MetricSlot& slot : metrics_) {
-    if (slot.used.load(std::memory_order_acquire) && slot.owner == owner) {
-      slot.used.store(false, std::memory_order_release);
-    }
-  }
+  Release(event_rings_, owner);
+  Release(epochs_, owner);
+  Release(metrics_, owner);
 }
 
 void FlightRecorder::Dump(const char* reason) {
@@ -368,135 +325,99 @@ void FlightRecorder::Dump(const char* reason) {
     w.Str("] (last ");
     w.U64(kEventsPerThreadDumped);
     w.Str(" per thread) --\n");
-    const EventRing* ring = slot.ring;
     for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
-      uint64_t next = ring->ShardNext(tid);
-      if (next == 0) continue;
-      uint64_t window = next < EventRing::kEventsPerThread
-                            ? next
-                            : EventRing::kEventsPerThread;
-      if (window > kEventsPerThreadDumped) window = kEventsPerThreadDumped;
-      for (uint64_t pos = next - window; pos < next; ++pos) {
-        TraceEvent e = ring->ReadEvent(tid, pos);
-        if (e.id == static_cast<uint16_t>(Ev::kNone)) continue;
-        w.Str("  tid=");
-        w.U64(tid);
-        w.Str(" ns=");
-        w.U64(e.ns);
-        w.Str(" ev=");
-        w.Str(EvName(static_cast<Ev>(e.id)));
-        w.Str(" arg=");
-        w.U64(e.arg);
-        w.Str("\n");
-      }
+      slot.ring->rings()[tid].ForEach(
+          kEventsPerThreadDumped, [&w](uint64_t, const TraceEvent& e) {
+            w.Str("  tid=");
+            w.U64(e.tid);
+            w.Str(" ns=");
+            w.U64(e.ns);
+            w.Str(" ev=");
+            w.Str(EvName(static_cast<Ev>(e.id)));
+            w.Str(" arg=");
+            w.U64(e.arg);
+            w.Str("\n");
+          });
     }
   }
 
-  // --- Recent spans ----------------------------------------------------
-  for (const SpanRingSlot& slot : span_rings_) {
-    if (!slot.used.load(std::memory_order_acquire)) continue;
+  if (process_rings_.load(std::memory_order_acquire)) {
+    // --- Recent spans ----------------------------------------------------
     w.Str("-- spans (last ");
     w.U64(kSpansPerThreadDumped);
     w.Str(" per thread) --\n");
-    const SpanRing* ring = slot.ring;
     for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
-      uint64_t next = ring->ShardNext(tid);
-      if (next == 0) continue;
-      uint64_t window =
-          next < SpanRing::kSpansPerThread ? next : SpanRing::kSpansPerThread;
-      if (window > kSpansPerThreadDumped) window = kSpansPerThreadDumped;
-      for (uint64_t pos = next - window; pos < next; ++pos) {
-        SpanRecord s = ring->ReadSpan(tid, pos);
-        if (s.span_id == 0) continue;
-        w.Str("  tid=");
-        w.U64(tid);
-        w.Str(" trace=");
-        w.Hex(s.trace_id);
-        w.Str(" span=");
-        w.Hex(s.span_id);
-        w.Str(" parent=");
-        w.Hex(s.parent_id);
-        w.Str(" kind=");
-        w.Str(SpanKindName(static_cast<SpanKind>(s.kind)));
-        w.Str(" start_ns=");
-        w.U64(s.start_ns);
-        w.Str(" dur_ns=");
-        w.U64(s.end_ns >= s.start_ns ? s.end_ns - s.start_ns : 0);
-        w.Str(" arg=");
-        w.U64(s.arg);
-        w.Str("\n");
-      }
+      spans_->rings()[tid].ForEach(
+          kSpansPerThreadDumped, [&w](uint64_t, const SpanRecord& s) {
+            w.Str("  tid=");
+            w.U64(s.tid);
+            w.Str(" trace=");
+            w.Hex(s.trace_id);
+            w.Str(" span=");
+            w.Hex(s.span_id);
+            w.Str(" parent=");
+            w.Hex(s.parent_id);
+            w.Str(" kind=");
+            w.Str(SpanKindName(static_cast<SpanKind>(s.kind)));
+            w.Str(" start_ns=");
+            w.U64(s.start_ns);
+            w.Str(" dur_ns=");
+            w.U64(s.end_ns >= s.start_ns ? s.end_ns - s.start_ns : 0);
+            w.Str(" arg=");
+            w.U64(s.arg);
+            w.Str("\n");
+          });
     }
-  }
 
-  // --- Structured-log ring tail ----------------------------------------
-  for (const LogRingSlot& slot : log_rings_) {
-    if (!slot.used.load(std::memory_order_acquire)) continue;
+    // --- Structured-log ring tail --------------------------------------
     w.Str("-- log (last ");
     w.U64(kLogRecordsPerThreadDumped);
     w.Str(" records per thread) --\n");
-    const LogRing* ring = slot.ring;
     for (uint32_t tid = 0; tid < LogRing::NumShards(); ++tid) {
-      uint64_t end = ring->CommittedEnd(tid);
-      if (end == 0) continue;
-      uint64_t window =
-          end < LogRing::kEntriesPerThread ? end : LogRing::kEntriesPerThread;
-      if (window > kLogRecordsPerThreadDumped) {
-        window = kLogRecordsPerThreadDumped;
-      }
-      for (uint64_t seq = end - window; seq < end; ++seq) {
-        LogRing::Record rec;
-        if (!ring->ReadEntryRaw(tid, seq, &rec)) continue;
-        w.Str("  tid=");
-        w.U64(tid);
-        w.Str(" ns=");
-        w.U64(rec.wall_ns);
-        w.Str(" ");
-        w.Str(LogLevelName(static_cast<LogLevel>(rec.level)));
-        w.Str(" ");
-        w.StrN(rec.text, rec.len);
-        w.Str("\n");
-      }
+      log_->shard(tid).ring.ForEach(
+          kLogRecordsPerThreadDumped,
+          [&w](uint64_t, const LogRing::Record& rec) {
+            w.Str("  tid=");
+            w.U64(rec.tid);
+            w.Str(" ns=");
+            w.U64(rec.wall_ns);
+            w.Str(" ");
+            w.Str(LogLevelName(static_cast<LogLevel>(rec.level)));
+            w.Str(" ");
+            w.StrN(rec.text, rec.len);
+            w.Str("\n");
+          });
     }
-  }
 
-  // --- Slow-op log tail ------------------------------------------------
-  for (const SlowLogSlot& slot : slowlogs_) {
-    if (!slot.used.load(std::memory_order_acquire)) continue;
-    const SlowLog* slowlog = slot.slowlog;
-    uint64_t end = slowlog->RawEnd();
-    uint64_t begin = slowlog->RawBegin();
-    if (end > begin + kSlowlogEntriesDumped) {
-      begin = end - kSlowlogEntriesDumped;
-    }
+    // --- Slow-op log tail ------------------------------------------------
+    const SlowLog::Ring& slow = slowlog_->ring();
     w.Str("-- slowlog (newest ");
     w.U64(kSlowlogEntriesDumped);
     w.Str(" of ");
-    w.U64(end);
+    w.U64(slow.End());
     w.Str(" recorded) --\n");
-    for (uint64_t seq = begin; seq < end; ++seq) {
-      SlowLog::Entry e;
-      if (!slowlog->ReadEntryRaw(seq, &e)) continue;
-      w.Str("  id=");
-      w.U64(e.id);
-      w.Str(" op=");
-      w.Str(SlowOpKindName(e.kind));
-      w.Str(" tid=");
-      w.U64(e.tid);
-      w.Str(" key=");
-      w.Hex(e.key_hash);
-      w.Str(" total_ns=");
-      w.U64(e.total_ns);
-      w.Str(e.pending ? " pending" : " sync");
-      for (uint32_t s = 0; s < kNumSlowStages; ++s) {
-        if (e.stage_ns[s] == 0) continue;
-        w.Str(" ");
-        w.Str(SlowStageName(static_cast<SlowStage>(s)));
-        w.Str("=");
-        w.U64(e.stage_ns[s]);
-      }
-      w.Str("\n");
-    }
+    slow.ForEach(kSlowlogEntriesDumped,
+                 [&w](uint64_t seq, const SlowLog::Entry& e) {
+                   w.Str("  id=");
+                   w.U64(seq);
+                   w.Str(" op=");
+                   w.Str(SlowOpKindName(e.kind));
+                   w.Str(" tid=");
+                   w.U64(e.tid);
+                   w.Str(" key=");
+                   w.Hex(e.key_hash);
+                   w.Str(" total_ns=");
+                   w.U64(e.total_ns);
+                   w.Str(e.pending ? " pending" : " sync");
+                   for (uint32_t i = 0; i < kNumSlowStages; ++i) {
+                     if (e.stage_ns[i] == 0) continue;
+                     w.Str(" ");
+                     w.Str(SlowStageName(static_cast<SlowStage>(i)));
+                     w.Str("=");
+                     w.U64(e.stage_ns[i]);
+                   }
+                   w.Str("\n");
+                 });
   }
 
   w.Str("==== FASTER FLIGHT RECORDER END ====\n");

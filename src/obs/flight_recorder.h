@@ -13,16 +13,19 @@
 #include "obs/trace.h"
 
 /// FlightRecorder: a crash black box. Stores register their event rings,
-/// span ring, metric pointers, and epoch table up front (allocation and
-/// locking are allowed then); when the process dies — an epoch-verifier
-/// abort, an assert's SIGABRT, a stray SIGSEGV/SIGBUS — the recorder
-/// dumps the last-N trace events per thread, the recent spans, a metric
-/// snapshot, and the per-thread epoch table to stderr and (when
+/// metric pointers and epoch tables up front, and the process-wide span,
+/// log and slow-op rings are attached once (allocation and locking are
+/// allowed then); when the process dies — an epoch-verifier abort, an
+/// assert's SIGABRT, a stray SIGSEGV/SIGBUS — the recorder dumps the
+/// last-N trace events per thread, the recent spans, log records and slow
+/// ops, a metric snapshot, and the per-thread epoch table to stderr and
+/// (when
 /// $FASTER_FLIGHT_DIR is set, cached at Install time) to
 /// $FASTER_FLIGHT_DIR/flight_<pid>.txt.
 ///
 /// Signal-safety contract (DESIGN.md §10): the dump path performs only
-/// relaxed lock-free atomic loads on pre-registered pointers, formats
+/// lock-free atomic loads on pre-registered pointers (every ring is read
+/// through SeqRing::Read), formats
 /// integers into fixed stack/static buffers with its own itoa, and calls
 /// only async-signal-safe syscalls (write/open/close/getpid). No malloc,
 /// no stdio, no locks. Registration data lives in fixed-size slots whose
@@ -30,7 +33,7 @@
 /// std::string.
 ///
 /// The registration surface takes the *real* obs types (EventRing,
-/// SpanRing, Registry) — callers gate attachment with
+/// Registry) — callers gate attachment with
 /// `if constexpr (obs::kStatsEnabled)`, the same compile-out discipline as
 /// every Stat* site; the epoch table attaches in every build. A dump is
 /// attempted at most once per process (re-entry from the SIGABRT that
@@ -42,10 +45,7 @@ namespace obs {
 class FlightRecorder {
  public:
   static constexpr uint32_t kMaxEventRings = 8;
-  static constexpr uint32_t kMaxSpanRings = 4;
   static constexpr uint32_t kMaxEpochs = 8;
-  static constexpr uint32_t kMaxLogRings = 4;
-  static constexpr uint32_t kMaxSlowLogs = 4;
   static constexpr uint32_t kMaxMetrics = 192;
   static constexpr uint32_t kNameLen = 64;
   /// Most recent events dumped per thread (of EventRing::kEventsPerThread
@@ -67,23 +67,23 @@ class FlightRecorder {
     return installed_.load(std::memory_order_acquire);
   }
 
-  /// Registration (NOT signal-safe; call at setup time). `owner` keys the
-  /// slots for Detach; names are copied. Attached pointers must stay
-  /// valid until Detach(owner) — FasterKv detaches in its destructor.
+  /// Per-store registration (NOT signal-safe; call at setup time). `owner`
+  /// keys the slots for Detach; names are copied. Attached pointers must
+  /// stay valid until Detach(owner) — FasterKv detaches in its destructor.
   void AttachEventRing(const void* owner, const char* name,
                        const EventRing* ring);
-  void AttachSpanRing(const void* owner, const SpanRing* ring);
   void AttachEpoch(const void* owner, const LightEpoch* epoch);
-  /// Structured-log ring (the async logger's store): the dump includes
-  /// each thread's most recent committed records.
-  void AttachLogRing(const void* owner, const LogRing* ring);
-  /// Slow-op log: the dump includes the newest entries with their stage
-  /// breakdowns.
-  void AttachSlowLog(const void* owner, const SlowLog* slowlog);
   /// Copies every counter/gauge/histogram pointer out of `reg` into fixed
   /// slots (kValue snapshots are taken at attach time and marked stale).
   void AttachMetrics(const void* owner, const Registry& reg);
   void Detach(const void* owner);
+
+  /// Attaches the process-wide rings — GlobalSpanRing(), the global
+  /// logger's ring and GlobalSlowLog() — so the dump shows each once,
+  /// however many stores attach. Idempotent; none of them is ever
+  /// destroyed, so they are never detached. Creates the span ring and the
+  /// logger: stats builds only.
+  void AttachProcessRings();
 
   /// Noop-twin overloads: attach sites compile identically in stats-off
   /// builds, where the Stat* aliases resolve to the noop obs types.
@@ -101,43 +101,21 @@ class FlightRecorder {
   static void FatalHook(const char* what);
   static void OnFatalSignal(int sig);
 
-  struct EventRingSlot {
+  /// A per-store registration slot.
+  struct Slot {
     // order: release store on attach/detach publishes the slot fields;
     // acquire load on the dump path pairs with it.
     std::atomic<bool> used{false};
     const void* owner = nullptr;
     char name[kNameLen] = {};
+  };
+  struct EventRingSlot : Slot {
     const EventRing* ring = nullptr;
   };
-  struct SpanRingSlot {
-    // order: release store on attach/detach; acquire load on dump.
-    std::atomic<bool> used{false};
-    const void* owner = nullptr;
-    const SpanRing* ring = nullptr;
-  };
-  struct EpochSlot {
-    // order: release store on attach/detach; acquire load on dump.
-    std::atomic<bool> used{false};
-    const void* owner = nullptr;
+  struct EpochSlot : Slot {
     const LightEpoch* epoch = nullptr;
   };
-  struct LogRingSlot {
-    // order: release store on attach/detach; acquire load on dump.
-    std::atomic<bool> used{false};
-    const void* owner = nullptr;
-    const LogRing* ring = nullptr;
-  };
-  struct SlowLogSlot {
-    // order: release store on attach/detach; acquire load on dump.
-    std::atomic<bool> used{false};
-    const void* owner = nullptr;
-    const SlowLog* slowlog = nullptr;
-  };
-  struct MetricSlot {
-    // order: release store on attach/detach; acquire load on dump.
-    std::atomic<bool> used{false};
-    const void* owner = nullptr;
-    char name[kNameLen] = {};
+  struct MetricSlot : Slot {
     Registry::Kind kind = Registry::Kind::kValue;
     const Counter* counter = nullptr;
     const Gauge* gauge = nullptr;
@@ -147,11 +125,14 @@ class FlightRecorder {
 
   std::mutex attach_mutex_;  // attach/detach only; never on the dump path
   EventRingSlot event_rings_[kMaxEventRings];
-  SpanRingSlot span_rings_[kMaxSpanRings];
   EpochSlot epochs_[kMaxEpochs];
-  LogRingSlot log_rings_[kMaxLogRings];
-  SlowLogSlot slowlogs_[kMaxSlowLogs];
   MetricSlot metrics_[kMaxMetrics];
+  // order: release store in AttachProcessRings publishes the three
+  // pointers below; acquire load on the dump path pairs with it.
+  std::atomic<bool> process_rings_{false};
+  const SpanRing* spans_ = nullptr;
+  const LogRing* log_ = nullptr;
+  const SlowLog* slowlog_ = nullptr;
   // order: release store at the end of Install / acquire load in
   // installed() — publishes the cached flight dir and handler state.
   std::atomic<bool> installed_{false};

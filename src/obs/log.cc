@@ -88,31 +88,13 @@ size_t LogField::Render(char* buf, size_t cap) const {
   return at;
 }
 
-bool LogRing::ReadEntryRaw(uint32_t tid, uint64_t seq, Record* out) const {
-  const Entry& e = shards_[tid].entries[seq % kEntriesPerThread];
-  if (e.commit.load(std::memory_order_relaxed) != seq + 1) return false;
-  out->wall_ns = e.wall_ns;
-  out->tid = e.tid;
-  out->level = e.level;
-  uint16_t len = e.len;
-  if (len > kTextSize) len = kTextSize;
-  out->len = len;
-  std::memcpy(out->text, e.text, len);
-  return true;
-}
-
-uint64_t LogRing::CommittedEnd(uint32_t tid) const {
-  const Shard& s = shards_[tid];
-  uint64_t end = 0;
-  for (uint32_t i = 0; i < kEntriesPerThread; ++i) {
-    uint64_t c = s.entries[i].commit.load(std::memory_order_relaxed);
-    if (c > end) end = c;
-  }
-  return end;
-}
-
 Logger& Logger::Global() {
-  static Logger logger;
+  // Never destroyed, so the flight recorder can read its ring until the
+  // process is gone; exit still stops the drainer and flushes the sinks.
+  static Logger& logger = *new Logger;
+  static struct StopAtExit {
+    ~StopAtExit() { logger.Stop(); }
+  } stop_at_exit;
   static std::once_flag env_once;
   std::call_once(env_once, [] {
     LogLevel level;
@@ -131,7 +113,9 @@ Logger::Logger() {
   drainer_ = std::thread([this] { DrainerLoop(); });
 }
 
-Logger::~Logger() {
+Logger::~Logger() { Stop(); }
+
+void Logger::Stop() {
   stop_.store(true, std::memory_order_relaxed);
   if (drainer_.joinable()) drainer_.join();
   Flush();
@@ -155,30 +139,29 @@ void Logger::Log(LogLevel level, const char* component, const char* message,
                  const LogField* fields, size_t num_fields) {
   uint32_t tid = Thread::Id();
   LogRing::Shard& shard = ring_.shard(tid);
-  uint64_t pos = shard.next;
-  if (pos - shard.drained.load(std::memory_order_acquire) >=
+  // Drop-newest when full: a producer never laps the drainer.
+  if (shard.ring.End() - shard.drained.load(std::memory_order_relaxed) >=
       LogRing::kEntriesPerThread) {
     shard.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  LogRing::Entry& e = shard.entries[pos % LogRing::kEntriesPerThread];
-  e.wall_ns = WallNs();
-  e.tid = tid;
-  e.level = static_cast<uint8_t>(level);
+  Record rec{};
+  rec.wall_ns = WallNs();
+  rec.tid = tid;
+  rec.level = static_cast<uint8_t>(level);
   size_t at = 0;
-  at = AppendStr(e.text, LogRing::kTextSize, at, component);
-  at = AppendStr(e.text, LogRing::kTextSize, at, ": ");
-  at = AppendStr(e.text, LogRing::kTextSize, at, message);
+  at = AppendStr(rec.text, LogRing::kTextSize, at, component);
+  at = AppendStr(rec.text, LogRing::kTextSize, at, ": ");
+  at = AppendStr(rec.text, LogRing::kTextSize, at, message);
   for (size_t i = 0; i < num_fields; ++i) {
-    at += fields[i].Render(e.text + at, LogRing::kTextSize - at);
+    at += fields[i].Render(rec.text + at, LogRing::kTextSize - at);
     if (at >= LogRing::kTextSize) {
       at = LogRing::kTextSize;
       break;
     }
   }
-  e.len = static_cast<uint16_t>(at);
-  e.commit.store(pos + 1, std::memory_order_release);
-  shard.next = pos + 1;
+  rec.len = static_cast<uint16_t>(at);
+  shard.ring.Push(rec);
 }
 
 void Logger::EmitEntry(const Record& e, std::string* out) const {
@@ -217,21 +200,14 @@ size_t Logger::DrainOnce() {
   std::vector<Record> batch;
   for (uint32_t tid = 0; tid < LogRing::NumShards(); ++tid) {
     LogRing::Shard& shard = ring_.shard(tid);
-    uint64_t pos = shard.drained.load(std::memory_order_relaxed);
-    uint64_t consumed = pos;
-    while (true) {
-      LogRing::Entry& e = shard.entries[pos % LogRing::kEntriesPerThread];
-      if (e.commit.load(std::memory_order_acquire) != pos + 1) break;
-      batch.emplace_back();
-      Record& copy = batch.back();
-      copy.wall_ns = e.wall_ns;
-      copy.tid = e.tid;
-      copy.level = e.level;
-      copy.len = std::min<uint16_t>(e.len, LogRing::kTextSize);
-      std::memcpy(copy.text, e.text, copy.len);
+    uint64_t begin = shard.drained.load(std::memory_order_relaxed);
+    uint64_t pos = begin;
+    Record rec{};
+    while (pos < shard.ring.End() && shard.ring.Read(pos, &rec)) {
+      batch.push_back(rec);
       ++pos;
     }
-    if (pos != consumed) shard.drained.store(pos, std::memory_order_release);
+    if (pos != begin) shard.drained.store(pos, std::memory_order_relaxed);
   }
   if (batch.empty()) return 0;
   std::sort(batch.begin(), batch.end(),

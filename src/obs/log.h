@@ -4,12 +4,13 @@
 /// Structured, leveled, asynchronous logging (DESIGN.md §12).
 ///
 /// Producer side: each thread appends fully formatted records to its own
-/// lock-free ring slot (owner-only writes, release-published per entry).
+/// SeqRing (seq_ring.h).
 /// A background drainer thread collects committed entries every few
 /// milliseconds, sorts them by timestamp, and writes them to the
 /// configured sinks (stderr and/or a file) as `key=value` text or JSON
 /// lines. Producers never block and never take a lock: when a ring is
-/// full the record is dropped and counted.
+/// full (the drainer has not caught up) the newest record is dropped and
+/// counted.
 ///
 /// Like the rest of `src/obs`, the real types are always compiled; call
 /// sites use the `StatLog*` aliases/helpers which collapse to no-ops
@@ -26,6 +27,7 @@
 #include <thread>
 
 #include "core/thread.h"
+#include "obs/seq_ring.h"
 #include "obs/stats.h"
 
 namespace faster {
@@ -83,45 +85,30 @@ class LogField {
   };
 };
 
-/// The per-thread ring store behind the logger. Also scanned raw by the
+/// The per-thread ring store behind the logger: one SeqRing of formatted
+/// records per thread plus the drainer's cursor. Also read raw by the
 /// flight recorder at crash time (tail of recent records).
 class LogRing {
  public:
   static constexpr uint32_t kEntriesPerThread = 64;
   static constexpr uint32_t kTextSize = 152;
 
-  struct Entry {
-    // order: release store of pos+1 publishes the payload below; acquire
-    // loads in the drainer pair with it. Relaxed loads only on the
-    // producer's own slot (overflow check) and in the crash-dump path,
-    // where a torn payload is acceptable.
-    std::atomic<uint64_t> commit{0};
+  /// One formatted record.
+  struct Record {
     uint64_t wall_ns;   // CLOCK_REALTIME at the call site
     uint32_t tid;
     uint8_t level;      // LogLevel
     uint16_t len;       // bytes of text[] used
     char text[kTextSize];  // "component: message k=v k=v", not terminated
   };
+  using Ring = SeqRing<Record, kEntriesPerThread>;
 
-  /// Plain copy of an entry's payload (for drainers and crash dumps).
-  struct Record {
-    uint64_t wall_ns;
-    uint32_t tid;
-    uint8_t level;
-    uint16_t len;
-    char text[kTextSize];
-  };
-
-  struct alignas(64) Shard {
-    Entry entries[kEntriesPerThread];
-    /// Next sequence number to write. Owner-thread-only plain field: slot
-    /// reuse after thread exit is ordered by Thread's release/acquire
-    /// handoff on the id itself.
-    uint64_t next = 0;
-    // order: release store after the drainer finishes copying a range
-    // (producers may then reuse those slots); acquire load in the
-    // producer's overflow check; relaxed load where the drainer re-reads
-    // its own cursor.
+  struct Shard {
+    Ring ring;
+    // order: relaxed; the drainer's cursor, read by the producer only for
+    // the drop-newest-when-full policy. A record is copied out by a
+    // successful Ring::Read before the cursor passes it, and the ring's
+    // tags reject any copy a reusing producer could tear.
     std::atomic<uint64_t> drained{0};
     // order: relaxed; drop statistic only.
     std::atomic<uint64_t> dropped{0};
@@ -132,15 +119,6 @@ class LogRing {
   Shard& shard(uint32_t tid) { return shards_[tid]; }
   const Shard& shard(uint32_t tid) const { return shards_[tid]; }
   static constexpr uint32_t NumShards() { return Thread::kMaxThreads; }
-
-  /// Async-signal-safe raw read for the flight recorder: copies entry
-  /// `seq` of shard `tid` if it is committed. Relaxed loads; the payload
-  /// may be torn if the crash raced a writer — acceptable at crash time.
-  bool ReadEntryRaw(uint32_t tid, uint64_t seq, Record* out) const;
-
-  /// Async-signal-safe: highest committed seq + 1 for shard `tid` (scans
-  /// commit tags; does not touch the owner-only cursor).
-  uint64_t CommittedEnd(uint32_t tid) const;
 
  private:
   std::unique_ptr<Shard[]> shards_;
@@ -213,6 +191,8 @@ class Logger {
   using Record = LogRing::Record;
 
   void DrainerLoop();
+  /// Joins the drainer, drains what is left and closes the file sink.
+  void Stop();
   /// Consumes committed entries from all shards; returns records written.
   size_t DrainOnce();
   void EmitEntry(const Record& e, std::string* out) const;

@@ -56,7 +56,7 @@ std::string SymbolFor(uintptr_t pc, bool return_address) {
 }  // namespace
 
 Profiler& Profiler::Instance() {
-  static Profiler profiler;
+  static constinit Profiler profiler;
   return profiler;
 }
 
@@ -108,15 +108,11 @@ void Profiler::Stop() {
   ::sigaction(SIGPROF, &g_old_action, nullptr);
 }
 
-void Profiler::Clear() {
-  clear_floor_.store(next_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
-
 void Profiler::OnSignal(void* ucontext) {
   if (!running_.load(std::memory_order_acquire)) return;
 
-  uintptr_t frames[kMaxFrames];
+  Sample sample{};
+  uintptr_t* frames = sample.pc;
   uint32_t depth = 0;
   uintptr_t fp = 0;
   uintptr_t sp = 0;
@@ -157,39 +153,18 @@ void Profiler::OnSignal(void* ucontext) {
     fp = next;
   }
 
-  uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[seq % kCapacity];
-  slot.depth.store(depth, std::memory_order_relaxed);
-  for (uint32_t i = 0; i < depth; ++i) {
-    slot.pc[i].store(frames[i], std::memory_order_relaxed);
-  }
-  slot.commit.store(seq + 1, std::memory_order_release);
+  sample.depth = depth;
+  ring_.Push(sample);
 }
 
 std::string Profiler::Collapse() const {
-  uint64_t end = next_.load(std::memory_order_relaxed);
-  uint64_t floor = clear_floor_.load(std::memory_order_relaxed);
-  uint64_t begin = end > kCapacity ? end - kCapacity : 0;
-  if (floor > begin) begin = floor;
-
   std::unordered_map<uintptr_t, std::string> symbols;
   std::map<std::string, uint64_t> stacks;
-  for (uint64_t seq = begin; seq < end; ++seq) {
-    const Slot& slot = slots_[seq % kCapacity];
-    if (slot.commit.load(std::memory_order_acquire) != seq + 1) continue;
-    uint32_t depth = slot.depth.load(std::memory_order_relaxed);
-    if (depth == 0 || depth > kMaxFrames) continue;
-    uintptr_t frames[kMaxFrames];
-    for (uint32_t i = 0; i < depth; ++i) {
-      frames[i] = slot.pc[i].load(std::memory_order_relaxed);
-    }
-    // Reject slots lapped by a concurrent writer mid-copy.
-    if (slot.commit.load(std::memory_order_acquire) != seq + 1) continue;
-
-    // frames[] is leaf-first; collapsed format wants root-first.
+  ring_.ForEach(kCapacity, [&](uint64_t, const Sample& sample) {
+    // pc[] is leaf-first; collapsed format wants root-first.
     std::string line;
-    for (uint32_t i = depth; i-- > 0;) {
-      uintptr_t pc = frames[i];
+    for (uint64_t i = sample.depth; i-- > 0;) {
+      uintptr_t pc = sample.pc[i];
       auto it = symbols.find(pc);
       if (it == symbols.end()) {
         it = symbols.emplace(pc, SymbolFor(pc, /*return_address=*/i != 0))
@@ -199,7 +174,7 @@ std::string Profiler::Collapse() const {
       line += it->second;
     }
     ++stacks[line];
-  }
+  });
 
   std::string out;
   for (const auto& [stack, count] : stacks) {

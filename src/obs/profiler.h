@@ -14,9 +14,8 @@
 /// Signal-safety rules (the handler may fire on *any* thread, inside
 /// malloc, inside the store's lock-free protocol):
 ///   - no allocation, no locks, no syscalls in the handler;
-///   - ring writes are a relaxed fetch_add slot claim + relaxed stores +
-///     one release commit-tag store (the SlowLog discipline), so the
-///     drain side never reads torn frames;
+///   - samples go into a SeqRing (seq_ring.h), whose writer claims the
+///     slot before storing, so the drain side never reads torn frames;
 ///   - the unwind only dereferences frame pointers above the interrupted
 ///     stack pointer, with alignment / monotonicity / span checks, and
 ///     stops at the first frame that fails them. Frames are only as good
@@ -32,6 +31,8 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "obs/seq_ring.h"
 
 namespace faster {
 namespace obs {
@@ -54,16 +55,14 @@ class Profiler {
   }
 
   /// Samples taken since Start (monotone across Clear).
-  uint64_t SamplesTaken() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  uint64_t SamplesTaken() const { return ring_.End(); }
   /// Handler invocations that captured no frames (unwind rejected).
   uint64_t SamplesTruncated() const {
     return truncated_.load(std::memory_order_relaxed);
   }
 
   /// Forgets buffered samples.
-  void Clear();
+  void Clear() { ring_.Clear(); }
 
   /// Drains the buffered samples into collapsed-stack text, aggregating
   /// identical stacks. Safe to call while running (sees a torn-free
@@ -81,29 +80,18 @@ class Profiler {
  private:
   Profiler() = default;
 
-  struct Slot {
-    // order: release store of seq+1 publishes the relaxed fields below;
-    // acquire loads in Collapse pair with it (re-checked after the copy
-    // to reject slots overwritten mid-read).
-    std::atomic<uint64_t> commit{0};
-    // order: relaxed; published by `commit`.
-    std::atomic<uint32_t> depth{0};
-    // order: relaxed; published by `commit`.
-    std::atomic<uintptr_t> pc[kMaxFrames] = {};
+  struct Sample {
+    uint64_t depth;
+    uintptr_t pc[kMaxFrames];  // leaf first
   };
 
   // order: acq_rel CAS in Start (single-winner claim whose release half
   // publishes handler state before the timer can fire), release store in
   // Stop; the handler's acquire load pairs with both.
   std::atomic<bool> running_{false};
-  // order: relaxed fetch_add claims a slot and counts samples; slot
-  // contents are published by each slot's commit tag.
-  std::atomic<uint64_t> next_{0};
-  // order: relaxed; lazily hides entries below the floor after Clear.
-  std::atomic<uint64_t> clear_floor_{0};
   // order: relaxed — diagnostic tally only.
   std::atomic<uint64_t> truncated_{0};
-  Slot slots_[kCapacity];
+  SeqRing<Sample, kCapacity> ring_;
 };
 
 }  // namespace obs

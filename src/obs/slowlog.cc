@@ -2,6 +2,7 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -25,89 +26,26 @@ void SlowLog::MaybeRecord(SlowOpKind kind, uint64_t key_hash,
                           bool pending, uint32_t tid) {
   uint64_t threshold = threshold_ns_.load(std::memory_order_relaxed);
   if (threshold == kDisabled || total_ns < threshold) return;
-  uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[seq % kCapacity];
-  // Seqlock write side. Claim the slot by swinging its tag to kBusy; a
-  // writer that finds it busy (a lapping writer is mid-store) or already
-  // holding a newer entry — both tags above `seq` — drops this one rather
-  // than interleave with it.
-  uint64_t tag = slot.commit.load(std::memory_order_relaxed);
-  if (tag > seq ||
-      !slot.commit.compare_exchange_strong(tag, kBusy,
-                                           std::memory_order_acquire,
-                                           std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Release field stores order the kBusy claim before each of them: a
-  // reader whose acquire load sees any of them then sees the tag moved.
-  slot.wall_ns.store(WallNs(), std::memory_order_release);
-  slot.key_hash.store(key_hash, std::memory_order_release);
-  slot.total_ns.store(total_ns, std::memory_order_release);
-  for (uint32_t i = 0; i < kNumSlowStages; ++i) {
-    slot.stage_ns[i].store(stage_ns[i], std::memory_order_release);
-  }
-  slot.meta.store(static_cast<uint64_t>(kind) |
-                      (pending ? (uint64_t{1} << 8) : 0) |
-                      (static_cast<uint64_t>(tid) << 16),
-                  std::memory_order_release);
-  slot.commit.store(seq + 1, std::memory_order_release);
-}
-
-void SlowLog::Reset() {
-  reset_floor_.store(next_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
-
-uint64_t SlowLog::Len() const {
-  uint64_t end = next_.load(std::memory_order_relaxed);
-  uint64_t lo = end > kCapacity ? end - kCapacity : 0;
-  uint64_t floor = reset_floor_.load(std::memory_order_relaxed);
-  if (floor > lo) lo = floor;
-  return end - lo;
+  Entry e{};
+  e.wall_ns = WallNs();
+  e.key_hash = key_hash;
+  e.total_ns = total_ns;
+  std::copy(stage_ns, stage_ns + kNumSlowStages, e.stage_ns);
+  e.kind = kind;
+  e.pending = pending;
+  e.tid = tid;
+  ring_.Push(e);
 }
 
 std::vector<SlowLog::Entry> SlowLog::Snapshot(uint64_t max_entries) const {
-  uint64_t end = next_.load(std::memory_order_relaxed);
-  uint64_t lo = end > kCapacity ? end - kCapacity : 0;
-  uint64_t floor = reset_floor_.load(std::memory_order_relaxed);
-  if (floor > lo) lo = floor;
   std::vector<Entry> out;
-  out.reserve(static_cast<size_t>(end - lo));
-  for (uint64_t seq = end; seq > lo && out.size() < max_entries; --seq) {
-    const Slot& slot = slots_[(seq - 1) % kCapacity];
-    // Seqlock read side. Acquire pairs with the writer's release commit; a
-    // mismatched tag means the slot is mid-overwrite by a newer entry.
-    if (slot.commit.load(std::memory_order_acquire) != seq) continue;
-    Entry e;
-    CopyFields(slot, seq - 1, &e);
-    // A writer that lapped the ring during the copy moved the tag before
-    // any store the copy's acquire loads can have seen: drop the copy.
-    if (slot.commit.load(std::memory_order_relaxed) != seq) continue;
+  ring_.ForEach(kCapacity, [&out](uint64_t seq, const Entry& e) {
     out.push_back(e);
-  }
+    out.back().id = seq;
+  });
+  std::reverse(out.begin(), out.end());
+  if (out.size() > max_entries) out.resize(static_cast<size_t>(max_entries));
   return out;
-}
-
-bool SlowLog::ReadEntryRaw(uint64_t seq, Entry* out) const {
-  const Slot& slot = slots_[seq % kCapacity];
-  if (slot.commit.load(std::memory_order_relaxed) != seq + 1) return false;
-  CopyFields(slot, seq, out);
-  return true;
-}
-
-void SlowLog::CopyFields(const Slot& slot, uint64_t id, Entry* out) {
-  out->id = id;
-  out->wall_ns = slot.wall_ns.load(std::memory_order_acquire);
-  out->key_hash = slot.key_hash.load(std::memory_order_acquire);
-  out->total_ns = slot.total_ns.load(std::memory_order_acquire);
-  for (uint32_t i = 0; i < kNumSlowStages; ++i) {
-    out->stage_ns[i] = slot.stage_ns[i].load(std::memory_order_acquire);
-  }
-  uint64_t meta = slot.meta.load(std::memory_order_acquire);
-  out->kind = static_cast<SlowOpKind>(meta & 0xff);
-  out->pending = ((meta >> 8) & 0xff) != 0;
-  out->tid = static_cast<uint32_t>(meta >> 16);
 }
 
 std::string SlowLog::Json() const {
@@ -144,7 +82,7 @@ std::string SlowLog::Json() const {
 }
 
 SlowLog& GlobalSlowLog() {
-  static SlowLog slowlog;
+  static constinit SlowLog slowlog;
   return slowlog;
 }
 

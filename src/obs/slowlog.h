@@ -27,9 +27,8 @@
 ///
 /// Everything here is always compiled; hot-path call sites go through
 /// the Stat* aliases and `kStatsEnabled` guards like the rest of
-/// `src/obs`. The ring itself is all-atomic (a seqlock per slot: commit
-/// tag plus release/acquire fields) so concurrent writers and readers are
-/// TSan-clean.
+/// `src/obs`. The ring is a SeqRing (seq_ring.h): concurrent writers and
+/// readers are TSan-clean and a snapshot never returns a torn entry.
 
 #include <atomic>
 #include <cstdint>
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "core/thread.h"
+#include "obs/seq_ring.h"
 #include "obs/stats.h"
 
 namespace faster {
@@ -99,6 +99,9 @@ class SlowLog {
     bool pending;         // crossed the async I/O boundary
     uint32_t tid;
   };
+  /// An entry's id is its ring sequence number: stored entries leave
+  /// `Entry::id` 0 and readers fill it in.
+  using Ring = SeqRing<Entry, kCapacity>;
 
   void set_threshold_ns(uint64_t ns) {
     threshold_ns_.store(ns, std::memory_order_relaxed);
@@ -110,26 +113,21 @@ class SlowLog {
   bool armed() const { return threshold_ns() != kDisabled; }
 
   /// Appends an entry if `total_ns` crosses the threshold. Concurrent and
-  /// lock-free (one fetch_add, one CAS claiming the slot, then release
-  /// stores — plain moves on x86). If a writer that lapped the ring holds
-  /// the slot, the entry is dropped and counted in Dropped().
+  /// lock-free; an entry whose slot a lapping writer holds is dropped and
+  /// counted in Dropped().
   void MaybeRecord(SlowOpKind kind, uint64_t key_hash, uint64_t total_ns,
                    const uint64_t stage_ns[kNumSlowStages], bool pending,
                    uint32_t tid);
 
   /// SLOWLOG RESET: forgets current entries (ids keep growing).
-  void Reset();
+  void Reset() { ring_.Clear(); }
   /// SLOWLOG LEN: entries currently held.
-  uint64_t Len() const;
+  uint64_t Len() const { return ring_.End() - ring_.Begin(); }
   /// Entries ever recorded (monotone; next entry id).
-  uint64_t TotalRecorded() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  uint64_t TotalRecorded() const { return ring_.End(); }
   /// Entries that crossed the threshold but lost their slot to a
   /// concurrent writer (monotone).
-  uint64_t Dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  uint64_t Dropped() const { return ring_.Dropped(); }
 
   /// Copies current entries, newest first (Redis order). Entries being
   /// overwritten concurrently are skipped, never returned torn.
@@ -138,58 +136,13 @@ class SlowLog {
   /// /debug/slowlog body.
   std::string Json() const;
 
-  /// Async-signal-safe raw read for the flight recorder: copies the entry
-  /// at ring sequence `seq` if committed (no re-check: torn-tolerant).
-  bool ReadEntryRaw(uint64_t seq, Entry* out) const;
-  /// Async-signal-safe: next ring sequence (exclusive end).
-  uint64_t RawEnd() const { return next_.load(std::memory_order_relaxed); }
-  /// Async-signal-safe: first sequence still visible.
-  uint64_t RawBegin() const {
-    uint64_t end = RawEnd();
-    uint64_t floor = reset_floor_.load(std::memory_order_relaxed);
-    uint64_t lo = end > kCapacity ? end - kCapacity : 0;
-    return floor > lo ? floor : lo;
-  }
+  /// The ring, read raw by the flight recorder.
+  const Ring& ring() const { return ring_; }
 
  private:
-  /// Commit tag of a slot a writer is filling.
-  static constexpr uint64_t kBusy = UINT64_MAX;
-
-  struct Slot {
-    // Seqlock tag: 0 empty, seq+1 committed, kBusy while a writer fills it.
-    // order: acquire CAS claims the slot (kBusy) after the previous
-    // tenant's stores; release store of seq+1 publishes the fields below.
-    // Snapshot: acquire load before the copy, relaxed re-load after it
-    // (the fields' acquire loads order it). Relaxed loads in the writer's
-    // pre-check and the crash-dump path (torn-tolerant).
-    std::atomic<uint64_t> commit{0};
-    // Fields: release stores, each ordering the slot's kBusy claim before
-    // it; acquire loads, so a reader that sees a lapping writer's store
-    // also sees the tag it moved. Published by `commit`.
-    // order: release; acquire.
-    std::atomic<uint64_t> wall_ns{0};
-    // order: release; acquire.
-    std::atomic<uint64_t> key_hash{0};
-    // order: release; acquire.
-    std::atomic<uint64_t> total_ns{0};
-    // order: release; acquire.
-    std::atomic<uint64_t> stage_ns[kNumSlowStages] = {};
-    // order: release; acquire. Packs kind | pending<<8 | tid<<16.
-    std::atomic<uint64_t> meta{0};
-  };
-
   // order: relaxed; the per-op armed()/threshold gate needs no ordering.
   std::atomic<uint64_t> threshold_ns_{kDisabled};
-  // order: relaxed fetch_add claims a slot and mints the entry id; slot
-  // contents are published by each slot's commit tag, not by this counter.
-  std::atomic<uint64_t> next_{0};
-  // order: relaxed; Reset lazily hides entries below the floor.
-  std::atomic<uint64_t> reset_floor_{0};
-  // order: relaxed; a monotone statistic.
-  std::atomic<uint64_t> dropped_{0};
-  Slot slots_[kCapacity];
-
-  static void CopyFields(const Slot& slot, uint64_t id, Entry* out);
+  Ring ring_;
 };
 
 /// Global instance used by the store, server, exporter, and flight

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <ostream>
 #include <vector>
 
+#include "obs/seq_ring.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 
@@ -24,11 +24,11 @@
 /// the same trace id as the Read() that issued it.
 ///
 /// Recording follows the obs:: sharding discipline (stats.h): every thread
-/// owns a cache-line-aligned ring of span slots written with relaxed
-/// stores; `Snapshot()` is torn-read-tolerant and allocation lives only on
-/// the snapshot side. Sampling is 1-in-N per root (SetSpanSampleEvery);
-/// child spans inherit the decision through the ambient context, so a
-/// trace is always recorded whole or not at all.
+/// owns a SeqRing of span records (seq_ring.h), so `Snapshot()` never
+/// returns a torn record and allocation lives only on the snapshot side.
+/// Sampling is 1-in-N per root (SetSpanSampleEvery); child spans inherit
+/// the decision through the ambient context, so a trace is always
+/// recorded whole or not at all.
 ///
 /// Compile-out: instrumentation sites use the `Stat*Span` aliases, which
 /// resolve to no-op twins unless built with -DFASTER_STATS=ON — no clock
@@ -135,111 +135,42 @@ inline TraceContext& CurrentTrace() {
   return ctx;
 }
 
-/// Per-thread sharded ring of completed spans (same discipline as
-/// EventRing: owner-only relaxed stores on private lines; snapshots may
-/// surface a torn record, which is acceptable for a diagnostic trace).
+/// Per-thread ring of completed spans: one SeqRing per thread
+/// (seq_ring.h), so a snapshot never returns a torn record.
 class SpanRing {
  public:
+  /// Spans retained per thread.
   static constexpr uint32_t kSpansPerThread = 256;
-
-  SpanRing() : shards_{new Shard[Thread::kMaxThreads]} {}
-  SpanRing(const SpanRing&) = delete;
-  SpanRing& operator=(const SpanRing&) = delete;
+  using Rings = ThreadRings<SpanRecord, kSpansPerThread>;
 
   void Record(uint64_t trace_id, uint64_t span_id, uint64_t parent_id,
               uint64_t start_ns, uint64_t end_ns, uint32_t arg,
               SpanKind kind) {
-    Shard& shard = shards_[Thread::Id()];
-    uint64_t pos = shard.next.load(std::memory_order_relaxed);
-    Slot& slot = shard.slots[pos % kSpansPerThread];
-    slot.trace_id.store(trace_id, std::memory_order_relaxed);
-    slot.span_id.store(span_id, std::memory_order_relaxed);
-    slot.parent_id.store(parent_id, std::memory_order_relaxed);
-    slot.start_ns.store(start_ns, std::memory_order_relaxed);
-    slot.end_ns.store(end_ns, std::memory_order_relaxed);
-    slot.meta.store(static_cast<uint64_t>(arg) << 16 |
-                        static_cast<uint64_t>(kind),
-                    std::memory_order_relaxed);
-    shard.next.store(pos + 1, std::memory_order_relaxed);
+    uint32_t tid = Thread::Id();
+    rings_[tid].Push(SpanRecord{trace_id, span_id, parent_id, start_ns, end_ns,
+                                arg, static_cast<uint16_t>(kind),
+                                static_cast<uint16_t>(tid)});
   }
+
+  /// The per-thread rings, read raw by the flight recorder.
+  const Rings& rings() const { return rings_; }
 
   /// Copies out every recorded span, sorted by start time across threads.
   std::vector<SpanRecord> Snapshot() const {
-    std::vector<SpanRecord> spans;
-    for (uint32_t t = 0; t < Thread::kMaxThreads; ++t) {
-      uint64_t next = ShardNext(t);
-      uint64_t count = next < kSpansPerThread ? next : kSpansPerThread;
-      for (uint64_t i = next - count; i < next; ++i) {
-        SpanRecord r = ReadSpan(t, i);
-        if (r.kind != static_cast<uint16_t>(SpanKind::kNone)) {
-          spans.push_back(r);
-        }
-      }
-    }
-    for (size_t i = 1; i < spans.size(); ++i) {
-      // Insertion sort: rings are small and snapshots are cold-path.
-      SpanRecord r = spans[i];
-      size_t j = i;
-      while (j > 0 && r.start_ns < spans[j - 1].start_ns) {
-        spans[j] = spans[j - 1];
-        --j;
-      }
-      spans[j] = r;
-    }
-    return spans;
-  }
-
-  /// Raw accessors for the flight recorder: no allocation, relaxed loads
-  /// only, safe to call from a signal handler.
-  uint64_t ShardNext(uint32_t tid) const {
-    return shards_[tid].next.load(std::memory_order_relaxed);
-  }
-  SpanRecord ReadSpan(uint32_t tid, uint64_t pos) const {
-    const Slot& slot = shards_[tid].slots[pos % kSpansPerThread];
-    SpanRecord r;
-    r.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    r.span_id = slot.span_id.load(std::memory_order_relaxed);
-    r.parent_id = slot.parent_id.load(std::memory_order_relaxed);
-    r.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    r.end_ns = slot.end_ns.load(std::memory_order_relaxed);
-    uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    r.arg = static_cast<uint32_t>(meta >> 16);
-    r.kind = static_cast<uint16_t>(meta & 0xffff);
-    r.tid = static_cast<uint16_t>(tid);
-    return r;
+    return rings_.Snapshot(&SpanRecord::start_ns);
   }
 
  private:
-  struct Slot {
-    // order: relaxed stores/loads — best-effort span ring; a snapshot
-    // racing a writer may see a torn record, which is acceptable here.
-    std::atomic<uint64_t> trace_id{0};
-    // order: relaxed stores/loads — see `trace_id`.
-    std::atomic<uint64_t> span_id{0};
-    // order: relaxed stores/loads — see `trace_id`.
-    std::atomic<uint64_t> parent_id{0};
-    // order: relaxed stores/loads — see `trace_id`.
-    std::atomic<uint64_t> start_ns{0};
-    // order: relaxed stores/loads — see `trace_id`.
-    std::atomic<uint64_t> end_ns{0};
-    // order: relaxed stores/loads — see `trace_id`. arg<<16 | kind.
-    std::atomic<uint64_t> meta{0};
-  };
-  struct alignas(64) Shard {
-    // order: relaxed load/store — single-writer ring position; snapshot
-    // readers tolerate the race (best-effort ring).
-    std::atomic<uint64_t> next{0};
-    Slot slots[kSpansPerThread];
-  };
-  std::unique_ptr<Shard[]> shards_;
+  Rings rings_;
 };
 
 /// The process-wide span ring every real span scope records into. Lazily
 /// constructed, so stats-off builds that never touch spans allocate
-/// nothing.
+/// nothing; never destroyed, so the flight recorder can read it until the
+/// process is gone.
 inline SpanRing& GlobalSpanRing() {
-  static SpanRing ring;
-  return ring;
+  static SpanRing* ring = new SpanRing;
+  return *ring;
 }
 
 /// Snapshot of the global ring; empty when stats are compiled out (the

@@ -1,17 +1,16 @@
 #ifndef FASTER_OBS_TRACE_H_
 #define FASTER_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "obs/seq_ring.h"
 #include "obs/stats.h"
 
 namespace faster {
 namespace obs {
 
-/// Event kinds emitted by the store (kept small: one ring slot is 16 bytes).
+/// Event kinds emitted by the store (kept small: one record is 16 bytes).
 enum class Ev : uint16_t {
   kNone = 0,
   kPendingIoIssued,    // arg = owner thread id
@@ -48,94 +47,35 @@ struct TraceEvent {
   uint16_t tid;
 };
 
-/// Lightweight per-thread event-trace ring: each thread slot owns a small
-/// circular buffer of recent events, written with relaxed stores on
-/// thread-private lines (same sharding discipline as obs::Counter).
-/// `Snapshot()` is best-effort: a concurrently written slot may surface a
-/// torn (ns, id, arg) triple from two different events — acceptable for a
-/// diagnostic trace, and each field read is atomic so there is no UB.
+/// Per-thread event-trace ring: one SeqRing per thread (seq_ring.h), so a
+/// snapshot never returns a torn event.
 class EventRing {
  public:
+  /// Events retained per thread.
   static constexpr uint32_t kEventsPerThread = 256;
-
-  EventRing() : shards_{new Shard[Thread::kMaxThreads]} {}
-  EventRing(const EventRing&) = delete;
-  EventRing& operator=(const EventRing&) = delete;
+  using Rings = ThreadRings<TraceEvent, kEventsPerThread>;
 
   void Emit(Ev id, uint32_t arg = 0) {
-    Shard& shard = shards_[Thread::Id()];
-    uint64_t pos = shard.next.load(std::memory_order_relaxed);
-    Slot& slot = shard.slots[pos % kEventsPerThread];
-    slot.ns.store(NowNs(), std::memory_order_relaxed);
-    slot.arg.store(arg, std::memory_order_relaxed);
-    slot.id.store(static_cast<uint16_t>(id), std::memory_order_relaxed);
-    shard.next.store(pos + 1, std::memory_order_relaxed);
+    uint32_t tid = Thread::Id();
+    rings_[tid].Push(TraceEvent{NowNs(), arg, static_cast<uint16_t>(id),
+                                static_cast<uint16_t>(tid)});
   }
 
-  /// Raw accessors for the flight recorder: no allocation, relaxed loads
-  /// only, safe to call from a signal handler.
-  uint64_t ShardNext(uint32_t tid) const {
-    return shards_[tid].next.load(std::memory_order_relaxed);
-  }
-  TraceEvent ReadEvent(uint32_t tid, uint64_t pos) const {
-    const Slot& slot = shards_[tid].slots[pos % kEventsPerThread];
-    TraceEvent e;
-    e.ns = slot.ns.load(std::memory_order_relaxed);
-    e.arg = slot.arg.load(std::memory_order_relaxed);
-    e.id = slot.id.load(std::memory_order_relaxed);
-    e.tid = static_cast<uint16_t>(tid);
-    return e;
-  }
+  /// The per-thread rings, read raw by the flight recorder.
+  const Rings& rings() const { return rings_; }
 
-  /// Copies out every recorded event (all threads), oldest-first per
-  /// thread, then sorted by timestamp across threads.
+  /// Copies out every recorded event (all threads), sorted by timestamp.
   std::vector<TraceEvent> Snapshot() const {
-    std::vector<TraceEvent> events;
-    for (uint32_t t = 0; t < Thread::kMaxThreads; ++t) {
-      uint64_t next = ShardNext(t);
-      uint64_t count = next < kEventsPerThread ? next : kEventsPerThread;
-      for (uint64_t i = next - count; i < next; ++i) {
-        TraceEvent e = ReadEvent(t, i);
-        if (e.id != static_cast<uint16_t>(Ev::kNone)) events.push_back(e);
-      }
-    }
-    // Insertion sort by timestamp (rings are small).
-    for (size_t i = 1; i < events.size(); ++i) {
-      TraceEvent e = events[i];
-      size_t j = i;
-      while (j > 0 && e.ns < events[j - 1].ns) {
-        events[j] = events[j - 1];
-        --j;
-      }
-      events[j] = e;
-    }
-    return events;
+    return rings_.Snapshot(&TraceEvent::ns);
   }
 
  private:
-  struct Slot {
-    // order: relaxed stores/loads — best-effort trace ring; a snapshot
-    // racing a writer may see a torn event, which is acceptable here.
-    std::atomic<uint64_t> ns{0};
-    // order: relaxed stores/loads — see `ns`.
-    std::atomic<uint32_t> arg{0};
-    // order: relaxed stores/loads — see `ns`.
-    std::atomic<uint16_t> id{0};
-  };
-  struct alignas(64) Shard {
-    // order: relaxed load/store — single-writer ring position; snapshot
-    // readers tolerate the race (best-effort ring).
-    std::atomic<uint64_t> next{0};
-    Slot slots[kEventsPerThread];
-  };
-  std::unique_ptr<Shard[]> shards_;
+  Rings rings_;
 };
 
 class NoopEventRing {
  public:
   void Emit(Ev, uint32_t = 0) {}
-  uint64_t ShardNext(uint32_t) const { return 0; }
-  TraceEvent ReadEvent(uint32_t, uint64_t) const { return TraceEvent{}; }
   std::vector<TraceEvent> Snapshot() const { return {}; }
 };
 

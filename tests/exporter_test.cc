@@ -19,6 +19,9 @@
 #include <string>
 
 #include "core/epoch.h"
+#include "core/faster.h"
+#include "core/functions.h"
+#include "device/memory_device.h"
 #include "mini_json.h"
 #include "obs/flight_recorder.h"
 #include "obs/stats.h"
@@ -287,9 +290,13 @@ TEST_F(ExporterTest, PortCollisionDisablesSecondExporter) {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
+/// Runs `crash` in a death-test child with $FASTER_FLIGHT_DIR set,
+/// expects it to die with a stderr dump matching `pattern` (POSIX ERE;
+/// '.' matches newline, so it spans the dump), and reads back the
+/// flight_<pid>.txt the child wrote into `*text`.
+void DumpOfCrash(void (*crash)(), const char* pattern, std::string* text) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The threadsafe death-test child re-executes this whole test body, so
+  // The threadsafe death-test child re-executes the whole test body, so
   // it must reuse the parent's directory (inherited through the
   // environment) instead of minting its own — otherwise the dump lands
   // where the parent never looks.
@@ -307,28 +314,7 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
   }
   // Everything recorder-related happens in the death-test child so the
   // parent test process keeps its normal signal handlers.
-  EXPECT_DEATH(
-      {
-        static obs::Counter counter;
-        counter.Add(42);
-        static obs::EventRing ring;
-        ring.Emit(obs::Ev::kFlushIssued, 4096);
-        static obs::Registry reg;
-        reg.Add("crash.counter", &counter);
-        static LightEpoch epoch;
-        epoch.Protect();
-        auto& rec = obs::FlightRecorder::Instance();
-        rec.AttachEventRing(&reg, "crash", &ring);
-        rec.AttachMetrics(&reg, reg);
-        rec.AttachEpoch(&reg, &epoch);
-        rec.Install();
-        std::abort();
-      },
-      // POSIX ERE; '.' matches newline here, so this spans the dump.
-      // Metric names are dumped verbatim (no Prometheus sanitization).
-      "FASTER FLIGHT RECORDER BEGIN.*reason: SIGABRT.*-- metrics --"
-      ".*crash\\.counter 42.*-- events\\[crash\\].*flush_issued"
-      ".*FASTER FLIGHT RECORDER END");
+  EXPECT_DEATH(crash(), pattern);
   if (created_dir) ::unsetenv("FASTER_FLIGHT_DIR");
 
   // The child also wrote $FASTER_FLIGHT_DIR/flight_<pid>.txt.
@@ -347,7 +333,42 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
   std::ifstream in{dump_path};
   std::stringstream contents;
   contents << in.rdbuf();
-  std::string text = contents.str();
+  *text = contents.str();
+}
+
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
+  std::string text;
+  ASSERT_NO_FATAL_FAILURE(DumpOfCrash(
+      [] {
+        static obs::Counter counter;
+        counter.Add(42);
+        static obs::EventRing ring;
+        ring.Emit(obs::Ev::kFlushIssued, 4096);
+        static obs::Registry reg;
+        reg.Add("crash.counter", &counter);
+        static LightEpoch epoch;
+        epoch.Protect();
+        auto& rec = obs::FlightRecorder::Instance();
+        rec.AttachEventRing(&reg, "crash", &ring);
+        rec.AttachMetrics(&reg, reg);
+        rec.AttachEpoch(&reg, &epoch);
+        rec.Install();
+        std::abort();
+      },
+      // Metric names are dumped verbatim (no Prometheus sanitization).
+      "FASTER FLIGHT RECORDER BEGIN.*reason: SIGABRT.*-- metrics --"
+      ".*crash\\.counter 42.*-- events\\[crash\\].*flush_issued"
+      ".*FASTER FLIGHT RECORDER END",
+      &text));
   EXPECT_NE(text.find("FASTER FLIGHT RECORDER BEGIN"), std::string::npos);
   EXPECT_NE(text.find("reason: SIGABRT"), std::string::npos);
   EXPECT_NE(text.find("crash.counter 42"), std::string::npos);
@@ -355,6 +376,37 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
       << "protected thread's epoch entry missing:\n"
       << text;
   EXPECT_NE(text.find("FASTER FLIGHT RECORDER END"), std::string::npos);
+}
+
+// Each store attaches its own epoch table, event ring and metrics, but the
+// process-wide span, log and slow-op rings are attached once: a process
+// with two stores dumps one section of each.
+TEST(FlightRecorderTest, TwoStoresDumpProcessRingsOnce) {
+  if constexpr (!obs::kStatsEnabled) {
+    GTEST_SKIP() << "the process-wide rings attach in stats builds only";
+  }
+  std::string text;
+  ASSERT_NO_FATAL_FAILURE(DumpOfCrash(
+      [] {
+        using Store = FasterKv<CountStoreFunctions>;
+        static MemoryDevice device;
+        Store::Config cfg;
+        cfg.table_size = 1024;
+        cfg.log.memory_size_bytes = 16 << 20;
+        static Store first{cfg, &device};
+        static Store second{cfg, &device};
+        first.AttachFlightRecorder();
+        second.AttachFlightRecorder();
+        std::abort();
+      },
+      "FASTER FLIGHT RECORDER BEGIN.*-- spans.*-- log.*-- slowlog"
+      ".*FASTER FLIGHT RECORDER END",
+      &text));
+  EXPECT_EQ(Occurrences(text, "-- epoch["), 2u) << text;
+  EXPECT_EQ(Occurrences(text, "-- events[store]"), 2u) << text;
+  EXPECT_EQ(Occurrences(text, "-- spans"), 1u) << text;
+  EXPECT_EQ(Occurrences(text, "-- log"), 1u) << text;
+  EXPECT_EQ(Occurrences(text, "-- slowlog"), 1u) << text;
 }
 
 }  // namespace

@@ -199,6 +199,43 @@ TEST_F(HashIndexTest, GrowDoublesAndPreservesEntries) {
   }
 }
 
+// Grow points both children of a bucket at the bucket's chain, and
+// `rebase` maps the value both get (the read cache swings cached addresses
+// back to the primary log with it). Looked up through either child, every
+// migrated entry must carry the rebased address.
+TEST_F(HashIndexTest, GrowRebasesEntriesInBothChildren) {
+  HashIndex index{64, &epoch_};
+  constexpr uint64_t kKeys = 500;
+  constexpr uint64_t kShift = 1000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    KeyHash h{Mix64(k)};
+    HashIndex::OpScope scope{index, h};
+    HashIndex::FindResult fr;
+    index.FindOrCreateEntry(scope, h, &fr);
+    if (!fr.entry.address().IsValid()) {
+      ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{k + 1, 0}));
+    }
+  }
+  uint64_t old_size = index.size();
+  ASSERT_EQ(index.Grow([](uint64_t control) {
+              HashBucketEntry e{control};
+              Address moved{e.address().page() + kShift, 0};
+              return HashBucketEntry{moved, e.tag(), false}.control();
+            }),
+            Status::kOk);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    KeyHash h{Mix64(k)};
+    // The same tag in the other child of the key's old bucket.
+    KeyHash sibling{h.control() ^ old_size};
+    for (KeyHash child : {h, sibling}) {
+      HashIndex::OpScope scope{index, child};
+      HashIndex::FindResult fr;
+      ASSERT_TRUE(index.FindEntry(scope, child, &fr)) << "key " << k;
+      EXPECT_GT(fr.entry.address().page(), kShift) << "key " << k;
+    }
+  }
+}
+
 TEST_F(HashIndexTest, GrowWithConcurrentReaders) {
   HashIndex index{64, &epoch_};
   constexpr uint64_t kKeys = 256;

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <random>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/faster.h"
@@ -129,6 +130,54 @@ TEST_F(ReadCacheTest, EvictionRedirectsBackToPrimaryLog) {
   // Every key is still readable with the right value.
   for (uint64_t k = 0; k < 300000; k += 2999) {
     EXPECT_EQ(MustRead(store, k), k + 1) << "key " << k;
+  }
+  store.StopSession();
+}
+
+// Grow points both children of a bucket at the bucket's chain. When the
+// chain starts with a cached record, the child its key does not hash to
+// must not keep the cached address: RcEvict redirects only the key's own
+// child, so a read through the other would wait for a redirect forever.
+TEST_F(ReadCacheTest, GrowThenEvictionKeepsBothChildrenReadable) {
+  Store::Config cfg = CacheConfig();
+  cfg.table_size = uint64_t{1} << 17;  // short bucket scans for 800k keys
+  // Two keys sharing an index entry (bucket and tag) whose buckets split
+  // apart when the table doubles. Above the Spill range.
+  uint64_t first = 0;
+  uint64_t second = 0;
+  std::unordered_map<uint64_t, uint64_t> by_entry;
+  for (uint64_t k = uint64_t{1} << 40; second == 0; ++k) {
+    KeyHash h{Mix64(k)};
+    uint64_t entry = uint64_t{h.Tag()} << 32 | h.Bucket(cfg.table_size);
+    auto [it, fresh] = by_entry.emplace(entry, k);
+    if (!fresh && KeyHash{Mix64(it->second)}.Bucket(2 * cfg.table_size) !=
+                      h.Bucket(2 * cfg.table_size)) {
+      first = it->second;
+      second = k;
+    }
+  }
+  // Polling I/O: ~400k storage reads stay on this thread.
+  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  Store store{cfg, &device};
+  store.StartSession();
+  ASSERT_EQ(store.Upsert(first, 1), Status::kOk);
+  ASSERT_EQ(store.Upsert(second, 2), Status::kOk);
+  Spill(store, 800000);  // both go to storage
+  // Reading `first` puts its copy in front of the shared chain.
+  EXPECT_EQ(MustRead(store, first), 1u);
+  ASSERT_EQ(store.GrowIndex(), Status::kOk);
+  // Wrap the cache (two pages, ~350k records) so the copy is evicted.
+  uint64_t out = 0;  // pending reads complete into it after their turn
+  for (uint64_t k = 0; k < 400000; ++k) {
+    Status s = store.Read(k, 0, &out);
+    ASSERT_TRUE(s == Status::kOk || s == Status::kPending);
+    if (k % 1000 == 0) store.CompletePending(false);
+  }
+  store.CompletePending(true);
+  EXPECT_EQ(MustRead(store, second), 2u);
+  EXPECT_EQ(MustRead(store, first), 1u);
+  if constexpr (obs::kStatsEnabled) {
+    EXPECT_GT(store.obs_stats().rc_evictions.Sum(), 0u);
   }
   store.StopSession();
 }

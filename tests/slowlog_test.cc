@@ -345,9 +345,10 @@ TEST(LogRingTest, CommitPublishesAndRawReadsSee) {
                obs::LogField{"k", uint64_t{42}});
   uint32_t tid = Thread::Id();
   const obs::LogRing& ring = logger.ring();
-  ASSERT_GE(ring.CommittedEnd(tid), 1u);
+  ASSERT_GE(ring.shard(tid).ring.End(), 1u);
   obs::LogRing::Record rec;
-  ASSERT_TRUE(ring.ReadEntryRaw(tid, ring.CommittedEnd(tid) - 1, &rec));
+  ASSERT_TRUE(
+      ring.shard(tid).ring.Read(ring.shard(tid).ring.End() - 1, &rec));
   std::string text{rec.text, rec.len};
   EXPECT_NE(text.find("test: hello"), std::string::npos);
   EXPECT_NE(text.find("k=42"), std::string::npos);
@@ -360,12 +361,12 @@ TEST(LogRingTest, LevelGateFiltersBelow) {
   logger.set_stderr(false);
   logger.set_level(obs::LogLevel::kWarn);
   uint32_t tid = Thread::Id();
-  uint64_t before = logger.ring().CommittedEnd(tid);
+  uint64_t before = logger.ring().shard(tid).ring.End();
   logger.Write(obs::LogLevel::kDebug, "test", "dropped");
   logger.Write(obs::LogLevel::kInfo, "test", "dropped");
-  EXPECT_EQ(logger.ring().CommittedEnd(tid), before);
+  EXPECT_EQ(logger.ring().shard(tid).ring.End(), before);
   logger.Write(obs::LogLevel::kError, "test", "kept");
-  EXPECT_EQ(logger.ring().CommittedEnd(tid), before + 1);
+  EXPECT_EQ(logger.ring().shard(tid).ring.End(), before + 1);
 }
 
 TEST(LogRingTest, OverflowDropsAndAccountsForEveryWrite) {
@@ -381,7 +382,7 @@ TEST(LogRingTest, OverflowDropsAndAccountsForEveryWrite) {
     logger.Write(obs::LogLevel::kInfo, "test", "spam",
                  obs::LogField{"i", i});
   }
-  uint64_t committed = logger.ring().CommittedEnd(Thread::Id());
+  uint64_t committed = logger.ring().shard(Thread::Id()).ring.End();
   EXPECT_EQ(committed + logger.Dropped(), kWrites);
   EXPECT_GE(committed, uint64_t{obs::LogRing::kEntriesPerThread});
   // Flush drains everything committed to the sinks.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -335,6 +336,49 @@ TEST(SpanRingTest, WrapsKeepingNewest) {
   uint32_t min_arg = UINT32_MAX;
   for (const auto& s : spans) min_arg = std::min(min_arg, s.arg);
   EXPECT_EQ(min_arg, 50u);
+}
+
+// Snapshot() racing writers that lap their rings never returns a torn
+// record. Every span written satisfies end_ns == start_ns + span_id,
+// parent_id == trace_id and arg == low32(trace_id), and consecutive writes
+// differ in all of those fields, so a copy mixing two writes breaks one.
+TEST(SpanRingTest, SnapshotNeverReturnsTornRecords) {
+  obs::SpanRing ring;
+  constexpr uint64_t kWriters = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> lapping{0};  // writers past their first lap
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ring, &stop, &lapping, w] {
+      for (uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+        uint64_t trace = w << 40 | i;
+        uint64_t start = i * 1000;
+        ring.Record(trace, i * 7 + w, trace, start, start + i * 7 + w,
+                    static_cast<uint32_t>(trace), obs::SpanKind::kRead);
+        if (i == obs::SpanRing::kSpansPerThread) {
+          lapping.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  while (lapping.load(std::memory_order_relaxed) < kWriters) {
+    std::this_thread::yield();
+  }
+  uint64_t checked = 0;
+  uint64_t torn = 0;
+  for (int round = 0; round < 1000; ++round) {
+    for (const obs::SpanRecord& s : ring.Snapshot()) {
+      ++checked;
+      if (s.end_ns != s.start_ns + s.span_id || s.parent_id != s.trace_id ||
+          s.arg != static_cast<uint32_t>(s.trace_id)) {
+        ++torn;
+      }
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : writers) t.join();
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << checked << " records";
 }
 
 TEST(SpanScopeTest, SampledRootEstablishesAmbientContext) {

@@ -35,10 +35,11 @@ using Store = FasterKv<CountStoreFunctions>;
 // `read_cache` adds the read cache and a cold key range, written once up
 // front, that the last kColdReads ops of every batch read: those reads go
 // to storage and promote into the cache, so batch ops also race cache
-// promotions and hits, the checkpoint's entry transform, compaction and
-// Grow. Cold values never change, so each cold read is checked exactly.
-// (Two cache pages hold ~350k records, more than a run promotes, so cache
-// evictions are left to batch_test's ReadCacheMatchesSequential.)
+// promotions, hits and evictions (RcEvict redirects), the checkpoint's
+// entry transform, compaction and Grow. The cold reads cover more keys
+// than the cache's two 4 MB pages hold (~350k records), so the cache
+// wraps mid-run. Cold values never change, so each cold read is checked
+// exactly.
 void RunBatchedOpsUnderChurn(bool read_cache) {
   constexpr int kBatchThreads = 2;
   constexpr int kSingleThreads = 1;
@@ -46,14 +47,16 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
   constexpr uint64_t kKeySpace = 4096;
   constexpr size_t kBatch = 32;
   // The cold range outgrows the read-cache variant's 2-page log; its
-  // oldest third, which the cold reads target, starts out on storage.
-  constexpr uint64_t kColdKeys = uint64_t{3} << 17;
-  constexpr size_t kColdReads = 8;
+  // oldest two thirds (512k keys), which the cold reads target, start out
+  // on storage.
+  constexpr uint64_t kColdKeys = uint64_t{3} << 18;
+  constexpr size_t kColdReads = 24;
   const size_t owned_ops = kBatch - (read_cache ? kColdReads : 1);
   auto cold_value = [](uint64_t k) { return k * 7 + 1; };
-  // Cold reads wait on storage: fewer, slower batches.
+  // Cold reads wait on storage: fewer, slower batches, but enough to
+  // promote several cache pages' worth.
   const uint64_t kBatchesPerThread =
-      stress::ScaleOps(read_cache ? 10000 : 60000);
+      stress::ScaleOps(read_cache ? 25000 : 60000);
   const std::string ckpt_dir = "/tmp/faster_stress_batch_ckpt";
   std::filesystem::remove_all(ckpt_dir);
 
@@ -125,7 +128,7 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
         for (size_t j = owned_ops; j < kBatch; ++j) {
           ops[j] = Store::BatchOp{};
           ops[j].kind = Store::BatchOp::Kind::kRead;
-          ops[j].key = read_cache ? kKeySpace + rng() % (kColdKeys / 3)
+          ops[j].key = read_cache ? kKeySpace + rng() % (kColdKeys * 2 / 3)
                                   : rng() % kKeySpace;  // foreign
           outs[j] = UINT64_MAX;
           ops[j].output = &outs[j];
@@ -215,18 +218,21 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
   // BatchScope, non-kStable index) while the workers hammer the store.
   std::thread churn([&] {
     store.StartSession();
+    // First, while the workers warm up: a Grow after the read cache has
+    // filled would swing every cached entry back to the primary log.
+    store.GrowIndex();
     int c = 0;
-    bool grown = false;
     while (!churn_stop.load(std::memory_order_acquire)) {
       std::string dir = ckpt_dir + "/" + std::to_string(c++);
       ASSERT_EQ(store.Checkpoint(dir), Status::kOk);
       checkpoints_done.fetch_add(1, std::memory_order_relaxed);
-      if (!grown) {
-        store.GrowIndex();
-        grown = true;
-      }
       Address safe_ro = store.hlog().safe_read_only_address();
       Address head = store.hlog().head_address();
+      if (read_cache) {
+        // One page per pass: a pass over the whole cold range would run
+        // for seconds and un-cache every key it relocates.
+        head = std::min(head, store.hlog().begin_address().NextPageStart());
+      }
       if (head > store.hlog().begin_address()) {
         // GC everything below head (records already on storage).
         store.CompactLog(head < safe_ro ? head : safe_ro);
@@ -264,6 +270,11 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
   EXPECT_GT(stats.appended_records, 0u);
   if (read_cache) {
     EXPECT_GT(stats.read_cache_hits, 0u);
+    // The cache wrapped while its records were still indexed (sanitized
+    // runs are scaled down too far to wrap it).
+    if constexpr (obs::kStatsEnabled && !stress::kSanitized) {
+      EXPECT_GT(store.obs_stats().rc_evictions.Sum(), 0u);
+    }
   }
   std::filesystem::remove_all(ckpt_dir);
 }

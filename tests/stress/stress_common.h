@@ -26,15 +26,17 @@ inline std::mt19937_64 ThreadRng(uint64_t thread_ordinal) {
   return std::mt19937_64{Mix64(BaseSeed() ^ (thread_ordinal + 1))};
 }
 
+/// True in TSan/ASan builds.
+inline constexpr bool kSanitized =
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+    true;
+#else
+    false;
+#endif
+
 /// Sanitized builds run 5-15x slower; scale iteration counts so every
 /// stress test stays well under its ctest timeout (<60 s under TSan).
-inline uint64_t ScaleOps(uint64_t n) {
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  return n / 4 + 1;
-#else
-  return n;
-#endif
-}
+inline uint64_t ScaleOps(uint64_t n) { return kSanitized ? n / 4 + 1 : n; }
 
 }  // namespace stress
 }  // namespace faster

@@ -59,6 +59,7 @@ PROTOCOLS = {
                                "model_checkpoint_test"],
     "src/device/io_queue_pair.h": ["model_io_queue_test"],
     "src/device/io_queue_pair.cc": ["model_io_queue_test"],
+    "src/obs/seq_ring.h": ["model_seq_ring_test"],
 }
 GTEST_FILTER = "-*SeededBug*:*Mutated*"
 
