@@ -211,11 +211,11 @@ void PrintPerfTable() {
   std::printf("--- perf stage attribution ---\n");
   std::printf("%-12s %10s %10s %8s %8s %10s\n", "stage", "scopes", "cpu_ms",
               "ipc", "miss%", "ctx_sw");
-  for (uint32_t st = 0; st < obs::kNumPerfStages; ++st) {
+  for (uint32_t st = 0; st < obs::kNumStages; ++st) {
     if (s.scopes[st] == 0) continue;
     const uint64_t* c = s.counts[st];
     std::printf("%-12s %10llu %10.1f ",
-                obs::PerfStageName(static_cast<obs::PerfStage>(st)),
+                obs::StageName(static_cast<obs::Stage>(st)),
                 static_cast<unsigned long long>(s.scopes[st]),
                 static_cast<double>(c[obs::kPerfTaskClockNs]) / 1e6);
     if (have_ipc && c[obs::kPerfCycles] > 0) {

@@ -29,11 +29,9 @@
 #include "core/status.h"
 #include "core/thread.h"
 #include "device/device.h"
+#include "obs/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/perf.h"
-#include "obs/slowlog.h"
-#include "obs/span.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 
@@ -365,7 +363,7 @@ class FasterKv {
     }
     Status s;
     {
-      obs::StatPerfScope perf_scope{obs::PerfStage::kCkptIndex};
+      obs::StageScope stage{obs::Stage::kCkptIndex};
       s = index_.WriteCheckpoint(fd, transform);
     }
     ::close(fd);
@@ -380,7 +378,7 @@ class FasterKv {
     // Flush the log through t2 (and beyond, to the current tail).
     if constexpr (obs::kStatsEnabled) t0 = obs::NowNs();
     {
-      obs::StatPerfScope perf_scope{obs::PerfStage::kCkptFlush};
+      obs::StageScope stage{obs::Stage::kCkptFlush};
       hlog_.ShiftReadOnlyToTail(/*wait=*/true);
     }
     if constexpr (obs::kStatsEnabled) {
@@ -981,6 +979,7 @@ class FasterKv {
     const Value* value;  // upserts
     Output* output;      // reads
     void* user_context;  // reads and RMWs
+    obs::StatOpClock* clock = nullptr;  // set by the op's entry
   };
 
   enum class DiskState : uint8_t { kNone, kValue, kAbsent };
@@ -993,7 +992,7 @@ class FasterKv {
     PendingContext(FasterKv* s, OpRef o, KeyHash h)
         : store{s}, op{o.kind}, key{o.key}, hash{h}, input{*o.input},
           output{o.output}, user_context{o.user_context},
-          owner{Thread::Id()} {}
+          owner{Thread::Id()}, clock{*o.clock} {}
 
     FasterKv* store;
     OpKind op;
@@ -1006,15 +1005,9 @@ class FasterKv {
     Address address = Address::Invalid();     // record being read
     Address chain_bottom = Address::Invalid();  // first disk address of chain
     Status io_status = Status::kOk;
-    uint64_t issue_ns = 0;  // stats only: first I/O issue time
-    // Span context captured when the operation went asynchronous (0 when
-    // unsampled or stats are compiled out): continuations on any thread
-    // re-establish it so their spans land under the originating trace.
-    uint64_t trace_id = 0;
-    uint64_t parent_span = 0;
-    // Slowlog stage attribution carried across the async hop (inert —
-    // start_ns stays 0 — unless the slowlog was armed at issue time).
-    obs::PendingSlowOp slow;
+    // The op's clock, moved in as it went asynchronous: continuations on
+    // any thread mark it and resume its trace (empty without stats).
+    [[no_unique_address]] obs::StatOpClock clock;
     // CRDT read reconciliation state (Sec. 6.3).
     Value merge_acc{};
     bool merge_found = false;
@@ -1339,15 +1332,17 @@ class FasterKv {
   Status RunSingle(const OpRef& op) FASTER_REQUIRES_EPOCH() {
     ThreadState& ts = AutoRefresh(1);
     ++ts.ops[static_cast<size_t>(op.kind)];
-    constexpr obs::SpanKind kSpans[] = {
-        obs::SpanKind::kRead, obs::SpanKind::kUpsert, obs::SpanKind::kRmw,
-        obs::SpanKind::kDelete};
-    obs::StatOpSpan span{kSpans[static_cast<size_t>(op.kind)]};
-    obs::StatSlowOpScope slow_scope{op.kind};
-    obs::StatPerfScope perf_scope{obs::PerfStage::kExecute};
+    obs::StageScope entry{obs::Stage::kExecute, obs::SpanKindOf(op.kind)};
     KeyHash hash = Hasher{}(op.key);
-    slow_scope.set_key_hash(hash.control());
-    return Resolve(ts, op, hash);
+    obs::StatOpClock clock{op.kind, hash.control()};
+    Status status = Resolve(
+        ts,
+        OpRef{op.kind, op.key, op.input, op.value, op.output, op.user_context,
+              &clock},
+        hash);
+    // A pending op took the clock with it.
+    if (status != Status::kPending) clock.Finish();
+    return status;
   }
 
   /// Resolve for single ops and for the batch ops stage 3 hands back:
@@ -1548,7 +1543,6 @@ class FasterKv {
       *status = StartPendingIo(ts, ctx, oc.io_address, chunk);
       return true;
     }
-    CaptureTrace(ctx);
     DeferFuzzyRmw(ts, ctx);
     *status = Status::kPending;
     return true;
@@ -1556,7 +1550,9 @@ class FasterKv {
 
   /// Fuzzy region (Sec. 6.2): parks an RMW on the retry list, which
   /// CompletePending retries once the safe read-only offset catches up.
+  /// The wait on the list is io_complete time.
   void DeferFuzzyRmw(ThreadState& ts, PendingContext* ctx) {
+    ctx->clock.Mark(obs::Stage::kIoComplete);
     ++ts.fuzzy_rmws;
     obs_stats_.rmw_fuzzy_deferred.Inc();
     obs_stats_.pending_retries.Inc();
@@ -1783,32 +1779,17 @@ class FasterKv {
   // Pending-operation machinery (Sec. 5.3).
   // -------------------------------------------------------------------
 
-  /// Copies the calling thread's ambient span context into a context that
-  /// is about to cross the asynchronous boundary. Compiled out with stats
-  /// (the fields stay 0 and every downstream span scope is inactive).
-  static void CaptureTrace(PendingContext* ctx) {
-    if constexpr (obs::kStatsEnabled) {
-      obs::TraceContext tc = obs::CurrentTrace();
-      ctx->trace_id = tc.trace_id;
-      ctx->parent_span = tc.span_id;
-      // Slowlog hand-off: the synchronous scope's stage tallies move into
-      // the context; the scope then skips its own exit-time record.
-      obs::CaptureSlowOp(&ctx->slow);
-    }
-  }
-
   /// Starts a fresh op's storage read (Sec. 5.3). In a batch chunk the
   /// submission is deferred so the chunk's reads reach the device as one
-  /// group.
+  /// group; the op's io_queue stage covers that wait too.
   Status StartPendingIo(ThreadState& ts, PendingContext* ctx, Address addr,
                         ChunkRes* chunk) {
     ctx->address = addr;
     ctx->chain_bottom = addr;
-    CaptureTrace(ctx);
+    ctx->clock.Mark(obs::Stage::kIoQueue);
     ++ts.outstanding_ios;
     ++ts.ios_issued;
     obs_stats_.pending_ios.Inc();
-    if constexpr (obs::kStatsEnabled) ctx->issue_ns = obs::NowNs();
     trace_.Emit(obs::Ev::kPendingIoIssued, ctx->owner);
     if (chunk != nullptr) {
       chunk->ios[chunk->num_ios++] = ctx;
@@ -1823,26 +1804,14 @@ class FasterKv {
     ctx->address = addr;
     ThreadState& ts = thread_states_[ctx->owner];
     ++ts.ios_issued;
-    if constexpr (obs::kStatsEnabled) {
-      // Keep the first issue time: pending_io_ns spans the whole chain.
-      if (ctx->issue_ns == 0) ctx->issue_ns = obs::NowNs();
-      // Close this hop's wait window before the next hop's queueing
-      // starts, so the I/O stages keep partitioning the pending window.
-      if (ctx->slow.start_ns != 0 && ctx->slow.callback_ns != 0) {
-        uint64_t now = obs::NowNs();
-        if (now > ctx->slow.callback_ns) {
-          ctx->slow.io_complete_ns += now - ctx->slow.callback_ns;
-        }
-        ctx->slow.callback_ns = 0;
-      }
-    }
+    ctx->clock.Mark(obs::Stage::kIoQueue);
     SubmitIo(ctx);
   }
 
   void SubmitIo(PendingContext* ctx) {
     // Submission work (and any inline execution a polling device runs
     // under it) is io_queue; device paths nest io_exec inside.
-    obs::StatPerfScope perf_scope{obs::PerfStage::kIoQueue};
+    obs::StageScope stage{obs::Stage::kIoQueue};
     hlog_.AsyncGetFromDisk(ctx->address, RecordT::size(), ctx->buffer,
                            &FasterKv::IoCallback, ctx);
   }
@@ -1878,23 +1847,17 @@ class FasterKv {
     obs_stats_.batch_sizes.Record(n);
     // The chunk is one trace: the three stages appear as child spans, and
     // any pending-I/O continuation lands under the same trace id.
-    obs::StatOpSpan chunk_span{obs::SpanKind::kBatchChunk,
-                               static_cast<uint32_t>(n)};
-    // Slowlog attribution (only when armed): stages 1 and 2 are chunk-
-    // level, so their cost is amortized evenly across the chunk's ops;
-    // stage 3 is timed per op below.
-    const bool slow_armed =
-        obs::kStatsEnabled && obs::GlobalSlowLog().armed();
-    uint64_t slow_stage_start = slow_armed ? obs::NowNs() : 0;
-    uint64_t slow_share1 = 0;
-    uint64_t slow_share2 = 0;
+    obs::StatSpan chunk_span{obs::SpanKind::kBatchChunk,
+                             static_cast<uint32_t>(n)};
+    // Stages 1 and 2 are chunk-level, so the chunk's clock shares their
+    // cost evenly across its ops; stage 3 times each op on its own clock.
+    obs::StatOpClock chunk_clock{obs::Stage::kHash};
 
     // ---- Stage 1: hash every key; prefetch its hash bucket. ----
     KeyHash hashes[kBatchChunk];
     bool dep[kBatchChunk] = {};
     {
-      obs::StatChildSpan stage{obs::SpanKind::kBatchHash};
-      obs::StatPerfScope perf_stage{obs::PerfStage::kHash};
+      obs::StageScope stage{obs::Stage::kHash};
       for (size_t i = 0; i < n; ++i) {
         hashes[i] = Hasher{}(ops[i].key);
         index_.PrefetchBucket(hashes[i]);
@@ -1916,11 +1879,7 @@ class FasterKv {
         if (ops[i].kind != BatchOp::Kind::kRead) write_idx[num_writes++] = i;
       }
     }
-    if (slow_armed) {
-      uint64_t now = obs::NowNs();
-      slow_share1 = (now - slow_stage_start) / n;
-      slow_stage_start = now;
-    }
+    chunk_clock.Mark(obs::Stage::kResolve);
 
     // ---- Stage 2: resolve index entries; prefetch head records. ----
     // BatchScope pins the validity of everything resolved here: if this
@@ -1932,8 +1891,7 @@ class FasterKv {
     bool stable;
     ChunkRes chunk;
     {
-      obs::StatChildSpan stage{obs::SpanKind::kBatchResolve};
-      obs::StatPerfScope perf_stage{obs::PerfStage::kResolve};
+      obs::StageScope stage{obs::Stage::kResolve};
       stable = index_.TryFindEntriesStable(hashes, dep, n, frs, entry_found);
       if (stable) {
         Address begin = hlog_.begin_address();
@@ -1978,34 +1936,20 @@ class FasterKv {
         }
       }
     }
-
-    if (slow_armed) {
-      uint64_t now = obs::NowNs();
-      slow_share2 = (now - slow_stage_start) / n;
-    }
+    chunk_clock.Mark(obs::Stage::kExecute);
 
     // ---- Stage 3: Apply each op to its stage-2 resolution. ----
     // Perf attribution is per-chunk, not per-op; pending submissions nest
     // io_queue.
-    obs::StatChildSpan exec_stage{obs::SpanKind::kBatchExecute};
-    obs::StatPerfScope perf_exec_stage{obs::PerfStage::kExecute};
-    obs::SlowOpState slow_state;
+    obs::StageScope exec_stage{obs::Stage::kExecute};
     for (size_t i = 0; i < n; ++i) {
       BatchOp& op = ops[i];
       auto kind = static_cast<OpKind>(op.kind);
-      OpRef ref{kind, op.key, &op.input, &op.value, op.output, op.user_context};
+      obs::StatOpClock clock = chunk_clock.ForOp(
+          kind, hashes[i].control(), static_cast<uint32_t>(n));
+      OpRef ref{kind,      op.key,          &op.input, &op.value,
+                op.output, op.user_context, &clock};
       ++ts.ops[static_cast<size_t>(kind)];
-      if (slow_armed) {
-        // Arm the ambient slow-op state for this op; an op that goes
-        // pending transfers it to its context.
-        slow_state = obs::SlowOpState{};
-        slow_state.kind = kind;
-        slow_state.key_hash = hashes[i].control();
-        slow_state.hash_ns = slow_share1;
-        slow_state.resolve_ns = slow_share2;
-        slow_state.start_ns = obs::NowNs();
-        obs::CurrentSlowOp() = &slow_state;
-      }
       if (stable && !dep[i] && !batch_scope.interrupted() &&
           Apply(ts, ref, hashes[i], entry_found[i], frs[i], &chunk,
                 &op.status)) {
@@ -2014,18 +1958,8 @@ class FasterKv {
         obs_stats_.batch_fallback.Inc();
         op.status = Resolve(ts, ref, hashes[i]);
       }
-      if (slow_armed) {
-        obs::CurrentSlowOp() = nullptr;
-        if (!slow_state.transferred) {
-          uint64_t execute = obs::NowNs() - slow_state.start_ns;
-          uint64_t stages[obs::kNumSlowStages] = {
-              slow_share1, slow_share2, execute, 0, 0, 0};
-          obs::GlobalSlowLog().MaybeRecord(
-              slow_state.kind, slow_state.key_hash,
-              slow_share1 + slow_share2 + execute, stages,
-              /*pending=*/false, Thread::Id());
-        }
-      }
+      // A pending op took the clock with it.
+      if (op.status != Status::kPending) clock.Finish();
     }
     // Unused extent slots keep the dead headers written at reservation.
 
@@ -2041,7 +1975,7 @@ class FasterKv {
       }
       obs_stats_.batch_io_group_size.Record(num_ios);
       uint32_t accepted = 0;
-      obs::StatPerfScope perf_submit{obs::PerfStage::kIoQueue};
+      obs::StageScope submit{obs::Stage::kIoQueue};
       Status s = hlog_.AsyncGetFromDiskBatch(
           reqs, static_cast<uint32_t>(num_ios), &accepted);
       if (s != Status::kOk) {
@@ -2058,22 +1992,9 @@ class FasterKv {
   static void IoCallback(void* context, Status result, uint32_t /*bytes*/) {
     auto* ctx = static_cast<PendingContext*>(context);
     ctx->io_status = result;
-    if constexpr (obs::kStatsEnabled) {
-      if (ctx->slow.start_ns != 0) {
-        // Harvest the executor's queue/exec timing for this hop — pool
-        // worker, polling reaper, or io_uring reaper (zeros when the
-        // device ran the callback inline on the submitting thread) —
-        // and start the owner-side wait window: everything from here to
-        // the owner processing the completion lands in io_complete.
-        obs::IoStageInfo& io = obs::CurrentIoStage();
-        uint64_t now = obs::NowNs();
-        ctx->slow.io_queue_ns += io.queue_ns;
-        if (io.exec_start_ns != 0 && now > io.exec_start_ns) {
-          ctx->slow.io_exec_ns += now - io.exec_start_ns;
-        }
-        ctx->slow.callback_ns = now;
-      }
-    }
+    // Everything from here to the owner processing the completion is
+    // io_complete: the cross-thread hand-off wait.
+    ctx->clock.MarkIoDone();
     ThreadState& ts = ctx->store->thread_states_[ctx->owner];
     std::lock_guard<std::mutex> lock{ts.mutex};
     ts.completions.push_back(ctx);
@@ -2083,19 +2004,7 @@ class FasterKv {
     ++ts.completed;
     --ts.outstanding_ios;
     obs_stats_.pending_ios.Dec();
-    if constexpr (obs::kStatsEnabled) {
-      uint64_t now = obs::NowNs();
-      obs_stats_.pending_io_ns.Record(now - ctx->issue_ns);
-      if (ctx->trace_id != 0 && ctx->issue_ns != 0) {
-        // One span for the whole pending window (first issue through every
-        // chain hop to completion), parented under the operation's entry
-        // span — the segment that makes a trace cross the I/O boundary.
-        obs::GlobalSpanRing().Record(ctx->trace_id, obs::NewSpanId(),
-                                     ctx->parent_span, ctx->issue_ns, now, 0,
-                                     obs::SpanKind::kPendingIo);
-      }
-      obs::RecordSlowPending(&ctx->slow, now);
-    }
+    ctx->clock.Finish(&obs_stats_.pending_io_ns);
     trace_.Emit(obs::Ev::kPendingIoDone, ctx->owner);
     NotifyCompletion(ctx, result);
     delete ctx;
@@ -2118,13 +2027,12 @@ class FasterKv {
     if (ready.empty()) return;
     // Gated on non-empty so the CompletePending polling loop stays free
     // of counter reads between completions.
-    obs::StatPerfScope perf_scope{obs::PerfStage::kIoComplete};
+    obs::StageScope stage{obs::Stage::kIoComplete};
     for (PendingContext* ctx : ready) {
       // Re-establish the operation's trace around everything this
       // completion does synchronously (chain reissue, cache insert, RMW
       // continuation) — inactive when the operation was not sampled.
-      obs::StatResumedSpan span{obs::SpanKind::kIoComplete, ctx->trace_id,
-                                ctx->parent_span};
+      obs::StatSpan span{obs::Stage::kIoComplete, ctx->clock.trace()};
       if (ctx->io_status != Status::kOk) {
         FinishPending(ts, ctx, Status::kIoError);
         continue;
@@ -2220,8 +2128,7 @@ class FasterKv {
     std::vector<PendingContext*> work;
     work.swap(ts.retries);
     for (PendingContext* ctx : work) {
-      obs::StatResumedSpan span{obs::SpanKind::kRetryFuzzy, ctx->trace_id,
-                                ctx->parent_span};
+      obs::StatSpan span{obs::SpanKind::kRetryFuzzy, ctx->clock.trace()};
       RmwOutcome oc = RmwInMemory(ts, ctx->key, ctx->hash, ctx->input,
                                   DiskState::kNone, nullptr,
                                   Address::Invalid());
@@ -2229,11 +2136,7 @@ class FasterKv {
         case RmwOutcome::kDone:
           ++ts.completed;
           obs_stats_.pending_retries.Dec();
-          if constexpr (obs::kStatsEnabled) {
-            // Fuzzy-retry completions bypass FinishPending; the wait in
-            // the retry list folds into io_complete the same way.
-            obs::RecordSlowPending(&ctx->slow, obs::NowNs());
-          }
+          ctx->clock.Finish();  // bypasses FinishPending
           NotifyCompletion(ctx, Status::kOk);
           delete ctx;
           break;

@@ -65,12 +65,12 @@ Status FileDevice::ExecuteOp(const IoOp& op, uint32_t* bytes) {
     bytes_written_.fetch_add(op.len, std::memory_order_relaxed);
     obs_stats_.writes.Inc();
     if constexpr (obs::kStatsEnabled) {
-      obs_stats_.write_ns.Record(obs::NowNs() - op.submit_ns);
+      obs_stats_.write_ns.Record(obs::NowNs() - op.stamp.submit_ns);
     }
   } else {
     obs_stats_.reads.Inc();
     if constexpr (obs::kStatsEnabled) {
-      obs_stats_.read_ns.Record(obs::NowNs() - op.submit_ns);
+      obs_stats_.read_ns.Record(obs::NowNs() - op.stamp.submit_ns);
     }
   }
   *bytes = op.len;

@@ -2,10 +2,6 @@
 
 #include <thread>
 
-#include "obs/perf.h"
-#include "obs/slowlog.h"
-#include "obs/span.h"
-
 namespace faster {
 
 IoQueuePairSet::~IoQueuePairSet() {
@@ -33,14 +29,7 @@ IoQueuePair* IoQueuePairSet::PairFor(uint32_t tid, bool create) {
 }
 
 void IoQueuePairSet::Submit(IoOp op, IoOpExecutor& exec) {
-  if constexpr (obs::kStatsEnabled) {
-    obs::TraceContext tc = obs::CurrentTrace();
-    op.trace_id = tc.trace_id;
-    op.parent_span = tc.span_id;
-    // Submit time always (not just for sampled traces): the slowlog's
-    // io_queue stage needs the queueing delay of every op.
-    op.submit_ns = obs::NowNs();
-  }
+  op.stamp = obs::StatIoStamp::Now();
   stats_.submits.Inc();
   IoQueuePair& pair = *PairFor(Thread::Id(), /*create=*/true);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
@@ -59,28 +48,9 @@ void IoQueuePairSet::ExecuteOne(IoQueuePair& pair, const IoOp& op,
   IoCompletion c;
   c.callback = op.callback;
   c.context = op.context;
-  c.submit_ns = op.submit_ns;
-  c.trace_id = op.trace_id;
-  c.parent_span = op.parent_span;
-  uint32_t bytes = 0;
-  if constexpr (obs::kStatsEnabled) {
-    c.exec_start_ns = obs::NowNs();
-    if (op.trace_id != 0) {
-      // Queueing-delay span (submit -> execution pickup), mirroring the
-      // thread-pool worker loop so trace trees look the same either way.
-      obs::GlobalSpanRing().Record(op.trace_id, obs::NewSpanId(),
-                                   op.parent_span, op.submit_ns,
-                                   c.exec_start_ns, 0,
-                                   obs::SpanKind::kIoQueue);
-    }
-    obs::StatResumedSpan exec_span{obs::SpanKind::kIoExec, op.trace_id,
-                                   op.parent_span};
-    obs::StatPerfScope perf_scope{obs::PerfStage::kIoExec};
-    c.status = exec.ExecuteOp(op, &bytes);
-  } else {
-    c.status = exec.ExecuteOp(op, &bytes);
-  }
-  c.bytes = bytes;
+  c.stamp = op.stamp;
+  obs::RunIo(c.stamp, obs::IoHop::kExecute,
+             [&] { c.status = exec.ExecuteOp(op, &c.bytes); });
   if (deliver_inline || !pair.cq.TryPush(c)) {
     // Deliver directly (submit-side backpressure, or completion ring
     // full). Safe — the thread-pool path always ran callbacks on an
@@ -91,25 +61,11 @@ void IoQueuePairSet::ExecuteOne(IoQueuePair& pair, const IoOp& op,
   }
 }
 
-void IoQueuePairSet::Deliver(const IoCompletion& c) {
-  if constexpr (obs::kStatsEnabled) {
-    // Publish queue/exec timing for the callback (slowlog io_queue /
-    // io_exec stages); cleared after so a later inline callback on this
-    // thread never reads stale data. The io_exec stage measured by the
-    // callback spans exec start -> delivery, i.e. execution plus
-    // completion-ring residence.
-    obs::IoStageInfo& io_stage = obs::CurrentIoStage();
-    io_stage.queue_ns =
-        c.submit_ns != 0 && c.exec_start_ns > c.submit_ns
-            ? c.exec_start_ns - c.submit_ns
-            : 0;
-    io_stage.exec_start_ns = c.exec_start_ns;
-    c.callback(c.context, c.status, c.bytes);
-    io_stage.queue_ns = 0;
-    io_stage.exec_start_ns = 0;
-  } else {
-    c.callback(c.context, c.status, c.bytes);
-  }
+void IoQueuePairSet::Deliver(IoCompletion& c) {
+  // The op's io_exec stage runs from its pickup to this delivery, so it
+  // includes completion-ring residence.
+  obs::RunIo(c.stamp, obs::IoHop::kDeliver,
+             [&c] { c.callback(c.context, c.status, c.bytes); });
   stats_.poll_completions.Inc();
 }
 
@@ -120,11 +76,7 @@ uint32_t IoQueuePairSet::RunPair(IoQueuePair& pair, IoOpExecutor& exec,
   }
   // The whole sweep is io_poll; execution nests io_exec under it, so poll
   // overhead and device work separate cleanly in the counter breakdown.
-  obs::StatPerfScope perf_scope{obs::PerfStage::kIoPoll};
-  uint64_t sweep_start = 0;
-  uint64_t first_trace = 0;
-  uint64_t first_parent = 0;
-  if constexpr (obs::kStatsEnabled) sweep_start = obs::NowNs();
+  obs::PollSweep sweep;
   // Execute queued submissions; completions land in the CQ (or deliver
   // inline on overflow).
   IoOp op;
@@ -135,24 +87,12 @@ uint32_t IoQueuePairSet::RunPair(IoQueuePair& pair, IoOpExecutor& exec,
   uint32_t delivered = 0;
   IoCompletion c;
   while (pair.cq.TryPop(&c)) {
-    if (delivered == 0) {
-      first_trace = c.trace_id;
-      first_parent = c.parent_span;
-    }
+    sweep.Delivered(c.stamp);
     Deliver(c);
     in_flight_.fetch_sub(1, std::memory_order_release);
     ++delivered;
   }
   pair.UnlockConsumer();
-  if constexpr (obs::kStatsEnabled) {
-    if (delivered > 0 && first_trace != 0) {
-      // One span per non-empty sweep (arg = completions reaped) so traces
-      // show the reap batching rather than a per-op forest.
-      obs::GlobalSpanRing().Record(first_trace, obs::NewSpanId(),
-                                   first_parent, sweep_start, obs::NowNs(),
-                                   delivered, obs::SpanKind::kIoPoll);
-    }
-  }
   return delivered;
 }
 

@@ -9,6 +9,7 @@
 #include "core/sync.h"
 #include "core/thread.h"
 #include "device/device.h"
+#include "obs/clock.h"
 #include "obs/stats.h"
 
 /// Per-thread I/O submission/completion queues for the completion-polling
@@ -41,11 +42,8 @@ struct IoOp {
   uint32_t len = 0;
   IoCallback callback = nullptr;
   void* context = nullptr;
-  /// Submit-time stamp + ambient trace, captured by Submit (stats builds
-  /// only): the executor emits the io_queue span / slowlog stage from it.
-  uint64_t submit_ns = 0;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
+  /// Stamped by Submit; the executor runs the op under it (obs::RunIo).
+  [[no_unique_address]] obs::StatIoStamp stamp;
 };
 
 /// One completed operation (completion-ring record).
@@ -54,10 +52,8 @@ struct IoCompletion {
   void* context = nullptr;
   Status status = Status::kOk;
   uint32_t bytes = 0;
-  uint64_t submit_ns = 0;      // from the IoOp
-  uint64_t exec_start_ns = 0;  // when an executor picked the op up
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
+  /// The op's stamp, with the executor's pickup time.
+  [[no_unique_address]] obs::StatIoStamp stamp;
 };
 
 /// Bounded lock-free single-producer/single-consumer ring. The producer is
@@ -310,8 +306,8 @@ class IoQueuePairSet {
   /// submit-side backpressure, or a full completion ring).
   void ExecuteOne(IoQueuePair& pair, const IoOp& op, IoOpExecutor& exec,
                   bool foreign, bool deliver_inline);
-  /// Invokes one completion callback with slowlog/span stage attribution.
-  void Deliver(const IoCompletion& c);
+  /// Invokes one completion callback under its stamp.
+  void Deliver(IoCompletion& c);
 
   // order: release store publishes a lazily created pair (CAS, acq_rel);
   // acquire loads let pollers observe a fully constructed pair.

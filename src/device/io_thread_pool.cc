@@ -1,8 +1,5 @@
 #include "device/io_thread_pool.h"
 
-#include "obs/perf.h"
-#include "obs/slowlog.h"
-
 namespace faster {
 
 IoThreadPool::IoThreadPool(uint32_t num_threads) {
@@ -23,7 +20,7 @@ IoThreadPool::~IoThreadPool() {
 }
 
 void IoThreadPool::Submit(IoJob job) {
-  job.CaptureTraceContext();
+  job.stamp() = obs::StatIoStamp::Now();
   {
     std::lock_guard<std::mutex> lock{mutex_};
     queue_.push_back(std::move(job));
@@ -36,7 +33,7 @@ void IoThreadPool::Submit(IoJob job) {
 
 void IoThreadPool::SubmitBatch(IoJob* jobs, uint32_t n) {
   if (n == 0) return;
-  for (uint32_t i = 0; i < n; ++i) jobs[i].CaptureTraceContext();
+  for (uint32_t i = 0; i < n; ++i) jobs[i].stamp() = obs::StatIoStamp::Now();
   {
     std::lock_guard<std::mutex> lock{mutex_};
     for (uint32_t i = 0; i < n; ++i) {
@@ -72,34 +69,8 @@ void IoThreadPool::WorkerLoop() {
     obs_stats_.queue_depth.Dec();
     ++active_;
     lock.unlock();
-    if constexpr (obs::kStatsEnabled) {
-      uint64_t dequeue_ns = obs::NowNs();
-      if (job.trace_id() != 0) {
-        // The queueing-delay span (submit -> dequeue) is recorded here in
-        // one shot; the execution span wraps the job body below. Both are
-        // siblings under the span that submitted the job.
-        obs::GlobalSpanRing().Record(job.trace_id(), obs::NewSpanId(),
-                                     job.parent_span(), job.submit_ns(),
-                                     dequeue_ns, 0, obs::SpanKind::kIoQueue);
-      }
-      // Publish this job's queue/exec timing for the completion callback
-      // running inside the body (slowlog io_queue / io_exec stages);
-      // cleared after so a later inline callback never reads stale data.
-      obs::IoStageInfo& io_stage = obs::CurrentIoStage();
-      io_stage.queue_ns =
-          job.submit_ns() != 0 && dequeue_ns > job.submit_ns()
-              ? dequeue_ns - job.submit_ns()
-              : 0;
-      io_stage.exec_start_ns = dequeue_ns;
-      obs::StatResumedSpan exec{obs::SpanKind::kIoExec, job.trace_id(),
-                                job.parent_span()};
-      obs::StatPerfScope perf_scope{obs::PerfStage::kIoExec};
-      job();
-      io_stage.queue_ns = 0;
-      io_stage.exec_start_ns = 0;
-    } else {
-      job();
-    }
+    // The job body executes the op and delivers its completion.
+    obs::RunIo(job.stamp(), obs::IoHop::kExecute, job);
     lock.lock();
     --active_;
     if (queue_.empty() && active_ == 0) {

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/span.h"
+#include "obs/clock.h"
 #include "obs/stats.h"
 
 namespace faster {
@@ -47,10 +47,7 @@ class IoJob {
   }
 
   IoJob(IoJob&& other) noexcept
-      : vtable_{other.vtable_},
-        trace_id_{other.trace_id_},
-        parent_span_{other.parent_span_},
-        submit_ns_{other.submit_ns_} {
+      : vtable_{other.vtable_}, stamp_{other.stamp_} {
     if (vtable_) {
       vtable_->move(storage_, other.storage_);
       other.vtable_ = nullptr;
@@ -61,9 +58,7 @@ class IoJob {
     if (this != &other) {
       Reset();
       vtable_ = other.vtable_;
-      trace_id_ = other.trace_id_;
-      parent_span_ = other.parent_span_;
-      submit_ns_ = other.submit_ns_;
+      stamp_ = other.stamp_;
       if (vtable_) {
         vtable_->move(storage_, other.storage_);
         other.vtable_ = nullptr;
@@ -83,23 +78,9 @@ class IoJob {
     vtable_->invoke(storage_);
   }
 
-  /// Captures the submitting thread's ambient span context (and the
-  /// submit time) so the pool worker can emit a queueing-delay span and
-  /// run the job under the originating trace. Called by the pool at
-  /// enqueue; compiled out with stats.
-  void CaptureTraceContext() {
-    if constexpr (obs::kStatsEnabled) {
-      obs::TraceContext tc = obs::CurrentTrace();
-      trace_id_ = tc.trace_id;
-      parent_span_ = tc.span_id;
-      // Submit time always (not just for sampled traces): the slowlog's
-      // io_queue stage needs the queueing delay of every job.
-      submit_ns_ = obs::NowNs();
-    }
-  }
-  uint64_t trace_id() const { return trace_id_; }
-  uint64_t parent_span() const { return parent_span_; }
-  uint64_t submit_ns() const { return submit_ns_; }
+  /// The job's I/O stamp: set by the pool at enqueue, run under by the
+  /// worker (obs::RunIo); empty without stats.
+  obs::StatIoStamp& stamp() { return stamp_; }
 
  private:
   struct Vtable {
@@ -140,11 +121,8 @@ class IoJob {
 
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Vtable* vtable_ = nullptr;
-  // Span context riding along with the job (see CaptureTraceContext).
   // Plain fields: handed off through the queue under the pool mutex.
-  uint64_t trace_id_ = 0;
-  uint64_t parent_span_ = 0;
-  uint64_t submit_ns_ = 0;
+  [[no_unique_address]] obs::StatIoStamp stamp_;
 };
 
 /// A small worker pool that executes queued I/O jobs off the store's

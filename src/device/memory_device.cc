@@ -62,13 +62,13 @@ Status MemoryDevice::ExecuteOp(const IoOp& op, uint32_t* bytes) {
     s = WriteSync(op.buf, op.offset, op.len);
     obs_stats_.writes.Inc();
     if constexpr (obs::kStatsEnabled) {
-      obs_stats_.write_ns.Record(obs::NowNs() - op.submit_ns);
+      obs_stats_.write_ns.Record(obs::NowNs() - op.stamp.submit_ns);
     }
   } else {
     s = ReadSync(op.offset, op.buf, op.len);
     obs_stats_.reads.Inc();
     if constexpr (obs::kStatsEnabled) {
-      obs_stats_.read_ns.Record(obs::NowNs() - op.submit_ns);
+      obs_stats_.read_ns.Record(obs::NowNs() - op.stamp.submit_ns);
     }
   }
   *bytes = s == Status::kOk ? op.len : 0;

@@ -12,10 +12,6 @@
 #include <cstring>
 #include <thread>
 
-#include "obs/perf.h"
-#include "obs/slowlog.h"
-#include "obs/span.h"
-
 namespace faster {
 
 namespace {
@@ -182,28 +178,14 @@ UringIo::Ring* UringIo::RingFor(uint32_t tid, bool create) {
   return ring;
 }
 
-void UringIo::InlineFallback(const IoOp& op) {
+void UringIo::InlineFallback(IoOp op) {
   stats_.sq_full_inline.Inc();
   uint32_t bytes = 0;
   Status s;
-  if constexpr (obs::kStatsEnabled) {
-    obs::StatResumedSpan exec_span{obs::SpanKind::kIoExec, op.trace_id,
-                                   op.parent_span};
-    obs::StatPerfScope perf_scope{obs::PerfStage::kIoExec};
-    s = inline_exec_.ExecuteOp(op, &bytes);
-  } else {
-    s = inline_exec_.ExecuteOp(op, &bytes);
-  }
-  if constexpr (obs::kStatsEnabled) {
-    obs::IoStageInfo& io_stage = obs::CurrentIoStage();
-    io_stage.queue_ns = 0;
-    io_stage.exec_start_ns = op.submit_ns;
-    op.callback(op.context, s, bytes);
-    io_stage.queue_ns = 0;
-    io_stage.exec_start_ns = 0;
-  } else {
-    op.callback(op.context, s, bytes);
-  }
+  obs::RunIo(op.stamp, obs::IoHop::kExecute,
+             [&] { s = inline_exec_.ExecuteOp(op, &bytes); });
+  obs::RunIo(op.stamp, obs::IoHop::kDeliver,
+             [&] { op.callback(op.context, s, bytes); });
 }
 
 void UringIo::Submit(const IoOp* ops, uint32_t n) {
@@ -217,12 +199,7 @@ void UringIo::Submit(const IoOp* ops, uint32_t n) {
   unsigned tail = __atomic_load_n(ring->sq_tail, __ATOMIC_RELAXED);
   for (uint32_t i = 0; i < n; ++i) {
     IoOp op = ops[i];
-    if constexpr (obs::kStatsEnabled) {
-      obs::TraceContext tc = obs::CurrentTrace();
-      op.trace_id = tc.trace_id;
-      op.parent_span = tc.span_id;
-      op.submit_ns = obs::NowNs();
-    }
+    op.stamp = obs::StatIoStamp::Now();
     // Claim an op slot; the slot count == SQ entries, so a free slot
     // implies SQ space (the kernel consumes SQEs inside io_uring_enter).
     uint32_t slot_idx = Ring::kEntries;
@@ -310,25 +287,11 @@ Status UringIo::Finish(const IoOp& op, int res, uint32_t* bytes,
   return s;
 }
 
-void UringIo::Deliver(const IoOp& op, Status status, uint32_t bytes) {
-  if constexpr (obs::kStatsEnabled) {
-    uint64_t now = obs::NowNs();
-    if (op.trace_id != 0) {
-      // The kernel window (submit -> reap) is the execution span; there
-      // is no separate queueing delay to attribute.
-      obs::GlobalSpanRing().Record(op.trace_id, obs::NewSpanId(),
-                                   op.parent_span, op.submit_ns, now, 0,
-                                   obs::SpanKind::kIoExec);
-    }
-    obs::IoStageInfo& io_stage = obs::CurrentIoStage();
-    io_stage.queue_ns = 0;
-    io_stage.exec_start_ns = op.submit_ns;
-    op.callback(op.context, status, bytes);
-    io_stage.queue_ns = 0;
-    io_stage.exec_start_ns = 0;
-  } else {
-    op.callback(op.context, status, bytes);
-  }
+void UringIo::Deliver(IoOp& op, Status status, uint32_t bytes) {
+  // The kernel window (submit -> reap) is the execution; there is no
+  // separate queueing delay to attribute.
+  obs::RunIo(op.stamp, obs::IoHop::kKernel,
+             [&] { op.callback(op.context, status, bytes); });
   stats_.poll_completions.Inc();
 }
 
@@ -340,12 +303,8 @@ uint32_t UringIo::Reap(Ring& ring) {
     return 0;  // another thread is reaping this ring right now
   }
   // The reap sweep is io_poll (the kernel window has no CPU cost to
-  // attribute; short-transfer completions nest io_exec via Finish).
-  obs::StatPerfScope perf_scope{obs::PerfStage::kIoPoll};
-  uint64_t sweep_start = 0;
-  uint64_t first_trace = 0;
-  uint64_t first_parent = 0;
-  if constexpr (obs::kStatsEnabled) sweep_start = obs::NowNs();
+  // attribute).
+  obs::PollSweep sweep;
   uint32_t delivered = 0;
   unsigned head = __atomic_load_n(ring.cq_head, __ATOMIC_RELAXED);
   for (;;) {
@@ -366,31 +325,21 @@ uint32_t UringIo::Reap(Ring& ring) {
       if (op.kind == IoOp::Kind::kWrite) {
         dev_stats_->writes.Inc();
         if constexpr (obs::kStatsEnabled) {
-          dev_stats_->write_ns.Record(obs::NowNs() - op.submit_ns);
+          dev_stats_->write_ns.Record(obs::NowNs() - op.stamp.submit_ns);
         }
       } else {
         dev_stats_->reads.Inc();
         if constexpr (obs::kStatsEnabled) {
-          dev_stats_->read_ns.Record(obs::NowNs() - op.submit_ns);
+          dev_stats_->read_ns.Record(obs::NowNs() - op.stamp.submit_ns);
         }
       }
     }
-    if (delivered == 0) {
-      first_trace = op.trace_id;
-      first_parent = op.parent_span;
-    }
+    sweep.Delivered(op.stamp);
     Deliver(op, status, bytes);
     ring.in_flight.fetch_sub(1, std::memory_order_release);
     ++delivered;
   }
   ring.consuming.store(false, std::memory_order_release);
-  if constexpr (obs::kStatsEnabled) {
-    if (delivered > 0 && first_trace != 0) {
-      obs::GlobalSpanRing().Record(first_trace, obs::NewSpanId(),
-                                   first_parent, sweep_start, obs::NowNs(),
-                                   delivered, obs::SpanKind::kIoPoll);
-    }
-  }
   return delivered;
 }
 
@@ -454,7 +403,7 @@ void UringIo::Submit(const IoOp* ops, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) InlineFallback(ops[i]);
 }
 
-void UringIo::InlineFallback(const IoOp& op) {
+void UringIo::InlineFallback(IoOp op) {
   uint32_t bytes = 0;
   Status s = inline_exec_.ExecuteOp(op, &bytes);
   op.callback(op.context, s, bytes);
@@ -469,7 +418,7 @@ uint32_t UringIo::Reap(Ring&) { return 0; }
 Status UringIo::Finish(const IoOp&, int, uint32_t*, bool*) {
   return Status::kOk;
 }
-void UringIo::Deliver(const IoOp&, Status, uint32_t) {}
+void UringIo::Deliver(IoOp&, Status, uint32_t) {}
 
 }  // namespace faster
 

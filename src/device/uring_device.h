@@ -73,8 +73,8 @@ class UringIo {
   /// completing short transfers via inline_exec_. `counted` reports
   /// whether inline_exec_ already recorded device stats for this op.
   Status Finish(const IoOp& op, int res, uint32_t* bytes, bool* counted);
-  void Deliver(const IoOp& op, Status status, uint32_t bytes);
-  void InlineFallback(const IoOp& op);
+  void Deliver(IoOp& op, Status status, uint32_t bytes);
+  void InlineFallback(IoOp op);
 
   int fd_ = -1;
   IoOpExecutor& inline_exec_;

@@ -14,10 +14,8 @@
 
 #include "core/memory_region.h"
 #include "obs/build_info.h"
+#include "obs/clock.h"
 #include "obs/log.h"
-#include "obs/perf.h"
-#include "obs/slowlog.h"
-#include "obs/span.h"
 
 namespace faster {
 namespace net {
@@ -251,7 +249,7 @@ void FasterServer::WorkerLoop(Worker& w) {
     }
     // Root span for the turn: socket read -> reply flush. Parse/execute/
     // flush segments (and the store's batch_chunk spans) nest under it.
-    std::optional<obs::StatOpSpan> turn_span;
+    std::optional<obs::StatSpan> turn_span;
     if (n > 0 || backlog) {
       turn_span.emplace(obs::SpanKind::kNetRequest,
                         static_cast<uint32_t>(n));
@@ -399,7 +397,7 @@ void FasterServer::ProcessTurn(Worker& w) {
   w.segment_incr_keys.clear();
   w.turn_commands = 0;
   {
-    obs::StatChildSpan parse_span{obs::SpanKind::kNetParse};
+    obs::StageScope parse{obs::Stage::kNetParse};
     for (Connection* conn : w.ready) {
       GatherCommands(w, *conn);
     }
@@ -696,8 +694,8 @@ void FasterServer::RenderCommand(Worker& w, const CmdRec& rec,
 }
 
 void FasterServer::RenderAndFlush(Worker& w) {
-  obs::StatChildSpan flush_span{obs::SpanKind::kNetFlush,
-                                static_cast<uint32_t>(w.turn_commands)};
+  obs::StageScope flush{obs::Stage::kNetFlush,
+                        static_cast<uint32_t>(w.turn_commands)};
   std::vector<int> to_close;
   for (Connection* conn : w.ready) {
     conn->in_ready = false;
@@ -800,7 +798,7 @@ void FasterServer::HandleSlowlog(const RespCommand& cmd, std::string* out) {
       AppendInteger(out, static_cast<long long>(e.wall_ns / 1000000000ull));
       AppendInteger(out, static_cast<long long>(e.total_ns / 1000));
       *out += '*';
-      AppendU64(out, 3 + obs::kNumSlowStages);
+      AppendU64(out, 3 + obs::kNumOpStages);
       *out += "\r\n";
       AppendBulk(out, std::string("op=") + obs::SlowOpKindName(e.kind));
       char key[32];
@@ -811,10 +809,9 @@ void FasterServer::HandleSlowlog(const RespCommand& cmd, std::string* out) {
       origin += " tid=";
       AppendU64(&origin, e.tid);
       AppendBulk(out, origin);
-      for (uint32_t s = 0; s < obs::kNumSlowStages; ++s) {
+      for (uint32_t s = 0; s < obs::kNumOpStages; ++s) {
         std::string stage =
-            std::string(obs::SlowStageName(static_cast<obs::SlowStage>(s))) +
-            "_us=";
+            std::string(obs::StageName(static_cast<obs::Stage>(s))) + "_us=";
         AppendU64(&stage, e.stage_ns[s] / 1000);
         AppendBulk(out, stage);
       }
@@ -859,10 +856,10 @@ void FasterServer::HandlePerf(const RespCommand& cmd, std::string* out) {
       AppendU64(&hdr, s.truncated);
       lines.push_back(std::move(hdr));
     }
-    for (uint32_t st = 0; st < obs::kNumPerfStages; ++st) {
+    for (uint32_t st = 0; st < obs::kNumStages; ++st) {
       if (s.scopes[st] == 0) continue;
       std::string line = "stage=";
-      line += obs::PerfStageName(static_cast<obs::PerfStage>(st));
+      line += obs::StageName(static_cast<obs::Stage>(st));
       line += " scopes=";
       AppendU64(&line, s.scopes[st]);
       for (uint32_t c = 0; c < obs::kNumPerfCounters; ++c) {

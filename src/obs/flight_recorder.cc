@@ -358,7 +358,7 @@ void FlightRecorder::Dump(const char* reason) {
             w.Str(" parent=");
             w.Hex(s.parent_id);
             w.Str(" kind=");
-            w.Str(SpanKindName(static_cast<SpanKind>(s.kind)));
+            w.Str(SpanName(s.kind));
             w.Str(" start_ns=");
             w.U64(s.start_ns);
             w.Str(" dur_ns=");
@@ -409,10 +409,10 @@ void FlightRecorder::Dump(const char* reason) {
                    w.Str(" total_ns=");
                    w.U64(e.total_ns);
                    w.Str(e.pending ? " pending" : " sync");
-                   for (uint32_t i = 0; i < kNumSlowStages; ++i) {
+                   for (uint32_t i = 0; i < kNumOpStages; ++i) {
                      if (e.stage_ns[i] == 0) continue;
                      w.Str(" ");
-                     w.Str(SlowStageName(static_cast<SlowStage>(i)));
+                     w.Str(StageName(static_cast<Stage>(i)));
                      w.Str("=");
                      w.U64(e.stage_ns[i]);
                    }

@@ -105,7 +105,7 @@ struct PerfThread {
   uint64_t ids[kNumPerfCounters];
   uint32_t mask = 0;
 
-  PerfStage stack[kMaxDepth];
+  Stage stack[kMaxDepth];
   uint32_t depth = 0;
   PerfCounts seg_start;  // counter values when the open segment began
 
@@ -214,7 +214,7 @@ PerfAttribution::PerfAttribution() {
 
 void PerfAttribution::Reset() {
   for (Shard& shard : shards_) {
-    for (uint32_t s = 0; s < kNumPerfStages; ++s) {
+    for (uint32_t s = 0; s < kNumStages; ++s) {
       for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
         shard.counts[s][c].store(0, std::memory_order_relaxed);
       }
@@ -229,7 +229,7 @@ PerfAttribution::Snapshot PerfAttribution::Take() const {
   out.armed = armed();
   out.mask = available_mask();
   for (const Shard& shard : shards_) {
-    for (uint32_t s = 0; s < kNumPerfStages; ++s) {
+    for (uint32_t s = 0; s < kNumStages; ++s) {
       for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
         out.counts[s][c] +=
             shard.counts[s][c].load(std::memory_order_relaxed);
@@ -258,10 +258,10 @@ std::string PerfAttribution::Json() const {
   }
   out += "],\"truncated_scopes\":" + std::to_string(s.truncated);
   out += ",\"stages\":{";
-  for (uint32_t st = 0; st < kNumPerfStages; ++st) {
+  for (uint32_t st = 0; st < kNumStages; ++st) {
     if (st != 0) out += ',';
     out += '"';
-    out += PerfStageName(static_cast<PerfStage>(st));
+    out += StageName(static_cast<Stage>(st));
     out += "\":{\"scopes\":" + std::to_string(s.scopes[st]);
     for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
       out += ",\"";
@@ -274,7 +274,7 @@ std::string PerfAttribution::Json() const {
   return out;
 }
 
-void PerfAttribution::Accumulate(PerfStage stage, const PerfCounts& delta,
+void PerfAttribution::Accumulate(Stage stage, const PerfCounts& delta,
                                  uint32_t mask) {
   constexpr uint32_t kNumShards =
       sizeof(shards_) / sizeof(shards_[0]);
@@ -287,7 +287,7 @@ void PerfAttribution::Accumulate(PerfStage stage, const PerfCounts& delta,
   }
 }
 
-void PerfAttribution::CountScope(PerfStage stage) {
+void PerfAttribution::CountScope(Stage stage) {
   constexpr uint32_t kNumShards =
       sizeof(shards_) / sizeof(shards_[0]);
   Shard& shard = shards_[Thread::Id() % kNumShards];
@@ -326,7 +326,7 @@ uint32_t PerfThreadMask() {
   return t.mask;
 }
 
-bool PerfScopeEnter(PerfStage stage) {
+bool PerfScopeEnter(Stage stage) {
   PerfThread& t = Self();
   EnsureInit(t);
   PerfAttribution& perf = GlobalPerf();

@@ -6,9 +6,9 @@
 /// The slowlog (slowlog.h) answers *where time goes* per operation; this
 /// layer answers *why a stage is slow* — cycles, instructions, cache and
 /// TLB misses, branch mispredicts, and context switches, attributed to
-/// the same six stages the slowlog partitions (hash / resolve / execute /
-/// io_queue / io_exec / io_complete) plus the checkpoint phases and the
-/// completion-polling loop.
+/// every obs::Stage (stage.h): the six the slowlog partitions plus the
+/// checkpoint phases, the completion-polling loop and the server's
+/// parse/flush segments.
 ///
 /// Mechanics: each thread lazily opens one `perf_event_open(2)` counter
 /// group (task-clock leader + the hardware events the kernel grants;
@@ -28,54 +28,22 @@
 /// no-counter fallback (used by tests and restricted CI runners);
 /// `FASTER_PERF=1` arms attribution at process start.
 ///
-/// Everything is always compiled; hot-path sites use the `StatPerfScope`
-/// alias which compiles to nothing without -DFASTER_STATS=ON, and the
-/// armed() gate keeps the stats-on cost to one relaxed load per scope
-/// until attribution is explicitly enabled (PERF ENABLE / --perf /
-/// FASTER_PERF=1).
+/// Everything is always compiled; hot-path sites open segments through
+/// obs::StageScope (clock.h) or the `StatPerfScope` alias, which compile
+/// to nothing without -DFASTER_STATS=ON, and the armed() gate keeps the
+/// stats-on cost to one relaxed load per scope until attribution is
+/// explicitly enabled (PERF ENABLE / --perf / FASTER_PERF=1).
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "core/thread.h"
+#include "obs/stage.h"
 #include "obs/stats.h"
 
 namespace faster {
 namespace obs {
-
-/// Attribution stages: the six slowlog stages first (same order as
-/// SlowStage, so the two breakdowns line up), then the checkpoint phases
-/// and the completion-polling loop.
-enum class PerfStage : uint8_t {
-  kHash = 0,
-  kResolve = 1,
-  kExecute = 2,
-  kIoQueue = 3,
-  kIoExec = 4,
-  kIoComplete = 5,
-  kCkptIndex = 6,
-  kCkptFlush = 7,
-  kIoPoll = 8,
-};
-inline constexpr uint32_t kNumPerfStages = 9;
-/// The first six stages mirror obs::SlowStage one-to-one.
-inline constexpr uint32_t kNumSlowPerfStages = 6;
-
-inline const char* PerfStageName(PerfStage stage) {
-  switch (stage) {
-    case PerfStage::kHash: return "hash";
-    case PerfStage::kResolve: return "resolve";
-    case PerfStage::kExecute: return "execute";
-    case PerfStage::kIoQueue: return "io_queue";
-    case PerfStage::kIoExec: return "io_exec";
-    case PerfStage::kIoComplete: return "io_complete";
-    case PerfStage::kCkptIndex: return "ckpt_index";
-    case PerfStage::kCkptFlush: return "ckpt_flush";
-    case PerfStage::kIoPoll: return "io_poll";
-  }
-  return "?";
-}
 
 /// Counter slots. Software events first: they open under any
 /// perf_event_paranoid level that allows perf at all, so the group leader
@@ -120,7 +88,7 @@ using PerfReadFn = uint32_t (*)(PerfCounts* out);
 /// Process-wide per-stage counter accumulation. Writes land on the
 /// calling thread's shard (relaxed fetch_add; shards are modulo-shared
 /// across thread-id slots, unlike stats.h's one-per-slot layout, because
-/// each shard here is ~600 bytes); snapshots sum shards with relaxed
+/// each shard here is ~800 bytes); snapshots sum shards with relaxed
 /// loads — slightly stale, never torn.
 class PerfAttribution {
  public:
@@ -139,9 +107,9 @@ class PerfAttribution {
   struct Snapshot {
     bool armed = false;
     uint32_t mask = 0;  // union of every thread's available counters
-    uint64_t scopes[kNumPerfStages] = {};
+    uint64_t scopes[kNumStages] = {};
     uint64_t truncated = 0;  // scope entries dropped at the depth cap
-    uint64_t counts[kNumPerfStages][kNumPerfCounters] = {};
+    uint64_t counts[kNumStages][kNumPerfCounters] = {};
   };
   Snapshot Take() const;
 
@@ -156,8 +124,8 @@ class PerfAttribution {
   }
 
   // ---- Internal: called by the scope machinery (perf.cc). ----
-  void Accumulate(PerfStage stage, const PerfCounts& delta, uint32_t mask);
-  void CountScope(PerfStage stage);
+  void Accumulate(Stage stage, const PerfCounts& delta, uint32_t mask);
+  void CountScope(Stage stage);
   void CountTruncated();
   void PublishMask(uint32_t mask) {
     mask_.fetch_or(mask, std::memory_order_relaxed);
@@ -167,9 +135,9 @@ class PerfAttribution {
   struct alignas(64) Shard {
     // order: relaxed fetch_add (threads may share a shard), relaxed loads
     // in Take — statistics; no data is published through the counts.
-    std::atomic<uint64_t> counts[kNumPerfStages][kNumPerfCounters] = {};
+    std::atomic<uint64_t> counts[kNumStages][kNumPerfCounters] = {};
     // order: relaxed fetch_add, relaxed loads in Take.
-    std::atomic<uint64_t> scopes[kNumPerfStages] = {};
+    std::atomic<uint64_t> scopes[kNumStages] = {};
     // order: relaxed fetch_add, relaxed loads in Take.
     std::atomic<uint64_t> truncated{0};
   };
@@ -196,7 +164,7 @@ uint32_t PerfThreadMask();
 
 // Scope machinery internals (perf.cc). Enter returns false when the frame
 // was dropped (depth cap) and must not be matched by an Exit.
-bool PerfScopeEnter(PerfStage stage);
+bool PerfScopeEnter(Stage stage);
 void PerfScopeExit();
 
 /// RAII stage scope. Cheap when disarmed (one relaxed load); when armed,
@@ -204,7 +172,7 @@ void PerfScopeExit();
 /// the closed segment to the stage that was running.
 class PerfScope {
  public:
-  explicit PerfScope(PerfStage stage) {
+  explicit PerfScope(Stage stage) {
     if (!GlobalPerf().armed()) return;
     active_ = PerfScopeEnter(stage);
   }
@@ -224,7 +192,7 @@ class PerfScope {
 /// No-op twin for stats-off builds.
 class NoopPerfScope {
  public:
-  explicit NoopPerfScope(PerfStage) {}
+  explicit NoopPerfScope(Stage) {}
 };
 
 // Model builds (FASTER_MODEL) compile the scope out even with stats on:

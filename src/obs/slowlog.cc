@@ -22,7 +22,7 @@ uint64_t WallNs() {
 
 void SlowLog::MaybeRecord(SlowOpKind kind, uint64_t key_hash,
                           uint64_t total_ns,
-                          const uint64_t stage_ns[kNumSlowStages],
+                          const uint64_t stage_ns[kNumOpStages],
                           bool pending, uint32_t tid) {
   uint64_t threshold = threshold_ns_.load(std::memory_order_relaxed);
   if (threshold == kDisabled || total_ns < threshold) return;
@@ -30,7 +30,7 @@ void SlowLog::MaybeRecord(SlowOpKind kind, uint64_t key_hash,
   e.wall_ns = WallNs();
   e.key_hash = key_hash;
   e.total_ns = total_ns;
-  std::copy(stage_ns, stage_ns + kNumSlowStages, e.stage_ns);
+  std::copy(stage_ns, stage_ns + kNumOpStages, e.stage_ns);
   e.kind = kind;
   e.pending = pending;
   e.tid = tid;
@@ -70,9 +70,9 @@ std::string SlowLog::Json() const {
                   e.id, e.wall_ns, SlowOpKindName(e.kind), e.key_hash,
                   e.total_ns, e.pending ? "true" : "false", e.tid);
     out.append(buf);
-    for (uint32_t s = 0; s < kNumSlowStages; ++s) {
+    for (uint32_t s = 0; s < kNumOpStages; ++s) {
       std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64, s != 0 ? "," : "",
-                    SlowStageName(static_cast<SlowStage>(s)), e.stage_ns[s]);
+                    StageName(static_cast<Stage>(s)), e.stage_ns[s]);
       out.append(buf);
     }
     out.append("}}");

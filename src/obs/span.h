@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
 #include <vector>
 
 #include "obs/seq_ring.h"
+#include "obs/stage.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 
@@ -17,9 +19,9 @@
 /// batch chunk) identified by a 64-bit trace id; a *span* is one timed
 /// segment of it (the synchronous entry, the pending-I/O window, the pool
 /// execution, a retry, a pipeline stage), identified by a span id and
-/// linked to its parent span. Spans cross threads by value: the store
-/// copies the ambient `TraceContext` into each `PendingContext`/`IoJob`
-/// when an operation goes asynchronous and re-establishes it (ResumedSpan)
+/// linked to its parent span. Spans cross threads by value: an op's clock
+/// and each device op's stamp (clock.h) carry the `TraceContext` across
+/// the asynchronous boundary, and a resumed `Span` re-establishes it
 /// wherever the operation continues, so a storage read's spans land under
 /// the same trace id as the Read() that issued it.
 ///
@@ -30,58 +32,47 @@
 /// the decision through the ambient context, so a trace is always
 /// recorded whole or not at all.
 ///
-/// Compile-out: instrumentation sites use the `Stat*Span` aliases, which
-/// resolve to no-op twins unless built with -DFASTER_STATS=ON — no clock
+/// Compile-out: instrumentation sites use the `StatSpan` alias, which
+/// resolves to a no-op twin unless built with -DFASTER_STATS=ON — no clock
 /// reads, no ring writes, no thread-local traffic in default builds. The
 /// real types stay compiled everywhere so tests can drive them directly.
 
 namespace faster {
 namespace obs {
 
-/// Span kinds (what segment of an operation's life a span covers).
+/// Root span kinds: the segments that are not a Stage. A span record's
+/// kind is either a Stage (0 .. kNumStages-1) or one of these.
 enum class SpanKind : uint16_t {
-  kNone = 0,
-  kRead,          // Read() synchronous entry
-  kUpsert,        // Upsert() entry
-  kRmw,           // Rmw() entry
-  kDelete,        // Delete() entry
-  kPendingIo,     // first I/O issue -> completion processed (whole chain)
-  kIoQueue,       // pool submit -> worker dequeue (queueing delay)
-  kIoExec,        // device job body on the pool worker
-  kIoComplete,    // owner thread processing one completed context
-  kRetryFuzzy,    // one fuzzy-RMW retry attempt at CompletePending
-  kBatchChunk,    // one ExecuteChunk pass (arg = ops in the chunk)
-  kBatchHash,     // pipeline stage 1: hash + bucket prefetch
-  kBatchResolve,  // pipeline stage 2: stable resolve + record prefetch
-  kBatchExecute,  // pipeline stage 3: execute + coalesced I/O submit
-  kNetRequest,    // one server event-loop turn: socket read -> reply flush
-  kNetParse,      // RESP frame parsing within a turn
-  kNetFlush,      // reply rendering + socket writes within a turn
-  kIoPoll,        // one non-empty Poll() sweep (arg = completions reaped)
+  kRead = kNumStages,  // Read() entry (kRead + SlowOpKind for each op)
+  kUpsert,             // Upsert() entry
+  kRmw,                // Rmw() entry
+  kDelete,             // Delete() entry
+  kBatchChunk,         // one ExecuteChunk pass (arg = ops in the chunk)
+  kNetRequest,         // one server event-loop turn: socket read -> flush
+  kPendingIo,          // first I/O issue -> completion processed
+  kRetryFuzzy,         // one fuzzy-RMW retry attempt at CompletePending
 };
 
-inline const char* SpanKindName(SpanKind k) {
-  switch (k) {
-    case SpanKind::kNone: return "none";
-    case SpanKind::kRead: return "read";
-    case SpanKind::kUpsert: return "upsert";
-    case SpanKind::kRmw: return "rmw";
-    case SpanKind::kDelete: return "delete";
-    case SpanKind::kPendingIo: return "pending_io";
-    case SpanKind::kIoQueue: return "io_queue";
-    case SpanKind::kIoExec: return "io_exec";
-    case SpanKind::kIoComplete: return "io_complete";
-    case SpanKind::kRetryFuzzy: return "retry_fuzzy";
-    case SpanKind::kBatchChunk: return "batch_chunk";
-    case SpanKind::kBatchHash: return "batch_hash";
-    case SpanKind::kBatchResolve: return "batch_resolve";
-    case SpanKind::kBatchExecute: return "batch_execute";
-    case SpanKind::kNetRequest: return "net_request";
-    case SpanKind::kNetParse: return "net_parse";
-    case SpanKind::kNetFlush: return "net_flush";
-    case SpanKind::kIoPoll: return "io_poll";
-  }
-  return "unknown";
+/// An op's entry span kind.
+inline SpanKind SpanKindOf(SlowOpKind op) {
+  return static_cast<SpanKind>(static_cast<uint16_t>(SpanKind::kRead) +
+                               static_cast<uint16_t>(op));
+}
+
+/// What a span record covers: a Stage or a root SpanKind.
+struct SpanLabel {
+  constexpr SpanLabel(Stage stage) : id{static_cast<uint16_t>(stage)} {}
+  constexpr SpanLabel(SpanKind kind) : id{static_cast<uint16_t>(kind)} {}
+  uint16_t id;
+};
+
+inline const char* SpanName(uint16_t kind) {
+  static constexpr const char* kRoots[] = {
+      "read",        "upsert",      "rmw",        "delete",
+      "batch_chunk", "net_request", "pending_io", "retry_fuzzy"};
+  if (kind < kNumStages) return StageName(static_cast<Stage>(kind));
+  uint32_t root = kind - kNumStages;
+  return root < std::size(kRoots) ? kRoots[root] : "unknown";
 }
 
 /// One completed span, as copied out of the ring.
@@ -92,7 +83,7 @@ struct SpanRecord {
   uint64_t start_ns;
   uint64_t end_ns;
   uint32_t arg;
-  uint16_t kind;  // SpanKind
+  uint16_t kind;  // SpanLabel::id
   uint16_t tid;
 };
 
@@ -145,11 +136,10 @@ class SpanRing {
 
   void Record(uint64_t trace_id, uint64_t span_id, uint64_t parent_id,
               uint64_t start_ns, uint64_t end_ns, uint32_t arg,
-              SpanKind kind) {
+              SpanLabel kind) {
     uint32_t tid = Thread::Id();
     rings_[tid].Push(SpanRecord{trace_id, span_id, parent_id, start_ns, end_ns,
-                                arg, static_cast<uint16_t>(kind),
-                                static_cast<uint16_t>(tid)});
+                                arg, kind.id, static_cast<uint16_t>(tid)});
   }
 
   /// The per-thread rings, read raw by the flight recorder.
@@ -183,36 +173,47 @@ inline std::vector<SpanRecord> SnapshotSpans() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// RAII span scopes (real types; see the Stat* aliases at the bottom).
-// ---------------------------------------------------------------------------
+/// Records a finished segment of the trace `parent` belongs to, as a child
+/// of `parent` (a no-op when `parent` is untraced).
+inline void RecordSpan(TraceContext parent, SpanLabel kind, uint64_t start_ns,
+                       uint64_t end_ns, uint32_t arg = 0) {
+  if (parent.trace_id == 0) return;
+  GlobalSpanRing().Record(parent.trace_id, NewSpanId(), parent.span_id,
+                          start_ns, end_ns, arg, kind);
+}
 
-/// An operation entry span: a sampled *root* when no trace is active on
-/// this thread, a *child* of the ambient span otherwise (so single ops
-/// executed inside a batch fallback attach to the chunk's trace). While
-/// alive, the ambient context points at this span.
-class OpSpan {
+/// RAII span scope (real type; see the StatSpan alias at the bottom). It
+/// opens one of three ways, and while active the ambient context points at
+/// it, so nested work parents under it:
+///  - `Span{SpanKind}` an op's entry: a sampled *root* when no trace is
+///    active on this thread, a *child* of the ambient span otherwise (so
+///    single ops run inside a batch fallback attach to the chunk's trace);
+///  - `Span{Stage}` a child of the ambient span, inert without one: a
+///    stage never starts a trace itself;
+///  - `Span{label, parent}` resumes a context captured on another thread or
+///    earlier (I/O execution, completion processing, fuzzy retries); inert
+///    when the originating op was not sampled.
+class Span {
  public:
-  explicit OpSpan(SpanKind kind, uint32_t arg = 0) : kind_{kind}, arg_{arg} {
-    TraceContext& cur = CurrentTrace();
-    saved_ = cur;
+  explicit Span(SpanKind root, uint32_t arg = 0) : kind_{root}, arg_{arg} {
+    TraceContext cur = CurrentTrace();
     if (cur.trace_id != 0) {
-      trace_id_ = cur.trace_id;
-      parent_id_ = cur.span_id;
-      span_id_ = NewSpanId();
+      Open(cur, NewSpanId());
     } else if (SampleRoot()) {
-      trace_id_ = NewSpanId();
-      parent_id_ = 0;
-      span_id_ = trace_id_;  // convention: a root's span id == trace id
-    } else {
-      return;  // unsampled: no clock read, no ring write
+      uint64_t id = NewSpanId();
+      Open(TraceContext{id, 0}, id);  // a root's span id == its trace id
     }
-    cur.trace_id = trace_id_;
-    cur.span_id = span_id_;
-    start_ns_ = NowNs();
+  }
+  explicit Span(Stage stage, uint32_t arg = 0) : kind_{stage}, arg_{arg} {
+    TraceContext cur = CurrentTrace();
+    if (cur.trace_id != 0) Open(cur, NewSpanId());
+  }
+  Span(SpanLabel kind, TraceContext parent, uint32_t arg = 0)
+      : kind_{kind}, arg_{arg} {
+    if (parent.trace_id != 0) Open(parent, NewSpanId());
   }
 
-  ~OpSpan() {
+  ~Span() {
     if (trace_id_ != 0) {
       GlobalSpanRing().Record(trace_id_, span_id_, parent_id_, start_ns_,
                               NowNs(), arg_, kind_);
@@ -220,8 +221,8 @@ class OpSpan {
     }
   }
 
-  OpSpan(const OpSpan&) = delete;
-  OpSpan& operator=(const OpSpan&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
   bool active() const { return trace_id_ != 0; }
   uint64_t trace_id() const { return trace_id_; }
@@ -236,96 +237,21 @@ class OpSpan {
     return ++tick % every == 0;
   }
 
-  SpanKind kind_;
+  void Open(TraceContext parent, uint64_t span_id) {
+    TraceContext& cur = CurrentTrace();
+    saved_ = cur;
+    trace_id_ = parent.trace_id;
+    parent_id_ = parent.span_id;
+    span_id_ = span_id;
+    cur = TraceContext{trace_id_, span_id_};
+    start_ns_ = NowNs();
+  }
+
+  SpanLabel kind_;
   uint32_t arg_;
   uint64_t trace_id_ = 0;
   uint64_t span_id_ = 0;
   uint64_t parent_id_ = 0;
-  uint64_t start_ns_ = 0;
-  TraceContext saved_;
-};
-
-/// A child span: active only when the calling thread already has an
-/// ambient trace (i.e. the root was sampled). Used for pipeline stages
-/// and other sub-segments that never start a trace themselves.
-class ChildSpan {
- public:
-  explicit ChildSpan(SpanKind kind, uint32_t arg = 0)
-      : kind_{kind}, arg_{arg} {
-    TraceContext& cur = CurrentTrace();
-    if (cur.trace_id == 0) return;
-    saved_ = cur;
-    trace_id_ = cur.trace_id;
-    parent_id_ = cur.span_id;
-    span_id_ = NewSpanId();
-    cur.span_id = span_id_;
-    start_ns_ = NowNs();
-  }
-
-  ~ChildSpan() {
-    if (trace_id_ != 0) {
-      GlobalSpanRing().Record(trace_id_, span_id_, parent_id_, start_ns_,
-                              NowNs(), arg_, kind_);
-      CurrentTrace() = saved_;
-    }
-  }
-
-  ChildSpan(const ChildSpan&) = delete;
-  ChildSpan& operator=(const ChildSpan&) = delete;
-
-  bool active() const { return trace_id_ != 0; }
-  uint64_t trace_id() const { return trace_id_; }
-  uint64_t span_id() const { return span_id_; }
-
- private:
-  SpanKind kind_;
-  uint32_t arg_;
-  uint64_t trace_id_ = 0;
-  uint64_t span_id_ = 0;
-  uint64_t parent_id_ = 0;
-  uint64_t start_ns_ = 0;
-  TraceContext saved_;
-};
-
-/// Re-establishes a trace context captured on another thread (or at an
-/// earlier time) around a continuation: I/O pool execution, completion
-/// processing, fuzzy retries. Inactive when the captured trace id is 0
-/// (the originating operation was not sampled).
-class ResumedSpan {
- public:
-  ResumedSpan(SpanKind kind, uint64_t trace_id, uint64_t parent_id,
-              uint32_t arg = 0)
-      : kind_{kind}, arg_{arg}, trace_id_{trace_id}, parent_id_{parent_id} {
-    if (trace_id_ == 0) return;
-    TraceContext& cur = CurrentTrace();
-    saved_ = cur;
-    span_id_ = NewSpanId();
-    cur.trace_id = trace_id_;
-    cur.span_id = span_id_;
-    start_ns_ = NowNs();
-  }
-
-  ~ResumedSpan() {
-    if (trace_id_ != 0) {
-      GlobalSpanRing().Record(trace_id_, span_id_, parent_id_, start_ns_,
-                              NowNs(), arg_, kind_);
-      CurrentTrace() = saved_;
-    }
-  }
-
-  ResumedSpan(const ResumedSpan&) = delete;
-  ResumedSpan& operator=(const ResumedSpan&) = delete;
-
-  bool active() const { return trace_id_ != 0; }
-  uint64_t trace_id() const { return trace_id_; }
-  uint64_t span_id() const { return span_id_; }
-
- private:
-  SpanKind kind_;
-  uint32_t arg_;
-  uint64_t trace_id_;
-  uint64_t span_id_ = 0;
-  uint64_t parent_id_;
   uint64_t start_ns_ = 0;
   TraceContext saved_;
 };
@@ -354,7 +280,7 @@ inline void WriteChromeTrace(std::ostream& os,
   };
   for (const SpanRecord& s : spans) {
     uint64_t dur = s.end_ns >= s.start_ns ? s.end_ns - s.start_ns : 0;
-    os << ",\n{\"name\":\"" << SpanKindName(static_cast<SpanKind>(s.kind))
+    os << ",\n{\"name\":\"" << SpanName(s.kind)
        << "\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid
        << ",\"ts\":" << us(s.start_ns);
     os << ",\"dur\":" << us(dur);
@@ -371,42 +297,17 @@ inline void WriteChromeTrace(std::ostream& os,
   os << "\n]}\n";
 }
 
-// ---------------------------------------------------------------------------
-// No-op twins and the selected aliases.
-// ---------------------------------------------------------------------------
-
-class NoopOpSpan {
+/// No-op twin for stats-off builds.
+class NoopSpan {
  public:
-  explicit NoopOpSpan(SpanKind, uint32_t = 0) {}
-  bool active() const { return false; }
-  uint64_t trace_id() const { return 0; }
-  uint64_t span_id() const { return 0; }
-};
-
-class NoopChildSpan {
- public:
-  explicit NoopChildSpan(SpanKind, uint32_t = 0) {}
-  bool active() const { return false; }
-  uint64_t trace_id() const { return 0; }
-  uint64_t span_id() const { return 0; }
-};
-
-class NoopResumedSpan {
- public:
-  NoopResumedSpan(SpanKind, uint64_t, uint64_t, uint32_t = 0) {}
-  bool active() const { return false; }
-  uint64_t trace_id() const { return 0; }
-  uint64_t span_id() const { return 0; }
+  template <class... Args>
+  explicit NoopSpan(Args&&...) {}
 };
 
 #if FASTER_STATS_ENABLED
-using StatOpSpan = OpSpan;
-using StatChildSpan = ChildSpan;
-using StatResumedSpan = ResumedSpan;
+using StatSpan = Span;
 #else
-using StatOpSpan = NoopOpSpan;
-using StatChildSpan = NoopChildSpan;
-using StatResumedSpan = NoopResumedSpan;
+using StatSpan = NoopSpan;
 #endif
 
 }  // namespace obs

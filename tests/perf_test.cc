@@ -53,31 +53,31 @@ TEST(PerfScopeTest, StageSumInvariantUnderNesting) {
   // the children) and one to each child.
   uint64_t t0 = g_tick.load(std::memory_order_relaxed);
   {
-    PerfScope outer(PerfStage::kHash);
-    { PerfScope nested(PerfStage::kResolve); }
-    { PerfScope nested(PerfStage::kExecute); }
+    PerfScope outer(Stage::kHash);
+    { PerfScope nested(Stage::kResolve); }
+    { PerfScope nested(Stage::kExecute); }
   }
   uint64_t reads = g_tick.load(std::memory_order_relaxed) - t0;
   ASSERT_EQ(reads, 6u);
 
   PerfAttribution::Snapshot s = GlobalPerf().Take();
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kHash)], 1u);
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kResolve)], 1u);
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kExecute)], 1u);
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kHash)], 1u);
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kResolve)], 1u);
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kExecute)], 1u);
   for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
     uint64_t per_tick = c + 1;
-    EXPECT_EQ(s.counts[static_cast<uint32_t>(PerfStage::kHash)][c],
+    EXPECT_EQ(s.counts[static_cast<uint32_t>(Stage::kHash)][c],
               3 * per_tick)
         << PerfCounterName(c);
-    EXPECT_EQ(s.counts[static_cast<uint32_t>(PerfStage::kResolve)][c],
+    EXPECT_EQ(s.counts[static_cast<uint32_t>(Stage::kResolve)][c],
               per_tick);
-    EXPECT_EQ(s.counts[static_cast<uint32_t>(PerfStage::kExecute)][c],
+    EXPECT_EQ(s.counts[static_cast<uint32_t>(Stage::kExecute)][c],
               per_tick);
     // The invariant: the per-stage sums partition the attributed window
     // (first read to last read) exactly — nothing double-counted, nothing
     // dropped, regardless of nesting.
     uint64_t sum = 0;
-    for (uint32_t st = 0; st < kNumPerfStages; ++st) {
+    for (uint32_t st = 0; st < kNumStages; ++st) {
       sum += s.counts[st][c];
     }
     EXPECT_EQ(sum, (reads - 1) * per_tick) << PerfCounterName(c);
@@ -88,21 +88,21 @@ TEST(PerfScopeTest, DeepNestingStillPartitionsExactly) {
   HookGuard hook;
   uint64_t t0 = g_tick.load(std::memory_order_relaxed);
   {
-    PerfScope a(PerfStage::kExecute);
+    PerfScope a(Stage::kExecute);
     {
-      PerfScope b(PerfStage::kIoQueue);
+      PerfScope b(Stage::kIoQueue);
       {
-        PerfScope c(PerfStage::kIoExec);
-        { PerfScope d(PerfStage::kIoComplete); }
+        PerfScope c(Stage::kIoExec);
+        { PerfScope d(Stage::kIoComplete); }
       }
-      { PerfScope e(PerfStage::kIoPoll); }
+      { PerfScope e(Stage::kIoPoll); }
     }
   }
   uint64_t reads = g_tick.load(std::memory_order_relaxed) - t0;
   PerfAttribution::Snapshot s = GlobalPerf().Take();
   for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
     uint64_t sum = 0;
-    for (uint32_t st = 0; st < kNumPerfStages; ++st) {
+    for (uint32_t st = 0; st < kNumStages; ++st) {
       sum += s.counts[st][c];
     }
     EXPECT_EQ(sum, (reads - 1) * (c + 1)) << PerfCounterName(c);
@@ -117,7 +117,7 @@ TEST(PerfScopeTest, DepthCapTruncatesWithoutCorruption) {
   constexpr uint32_t kMaxDepth = 16;
   uint32_t entered = 0;
   for (uint32_t i = 0; i < kMaxDepth + 3; ++i) {
-    if (PerfScopeEnter(PerfStage::kExecute)) ++entered;
+    if (PerfScopeEnter(Stage::kExecute)) ++entered;
   }
   EXPECT_EQ(entered, kMaxDepth);
   PerfAttribution::Snapshot s = GlobalPerf().Take();
@@ -126,9 +126,9 @@ TEST(PerfScopeTest, DepthCapTruncatesWithoutCorruption) {
   // Balanced again: a fresh scope still attributes (the stack was not
   // corrupted by the dropped frames).
   GlobalPerf().Reset();
-  { PerfScope scope(PerfStage::kHash); }
+  { PerfScope scope(Stage::kHash); }
   s = GlobalPerf().Take();
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kHash)], 1u);
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kHash)], 1u);
 }
 
 TEST(PerfScopeTest, DisarmedScopesCostNothingAndCountNothing) {
@@ -136,10 +136,10 @@ TEST(PerfScopeTest, DisarmedScopesCostNothingAndCountNothing) {
   GlobalPerf().Reset();
   GlobalPerf().Arm(false);
   uint64_t t0 = g_tick.load(std::memory_order_relaxed);
-  { PerfScope scope(PerfStage::kExecute); }
+  { PerfScope scope(Stage::kExecute); }
   EXPECT_EQ(g_tick.load(std::memory_order_relaxed), t0);  // no reads
   PerfAttribution::Snapshot s = GlobalPerf().Take();
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kExecute)], 0u);
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kExecute)], 0u);
   SetPerfReadHookForTest(nullptr);
 }
 
@@ -154,8 +154,8 @@ TEST(PerfScopeTest, UnavailableFallbackCountsScopesAttributesZeros) {
   uint32_t thread_mask = 0xFFFFFFFF;
   std::thread worker([&thread_mask] {
     thread_mask = PerfThreadMask();
-    PerfScope outer(PerfStage::kHash);
-    { PerfScope nested(PerfStage::kExecute); }
+    PerfScope outer(Stage::kHash);
+    { PerfScope nested(Stage::kExecute); }
   });
   worker.join();
   GlobalPerf().Arm(false);
@@ -163,9 +163,9 @@ TEST(PerfScopeTest, UnavailableFallbackCountsScopesAttributesZeros) {
 
   EXPECT_EQ(thread_mask, 0u);
   PerfAttribution::Snapshot s = GlobalPerf().Take();
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kHash)], 1u);
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kExecute)], 1u);
-  for (uint32_t st = 0; st < kNumPerfStages; ++st) {
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kHash)], 1u);
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kExecute)], 1u);
+  for (uint32_t st = 0; st < kNumStages; ++st) {
     for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
       EXPECT_EQ(s.counts[st][c], 0u);
     }
@@ -182,7 +182,7 @@ TEST(PerfScopeTest, RealCountersAttributeCpuTime) {
   std::thread worker([&mask] {
     mask = PerfThreadMask();
     if (mask == 0) return;
-    PerfScope scope(PerfStage::kExecute);
+    PerfScope scope(Stage::kExecute);
     // Burn enough CPU that task-clock (granted whenever perf works at
     // all: it is a software event) must advance.
     volatile uint64_t sink = 0;
@@ -195,8 +195,8 @@ TEST(PerfScopeTest, RealCountersAttributeCpuTime) {
   }
   ASSERT_NE(mask & (1u << kPerfTaskClockNs), 0u);
   PerfAttribution::Snapshot s = GlobalPerf().Take();
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(PerfStage::kExecute)], 1u);
-  EXPECT_GT(s.counts[static_cast<uint32_t>(PerfStage::kExecute)]
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kExecute)], 1u);
+  EXPECT_GT(s.counts[static_cast<uint32_t>(Stage::kExecute)]
                     [kPerfTaskClockNs],
             0u);
   GlobalPerf().Reset();
@@ -278,16 +278,16 @@ TEST(PerfDeriveTest, MetricsGatedOnMask) {
 
 TEST(PerfJsonTest, SnapshotJsonCarriesStagesAndArmedState) {
   HookGuard hook;
-  { PerfScope scope(PerfStage::kCkptFlush); }
+  { PerfScope scope(Stage::kCkptFlush); }
   std::string json = GlobalPerf().Json();
   EXPECT_NE(json.find("\"armed\":true"), std::string::npos);
   EXPECT_NE(json.find("\"ckpt_flush\""), std::string::npos);
   EXPECT_NE(json.find("\"task_clock_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"truncated_scopes\":0"), std::string::npos);
   // Every stage name appears exactly once.
-  for (uint32_t st = 0; st < kNumPerfStages; ++st) {
+  for (uint32_t st = 0; st < kNumStages; ++st) {
     std::string name = "\"";
-    name += PerfStageName(static_cast<PerfStage>(st));
+    name += StageName(static_cast<Stage>(st));
     name += "\"";
     EXPECT_NE(json.find(name), std::string::npos) << name;
   }

@@ -5,33 +5,36 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/faster.h"
 #include "core/functions.h"
+#include "device/file_device.h"
 #include "device/memory_device.h"
 #include "mini_json.h"
+#include "obs/clock.h"
 #include "obs/log.h"
 
 namespace faster {
 namespace {
 
-using obs::kNumSlowStages;
+using obs::kNumOpStages;
 using obs::SlowLog;
 using obs::SlowOpKind;
 
 uint64_t StageSum(const SlowLog::Entry& e) {
   uint64_t sum = 0;
-  for (uint32_t s = 0; s < kNumSlowStages; ++s) sum += e.stage_ns[s];
+  for (uint32_t s = 0; s < kNumOpStages; ++s) sum += e.stage_ns[s];
   return sum;
 }
 
 /// Records one entry with total_ns spread across the execute stage.
 void Record(SlowLog& log, uint64_t total_ns,
             SlowOpKind kind = SlowOpKind::kRead, uint64_t key_hash = 0) {
-  uint64_t stages[kNumSlowStages] = {0, 0, total_ns, 0, 0, 0};
+  uint64_t stages[kNumOpStages] = {0, 0, total_ns, 0, 0, 0};
   log.MaybeRecord(kind, key_hash, total_ns, stages, /*pending=*/false,
                   /*tid=*/1);
 }
@@ -122,14 +125,14 @@ TEST(SlowLogTest, ResetHidesEntriesButIdsKeepGrowing) {
 // ---------------------------------------------------------------------------
 
 TEST(SlowLogTest, SyncScopeStagesSumToTotal) {
-  // SlowOpScope writes through the global slowlog; arm it for the test
+  // An op's clock writes through the global slowlog; arm it for the test
   // and restore the disabled default after.
   obs::SlowLog& global = obs::GlobalSlowLog();
   global.Reset();
   global.set_threshold_ns(0);
   {
-    obs::SlowOpScope scope{SlowOpKind::kRmw};
-    scope.set_key_hash(0xabcdef);
+    obs::OpClock clock{SlowOpKind::kRmw, 0xabcdef};
+    clock.Finish();
   }
   global.set_threshold_ns(SlowLog::kDisabled);
   std::vector<SlowLog::Entry> entries = global.Snapshot(1);
@@ -140,10 +143,10 @@ TEST(SlowLogTest, SyncScopeStagesSumToTotal) {
   EXPECT_FALSE(e.pending);
   EXPECT_EQ(StageSum(e), e.total_ns);
   // A sync op has no I/O stages.
-  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::SlowStage::kIoQueue)], 0u);
-  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::SlowStage::kIoExec)], 0u);
+  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::Stage::kIoQueue)], 0u);
+  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::Stage::kIoExec)], 0u);
   EXPECT_EQ(
-      e.stage_ns[static_cast<uint32_t>(obs::SlowStage::kIoComplete)], 0u);
+      e.stage_ns[static_cast<uint32_t>(obs::Stage::kIoComplete)], 0u);
 }
 
 TEST(SlowLogTest, PendingCaptureAndRecordPartitionTheWindow) {
@@ -151,35 +154,23 @@ TEST(SlowLogTest, PendingCaptureAndRecordPartitionTheWindow) {
   global.Reset();
   global.set_threshold_ns(0);
 
-  // An op starts synchronously (ambient state), goes pending
-  // (CaptureSlowOp), sees one I/O completion, and finishes on the owner
-  // (RecordSlowPending). The recorded stages must partition the window.
-  obs::SlowOpState state;
-  state.kind = SlowOpKind::kRead;
-  state.key_hash = 77;
-  state.start_ns = obs::NowNs();
-  state.hash_ns = 120;     // amortized batch shares
-  state.resolve_ns = 80;
-  obs::CurrentSlowOp() = &state;
+  // A batch op's clock splits off its chunk's (stage 1 and 2 shares),
+  // executes, goes pending, is picked up by an executor, calls back, and
+  // finishes on the owner. The recorded stages must partition the window.
+  uint64_t chunk_start = obs::NowNs() - 10000;
+  obs::OpClock chunk{obs::Stage::kHash, chunk_start};
+  chunk.Mark(obs::Stage::kResolve, chunk_start + 120);
+  chunk.Mark(obs::Stage::kExecute, chunk_start + 200);
+  obs::OpClock clock = chunk.ForOp(SlowOpKind::kRead, 77, /*ops=*/1);
 
-  obs::PendingSlowOp slow;
-  obs::CaptureSlowOp(&slow);
-  obs::CurrentSlowOp() = nullptr;
-  EXPECT_TRUE(state.transferred);
-  ASSERT_NE(slow.start_ns, 0u);
-  EXPECT_EQ(slow.hash_ns, 120u);
-  EXPECT_EQ(slow.resolve_ns, 80u);
-
-  // I/O callback: harvest pool timing, restart the owner-wait window.
-  slow.io_queue_ns = 300;
-  slow.io_exec_ns = 500;
-  uint64_t callback_at = obs::NowNs();
-  slow.io_complete_ns += callback_at - slow.callback_ns;
-  slow.callback_ns = callback_at;
-
-  obs::RecordSlowPending(&slow, obs::NowNs());
+  // Marks on the far side of the hop, in the future of every clock read
+  // above: the op went pending at `issue`.
+  uint64_t issue = obs::NowNs() + 1000000;
+  clock.Mark(obs::Stage::kIoQueue, issue);
+  clock.Mark(obs::Stage::kIoExec, issue + 300);      // executor pickup
+  clock.Mark(obs::Stage::kIoComplete, issue + 800);  // callback
+  clock.Finish(issue + 1000);
   global.set_threshold_ns(SlowLog::kDisabled);
-  EXPECT_EQ(slow.start_ns, 0u);  // consumed
 
   std::vector<SlowLog::Entry> entries = global.Snapshot(1);
   ASSERT_EQ(entries.size(), 1u);
@@ -188,41 +179,71 @@ TEST(SlowLogTest, PendingCaptureAndRecordPartitionTheWindow) {
   EXPECT_EQ(e.kind, SlowOpKind::kRead);
   EXPECT_EQ(e.key_hash, 77u);
   EXPECT_EQ(StageSum(e), e.total_ns);
-  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::SlowStage::kHash)], 120u);
+  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::Stage::kHash)], 120u);
   EXPECT_EQ(
-      e.stage_ns[static_cast<uint32_t>(obs::SlowStage::kResolve)], 80u);
+      e.stage_ns[static_cast<uint32_t>(obs::Stage::kResolve)], 80u);
   EXPECT_EQ(
-      e.stage_ns[static_cast<uint32_t>(obs::SlowStage::kIoQueue)], 300u);
-  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::SlowStage::kIoExec)], 500u);
+      e.stage_ns[static_cast<uint32_t>(obs::Stage::kIoQueue)], 300u);
+  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::Stage::kIoExec)], 500u);
 }
 
-TEST(SlowLogTest, RecordSlowPendingIgnoresUntrackedContexts) {
+TEST(SlowLogTest, UntimedClockRecordsNothing) {
   obs::SlowLog& global = obs::GlobalSlowLog();
+  obs::OpClock clock{SlowOpKind::kRead, 1};  // slowlog disarmed at start
   global.Reset();
   global.set_threshold_ns(0);
-  obs::PendingSlowOp slow;  // start_ns == 0: slowlog was disarmed at issue
-  obs::RecordSlowPending(&slow, obs::NowNs());
+  clock.Finish(obs::NowNs());
   global.set_threshold_ns(SlowLog::kDisabled);
   EXPECT_EQ(global.Len(), 0u);
+}
+
+/// Reads keys [first, first+count) through Read or ReadBatch, counts the
+/// ops that went pending, and completes them.
+template <class Store>
+Status ReadKeys(Store& store, bool batch, uint64_t first, uint64_t count,
+                std::vector<uint64_t>* outs, uint64_t* pending) {
+  std::vector<uint64_t> keys(count), inputs(count, 0);
+  std::vector<Status> statuses(count);
+  outs->assign(count, 0);
+  for (uint64_t k = 0; k < count; ++k) keys[k] = first + k;
+  if (batch) {
+    store.ReadBatch(keys.data(), inputs.data(), outs->data(),
+                    statuses.data(), count);
+  } else {
+    for (uint64_t k = 0; k < count; ++k) {
+      statuses[k] = store.Read(keys[k], 0, &(*outs)[k]);
+    }
+  }
+  for (Status s : statuses) {
+    if (s == Status::kPending) ++*pending;
+  }
+  return store.CompletePending(/*wait=*/true) ? Status::kOk
+                                               : Status::kPending;
 }
 
 // Store-level: with a zero threshold every operation lands in the
 // slowlog, including ops that cross the async I/O boundary, and stage
 // sums reconstruct each reported total exactly. Instrumented call sites
 // compile away without FASTER_STATS, so this only runs in stats builds.
-// Shared by the thread-pool and polling I/O-path variants below: the
+// Shared by the thread-pool, polling and io_uring variants below, each
+// through both entry points (single-op Read and ReadBatch): the
 // partition invariant must hold regardless of which thread executes the
-// I/O and delivers the callback (DESIGN.md §13).
-void RunStoreStageSumCheck(MemoryDevice& device) {
+// I/O and delivers the callback (DESIGN.md §12.2). Then, with every op
+// traced, a few more cold reads must each carry their I/O stages as spans
+// (few, so every trace's spans fit the per-thread span rings).
+void RunStoreStageSumCheck(IDevice& device, bool batch, bool uring) {
   obs::SlowLog& global = obs::GlobalSlowLog();
   global.Reset();
   global.set_threshold_ns(0);
+  uint32_t saved_sampling = obs::SpanSampleEvery();
+  obs::SetSpanSampleEvery(0);  // don't trace the fill phase
 
   using Store = FasterKv<CountStoreFunctions>;
   Store::Config cfg;
   cfg.table_size = 2048;
   cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;
   cfg.log.mutable_fraction = 0.5;
+  uint64_t first_span_id = 0;
   {
     Store store{cfg, &device};
     store.StartSession();
@@ -231,13 +252,13 @@ void RunStoreStageSumCheck(MemoryDevice& device) {
       ASSERT_EQ(store.Upsert(k, k + 3), Status::kOk);
     }
     uint64_t pending = 0;
-    std::vector<uint64_t> outs(64, 0);
-    for (uint64_t k = 0; k < 64; ++k) {
-      Status s = store.Read(k, 0, &outs[k]);
-      if (s == Status::kPending) ++pending;
-    }
-    ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+    std::vector<uint64_t> outs;
+    ASSERT_EQ(ReadKeys(store, batch, 0, 64, &outs, &pending), Status::kOk);
     EXPECT_GT(pending, 0u) << "cold reads should cross the I/O boundary";
+    first_span_id = obs::NewSpanId();
+    obs::SetSpanSampleEvery(1);
+    ASSERT_EQ(ReadKeys(store, batch, 64, 8, &outs, &pending), Status::kOk);
+    obs::SetSpanSampleEvery(saved_sampling);
     store.StopSession();
   }
   global.set_threshold_ns(SlowLog::kDisabled);
@@ -251,14 +272,40 @@ void RunStoreStageSumCheck(MemoryDevice& device) {
   }
   EXPECT_GT(pending_entries, 0u);
   EXPECT_TRUE(MiniJson::Valid(obs::GlobalSlowLog().Json()));
+
+  // Spans of the traced reads, by trace: the kinds seen (bit 63: the
+  // root).
+  auto bit = [](obs::SpanLabel kind) { return uint64_t{1} << kind.id; };
+  std::map<uint64_t, uint64_t> kinds;
+  for (const obs::SpanRecord& s : obs::SnapshotSpans()) {
+    if (s.trace_id <= first_span_id) continue;
+    kinds[s.trace_id] |= uint64_t{1} << s.kind;
+    if (s.span_id == s.trace_id) kinds[s.trace_id] |= uint64_t{1} << 63;
+  }
+  uint64_t traced_pending = 0;
+  for (const auto& [trace, seen] : kinds) {
+    if ((seen >> 63) == 0 || (seen & bit(obs::SpanKind::kPendingIo)) == 0) {
+      continue;
+    }
+    ++traced_pending;
+    EXPECT_NE(seen & bit(obs::Stage::kIoExec), 0u) << "trace " << trace;
+    EXPECT_NE(seen & bit(obs::Stage::kIoComplete), 0u) << "trace " << trace;
+    if (!uring) {
+      EXPECT_NE(seen & bit(obs::Stage::kIoQueue), 0u) << "trace " << trace;
+    }
+  }
+  EXPECT_GT(traced_pending, 0u);
 }
 
 TEST(SlowLogTest, StoreOpsRecordWithExactStageSums) {
   if (!obs::kStatsEnabled) {
     GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
   }
-  MemoryDevice device;
-  RunStoreStageSumCheck(device);
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "ReadBatch" : "Read");
+    MemoryDevice device;
+    RunStoreStageSumCheck(device, batch, /*uring=*/false);
+  }
 }
 
 // Same invariant on the completion-polling path: io_exec/io_complete are
@@ -268,8 +315,99 @@ TEST(SlowLogTest, PollingPathStageSumsStillPartitionTotal) {
   if (!obs::kStatsEnabled) {
     GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
   }
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
-  RunStoreStageSumCheck(device);
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "ReadBatch" : "Read");
+    MemoryDevice device{0, 0, IoPathMode::kPolling};
+    RunStoreStageSumCheck(device, batch, /*uring=*/false);
+  }
+}
+
+// And on io_uring, where the kernel executes the read between submit and
+// reap (no io_queue wait of its own) and callbacks run on the reaper.
+TEST(SlowLogTest, UringPathStageSumsStillPartitionTotal) {
+  if (!obs::kStatsEnabled) {
+    GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
+  }
+  std::string path = ::testing::TempDir() + "/slowlog_test_uring.log";
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "ReadBatch" : "Read");
+    std::remove(path.c_str());
+    FileDevice device{path, 0, IoPathMode::kUring};
+    if (device.mode() != IoPathMode::kUring) {
+      std::remove(path.c_str());
+      GTEST_SKIP() << "io_uring unavailable (build stub or kernel probe "
+                      "failed); kUring degraded to kPolling as designed";
+    }
+    RunStoreStageSumCheck(device, batch, /*uring=*/true);
+  }
+  std::remove(path.c_str());
+}
+
+/// Count-store functions whose in-place RMW spins for kSpinNs: a slow
+/// op that keeps the rest of its batch chunk waiting.
+struct SpinRmwFunctions : CountStoreFunctions {
+  static constexpr uint64_t kSpinNs = 300000;
+  static void InPlaceUpdater(const Key& key, const Input& input,
+                             Value& value) {
+    uint64_t until = obs::NowNs() + kSpinNs;
+    while (obs::NowNs() < until) {
+    }
+    CountStoreFunctions::InPlaceUpdater(key, input, value);
+  }
+};
+
+// A batch op that goes pending waits in its chunk until stage 3 submits
+// the chunk's reads as one group: that wait is its io_queue time, so its
+// total must cover the slow ops that ran after it in the chunk.
+TEST(SlowLogTest, BatchPendingTotalCoversChunkSubmitWait) {
+  if (!obs::kStatsEnabled) {
+    GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
+  }
+  using Store = FasterKv<SpinRmwFunctions>;
+  Store::Config cfg;
+  cfg.table_size = 2048;
+  cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;
+  cfg.log.mutable_fraction = 0.5;
+  MemoryDevice device;
+  Store store{cfg, &device};
+  store.StartSession();
+  constexpr uint64_t kKeys = 400000;  // >> 2 pages: key 0 spills
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(store.Upsert(k, k), Status::kOk);
+  }
+  // Op 0 reads a cold key; ops 1..31 RMW the newest (mutable) keys in
+  // place, spinning each.
+  constexpr size_t kOps = 32;
+  Store::BatchOp ops[kOps];
+  uint64_t out = 0;
+  ops[0].kind = Store::BatchOp::Kind::kRead;
+  ops[0].key = 0;
+  ops[0].output = &out;
+  for (size_t i = 1; i < kOps; ++i) {
+    ops[i].kind = Store::BatchOp::Kind::kRmw;
+    ops[i].key = kKeys - i;
+    ops[i].input = 1;
+  }
+  obs::SlowLog& global = obs::GlobalSlowLog();
+  global.Reset();
+  global.set_threshold_ns(0);
+  store.ExecuteBatch(ops, kOps);
+  ASSERT_EQ(ops[0].status, Status::kPending);
+  for (size_t i = 1; i < kOps; ++i) EXPECT_EQ(ops[i].status, Status::kOk);
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  global.set_threshold_ns(SlowLog::kDisabled);
+  store.StopSession();
+  EXPECT_EQ(out, 0u);
+
+  uint64_t pending_reads = 0;
+  for (const SlowLog::Entry& e : global.Snapshot()) {
+    if (!e.pending) continue;
+    ++pending_reads;
+    EXPECT_EQ(e.kind, SlowOpKind::kRead);
+    EXPECT_EQ(StageSum(e), e.total_ns);
+    EXPECT_GE(e.total_ns, (kOps - 1) * SpinRmwFunctions::kSpinNs);
+  }
+  EXPECT_EQ(pending_reads, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +425,7 @@ TEST(SlowLogTest, ConcurrentWritersAndReadersAreClean) {
   for (uint32_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&log, w] {
       for (uint64_t i = 0; i < kPerWriter; ++i) {
-        uint64_t stages[kNumSlowStages] = {i, i, i, 0, 0, 0};
+        uint64_t stages[kNumOpStages] = {i, i, i, 0, 0, 0};
         log.MaybeRecord(SlowOpKind::kUpsert, (uint64_t{w} << 32) | i,
                         3 * i, stages, /*pending=*/false, w);
       }

@@ -8,12 +8,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/faster.h"
 #include "core/functions.h"
 #include "device/memory_device.h"
 #include "mini_json.h"
+#include "obs/clock.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -248,6 +250,12 @@ TEST(StatsNoopTest, NoopTypesAreInert) {
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_NE(reg.Text().find("compiled out"), std::string::npos);
   EXPECT_EQ(reg.Json(), "{}");
+  // The clock a PendingContext embeds and the stamp every IoOp, IoJob and
+  // IoCompletion embeds cost no bytes without stats.
+  if (!obs::kStatsEnabled) {
+    EXPECT_TRUE(std::is_empty_v<obs::StatOpClock>);
+    EXPECT_TRUE(std::is_empty_v<obs::StatIoStamp>);
+  }
 }
 
 TEST(StatsTraceTest, EventRingRecordsAndSorts) {
@@ -306,11 +314,11 @@ std::vector<obs::SpanRecord> SpansOfTrace(uint64_t trace_id) {
   return out;
 }
 
-uint16_t K(obs::SpanKind k) { return static_cast<uint16_t>(k); }
+uint16_t K(obs::SpanLabel k) { return k.id; }
 
 TEST(SpanRingTest, RecordSnapshotSortedByStart) {
   obs::SpanRing ring;
-  ring.Record(7, 2, 1, 300, 400, 9, obs::SpanKind::kIoExec);
+  ring.Record(7, 2, 1, 300, 400, 9, obs::Stage::kIoExec);
   ring.Record(7, 1, 0, 100, 500, 0, obs::SpanKind::kRead);
   ring.Record(8, 3, 0, 200, 250, 0, obs::SpanKind::kUpsert);
   auto spans = ring.Snapshot();
@@ -385,7 +393,7 @@ TEST(SpanScopeTest, SampledRootEstablishesAmbientContext) {
   SpanSampleGuard guard{1};
   uint64_t trace_id = 0;
   {
-    obs::OpSpan span{obs::SpanKind::kRead};
+    obs::Span span{obs::SpanKind::kRead};
     ASSERT_TRUE(span.active());
     trace_id = span.trace_id();
     // Convention: a root's span id == its trace id, parent 0.
@@ -405,10 +413,10 @@ TEST(SpanScopeTest, NestedOpSpanAttachesAsChild) {
   SpanSampleGuard guard{1};
   uint64_t trace_id = 0, root_id = 0, child_id = 0;
   {
-    obs::OpSpan root{obs::SpanKind::kBatchChunk, 3};
+    obs::Span root{obs::SpanKind::kBatchChunk, 3};
     trace_id = root.trace_id();
     root_id = root.span_id();
-    obs::OpSpan child{obs::SpanKind::kUpsert};
+    obs::Span child{obs::SpanKind::kUpsert};
     ASSERT_TRUE(child.active());
     EXPECT_EQ(child.trace_id(), trace_id);  // no new trace started
     child_id = child.span_id();
@@ -428,7 +436,7 @@ TEST(SpanScopeTest, NestedOpSpanAttachesAsChild) {
 
 TEST(SpanScopeTest, ChildSpanInactiveWithoutAmbientTrace) {
   ASSERT_EQ(obs::CurrentTrace().trace_id, 0u);
-  obs::ChildSpan stage{obs::SpanKind::kBatchHash};
+  obs::Span stage{obs::Stage::kHash};
   EXPECT_FALSE(stage.active());  // never starts a trace on its own
 }
 
@@ -436,11 +444,11 @@ TEST(SpanScopeTest, ChildSpanParentedUnderAmbient) {
   SpanSampleGuard guard{1};
   uint64_t trace_id = 0, root_id = 0, stage_id = 0;
   {
-    obs::OpSpan root{obs::SpanKind::kBatchChunk};
+    obs::Span root{obs::SpanKind::kBatchChunk};
     trace_id = root.trace_id();
     root_id = root.span_id();
     {
-      obs::ChildSpan stage{obs::SpanKind::kBatchHash};
+      obs::Span stage{obs::Stage::kHash};
       ASSERT_TRUE(stage.active());
       stage_id = stage.span_id();
       // Work nested inside the stage parents under the stage.
@@ -463,14 +471,13 @@ TEST(SpanScopeTest, ResumedSpanContinuesTraceOnAnotherThread) {
   uint64_t trace_id = 0;
   uint16_t root_tid = 0;
   {
-    obs::OpSpan root{obs::SpanKind::kRead};
+    obs::Span root{obs::SpanKind::kRead};
     trace_id = root.trace_id();
     captured = obs::CurrentTrace();  // what the store copies into contexts
   }
   root_tid = static_cast<uint16_t>(Thread::Id());
   std::thread worker([&captured] {
-    obs::ResumedSpan span{obs::SpanKind::kIoExec, captured.trace_id,
-                          captured.span_id};
+    obs::Span span{obs::Stage::kIoExec, captured};
     EXPECT_TRUE(span.active());
     EXPECT_EQ(obs::CurrentTrace().trace_id, captured.trace_id);
   });
@@ -479,7 +486,7 @@ TEST(SpanScopeTest, ResumedSpanContinuesTraceOnAnotherThread) {
   ASSERT_EQ(spans.size(), 2u);
   bool saw_resumed = false;
   for (const auto& s : spans) {
-    if (s.kind == K(obs::SpanKind::kIoExec)) {
+    if (s.kind == K(obs::Stage::kIoExec)) {
       saw_resumed = true;
       EXPECT_EQ(s.parent_id, captured.span_id);
       EXPECT_NE(s.tid, root_tid);  // recorded on the worker's shard
@@ -489,14 +496,14 @@ TEST(SpanScopeTest, ResumedSpanContinuesTraceOnAnotherThread) {
 }
 
 TEST(SpanScopeTest, ResumedSpanInertForUnsampledTrace) {
-  obs::ResumedSpan span{obs::SpanKind::kIoComplete, 0, 0};
+  obs::Span span{obs::Stage::kIoComplete, obs::TraceContext{}};
   EXPECT_FALSE(span.active());
   EXPECT_EQ(obs::CurrentTrace().trace_id, 0u);
 }
 
 TEST(SpanScopeTest, SamplingZeroDisablesRecording) {
   SpanSampleGuard guard{0};
-  obs::OpSpan span{obs::SpanKind::kRead};
+  obs::Span span{obs::SpanKind::kRead};
   EXPECT_FALSE(span.active());
   EXPECT_EQ(obs::CurrentTrace().trace_id, 0u);
 }
@@ -508,7 +515,7 @@ TEST(SpanScopeTest, OneInNSampling) {
   // deterministic: ops 4 and 8 out of 8 start traces.
   std::thread t([&sampled] {
     for (int i = 0; i < 8; ++i) {
-      obs::OpSpan span{obs::SpanKind::kRead};
+      obs::Span span{obs::SpanKind::kRead};
       if (span.active()) ++sampled;
     }
   });
@@ -634,7 +641,7 @@ TEST(SpanStoreTest, TraceCrossesPendingIoBoundary) {
       EXPECT_EQ(s.parent_id, root->span_id);
       EXPECT_GE(s.end_ns, s.start_ns);
     }
-    if (s.kind == K(obs::SpanKind::kIoComplete)) {
+    if (s.kind == K(obs::Stage::kIoComplete)) {
       saw_complete = true;
       EXPECT_EQ(s.parent_id, root->span_id);
     }
@@ -682,15 +689,15 @@ TEST(SpanStoreTest, BatchStagesParentUnderChunkSpan) {
   uint32_t hash_stages = 0, resolve_stages = 0, execute_stages = 0;
   for (const auto& s : all) {
     if (s.trace_id != chunk->trace_id || s.span_id == chunk->span_id) continue;
-    if (s.kind == K(obs::SpanKind::kBatchHash)) {
+    if (s.kind == K(obs::Stage::kHash)) {
       ++hash_stages;
       EXPECT_EQ(s.parent_id, chunk->span_id);
     }
-    if (s.kind == K(obs::SpanKind::kBatchResolve)) {
+    if (s.kind == K(obs::Stage::kResolve)) {
       ++resolve_stages;
       EXPECT_EQ(s.parent_id, chunk->span_id);
     }
-    if (s.kind == K(obs::SpanKind::kBatchExecute)) {
+    if (s.kind == K(obs::Stage::kExecute)) {
       ++execute_stages;
       EXPECT_EQ(s.parent_id, chunk->span_id);
     }

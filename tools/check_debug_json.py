@@ -3,8 +3,8 @@
 
 Usage: check_debug_json.py ENDPOINT [FILE]     (stdin when no file)
 
-ENDPOINT is one of: slowlog, index, log, epochs, connections — matching
-the exporter route the body was scraped from (/debug/<ENDPOINT>).
+ENDPOINT is one of: slowlog, index, log, epochs, connections, perf —
+matching the exporter route the body was scraped from (/debug/<ENDPOINT>).
 
 Beyond "is it JSON", this asserts the shape and the internal invariants
 each inspector promises (DESIGN.md §12):
@@ -21,6 +21,9 @@ each inspector promises (DESIGN.md §12):
                safe_epoch <= current_epoch, protected_threads ==
                len(threads)
   connections  open == len(connections); counters are non-negative
+  perf         the stage keys are exactly the obs::Stage name table, in
+               order; every stage's scopes and counters are unsigned
+               integers; counters_available names known counters
 
 Exit status 0 when the body validates, 1 otherwise (message on stderr).
 Used by the CI networked lane on live scrapes; the stress exporter test
@@ -30,8 +33,15 @@ exercises the same endpoints in-process.
 import json
 import sys
 
-SLOW_STAGES = ("hash", "resolve", "execute", "io_queue", "io_exec",
-               "io_complete")
+# obs::Stage's name table (src/obs/stage.h); the slowlog reports the
+# first six.
+STAGES = ("hash", "resolve", "execute", "io_queue", "io_exec",
+          "io_complete", "ckpt_index", "ckpt_flush", "io_poll", "net_parse",
+          "net_flush")
+SLOW_STAGES = STAGES[:6]
+PERF_COUNTERS = ("task_clock_ns", "ctx_switches", "cycles", "instructions",
+                 "cache_refs", "cache_misses", "branch_misses",
+                 "dtlb_misses")
 
 
 class CheckError(Exception):
@@ -172,12 +182,31 @@ def check_connections(doc):
         need_u64(c, "commands")
 
 
+def check_perf(doc):
+    need(doc, "armed", bool)
+    need_u64(doc, "truncated_scopes")
+    for name in need(doc, "counters_available", list):
+        if name not in PERF_COUNTERS:
+            raise CheckError(f"unknown counter {name!r}")
+    stages = need(doc, "stages", dict)
+    if tuple(stages) != STAGES:
+        raise CheckError(f"stage keys {list(stages)} != {list(STAGES)}")
+    for name, stage in stages.items():
+        if not isinstance(stage, dict):
+            raise CheckError(f"stages[{name!r}] is not an object")
+        if tuple(stage) != ("scopes",) + PERF_COUNTERS:
+            raise CheckError(f"stages[{name!r}] keys {list(stage)}")
+        for key in stage:
+            need_u64(stage, key)
+
+
 CHECKERS = {
     "slowlog": check_slowlog,
     "index": check_index,
     "log": check_log,
     "epochs": check_epochs,
     "connections": check_connections,
+    "perf": check_perf,
 }
 
 
