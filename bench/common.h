@@ -20,6 +20,7 @@
 #include "core/functions.h"
 #include "device/memory_device.h"
 #include "obs/build_info.h"
+#include "obs/flight_recorder.h"
 #include "obs/perf.h"
 #include "workload/ycsb.h"
 

@@ -41,6 +41,7 @@
 #include "obs/profiler.h"
 #include "obs/slowlog.h"
 #include "obs/stats.h"
+#include "obs/store_view.h"
 
 namespace {
 
@@ -199,9 +200,10 @@ int main(int argc, char** argv) {
   if (o.export_port != 0) {
     faster::obs::ExporterOptions eo;
     eo.port = o.export_port;
-    auto collect = [&server] {
+    const faster::obs::StoreView view = server.store().view();
+    auto collect = [&server, view] {
       faster::obs::StatRegistry reg;
-      server.store().CollectStats(reg);
+      faster::obs::CollectStats(view, reg);
       server.CollectStats(reg);
       return reg;
     };
@@ -216,11 +218,11 @@ int main(int argc, char** argv) {
         .AddRoute("/debug/slowlog",
                   [] { return faster::obs::GlobalSlowLog().Json(); })
         .AddRoute("/debug/index",
-                  [&server] { return server.store().DebugIndexJson(); })
+                  [view] { return faster::obs::DebugIndexJson(view); })
         .AddRoute("/debug/log",
-                  [&server] { return server.store().DebugLogJson(); })
+                  [view] { return faster::obs::DebugLogJson(view); })
         .AddRoute("/debug/epochs",
-                  [&server] { return server.store().DebugEpochsJson(); })
+                  [view] { return faster::obs::DebugEpochsJson(view); })
         .AddRoute("/debug/connections",
                   [&server] { return server.DebugConnectionsJson(); })
         .AddRoute("/debug/perf",

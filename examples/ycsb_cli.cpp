@@ -44,6 +44,7 @@
 #include "obs/exporter.h"
 #include "obs/perf.h"
 #include "obs/profiler.h"
+#include "obs/store_view.h"
 #include "workload/ycsb.h"
 
 using namespace faster;
@@ -257,7 +258,7 @@ int main(int argc, char** argv) {
   FasterKv<CountStoreFunctions> store{cfg, &device};
   // Arm the crash black box: any fatal signal or FASTER_EPOCH_CHECK abort
   // from here on dumps recent events, spans, metrics, and the epoch table.
-  store.AttachFlightRecorder();
+  obs::FlightAttachment flight = obs::AttachFlightRecorder(store.view());
 
   if (o.trace_sample > 0) {
     if (!obs::kStatsEnabled) {
@@ -289,8 +290,10 @@ int main(int argc, char** argv) {
     eo.port = o.export_port;
     exporter = std::make_unique<obs::MetricsExporter>(
         eo, obs::MetricsExporter::Handlers{
-                [&store] { return store.DumpPrometheus(); },
-                [&store] { return store.DumpStats(/*json=*/true); }});
+                [&store] { return obs::DumpPrometheus(store.view()); },
+                [&store] {
+                  return obs::DumpStats(store.view(), /*json=*/true);
+                }});
     if (!exporter->ok()) {
       std::fprintf(stderr, "error: could not bind exporter to port %u\n",
                    static_cast<unsigned>(o.export_port));
@@ -332,7 +335,7 @@ int main(int argc, char** argv) {
         if (now < start + tick * interval) continue;
         double elapsed = std::chrono::duration<double>(now - start).count();
         std::printf("--- stats @ %.1fs ---\n%s", elapsed,
-                    store.DumpStats().c_str());
+                    obs::DumpStats(store.view()).c_str());
         std::fflush(stdout);
         // Schedule every dump against the absolute start time so the time
         // spent formatting a dump never accumulates into drift; when a dump
@@ -417,7 +420,7 @@ int main(int argc, char** argv) {
   if (o.perf) PrintPerfTable();
   if (o.stats) {
     std::printf("--- final stats ---\n%s",
-                store.DumpStats(o.stats_json).c_str());
+                obs::DumpStats(store.view(), o.stats_json).c_str());
   }
   if (!o.trace_file.empty()) {
     if (!obs::kStatsEnabled) {
@@ -430,7 +433,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot open %s\n", o.trace_file.c_str());
       return 1;
     }
-    store.DumpTrace(out);
+    obs::DumpTrace(store.view(), out);
     std::printf("trace:          %s (Chrome trace-event JSON; open in "
                 "Perfetto or run tools/trace2perfetto.py)\n",
                 o.trace_file.c_str());

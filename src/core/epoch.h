@@ -140,16 +140,6 @@ class LightEpoch {
     uint64_t serial_;
   };
 
-  /// Number of thread slots currently holding epoch protection (relaxed
-  /// scan of the epoch table; diagnostics only).
-  uint32_t NumProtectedThreads() const {
-    uint32_t n = 0;
-    for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
-      if (LocalEpochOf(tid) != kUnprotected) ++n;
-    }
-    return n;
-  }
-
   /// Number of drain-list actions currently outstanding (for tests).
   uint32_t NumOutstandingActions() const {
     return drain_count_.load(std::memory_order_acquire);

@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,9 +29,8 @@
 #include "core/thread.h"
 #include "device/device.h"
 #include "obs/clock.h"
-#include "obs/flight_recorder.h"
-#include "obs/log.h"
 #include "obs/stats.h"
+#include "obs/store_view.h"
 #include "obs/trace.h"
 
 namespace faster {
@@ -116,7 +114,6 @@ class FasterKv {
   }
 
   ~FasterKv() {
-    if (flight_attached_) obs::FlightRecorder::Instance().Detach(this);
     // Outstanding epoch trigger actions (page flush/close, safe-read-only
     // propagation) reference the log and index; run them before members
     // are destroyed. All sessions must have stopped by now.
@@ -306,7 +303,8 @@ class FasterKv {
       hlog_.device()->Poll();
       ProcessRetries(ts);
       ProcessCompletions(ts);
-      bool done = ts.outstanding_ios == 0 && ts.retries.empty();
+      bool done =
+          ts.counters.Get(Ctr::kPendingIos) == 0 && ts.retries.empty();
       if (done || !wait) return done;
       epoch_.Refresh();
       std::this_thread::yield();
@@ -326,10 +324,8 @@ class FasterKv {
     assert(epoch_.IsProtected());
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    obs_stats_.checkpoints.Inc();
+    thread_states_[Thread::Id()].counters.Add(Ctr::kCheckpoints);
     trace_.Emit(obs::Ev::kCheckpointBegin);
-    uint64_t t0 = 0;
-    if constexpr (obs::kStatsEnabled) t0 = obs::NowNs();
     Address t1 = hlog_.tail_address();
     int fd = ::open((dir + "/index.dat").c_str(),
                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -363,26 +359,21 @@ class FasterKv {
     }
     Status s;
     {
+      obs::StatTimer timer{Hist(obs::StoreHistogram::kCheckpointIndexNs)};
       obs::StageScope stage{obs::Stage::kCkptIndex};
       s = index_.WriteCheckpoint(fd, transform);
     }
     ::close(fd);
-    if constexpr (obs::kStatsEnabled) {
-      obs_stats_.checkpoint_index_ns.Record(obs::NowNs() - t0);
-    }
     if (s != Status::kOk) {
       trace_.Emit(obs::Ev::kCheckpointEnd, 1);
       return s;
     }
     Address t2 = hlog_.tail_address();
     // Flush the log through t2 (and beyond, to the current tail).
-    if constexpr (obs::kStatsEnabled) t0 = obs::NowNs();
     {
+      obs::StatTimer timer{Hist(obs::StoreHistogram::kCheckpointFlushNs)};
       obs::StageScope stage{obs::Stage::kCkptFlush};
       hlog_.ShiftReadOnlyToTail(/*wait=*/true);
-    }
-    if constexpr (obs::kStatsEnabled) {
-      obs_stats_.checkpoint_flush_ns.Record(obs::NowNs() - t0);
     }
     if (hlog_.io_error()) {
       trace_.Emit(obs::Ev::kCheckpointEnd, 1);
@@ -598,326 +589,24 @@ class FasterKv {
   }
 
   // -------------------------------------------------------------------
-  // Introspection.
+  // Introspection. Stats, Prometheus, trace and /debug rendering live in
+  // src/obs/store_view.h, as functions over view().
   // -------------------------------------------------------------------
 
-  /// Aggregated operation statistics across all threads.
-  struct Stats {
-    uint64_t reads = 0, upserts = 0, rmws = 0, deletes = 0;
-    uint64_t fuzzy_rmws = 0;       // RMWs deferred in the fuzzy region
-    uint64_t pending_ios = 0;      // storage reads issued
-    uint64_t completed_pending = 0;
-    uint64_t appended_records = 0;
-    uint64_t read_cache_hits = 0;  // reads served by the read cache
-  };
-  Stats GetStats() const {
-    Stats s;
-    for (const ThreadState& ts : thread_states_) {
-      s.reads += ts.ops[static_cast<size_t>(OpKind::kRead)].get();
-      s.upserts += ts.ops[static_cast<size_t>(OpKind::kUpsert)].get();
-      s.rmws += ts.ops[static_cast<size_t>(OpKind::kRmw)].get();
-      s.deletes += ts.ops[static_cast<size_t>(OpKind::kDelete)].get();
-      s.fuzzy_rmws += ts.fuzzy_rmws.get();
-      s.pending_ios += ts.ios_issued.get();
-      s.completed_pending += ts.completed.get();
-      s.appended_records += ts.appended_records.get();
-      s.read_cache_hits += ts.rc_hits.get();
-    }
-    return s;
+  /// Operation totals across all threads (sums over the counter blocks).
+  using Stats = obs::StoreStats;
+  Stats GetStats() const { return obs::Totals(counters()); }
+
+  /// Every thread's counter block: one obs::StoreCounter per event.
+  obs::CounterTable counters() const {
+    return {&thread_states_[0].counters, sizeof(ThreadState),
+            Thread::kMaxThreads};
   }
 
-  /// Observability (compiled out unless FASTER_STATS): per-region operation
-  /// mix, pending-operation health, checkpoint durations, read cache.
-  struct ObsStats {
-    // Reads by the HybridLog region that served them (Sec. 6.1).
-    obs::StatCounter read_mutable;
-    obs::StatCounter read_fuzzy;
-    obs::StatCounter read_readonly;  // in memory, below safe read-only
-    obs::StatCounter read_stable;    // went to storage
-    obs::StatCounter read_rc;        // served by the read cache
-    obs::StatCounter read_miss;
-    obs::StatCounter tag_false_positives;  // index tag hit, key absent
-    // Updates by execution strategy (Table 2).
-    obs::StatCounter upsert_inplace;
-    obs::StatCounter upsert_append;
-    obs::StatCounter rmw_inplace;
-    obs::StatCounter rmw_copy;
-    obs::StatCounter rmw_initial;
-    obs::StatCounter rmw_delta;
-    obs::StatCounter rmw_fuzzy_deferred;
-    obs::StatCounter delete_inplace;
-    obs::StatCounter delete_append;
-    // Read cache (Appendix D).
-    obs::StatCounter rc_inserts;
-    obs::StatCounter rc_second_chance;
-    obs::StatCounter rc_evictions;
-    // Pending machinery (Sec. 5.3 / 6.2).
-    obs::StatGauge pending_ios;        // storage reads in flight
-    obs::StatGauge pending_retries;    // fuzzy RMWs awaiting retry
-    obs::StatHistogram pending_io_ns;  // issue -> done, incl. chain hops
-    // Checkpoints (Sec. 6.5).
-    obs::StatCounter checkpoints;
-    obs::StatHistogram checkpoint_index_ns;
-    obs::StatHistogram checkpoint_flush_ns;
-    // Batched pipeline (group prefetching). Prefetch-hit ratio =
-    // batch_fast / (batch_fast + batch_fallback).
-    obs::StatHistogram batch_sizes;    // ops per executed chunk
-    obs::StatCounter batch_fast;       // ops applied to their stage-2 entry
-    obs::StatCounter batch_fallback;   // ops that re-resolved instead
-    obs::StatHistogram batch_io_group_size;  // reads per coalesced submit
-  };
-  const ObsStats& obs_stats() const { return obs_stats_; }
-
-  /// Registers every metric the store and its components expose, plus the
-  /// legacy GetStats() tallies as precomputed scalars.
-  void CollectStats(obs::StatRegistry& reg) {
-    Stats s = GetStats();
-    reg.AddValue("store.reads", s.reads);
-    reg.AddValue("store.upserts", s.upserts);
-    reg.AddValue("store.rmws", s.rmws);
-    reg.AddValue("store.deletes", s.deletes);
-    reg.AddValue("store.fuzzy_rmws", s.fuzzy_rmws);
-    reg.AddValue("store.ios_issued", s.pending_ios);
-    reg.AddValue("store.completed_pending", s.completed_pending);
-    reg.AddValue("store.appended_records", s.appended_records);
-    reg.AddValue("store.read_cache_hits", s.read_cache_hits);
-    reg.Add("store.read_mutable", &obs_stats_.read_mutable);
-    reg.Add("store.read_fuzzy", &obs_stats_.read_fuzzy);
-    reg.Add("store.read_readonly", &obs_stats_.read_readonly);
-    reg.Add("store.read_stable", &obs_stats_.read_stable);
-    reg.Add("store.read_rc", &obs_stats_.read_rc);
-    reg.Add("store.read_miss", &obs_stats_.read_miss);
-    reg.Add("store.tag_false_positives", &obs_stats_.tag_false_positives);
-    reg.Add("store.upsert_inplace", &obs_stats_.upsert_inplace);
-    reg.Add("store.upsert_append", &obs_stats_.upsert_append);
-    reg.Add("store.rmw_inplace", &obs_stats_.rmw_inplace);
-    reg.Add("store.rmw_copy", &obs_stats_.rmw_copy);
-    reg.Add("store.rmw_initial", &obs_stats_.rmw_initial);
-    reg.Add("store.rmw_delta", &obs_stats_.rmw_delta);
-    reg.Add("store.rmw_fuzzy_deferred", &obs_stats_.rmw_fuzzy_deferred);
-    reg.Add("store.delete_inplace", &obs_stats_.delete_inplace);
-    reg.Add("store.delete_append", &obs_stats_.delete_append);
-    reg.Add("store.rc_inserts", &obs_stats_.rc_inserts);
-    reg.Add("store.rc_second_chance", &obs_stats_.rc_second_chance);
-    reg.Add("store.rc_evictions", &obs_stats_.rc_evictions);
-    reg.Add("store.pending_ios", &obs_stats_.pending_ios);
-    reg.Add("store.pending_retries", &obs_stats_.pending_retries);
-    reg.Add("store.pending_io_ns", &obs_stats_.pending_io_ns);
-    reg.Add("store.checkpoints", &obs_stats_.checkpoints);
-    reg.Add("store.checkpoint_index_ns", &obs_stats_.checkpoint_index_ns);
-    reg.Add("store.checkpoint_flush_ns", &obs_stats_.checkpoint_flush_ns);
-    reg.Add("store.batch_sizes", &obs_stats_.batch_sizes);
-    reg.Add("store.batch_fast", &obs_stats_.batch_fast);
-    reg.Add("store.batch_fallback", &obs_stats_.batch_fallback);
-    reg.Add("store.batch_io_group_size", &obs_stats_.batch_io_group_size);
-    index_.RegisterStats(reg, "index");
-    hlog_.RegisterStats(reg, "hlog");
-    epoch_.RegisterStats(reg, "epoch");
-    hlog_.device()->RegisterStats(reg, "device");
-    if (rc_log_ != nullptr) rc_log_->RegisterStats(reg, "rc_log");
-  }
-
-  /// Human-readable (or JSON) dump of every metric. With stats compiled
-  /// out, returns a one-line notice (an empty JSON object).
-  std::string DumpStats(bool json = false) {
-    obs::StatRegistry reg;
-    CollectStats(reg);
-    return json ? reg.Json() : reg.Text();
-  }
-
-  /// Recent trace events, oldest first (empty when compiled out).
-  std::vector<obs::TraceEvent> TraceEvents() const {
-    return trace_.Snapshot();
-  }
-
-  /// Prometheus text exposition 0.0.4 of every metric (a one-line notice
-  /// when stats are compiled out). The /metrics handler.
-  std::string DumpPrometheus() {
-    obs::StatRegistry reg;
-    CollectStats(reg);
-    return reg.Prometheus();
-  }
-
-  /// Writes recorded spans and trace events as Chrome trace-event JSON
-  /// (loadable by Perfetto and chrome://tracing; see
-  /// tools/trace2perfetto.py). An empty-but-valid trace when stats are
-  /// compiled out.
-  void DumpTrace(std::ostream& os) const {
-    obs::WriteChromeTrace(os, obs::SnapshotSpans(), trace_.Snapshot());
-  }
-
-  // -------------------------------------------------------------------
-  // Live /debug inspectors (DESIGN.md §12): cheap read-only JSON
-  // snapshots of internal state, served by the exporter's /debug routes.
-  // -------------------------------------------------------------------
-
-  /// /debug/index: bucket-occupancy and hash-chain-length histograms from
-  /// a bounded sample of the active table. Runs under epoch protection;
-  /// chains are walked only through log frames pinned by that protection
-  /// (clamped at the head observed after protecting — frame recycling is
-  /// epoch-deferred, so those frames stay intact until this thread
-  /// refreshes; GetEvicted reads them without the current-head assert,
-  /// which may legitimately advance mid-walk). Reports {"resizing":true}
-  /// without sampling while a grow is in flight.
-  std::string DebugIndexJson(uint64_t max_buckets = 4096) {
-    bool was_protected = epoch_.IsProtected();
-    if (!was_protected) epoch_.Protect();
-    AssertEpochProtected(epoch_);
-    Address h0 = hlog_.head_address();
-    Address rc_h0 = rc_log_ != nullptr ? rc_log_->head_address() : Address{0};
-    constexpr uint32_t kMaxChainWalk = 32;
-    constexpr uint32_t kOccBuckets = 16;  // live entries 0..14, then 15+
-    constexpr uint32_t kLenBuckets = 17;  // chain length 0..15, then 16+
-    uint64_t occupancy[kOccBuckets] = {};
-    uint64_t chain_len[kLenBuckets] = {};
-    uint64_t sampled_buckets = 0;
-    uint64_t sampled_entries = 0;
-    uint64_t overflow_buckets = 0;
-    uint64_t chains_truncated = 0;
-    bool ok = index_.SampleBuckets(
-        max_buckets,
-        [&](uint32_t live, uint32_t overflow) {
-          ++sampled_buckets;
-          overflow_buckets += overflow;
-          ++occupancy[live < kOccBuckets ? live : kOccBuckets - 1];
-        },
-        [&](HashBucketEntry e) {
-          AssertEpochProtected(epoch_);
-          ++sampled_entries;
-          uint32_t len = 0;
-          bool truncated = false;
-          Address addr = e.address();
-          for (uint32_t hops = 0; hops < kMaxChainWalk; ++hops) {
-            if (addr.control() == 0) break;  // end of chain
-            if (InReadCache(addr)) {
-              // Cache copies are not primary-chain records: hop through.
-              Address rc = StripRc(addr);
-              if (rc_log_ == nullptr || rc < rc_h0) {
-                truncated = true;
-                break;
-              }
-              const RecordT* rec =
-                  reinterpret_cast<const RecordT*>(rc_log_->GetEvicted(rc));
-              addr = rec->info().previous_address();
-              continue;
-            }
-            if (addr < h0) {  // chain continues on disk
-              truncated = true;
-              break;
-            }
-            ++len;
-            const RecordT* rec =
-                reinterpret_cast<const RecordT*>(hlog_.GetEvicted(addr));
-            addr = rec->info().previous_address();
-          }
-          if (addr.control() != 0 && !truncated) truncated = true;  // cap hit
-          ++chain_len[len < kLenBuckets ? len : kLenBuckets - 1];
-          if (truncated) ++chains_truncated;
-        });
-    uint64_t table_size = index_.size();
-    uint32_t tag_bits = index_.tag_bits();
-    if (!was_protected) epoch_.Unprotect();
-    char buf[256];
-    std::string out;
-    if (!ok) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"resizing\":true,\"table_size\":%llu,\"tag_bits\":%u}\n",
-                    static_cast<unsigned long long>(table_size), tag_bits);
-      return buf;
-    }
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"resizing\":false,\"table_size\":%llu,\"tag_bits\":%u,"
-        "\"sampled_buckets\":%llu,\"sampled_entries\":%llu,"
-        "\"overflow_buckets\":%llu,\"chains_truncated\":%llu,"
-        "\"max_chain_walk\":%u,",
-        static_cast<unsigned long long>(table_size), tag_bits,
-        static_cast<unsigned long long>(sampled_buckets),
-        static_cast<unsigned long long>(sampled_entries),
-        static_cast<unsigned long long>(overflow_buckets),
-        static_cast<unsigned long long>(chains_truncated), kMaxChainWalk);
-    out += buf;
-    auto append_array = [&out, &buf](const char* name, const uint64_t* v,
-                                     uint32_t n) {
-      std::snprintf(buf, sizeof(buf), "\"%s\":[", name);
-      out += buf;
-      for (uint32_t i = 0; i < n; ++i) {
-        std::snprintf(buf, sizeof(buf), "%s%llu", i == 0 ? "" : ",",
-                      static_cast<unsigned long long>(v[i]));
-        out += buf;
-      }
-      out += "]";
-    };
-    append_array("bucket_occupancy", occupancy, kOccBuckets);
-    out += ",";
-    append_array("chain_length", chain_len, kLenBuckets);
-    out += "}\n";
-    return out;
-  }
-
-  /// /debug/log: hybrid-log region addresses, page occupancy, and flush
-  /// backlog. The snapshot's markers are loaded smallest-first, so
-  /// begin <= head <= read_only <= tail holds within the reply even while
-  /// the log advances underneath (see HybridLog::SnapshotRegions).
-  std::string DebugLogJson() {
-    std::string out = "{\"log\":";
-    out += RegionJson(hlog_);
-    if (rc_log_ != nullptr) {
-      out += ",\"read_cache\":";
-      out += RegionJson(*rc_log_);
-    }
-    out += "}\n";
-    return out;
-  }
-
-  /// /debug/epochs: the shared epoch counters plus every protected
-  /// thread's published local epoch and its lag behind the current epoch.
-  /// Relaxed per-slot reads — a monitoring snapshot needs no ordering.
-  std::string DebugEpochsJson() {
-    uint64_t current = epoch_.CurrentEpoch();
-    uint64_t safe = epoch_.SafeToReclaimEpoch();
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"current_epoch\":%llu,\"safe_epoch\":%llu,"
-                  "\"outstanding_actions\":%u,\"threads\":[",
-                  static_cast<unsigned long long>(current),
-                  static_cast<unsigned long long>(safe),
-                  epoch_.NumOutstandingActions());
-    std::string out = buf;
-    uint32_t listed = 0;
-    for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
-      uint64_t local = epoch_.LocalEpochOf(tid);
-      if (local == LightEpoch::kUnprotected) continue;
-      uint64_t lag = current > local ? current - local : 0;
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"tid\":%u,\"local_epoch\":%llu,\"lag\":%llu}",
-                    listed == 0 ? "" : ",", tid,
-                    static_cast<unsigned long long>(local),
-                    static_cast<unsigned long long>(lag));
-      out += buf;
-      ++listed;
-    }
-    std::snprintf(buf, sizeof(buf), "],\"protected_threads\":%u}\n", listed);
-    out += buf;
-    return out;
-  }
-
-  /// Registers this store's diagnostics (epoch table, event ring, metric
-  /// pointers) and, once per process, the global span, log and slow-op
-  /// rings with the process-wide crash flight recorder and arms it
-  /// (fatal-signal handlers + the FASTER_EPOCH_CHECK hook). The destructor
-  /// detaches. Metric names are copied at attach time; legacy kValue
-  /// tallies are snapshot then and marked "(at attach)" in the dump.
-  void AttachFlightRecorder() {
-    obs::FlightRecorder& rec = obs::FlightRecorder::Instance();
-    rec.Install();
-    rec.AttachEpoch(this, &epoch_);
-    rec.AttachEventRing(this, "store", &trace_);
-    if constexpr (obs::kStatsEnabled) rec.AttachProcessRings();
-    obs::StatRegistry reg;
-    CollectStats(reg);
-    rec.AttachMetrics(this, reg);
-    flight_attached_ = true;
+  /// What src/obs renders from (obs::DumpStats, obs::DebugLogJson, ...).
+  obs::StoreView view() {
+    return {this,    counters(), histograms_,   &epoch_,
+            &index_, &hlog_,     rc_log_.get(), &trace_};
   }
 
   HybridLog& hlog() { return hlog_; }
@@ -926,39 +615,10 @@ class FasterKv {
   const Config& config() const { return config_; }
 
  private:
-  /// JSON object for one log's region markers (DebugLogJson).
-  static std::string RegionJson(HybridLog& log) {
-    HybridLog::RegionSnapshot s = log.SnapshotRegions();
-    uint64_t in_memory = s.tail.control() - s.head.control();
-    uint64_t mut = s.tail.control() - s.read_only.control();
-    uint64_t backlog = s.read_only.control() > s.flushed_until.control()
-                           ? s.read_only.control() - s.flushed_until.control()
-                           : 0;
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"begin\":%llu,\"head\":%llu,\"safe_read_only\":%llu,"
-        "\"flushed_until\":%llu,\"read_only\":%llu,\"tail\":%llu,"
-        "\"head_page\":%llu,\"tail_page\":%llu,\"tail_page_offset\":%llu,"
-        "\"page_size\":%llu,\"buffer_pages\":%llu,"
-        "\"in_memory_bytes\":%llu,\"mutable_bytes\":%llu,"
-        "\"flush_backlog_bytes\":%llu,\"io_error\":%s}",
-        static_cast<unsigned long long>(s.begin.control()),
-        static_cast<unsigned long long>(s.head.control()),
-        static_cast<unsigned long long>(s.safe_read_only.control()),
-        static_cast<unsigned long long>(s.flushed_until.control()),
-        static_cast<unsigned long long>(s.read_only.control()),
-        static_cast<unsigned long long>(s.tail.control()),
-        static_cast<unsigned long long>(s.head.page()),
-        static_cast<unsigned long long>(s.tail.page()),
-        static_cast<unsigned long long>(s.tail.offset()),
-        static_cast<unsigned long long>(Address::kPageSize),
-        static_cast<unsigned long long>(log.buffer_pages()),
-        static_cast<unsigned long long>(in_memory),
-        static_cast<unsigned long long>(mut),
-        static_cast<unsigned long long>(backlog),
-        log.io_error() ? "true" : "false");
-    return buf;
+  using Ctr = obs::StoreCounter;
+
+  obs::StatHistogram& Hist(obs::StoreHistogram h) {
+    return histograms_[static_cast<size_t>(h)];
   }
 
   /// The store's op kinds (the slowlog's vocabulary); a BatchOp::Kind
@@ -1018,34 +678,17 @@ class FasterKv {
     }
   };
 
-  /// Owner-thread tally: written only by the slot's tenant (plain
-  /// load+store, never an RMW — same codegen as a bare uint64_t), but
-  /// atomic so a concurrent GetStats()/DumpStats() reads it race-free.
-  struct RelaxedTally {
-    // order: relaxed load+store by the owner thread, relaxed load in
-    // GetStats — a per-thread counter; no data is published through it.
-    std::atomic<uint64_t> v{0};
-    RelaxedTally& operator++() {
-      v.store(v.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-      return *this;
-    }
-    uint64_t get() const { return v.load(std::memory_order_relaxed); }
-  };
-
   struct alignas(64) ThreadState {
+    // This thread's counters, written by this thread only; kPendingIos is
+    // its storage reads in flight. First, so the op outcomes sit at short
+    // offsets from the ThreadState pointer.
+    obs::CounterBlock counters;
     // Completion queue, filled by device I/O threads.
     std::mutex mutex;
     std::vector<PendingContext*> completions;
     // Fuzzy-region RMW retries (owner thread only).
     std::vector<PendingContext*> retries;
-    uint64_t outstanding_ios = 0;
     uint32_t ops_since_refresh = 0;
-    // Statistics.
-    RelaxedTally ops[4];  // by OpKind
-    RelaxedTally fuzzy_rmws, ios_issued, completed;
-    RelaxedTally appended_records;
-    RelaxedTally rc_hits;
   };
 
   RecordT* RecordAt(Address addr) const FASTER_REQUIRES_EPOCH() {
@@ -1054,15 +697,11 @@ class FasterKv {
 
   // -------------------------------------------------------------------
   // Read cache (Appendix D). Cached records live in a second HybridLog;
-  // index entries pointing into it carry the high address bit. A cache
+  // index entries pointing into it carry the high address bit (TagRc,
+  // core/record.h). A cache
   // record's `previous_address` preserves the primary-log chain head it
   // displaced.
   // -------------------------------------------------------------------
-
-  static constexpr uint64_t kRcBit = uint64_t{1} << 47;
-  static bool InReadCache(Address a) { return (a.control() & kRcBit) != 0; }
-  static Address StripRc(Address a) { return Address{a.control() & ~kRcBit}; }
-  static Address TagRc(Address a) { return Address{a.control() | kRcBit}; }
 
   RecordT* RcRecordAt(Address addr) const FASTER_REQUIRES_EPOCH() {
     return reinterpret_cast<RecordT*>(rc_log_->Get(addr));
@@ -1106,8 +745,8 @@ class FasterKv {
   }
 
   /// Inserts a value read from storage into the read cache (best-effort).
-  void TryInsertToCache(const Key& key, KeyHash hash, const Value& value)
-      FASTER_REQUIRES_EPOCH() {
+  void TryInsertToCache(ThreadState& ts, const Key& key, KeyHash hash,
+                        const Value& value) FASTER_REQUIRES_EPOCH() {
     typename HashIndex::OpScope scope{index_, hash};
     HashIndex::FindResult fr;
     if (!index_.FindEntry(scope, hash, &fr)) return;
@@ -1121,7 +760,7 @@ class FasterKv {
     rec->value = value;
     rec->set_info(RecordInfo{a, false, false, false, /*read_cache=*/true});
     if (index_.TryUpdateEntry(&fr, TagRc(rc_addr))) {
-      obs_stats_.rc_inserts.Inc();
+      ts.counters.Add(Ctr::kRcInserts);
     } else {
       rec->SetInvalid();
     }
@@ -1129,9 +768,11 @@ class FasterKv {
 
   /// Second chance (Appendix D): a cache hit in the cache's read-only
   /// region copies the record to the cache tail, exactly like the primary
-  /// HybridLog's shaping behaviour.
-  void RcSecondChance(const Key& key, RecordT* rc_rec,
-                      const HashIndex::FindResult& fr)
+  /// HybridLog's shaping behaviour. Out of line: a rare path that would
+  /// otherwise be inlined into every read.
+  [[gnu::noinline]] void RcSecondChance(ThreadState& ts, const Key& key,
+                                        RecordT* rc_rec,
+                                        const HashIndex::FindResult& fr)
       FASTER_REQUIRES_EPOCH() {
     // Skip a copy whose CAS is bound to fail: the entry already moved on
     // since `fr` was resolved (say, an earlier read of the key in the same
@@ -1148,7 +789,7 @@ class FasterKv {
                              false, /*read_cache=*/true});
     HashIndex::FindResult mutable_fr = fr;
     if (index_.TryUpdateEntry(&mutable_fr, TagRc(new_addr))) {
-      obs_stats_.rc_second_chance.Inc();
+      ts.counters.Add(Ctr::kRcSecondChance);
     } else {
       rec->SetInvalid();
     }
@@ -1184,7 +825,8 @@ class FasterKv {
         if (index_.FindEntry(scope, hash, &fr) &&
             fr.entry.address() == TagRc(addr)) {
           if (index_.TryUpdateEntry(&fr, rec->info().previous_address())) {
-            obs_stats_.rc_evictions.Inc();
+            // Counted on the thread running the eviction trigger.
+            thread_states_[Thread::Id()].counters.Add(Ctr::kRcEvictions);
           }
         }
       }
@@ -1308,10 +950,11 @@ class FasterKv {
   // stage 3 calls the same Apply. Apply returns false when the op must
   // re-resolve: a lost CAS, a page rollover, a read-cache eviction
   // redirect in flight, or — on a stage-2 resolution — a write to a key
-  // with no index entry yet. Otherwise it sets `*status`. The engine is
-  // forced inline, so each entry point compiles to straight-line code for
-  // its op kind (out-of-line calls cost 5-20% per op on a cache-resident
-  // store; EXPERIMENTS.md "One op engine").
+  // with no index entry yet. Otherwise it sets `*out`: the op's status and
+  // the counter of its outcome, which the entry point counts — once per
+  // op. The engine is forced inline, so each entry point compiles to
+  // straight-line code for its op kind (out-of-line calls cost 5-20% per
+  // op on a cache-resident store; EXPERIMENTS.md "One op engine").
   // -------------------------------------------------------------------
 
   /// What a batch chunk lends to Apply: stage 2's append extent and the
@@ -1325,31 +968,38 @@ class FasterKv {
     size_t num_ios = 0;
   };
 
+  /// A completed op: its status and the counter of the outcome that
+  /// completed it (obs::StoreCounter's op partition).
+  struct Outcome {
+    Status status;
+    Ctr counter;
+  };
+
   /// The single-op entry. The whole op is one execute segment (the batch
   /// pipeline attributes hash/resolve separately); nested scopes (io_queue
   /// at submit) pause this one, so counters never double-count.
   [[gnu::always_inline]]
   Status RunSingle(const OpRef& op) FASTER_REQUIRES_EPOCH() {
     ThreadState& ts = AutoRefresh(1);
-    ++ts.ops[static_cast<size_t>(op.kind)];
     obs::StageScope entry{obs::Stage::kExecute, obs::SpanKindOf(op.kind)};
     KeyHash hash = Hasher{}(op.key);
     obs::StatOpClock clock{op.kind, hash.control()};
-    Status status = Resolve(
+    Outcome out = Resolve(
         ts,
         OpRef{op.kind, op.key, op.input, op.value, op.output, op.user_context,
               &clock},
         hash);
+    ts.counters.Add(out.counter);
     // A pending op took the clock with it.
-    if (status != Status::kPending) clock.Finish();
-    return status;
+    if (out.status != Status::kPending) clock.Finish();
+    return out.status;
   }
 
   /// Resolve for single ops and for the batch ops stage 3 hands back:
   /// finds the key's index entry under an OpScope — creating it for
   /// upserts and RMWs — and applies the op, until Apply completes it.
   [[gnu::always_inline]]
-  Status Resolve(ThreadState& ts, const OpRef& op, KeyHash hash)
+  Outcome Resolve(ThreadState& ts, const OpRef& op, KeyHash hash)
       FASTER_REQUIRES_EPOCH() {
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
@@ -1360,24 +1010,24 @@ class FasterKv {
       } else {
         has_entry = index_.FindEntry(scope, hash, &fr);
       }
-      Status status = Status::kOk;
-      if (Apply(ts, op, hash, has_entry, fr, nullptr, &status)) return status;
+      Outcome out;
+      if (Apply(ts, op, hash, has_entry, fr, nullptr, &out)) return out;
     }
   }
 
   [[gnu::always_inline]]
   bool Apply(ThreadState& ts, const OpRef& op, KeyHash hash, bool has_entry,
-             HashIndex::FindResult& fr, ChunkRes* chunk, Status* status)
+             HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
       FASTER_REQUIRES_EPOCH() {
     switch (op.kind) {
       case OpKind::kRead:
-        return ApplyRead(ts, op, hash, has_entry, fr, chunk, status);
+        return ApplyRead(ts, op, hash, has_entry, fr, chunk, out);
       case OpKind::kUpsert:
-        return ApplyUpsert(ts, op, has_entry, fr, chunk, status);
+        return ApplyUpsert(op, has_entry, fr, chunk, out);
       case OpKind::kRmw:
-        return ApplyRmw(ts, op, hash, has_entry, fr, chunk, status);
+        return ApplyRmw(ts, op, hash, has_entry, fr, chunk, out);
       case OpKind::kDelete:
-        return ApplyDelete(ts, op, has_entry, fr, status);
+        return ApplyDelete(op, has_entry, fr, out);
     }
     return false;  // unreachable
   }
@@ -1387,12 +1037,9 @@ class FasterKv {
   [[gnu::always_inline]]
   bool ApplyRead(ThreadState& ts, const OpRef& op, KeyHash hash,
                  bool has_entry, HashIndex::FindResult& fr, ChunkRes* chunk,
-                 Status* status) FASTER_REQUIRES_EPOCH() {
-    *status = Status::kNotFound;
-    if (!has_entry) {
-      obs_stats_.read_miss.Inc();
-      return true;
-    }
+                 Outcome* out) FASTER_REQUIRES_EPOCH() {
+    *out = {Status::kNotFound, Ctr::kReadMiss};
+    if (!has_entry) return true;
     Address addr;
     RecordT* rc_rec = nullptr;
     if (!ResolveEntry(fr, &addr, &rc_rec)) {
@@ -1407,11 +1054,9 @@ class FasterKv {
       // since the copy may refresh the epoch.
       F::SingleReader(op.key, *op.input, rc_rec->value, *op.output);
       if (StripRc(fr.entry.address()) < rc_log_->read_only_address()) {
-        RcSecondChance(op.key, rc_rec, fr);
+        RcSecondChance(ts, op.key, rc_rec, fr);
       }
-      ++ts.rc_hits;
-      obs_stats_.read_rc.Inc();
-      *status = Status::kOk;
+      *out = {Status::kOk, Ctr::kReadRc};
       return true;
     }
     Address begin = hlog_.begin_address();
@@ -1420,49 +1065,41 @@ class FasterKv {
         // Stale entry left behind by log truncation (Appendix C).
         index_.TryDeleteEntry(&fr);
       }
-      obs_stats_.read_miss.Inc();
       return true;
     }
     if constexpr (kMergeable) {
-      *status = MergeableRead(ts, op, hash, addr, chunk);
+      *out = MergeableRead(ts, op, hash, addr, chunk);
       return true;
     }
     Address head = hlog_.head_address();
     RecordT* rec = nullptr;
     addr = TraceBack(op.key, addr, std::max(head, begin), &rec);
     if (rec != nullptr) {
-      if (rec->info().tombstone()) {
-        obs_stats_.read_miss.Inc();
-        return true;
-      }
+      if (rec->info().tombstone()) return true;
       if (addr < hlog_.safe_read_only_address()) {
-        obs_stats_.read_readonly.Inc();
+        *out = {Status::kOk, Ctr::kReadReadOnly};
         F::SingleReader(op.key, *op.input, rec->value, *op.output);
       } else {
-        if constexpr (obs::kStatsEnabled) {
-          // Classification only; avoid the extra load when compiled out.
-          if (addr >= hlog_.read_only_address()) {
-            obs_stats_.read_mutable.Inc();
-          } else {
-            obs_stats_.read_fuzzy.Inc();
-          }
-        }
+        // Telling fuzzy from mutable costs a load: stats builds only.
+        *out = {Status::kOk,
+                obs::kStatsEnabled && addr < hlog_.read_only_address()
+                    ? Ctr::kReadFuzzy
+                    : Ctr::kReadMutable};
         F::ConcurrentReader(op.key, *op.input, rec->value, *op.output);
       }
-      *status = Status::kOk;
       return true;
     }
     if (!addr.IsValid() || addr < begin) {
       // The index tag matched but no record carried the key: a tag
-      // false positive (Sec. 3.2) or a truncated chain.
-      obs_stats_.tag_false_positives.Inc();
-      obs_stats_.read_miss.Inc();
+      // false positive (Sec. 3.2) or a truncated chain. The stats-only
+      // false-positive count refines the miss; it is no op outcome.
+      ts.counters.Add(Ctr::kTagFalsePositives);
       return true;
     }
     // The chain continues on storage: go asynchronous (Sec. 5.3).
-    obs_stats_.read_stable.Inc();
-    *status =
-        StartPendingIo(ts, new PendingContext(this, op, hash), addr, chunk);
+    *out = {StartPendingIo(ts, new PendingContext(this, op, hash), addr,
+                           chunk),
+            Ctr::kReadStable};
     return true;
   }
 
@@ -1471,9 +1108,8 @@ class FasterKv {
   /// entry) appends a new record — blind updates need not read the old
   /// value (Table 2).
   [[gnu::always_inline]]
-  bool ApplyUpsert(ThreadState& ts, const OpRef& op, bool has_entry,
-                   HashIndex::FindResult& fr, ChunkRes* chunk,
-                   Status* status) FASTER_REQUIRES_EPOCH() {
+  bool ApplyUpsert(const OpRef& op, bool has_entry, HashIndex::FindResult& fr,
+                   ChunkRes* chunk, Outcome* out) FASTER_REQUIRES_EPOCH() {
     if (!has_entry) return false;  // Resolve creates the entry
     Address addr;
     RecordT* rc_rec = nullptr;
@@ -1481,7 +1117,6 @@ class FasterKv {
       epoch_.Refresh();
       return false;
     }
-    *status = Status::kOk;
     Address begin = hlog_.begin_address();
     Address head = hlog_.head_address();
     RecordT* rec = nullptr;
@@ -1493,7 +1128,7 @@ class FasterKv {
         // Mutable region: in-place update (Table 1 row 4).
         hlog_.VerifyMutableAddress(found);
         F::ConcurrentWriter(op.key, *op.value, rec->value);
-        obs_stats_.upsert_inplace.Inc();
+        *out = {Status::kOk, Ctr::kUpsertInPlace};
         return true;
       }
     }
@@ -1513,8 +1148,7 @@ class FasterKv {
     F::SingleWriter(op.key, *op.value, new_rec->value);
     new_rec->set_info(RecordInfo{addr, false, false});
     if (index_.TryUpdateEntry(&fr, new_addr)) {
-      ++ts.appended_records;
-      obs_stats_.upsert_append.Inc();
+      *out = {Status::kOk, Ctr::kUpsertAppend};
       // Appendix C: flag the superseded in-memory version for GC.
       if (rec != nullptr) rec->SetOverwritten();
       return true;
@@ -1528,23 +1162,20 @@ class FasterKv {
   [[gnu::always_inline]]
   bool ApplyRmw(ThreadState& ts, const OpRef& op, KeyHash hash,
                 bool has_entry, HashIndex::FindResult& fr, ChunkRes* chunk,
-                Status* status) FASTER_REQUIRES_EPOCH() {
+                Outcome* out) FASTER_REQUIRES_EPOCH() {
     RmwOutcome oc;
-    if (!has_entry || !DispatchRmw(ts, op.key, *op.input, fr, DiskState::kNone,
+    if (!has_entry || !DispatchRmw(op.key, *op.input, fr, DiskState::kNone,
                                    nullptr, Address::Invalid(), &oc)) {
       return false;
     }
-    if (oc.kind == RmwOutcome::kDone) {
-      *status = Status::kOk;
-      return true;
-    }
+    *out = {oc.done() ? Status::kOk : Status::kPending, oc.kind};
+    if (oc.done()) return true;
     auto* ctx = new PendingContext(this, op, hash);
-    if (oc.kind == RmwOutcome::kIo) {
-      *status = StartPendingIo(ts, ctx, oc.io_address, chunk);
-      return true;
+    if (oc.kind == Ctr::kRmwStable) {
+      StartPendingIo(ts, ctx, oc.io_address, chunk);
+    } else {
+      DeferFuzzyRmw(ts, ctx);
     }
-    DeferFuzzyRmw(ts, ctx);
-    *status = Status::kPending;
     return true;
   }
 
@@ -1553,9 +1184,7 @@ class FasterKv {
   /// The wait on the list is io_complete time.
   void DeferFuzzyRmw(ThreadState& ts, PendingContext* ctx) {
     ctx->clock.Mark(obs::Stage::kIoComplete);
-    ++ts.fuzzy_rmws;
-    obs_stats_.rmw_fuzzy_deferred.Inc();
-    obs_stats_.pending_retries.Inc();
+    ts.counters.Add(Ctr::kPendingRetries);
     trace_.Emit(obs::Ev::kFuzzyRmwDeferred, ctx->owner);
     ts.retries.push_back(ctx);
   }
@@ -1563,10 +1192,9 @@ class FasterKv {
   /// Delete: a tombstone in place in the mutable region, otherwise a
   /// tombstone record appended blind.
   [[gnu::always_inline]]
-  bool ApplyDelete(ThreadState& ts, const OpRef& op, bool has_entry,
-                   HashIndex::FindResult& fr, Status* status)
-      FASTER_REQUIRES_EPOCH() {
-    *status = Status::kNotFound;
+  bool ApplyDelete(const OpRef& op, bool has_entry, HashIndex::FindResult& fr,
+                   Outcome* out) FASTER_REQUIRES_EPOCH() {
+    *out = {Status::kNotFound, Ctr::kDeleteMiss};
     if (!has_entry) return true;
     Address addr;
     RecordT* rc_rec = nullptr;
@@ -1595,8 +1223,7 @@ class FasterKv {
       if (!config_.force_rcu && found >= hlog_.read_only_address()) {
         hlog_.VerifyMutableAddress(found);
         rec->SetTombstone();
-        obs_stats_.delete_inplace.Inc();
-        *status = Status::kOk;
+        *out = {Status::kOk, Ctr::kDeleteInPlace};
         return true;
       }
     } else if (!found.IsValid() || found < begin) {
@@ -1610,19 +1237,23 @@ class FasterKv {
     new_rec->value = Value{};
     new_rec->set_info(RecordInfo{addr, false, /*tombstone=*/true});
     if (index_.TryUpdateEntry(&fr, new_addr)) {
-      ++ts.appended_records;
-      obs_stats_.delete_append.Inc();
       if (rec != nullptr) rec->SetOverwritten();  // Appendix C
-      *status = Status::kOk;
+      *out = {Status::kOk, Ctr::kDeleteAppend};
       return true;
     }
     new_rec->SetInvalid();
     return false;
   }
 
+  /// How the RMW region dispatch ended, named by its counter (Table 2):
+  /// in place, an appended record of some kind, or pending — a fuzzy-region
+  /// retry (kRmwFuzzyDeferred) or a storage read (kRmwStable).
   struct RmwOutcome {
-    enum Kind { kDone, kIo, kFuzzy } kind = kDone;
+    Ctr kind = Ctr::kRmwInPlace;
     Address io_address = Address::Invalid();
+
+    bool done() const { return kind < Ctr::kRmwFuzzyDeferred; }
+    bool appended() const { return kind != Ctr::kRmwInPlace && done(); }
   };
 
   /// The RMW region dispatch (Alg. 4) on a resolved entry, shared by fresh
@@ -1631,7 +1262,7 @@ class FasterKv {
   /// (continuation path); kNone on the initial attempt. Returns false if
   /// the op must re-resolve.
   [[gnu::always_inline]]
-  bool DispatchRmw(ThreadState& ts, const Key& key, const Input& input,
+  bool DispatchRmw(const Key& key, const Input& input,
                    HashIndex::FindResult& fr, DiskState disk_state,
                    const Value* disk_value, Address disk_bottom,
                    RmwOutcome* oc) FASTER_REQUIRES_EPOCH() {
@@ -1645,7 +1276,7 @@ class FasterKv {
     if (rc_rec != nullptr && rc_rec->key == key) {
       // Read-cache hit (Appendix D): the cached copy is the newest
       // version, so RMW can copy-update from it without a storage read.
-      return AppendRecord(ts, key, input, &fr, RecordKind::kCopy,
+      return AppendRecord(oc, Ctr::kRmwCopy, key, input, &fr,
                           &rc_rec->value, addr);
     }
     Address begin = hlog_.begin_address();
@@ -1664,7 +1295,6 @@ class FasterKv {
         // Mutable region: in-place update (Table 2 bottom row).
         hlog_.VerifyMutableAddress(found);
         F::InPlaceUpdater(key, input, rec->value);
-        obs_stats_.rmw_inplace.Inc();
         return true;
       }
       if (!config_.force_rcu && found >= hlog_.safe_read_only_address()) {
@@ -1674,16 +1304,15 @@ class FasterKv {
         // safe anywhere — the Sec. 5 append-only strawman.)
         if constexpr (kMergeable) {
           // CRDT (Sec. 6.3): append a delta record instead of waiting.
-          return AppendRecord(ts, key, input, &fr, RecordKind::kDelta,
+          return AppendRecord(oc, Ctr::kRmwDelta, key, input, &fr,
                               nullptr, addr);
         }
-        oc->kind = RmwOutcome::kFuzzy;
+        oc->kind = Ctr::kRmwFuzzyDeferred;
         return true;
       }
       // Safe read-only region: read-copy-update to the tail.
-      if (!AppendRecord(ts, key, input, &fr,
-                        kMergeable ? RecordKind::kDelta : RecordKind::kCopy,
-                        &rec->value, addr)) {
+      if (!AppendRecord(oc, kMergeable ? Ctr::kRmwDelta : Ctr::kRmwCopy,
+                        key, input, &fr, &rec->value, addr)) {
         return false;
       }
       if constexpr (!kMergeable) rec->SetOverwritten();  // Appendix C
@@ -1691,36 +1320,36 @@ class FasterKv {
     }
     if (rec != nullptr) {
       // Newest record is a tombstone: treat the key as absent.
-      return AppendRecord(ts, key, input, &fr, RecordKind::kInitial, nullptr,
+      return AppendRecord(oc, Ctr::kRmwInitial, key, input, &fr, nullptr,
                           addr);
     }
     if (found.IsValid() && found >= begin) {
       // Chain bottoms out on storage.
       if constexpr (kMergeable) {
         // CRDTs never read the old value: append a delta (Table 2).
-        return AppendRecord(ts, key, input, &fr, RecordKind::kDelta, nullptr,
+        return AppendRecord(oc, Ctr::kRmwDelta, key, input, &fr, nullptr,
                             addr);
       }
       if (disk_state != DiskState::kNone && found == disk_bottom) {
         // Continuation: we already resolved this chain bottom.
         return disk_state == DiskState::kValue
-                   ? AppendRecord(ts, key, input, &fr, RecordKind::kCopy,
+                   ? AppendRecord(oc, Ctr::kRmwCopy, key, input, &fr,
                                   disk_value, addr)
-                   : AppendRecord(ts, key, input, &fr, RecordKind::kInitial,
+                   : AppendRecord(oc, Ctr::kRmwInitial, key, input, &fr,
                                   nullptr, addr);
       }
-      oc->kind = RmwOutcome::kIo;
+      oc->kind = Ctr::kRmwStable;
       oc->io_address = found;
       return true;
     }
     // Key absent: create the initial record.
-    return AppendRecord(ts, key, input, &fr, RecordKind::kInitial, nullptr,
+    return AppendRecord(oc, Ctr::kRmwInitial, key, input, &fr, nullptr,
                         addr);
   }
 
   /// RMW continuations (a completed storage read, a fuzzy-region retry)
   /// re-resolve like a single op and run the same dispatch.
-  RmwOutcome RmwInMemory(ThreadState& ts, const Key& key, KeyHash hash,
+  RmwOutcome RmwInMemory(const Key& key, KeyHash hash,
                          const Input& input, DiskState disk_state,
                          const Value* disk_value, Address disk_bottom)
       FASTER_REQUIRES_EPOCH() {
@@ -1729,48 +1358,36 @@ class FasterKv {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
       index_.FindOrCreateEntry(scope, hash, &fr);
-      if (DispatchRmw(ts, key, input, fr, disk_state, disk_value,
-                      disk_bottom, &oc)) {
+      if (DispatchRmw(key, input, fr, disk_state, disk_value, disk_bottom,
+                      &oc)) {
         return oc;
       }
     }
   }
 
-  enum class RecordKind : uint8_t { kInitial, kCopy, kDelta };
-
-  /// Allocates and links a new RMW record at the tail, after `prev` (the
-  /// primary-log chain start: a read-cache record is skipped). Returns
-  /// false if the operation must restart (allocation refreshed the epoch,
-  /// or the index CAS failed). `old_value` is required for kCopy.
-  bool AppendRecord(ThreadState& ts, const Key& key, const Input& input,
-                    HashIndex::FindResult* fr, RecordKind kind,
+  /// Allocates and links a new RMW record of `kind` (kRmwCopy, kRmwInitial
+  /// or kRmwDelta, recorded in `*oc`) at the tail, after `prev` (the
+  /// primary-log chain start: a read-cache record is skipped). Returns false
+  /// if the operation must restart (allocation refreshed the epoch, or the
+  /// index CAS failed). `old_value` is required for kRmwCopy.
+  bool AppendRecord(RmwOutcome* oc, Ctr kind, const Key& key,
+                    const Input& input, HashIndex::FindResult* fr,
                     const Value* old_value, Address prev)
       FASTER_REQUIRES_EPOCH() {
+    oc->kind = kind;
     Address new_addr = TryAllocateRecord();
     if (!new_addr.IsValid()) return false;
     RecordT* new_rec = RecordAt(new_addr);
     new_rec->key = key;
-    switch (kind) {
-      case RecordKind::kInitial:
-      case RecordKind::kDelta:
-        new_rec->value = Value{};
-        F::InitialUpdater(key, input, new_rec->value);
-        break;
-      case RecordKind::kCopy:
-        F::CopyUpdater(key, input, *old_value, new_rec->value);
-        break;
+    if (kind == Ctr::kRmwCopy) {
+      F::CopyUpdater(key, input, *old_value, new_rec->value);
+    } else {
+      new_rec->value = Value{};
+      F::InitialUpdater(key, input, new_rec->value);
     }
     new_rec->set_info(
-        RecordInfo{prev, false, false, kind == RecordKind::kDelta});
-    if (index_.TryUpdateEntry(fr, new_addr)) {
-      ++ts.appended_records;
-      switch (kind) {
-        case RecordKind::kInitial: obs_stats_.rmw_initial.Inc(); break;
-        case RecordKind::kCopy: obs_stats_.rmw_copy.Inc(); break;
-        case RecordKind::kDelta: obs_stats_.rmw_delta.Inc(); break;
-      }
-      return true;
-    }
+        RecordInfo{prev, false, false, kind == Ctr::kRmwDelta});
+    if (index_.TryUpdateEntry(fr, new_addr)) return true;
     new_rec->SetInvalid();
     return false;
   }
@@ -1787,9 +1404,8 @@ class FasterKv {
     ctx->address = addr;
     ctx->chain_bottom = addr;
     ctx->clock.Mark(obs::Stage::kIoQueue);
-    ++ts.outstanding_ios;
-    ++ts.ios_issued;
-    obs_stats_.pending_ios.Inc();
+    ts.counters.Add(Ctr::kPendingIos);
+    ts.counters.Add(Ctr::kIosIssued);
     trace_.Emit(obs::Ev::kPendingIoIssued, ctx->owner);
     if (chunk != nullptr) {
       chunk->ios[chunk->num_ios++] = ctx;
@@ -1802,8 +1418,7 @@ class FasterKv {
   /// Re-issues a follow-the-chain read for an already-pending context.
   void ReissueIo(PendingContext* ctx, Address addr) {
     ctx->address = addr;
-    ThreadState& ts = thread_states_[ctx->owner];
-    ++ts.ios_issued;
+    thread_states_[ctx->owner].counters.Add(Ctr::kIosIssued);
     ctx->clock.Mark(obs::Stage::kIoQueue);
     SubmitIo(ctx);
   }
@@ -1844,7 +1459,7 @@ class FasterKv {
     assert(epoch_.IsProtected());
     // One refresh check covers the chunk (amortized epoch bookkeeping).
     ThreadState& ts = AutoRefresh(static_cast<uint32_t>(n));
-    obs_stats_.batch_sizes.Record(n);
+    Hist(obs::StoreHistogram::kBatchSizes).Record(n);
     // The chunk is one trace: the three stages appear as child spans, and
     // any pending-I/O continuation lands under the same trace id.
     obs::StatSpan chunk_span{obs::SpanKind::kBatchChunk,
@@ -1949,15 +1564,16 @@ class FasterKv {
           kind, hashes[i].control(), static_cast<uint32_t>(n));
       OpRef ref{kind,      op.key,          &op.input, &op.value,
                 op.output, op.user_context, &clock};
-      ++ts.ops[static_cast<size_t>(kind)];
+      Outcome out;
       if (stable && !dep[i] && !batch_scope.interrupted() &&
-          Apply(ts, ref, hashes[i], entry_found[i], frs[i], &chunk,
-                &op.status)) {
-        obs_stats_.batch_fast.Inc();
+          Apply(ts, ref, hashes[i], entry_found[i], frs[i], &chunk, &out)) {
+        ts.counters.Add(Ctr::kBatchFast);
       } else {
-        obs_stats_.batch_fallback.Inc();
-        op.status = Resolve(ts, ref, hashes[i]);
+        ts.counters.Add(Ctr::kBatchFallback);
+        out = Resolve(ts, ref, hashes[i]);
       }
+      ts.counters.Add(out.counter);
+      op.status = out.status;
       // A pending op took the clock with it.
       if (op.status != Status::kPending) clock.Finish();
     }
@@ -1973,7 +1589,7 @@ class FasterKv {
                                 static_cast<uint32_t>(RecordT::size()),
                                 &FasterKv::IoCallback, c};
       }
-      obs_stats_.batch_io_group_size.Record(num_ios);
+      Hist(obs::StoreHistogram::kBatchIoGroupSize).Record(num_ios);
       uint32_t accepted = 0;
       obs::StageScope submit{obs::Stage::kIoQueue};
       Status s = hlog_.AsyncGetFromDiskBatch(
@@ -2001,10 +1617,9 @@ class FasterKv {
   }
 
   void FinishPending(ThreadState& ts, PendingContext* ctx, Status result) {
-    ++ts.completed;
-    --ts.outstanding_ios;
-    obs_stats_.pending_ios.Dec();
-    ctx->clock.Finish(&obs_stats_.pending_io_ns);
+    ts.counters.Add(Ctr::kCompleted);
+    ts.counters.Sub(Ctr::kPendingIos);
+    ctx->clock.Finish(&Hist(obs::StoreHistogram::kPendingIoNs));
     trace_.Emit(obs::Ev::kPendingIoDone, ctx->owner);
     NotifyCompletion(ctx, result);
     delete ctx;
@@ -2072,7 +1687,7 @@ class FasterKv {
           F::SingleReader(ctx->key, ctx->input, rec->value, *ctx->output);
           if (rc_log_ != nullptr) {
             // Read-hot records earn a spot in the read cache (Appendix D).
-            TryInsertToCache(ctx->key, ctx->hash, rec->value);
+            TryInsertToCache(ts, ctx->key, ctx->hash, rec->value);
           }
           FinishPending(ts, ctx, Status::kOk);
         }
@@ -2101,25 +1716,21 @@ class FasterKv {
 
   void RmwContinue(ThreadState& ts, PendingContext* ctx, DiskState state,
                    const Value* disk_value) FASTER_REQUIRES_EPOCH() {
-    RmwOutcome oc = RmwInMemory(ts, ctx->key, ctx->hash, ctx->input, state,
+    RmwOutcome oc = RmwInMemory(ctx->key, ctx->hash, ctx->input, state,
                                 disk_value, ctx->chain_bottom);
-    switch (oc.kind) {
-      case RmwOutcome::kDone:
-        FinishPending(ts, ctx, Status::kOk);
-        return;
-      case RmwOutcome::kIo:
-        // The chain bottom changed while we were reading; chase it.
-        ctx->chain_bottom = oc.io_address;
-        ReissueIo(ctx, oc.io_address);
-        return;
-      case RmwOutcome::kFuzzy:
-        // The record migrated into the fuzzy region; fall back to the
-        // retry list (the context stops being an outstanding I/O).
-        --ts.outstanding_ios;
-        obs_stats_.pending_ios.Dec();
-        ctx->chain_bottom = Address::Invalid();
-        DeferFuzzyRmw(ts, ctx);
-        return;
+    if (oc.done()) {
+      if (oc.appended()) ts.counters.Add(Ctr::kRmwPendingAppend);
+      FinishPending(ts, ctx, Status::kOk);
+    } else if (oc.kind == Ctr::kRmwStable) {
+      // The chain bottom changed while we were reading; chase it.
+      ctx->chain_bottom = oc.io_address;
+      ReissueIo(ctx, oc.io_address);
+    } else {
+      // The record migrated into the fuzzy region; fall back to the retry
+      // list (the context stops being an outstanding I/O).
+      ts.counters.Sub(Ctr::kPendingIos);
+      ctx->chain_bottom = Address::Invalid();
+      DeferFuzzyRmw(ts, ctx);
     }
   }
 
@@ -2129,28 +1740,25 @@ class FasterKv {
     work.swap(ts.retries);
     for (PendingContext* ctx : work) {
       obs::StatSpan span{obs::SpanKind::kRetryFuzzy, ctx->clock.trace()};
-      RmwOutcome oc = RmwInMemory(ts, ctx->key, ctx->hash, ctx->input,
+      RmwOutcome oc = RmwInMemory(ctx->key, ctx->hash, ctx->input,
                                   DiskState::kNone, nullptr,
                                   Address::Invalid());
-      switch (oc.kind) {
-        case RmwOutcome::kDone:
-          ++ts.completed;
-          obs_stats_.pending_retries.Dec();
-          ctx->clock.Finish();  // bypasses FinishPending
-          NotifyCompletion(ctx, Status::kOk);
-          delete ctx;
-          break;
-        case RmwOutcome::kIo:
-          ctx->chain_bottom = oc.io_address;
-          ++ts.outstanding_ios;
-          obs_stats_.pending_retries.Dec();
-          obs_stats_.pending_ios.Inc();
-          ReissueIo(ctx, oc.io_address);
-          break;
-        case RmwOutcome::kFuzzy:
-          ts.retries.push_back(ctx);  // still fuzzy; try again later
-          break;
+      if (oc.kind == Ctr::kRmwFuzzyDeferred) {
+        ts.retries.push_back(ctx);  // still fuzzy; try again later
+        continue;
       }
+      ts.counters.Sub(Ctr::kPendingRetries);
+      if (oc.kind == Ctr::kRmwStable) {
+        ctx->chain_bottom = oc.io_address;
+        ts.counters.Add(Ctr::kPendingIos);
+        ReissueIo(ctx, oc.io_address);
+        continue;
+      }
+      if (oc.appended()) ts.counters.Add(Ctr::kRmwPendingAppend);
+      ts.counters.Add(Ctr::kCompleted);
+      ctx->clock.Finish();  // bypasses FinishPending
+      NotifyCompletion(ctx, Status::kOk);
+      delete ctx;
     }
   }
 
@@ -2158,8 +1766,8 @@ class FasterKv {
   // Mergeable (CRDT) reads: reconcile all delta records (Sec. 6.3).
   // -------------------------------------------------------------------
 
-  Status MergeableRead(ThreadState& ts, OpRef op, KeyHash hash, Address addr,
-                       ChunkRes* chunk) FASTER_REQUIRES_EPOCH() {
+  Outcome MergeableRead(ThreadState& ts, OpRef op, KeyHash hash, Address addr,
+                        ChunkRes* chunk) FASTER_REQUIRES_EPOCH() {
     static_assert(!kMergeable || std::is_same_v<Value, Output>,
                   "mergeable stores require Output == Value");
     Value acc{};
@@ -2175,9 +1783,9 @@ class FasterKv {
           // Older records are dead; finish with what we have.
           if (found) {
             *op.output = acc;
-            return Status::kOk;
+            return {Status::kOk, Ctr::kReadMerged};
           }
-          return Status::kNotFound;
+          return {Status::kNotFound, Ctr::kReadMiss};
         }
         F::Merge(acc, r->value);
         found = true;
@@ -2185,15 +1793,15 @@ class FasterKv {
       addr = r->info().previous_address();
     }
     if (!addr.IsValid() || addr < begin) {
-      if (!found) return Status::kNotFound;
+      if (!found) return {Status::kNotFound, Ctr::kReadMiss};
       *op.output = acc;
-      return Status::kOk;
+      return {Status::kOk, Ctr::kReadMerged};
     }
     // Continue reconciliation on storage.
     auto* ctx = new PendingContext(this, op, hash);
     ctx->merge_acc = acc;
     ctx->merge_found = found;
-    return StartPendingIo(ts, ctx, addr, chunk);
+    return {StartPendingIo(ts, ctx, addr, chunk), Ctr::kReadStable};
   }
 
   void CompleteMergeStep(ThreadState& ts, PendingContext* ctx,
@@ -2271,9 +1879,9 @@ class FasterKv {
   HybridLog hlog_;
   std::unique_ptr<HybridLog> rc_log_;  // read cache (Appendix D), optional
   std::vector<ThreadState> thread_states_;
-  mutable ObsStats obs_stats_;
+  obs::StatHistogram
+      histograms_[static_cast<size_t>(obs::StoreHistogram::kCount)];
   mutable obs::StatEventRing trace_;
-  bool flight_attached_ = false;
 };
 
 }  // namespace faster

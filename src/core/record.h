@@ -62,6 +62,21 @@ class RecordInfo {
 
 static_assert(sizeof(RecordInfo) == 8);
 
+/// Appendix D: an index entry that points into the read cache (a second
+/// HybridLog with its own address space) carries this address bit.
+inline constexpr uint64_t kRcBit = uint64_t{1} << 47;
+inline bool InReadCache(Address a) { return a.control() & kRcBit; }
+inline Address StripRc(Address a) { return Address{a.control() & ~kRcBit}; }
+inline Address TagRc(Address a) { return Address{a.control() | kRcBit}; }
+
+/// The header of the record at `p`: every record starts with it (Record's
+/// first member), so chain walks need not know the key and value types.
+inline RecordInfo RecordInfoAt(const uint8_t* p) {
+  // order: acquire, as Record::info().
+  return RecordInfo{reinterpret_cast<const std::atomic<uint64_t>*>(p)->load(
+      std::memory_order_acquire)};
+}
+
 /// A log record: 8-byte header, then the key, then the value, padded to an
 /// 8-byte boundary (Fig. 2). Key and Value must be trivially copyable with
 /// alignment <= 8 so records can live on raw log pages and be shipped to

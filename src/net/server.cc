@@ -11,11 +11,13 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <type_traits>
 
 #include "core/memory_region.h"
 #include "obs/build_info.h"
 #include "obs/clock.h"
 #include "obs/log.h"
+#include "obs/store_view.h"
 
 namespace faster {
 namespace net {
@@ -881,156 +883,105 @@ void FasterServer::HandlePerf(const RespCommand& cmd, std::string* out) {
 
 std::string FasterServer::InfoText() {
   std::string out;
+  auto field = [&out](const char* name, auto value) {
+    out += name;
+    out += ':';
+    if constexpr (std::is_integral_v<decltype(value)>) {
+      AppendU64(&out, static_cast<uint64_t>(value));
+    } else {
+      out += value;
+    }
+    out += "\r\n";
+  };
   out += "# Server\r\n";
-  out += "server:faster\r\n";
-  out += "build_git_sha:";
-  out += obs::GitSha();
-  out += "\r\n";
-  out += "build_flags:";
-  out += obs::BuildFlagsSummary();
-  out += "\r\n";
-  out += "tcp_port:";
-  AppendU64(&out, port_);
-  out += "\r\n";
-  out += "io_threads:";
-  AppendU64(&out, static_cast<uint64_t>(workers_.size()));
-  out += "\r\n";
+  field("server", "faster");
+  field("build_git_sha", obs::GitSha());
+  field("build_flags", obs::BuildFlagsSummary());
+  field("tcp_port", port_);
+  field("io_threads", workers_.size());
   out += "# Clients\r\n";
-  out += "connected_clients:";
-  AppendU64(&out, static_cast<uint64_t>(
-                      std::max<int64_t>(0, stats_.connections_open.Value())));
-  out += "\r\n";
+  field("connected_clients",
+        std::max<int64_t>(0, stats_.connections_open.Value()));
   out += "# Stats\r\n";
-  out += "total_commands_processed:";
-  AppendU64(&out, commands_.load(std::memory_order_relaxed));
-  out += "\r\n";
-  // # Log: the hybrid-log region markers (read in ascending order so the
-  // reported values preserve head <= read_only <= tail).
-  HybridLog::RegionSnapshot regions = store_->hlog().SnapshotRegions();
+  field("total_commands_processed", commands_.load(std::memory_order_relaxed));
+  // # Log and # Epoch render from the store's view, exactly as /debug/log
+  // and /debug/epochs do. The region markers are read in ascending order,
+  // so the reported values preserve head <= read_only <= tail.
+  const obs::StoreView view = store_->view();
+  HybridLog::RegionSnapshot regions = view.hlog->SnapshotRegions();
   out += "# Log\r\n";
-  out += "log_begin_address:";
-  AppendU64(&out, regions.begin.control());
-  out += "\r\n";
-  out += "log_head_address:";
-  AppendU64(&out, regions.head.control());
-  out += "\r\n";
-  out += "log_safe_read_only_address:";
-  AppendU64(&out, regions.safe_read_only.control());
-  out += "\r\n";
-  out += "log_read_only_address:";
-  AppendU64(&out, regions.read_only.control());
-  out += "\r\n";
-  out += "log_tail_address:";
-  AppendU64(&out, regions.tail.control());
-  out += "\r\n";
-  out += "log_in_memory_bytes:";
-  AppendU64(&out, regions.tail.control() - regions.head.control());
-  out += "\r\n";
+  field("log_begin_address", regions.begin.control());
+  field("log_head_address", regions.head.control());
+  field("log_safe_read_only_address", regions.safe_read_only.control());
+  field("log_read_only_address", regions.read_only.control());
+  field("log_tail_address", regions.tail.control());
+  field("log_in_memory_bytes",
+        regions.tail.control() - regions.head.control());
   out += "# Index\r\n";
   uint64_t index_buckets = store_->index().size();
-  out += "index_table_size:";
-  AppendU64(&out, index_buckets);
-  out += "\r\n";
+  field("index_table_size", index_buckets);
   // # Memory: what the log and index reserve (mapped on demand) next to
   // what the process actually holds, like Redis's used_memory_rss.
   out += "# Memory\r\n";
-  out += "log_budget_bytes:";
-  AppendU64(&out, store_->hlog().buffer_pages() * Address::kPageSize);
-  out += "\r\n";
-  out += "index_bytes:";
-  AppendU64(&out, index_buckets * sizeof(HashBucket));
-  out += "\r\n";
-  out += "rss_bytes:";
-  AppendU64(&out, RssBytes());
-  out += "\r\n";
+  field("log_budget_bytes", store_->hlog().buffer_pages() * Address::kPageSize);
+  field("index_bytes", index_buckets * sizeof(HashBucket));
+  field("rss_bytes", RssBytes());
   // Whether the frames and the table took huge pages (DESIGN.md §5); 0
   // means the kernel refused or ignored the advice, which thp_enabled
   // explains.
-  const bool log_huge =
-      store_->hlog().frame_region().granule() == MemoryRegion::kHugePage;
-  const bool index_huge =
-      store_->index().table_granule() == MemoryRegion::kHugePage;
-  out += "log_huge:";
-  AppendU64(&out, log_huge ? 1 : 0);
-  out += "\r\n";
-  out += "index_huge:";
-  AppendU64(&out, index_huge ? 1 : 0);
-  out += "\r\n";
-  out += "thp_enabled:";
-  out += ThpEnabledMode();
-  out += "\r\n";
-  out += "anon_huge_bytes:";
-  AppendU64(&out, AnonHugeBytes());
-  out += "\r\n";
+  field("log_huge",
+        store_->hlog().frame_region().granule() == MemoryRegion::kHugePage);
+  field("index_huge",
+        store_->index().table_granule() == MemoryRegion::kHugePage);
+  field("thp_enabled", ThpEnabledMode());
+  field("anon_huge_bytes", AnonHugeBytes());
+  obs::EpochsSnapshot epochs = obs::SnapshotEpochs(view);
   out += "# Epoch\r\n";
-  out += "epoch_current:";
-  AppendU64(&out, store_->epoch().CurrentEpoch());
-  out += "\r\n";
-  out += "epoch_safe:";
-  AppendU64(&out, store_->epoch().SafeToReclaimEpoch());
-  out += "\r\n";
-  out += "epoch_protected_threads:";
-  AppendU64(&out, store_->epoch().NumProtectedThreads());
-  out += "\r\n";
+  field("epoch_current", epochs.current);
+  field("epoch_safe", epochs.safe);
+  field("epoch_protected_threads", epochs.threads.size());
   out += "# Slowlog\r\n";
   const obs::SlowLog& slowlog = obs::GlobalSlowLog();
-  out += "slowlog_enabled:";
-  AppendU64(&out, slowlog.armed() ? 1 : 0);
-  out += "\r\n";
+  field("slowlog_enabled", slowlog.armed());
   if (slowlog.armed()) {
-    out += "slowlog_threshold_us:";
-    AppendU64(&out, slowlog.threshold_ns() / 1000);
-    out += "\r\n";
+    field("slowlog_threshold_us", slowlog.threshold_ns() / 1000);
   }
-  out += "slowlog_len:";
-  AppendU64(&out, slowlog.Len());
-  out += "\r\n";
-  out += "slowlog_total_recorded:";
-  AppendU64(&out, slowlog.TotalRecorded());
-  out += "\r\n";
-  out += "slowlog_dropped:";
-  AppendU64(&out, slowlog.Dropped());
-  out += "\r\n";
+  field("slowlog_len", slowlog.Len());
+  field("slowlog_total_recorded", slowlog.TotalRecorded());
+  field("slowlog_dropped", slowlog.Dropped());
   out += "# Perf\r\n";
   const obs::PerfAttribution& perf = obs::GlobalPerf();
-  out += "perf_enabled:";
-  AppendU64(&out, perf.armed() ? 1 : 0);
-  out += "\r\n";
-  out += "perf_counter_mask:";
-  AppendU64(&out, perf.available_mask());
-  out += "\r\n";
+  field("perf_enabled", perf.armed());
+  field("perf_counter_mask", perf.available_mask());
   return out;
 }
 
 std::string FasterServer::DebugConnectionsJson() const {
   std::string out = "{\"connections\":[";
-  char buf[192];
   uint64_t now = obs::NowNs();
   uint32_t listed = 0;
   for (uint32_t i = 0; i < kMaxConnSlots; ++i) {
     const ConnSlot& slot = conn_slots_[i];
     if (!slot.used.load(std::memory_order_acquire)) continue;
     uint64_t accept_ns = slot.accept_ns.load(std::memory_order_relaxed);
-    uint64_t age_ms = now > accept_ns ? (now - accept_ns) / 1000000 : 0;
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"fd\":%d,\"worker\":%u,\"age_ms\":%llu,\"bytes_in\":%llu,"
-        "\"bytes_out\":%llu,\"commands\":%llu}",
-        listed == 0 ? "" : ",", slot.fd.load(std::memory_order_relaxed),
-        slot.worker.load(std::memory_order_relaxed),
-        static_cast<unsigned long long>(age_ms),
-        static_cast<unsigned long long>(
-            slot.bytes_in.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            slot.bytes_out.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            slot.commands.load(std::memory_order_relaxed)));
-    out += buf;
+    out += "{\"fd\":" +
+           std::to_string(slot.fd.load(std::memory_order_relaxed)) + ',';
+    obs::JsonField(&out, "worker",
+                   slot.worker.load(std::memory_order_relaxed));
+    obs::JsonField(&out, "age_ms",
+                   now > accept_ns ? (now - accept_ns) / 1000000 : 0);
+    obs::JsonField(&out, "bytes_in",
+                   slot.bytes_in.load(std::memory_order_relaxed));
+    obs::JsonField(&out, "bytes_out",
+                   slot.bytes_out.load(std::memory_order_relaxed));
+    obs::JsonField(&out, "commands",
+                   slot.commands.load(std::memory_order_relaxed));
+    obs::JsonClose(&out, "},");
     ++listed;
   }
-  std::snprintf(buf, sizeof(buf), "],\"open\":%u}\n", listed);
-  out += buf;
-  return out;
+  obs::JsonClose(&out, "],");
+  obs::JsonField(&out, "open", listed);
+  return obs::JsonClose(&out, "}\n");
 }
 
 void FasterServer::CollectStats(obs::StatRegistry& reg) {

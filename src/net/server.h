@@ -124,7 +124,8 @@ class FasterServer {
   NetStats& stats() { return stats_; }
 
   /// Registers server metrics (prefix "net.") into `reg`; callers
-  /// typically combine with store().CollectStats for one exposition.
+  /// typically combine with obs::CollectStats(store().view(), reg) for one
+  /// exposition.
   void CollectStats(obs::StatRegistry& reg);
 
   /// Total commands executed (independent of FASTER_STATS, so tests can

@@ -28,7 +28,8 @@
 ///
 /// The exporter is opt-in plumbing, not part of the store: callers
 /// construct one next to a FasterKv and pass handlers that call
-/// DumpPrometheus()/DumpStats(true) (see ycsb_cli --export-port).
+/// obs::DumpPrometheus/obs::DumpStats over store.view() (see ycsb_cli
+/// --export-port).
 
 namespace faster {
 namespace obs {

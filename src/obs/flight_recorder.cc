@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 namespace faster {
 namespace obs {
@@ -65,6 +66,18 @@ class SafeWriter {
     while (n > 0) Ch(tmp[--n]);
   }
 
+  /// Appends each part: strings as-is, integers in decimal, Hex in hex.
+  template <class... Parts>
+  void Put(const Parts&... parts) {
+    (Part(parts), ...);
+  }
+
+  size_t size() const { return len_; }
+
+  struct HexOf {
+    uint64_t v;
+  };
+
   void Flush() {
     if (len_ == 0) return;
     WriteFull(fd1_);
@@ -73,6 +86,18 @@ class SafeWriter {
   }
 
  private:
+  void Part(const char* s) { Str(s); }
+  void Part(HexOf h) { Hex(h.v); }
+  template <class T>
+    requires std::is_integral_v<T>
+  void Part(T v) {
+    if constexpr (std::is_signed_v<T>) {
+      I64(v);
+    } else {
+      U64(v);
+    }
+  }
+
   void Ch(char c) {
     if (len_ == cap_) Flush();
     buf_[len_++] = c;
@@ -186,13 +211,11 @@ void FlightRecorder::AttachEpoch(const void* owner, const LightEpoch* epoch) {
 void FlightRecorder::AttachMetrics(const void* owner, const Registry& reg) {
   std::lock_guard<std::mutex> guard{attach_mutex_};
   reg.ForEach([&](const std::string& name, Registry::Kind kind,
-                  const Counter* c, const Gauge* g, const Histogram* h,
-                  uint64_t value) {
+                  SlotSum slots, const Histogram* h, uint64_t value) {
     Claim(metrics_, owner, [&](MetricSlot& slot) {
       CopyName(slot.name, sizeof slot.name, name.c_str());
       slot.kind = kind;
-      slot.counter = c;
-      slot.gauge = g;
+      slot.slots = slots;
       slot.histogram = h;
       slot.value = value;
     });
@@ -223,61 +246,33 @@ void FlightRecorder::Dump(const char* reason) {
   // stack still works.
   int file_fd = -1;
   if (have_flight_dir_) {
+    // "<dir>/flight_<pid>.txt", NUL-terminated by hand (SafeWriter has no
+    // terminator concept; with no fds it never flushes).
     static char path[sizeof flight_dir_ + 64];
     SafeWriter pw{path, sizeof path - 1, -1, -1};
-    // Format "<dir>/flight_<pid>.txt" with the signal-safe formatter,
-    // then NUL-terminate by hand (SafeWriter has no terminator concept).
-    size_t dir_len = std::strlen(flight_dir_);
-    std::memcpy(path, flight_dir_, dir_len);
-    size_t off = dir_len;
-    auto append = [&](const char* s) {
-      size_t n = std::strlen(s);
-      std::memcpy(path + off, s, n);
-      off += n;
-    };
-    append("/flight_");
-    char pid_buf[20];
-    uint64_t pid = static_cast<uint64_t>(::getpid());
-    size_t n = 0;
-    do {
-      pid_buf[n++] = static_cast<char>('0' + pid % 10);
-      pid /= 10;
-    } while (pid != 0);
-    while (n > 0) {
-      path[off++] = pid_buf[--n];
-    }
-    append(".txt");
-    path[off] = '\0';
+    pw.Put(flight_dir_, "/flight_", static_cast<uint64_t>(::getpid()),
+           ".txt");
+    path[pw.size()] = '\0';
     file_fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   }
 
   static char buf[4096];
   SafeWriter w{buf, sizeof buf, 2, file_fd};
+  using Hex = SafeWriter::HexOf;
 
-  w.Str("==== FASTER FLIGHT RECORDER BEGIN ====\n");
-  w.Str("reason: ");
-  w.Str(reason != nullptr ? reason : "(none)");
-  w.Str("\n");
+  w.Put("==== FASTER FLIGHT RECORDER BEGIN ====\nreason: ",
+        reason != nullptr ? reason : "(none)", "\n");
 
   // --- Per-thread epoch table(s) --------------------------------------
   for (uint32_t i = 0; i < kMaxEpochs; ++i) {
     if (!epochs_[i].used.load(std::memory_order_acquire)) continue;
     const LightEpoch* epoch = epochs_[i].epoch;
-    w.Str("-- epoch[");
-    w.U64(i);
-    w.Str("] current=");
-    w.U64(epoch->CurrentEpoch());
-    w.Str(" safe=");
-    w.U64(epoch->SafeToReclaimEpoch());
-    w.Str(" --\n");
+    w.Put("-- epoch[", i, "] current=", epoch->CurrentEpoch(),
+          " safe=", epoch->SafeToReclaimEpoch(), " --\n");
     for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
       uint64_t local = epoch->LocalEpochOf(tid);
       if (local == LightEpoch::kUnprotected) continue;
-      w.Str("  tid=");
-      w.U64(tid);
-      w.Str(" local_epoch=");
-      w.U64(local);
-      w.Str("\n");
+      w.Put("  tid=", tid, " local_epoch=", local, "\n");
     }
   }
 
@@ -289,30 +284,17 @@ void FlightRecorder::Dump(const char* reason) {
       w.Str("-- metrics --\n");
       metrics_header = true;
     }
-    w.Str("  ");
-    w.Str(slot.name);
-    w.Str(" ");
-    switch (slot.kind) {
-      case Registry::Kind::kCounter:
-        w.U64(slot.counter->Sum());
-        break;
-      case Registry::Kind::kGauge:
-        w.I64(slot.gauge->Value());
-        break;
-      case Registry::Kind::kHistogram:
-        w.Str("count=");
-        w.U64(slot.histogram->Count());
-        w.Str(" sum=");
-        w.U64(slot.histogram->ValueSum());
-        w.Str(" p50=");
-        w.U64(slot.histogram->Percentile(0.50));
-        w.Str(" p99=");
-        w.U64(slot.histogram->Percentile(0.99));
-        break;
-      case Registry::Kind::kValue:
-        w.U64(slot.value);
-        w.Str(" (at attach)");
-        break;
+    w.Put("  ", slot.name, " ");
+    if (slot.kind == Registry::Kind::kHistogram) {
+      const Histogram& h = *slot.histogram;
+      w.Put("count=", h.Count(), " sum=", h.ValueSum(),
+            " p50=", h.Percentile(0.50), " p99=", h.Percentile(0.99));
+    } else if (slot.kind == Registry::Kind::kValue) {
+      w.Put(slot.value, " (at attach)");
+    } else if (slot.kind == Registry::Kind::kGauge) {
+      w.I64(static_cast<int64_t>(slot.slots.Sum()));
+    } else {
+      w.U64(slot.slots.Sum());
     }
     w.Str("\n");
   }
@@ -320,70 +302,42 @@ void FlightRecorder::Dump(const char* reason) {
   // --- Last events per thread, per attached ring ----------------------
   for (const EventRingSlot& slot : event_rings_) {
     if (!slot.used.load(std::memory_order_acquire)) continue;
-    w.Str("-- events[");
-    w.Str(slot.name);
-    w.Str("] (last ");
-    w.U64(kEventsPerThreadDumped);
-    w.Str(" per thread) --\n");
+    w.Put("-- events[", slot.name, "] (last ", kEventsPerThreadDumped,
+          " per thread) --\n");
     for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
       slot.ring->rings()[tid].ForEach(
           kEventsPerThreadDumped, [&w](uint64_t, const TraceEvent& e) {
-            w.Str("  tid=");
-            w.U64(e.tid);
-            w.Str(" ns=");
-            w.U64(e.ns);
-            w.Str(" ev=");
-            w.Str(EvName(static_cast<Ev>(e.id)));
-            w.Str(" arg=");
-            w.U64(e.arg);
-            w.Str("\n");
+            w.Put("  tid=", e.tid, " ns=", e.ns,
+                  " ev=", EvName(static_cast<Ev>(e.id)), " arg=", e.arg,
+                  "\n");
           });
     }
   }
 
   if (process_rings_.load(std::memory_order_acquire)) {
     // --- Recent spans ----------------------------------------------------
-    w.Str("-- spans (last ");
-    w.U64(kSpansPerThreadDumped);
-    w.Str(" per thread) --\n");
+    w.Put("-- spans (last ", kSpansPerThreadDumped, " per thread) --\n");
     for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
       spans_->rings()[tid].ForEach(
           kSpansPerThreadDumped, [&w](uint64_t, const SpanRecord& s) {
-            w.Str("  tid=");
-            w.U64(s.tid);
-            w.Str(" trace=");
-            w.Hex(s.trace_id);
-            w.Str(" span=");
-            w.Hex(s.span_id);
-            w.Str(" parent=");
-            w.Hex(s.parent_id);
-            w.Str(" kind=");
-            w.Str(SpanName(s.kind));
-            w.Str(" start_ns=");
-            w.U64(s.start_ns);
-            w.Str(" dur_ns=");
-            w.U64(s.end_ns >= s.start_ns ? s.end_ns - s.start_ns : 0);
-            w.Str(" arg=");
-            w.U64(s.arg);
-            w.Str("\n");
+            w.Put("  tid=", s.tid, " trace=", Hex{s.trace_id},
+                  " span=", Hex{s.span_id}, " parent=", Hex{s.parent_id},
+                  " kind=", SpanName(s.kind), " start_ns=", s.start_ns,
+                  " dur_ns=", s.end_ns >= s.start_ns ? s.end_ns - s.start_ns
+                                                     : 0,
+                  " arg=", s.arg, "\n");
           });
     }
 
     // --- Structured-log ring tail --------------------------------------
-    w.Str("-- log (last ");
-    w.U64(kLogRecordsPerThreadDumped);
-    w.Str(" records per thread) --\n");
+    w.Put("-- log (last ", kLogRecordsPerThreadDumped,
+          " records per thread) --\n");
     for (uint32_t tid = 0; tid < LogRing::NumShards(); ++tid) {
       log_->shard(tid).ring.ForEach(
           kLogRecordsPerThreadDumped,
           [&w](uint64_t, const LogRing::Record& rec) {
-            w.Str("  tid=");
-            w.U64(rec.tid);
-            w.Str(" ns=");
-            w.U64(rec.wall_ns);
-            w.Str(" ");
-            w.Str(LogLevelName(static_cast<LogLevel>(rec.level)));
-            w.Str(" ");
+            w.Put("  tid=", rec.tid, " ns=", rec.wall_ns, " ",
+                  LogLevelName(static_cast<LogLevel>(rec.level)), " ");
             w.StrN(rec.text, rec.len);
             w.Str("\n");
           });
@@ -391,30 +345,18 @@ void FlightRecorder::Dump(const char* reason) {
 
     // --- Slow-op log tail ------------------------------------------------
     const SlowLog::Ring& slow = slowlog_->ring();
-    w.Str("-- slowlog (newest ");
-    w.U64(kSlowlogEntriesDumped);
-    w.Str(" of ");
-    w.U64(slow.End());
-    w.Str(" recorded) --\n");
+    w.Put("-- slowlog (newest ", kSlowlogEntriesDumped, " of ", slow.End(),
+          " recorded) --\n");
     slow.ForEach(kSlowlogEntriesDumped,
                  [&w](uint64_t seq, const SlowLog::Entry& e) {
-                   w.Str("  id=");
-                   w.U64(seq);
-                   w.Str(" op=");
-                   w.Str(SlowOpKindName(e.kind));
-                   w.Str(" tid=");
-                   w.U64(e.tid);
-                   w.Str(" key=");
-                   w.Hex(e.key_hash);
-                   w.Str(" total_ns=");
-                   w.U64(e.total_ns);
-                   w.Str(e.pending ? " pending" : " sync");
+                   w.Put("  id=", seq, " op=", SlowOpKindName(e.kind),
+                         " tid=", e.tid, " key=", Hex{e.key_hash},
+                         " total_ns=", e.total_ns,
+                         e.pending ? " pending" : " sync");
                    for (uint32_t i = 0; i < kNumOpStages; ++i) {
                      if (e.stage_ns[i] == 0) continue;
-                     w.Str(" ");
-                     w.Str(StageName(static_cast<Stage>(i)));
-                     w.Str("=");
-                     w.U64(e.stage_ns[i]);
+                     w.Put(" ", StageName(static_cast<Stage>(i)), "=",
+                           e.stage_ns[i]);
                    }
                    w.Str("\n");
                  });

@@ -13,24 +13,22 @@
 #include "obs/trace.h"
 
 /// FlightRecorder: a crash black box. Stores register their event rings,
-/// metric pointers and epoch tables up front, and the process-wide span,
+/// metric sources and epoch tables up front, and the process-wide span,
 /// log and slow-op rings are attached once (allocation and locking are
 /// allowed then); when the process dies — an epoch-verifier abort, an
 /// assert's SIGABRT, a stray SIGSEGV/SIGBUS — the recorder dumps the
 /// last-N trace events per thread, the recent spans, log records and slow
 /// ops, a metric snapshot, and the per-thread epoch table to stderr and
-/// (when
-/// $FASTER_FLIGHT_DIR is set, cached at Install time) to
+/// (when $FASTER_FLIGHT_DIR is set, cached at Install time) to
 /// $FASTER_FLIGHT_DIR/flight_<pid>.txt.
 ///
 /// Signal-safety contract (DESIGN.md §10): the dump path performs only
 /// lock-free atomic loads on pre-registered pointers (every ring is read
-/// through SeqRing::Read), formats
-/// integers into fixed stack/static buffers with its own itoa, and calls
-/// only async-signal-safe syscalls (write/open/close/getpid). No malloc,
-/// no stdio, no locks. Registration data lives in fixed-size slots whose
-/// names were copied at attach time, so the dump never touches
-/// std::string.
+/// through SeqRing::Read), formats integers into fixed stack/static
+/// buffers with its own itoa, and calls only async-signal-safe syscalls
+/// (write/open/close/getpid). No malloc, no stdio, no locks. Registration
+/// data lives in fixed-size slots whose names were copied at attach time,
+/// so the dump never touches std::string.
 ///
 /// The registration surface takes the *real* obs types (EventRing,
 /// Registry) — callers gate attachment with
@@ -69,7 +67,8 @@ class FlightRecorder {
 
   /// Per-store registration (NOT signal-safe; call at setup time). `owner`
   /// keys the slots for Detach; names are copied. Attached pointers must
-  /// stay valid until Detach(owner) — FasterKv detaches in its destructor.
+  /// stay valid until Detach(owner) — a store's obs::FlightAttachment
+  /// (store_view.h) detaches in its destructor.
   void AttachEventRing(const void* owner, const char* name,
                        const EventRing* ring);
   void AttachEpoch(const void* owner, const LightEpoch* epoch);
@@ -117,8 +116,7 @@ class FlightRecorder {
   };
   struct MetricSlot : Slot {
     Registry::Kind kind = Registry::Kind::kValue;
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
+    SlotSum slots;  // kCounter / kGauge
     const Histogram* histogram = nullptr;
     uint64_t value = 0;  // kValue: snapshot taken at attach time
   };

@@ -1,6 +1,7 @@
 #ifndef FASTER_OBS_STATS_H_
 #define FASTER_OBS_STATS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -57,70 +58,77 @@ inline uint64_t NowNs() {
 // FASTER_STATS is on, and usable directly by tests in any build).
 // ---------------------------------------------------------------------------
 
-/// Monotonic event counter. Increments are owner-shard-only relaxed
-/// load+store (never an RMW): only the calling thread writes its slot's
-/// shard, so plain stores cannot lose updates.
-class Counter {
- public:
-  Counter() : shards_{new Shard[Thread::kMaxThreads]} {}
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
-  void Add(uint64_t n) {
-    std::atomic<uint64_t>& c = shards_[Thread::Id()].value;
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
-  void Inc() { Add(1); }
+/// A metric kept as one 64-bit slot per thread, thread i's `stride` bytes
+/// after thread 0's, summed over threads: how the registry and the flight
+/// recorder read Counter, Gauge and the store's counter blocks
+/// (store_view.h). Relaxed loads only, hence async-signal-safe.
+struct SlotSum {
+  const std::atomic<uint64_t>* first = nullptr;
+  size_t stride = 0;
+  uint32_t count = 0;
 
   uint64_t Sum() const {
     uint64_t total = 0;
-    for (uint32_t i = 0; i < Thread::kMaxThreads; ++i) {
-      total += shards_[i].value.load(std::memory_order_relaxed);
+    const char* p = reinterpret_cast<const char*>(first);
+    for (uint32_t i = 0; i < count; ++i, p += stride) {
+      total += reinterpret_cast<const std::atomic<uint64_t>*>(p)->load(
+          std::memory_order_relaxed);
     }
     return total;
   }
+};
+
+/// One cache-line-aligned shard per Thread::Id() slot: the storage of
+/// Counter and Gauge.
+class Sharded {
+ public:
+  Sharded() : shards_{new Shard[Thread::kMaxThreads]} {}
+  Sharded(const Sharded&) = delete;
+  Sharded& operator=(const Sharded&) = delete;
+
+  SlotSum slots() const {
+    return {&shards_[0].value, sizeof(Shard), Thread::kMaxThreads};
+  }
+
+ protected:
+  std::atomic<uint64_t>& mine() { return shards_[Thread::Id()].value; }
 
  private:
   struct alignas(64) Shard {
-    // order: relaxed fetch_add/load — statistics; no data is published
-    // through the counter.
+    // order: relaxed (see Counter and Gauge) — statistics; no data is
+    // published through a shard.
     std::atomic<uint64_t> value{0};
   };
   std::unique_ptr<Shard[]> shards_;
+};
+
+/// Monotonic event counter. Increments are owner-shard-only relaxed
+/// load+store (never an RMW): only the calling thread writes its slot's
+/// shard, so plain stores cannot lose updates.
+class Counter : public Sharded {
+ public:
+  void Add(uint64_t n) {
+    std::atomic<uint64_t>& c = mine();
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+  void Inc() { Add(1); }
+  uint64_t Sum() const { return slots().Sum(); }
 };
 
 /// Up/down instantaneous value (queue depths, in-flight operations).
 /// Updates are relaxed fetch_add on the *calling* thread's shard, so an
 /// increment on one thread may be balanced by a decrement on another
 /// (e.g. I/O submitted by a worker, completed on a pool thread) while the
-/// cross-shard sum stays exact.
-class Gauge {
+/// cross-shard sum stays exact: shards wrap modulo 2^64, and the sum is
+/// read back as signed.
+class Gauge : public Sharded {
  public:
-  Gauge() : shards_{new Shard[Thread::kMaxThreads]} {}
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
   void Add(int64_t d) {
-    shards_[Thread::Id()].value.fetch_add(d, std::memory_order_relaxed);
+    mine().fetch_add(static_cast<uint64_t>(d), std::memory_order_relaxed);
   }
   void Inc() { Add(1); }
   void Dec() { Add(-1); }
-
-  int64_t Value() const {
-    int64_t total = 0;
-    for (uint32_t i = 0; i < Thread::kMaxThreads; ++i) {
-      total += shards_[i].value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  struct alignas(64) Shard {
-    // order: relaxed fetch_add/load — statistics; no data is published
-    // through the gauge.
-    std::atomic<int64_t> value{0};
-  };
-  std::unique_ptr<Shard[]> shards_;
+  int64_t Value() const { return static_cast<int64_t>(slots().Sum()); }
 };
 
 /// Fixed-bucket log2 histogram: bucket 0 holds the value 0, bucket b
@@ -226,73 +234,61 @@ class Registry {
   enum class Kind : uint8_t { kCounter, kGauge, kHistogram, kValue };
 
   void Add(std::string name, const Counter* c) {
-    entries_.push_back({std::move(name), Kind::kCounter, c, nullptr, nullptr, 0});
+    Add(std::move(name), Kind::kCounter, c->slots());
   }
   void Add(std::string name, const Gauge* g) {
-    entries_.push_back({std::move(name), Kind::kGauge, nullptr, g, nullptr, 0});
+    Add(std::move(name), Kind::kGauge, g->slots());
+  }
+  /// A per-thread counter (kCounter) or gauge (kGauge) kept outside an
+  /// obs:: metric, e.g. a slot of the store's counter block.
+  void Add(std::string name, Kind kind, SlotSum slots) {
+    entries_.push_back({std::move(name), kind, slots, nullptr, 0});
   }
   void Add(std::string name, const Histogram* h) {
-    entries_.push_back({std::move(name), Kind::kHistogram, nullptr, nullptr, h, 0});
+    entries_.push_back({std::move(name), Kind::kHistogram, {}, h, 0});
   }
-  /// A precomputed scalar (for values maintained outside obs::, e.g. the
-  /// store's legacy per-thread operation tallies).
+  /// A precomputed scalar (for values derived at collection time, e.g.
+  /// the store's GetStats() totals).
   void AddValue(std::string name, uint64_t v) {
-    entries_.push_back({std::move(name), Kind::kValue, nullptr, nullptr, nullptr, v});
+    entries_.push_back({std::move(name), Kind::kValue, {}, nullptr, v});
   }
 
   size_t size() const { return entries_.size(); }
 
-  /// Visits every entry as fn(name, kind, counter, gauge, histogram,
-  /// value); exactly one of the three pointers is non-null except for
-  /// kValue entries, where all are null. The flight recorder uses this to
-  /// copy metric pointers into its pre-registered (signal-safe) slots.
+  /// Visits every entry as fn(name, kind, slots, histogram, value): slots
+  /// for kCounter/kGauge, histogram for kHistogram, value for kValue. The
+  /// flight recorder uses this to copy metric sources into its
+  /// pre-registered (signal-safe) slots.
   template <class Fn>
   void ForEach(Fn&& fn) const {
     for (const Entry& e : entries_) {
-      fn(e.name, e.kind, e.counter, e.gauge, e.histogram, e.value);
+      fn(e.name, e.kind, e.slots, e.histogram, e.value);
     }
   }
 
   /// One metric per line: `name<spaces>value` for scalars,
-  /// `name count=N p50=X p99=Y p999=Z` for histograms.
+  /// `name count=N p50=X p99=Y p999=Z sum=S buckets=...` for histograms.
   std::string Text() const {
     std::string out;
     for (const Entry& e : Sorted()) {
       out += e.name;
-      size_t pad = e.name.size() < 44 ? 44 - e.name.size() : 1;
-      out.append(pad, ' ');
-      switch (e.kind) {
-        case Kind::kCounter:
-          out += std::to_string(e.counter->Sum());
-          break;
-        case Kind::kGauge:
-          out += std::to_string(e.gauge->Value());
-          break;
-        case Kind::kValue:
-          out += std::to_string(e.value);
-          break;
-        case Kind::kHistogram: {
-          out += "count=" + std::to_string(e.histogram->Count());
-          out += " p50=" + std::to_string(e.histogram->Percentile(0.50));
-          out += " p99=" + std::to_string(e.histogram->Percentile(0.99));
-          out += " p999=" + std::to_string(e.histogram->Percentile(0.999));
-          // Raw bucket data too, so offline tooling can re-aggregate
-          // across runs instead of trusting derived percentiles.
-          out += " sum=" + std::to_string(e.histogram->ValueSum());
-          uint64_t buckets[Histogram::kNumBuckets];
-          e.histogram->SnapshotBuckets(buckets);
-          out += " buckets=";
-          bool bfirst = true;
-          for (uint32_t b = 0; b < Histogram::kNumBuckets; ++b) {
-            if (buckets[b] == 0) continue;
-            if (!bfirst) out += ',';
-            bfirst = false;
-            out += std::to_string(Histogram::BucketUpperBound(b)) + ':' +
-                   std::to_string(buckets[b]);
-          }
-          if (bfirst) out += '-';
-          break;
-        }
+      out.append(e.name.size() < 44 ? 44 - e.name.size() : 1, ' ');
+      if (e.kind != Kind::kHistogram) {
+        out += e.Scalar();
+      } else {
+        out += "count=" + std::to_string(e.histogram->Count());
+        out += " p50=" + std::to_string(e.histogram->Percentile(0.50));
+        out += " p99=" + std::to_string(e.histogram->Percentile(0.99));
+        out += " p999=" + std::to_string(e.histogram->Percentile(0.999));
+        // Raw bucket data too, so offline tooling can re-aggregate
+        // across runs instead of trusting derived percentiles.
+        out += " sum=" + std::to_string(e.histogram->ValueSum());
+        std::string buckets;
+        e.ForEachBucket([&buckets](uint64_t upper, uint64_t n) {
+          buckets += (buckets.empty() ? "" : ",") + std::to_string(upper) +
+                     ':' + std::to_string(n);
+        });
+        out += " buckets=" + (buckets.empty() ? "-" : buckets);
       }
       out += '\n';
     }
@@ -305,51 +301,36 @@ class Registry {
   std::string Json() const {
     std::vector<Entry> sorted = Sorted();
     std::string out = "{";
-    out += "\"counters\":{";
-    bool first = true;
-    for (const Entry& e : sorted) {
-      if (e.kind == Kind::kCounter || e.kind == Kind::kValue) {
-        if (!first) out += ',';
+    for (Kind section : {Kind::kCounter, Kind::kGauge, Kind::kHistogram}) {
+      out += section == Kind::kCounter ? "\"counters\":{"
+             : section == Kind::kGauge ? "},\"gauges\":{"
+                                       : "},\"histograms\":{";
+      bool first = true;
+      for (const Entry& e : sorted) {
+        Kind k = e.kind == Kind::kValue ? Kind::kCounter : e.kind;
+        if (k != section) continue;
+        out += first ? "\"" : ",\"";
         first = false;
-        uint64_t v = e.kind == Kind::kCounter ? e.counter->Sum() : e.value;
-        out += '"' + e.name + "\":" + std::to_string(v);
+        out += e.name + "\":";
+        if (k != Kind::kHistogram) {
+          out += e.Scalar();
+          continue;
+        }
+        const Histogram& h = *e.histogram;
+        out += "{\"count\":" + std::to_string(h.Count());
+        out += ",\"sum\":" + std::to_string(h.ValueSum());
+        out += ",\"p50\":" + std::to_string(h.Percentile(0.50));
+        out += ",\"p99\":" + std::to_string(h.Percentile(0.99));
+        out += ",\"p999\":" + std::to_string(h.Percentile(0.999));
+        out += ",\"buckets\":[";
+        bool bfirst = true;
+        e.ForEachBucket([&](uint64_t upper, uint64_t n) {
+          out += (bfirst ? "[" : ",[") + std::to_string(upper) + ',' +
+                 std::to_string(n) + ']';
+          bfirst = false;
+        });
+        out += "]}";
       }
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const Entry& e : sorted) {
-      if (e.kind == Kind::kGauge) {
-        if (!first) out += ',';
-        first = false;
-        out += '"' + e.name + "\":" + std::to_string(e.gauge->Value());
-      }
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const Entry& e : sorted) {
-      if (e.kind != Kind::kHistogram) continue;
-      if (!first) out += ',';
-      first = false;
-      uint64_t buckets[Histogram::kNumBuckets];
-      e.histogram->SnapshotBuckets(buckets);
-      uint64_t count = 0;
-      for (uint32_t b = 0; b < Histogram::kNumBuckets; ++b) count += buckets[b];
-      out += '"' + e.name + "\":{";
-      out += "\"count\":" + std::to_string(count);
-      out += ",\"sum\":" + std::to_string(e.histogram->ValueSum());
-      out += ",\"p50\":" + std::to_string(e.histogram->Percentile(0.50));
-      out += ",\"p99\":" + std::to_string(e.histogram->Percentile(0.99));
-      out += ",\"p999\":" + std::to_string(e.histogram->Percentile(0.999));
-      out += ",\"buckets\":[";
-      bool bfirst = true;
-      for (uint32_t b = 0; b < Histogram::kNumBuckets; ++b) {
-        if (buckets[b] == 0) continue;
-        if (!bfirst) out += ',';
-        bfirst = false;
-        out += '[' + std::to_string(Histogram::BucketUpperBound(b)) + ',' +
-               std::to_string(buckets[b]) + ']';
-      }
-      out += "]}";
     }
     out += "}}";
     return out;
@@ -364,41 +345,28 @@ class Registry {
     std::string out;
     for (const Entry& e : Sorted()) {
       std::string name = PromName(e.name);
-      switch (e.kind) {
-        case Kind::kCounter:
-        case Kind::kValue: {
-          uint64_t v = e.kind == Kind::kCounter ? e.counter->Sum() : e.value;
-          out += "# TYPE " + name + "_total counter\n";
-          out += name + "_total " + std::to_string(v) + '\n';
-          break;
-        }
-        case Kind::kGauge:
-          out += "# TYPE " + name + " gauge\n";
-          out += name + ' ' + std::to_string(e.gauge->Value()) + '\n';
-          break;
-        case Kind::kHistogram: {
-          uint64_t buckets[Histogram::kNumBuckets];
-          e.histogram->SnapshotBuckets(buckets);
-          out += "# TYPE " + name + " histogram\n";
-          uint64_t cumulative = 0;
-          for (uint32_t b = 0; b + 1 < Histogram::kNumBuckets; ++b) {
-            cumulative += buckets[b];
-            // Skip empty leading/interior buckets to keep scrapes small;
-            // cumulative counts stay correct because they accumulate over
-            // skipped buckets too.
-            if (buckets[b] == 0) continue;
-            out += name + "_bucket{le=\"" +
-                   std::to_string(Histogram::BucketUpperBound(b)) + "\"} " +
-                   std::to_string(cumulative) + '\n';
-          }
-          cumulative += buckets[Histogram::kNumBuckets - 1];
-          out += name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
-                 '\n';
-          out += name + "_sum " + std::to_string(e.histogram->ValueSum()) +
-                 '\n';
-          out += name + "_count " + std::to_string(cumulative) + '\n';
-          break;
-        }
+      if (e.kind == Kind::kGauge) {
+        out += "# TYPE " + name + " gauge\n";
+        out += name + ' ' + e.Scalar() + '\n';
+      } else if (e.kind != Kind::kHistogram) {
+        out += "# TYPE " + name + "_total counter\n";
+        out += name + "_total " + e.Scalar() + '\n';
+      } else {
+        out += "# TYPE " + name + " histogram\n";
+        // Empty buckets are skipped to keep scrapes small; the counts stay
+        // cumulative over them.
+        uint64_t cumulative = 0;
+        e.ForEachBucket([&](uint64_t upper, uint64_t n) {
+          cumulative += n;
+          if (upper == UINT64_MAX) return;  // the +Inf bucket below
+          out += name + "_bucket{le=\"" + std::to_string(upper) + "\"} " +
+                 std::to_string(cumulative) + '\n';
+        });
+        out += name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
+               '\n';
+        out += name + "_sum " + std::to_string(e.histogram->ValueSum()) +
+               '\n';
+        out += name + "_count " + std::to_string(cumulative) + '\n';
       }
     }
     if (out.empty()) out = "# (empty registry)\n";
@@ -419,24 +387,36 @@ class Registry {
   struct Entry {
     std::string name;
     Kind kind;
-    const Counter* counter;
-    const Gauge* gauge;
+    SlotSum slots;
     const Histogram* histogram;
     uint64_t value;
+
+    /// A counter, gauge (signed) or precomputed value, as text.
+    std::string Scalar() const {
+      if (kind == Kind::kValue) return std::to_string(value);
+      uint64_t sum = slots.Sum();
+      return kind == Kind::kGauge
+                 ? std::to_string(static_cast<int64_t>(sum))
+                 : std::to_string(sum);
+    }
+    /// fn(upper bound, count) for each non-empty histogram bucket.
+    template <class Fn>
+    void ForEachBucket(Fn&& fn) const {
+      uint64_t buckets[Histogram::kNumBuckets];
+      histogram->SnapshotBuckets(buckets);
+      for (uint32_t b = 0; b < Histogram::kNumBuckets; ++b) {
+        if (buckets[b] != 0) fn(Histogram::BucketUpperBound(b), buckets[b]);
+      }
+    }
   };
 
   std::vector<Entry> Sorted() const {
+    // Registries are small and built per dump.
     std::vector<Entry> sorted = entries_;
-    for (size_t i = 1; i < sorted.size(); ++i) {
-      // Insertion sort: registries are small and built per dump.
-      Entry e = std::move(sorted[i]);
-      size_t j = i;
-      while (j > 0 && e.name < sorted[j - 1].name) {
-        sorted[j] = std::move(sorted[j - 1]);
-        --j;
-      }
-      sorted[j] = std::move(e);
-    }
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.name < b.name;
+                     });
     return sorted;
   }
 
@@ -504,6 +484,7 @@ class NoopRegistry {
   using Kind = Registry::Kind;
   template <class T>
   void Add(const std::string&, const T*) {}
+  void Add(const std::string&, Kind, SlotSum) {}
   void AddValue(const std::string&, uint64_t) {}
   size_t size() const { return 0; }
   template <class Fn>

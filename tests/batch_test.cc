@@ -457,9 +457,9 @@ TEST(BatchReadCacheTest, ReadCacheMatchesSequential) {
 
   AssertSameState(batch, mirror, 4096);
   if constexpr (obs::kStatsEnabled) {
-    EXPECT_GT(batch.obs_stats().batch_fast.Sum(), 0u);
-    EXPECT_GT(batch.obs_stats().rc_second_chance.Sum(), 0u);
-    EXPECT_GT(batch.obs_stats().rc_evictions.Sum(), 0u);
+    EXPECT_GT(batch.counters().Sum(obs::StoreCounter::kBatchFast), 0u);
+    EXPECT_GT(batch.counters().Sum(obs::StoreCounter::kRcSecondChance), 0u);
+    EXPECT_GT(batch.counters().Sum(obs::StoreCounter::kRcEvictions), 0u);
   }
   batch.StopSession();
   mirror.StopSession();

@@ -23,6 +23,7 @@
 #include "core/hybrid_log.h"
 #include "device/memory_device.h"
 #include "obs/flight_recorder.h"
+#include "obs/store_view.h"
 
 namespace faster {
 namespace {
@@ -139,7 +140,7 @@ TEST_F(EpochCheckTest, BelowHeadLogGetAborts) {
   // With the store's rings attached, the dump must carry its recent
   // EventRing entries (page lifecycle events from the fill) — when stats
   // are compiled in; the markers alone otherwise.
-  store.AttachFlightRecorder();
+  obs::FlightAttachment flight = obs::AttachFlightRecorder(store.view());
   std::string dump_re = ".*FASTER FLIGHT RECORDER BEGIN";
   if (obs::kStatsEnabled) dump_re += ".*-- events\\[store\\]";
   dump_re += ".*FASTER FLIGHT RECORDER END";

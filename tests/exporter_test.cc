@@ -25,6 +25,7 @@
 #include "mini_json.h"
 #include "obs/flight_recorder.h"
 #include "obs/stats.h"
+#include "obs/store_view.h"
 #include "obs/trace.h"
 
 namespace faster {
@@ -395,8 +396,10 @@ TEST(FlightRecorderTest, TwoStoresDumpProcessRingsOnce) {
         cfg.log.memory_size_bytes = 16 << 20;
         static Store first{cfg, &device};
         static Store second{cfg, &device};
-        first.AttachFlightRecorder();
-        second.AttachFlightRecorder();
+        static obs::FlightAttachment first_flight =
+            obs::AttachFlightRecorder(first.view());
+        static obs::FlightAttachment second_flight =
+            obs::AttachFlightRecorder(second.view());
         std::abort();
       },
       "FASTER FLIGHT RECORDER BEGIN.*-- spans.*-- log.*-- slowlog"

@@ -20,6 +20,7 @@
 #include "net/socket.h"
 #include "obs/perf.h"
 #include "obs/slowlog.h"
+#include "obs/store_view.h"
 
 namespace faster {
 namespace net {
@@ -599,6 +600,63 @@ TEST_F(NetServerTest, InfoIsSectioned) {
   }
   EXPECT_TRUE(IsDecimal(InfoValue(info, "anon_huge_bytes")))
       << InfoValue(info, "anon_huge_bytes");
+}
+
+// Value of the first numeric JSON field `key` at or after `from`.
+uint64_t JsonField(const std::string& json, const std::string& key,
+                   size_t from = 0) {
+  size_t at = json.find("\"" + key + "\":", from);
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+// INFO's # Log and # Epoch sections and /debug/log and /debug/epochs
+// render from one view of the store, so on a quiescent server they agree
+// field for field.
+TEST_F(NetServerTest, InfoMatchesDebugLogAndEpochs) {
+  StartServer();
+  UniqueFd fd = Connect();
+  Exchange(fd.get(), "SET 1 1\r\nINCR 2\r\n", 2);
+  const char* kInfoFields[] = {
+      "log_begin_address", "log_head_address", "log_safe_read_only_address",
+      "log_read_only_address", "log_tail_address", "epoch_current",
+      "epoch_safe", "epoch_protected_threads"};
+  auto info_fields = [&] {
+    std::string info = Exchange(fd.get(), "INFO\r\n", 1);
+    std::vector<uint64_t> v;
+    for (const char* f : kInfoFields) {
+      EXPECT_TRUE(IsDecimal(InfoValue(info, f))) << f;
+      v.push_back(InfoField(info, f));
+    }
+    return v;
+  };
+  // Workers refresh their epochs while idle, which may still move the
+  // safe epoch: take the renderings between two equal INFO replies.
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    std::vector<uint64_t> before = info_fields();
+    const obs::StoreView view = server_->store().view();
+    std::string log = obs::DebugLogJson(view);
+    std::string epochs = obs::DebugEpochsJson(view);
+    if (info_fields() != before) continue;
+    size_t main_log = log.find("\"log\":");
+    ASSERT_NE(main_log, std::string::npos) << log;
+    std::vector<uint64_t> debug = {
+        JsonField(log, "begin", main_log),
+        JsonField(log, "head", main_log),
+        JsonField(log, "safe_read_only", main_log),
+        JsonField(log, "read_only", main_log),
+        JsonField(log, "tail", main_log),
+        JsonField(epochs, "current_epoch"),
+        JsonField(epochs, "safe_epoch"),
+        JsonField(epochs, "protected_threads")};
+    for (size_t i = 0; i < debug.size(); ++i) {
+      EXPECT_EQ(before[i], debug[i]) << kInfoFields[i] << "\n" << log
+                                     << epochs;
+    }
+    EXPECT_GT(before[4], 0u);  // log_tail_address
+    return;
+  }
+  FAIL() << "INFO never settled";
 }
 
 TEST_F(NetServerTest, DebugConnectionsTracksLiveConnections) {

@@ -177,7 +177,7 @@ TEST_F(ReadCacheTest, GrowThenEvictionKeepsBothChildrenReadable) {
   EXPECT_EQ(MustRead(store, second), 2u);
   EXPECT_EQ(MustRead(store, first), 1u);
   if constexpr (obs::kStatsEnabled) {
-    EXPECT_GT(store.obs_stats().rc_evictions.Sum(), 0u);
+    EXPECT_GT(store.counters().Sum(obs::StoreCounter::kRcEvictions), 0u);
   }
   store.StopSession();
 }

@@ -17,6 +17,7 @@
 #include "mini_json.h"
 #include "obs/clock.h"
 #include "obs/span.h"
+#include "obs/store_view.h"
 #include "obs/trace.h"
 
 namespace faster {
@@ -576,8 +577,8 @@ TEST(StatsStoreTest, DumpStatsAfterOps) {
   store.CompletePending(true);
   store.StopSession();
 
-  std::string text = store.DumpStats();
-  std::string json = store.DumpStats(/*json=*/true);
+  std::string text = obs::DumpStats(store.view());
+  std::string json = obs::DumpStats(store.view(), /*json=*/true);
   if constexpr (obs::kStatsEnabled) {
     EXPECT_NE(text.find("store.reads"), std::string::npos) << text;
     EXPECT_NE(text.find("index.probe_len"), std::string::npos) << text;
@@ -589,6 +590,254 @@ TEST(StatsStoreTest, DumpStatsAfterOps) {
   } else {
     EXPECT_NE(text.find("compiled out"), std::string::npos);
     EXPECT_EQ(json, "{}");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Store counters: each op is counted once, by its outcome
+// ---------------------------------------------------------------------------
+
+// Drives every op outcome through single ops and ExecuteBatch, then checks
+// that the counter block partitions each op kind: a kind's outcome
+// counters sum to its GetStats() total, which equals the ops issued. The
+// counters deliberately outside the partition:
+//  - tag_false_positives refines read_miss (a miss whose tag matched);
+//  - rmw_pending_append counts records a pending RMW appends as it
+//    resumes, after the RMW was counted by its first outcome (rmw_stable
+//    or rmw_fuzzy_deferred);
+//  - ios_issued counts device reads, chain hops included, and
+//    completed_pending counts pending ops as they finish;
+//  - pending_ios and pending_retries are levels, not event counts;
+//  - rc_*, batch_* and checkpoints count work done beside the ops.
+TEST(StoreCountersTest, EachOpCountedOnceByOutcome) {
+  using Store = FasterKv<CountStoreFunctions>;
+  using C = obs::StoreCounter;
+  MemoryDevice device;
+  Store::Config cfg;
+  cfg.table_size = 1 << 14;
+  cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;  // spills
+  cfg.log.mutable_fraction = 0.5;
+  cfg.enable_read_cache = true;
+  cfg.read_cache.memory_size_bytes = 2ull << Address::kOffsetBits;
+  Store store{cfg, &device};
+  auto count = [&store](C c) { return store.counters().Sum(c); };
+  uint64_t reads = 0, upserts = 0, rmws = 0, deletes = 0;
+  auto read = [&](uint64_t key, uint64_t* out) {
+    ++reads;
+    return store.Read(key, 0, out);
+  };
+  auto upsert = [&](uint64_t key, uint64_t value) {
+    ++upserts;
+    return store.Upsert(key, value);
+  };
+  auto rmw = [&](uint64_t key, uint64_t delta) {
+    ++rmws;
+    return store.Rmw(key, delta);
+  };
+  auto del = [&](uint64_t key) {
+    ++deletes;
+    return store.Delete(key);
+  };
+  uint64_t out = 0;
+  store.StartSession();
+
+  // Mutable region.
+  for (uint64_t k = 1; k <= 8; ++k) ASSERT_EQ(upsert(k, k), Status::kOk);
+  ASSERT_EQ(upsert(1, 10), Status::kOk);
+  ASSERT_EQ(read(1, &out), Status::kOk);
+  ASSERT_EQ(read(999, &out), Status::kNotFound);
+  ASSERT_EQ(rmw(1, 1), Status::kOk);
+  ASSERT_EQ(rmw(9, 1), Status::kOk);
+  ASSERT_EQ(del(2), Status::kOk);
+  ASSERT_EQ(del(2), Status::kNotFound);
+  ASSERT_EQ(del(998), Status::kNotFound);
+  ASSERT_EQ(read(2, &out), Status::kNotFound);
+  EXPECT_EQ(count(C::kUpsertAppend), 8u);
+  EXPECT_EQ(count(C::kUpsertInPlace), 1u);
+  EXPECT_EQ(count(C::kReadMutable), 1u);
+  EXPECT_EQ(count(C::kReadMiss), 2u);
+  EXPECT_EQ(count(C::kRmwInPlace), 1u);
+  EXPECT_EQ(count(C::kRmwInitial), 1u);
+  EXPECT_EQ(count(C::kDeleteInPlace), 1u);
+  EXPECT_EQ(count(C::kDeleteMiss), 2u);
+
+  // Safe read-only region: reads copy out, updates append (Table 2).
+  store.hlog().ShiftReadOnlyToTail(false);
+  store.Refresh();
+  store.Refresh();
+  ASSERT_EQ(store.hlog().safe_read_only_address(),
+            store.hlog().read_only_address());
+  ASSERT_EQ(read(3, &out), Status::kOk);
+  ASSERT_EQ(upsert(3, 30), Status::kOk);
+  ASSERT_EQ(rmw(4, 1), Status::kOk);
+  ASSERT_EQ(del(5), Status::kOk);
+  EXPECT_EQ(count(C::kReadReadOnly), 1u);
+  EXPECT_EQ(count(C::kUpsertAppend), 9u);
+  EXPECT_EQ(count(C::kRmwCopy), 1u);
+  EXPECT_EQ(count(C::kDeleteAppend), 1u);
+
+  // Fuzzy region: the RMW is deferred, then appends as it resumes.
+  ASSERT_EQ(upsert(6, 60), Status::kOk);
+  store.hlog().ShiftReadOnlyToTail(false);
+  ASSERT_LT(store.hlog().safe_read_only_address(),
+            store.hlog().read_only_address());
+  ASSERT_EQ(rmw(6, 1), Status::kPending);
+  ASSERT_EQ(read(6, &out), Status::kOk);
+  EXPECT_EQ(count(C::kRmwFuzzyDeferred), 1u);
+  // The mutable/fuzzy split is stats-only; default builds count both as
+  // read_mutable.
+  EXPECT_EQ(count(C::kReadFuzzy), obs::kStatsEnabled ? 1u : 0u);
+  EXPECT_EQ(count(C::kReadMutable) + count(C::kReadFuzzy), 2u);
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(count(C::kRmwPendingAppend), 1u);
+  ASSERT_EQ(read(6, &out), Status::kOk);
+  EXPECT_EQ(out, 61u);
+
+  // Storage: spill the keys above to disk, then read and update them.
+  for (uint64_t k = 100; k < 400000; ++k) {
+    ASSERT_EQ(upsert(k, k), Status::kOk);
+  }
+  ASSERT_EQ(read(1, &out), Status::kPending);
+  ASSERT_EQ(rmw(7, 1), Status::kPending);
+  ASSERT_EQ(del(8), Status::kOk);  // blind: a tombstone, no storage read
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(out, 11u);
+  ASSERT_EQ(read(1, &out), Status::kOk);  // now from the read cache
+  EXPECT_EQ(out, 11u);
+  EXPECT_EQ(count(C::kReadStable), 1u);
+  EXPECT_EQ(count(C::kRmwStable), 1u);
+  EXPECT_EQ(count(C::kRmwPendingAppend), 2u);
+  EXPECT_EQ(count(C::kDeleteAppend), 2u);
+  EXPECT_EQ(count(C::kReadRc), 1u);
+
+  // The same outcomes through ExecuteBatch.
+  constexpr uint64_t kFresh = 500000;
+  constexpr size_t kN = 16;
+  Store::BatchOp ops[4 * kN + 2];
+  uint64_t outs[2 * kN + 1];
+  for (size_t i = 0; i < kN; ++i) {
+    ops[i] = {};
+    ops[i].kind = Store::BatchOp::Kind::kUpsert;
+    ops[i].key = kFresh + i;
+    ops[i].value = i;
+  }
+  store.ExecuteBatch(ops, kN);
+  upserts += kN;
+  size_t n = 0;
+  for (size_t i = 0; i < kN; ++i) {
+    ops[n] = {};
+    ops[n].kind = Store::BatchOp::Kind::kRead;
+    ops[n].key = kFresh + i;
+    ops[n].output = &outs[i];
+    ++n;
+    ops[n] = {};
+    ops[n].kind = Store::BatchOp::Kind::kUpsert;
+    ops[n].key = kFresh + i;
+    ops[n].value = 100 + i;
+    ++n;
+    ops[n] = {};
+    ops[n].kind = Store::BatchOp::Kind::kRmw;
+    ops[n].key = kFresh + i;
+    ops[n].input = 1;
+    ++n;
+  }
+  ops[n] = {};
+  ops[n].kind = Store::BatchOp::Kind::kRead;  // on disk since the spill
+  ops[n].key = 3;
+  ops[n].output = &outs[kN];
+  ++n;
+  ops[n] = {};
+  ops[n].kind = Store::BatchOp::Kind::kRmw;  // absent
+  ops[n].key = kFresh + kN;
+  ops[n].input = 5;
+  ++n;
+  store.ExecuteBatch(ops, n);
+  reads += kN + 1;
+  upserts += kN;
+  rmws += kN + 1;
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(outs[kN], 30u);
+  EXPECT_EQ(count(C::kUpsertAppend), upserts - 1 - kN);
+  EXPECT_EQ(count(C::kUpsertInPlace), 1 + kN);
+  EXPECT_EQ(count(C::kReadMutable) + count(C::kReadFuzzy), 3 + kN);
+  EXPECT_EQ(count(C::kRmwInPlace), 1 + kN);
+  EXPECT_EQ(count(C::kRmwInitial), 2u);
+  EXPECT_EQ(count(C::kReadStable), 2u);
+  if constexpr (obs::kStatsEnabled) {
+    EXPECT_EQ(count(C::kBatchFast) + count(C::kBatchFallback), n + kN);
+  }
+
+  // Each op kind's outcome counters sum to its total, which counts every
+  // op issued exactly once.
+  Store::Stats s = store.GetStats();
+  EXPECT_EQ(s.reads, reads);
+  EXPECT_EQ(s.upserts, upserts);
+  EXPECT_EQ(s.rmws, rmws);
+  EXPECT_EQ(s.deletes, deletes);
+  EXPECT_EQ(count(C::kReadMutable) + count(C::kReadFuzzy) +
+                count(C::kReadReadOnly) + count(C::kReadStable) +
+                count(C::kReadRc) + count(C::kReadMiss) +
+                count(C::kReadMerged),
+            reads);
+  EXPECT_EQ(count(C::kUpsertInPlace) + count(C::kUpsertAppend), upserts);
+  EXPECT_EQ(count(C::kRmwInPlace) + count(C::kRmwCopy) +
+                count(C::kRmwInitial) + count(C::kRmwDelta) +
+                count(C::kRmwFuzzyDeferred) + count(C::kRmwStable),
+            rmws);
+  EXPECT_EQ(count(C::kDeleteInPlace) + count(C::kDeleteAppend) +
+                count(C::kDeleteMiss),
+            deletes);
+  EXPECT_EQ(s.fuzzy_rmws, count(C::kRmwFuzzyDeferred));
+  EXPECT_EQ(s.read_cache_hits, count(C::kReadRc));
+  EXPECT_EQ(s.appended_records,
+            count(C::kUpsertAppend) + count(C::kRmwCopy) +
+                count(C::kRmwInitial) + count(C::kRmwDelta) +
+                count(C::kDeleteAppend) + count(C::kRmwPendingAppend));
+  // Four ops went pending (the fuzzy RMW, the storage read and RMW, and
+  // the batch's storage read): each finished once, and nothing is left in
+  // flight.
+  EXPECT_EQ(s.completed_pending, 4u);
+  EXPECT_GE(s.pending_ios, 3u);
+  EXPECT_EQ(count(C::kPendingIos), 0u);
+  EXPECT_EQ(count(C::kPendingRetries), 0u);
+  store.StopSession();
+
+  // GetStats() and the registry's store.* scalars agree (stats builds: the
+  // registry is empty otherwise).
+  std::vector<std::pair<std::string, uint64_t>> metrics;
+  obs::StatRegistry reg;
+  obs::CollectStats(store.view(), reg);
+  reg.ForEach([&metrics](const std::string& name, obs::Registry::Kind kind,
+                         obs::SlotSum slots, const obs::Histogram*,
+                         uint64_t value) {
+    if (kind != obs::Registry::Kind::kHistogram) {
+      metrics.emplace_back(
+          name, kind == obs::Registry::Kind::kValue ? value : slots.Sum());
+    }
+  });
+  auto metric = [&metrics](const std::string& name) -> uint64_t {
+    for (const auto& [n, v] : metrics) {
+      if (n == name) return v;
+    }
+    ADD_FAILURE() << "no metric " << name;
+    return 0;
+  };
+  if constexpr (obs::kStatsEnabled) {
+    EXPECT_EQ(metric("store.reads"), s.reads);
+    EXPECT_EQ(metric("store.upserts"), s.upserts);
+    EXPECT_EQ(metric("store.rmws"), s.rmws);
+    EXPECT_EQ(metric("store.deletes"), s.deletes);
+    EXPECT_EQ(metric("store.fuzzy_rmws"), s.fuzzy_rmws);
+    EXPECT_EQ(metric("store.ios_issued"), s.pending_ios);
+    EXPECT_EQ(metric("store.completed_pending"), s.completed_pending);
+    EXPECT_EQ(metric("store.appended_records"), s.appended_records);
+    EXPECT_EQ(metric("store.read_cache_hits"), s.read_cache_hits);
+    for (size_t i = 0; i < std::size(obs::kStoreCounterNames); ++i) {
+      EXPECT_EQ(metric(obs::kStoreCounterNames[i]), count(static_cast<C>(i)))
+          << obs::kStoreCounterNames[i];
+    }
+  } else {
+    EXPECT_TRUE(metrics.empty());
   }
 }
 

@@ -273,7 +273,7 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
     // The cache wrapped while its records were still indexed (sanitized
     // runs are scaled down too far to wrap it).
     if constexpr (obs::kStatsEnabled && !stress::kSanitized) {
-      EXPECT_GT(store.obs_stats().rc_evictions.Sum(), 0u);
+      EXPECT_GT(store.counters().Sum(obs::StoreCounter::kRcEvictions), 0u);
     }
   }
   std::filesystem::remove_all(ckpt_dir);

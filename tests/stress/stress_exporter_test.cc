@@ -27,6 +27,7 @@
 #include "obs/exporter.h"
 #include "obs/slowlog.h"
 #include "obs/span.h"
+#include "obs/store_view.h"
 #include "stress_common.h"
 
 namespace faster {
@@ -104,16 +105,17 @@ TEST(StressExporterTest, ScrapesAndTraceDumpsRaceStoreOperations) {
 
   obs::ExporterOptions options;
   options.port = 0;
+  const obs::StoreView view = store.view();
   obs::MetricsExporter::Handlers handlers{
-      [&store] { return store.DumpPrometheus(); },
-      [&store] { return store.DumpStats(/*json=*/true); }};
+      [view] { return obs::DumpPrometheus(view); },
+      [view] { return obs::DumpStats(view, /*json=*/true); }};
   handlers
       .AddRoute("/debug/slowlog",
                 [] { return obs::GlobalSlowLog().Json(); })
-      .AddRoute("/debug/index", [&store] { return store.DebugIndexJson(); })
-      .AddRoute("/debug/log", [&store] { return store.DebugLogJson(); })
+      .AddRoute("/debug/index", [view] { return obs::DebugIndexJson(view); })
+      .AddRoute("/debug/log", [view] { return obs::DebugLogJson(view); })
       .AddRoute("/debug/epochs",
-                [&store] { return store.DebugEpochsJson(); });
+                [view] { return obs::DebugEpochsJson(view); });
   obs::MetricsExporter exporter{options, std::move(handlers)};
   ASSERT_TRUE(exporter.ok());
 
@@ -139,7 +141,7 @@ TEST(StressExporterTest, ScrapesAndTraceDumpsRaceStoreOperations) {
   std::thread trace_snapshotter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       std::ostringstream os;
-      store.DumpTrace(os);
+      obs::DumpTrace(view, os);
       EXPECT_FALSE(os.str().empty());
     }
   });
