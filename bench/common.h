@@ -100,7 +100,7 @@ V MakeValue(uint64_t seed) {
 template <class F>
 struct FasterStoreHolder {
   explicit FasterStoreHolder(const typename FasterKv<F>::Config& cfg)
-      : device(std::make_unique<MemoryDevice>(2)),
+      : device(std::make_unique<MemoryDevice>()),
         store(std::make_unique<FasterKv<F>>(cfg, device.get())) {}
 
   /// Preloads keys [0, n) (the paper preloads the dataset before runs).

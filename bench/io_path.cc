@@ -1,20 +1,15 @@
-// I/O-path sidecar: the thread-pool completion hop vs. the
-// completion-polling queue pairs (DESIGN.md §13), as a Fig. 10-style
-// memory-budget sweep. At small budgets a 50:50 zipf workload turns into
-// a pending-read storm, so the per-I/O overhead of the completion path —
-// submit handoff, worker wakeup, cross-thread completion queue vs.
-// poll-on-caller — dominates throughput. Case names:
+// I/O-path sidecar: the device I/O paths (DESIGN.md §13) under a
+// Fig. 10-style memory-budget sweep. At small budgets a 50:50 zipf
+// workload turns into a pending-read storm, so the per-I/O cost of the
+// completion path dominates throughput. Case names:
 //
-//   io_path/pool/budgetMB:N      IoThreadPool (2 workers), the old path
-//   io_path/polling/budgetMB:N   IoQueuePair submit/poll, no I/O threads
-//   io_path_file/{pool,polling,uring}/budgetMB:N
-//                                same comparison on a FileDevice, with
-//                                the io_uring backend when the kernel
-//                                supports it (uring_active counter says
-//                                whether it actually engaged)
+//   io_path/polling/budgetMB:N   MemoryDevice: IoQueuePair submit/poll
+//   io_path_file/{polling,uring}/budgetMB:16
+//                                a FileDevice on the polling queue pairs
+//                                vs. the io_uring backend (uring_active
+//                                says whether the kernel backend engaged)
 //
-// tools/summarize_bench.py pairs pool vs. the other modes per budget and
-// prints the speedup lines recorded in EXPERIMENTS.md.
+// tools/summarize_bench.py pairs uring against polling per budget.
 
 #include <filesystem>
 
@@ -29,8 +24,8 @@ using Funcs = BlobStoreFunctions<100>;
 
 uint64_t DatasetKeys() { return BenchKeys() / 2; }
 
-/// FasterStoreHolder hardcodes a thread-pool MemoryDevice; the point here
-/// is the device, so this holder takes one by reference instead.
+/// FasterStoreHolder owns a MemoryDevice; the point here is the device, so
+/// this holder takes one by pointer instead.
 struct ModalStoreHolder {
   ModalStoreHolder(const FasterKv<Funcs>::Config& cfg, IDevice* device)
       : store(std::make_unique<FasterKv<Funcs>>(cfg, device)) {}
@@ -60,13 +55,10 @@ void RunCase(benchmark::State& state, IDevice* device, uint64_t keys,
 void BM_MemoryIoPath(benchmark::State& state) {
   uint64_t keys = DatasetKeys();
   uint64_t budget_mb = static_cast<uint64_t>(state.range(0));
-  bool polling = state.range(1) != 0;
   for (auto _ : state) {
-    // Polling runs zero I/O threads: every flush write and cold read
-    // executes inside a worker's own CompletePending poll.
-    MemoryDevice device = polling
-                              ? MemoryDevice{0, 0, IoPathMode::kPolling}
-                              : MemoryDevice{2, 0, IoPathMode::kThreadPool};
+    // Every flush write and cold read executes inside a worker's own
+    // CompletePending poll.
+    MemoryDevice device;
     RunCase(state, &device, keys, budget_mb);
   }
 }
@@ -81,10 +73,10 @@ void BM_FileIoPath(benchmark::State& state) {
   for (auto _ : state) {
     std::filesystem::remove(path);
     {
-      FileDevice device{path, 2, mode};
+      FileDevice device{path, 0, mode};
       RunCase(state, &device, keys, budget_mb);
-      // kUring silently falls back to kPolling on old kernels; record
-      // which backend actually ran so the sidecar is honest.
+      // kUring falls back to kPolling on old kernels; record which backend
+      // actually ran so the sidecar is honest.
       state.counters["uring_active"] = benchmark::Counter(
           device.mode() == IoPathMode::kUring ? 1.0 : 0.0);
     }
@@ -94,23 +86,18 @@ void BM_FileIoPath(benchmark::State& state) {
 
 void RegisterAll() {
   for (int64_t budget : {8, 16, 32, 64}) {
-    for (int polling = 0; polling < 2; ++polling) {
-      benchmark::RegisterBenchmark(
-          (std::string("io_path/") + (polling != 0 ? "polling" : "pool") +
-           "/budgetMB:" + std::to_string(budget))
-              .c_str(),
-          BM_MemoryIoPath)
-          ->Args({budget, polling})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark(
+        ("io_path/polling/budgetMB:" + std::to_string(budget)).c_str(),
+        BM_MemoryIoPath)
+        ->Args({budget})
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
   }
   struct FileMode {
     const char* name;
     IoPathMode mode;
   };
-  for (FileMode fm : {FileMode{"pool", IoPathMode::kThreadPool},
-                      FileMode{"polling", IoPathMode::kPolling},
+  for (FileMode fm : {FileMode{"polling", IoPathMode::kPolling},
                       FileMode{"uring", IoPathMode::kUring}}) {
     benchmark::RegisterBenchmark(
         (std::string("io_path_file/") + fm.name + "/budgetMB:16").c_str(),

@@ -21,9 +21,8 @@
 // file. --slowlog-threshold-us N arms the slow-op log (SLOWLOG GET).
 //
 // --memory-budget-mb N caps the HybridLog in-memory buffer (cold keys
-// spill and GETs of them take the pending-I/O path); --io-path polling
-// serves that path with completion-polling queue pairs instead of the
-// I/O thread pool (DESIGN.md §13).
+// spill and GETs of them take the pending-I/O path, served by the workers'
+// own completion polling (DESIGN.md §13).
 
 #include <signal.h>
 
@@ -62,7 +61,7 @@ void Usage(const char* argv0) {
                "          [--max-pipeline N] [--export-port P] [--print-port]\n"
                "          [--log-level debug|info|warn|error|off]\n"
                "          [--log-file PATH] [--slowlog-threshold-us N]\n"
-               "          [--memory-budget-mb N] [--io-path pool|polling]\n"
+               "          [--memory-budget-mb N]\n"
                "          [--perf] [--profile-port P]\n"
                "  --port 0 binds an ephemeral port (printed with "
                "--print-port)\n"
@@ -110,17 +109,6 @@ bool ParseArgs(int argc, char** argv, Options* o) {
       o->server.slowlog_threshold_us = static_cast<uint64_t>(v);
     } else if (a == "--memory-budget-mb" && next(1, 1 << 20, &v)) {
       o->server.log_memory_bytes = static_cast<uint64_t>(v) << 20;
-    } else if (a == "--io-path" && i + 1 < argc) {
-      std::string mode = argv[++i];
-      if (mode == "pool") {
-        o->server.io_path = faster::IoPathMode::kThreadPool;
-      } else if (mode == "polling") {
-        o->server.io_path = faster::IoPathMode::kPolling;
-      } else {
-        std::fprintf(stderr, "faster_server: bad --io-path %s\n",
-                     mode.c_str());
-        return false;
-      }
     } else {
       Usage(argv[0]);
       return false;

@@ -295,11 +295,9 @@ class FasterKv {
     assert(epoch_.IsProtected());
     ThreadState& ts = thread_states_[Thread::Id()];
     for (;;) {
-      // Completion polling (DESIGN.md §13): on a polling device this
-      // executes and reaps this thread's queued I/O right here — the
-      // callbacks push into ts.completions with no cross-thread hop. On
-      // thread-pool devices it returns 0 and completions arrive from the
-      // pool as before.
+      // Completion polling (DESIGN.md §13): executes and reaps this
+      // thread's queued I/O right here — the callbacks push into
+      // ts.completions with no cross-thread hop.
       hlog_.device()->Poll();
       ProcessRetries(ts);
       ProcessCompletions(ts);

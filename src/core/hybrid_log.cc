@@ -177,11 +177,11 @@ bool HybridLog::NewPage(uint64_t old_page) {
                           "allocation stalled on flush frontier",
                           obs::LogField{"want_head_page", desired_head_page},
                           obs::LogField{"flushed_page", flushed_page});
-      // On a polling device the flush frontier only advances when someone
-      // executes the queued writes — including writes queued by other
-      // (possibly stalled or departed) threads, hence PollAll. Safe under
+      // The flush frontier only advances when someone executes the
+      // queued writes — including writes queued by other (possibly
+      // stalled or departed) threads, hence PollAll. Safe under
       // flush_mutex_: it is recursive, so CompleteFlush re-entering on
-      // this thread is fine. No-op on the thread-pool path.
+      // this thread is fine.
       device_->PollAll();
       return false;  // Flush frontier not far enough yet; caller refreshes.
     }
@@ -313,7 +313,7 @@ Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
       },
       &ctx);
   while (done.load(std::memory_order_acquire) == 0) {
-    // Polling devices complete I/O on the waiting thread; no-op otherwise.
+    // The device completes the read on the thread that polls.
     device_->Poll();
     std::this_thread::yield();
   }
@@ -334,7 +334,7 @@ Address HybridLog::ShiftReadOnlyToTail(bool wait) {
     while (Load(flushed_until_) < tail) {
       epoch_->Refresh();
       // Execute queued flush writes — ours and other threads' — so the
-      // frontier can advance on polling devices (no-op otherwise).
+      // frontier can advance.
       device_->PollAll();
       std::this_thread::yield();
     }

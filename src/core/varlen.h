@@ -239,6 +239,8 @@ class FasterBlobKv {
   bool CompletePending(bool wait = false) {
     ThreadState& ts = thread_states_[Thread::Id()];
     for (;;) {
+      // The device completes this thread's reads only when it polls.
+      hlog_.device()->Poll();
       ProcessCompletions(ts);
       bool done = ts.outstanding == 0;
       if (done || !wait) return done;

@@ -10,9 +10,9 @@
 namespace faster {
 
 /// Completion callback for asynchronous device I/O. Invoked exactly once
-/// per issued operation, possibly on an internal I/O thread; `context` is
-/// the caller's opaque pointer, `result` the outcome, `bytes` the number of
-/// bytes transferred.
+/// per issued operation, on whichever thread polls the device (or inline
+/// at submit); `context` is the caller's opaque pointer, `result` the
+/// outcome, `bytes` the number of bytes transferred.
 using IoCallback = void (*)(void* context, Status result, uint32_t bytes);
 
 /// One read in a coalesced batch submission (see ReadBatchAsync). Plain
@@ -25,29 +25,13 @@ struct IoReadRequest {
   void* context = nullptr;
 };
 
-/// How a device executes and completes asynchronous I/O (DESIGN.md §13).
-enum class IoPathMode : uint8_t {
-  /// Portable fallback: an IoThreadPool executes operations and invokes
-  /// callbacks on its own threads (cross-thread completion handoff).
-  kThreadPool,
-  /// Completion polling: submissions go to the calling thread's
-  /// IoQueuePair; operations execute and their callbacks fire on whichever
-  /// thread polls (normally the submitter, via IDevice::Poll()). No
-  /// internal threads, no wakeups.
-  kPolling,
-  /// Linux io_uring (FileDevice only): per-thread kernel rings, reaped by
-  /// polling the completion queue in userspace. Falls back to kPolling
-  /// when the kernel or build lacks io_uring support.
-  kUring,
-};
-
 /// Abstract block device backing the HybridLog's stable region (Sec. 5.2).
 ///
 /// The log issues sector-aligned page flushes (write) and record-sized
 /// random reads (read). Both are asynchronous: the call returns after
-/// enqueueing and the callback fires on completion. Implementations:
-/// `FileDevice` (POSIX file + I/O thread pool), `MemoryDevice` (in-RAM,
-/// deterministic latency, used for tests and scaled-down benchmarks), and
+/// enqueueing and the callback fires when a thread polls. Implementations:
+/// `FileDevice` (POSIX file, polling queue pairs or io_uring),
+/// `MemoryDevice` (in-RAM, used for tests and scaled-down benchmarks), and
 /// `NullDevice` (discards writes, for pure in-memory experiments).
 class IDevice {
  public:
@@ -69,8 +53,8 @@ class IDevice {
   /// with ReadAsync; requests `[*accepted, n)` were NOT issued and never
   /// fire — the caller owns completing or failing them. The default stops
   /// at the first rejection so the accepted set is always a prefix;
-  /// pool-backed devices override this to enqueue the whole group under a
-  /// single lock acquisition.
+  /// FileDevice overrides this to submit a kernel ring's share as one
+  /// io_uring_enter.
   virtual Status ReadBatchAsync(const IoReadRequest* requests, uint32_t n,
                                 uint32_t* accepted = nullptr) {
     for (uint32_t i = 0; i < n; ++i) {
@@ -85,11 +69,10 @@ class IDevice {
     return Status::kOk;
   }
 
-  /// Completion polling (IoPathMode::kPolling / kUring): executes and/or
-  /// reaps the calling thread's queued operations, invoking their
-  /// callbacks on this thread. Returns the number of callbacks delivered.
-  /// Devices on the thread-pool path complete I/O on their own threads
-  /// and return 0 here.
+  /// Completion polling: executes and/or reaps the calling thread's queued
+  /// operations, invoking their callbacks on this thread. Returns the
+  /// number of callbacks delivered. Devices that complete inline at submit
+  /// (NullDevice) return 0.
   virtual uint32_t Poll() { return 0; }
 
   /// Poll(), plus steals other threads' queued work — used by stall loops
@@ -111,7 +94,7 @@ class IDevice {
 };
 
 /// Metrics shared by the concrete async devices: operation counts and
-/// submit-to-completion latency (includes I/O pool queueing time).
+/// submit-to-completion latency (includes the time queued until a poll).
 struct DeviceObsStats {
   obs::StatCounter reads;
   obs::StatCounter writes;

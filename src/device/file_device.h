@@ -7,27 +7,33 @@
 
 #include "device/device.h"
 #include "device/io_queue_pair.h"
-#include "device/io_thread_pool.h"
 #include "device/uring_device.h"
 
 namespace faster {
+
+/// The I/O path a FileDevice runs (see below).
+enum class IoPathMode : uint8_t {
+  kPolling,  ///< completion-polling queue pairs: pread/pwrite on the poller
+  kUring,    ///< Linux io_uring, reaped by polling; falls back to kPolling
+};
 
 /// Log device backed by a POSIX file (pread/pwrite at absolute offsets).
 /// The paper points FASTER at a file on an NVMe SSD; this is the same
 /// arrangement on whatever filesystem hosts `path`.
 ///
-/// `mode` selects the I/O path (DESIGN.md §13): kThreadPool executes on
-/// an IoThreadPool (callbacks on pool threads); kPolling queues on the
-/// calling thread's IoQueuePair, executed when a thread polls; kUring
-/// submits to a per-thread Linux io_uring and reaps completions in
-/// userspace — feature-detected at build (FASTER_IO_URING) and probed at
-/// runtime, degrading to kPolling when unavailable (check mode()).
+/// `mode` selects the I/O path (DESIGN.md §13); neither starts a thread.
+/// kPolling queues on the calling thread's IoQueuePair and runs the
+/// pread/pwrite when a thread polls. kUring submits to a per-thread Linux
+/// io_uring and reaps completions in userspace — feature-detected at build
+/// (FASTER_IO_URING) and probed at runtime. When io_uring is unavailable
+/// the device falls back to kPolling, logs a warning and counts it
+/// (uring_fallbacks(); mode() reports the path that runs).
 class FileDevice : public IDevice, private IoOpExecutor {
  public:
-  /// Opens (creating if needed) `path`. `num_io_threads` pool threads
-  /// service requests in kThreadPool mode (unused otherwise).
-  FileDevice(const std::string& path, uint32_t num_io_threads = 2,
-             IoPathMode mode = IoPathMode::kThreadPool);
+  /// Opens (creating if needed) `path`. `num_io_threads` is ignored (no
+  /// device starts a thread); it stays so existing call sites compile.
+  FileDevice(const std::string& path, uint32_t num_io_threads = 0,
+             IoPathMode mode = IoPathMode::kPolling);
   ~FileDevice() override;
 
   Status WriteAsync(const void* src, uint64_t offset, uint32_t len,
@@ -49,17 +55,23 @@ class FileDevice : public IDevice, private IoOpExecutor {
   /// reports kPolling when io_uring is unavailable).
   IoPathMode mode() const { return mode_; }
 
+  /// 1 when a kUring request fell back to kPolling, else 0.
+  uint64_t uring_fallbacks() const { return uring_fallbacks_; }
+
   void RegisterStats(obs::StatRegistry& registry,
                      const std::string& prefix) const override {
     obs_stats_.Register(registry, prefix);
-    if (pool_ != nullptr) pool_->RegisterStats(registry, prefix + ".pool");
-    if (queues_ != nullptr) queues_->RegisterStats(registry, prefix + ".io");
-    if (uring_ != nullptr) uring_->RegisterStats(registry, prefix + ".io");
+    registry.AddValue(prefix + ".uring_fallbacks", uring_fallbacks_);
+    if (uring_ != nullptr) {
+      uring_->RegisterStats(registry, prefix + ".io");
+    } else {
+      queues_.RegisterStats(registry, prefix + ".io");
+    }
   }
 
  private:
-  IoJob MakeReadJob(uint64_t offset, void* dst, uint32_t len,
-                    IoCallback callback, void* context, uint64_t t0);
+  /// Queues `op` on the io_uring ring or the polling queue pairs.
+  void Submit(const IoOp& op);
 
   /// IoOpExecutor (polling path + io_uring inline fallback): runs one op
   /// synchronously via the pread/pwrite loop.
@@ -68,9 +80,9 @@ class FileDevice : public IDevice, private IoOpExecutor {
   std::string path_;
   int fd_;
   IoPathMode mode_;
-  std::unique_ptr<IoThreadPool> pool_;      // kThreadPool only
-  std::unique_ptr<IoQueuePairSet> queues_;  // kPolling only
-  std::unique_ptr<UringIo> uring_;          // kUring only
+  uint64_t uring_fallbacks_ = 0;    // set once, by the constructor
+  IoQueuePairSet queues_;           // kPolling
+  std::unique_ptr<UringIo> uring_;  // kUring only
   // order: relaxed fetch_add/load — a monotonically increasing byte
   // counter for stats and tests; no data is published through it.
   std::atomic<uint64_t> bytes_written_{0};

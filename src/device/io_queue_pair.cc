@@ -53,8 +53,8 @@ void IoQueuePairSet::ExecuteOne(IoQueuePair& pair, const IoOp& op,
              [&] { c.status = exec.ExecuteOp(op, &c.bytes); });
   if (deliver_inline || !pair.cq.TryPush(c)) {
     // Deliver directly (submit-side backpressure, or completion ring
-    // full). Safe — the thread-pool path always ran callbacks on an
-    // arbitrary pool thread, so every callback is already thread-agnostic.
+    // full). Safe — a foreign poller may run any callback, so every
+    // callback is already thread-agnostic.
     if (!deliver_inline) stats_.cq_full_inline.Inc();
     Deliver(c);
     in_flight_.fetch_sub(1, std::memory_order_release);

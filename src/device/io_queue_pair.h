@@ -15,18 +15,18 @@
 /// Per-thread I/O submission/completion queues for the completion-polling
 /// path (DESIGN.md §13).
 ///
-/// The classic path hands every I/O to an IoThreadPool (mutex + condvar
-/// enqueue, execution on a pool thread, completion pushed back across
-/// threads) — the stall-and-switch tax Lomet & Wang identify as the
-/// dominant residual cost in FASTER-style stores. The polling path removes
-/// both hops: each submitting thread owns an `IoQueuePair` (a lock-free
-/// SPSC submission ring plus an MPSC completion ring), submissions are a
-/// ring push with no wakeup, and the *submitting* thread executes and
-/// reaps its own operations when it polls (`IDevice::Poll()`, driven from
-/// `FasterKv::CompletePending` and the HybridLog stall loops). Foreign
-/// threads may steal a pair's queued work (`PollAll`/`Drain`) so progress
-/// never depends on the owner polling again — consumers serialize through
-/// a per-pair flag; producers never block.
+/// A thread pool would hand every I/O to a pool thread and push its
+/// completion back across threads — the stall-and-switch tax Lomet & Wang
+/// identify as the dominant residual cost in FASTER-style stores. The
+/// polling path has neither hop: each submitting thread owns an
+/// `IoQueuePair` (a lock-free SPSC submission ring plus an MPSC completion
+/// ring), submissions are a ring push with no wakeup, and the *submitting*
+/// thread executes and reaps its own operations when it polls
+/// (`IDevice::Poll()`, driven from `FasterKv::CompletePending` and the
+/// HybridLog stall loops). Foreign threads may steal a pair's queued work
+/// (`PollAll`/`Drain`) so progress never depends on the owner polling
+/// again — consumers serialize through a per-pair flag; producers never
+/// block.
 ///
 /// The same descriptors feed the io_uring backend (uring_device.h), where
 /// the kernel's own SQ/CQ replace the software rings.

@@ -9,7 +9,6 @@
 
 #include "device/device.h"
 #include "device/io_queue_pair.h"
-#include "device/io_thread_pool.h"
 
 namespace faster {
 
@@ -18,31 +17,24 @@ namespace faster {
 /// Substitution note (see DESIGN.md §2): the paper's evaluation ran the log
 /// on a FusionIO NVMe SSD. In this container we cannot reproduce that
 /// hardware; `MemoryDevice` preserves the entire asynchronous software path
-/// (request contexts, pending queues, completion callbacks, thread-pool
-/// hand-off) while giving deterministic I/O latency, so larger-than-memory
-/// experiments measure FASTER's code paths rather than container disk
-/// noise. `simulated_latency_us` can add per-operation latency to model a
-/// slower device.
+/// (request contexts, pending queues, completion callbacks) with
+/// deterministic I/O latency, so larger-than-memory experiments measure
+/// FASTER's code paths rather than container disk noise.
 ///
-/// `mode` selects the I/O path (DESIGN.md §13): kThreadPool hands
-/// operations to an IoThreadPool (callbacks on pool threads); kPolling
-/// queues them on the calling thread's IoQueuePair and executes them when
-/// a thread polls — note that simulated latency is then paid inline by the
-/// polling thread. kUring has no meaning for an in-RAM device and is
-/// treated as kPolling.
+/// I/O runs on the completion-polling queue pairs (DESIGN.md §13): ops
+/// queue on the calling thread's IoQueuePair and execute, callbacks
+/// included, when a thread polls. The device starts no thread.
 class MemoryDevice : public IDevice, private IoOpExecutor {
  public:
-  explicit MemoryDevice(uint32_t num_io_threads = 2,
-                        uint32_t simulated_latency_us = 0,
-                        IoPathMode mode = IoPathMode::kThreadPool);
+  /// `num_io_threads` is ignored (no device starts a thread); it stays so
+  /// that existing `MemoryDevice{n}` call sites keep compiling.
+  explicit MemoryDevice(uint32_t num_io_threads = 0);
   ~MemoryDevice() override;
 
   Status WriteAsync(const void* src, uint64_t offset, uint32_t len,
                     IoCallback callback, void* context) override;
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                    IoCallback callback, void* context) override;
-  Status ReadBatchAsync(const IoReadRequest* requests, uint32_t n,
-                        uint32_t* accepted = nullptr) override;
   uint32_t Poll() override;
   uint32_t PollAll() override;
   void Drain() override;
@@ -50,17 +42,13 @@ class MemoryDevice : public IDevice, private IoOpExecutor {
     return bytes_written_.load(std::memory_order_relaxed);
   }
 
-  /// The effective I/O path (kUring degrades to kPolling here).
-  IoPathMode mode() const { return mode_; }
-
   /// Synchronous read used by recovery and the log-scan iterator.
   Status ReadSync(uint64_t offset, void* dst, uint32_t len);
 
   void RegisterStats(obs::StatRegistry& registry,
                      const std::string& prefix) const override {
     obs_stats_.Register(registry, prefix);
-    if (pool_ != nullptr) pool_->RegisterStats(registry, prefix + ".pool");
-    if (queues_ != nullptr) queues_->RegisterStats(registry, prefix + ".io");
+    queues_.RegisterStats(registry, prefix + ".io");
   }
 
  private:
@@ -68,17 +56,12 @@ class MemoryDevice : public IDevice, private IoOpExecutor {
   static constexpr uint64_t kSegmentSize = uint64_t{1} << kSegmentBits;
 
   uint8_t* SegmentFor(uint64_t offset, bool create);
-  IoJob MakeReadJob(uint64_t offset, void* dst, uint32_t len,
-                    IoCallback callback, void* context, uint64_t t0);
   Status WriteSync(const void* src, uint64_t offset, uint32_t len);
 
-  /// IoOpExecutor (polling path): runs one queued op synchronously.
+  /// IoOpExecutor: runs one queued op synchronously.
   Status ExecuteOp(const IoOp& op, uint32_t* bytes) override;
 
-  IoPathMode mode_;
-  std::unique_ptr<IoThreadPool> pool_;     // kThreadPool only
-  std::unique_ptr<IoQueuePairSet> queues_; // kPolling only
-  uint32_t latency_us_;
+  IoQueuePairSet queues_;
   std::mutex segments_mutex_;
   std::vector<std::unique_ptr<uint8_t[]>> segments_;
   // order: relaxed fetch_add/load — a monotonically increasing byte

@@ -146,11 +146,9 @@ FasterServer::FasterServer(const ServerOptions& options)
     obs::GlobalSlowLog().set_threshold_ns(options_.slowlog_threshold_us *
                                           1000);
   }
-  // kPolling runs zero I/O threads — workers reap their own completions
-  // inside CompletePending (DESIGN.md §13).
-  device_ = options_.io_path == IoPathMode::kThreadPool
-                ? std::make_unique<MemoryDevice>(2)
-                : std::make_unique<MemoryDevice>(0, 0, options_.io_path);
+  // The device starts no thread: flush writes and cold reads execute in
+  // the workers' own CompletePending polls (DESIGN.md §13).
+  device_ = std::make_unique<MemoryDevice>();
   Store::Config cfg;
   cfg.table_size = options_.table_size;
   cfg.log.memory_size_bytes = options_.log_memory_bytes;

@@ -61,12 +61,6 @@ struct ServerOptions {
   uint64_t table_size = uint64_t{1} << 16;
   uint64_t log_memory_bytes = uint64_t{1} << 26;
   double mutable_fraction = 0.9;
-  /// Device completion path (DESIGN.md §13). kPolling runs zero I/O
-  /// threads: flush writes and cold reads execute inside the workers' own
-  /// CompletePending polls, eliminating the cross-thread completion hop.
-  /// kThreadPool keeps the legacy two-worker I/O pool. (kUring is
-  /// file-device-only and is treated as kPolling by the in-memory device.)
-  IoPathMode io_path = IoPathMode::kThreadPool;
   /// Arms the global slow-op log at construction: operations slower than
   /// this are recorded with per-stage breakdowns (SLOWLOG GET /
   /// /debug/slowlog). 0 leaves the slowlog disabled (its default).

@@ -17,7 +17,7 @@
 ///
 /// A *trace* is one user-visible operation (Read/Upsert/Rmw/Delete or one
 /// batch chunk) identified by a 64-bit trace id; a *span* is one timed
-/// segment of it (the synchronous entry, the pending-I/O window, the pool
+/// segment of it (the synchronous entry, the pending-I/O window, the device
 /// execution, a retry, a pipeline stage), identified by a span id and
 /// linked to its parent span. Spans cross threads by value: an op's clock
 /// and each device op's stamp (clock.h) carry the `TraceContext` across

@@ -118,9 +118,9 @@ class Counter : public Sharded {
 /// Up/down instantaneous value (queue depths, in-flight operations).
 /// Updates are relaxed fetch_add on the *calling* thread's shard, so an
 /// increment on one thread may be balanced by a decrement on another
-/// (e.g. I/O submitted by a worker, completed on a pool thread) while the
-/// cross-shard sum stays exact: shards wrap modulo 2^64, and the sum is
-/// read back as signed.
+/// (e.g. I/O submitted by a worker, completed by another thread's poll)
+/// while the cross-shard sum stays exact: shards wrap modulo 2^64, and the
+/// sum is read back as signed.
 class Gauge : public Sharded {
  public:
   void Add(int64_t d) {

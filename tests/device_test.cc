@@ -2,13 +2,12 @@
 
 #include <atomic>
 #include <cstring>
-#include <random>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "device/file_device.h"
-#include "device/io_thread_pool.h"
 #include "device/memory_device.h"
 
 namespace faster {
@@ -22,33 +21,26 @@ struct SyncIo {
     self->status = s;
     self->done.store(1, std::memory_order_release);
   }
-  Status Wait() {
+  /// Spins until the callback fires, driving the device's poll loop: the
+  /// device completes I/O only on a polling thread, never in the
+  /// background.
+  Status Wait(IDevice& device) {
     while (done.load(std::memory_order_acquire) == 0) {
+      device.Poll();
       std::this_thread::yield();
     }
     return status;
   }
 };
 
-TEST(IoThreadPoolTest, ExecutesAllJobs) {
-  IoThreadPool pool{2};
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&] { count.fetch_add(1); });
+/// Threads of this process, from /proc/self/task.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
   }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(IoThreadPoolTest, DrainWaitsForInFlightJob) {
-  IoThreadPool pool{1};
-  std::atomic<bool> finished{false};
-  pool.Submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    finished.store(true);
-  });
-  pool.Drain();
-  EXPECT_TRUE(finished.load());
+  return n;
 }
 
 template <class D>
@@ -57,12 +49,12 @@ void WriteReadRoundTrip(D& device) {
   for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<uint8_t>(i);
   SyncIo w;
   device.WriteAsync(out.data(), 8192, out.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(w.Wait(), Status::kOk);
+  ASSERT_EQ(w.Wait(device), Status::kOk);
 
   std::vector<uint8_t> in(4096, 0);
   SyncIo r;
   device.ReadAsync(8192, in.data(), in.size(), &SyncIo::Callback, &r);
-  ASSERT_EQ(r.Wait(), Status::kOk);
+  ASSERT_EQ(r.Wait(device), Status::kOk);
   EXPECT_EQ(std::memcmp(out.data(), in.data(), out.size()), 0);
   EXPECT_EQ(device.bytes_written(), out.size());
 }
@@ -75,8 +67,28 @@ TEST(MemoryDeviceTest, WriteReadRoundTrip) {
 TEST(FileDeviceTest, WriteReadRoundTrip) {
   std::string path = "/tmp/faster_device_test.log";
   ::unlink(path.c_str());
-  FileDevice device{path};
-  WriteReadRoundTrip(device);
+  {
+    FileDevice device{path};
+    EXPECT_EQ(device.mode(), IoPathMode::kPolling);
+    EXPECT_EQ(device.uring_fallbacks(), 0u);
+    WriteReadRoundTrip(device);
+  }
+  ::unlink(path.c_str());
+}
+
+// No device starts a thread, not at construction and not to run I/O.
+TEST(DeviceThreadsTest, DefaultDevicesStartNoThread) {
+  std::string path = "/tmp/faster_device_threads_test.log";
+  ::unlink(path.c_str());
+  size_t before = ThreadCount();
+  {
+    MemoryDevice memory;
+    FileDevice file{path};
+    EXPECT_EQ(ThreadCount(), before);
+    WriteReadRoundTrip(memory);
+    WriteReadRoundTrip(file);
+    EXPECT_EQ(ThreadCount(), before);
+  }
   ::unlink(path.c_str());
 }
 
@@ -85,7 +97,7 @@ TEST(MemoryDeviceTest, ReadOfUnwrittenRegionFails) {
   std::vector<uint8_t> in(64);
   SyncIo r;
   device.ReadAsync(1ull << 30, in.data(), in.size(), &SyncIo::Callback, &r);
-  EXPECT_EQ(r.Wait(), Status::kIoError);
+  EXPECT_EQ(r.Wait(device), Status::kIoError);
 }
 
 TEST(MemoryDeviceTest, CrossSegmentWrite) {
@@ -95,14 +107,14 @@ TEST(MemoryDeviceTest, CrossSegmentWrite) {
   uint64_t offset = (1ull << 22) - 1000;
   SyncIo w;
   device.WriteAsync(out.data(), offset, out.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(w.Wait(), Status::kOk);
+  ASSERT_EQ(w.Wait(device), Status::kOk);
   std::vector<uint8_t> in(out.size());
   ASSERT_EQ(device.ReadSync(offset, in.data(), in.size()), Status::kOk);
   EXPECT_EQ(in, out);
 }
 
 TEST(MemoryDeviceTest, ConcurrentWritersToDistinctRegions) {
-  MemoryDevice device{4};
+  MemoryDevice device;
   constexpr int kThreads = 4;
   constexpr int kWrites = 64;
   std::vector<std::thread> threads;
@@ -113,7 +125,7 @@ TEST(MemoryDeviceTest, ConcurrentWritersToDistinctRegions) {
         SyncIo w;
         uint64_t off = (static_cast<uint64_t>(t) * kWrites + i) * 1024;
         device.WriteAsync(buf.data(), off, buf.size(), &SyncIo::Callback, &w);
-        ASSERT_EQ(w.Wait(), Status::kOk);
+        ASSERT_EQ(w.Wait(device), Status::kOk);
       }
     });
   }
@@ -200,41 +212,15 @@ TEST(DeviceBatchTest, FullAcceptanceReportsN) {
 }
 
 // ---------------------------------------------------------------------
-// Completion-polling path (IoPathMode::kPolling, DESIGN.md §13).
+// Completion-polling queue pairs (DESIGN.md §13).
 // ---------------------------------------------------------------------
 
-/// Spin-waits on a SyncIo while driving the device's poll loop (polling
-/// devices complete I/O on the polling thread, never in the background).
-template <class D>
-Status PollWait(D& device, SyncIo& io) {
-  while (io.done.load(std::memory_order_acquire) == 0) {
-    device.Poll();
-    std::this_thread::yield();
-  }
-  return io.status;
-}
-
-TEST(PollingDeviceTest, WriteReadRoundTrip) {
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
-  EXPECT_EQ(device.mode(), IoPathMode::kPolling);
-  std::vector<uint8_t> out(4096);
-  for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<uint8_t>(i);
-  SyncIo w;
-  device.WriteAsync(out.data(), 8192, out.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(PollWait(device, w), Status::kOk);
-  std::vector<uint8_t> in(4096, 0);
-  SyncIo r;
-  device.ReadAsync(8192, in.data(), in.size(), &SyncIo::Callback, &r);
-  ASSERT_EQ(PollWait(device, r), Status::kOk);
-  EXPECT_EQ(in, out);
-}
-
 TEST(PollingDeviceTest, CompletionsArriveOnlyWhenPolled) {
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  MemoryDevice device;
   std::vector<uint8_t> page(4096, 0x7E);
   SyncIo w;
   device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(PollWait(device, w), Status::kOk);
+  ASSERT_EQ(w.Wait(device), Status::kOk);
 
   SyncIo r;
   std::vector<uint8_t> in(64);
@@ -248,11 +234,11 @@ TEST(PollingDeviceTest, CompletionsArriveOnlyWhenPolled) {
 }
 
 TEST(PollingDeviceTest, QueueFullBackpressureExecutesInline) {
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  MemoryDevice device;
   std::vector<uint8_t> page(4096, 0x11);
   SyncIo w;
   device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(PollWait(device, w), Status::kOk);
+  ASSERT_EQ(w.Wait(device), Status::kOk);
 
   constexpr uint32_t kRing = IoQueuePair::kSubmissionEntries;
   constexpr uint32_t kOps = kRing + 40;
@@ -275,11 +261,11 @@ TEST(PollingDeviceTest, QueueFullBackpressureExecutesInline) {
 }
 
 TEST(PollingDeviceTest, ExactOnceAcrossConcurrentPollers) {
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  MemoryDevice device;
   std::vector<uint8_t> page(4096, 0x3A);
   SyncIo w;
   device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(PollWait(device, w), Status::kOk);
+  ASSERT_EQ(w.Wait(device), Status::kOk);
 
   // > ring capacity so the submitter also exercises the inline path.
   constexpr uint32_t kOps = IoQueuePair::kSubmissionEntries + 100;
@@ -327,11 +313,11 @@ TEST(PollingDeviceTest, ExactOnceAcrossConcurrentPollers) {
 }
 
 TEST(PollingDeviceTest, DrainWhilePollingDeliversExactlyOnce) {
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  MemoryDevice device;
   std::vector<uint8_t> page(4096, 0x99);
   SyncIo w;
   device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(PollWait(device, w), Status::kOk);
+  ASSERT_EQ(w.Wait(device), Status::kOk);
 
   constexpr uint32_t kOps = 200;
   struct OpState {
@@ -370,11 +356,11 @@ TEST(PollingDeviceTest, DrainWhilePollingDeliversExactlyOnce) {
 }
 
 TEST(PollingDeviceTest, BatchSubmissionCompletesViaPoll) {
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  MemoryDevice device;
   std::vector<uint8_t> page(4096, 0xC4);
   SyncIo w;
   device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(PollWait(device, w), Status::kOk);
+  ASSERT_EQ(w.Wait(device), Status::kOk);
 
   constexpr uint32_t kN = 32;
   static std::atomic<uint32_t> batch_done;
@@ -399,51 +385,34 @@ TEST(PollingDeviceTest, BatchSubmissionCompletesViaPoll) {
   for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(bufs[i][0], 0xC4);
 }
 
-TEST(PollingFileDeviceTest, WriteReadRoundTrip) {
-  std::string path = "/tmp/faster_device_poll_test.log";
-  ::unlink(path.c_str());
-  {
-    FileDevice device{path, 0, IoPathMode::kPolling};
-    EXPECT_EQ(device.mode(), IoPathMode::kPolling);
-    std::vector<uint8_t> out(4096);
-    for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<uint8_t>(i);
-    SyncIo w;
-    device.WriteAsync(out.data(), 8192, out.size(), &SyncIo::Callback, &w);
-    ASSERT_EQ(PollWait(device, w), Status::kOk);
-    std::vector<uint8_t> in(4096, 0);
-    SyncIo r;
-    device.ReadAsync(8192, in.data(), in.size(), &SyncIo::Callback, &r);
-    ASSERT_EQ(PollWait(device, r), Status::kOk);
-    EXPECT_EQ(in, out);
-  }
-  ::unlink(path.c_str());
-}
-
 // ---------------------------------------------------------------------
-// io_uring backend (kUring): skips when the kernel/build lacks support —
-// FileDevice then reports the degraded mode.
+// io_uring backend (kUring). Where the kernel or build lacks support the
+// device falls back to the polling queue pairs and counts the fallback.
 // ---------------------------------------------------------------------
 
-TEST(UringDeviceTest, WriteReadRoundTripOrSkip) {
+TEST(UringDeviceTest, WriteReadRoundTripOrCountedFallback) {
   std::string path = "/tmp/faster_device_uring_test.log";
   ::unlink(path.c_str());
   {
     FileDevice device{path, 0, IoPathMode::kUring};
     if (device.mode() != IoPathMode::kUring) {
+      EXPECT_EQ(device.mode(), IoPathMode::kPolling);
+      EXPECT_EQ(device.uring_fallbacks(), 1u);
+      WriteReadRoundTrip(device);
       ::unlink(path.c_str());
-      GTEST_SKIP() << "io_uring unavailable (build stub or kernel probe "
-                      "failed); kUring degraded to kPolling as designed";
+      return;
     }
+    EXPECT_EQ(device.uring_fallbacks(), 0u);
     std::vector<uint8_t> out(4096);
     for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<uint8_t>(i);
     SyncIo w;
     device.WriteAsync(out.data(), 0, out.size(), &SyncIo::Callback, &w);
-    ASSERT_EQ(PollWait(device, w), Status::kOk);
+    ASSERT_EQ(w.Wait(device), Status::kOk);
 
     std::vector<uint8_t> in(4096, 0);
     SyncIo r;
     device.ReadAsync(0, in.data(), in.size(), &SyncIo::Callback, &r);
-    ASSERT_EQ(PollWait(device, r), Status::kOk);
+    ASSERT_EQ(r.Wait(device), Status::kOk);
     EXPECT_EQ(in, out);
 
     // Coalesced batch through the kernel ring.
@@ -475,7 +444,7 @@ TEST(UringDeviceTest, WriteReadRoundTripOrSkip) {
     SyncIo eof;
     uint8_t tiny[8];
     device.ReadAsync(1ull << 30, tiny, sizeof(tiny), &SyncIo::Callback, &eof);
-    EXPECT_EQ(PollWait(device, eof), Status::kIoError);
+    EXPECT_EQ(eof.Wait(device), Status::kIoError);
   }
   ::unlink(path.c_str());
 }
@@ -485,11 +454,11 @@ TEST(NullDeviceTest, DiscardsWritesAndFailsReads) {
   std::vector<uint8_t> buf(64, 1);
   SyncIo w;
   device.WriteAsync(buf.data(), 0, buf.size(), &SyncIo::Callback, &w);
-  EXPECT_EQ(w.Wait(), Status::kOk);
+  EXPECT_EQ(w.Wait(device), Status::kOk);
   EXPECT_EQ(device.bytes_written(), buf.size());
   SyncIo r;
   device.ReadAsync(0, buf.data(), buf.size(), &SyncIo::Callback, &r);
-  EXPECT_EQ(r.Wait(), Status::kIoError);
+  EXPECT_EQ(r.Wait(device), Status::kIoError);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // End-to-end integration tests over the *real* storage path: FasterKv on a
-// FileDevice (POSIX file + I/O thread pool), exercising spill, async
+// FileDevice (POSIX file, completion polling), exercising spill, async
 // storage reads, checkpoint/recovery across process-like store instances,
 // compaction, and index growth in one combined scenario — the moral
 // equivalent of the paper's deployment (FASTER pointed at a file on SSD,

@@ -157,7 +157,7 @@ TEST_F(ReadCacheTest, GrowThenEvictionKeepsBothChildrenReadable) {
     }
   }
   // Polling I/O: ~400k storage reads stay on this thread.
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  MemoryDevice device;
   Store store{cfg, &device};
   store.StartSession();
   ASSERT_EQ(store.Upsert(first, 1), Status::kOk);

@@ -225,7 +225,7 @@ Status ReadKeys(Store& store, bool batch, uint64_t first, uint64_t count,
 // slowlog, including ops that cross the async I/O boundary, and stage
 // sums reconstruct each reported total exactly. Instrumented call sites
 // compile away without FASTER_STATS, so this only runs in stats builds.
-// Shared by the thread-pool, polling and io_uring variants below, each
+// Shared by the polling and io_uring variants below, each
 // through both entry points (single-op Read and ReadBatch): the
 // partition invariant must hold regardless of which thread executes the
 // I/O and delivers the callback (DESIGN.md §12.2). Then, with every op
@@ -301,23 +301,10 @@ TEST(SlowLogTest, StoreOpsRecordWithExactStageSums) {
   if (!obs::kStatsEnabled) {
     GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
   }
+  // io_exec/io_complete are harvested on the polling thread.
   for (bool batch : {false, true}) {
     SCOPED_TRACE(batch ? "ReadBatch" : "Read");
     MemoryDevice device;
-    RunStoreStageSumCheck(device, batch, /*uring=*/false);
-  }
-}
-
-// Same invariant on the completion-polling path: io_exec/io_complete are
-// harvested on the *polling* thread (no pool workers exist at all here),
-// and the stage sums must still partition each total exactly.
-TEST(SlowLogTest, PollingPathStageSumsStillPartitionTotal) {
-  if (!obs::kStatsEnabled) {
-    GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
-  }
-  for (bool batch : {false, true}) {
-    SCOPED_TRACE(batch ? "ReadBatch" : "Read");
-    MemoryDevice device{0, 0, IoPathMode::kPolling};
     RunStoreStageSumCheck(device, batch, /*uring=*/false);
   }
 }

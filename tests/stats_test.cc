@@ -66,8 +66,9 @@ TEST(StatsCounterTest, ExactAcrossThreadExitAndSlotReuse) {
 // ---------------------------------------------------------------------------
 
 // An increment on one thread may be balanced by a decrement on a different
-// thread (worker submits I/O, pool thread completes it). Individual shards
-// go negative/positive but the cross-shard sum must stay exact.
+// thread (worker submits I/O, another thread polls it to completion).
+// Individual shards go negative/positive but the cross-shard sum must stay
+// exact.
 TEST(StatsGaugeTest, CrossThreadIncDecSumsToZero) {
   Gauge g;
   constexpr uint64_t kOps = 5000;
@@ -251,7 +252,7 @@ TEST(StatsNoopTest, NoopTypesAreInert) {
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_NE(reg.Text().find("compiled out"), std::string::npos);
   EXPECT_EQ(reg.Json(), "{}");
-  // The clock a PendingContext embeds and the stamp every IoOp, IoJob and
+  // The clock a PendingContext embeds and the stamp every IoOp and
   // IoCompletion embeds cost no bytes without stats.
   if (!obs::kStatsEnabled) {
     EXPECT_TRUE(std::is_empty_v<obs::StatOpClock>);
@@ -846,8 +847,9 @@ TEST(StoreCountersTest, EachOpCountedOnceByOutcome) {
 // ---------------------------------------------------------------------------
 
 // A storage read's spans must land under the same trace id as the Read()
-// that issued it: the root read span, the pending-I/O window, the pool
-// queue/exec spans (on a different thread), and the completion processing.
+// that issued it: the root read span, the pending-I/O window, the device
+// exec span (on the thread that polled the read, here another one), and
+// the completion processing.
 TEST(SpanStoreTest, TraceCrossesPendingIoBoundary) {
   if (!obs::kStatsEnabled) GTEST_SKIP() << "span instrumentation compiled out";
   SpanSampleGuard guard{0};  // don't trace the fill phase
@@ -867,6 +869,13 @@ TEST(SpanStoreTest, TraceCrossesPendingIoBoundary) {
   obs::SetSpanSampleEvery(1);
   uint64_t out = UINT64_MAX;
   ASSERT_EQ(store.Read(0, 0, &out), Status::kPending);
+  // A foreign poller steals the queued read and runs it and its callback.
+  std::thread poller([&] {
+    store.StartSession();
+    device.PollAll();
+    store.StopSession();
+  });
+  poller.join();
   ASSERT_TRUE(store.CompletePending(true));
   EXPECT_EQ(out, 0u);
   store.StopSession();
@@ -894,7 +903,7 @@ TEST(SpanStoreTest, TraceCrossesPendingIoBoundary) {
       saw_complete = true;
       EXPECT_EQ(s.parent_id, root->span_id);
     }
-    if (s.tid != root->tid) crossed_thread = true;  // pool worker spans
+    if (s.tid != root->tid) crossed_thread = true;  // the poller's spans
   }
   EXPECT_TRUE(saw_pending);
   EXPECT_TRUE(saw_complete);

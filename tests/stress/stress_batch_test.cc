@@ -83,6 +83,14 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
   std::atomic<bool> churn_stop{false};
   std::atomic<int> checkpoints_done{0};
 
+  // Workers run past their quota until the churn has finished one
+  // checkpoint, so the two overlap however fast the workers are: on a
+  // CPU-oversubscribed host one read-cache checkpoint can outlast the
+  // whole quota.
+  auto churned = [&] {
+    return checkpoints_done.load(std::memory_order_relaxed) > 0;
+  };
+
   auto owned_key = [&](std::mt19937_64& rng, int t) {
     return (rng() % (kKeySpace / kThreads)) * kThreads +
            static_cast<uint64_t>(t);
@@ -98,7 +106,7 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
       auto& model = models[t];
       std::vector<uint64_t> outs(kBatch);
       store.StartSession();
-      for (uint64_t i = 0; i < kBatchesPerThread; ++i) {
+      for (uint64_t i = 0; i < kBatchesPerThread || !churned(); ++i) {
         Store::BatchOp ops[kBatch];
         uint64_t keys[kBatch];
         uint64_t args[kBatch];
@@ -192,7 +200,8 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
       std::mt19937_64 rng = stress::ThreadRng(static_cast<uint64_t>(t));
       auto& model = models[t];
       store.StartSession();
-      for (uint64_t i = 0; i < kBatchesPerThread * kBatch / 2; ++i) {
+      for (uint64_t i = 0; i < kBatchesPerThread * kBatch / 2 || !churned();
+           ++i) {
         uint64_t k = owned_key(rng, t);
         if (rng() % 2 == 0) {
           uint64_t v = rng() % 100000;

@@ -1,5 +1,4 @@
-// Stress: the completion-polling I/O path (IoPathMode::kPolling,
-// DESIGN.md §13) under churn. Worker threads run a spilling-log workload
+// Stress: the completion-polling I/O path (DESIGN.md §13) under churn. Worker threads run a spilling-log workload
 // whose CompletePending calls poll the device — executing their own cold
 // reads and stealing other threads' queued flush writes — while the main
 // thread races index Grow, checkpoints, and log GC (ShiftBeginAddress)
@@ -50,9 +49,9 @@ TEST(StressIoPollTest, PollRacesGrowCheckpointAndGc) {
   constexpr uint64_t kKeySpace = 4096;
   const uint64_t kOpsPerThread = stress::ScaleOps(30000);
 
-  // Polling device: no I/O threads at all — every flush write and cold
-  // read below executes inside some worker's poll loop.
-  MemoryDevice device{0, 0, IoPathMode::kPolling};
+  // No I/O threads at all: every flush write and cold read below executes
+  // inside some worker's poll loop.
+  MemoryDevice device;
   Store::Config cfg;
   cfg.table_size = 64;  // heavy chains + two doublings
   cfg.log.memory_size_bytes = 4ull << Address::kOffsetBits;

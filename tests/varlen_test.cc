@@ -37,6 +37,8 @@ std::string ReadOrDie(FasterBlobKv& store, std::string_view key, Status* s) {
 
 class VarlenTest : public ::testing::Test {
  protected:
+  // Completion polling: a pending read completes only when
+  // CompletePending polls the device.
   MemoryDevice device_;
 };
 

@@ -205,8 +205,8 @@ def report_depth_speedup(group):
 
 def report_io_path_speedup(group):
     """For the io_path bench (cases named <fig>/<mode>/budgetMB:N), prints
-    per-budget speedup of each completion-polling mode over the thread-pool
-    baseline ('pool')."""
+    per-budget speedup of the io_uring backend ('uring') over the
+    completion-polling queue pairs ('polling')."""
     sweeps = defaultdict(dict)  # budget -> {mode: Mops}
     for name, c in group:
         parts = name.split("/")
@@ -222,14 +222,13 @@ def report_io_path_speedup(group):
         except ValueError:
             continue
     for budget, by_mode in sorted(sweeps.items()):
-        pool = by_mode.get("pool")
-        if not pool or pool <= 0:
+        polling = by_mode.get("polling")
+        uring = by_mode.get("uring")
+        if not polling or polling <= 0 or uring is None:
             continue
-        for mode in sorted(m for m in by_mode if m != "pool"):
-            speedup = by_mode[mode] / pool
-            print(f"\npolling-vs-pool (budgetMB:{budget}, {mode}): pool "
-                  f"{pool:.3g} Mops -> {mode} {by_mode[mode]:.3g} Mops "
-                  f"({speedup:.2f}x)")
+        print(f"\nuring-vs-polling (budgetMB:{budget}): polling "
+              f"{polling:.3g} Mops -> uring {uring:.3g} Mops "
+              f"({uring / polling:.2f}x)")
 
 
 def report_server_vs_baseline(group):
