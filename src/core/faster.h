@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -42,8 +43,10 @@ namespace faster {
 /// update), RMW (read-modify-write), and Delete with data larger than
 /// memory.
 ///
-/// `F` is the user's Functions policy (see functions.h / Appendix E);
-/// `Hasher` maps keys to 64-bit hashes.
+/// `F` is the user's Functions policy (see functions.h / Appendix E); its
+/// record layout (core/record.h) fixes how records are sized and keyed:
+/// fixed-size by default, byte strings with ByteStringFunctions. `Hasher`
+/// maps keys to 64-bit hashes.
 ///
 /// Threading model (Sec. 2.5): each thread calls `StartSession()` before
 /// issuing operations and `StopSession()` when done. Operations refresh
@@ -58,9 +61,15 @@ class FasterKv {
   using Value = typename F::Value;
   using Input = typename F::Input;
   using Output = typename F::Output;
-  using RecordT = Record<Key, Value>;
+  using Layout = LayoutOf<F>;
+  using RecordT = typename Layout::RecordT;
 
   static constexpr bool kMergeable = IsMergeable<F>;
+  /// Variable-length records: no RMW, read cache or append extents.
+  static constexpr bool kVarLen = Layout::kFixedSize == 0;
+  static constexpr bool kReadCache = !kMergeable && !kVarLen;
+  static_assert(!(kMergeable && kVarLen),
+                "mergeable stores need fixed-size records");
 
   /// Kinds of user operations, reported to the completion callback.
   enum class UserOp : uint8_t { kRead, kRmw };
@@ -87,7 +96,7 @@ class FasterKv {
     /// Enable the read cache for read-hot records (Appendix D): a second
     /// HybridLog instance, never flushed, holding copies of records read
     /// from storage; index entries may point into it (high address bit).
-    /// Not supported for mergeable (CRDT) stores.
+    /// Not supported for mergeable (CRDT) or variable-length stores.
     bool enable_read_cache = false;
     /// Sizing of the read-cache log (memory_size_bytes and the mutable /
     /// read-only split, which controls the cache's second-chance degree).
@@ -104,7 +113,7 @@ class FasterKv {
         index_{config.table_size, &epoch_, config.tag_bits},
         hlog_{config.log, device, &epoch_},
         thread_states_(Thread::kMaxThreads) {
-    if (config_.enable_read_cache && !kMergeable) {
+    if (config_.enable_read_cache && kReadCache) {
       LogConfig rc_cfg = config_.read_cache;
       rc_cfg.read_cache_mode = true;  // evict without flushing
       rc_log_ = std::make_unique<HybridLog>(rc_cfg, device, &epoch_);
@@ -194,6 +203,7 @@ class FasterKv {
   /// the completion callback with `user_context` (Appendix E).
   Status Rmw(const Key& key, const Input& input,
              void* user_context = nullptr) FASTER_REQUIRES_EPOCH() {
+    static_assert(!kVarLen, "variable-length stores have no RMW");
     return RunSingle(
         OpRef{OpKind::kRmw, key, &input, nullptr, nullptr, user_context});
   }
@@ -241,6 +251,7 @@ class FasterKv {
   /// op's `status`. Results are identical to calling Read/Upsert/Rmw
   /// sequentially on the same thread in array order.
   void ExecuteBatch(BatchOp* ops, size_t count) FASTER_REQUIRES_EPOCH() {
+    static_assert(!kVarLen, "variable-length stores have no RMW");
     size_t done = 0;
     while (done < count) {
       size_t n = std::min(count - done, kBatchChunk);
@@ -279,6 +290,7 @@ class FasterKv {
   void RmwBatch(const Key* keys, const Input* inputs, Status* statuses,
                 size_t count, void* const* user_contexts = nullptr)
       FASTER_REQUIRES_EPOCH() {
+    static_assert(!kVarLen, "variable-length stores have no RMW");
     ExecuteTyped(statuses, count, [&](BatchOp& op, size_t i) {
       op.kind = BatchOp::Kind::kRmw;
       op.key = keys[i];
@@ -299,7 +311,7 @@ class FasterKv {
       // thread's queued I/O right here — the callbacks push into
       // ts.completions with no cross-thread hop.
       hlog_.device()->Poll();
-      ProcessRetries(ts);
+      if constexpr (!kVarLen) ProcessRetries(ts);
       ProcessCompletions(ts);
       bool done =
           ts.counters.Get(Ctr::kPendingIos) == 0 && ts.retries.empty();
@@ -379,7 +391,7 @@ class FasterKv {
     }
     CheckpointMetadata meta{kCheckpointMagic, t1.control(), t2.control(),
                             hlog_.begin_address().control(),
-                            RecordT::size()};
+                            Layout::kFixedSize};
     fd = ::open((dir + "/meta.dat").c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                 0644);
     if (fd < 0) {
@@ -403,7 +415,8 @@ class FasterKv {
     bool ok = ::read(fd, &meta, sizeof(meta)) == sizeof(meta);
     ::close(fd);
     if (!ok) return Status::kIoError;
-    if (meta.magic != kCheckpointMagic || meta.record_size != RecordT::size()) {
+    if (meta.magic != kCheckpointMagic ||
+        meta.record_size != Layout::kFixedSize) {
       return Status::kCorruption;
     }
     fd = ::open((dir + "/index.dat").c_str(), O_RDONLY);
@@ -418,14 +431,14 @@ class FasterKv {
     // Repair pass: every index update during the fuzzy snapshot interval
     // corresponds to a record in [t1, t2); replaying them in order leaves
     // each entry pointing at the newest record below t2 for its tag.
-    Status scan_status = Status::kOk;
     epoch_.Protect();
-    ScanDiskRange(t1, t2, [&](Address addr, const RecordT& rec) {
+    Status scan_status = ScanDiskRange(t1, t2, [&](Address addr,
+                                                  const RecordT& rec) {
       // Bracketed by the Protect/Unprotect above; the lambda body is
       // analyzed in isolation, so re-establish the capability here.
       AssertEpochProtected(epoch_);
       if (rec.info().invalid()) return;
-      KeyHash hash = Hasher{}(rec.key);
+      KeyHash hash = Hasher{}(Layout::KeyOf(rec));
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
       index_.FindOrCreateEntry(scope, hash, &fr);
@@ -493,7 +506,9 @@ class FasterKv {
   /// is updated mid-copy). Records carrying the overwrite bit skip the
   /// liveness check entirely — the common case for hot-then-cold data.
   /// Requires an active session. Not supported for mergeable stores
-  /// (deltas cannot be relocated independently).
+  /// (deltas cannot be relocated independently). A failed storage read
+  /// ends the pass with kIoError, truncating only below the record it
+  /// failed on.
   struct CompactionStats {
     uint64_t scanned = 0;
     uint64_t dead_by_overwrite_bit = 0;
@@ -515,40 +530,44 @@ class FasterKv {
     // Each record is copied into a local buffer before processing: the
     // copy step below may refresh the epoch (page rollover), after which
     // pointers into log frames can dangle (frames recycle under us).
-    alignas(8) uint8_t buf[sizeof(RecordT)];
+    std::vector<uint8_t> buf, scratch;
     Address addr = begin;
     for (uint64_t step = 1; addr < until; ++step) {
       // Keep the epoch moving: a long pass would otherwise hold back every
       // epoch trigger (page evictions, flushes) until it ends.
       if (step % 1024 == 0) epoch_.Refresh();
-      if (addr.offset() + RecordT::size() > Address::kPageSize) {
+      if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
         addr = addr.NextPageStart();
         continue;
       }
-      if (addr >= hlog_.head_address()) {
-        std::memcpy(buf, RecordAt(addr), RecordT::size());
-      } else if (hlog_.ReadFromDiskSync(addr, RecordT::size(), buf) !=
-                 Status::kOk) {
-        result = Status::kIoError;
-        break;
-      }
-      const RecordT& rec = *reinterpret_cast<const RecordT*>(buf);
+      // A failed storage read ends the pass: only the records before
+      // `addr` were examined, so only they are truncated.
+      Status s = CopyRecord(addr, &buf);
+      const auto& rec = *reinterpret_cast<const RecordT*>(buf.data());
       RecordInfo info = rec.info();
-      if (!info.in_use()) {
+      if (s == Status::kOk && !info.in_use()) {
         addr = addr.NextPageStart();  // page padding
         continue;
       }
-      ++local.scanned;
-      if (!info.invalid() && !info.tombstone()) {
+      if (s == Status::kOk && !info.invalid() && !info.tombstone()) {
         if (info.overwritten()) {
           ++local.dead_by_overwrite_bit;
-        } else if (CompactOneRecord(addr, rec)) {
-          ++local.copied;
         } else {
-          ++local.dead_by_trace;
+          s = CompactOneRecord(addr, rec, &scratch);
+          if (s == Status::kOk) ++local.copied;
+          if (s == Status::kNotFound) {
+            ++local.dead_by_trace;
+            s = Status::kOk;
+          }
         }
       }
-      addr = addr + RecordT::size();
+      if (s != Status::kOk) {
+        result = Status::kIoError;
+        until = addr;
+        break;
+      }
+      ++local.scanned;
+      addr = addr + Layout::Size(rec);
     }
     hlog_.ShiftBeginAddress(until);
     if (stats != nullptr) *stats = local;
@@ -558,20 +577,22 @@ class FasterKv {
   /// Scans log records in [from, to) in log order (Appendix F), invoking
   /// `fn(Address, const RecordT&)` for every in-use record, including
   /// invalid and tombstone records (callers filter via RecordInfo).
-  /// Requires an active session.
+  /// Requires an active session. A failed storage read ends the scan
+  /// with its status.
   template <class Fn>
-  void ScanLog(Address from, Address to, Fn&& fn) FASTER_REQUIRES_EPOCH() {
+  Status ScanLog(Address from, Address to, Fn&& fn) FASTER_REQUIRES_EPOCH() {
     assert(epoch_.IsProtected());
     Address begin = std::max(from, hlog_.begin_address());
     Address end = std::min(to, hlog_.tail_address());
     Address head = hlog_.head_address();
     if (begin < head) {
-      ScanDiskRange(begin, std::min(end, head), fn);
+      Status s = ScanDiskRange(begin, std::min(end, head), fn);
+      if (s != Status::kOk) return s;
     }
     // In-memory portion.
     Address addr = std::max(begin, head);
     while (addr < end) {
-      if (addr.offset() + RecordT::size() > Address::kPageSize) {
+      if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
         addr = addr.NextPageStart();
         continue;
       }
@@ -582,8 +603,9 @@ class FasterKv {
         continue;
       }
       fn(addr, *rec);
-      addr = addr + RecordT::size();
+      addr = addr + Layout::Size(*rec);
     }
+    return Status::kOk;
   }
 
   // -------------------------------------------------------------------
@@ -654,12 +676,13 @@ class FasterKv {
 
     FasterKv* store;
     OpKind op;
-    Key key;
+    typename Layout::KeyStore key;
     KeyHash hash;
     Input input;
     Output* output;
     void* user_context;
     uint32_t owner;
+    uint32_t read_len = Layout::kFixedSize;    // bytes the read fetches
     Address address = Address::Invalid();     // record being read
     Address chain_bottom = Address::Invalid();  // first disk address of chain
     Status io_status = Status::kOk;
@@ -669,10 +692,15 @@ class FasterKv {
     // CRDT read reconciliation state (Sec. 6.3).
     Value merge_acc{};
     bool merge_found = false;
-    alignas(8) uint8_t buffer[sizeof(RecordT)];
+    alignas(8) uint8_t buffer[Layout::kReadBlock];
+    // A variable-length record longer than `buffer` is reread, whole, here.
+    [[no_unique_address]] std::conditional_t<
+        kVarLen, std::vector<uint8_t>, std::array<uint8_t, 0>> whole;
 
+    uint8_t* dst() { return whole.empty() ? buffer : whole.data(); }
     const RecordT* record() const {
-      return reinterpret_cast<const RecordT*>(buffer);
+      return reinterpret_cast<const RecordT*>(whole.empty() ? buffer
+                                                            : whole.data());
     }
   };
 
@@ -713,7 +741,7 @@ class FasterKv {
                     RecordT** rc_rec) const FASTER_REQUIRES_EPOCH() {
     *rc_rec = nullptr;
     Address a = fr.entry.address();
-    if (rc_log_ == nullptr || !InReadCache(a)) {
+    if (!kReadCache || rc_log_ == nullptr || !InReadCache(a)) {
       *start = a;
       return true;
     }
@@ -729,10 +757,10 @@ class FasterKv {
 
   /// Allocates one record in the read cache; a single page-rollover retry,
   /// then gives up (cache insertion is best-effort).
-  Address TryAllocateRcRecord() FASTER_REQUIRES_EPOCH() {
+  Address TryAllocateRcRecord(uint32_t size) FASTER_REQUIRES_EPOCH() {
     for (int attempt = 0; attempt < 2; ++attempt) {
       uint64_t closed_page = 0;
-      Address addr = rc_log_->Allocate(RecordT::size(), &closed_page);
+      Address addr = rc_log_->Allocate(size, &closed_page);
       if (addr.IsValid()) return addr;
       if (!rc_log_->NewPage(closed_page)) {
         epoch_.Refresh();
@@ -742,21 +770,20 @@ class FasterKv {
     return Address::Invalid();
   }
 
-  /// Inserts a value read from storage into the read cache (best-effort).
-  void TryInsertToCache(ThreadState& ts, const Key& key, KeyHash hash,
-                        const Value& value) FASTER_REQUIRES_EPOCH() {
+  /// Inserts a record read from storage into the read cache (best-effort).
+  void TryInsertToCache(ThreadState& ts, KeyHash hash, const RecordT& src)
+      FASTER_REQUIRES_EPOCH() {
     typename HashIndex::OpScope scope{index_, hash};
     HashIndex::FindResult fr;
     if (!index_.FindEntry(scope, hash, &fr)) return;
     Address a = fr.entry.address();
     if (InReadCache(a)) return;            // someone cached it already
     if (!a.IsValid() || a >= hlog_.head_address()) return;  // newer in memory
-    Address rc_addr = TryAllocateRcRecord();
+    Address rc_addr = TryAllocateRcRecord(Layout::Size(src));
     if (!rc_addr.IsValid()) return;
     RecordT* rec = RcRecordAt(rc_addr);
-    rec->key = key;
-    rec->value = value;
-    rec->set_info(RecordInfo{a, false, false, false, /*read_cache=*/true});
+    CopyInto(rec, src,
+             RecordInfo{a, false, false, false, /*read_cache=*/true});
     if (index_.TryUpdateEntry(&fr, TagRc(rc_addr))) {
       ts.counters.Add(Ctr::kRcInserts);
     } else {
@@ -768,8 +795,7 @@ class FasterKv {
   /// region copies the record to the cache tail, exactly like the primary
   /// HybridLog's shaping behaviour. Out of line: a rare path that would
   /// otherwise be inlined into every read.
-  [[gnu::noinline]] void RcSecondChance(ThreadState& ts, const Key& key,
-                                        RecordT* rc_rec,
+  [[gnu::noinline]] void RcSecondChance(ThreadState& ts, RecordT* rc_rec,
                                         const HashIndex::FindResult& fr)
       FASTER_REQUIRES_EPOCH() {
     // Skip a copy whose CAS is bound to fail: the entry already moved on
@@ -778,13 +804,12 @@ class FasterKv {
     if (fr.slot->load(std::memory_order_acquire) != fr.entry.control()) {
       return;
     }
-    Address new_addr = TryAllocateRcRecord();
+    Address new_addr = TryAllocateRcRecord(Layout::Size(*rc_rec));
     if (!new_addr.IsValid()) return;
     RecordT* rec = RcRecordAt(new_addr);
-    rec->key = key;
-    rec->value = rc_rec->value;
-    rec->set_info(RecordInfo{rc_rec->info().previous_address(), false, false,
-                             false, /*read_cache=*/true});
+    CopyInto(rec, *rc_rec,
+             RecordInfo{rc_rec->info().previous_address(), false, false,
+                        false, /*read_cache=*/true});
     HashIndex::FindResult mutable_fr = fr;
     if (index_.TryUpdateEntry(&mutable_fr, TagRc(new_addr))) {
       ts.counters.Add(Ctr::kRcSecondChance);
@@ -805,7 +830,7 @@ class FasterKv {
     // zero header would read as padding and skip the page's records.
     Address addr = std::max(from, rc_log_->begin_address());
     while (addr < to) {
-      if (addr.offset() + RecordT::size() > Address::kPageSize) {
+      if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
         addr = addr.NextPageStart();
         continue;
       }
@@ -817,7 +842,7 @@ class FasterKv {
         continue;
       }
       if (!rec->info().invalid()) {
-        KeyHash hash = Hasher{}(rec->key);
+        KeyHash hash = Hasher{}(Layout::KeyOf(*rec));
         typename HashIndex::OpScope scope{index_, hash};
         HashIndex::FindResult fr;
         if (index_.FindEntry(scope, hash, &fr) &&
@@ -828,7 +853,7 @@ class FasterKv {
           }
         }
       }
-      addr = addr + RecordT::size();
+      addr = addr + Layout::Size(*rec);
     }
   }
 
@@ -851,7 +876,7 @@ class FasterKv {
     Address addr = from;
     while (addr.IsValid() && addr >= min_mem) {
       RecordT* r = RecordAt(addr);
-      if (r->key == key) {
+      if (Layout::KeyEquals(*r, key)) {
         *rec = r;
         return addr;
       }
@@ -863,45 +888,46 @@ class FasterKv {
 
   /// Synchronously finds the newest record address for `key` starting at
   /// `start`, following the chain through memory and storage (used by
-  /// compaction's liveness check). Returns the invalid address if the key
-  /// has no record at or above `begin`; sets `*tombstone` accordingly.
-  Address TraceNewestSync(const Key& key, Address start, bool* tombstone)
+  /// compaction's liveness check). Sets `*newest` to the invalid address
+  /// if the key has no record at or above `begin`, and `*tombstone`
+  /// accordingly. Fails if a storage read fails.
+  Status TraceNewestSync(const Key& key, Address start, Address* newest,
+                         bool* tombstone, std::vector<uint8_t>* buf)
       FASTER_REQUIRES_EPOCH() {
     Address begin = hlog_.begin_address();
     Address head = hlog_.head_address();
     Address addr = start;
-    alignas(8) uint8_t buf[sizeof(RecordT)];
+    *newest = Address::Invalid();
+    *tombstone = false;
     while (addr.IsValid() && addr >= begin) {
-      const RecordT* rec;
-      if (addr >= head) {
-        rec = RecordAt(addr);
-      } else {
-        if (hlog_.ReadFromDiskSync(addr, RecordT::size(), buf) !=
-            Status::kOk) {
-          break;
-        }
-        rec = reinterpret_cast<const RecordT*>(buf);
+      // In memory, read in place: a mutable record's value may be changing.
+      const RecordT* rec = addr >= head ? RecordAt(addr) : nullptr;
+      if (rec == nullptr) {
+        Status s = CopyRecord(addr, buf);
+        if (s != Status::kOk) return s;
+        rec = reinterpret_cast<const RecordT*>(buf->data());
       }
-      if (rec->key == key) {
+      if (Layout::KeyEquals(*rec, key)) {
+        *newest = addr;
         *tombstone = rec->info().tombstone();
-        return addr;
+        break;
       }
       addr = rec->info().previous_address();
     }
-    *tombstone = false;
-    return Address::Invalid();
+    return Status::kOk;
   }
 
   /// Copies a (potentially live) record to the tail if it is still the
-  /// newest version of its key; returns true if a copy was installed,
-  /// false if the record turned out to be dead.
-  bool CompactOneRecord(Address addr, const RecordT& rec)
+  /// newest version of its key: kOk if a copy was installed, kNotFound if
+  /// the record turned out to be dead, the error if a storage read failed.
+  Status CompactOneRecord(Address addr, const RecordT& rec,
+                          std::vector<uint8_t>* scratch)
       FASTER_REQUIRES_EPOCH() {
-    KeyHash hash = Hasher{}(rec.key);
+    KeyHash hash = Hasher{}(Layout::KeyOf(rec));
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
-      if (!index_.FindEntry(scope, hash, &fr)) return false;
+      if (!index_.FindEntry(scope, hash, &fr)) return Status::kNotFound;
       Address start;
       RecordT* rc_rec = nullptr;
       if (!ResolveEntry(fr, &start, &rc_rec)) {
@@ -909,27 +935,71 @@ class FasterKv {
         continue;
       }
       (void)rc_rec;  // liveness is decided on the primary chain below
-      bool tombstone = false;
-      Address newest = TraceNewestSync(rec.key, start, &tombstone);
-      if (newest != addr || tombstone) return false;  // dead (or deleted)
-      Address new_addr = TryAllocateRecord();
+      Address newest;
+      bool tombstone;
+      Status s = TraceNewestSync(Layout::KeyOf(rec), start, &newest,
+                                 &tombstone, scratch);
+      if (s != Status::kOk) return s;
+      if (newest != addr || tombstone) return Status::kNotFound;
+      Address new_addr = TryAllocateRecord(Layout::Size(rec));
       if (!new_addr.IsValid()) continue;  // epoch refreshed; re-verify
       RecordT* new_rec = RecordAt(new_addr);
-      new_rec->key = rec.key;
-      new_rec->value = rec.value;
-      new_rec->set_info(RecordInfo{start, false, false});
-      if (index_.TryUpdateEntry(&fr, new_addr)) return true;
+      CopyInto(new_rec, rec, RecordInfo{start, false, false});
+      if (index_.TryUpdateEntry(&fr, new_addr)) return Status::kOk;
       new_rec->SetInvalid();  // raced with an update; re-verify liveness
     }
+  }
+
+  /// Copies `src`'s key and value into the fresh record `dst`, then
+  /// publishes `dst` with `info`.
+  static void CopyInto(RecordT* dst, const RecordT& src, RecordInfo info) {
+    constexpr size_t kHeader = sizeof(RecordInfo);
+    std::memcpy(reinterpret_cast<uint8_t*>(dst) + kHeader,
+                reinterpret_cast<const uint8_t*>(&src) + kHeader,
+                Layout::Size(src) - kHeader);
+    dst->set_info(info);
+  }
+
+  /// Bytes a storage read of the record at `addr` fetches first: the
+  /// record, or for variable-length records a block that stops at the
+  /// page end and at the head (everything below the head is on storage).
+  uint32_t FirstReadSize(Address addr) const {
+    if constexpr (!kVarLen) return Layout::kFixedSize;
+    Address end = std::min(addr.NextPageStart(), hlog_.head_address());
+    return static_cast<uint32_t>(
+        std::min<uint64_t>(Layout::kReadBlock, end - addr));
+  }
+
+  /// Copies the record at `addr`, in memory or on storage, into `*buf`
+  /// (page padding copies as its zero header).
+  Status CopyRecord(Address addr, std::vector<uint8_t>* buf)
+      FASTER_REQUIRES_EPOCH() {
+    if (addr >= hlog_.head_address()) {
+      // The header is read atomically: flag bits may be set concurrently.
+      const RecordT* rec = RecordAt(addr);
+      buf->resize(Layout::Size(*rec));
+      CopyInto(reinterpret_cast<RecordT*>(buf->data()), *rec, rec->info());
+      return Status::kOk;
+    }
+    uint32_t len = FirstReadSize(addr);
+    buf->resize(len);
+    Status s = hlog_.ReadFromDiskSync(addr, len, buf->data());
+    const auto* rec = reinterpret_cast<const RecordT*>(buf->data());
+    if (s != Status::kOk || !rec->info().in_use()) return s;
+    uint32_t size = Layout::Size(*rec);
+    if (size <= len) return Status::kOk;
+    if (addr.offset() + size > Address::kPageSize) return Status::kCorruption;
+    buf->resize(size);
+    return hlog_.ReadFromDiskSync(addr, size, buf->data());
   }
 
   /// One-shot allocation (Alg. 1 wrapper). Returns an invalid address if
   /// the epoch had to be refreshed (page rollover); the caller must
   /// restart its operation, since any record pointers it held may have
   /// been invalidated by the refresh.
-  Address TryAllocateRecord() FASTER_REQUIRES_EPOCH() {
+  Address TryAllocateRecord(uint32_t size) FASTER_REQUIRES_EPOCH() {
     uint64_t closed_page = 0;
-    Address addr = hlog_.Allocate(RecordT::size(), &closed_page);
+    Address addr = hlog_.Allocate(size, &closed_page);
     if (addr.IsValid()) return addr;
     while (!hlog_.NewPage(closed_page)) {
       // Next frame not recyclable yet: drive the epoch (and flushes).
@@ -1017,13 +1087,27 @@ class FasterKv {
   bool Apply(ThreadState& ts, const OpRef& op, KeyHash hash, bool has_entry,
              HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
       FASTER_REQUIRES_EPOCH() {
+    if constexpr (kVarLen) {
+      // A record must fit one log page. Kept off the counters (kCount
+      // counts nothing): the op did not run.
+      if (op.kind != OpKind::kRead &&
+          Layout::SizeFor(op.key, op.value ? *op.value : Value{}) >
+              Address::kPageSize) {
+        *out = {Status::kInvalid, Ctr::kCount};
+        return true;
+      }
+    }
     switch (op.kind) {
       case OpKind::kRead:
         return ApplyRead(ts, op, hash, has_entry, fr, chunk, out);
       case OpKind::kUpsert:
         return ApplyUpsert(op, has_entry, fr, chunk, out);
       case OpKind::kRmw:
-        return ApplyRmw(ts, op, hash, has_entry, fr, chunk, out);
+        // No entry point makes an RMW on a variable-length store.
+        if constexpr (!kVarLen) {
+          return ApplyRmw(ts, op, hash, has_entry, fr, chunk, out);
+        }
+        break;
       case OpKind::kDelete:
         return ApplyDelete(op, has_entry, fr, out);
     }
@@ -1046,13 +1130,14 @@ class FasterKv {
       epoch_.Refresh();
       return false;
     }
-    if (rc_rec != nullptr && rc_rec->key == op.key) {
+    if (rc_rec != nullptr && Layout::KeyEquals(*rc_rec, op.key)) {
       // Read-cache hit. A hit in the cache's read-only region earns the
       // record a second chance at the cache tail (Appendix D); read first,
       // since the copy may refresh the epoch.
-      F::SingleReader(op.key, *op.input, rc_rec->value, *op.output);
+      F::SingleReader(op.key, *op.input, Layout::ValueOf(*rc_rec),
+                      *op.output);
       if (StripRc(fr.entry.address()) < rc_log_->read_only_address()) {
-        RcSecondChance(ts, op.key, rc_rec, fr);
+        RcSecondChance(ts, rc_rec, fr);
       }
       *out = {Status::kOk, Ctr::kReadRc};
       return true;
@@ -1076,14 +1161,16 @@ class FasterKv {
       if (rec->info().tombstone()) return true;
       if (addr < hlog_.safe_read_only_address()) {
         *out = {Status::kOk, Ctr::kReadReadOnly};
-        F::SingleReader(op.key, *op.input, rec->value, *op.output);
+        F::SingleReader(op.key, *op.input, Layout::ValueOf(*rec),
+                        *op.output);
       } else {
         // Telling fuzzy from mutable costs a load: stats builds only.
         *out = {Status::kOk,
                 obs::kStatsEnabled && addr < hlog_.read_only_address()
                     ? Ctr::kReadFuzzy
                     : Ctr::kReadMutable};
-        F::ConcurrentReader(op.key, *op.input, rec->value, *op.output);
+        F::ConcurrentReader(op.key, *op.input, Layout::ValueOf(*rec),
+                            *op.output);
       }
       return true;
     }
@@ -1101,10 +1188,10 @@ class FasterKv {
     return true;
   }
 
-  /// Blind upsert (Alg. 3): in place in the mutable region; every other
-  /// region (read-only, fuzzy, on disk, absent, or behind a read-cache
-  /// entry) appends a new record — blind updates need not read the old
-  /// value (Table 2).
+  /// Blind upsert (Alg. 3): in place in the mutable region when the value
+  /// fits; every other region (read-only, fuzzy, on disk, absent, or
+  /// behind a read-cache entry) appends a new record — blind updates need
+  /// not read the old value (Table 2).
   [[gnu::always_inline]]
   bool ApplyUpsert(const OpRef& op, bool has_entry, HashIndex::FindResult& fr,
                    ChunkRes* chunk, Outcome* out) FASTER_REQUIRES_EPOCH() {
@@ -1122,10 +1209,11 @@ class FasterKv {
         addr >= head) {
       Address found = TraceBack(op.key, addr, std::max(head, begin), &rec);
       if (rec != nullptr && !rec->info().tombstone() && !config_.force_rcu &&
-          found >= hlog_.read_only_address()) {
+          found >= hlog_.read_only_address() &&
+          (!kVarLen || Layout::Fits(*rec, *op.value))) {
         // Mutable region: in-place update (Table 1 row 4).
         hlog_.VerifyMutableAddress(found);
-        F::ConcurrentWriter(op.key, *op.value, rec->value);
+        F::ConcurrentWriter(op.key, *op.value, Layout::ValueOf(*rec));
         *out = {Status::kOk, Ctr::kUpsertInPlace};
         return true;
       }
@@ -1133,17 +1221,18 @@ class FasterKv {
     // The new record's chain skips any cache record (its copy lives on
     // the primary log already).
     Address new_addr;
-    if (chunk != nullptr && chunk->extent_left > 0) {
+    if (!kVarLen && chunk != nullptr && chunk->extent_left > 0) {
       new_addr = chunk->extent;
-      chunk->extent = chunk->extent + RecordT::size();
+      chunk->extent = chunk->extent + Layout::kFixedSize;
       --chunk->extent_left;
     } else {
-      new_addr = TryAllocateRecord();
+      new_addr = TryAllocateRecord(
+          static_cast<uint32_t>(Layout::SizeFor(op.key, *op.value)));
       if (!new_addr.IsValid()) return false;  // epoch refreshed
     }
     RecordT* new_rec = RecordAt(new_addr);
-    new_rec->key = op.key;
-    F::SingleWriter(op.key, *op.value, new_rec->value);
+    Layout::Init(new_rec, op.key, *op.value);
+    F::SingleWriter(op.key, *op.value, Layout::ValueOf(*new_rec));
     new_rec->set_info(RecordInfo{addr, false, false});
     if (index_.TryUpdateEntry(&fr, new_addr)) {
       *out = {Status::kOk, Ctr::kUpsertAppend};
@@ -1228,11 +1317,11 @@ class FasterKv {
       return true;  // key definitely absent in memory & log
     }
     // Read-only / fuzzy / on-disk: append a tombstone record (blind).
-    Address new_addr = TryAllocateRecord();
+    Address new_addr = TryAllocateRecord(
+        static_cast<uint32_t>(Layout::SizeFor(op.key, Value{})));
     if (!new_addr.IsValid()) return false;
     RecordT* new_rec = RecordAt(new_addr);
-    new_rec->key = op.key;
-    new_rec->value = Value{};
+    Layout::Init(new_rec, op.key, Value{});
     new_rec->set_info(RecordInfo{addr, false, /*tombstone=*/true});
     if (index_.TryUpdateEntry(&fr, new_addr)) {
       if (rec != nullptr) rec->SetOverwritten();  // Appendix C
@@ -1255,10 +1344,10 @@ class FasterKv {
   };
 
   /// The RMW region dispatch (Alg. 4) on a resolved entry, shared by fresh
-  /// ops and continuations. `disk_state`/`disk_value` carry the result of
-  /// a completed storage read for chain bottom `disk_bottom`
-  /// (continuation path); kNone on the initial attempt. Returns false if
-  /// the op must re-resolve.
+  /// ops and continuations; fixed-size records only. `disk_state` /
+  /// `disk_value` carry the result of a completed storage read for chain
+  /// bottom `disk_bottom` (continuation path); kNone on the initial
+  /// attempt. Returns false if the op must re-resolve.
   [[gnu::always_inline]]
   bool DispatchRmw(const Key& key, const Input& input,
                    HashIndex::FindResult& fr, DiskState disk_state,
@@ -1373,7 +1462,7 @@ class FasterKv {
                     const Value* old_value, Address prev)
       FASTER_REQUIRES_EPOCH() {
     oc->kind = kind;
-    Address new_addr = TryAllocateRecord();
+    Address new_addr = TryAllocateRecord(Layout::kFixedSize);
     if (!new_addr.IsValid()) return false;
     RecordT* new_rec = RecordAt(new_addr);
     new_rec->key = key;
@@ -1401,6 +1490,7 @@ class FasterKv {
                         ChunkRes* chunk) {
     ctx->address = addr;
     ctx->chain_bottom = addr;
+    if constexpr (kVarLen) ctx->read_len = FirstReadSize(addr);
     ctx->clock.Mark(obs::Stage::kIoQueue);
     ts.counters.Add(Ctr::kPendingIos);
     ts.counters.Add(Ctr::kIosIssued);
@@ -1413,9 +1503,15 @@ class FasterKv {
     return Status::kPending;
   }
 
-  /// Re-issues a follow-the-chain read for an already-pending context.
-  void ReissueIo(PendingContext* ctx, Address addr) {
+  /// Re-issues a read for an already-pending context: the record at
+  /// `addr` (following the chain), or, with `whole_size`, all of a
+  /// variable-length record that the first block cut short.
+  void ReissueIo(PendingContext* ctx, Address addr, uint32_t whole_size = 0) {
     ctx->address = addr;
+    if constexpr (kVarLen) {
+      ctx->whole.resize(whole_size);
+      ctx->read_len = whole_size != 0 ? whole_size : FirstReadSize(addr);
+    }
     thread_states_[ctx->owner].counters.Add(Ctr::kIosIssued);
     ctx->clock.Mark(obs::Stage::kIoQueue);
     SubmitIo(ctx);
@@ -1425,8 +1521,11 @@ class FasterKv {
     // Submission work (and any inline execution a polling device runs
     // under it) is io_queue; device paths nest io_exec inside.
     obs::StageScope stage{obs::Stage::kIoQueue};
-    hlog_.AsyncGetFromDisk(ctx->address, RecordT::size(), ctx->buffer,
-                           &FasterKv::IoCallback, ctx);
+    Status s = hlog_.AsyncGetFromDisk(ctx->address, ctx->read_len, ctx->dst(),
+                                      &FasterKv::IoCallback, ctx);
+    // A rejected read never fires its callback: fail it through the
+    // completion machinery, as the batch path does.
+    if (s != Status::kOk) IoCallback(ctx, Status::kIoError, 0);
   }
 
   // -------------------------------------------------------------------
@@ -1517,10 +1616,9 @@ class FasterKv {
           bool in_cache = rc_log_ != nullptr && InReadCache(a);
           bool in_mem = !in_cache && a.IsValid() && a >= begin && a >= head;
           if (in_mem) {
-            hlog_.Prefetch(a, static_cast<uint32_t>(RecordT::size()));
+            hlog_.Prefetch(a, Layout::kMinSize);
           } else if (in_cache && StripRc(a) >= rc_log_->head_address()) {
-            rc_log_->Prefetch(StripRc(a),
-                              static_cast<uint32_t>(RecordT::size()));
+            rc_log_->Prefetch(StripRc(a), Layout::kMinSize);
           }
           if (ops[i].kind == BatchOp::Kind::kUpsert &&
               !(in_mem && a >= read_only)) {
@@ -1529,9 +1627,9 @@ class FasterKv {
             ++predicted_appends;
           }
         }
-        if (predicted_appends >= 2) {
-          chunk.extent = hlog_.AllocateExtent(
-              static_cast<uint32_t>(RecordT::size()), predicted_appends);
+        if (!kVarLen && predicted_appends >= 2) {
+          chunk.extent =
+              hlog_.AllocateExtent(Layout::kFixedSize, predicted_appends);
           if (chunk.extent.IsValid()) {
             chunk.extent_left = predicted_appends;
             // Give every reserved slot a dead header now: log scans treat
@@ -1541,7 +1639,7 @@ class FasterKv {
             // can have been issued, so the dead header is never persisted
             // for a slot that later becomes live.
             for (uint32_t s = 0; s < predicted_appends; ++s) {
-              RecordAt(chunk.extent + s * RecordT::size())
+              RecordAt(chunk.extent + s * Layout::kFixedSize)
                   ->set_info(
                       RecordInfo{Address::Invalid(), /*invalid=*/true, false});
             }
@@ -1583,8 +1681,7 @@ class FasterKv {
       IoReadRequest reqs[kBatchChunk];
       for (size_t i = 0; i < num_ios; ++i) {
         PendingContext* c = chunk.ios[i];
-        reqs[i] = IoReadRequest{c->address.control(), c->buffer,
-                                static_cast<uint32_t>(RecordT::size()),
+        reqs[i] = IoReadRequest{c->address.control(), c->dst(), c->read_len,
                                 &FasterKv::IoCallback, c};
       }
       Hist(obs::StoreHistogram::kBatchIoGroupSize).Record(num_ios);
@@ -1603,7 +1700,10 @@ class FasterKv {
     }
   }
 
-  static void IoCallback(void* context, Status result, uint32_t /*bytes*/) {
+  /// Out of line: the device calls it through a pointer, and the op paths
+  /// only to fail a rejected read.
+  [[gnu::noinline]] static void IoCallback(void* context, Status result,
+                                           uint32_t /*bytes*/) {
     auto* ctx = static_cast<PendingContext*>(context);
     ctx->io_status = result;
     // Everything from here to the owner processing the completion is
@@ -1664,7 +1764,20 @@ class FasterKv {
         }
         continue;
       }
-      if (!(rec->key == ctx->key)) {
+      if constexpr (kVarLen) {
+        // The first block cut the record short: read it whole. A size
+        // that overruns its page is a torn record.
+        uint32_t size = Layout::Size(*rec);
+        if (size > ctx->read_len) {
+          if (ctx->address.offset() + size > Address::kPageSize) {
+            FinishPending(ts, ctx, Status::kCorruption);
+          } else {
+            ReissueIo(ctx, ctx->address, size);
+          }
+          continue;
+        }
+      }
+      if (!Layout::KeyEquals(*rec, ctx->key)) {
         Address prev = info.previous_address();
         if (prev.IsValid() && prev >= begin) {
           ReissueIo(ctx, prev);
@@ -1682,19 +1795,22 @@ class FasterKv {
         if (info.tombstone()) {
           FinishPending(ts, ctx, Status::kNotFound);
         } else {
-          F::SingleReader(ctx->key, ctx->input, rec->value, *ctx->output);
+          F::SingleReader(ctx->key, ctx->input, Layout::ValueOf(*rec),
+                          *ctx->output);
           if (rc_log_ != nullptr) {
             // Read-hot records earn a spot in the read cache (Appendix D).
-            TryInsertToCache(ts, ctx->key, ctx->hash, rec->value);
+            TryInsertToCache(ts, ctx->hash, *rec);
           }
           FinishPending(ts, ctx, Status::kOk);
         }
         continue;
       }
-      // RMW continuation.
-      DiskState state =
-          info.tombstone() ? DiskState::kAbsent : DiskState::kValue;
-      RmwContinue(ts, ctx, state, &rec->value);
+      // RMW continuation (fixed-size records only).
+      if constexpr (!kVarLen) {
+        DiskState state =
+            info.tombstone() ? DiskState::kAbsent : DiskState::kValue;
+        RmwContinue(ts, ctx, state, &rec->value);
+      }
     }
   }
 
@@ -1709,7 +1825,7 @@ class FasterKv {
       FinishPending(ts, ctx, Status::kNotFound);
       return;
     }
-    RmwContinue(ts, ctx, DiskState::kAbsent, nullptr);
+    if constexpr (!kVarLen) RmwContinue(ts, ctx, DiskState::kAbsent, nullptr);
   }
 
   void RmwContinue(ThreadState& ts, PendingContext* ctx, DiskState state,
@@ -1834,32 +1950,39 @@ class FasterKv {
   // Disk scanning (recovery repair pass and Appendix F log analytics).
   // -------------------------------------------------------------------
 
+  /// Reads [from, to) a page at a time; storage holds everything below
+  /// `to`, not necessarily the rest of its page.
   template <class Fn>
-  void ScanDiskRange(Address from, Address to, Fn&& fn) {
+  Status ScanDiskRange(Address from, Address to, Fn&& fn) {
     std::vector<uint8_t> page(Address::kPageSize);
     Address addr = from;
     uint64_t loaded_page = UINT64_MAX;
     while (addr < to) {
-      if (addr.offset() + RecordT::size() > Address::kPageSize) {
+      if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
         addr = addr.NextPageStart();
         continue;
       }
       if (addr.page() != loaded_page) {
-        if (hlog_.ReadFromDiskSync(addr.PageStart(), Address::kPageSize,
-                                   page.data()) != Status::kOk) {
-          return;
-        }
+        Address start = addr.PageStart();
+        Status s = hlog_.ReadFromDiskSync(
+            start, static_cast<uint32_t>(std::min<uint64_t>(
+                       Address::kPageSize, to - start)),
+            page.data());
+        if (s != Status::kOk) return s;
         loaded_page = addr.page();
       }
       const auto* rec =
           reinterpret_cast<const RecordT*>(page.data() + addr.offset());
-      if (!rec->info().in_use()) {
-        addr = addr.NextPageStart();  // padding
+      // Padding, or a record size that overruns the page (a torn page).
+      if (!rec->info().in_use() ||
+          addr.offset() + Layout::Size(*rec) > Address::kPageSize) {
+        addr = addr.NextPageStart();
         continue;
       }
       fn(addr, *rec);
-      addr = addr + RecordT::size();
+      addr = addr + Layout::Size(*rec);
     }
+    return Status::kOk;
   }
 
   struct CheckpointMetadata {

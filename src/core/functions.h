@@ -4,7 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <type_traits>
+
+#include "core/record.h"
 
 namespace faster {
 
@@ -54,6 +58,11 @@ namespace faster {
 ///   // matching records with Merge.
 ///   static constexpr bool kMergeable = false;
 ///   static void Merge(Value& accumulator, const Value& delta);
+///
+///   // Optional: the record layout (core/record.h); FixedLayout<Key,
+///   // Value> when absent. The callbacks' Value arguments are the
+///   // layout's ValueOf(record).
+///   using Layout = ...;
 /// };
 /// ```
 namespace detail {
@@ -64,11 +73,24 @@ template <class F>
 struct MergeableTrait<F, std::void_t<decltype(F::kMergeable)>>
     : std::bool_constant<F::kMergeable> {};
 
+template <class F, class = void>
+struct LayoutTrait {
+  using type = FixedLayout<typename F::Key, typename F::Value>;
+};
+template <class F>
+struct LayoutTrait<F, std::void_t<typename F::Layout>> {
+  using type = typename F::Layout;
+};
+
 }  // namespace detail
 
 /// True if `F` declares `static constexpr bool kMergeable = true`.
 template <class F>
 inline constexpr bool IsMergeable = detail::MergeableTrait<F>::value;
+
+/// `F::Layout` if `F` declares one, else FixedLayout<F::Key, F::Value>.
+template <class F>
+using LayoutOf = typename detail::LayoutTrait<F>::type;
 
 /// The paper's running example (Sec. 2.5): a count store where RMW
 /// increments a per-key counter by the input. Used by tests, examples, and
@@ -171,6 +193,40 @@ struct MergeableCountFunctions : CountStoreFunctions {
   static constexpr bool kMergeable = true;
   static void Merge(Value& accumulator, const Value& delta) {
     accumulator += delta;
+  }
+};
+
+/// Byte-string keys and values of any length (Sec. 2.1), in VarRecord's
+/// layout. Read, Upsert and Delete only: an RMW's new value has no size
+/// before it is computed, so Rmw, RmwBatch and ExecuteBatch do not compile
+/// for this store, and it has no read cache. An upsert goes in place when
+/// the record is mutable and the new value fits its capacity (the first
+/// value's size). Keys and values are views of the caller's bytes; a
+/// pending read keeps a copy of its key.
+struct ByteStringFunctions {
+  using Layout = VarLayout;
+  using Key = std::string_view;
+  using Value = std::string_view;
+  struct Input {};
+  using Output = std::string;
+
+  static void SingleReader(const Key&, const Input&, const VarRecord& rec,
+                           Output& out) {
+    out.assign(rec.value());
+  }
+  /// Record-level concurrency between same-key writers and readers is the
+  /// application's contract (Appendix E): a racing read may see a torn
+  /// value.
+  static void ConcurrentReader(const Key&, const Input&,
+                               const VarRecord& rec, Output& out) {
+    out.assign(rec.value());
+  }
+  static void SingleWriter(const Key&, const Value& desired, VarRecord& dst) {
+    dst.WriteValue(desired);
+  }
+  static void ConcurrentWriter(const Key&, const Value& desired,
+                               VarRecord& dst) {
+    dst.WriteValue(desired);
   }
 };
 

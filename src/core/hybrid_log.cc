@@ -42,6 +42,8 @@ HybridLog::HybridLog(const LogConfig& config, IDevice* device,
   for (uint64_t i = 0; i < buffer_pages_; ++i) {
     closed_page_.push_back(std::make_unique<Atomic<int64_t>>(-1));
   }
+  frame_used_.assign(buffer_pages_, false);
+  frame_used_[0] = true;  // page 0 is open
 }
 
 HybridLog::~HybridLog() { device_->Drain(); }
@@ -203,7 +205,7 @@ bool HybridLog::NewPage(uint64_t old_page) {
     return false;  // Eviction trigger hasn't run; caller refreshes.
   }
 
-  std::memset(Frame(new_page), 0, Address::kPageSize);
+  ClearFrame(new_page);
   obs_stats_.pages_opened.Inc();
   uint64_t expected = tail_page_offset_.load(std::memory_order_acquire);
   while ((expected >> 32) == old_page) {
@@ -214,6 +216,12 @@ bool HybridLog::NewPage(uint64_t old_page) {
     }
   }
   return true;
+}
+
+void HybridLog::ClearFrame(uint64_t page) {
+  uint64_t frame = page % buffer_pages_;
+  if (frame_used_[frame]) std::memset(Frame(page), 0, Address::kPageSize);
+  frame_used_[frame] = true;
 }
 
 void HybridLog::UpdateSafeReadOnly(Address new_safe) {
@@ -304,7 +312,7 @@ Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
     std::atomic<int>* done;
     Status* result;
   } ctx{&done, &result};
-  device_->ReadAsync(
+  Status submitted = device_->ReadAsync(
       address.control(), dst, size,
       [](void* c, Status s, uint32_t) {
         auto* sc = static_cast<SyncCtx*>(c);
@@ -312,6 +320,8 @@ Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
         sc->done->store(1, std::memory_order_release);
       },
       &ctx);
+  // A rejected read never fires its callback.
+  if (submitted != Status::kOk) return submitted;
   while (done.load(std::memory_order_acquire) == 0) {
     // The device completes the read on the thread that polls.
     device_->Poll();
@@ -370,7 +380,7 @@ void HybridLog::RecoverTo(Address begin, Address tail) {
     last = p;
     closed_page_[f]->store(last < 0 ? -1 : last, std::memory_order_release);
   }
-  std::memset(Frame(tail_page), 0, Address::kPageSize);
+  ClearFrame(tail_page);
   tail_page_offset_.store((tail_page << 32) | tail.offset(),
                           std::memory_order_release);
 }

@@ -276,6 +276,10 @@ class HybridLog {
   /// whichever protected thread drains the trigger action.
   void UpdateSafeReadOnly(Address new_safe) FASTER_REQUIRES_EPOCH();
   void UpdateSafeReadOnlyLocked(Address new_safe) FASTER_REQUIRES_EPOCH();
+  /// Zeroes the frame `page` opens in, unless no page has used it since
+  /// it was mapped (the kernel's zero fill: a memset would only make all
+  /// of it resident). Caller holds flush_mutex_ or the log is idle.
+  void ClearFrame(uint64_t page);
   /// Issues device writes for [flush_issued_, limit). Caller holds
   /// flush_mutex_ and epoch protection (reads page frames via Get).
   void IssueFlushesLocked(Address limit) FASTER_REQUIRES_EPOCH();
@@ -300,6 +304,8 @@ class HybridLog {
   /// All `buffer_pages_` frames, one guard page after each; the kernel
   /// zeroes a frame on first use, NewPage/RecoverTo on reuse.
   MemoryRegion frames_;
+  /// frame_used_[f]: some page has opened in frame f since it was mapped.
+  std::vector<bool> frame_used_;
   /// closed_page_[f]: the latest page whose eviction from frame f has
   /// completed; frame f may host page P iff P < buffer_pages_ or
   /// closed_page_[f] == P - buffer_pages_.

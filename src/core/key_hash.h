@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 
 namespace faster {
 
@@ -59,13 +61,15 @@ class KeyHash {
   uint64_t control_;
 };
 
-/// Default hasher: integral keys go through Mix64; anything else must
-/// provide `uint64_t GetHash() const`.
+/// Default hasher: integral keys go through Mix64, byte-string views
+/// through HashBytes; anything else must provide `uint64_t GetHash() const`.
 template <typename Key>
 struct DefaultKeyHasher {
   KeyHash operator()(const Key& key) const {
     if constexpr (std::is_integral_v<Key>) {
       return KeyHash{Mix64(static_cast<uint64_t>(key))};
+    } else if constexpr (std::is_same_v<Key, std::string_view>) {
+      return KeyHash{HashBytes(key.data(), key.size())};
     } else {
       return KeyHash{key.GetHash()};
     }

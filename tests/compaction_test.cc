@@ -42,6 +42,55 @@ class CompactionTest : public ::testing::Test {
   MemoryDevice device_;
 };
 
+// Fails the `fail_at`-th read from now on through its callback, once, and
+// records its offset; every other read goes through.
+class FailNthReadDevice : public MemoryDevice {
+ public:
+  Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
+                   IoCallback callback, void* context) override {
+    if (++reads == fail_at) {
+      failed_offset = offset;
+      callback(context, Status::kIoError, 0);
+      return Status::kOk;
+    }
+    return MemoryDevice::ReadAsync(offset, dst, len, callback, context);
+  }
+  uint64_t reads = 0;
+  uint64_t fail_at = 0;
+  uint64_t failed_offset = 0;
+};
+
+// A storage read that fails mid-compaction ends it with kIoError and
+// truncates only the records examined before the failure: once the device
+// heals, every key still reads its newest value.
+TEST(CompactionFailureTest, FailedReadKeepsUnexaminedRecords) {
+  FailNthReadDevice device;
+  Store store{Cfg(2), &device};
+  store.StartSession();
+  constexpr uint64_t kKeys = 300000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(store.Upsert(k, 1), Status::kOk);
+  }
+  store.hlog().ShiftReadOnlyToTail(true);
+  for (uint64_t k = 0; k < kKeys; k += 2) {
+    ASSERT_EQ(store.Upsert(k, 2), Status::kOk);
+  }
+  store.hlog().ShiftReadOnlyToTail(true);
+  ASSERT_GT(store.hlog().head_address().control(), 64u) << "must spill";
+
+  device.fail_at = device.reads + 500;
+  Address until = store.hlog().safe_read_only_address();
+  EXPECT_EQ(store.CompactLog(until), Status::kIoError);
+  ASSERT_NE(device.failed_offset, 0u) << "the failure must have fired";
+  EXPECT_LE(store.hlog().begin_address(), Address{device.failed_offset});
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    Status s;
+    ASSERT_EQ(MustRead(store, k, &s), k % 2 == 0 ? 2u : 1u) << k;
+    ASSERT_EQ(s, Status::kOk) << k;
+  }
+  store.StopSession();
+}
+
 TEST_F(CompactionTest, CompactionPreservesLiveKeys) {
   Store store{Cfg(2), &device_};
   store.StartSession();

@@ -465,6 +465,58 @@ void Callback(Store::UserOp op, Status s, void* user_context) {
 }
 }  // namespace completion_cb
 
+// A device that rejects every read at submission while `reject` is set:
+// the read is never issued, so its callback never fires.
+class RejectingDevice : public MemoryDevice {
+ public:
+  Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
+                   IoCallback callback, void* context) override {
+    if (reject) return Status::kIoError;
+    return MemoryDevice::ReadAsync(offset, dst, len, callback, context);
+  }
+  bool reject = false;
+};
+
+// A rejected storage read fails the op through the completion callback
+// (so CompletePending and StopSession return), and fails a compaction and
+// a log scan instead of spinning in the synchronous read.
+TEST(StorageFailureTest, RejectedReadFailsInsteadOfHanging) {
+  RejectingDevice device;
+  Store::Config cfg = SmallConfig(/*mem_pages=*/2);
+  cfg.completion_callback = [](Store::UserOp, Status result, void* ctx) {
+    *static_cast<Status*>(ctx) = result;
+  };
+  Store store{cfg, &device};
+  store.StartSession();
+  constexpr uint64_t kKeys = 500000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(store.Upsert(k, k + 1), Status::kOk);
+  }
+  ASSERT_GT(store.hlog().head_address().control(), 64u) << "must spill";
+
+  device.reject = true;
+  Status completed = Status::kPending;
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(0, 0, &out, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kIoError);
+  Address begin = store.hlog().begin_address();
+  EXPECT_EQ(store.CompactLog(store.hlog().safe_read_only_address()),
+            Status::kIoError);
+  EXPECT_EQ(store.hlog().begin_address(), begin);
+  EXPECT_EQ(store.ScanLog(begin, store.hlog().tail_address(),
+                          [](Address, const Store::RecordT&) {}),
+            Status::kIoError);
+
+  device.reject = false;
+  completed = Status::kPending;
+  ASSERT_EQ(store.Read(0, 0, &out, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kOk);
+  EXPECT_EQ(out, 1u);
+  store.StopSession();
+}
+
 TEST_F(FasterTest, CompletionCallbackReceivesUserContext) {
   auto cfg = SmallConfig(2, 0.5);
   cfg.completion_callback = &completion_cb::Callback;

@@ -219,7 +219,9 @@ TEST_F(HybridLogTest, ReadCacheModeEvictsWithoutFlushing) {
 }
 
 // The frame budget is reserved, not touched: construction leaves the
-// frames non-resident, and opening page k faults in frames 0..k only.
+// frames non-resident, opening page k faults in frames 0..k only, and a
+// frame's first page is not zeroed by hand, so the just-opened frame holds
+// only the granule its one record touched.
 TEST_F(HybridLogTest, FramesBecomeResidentOnlyWhenOpened) {
   HybridLog log{SmallLog(64, 0.9), &device_, &epoch_};  // 256 MB budget
   const MemoryRegion& frames = log.frame_region();
@@ -246,6 +248,7 @@ TEST_F(HybridLogTest, FramesBecomeResidentOnlyWhenOpened) {
       EXPECT_EQ(frames.ResidentBytes(f), 0u) << "frame " << f;
     }
   }
+  EXPECT_EQ(frames.ResidentBytes(kPage), frames.granule());
 }
 
 // A recycled frame still reads as zero padding past the tail: NewPage

@@ -14,7 +14,6 @@
 #include "baselines/minilsm/db.h"
 #include "core/faster.h"
 #include "core/functions.h"
-#include "core/varlen.h"
 #include "device/memory_device.h"
 #include "workload/keygen.h"
 
@@ -22,14 +21,14 @@ namespace faster {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FasterBlobKv vs. reference map under random mixed ops and sizes.
+// FasterKv over byte strings vs. reference map under random mixed ops and
+// sizes.
 // ---------------------------------------------------------------------------
 
 struct BlobParams {
   std::string name;
   uint64_t mem_pages;
   double mutable_fraction;
-  double value_slack;
   uint32_t max_value;
   uint64_t num_ops;
 };
@@ -39,15 +38,20 @@ std::ostream& operator<<(std::ostream& os, const BlobParams& p) {
 
 class BlobModelTest : public ::testing::TestWithParam<BlobParams> {};
 
+using BlobStore = FasterKv<ByteStringFunctions>;
+
 TEST_P(BlobModelTest, MatchesReferenceModel) {
   const BlobParams& p = GetParam();
   MemoryDevice device;
-  FasterBlobKv::Config cfg;
+  BlobStore::Config cfg;
   cfg.table_size = 2048;
   cfg.log.memory_size_bytes = p.mem_pages << Address::kOffsetBits;
   cfg.log.mutable_fraction = p.mutable_fraction;
-  cfg.value_slack = p.value_slack;
-  FasterBlobKv store{cfg, &device};
+  // A pending read's user context points at the Status it completes with.
+  cfg.completion_callback = [](BlobStore::UserOp, Status result, void* ctx) {
+    *static_cast<Status*>(ctx) = result;
+  };
+  BlobStore store{cfg, &device};
   store.StartSession();
 
   std::unordered_map<std::string, std::string> model;
@@ -57,12 +61,13 @@ TEST_P(BlobModelTest, MatchesReferenceModel) {
   };
   auto read_store = [&](const std::string& key)
       -> std::pair<bool, std::string> {
-    std::string out = "\x01UNSET";
-    Status s = store.Read(key, &out);
+    std::string out;
+    Status s;
+    s = store.Read(key, {}, &out, &s);
     if (s == Status::kPending) {
       EXPECT_TRUE(store.CompletePending(true));
-      return {out != "\x01UNSET", out};
     }
+    EXPECT_TRUE(s == Status::kOk || s == Status::kNotFound) << key;
     return {s == Status::kOk, out};
   };
 
@@ -104,10 +109,10 @@ TEST_P(BlobModelTest, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, BlobModelTest,
     ::testing::Values(
-        BlobParams{"in_memory_small_values", 16, 0.9, 0.0, 32, 40000},
-        BlobParams{"spilling_mixed_sizes", 2, 0.5, 0.0, 800, 60000},
-        BlobParams{"with_slack", 4, 0.5, 0.5, 200, 50000},
-        BlobParams{"append_heavy", 2, 0.0, 0.0, 120, 60000}),
+        BlobParams{"in_memory_small_values", 16, 0.9, 32, 40000},
+        BlobParams{"spilling_mixed_sizes", 2, 0.5, 800, 60000},
+        BlobParams{"with_slack", 4, 0.5, 200, 50000},
+        BlobParams{"append_heavy", 2, 0.0, 120, 60000}),
     [](const auto& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------------
