@@ -12,7 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -308,13 +308,11 @@ class FasterKv {
     ThreadState& ts = thread_states_[Thread::Id()];
     for (;;) {
       // Completion polling (DESIGN.md §13): executes and reaps this
-      // thread's queued I/O right here — the callbacks push into
-      // ts.completions with no cross-thread hop.
+      // thread's queued I/O right here — the callbacks push onto ts.ready
+      // with no cross-thread hop.
       hlog_.device()->Poll();
-      if constexpr (!kVarLen) ProcessRetries(ts);
-      ProcessCompletions(ts);
-      bool done =
-          ts.counters.Get(Ctr::kPendingIos) == 0 && ts.retries.empty();
+      ProcessReady(ts);
+      bool done = ts.counters.Get(Ctr::kPendingIos) == 0 && ts.ready.Empty();
       if (done || !wait) return done;
       epoch_.Refresh();
       std::this_thread::yield();
@@ -432,22 +430,23 @@ class FasterKv {
     // corresponds to a record in [t1, t2); replaying them in order leaves
     // each entry pointing at the newest record below t2 for its tag.
     epoch_.Protect();
+    Status repair = Status::kOk;  // no memory for an entry stops the pass
     Status scan_status = ScanDiskRange(t1, t2, [&](Address addr,
                                                   const RecordT& rec) {
       // Bracketed by the Protect/Unprotect above; the lambda body is
       // analyzed in isolation, so re-establish the capability here.
       AssertEpochProtected(epoch_);
-      if (rec.info().invalid()) return;
+      if (rec.info().invalid() || repair != Status::kOk) return;
       KeyHash hash = Hasher{}(Layout::KeyOf(rec));
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
-      index_.FindOrCreateEntry(scope, hash, &fr);
-      while (fr.entry.address() < addr) {
+      repair = index_.FindOrCreateEntry(scope, hash, &fr);
+      while (repair == Status::kOk && fr.entry.address() < addr) {
         if (index_.TryUpdateEntry(&fr, addr)) break;
       }
     });
     epoch_.Unprotect();
-    return scan_status;
+    return scan_status != Status::kOk ? scan_status : repair;
   }
 
   // -------------------------------------------------------------------
@@ -666,6 +665,7 @@ class FasterKv {
 
   /// Context carried by an operation that went pending (Sec. 5.3): enough
   /// to resume after the asynchronous storage read (or fuzzy retry).
+  /// Contexts are recycled on their owner's free list (NewContext).
   struct PendingContext {
     // `o` by value: a reference escaping into this (out-of-line)
     // constructor would keep the compiler from folding the op kind.
@@ -682,10 +682,11 @@ class FasterKv {
     Output* output;
     void* user_context;
     uint32_t owner;
+    PendingContext* next = nullptr;  // on ThreadState::ready or ::free
     uint32_t read_len = Layout::kFixedSize;    // bytes the read fetches
     Address address = Address::Invalid();     // record being read
     Address chain_bottom = Address::Invalid();  // first disk address of chain
-    Status io_status = Status::kOk;
+    Status io_status = Status::kOk;  // kPending: a fuzzy-region retry
     // The op's clock, moved in as it went asynchronous: continuations on
     // any thread mark it and resume its trace (empty without stats).
     [[no_unique_address]] obs::StatOpClock clock;
@@ -709,12 +710,17 @@ class FasterKv {
     // its storage reads in flight. First, so the op outcomes sit at short
     // offsets from the ThreadState pointer.
     obs::CounterBlock counters;
-    // Completion queue, filled by device I/O threads.
-    std::mutex mutex;
-    std::vector<PendingContext*> completions;
-    // Fuzzy-region RMW retries (owner thread only).
-    std::vector<PendingContext*> retries;
+    // Contexts CompletePending continues: reads done, pushed by whichever
+    // thread polled the device, and this thread's fuzzy RMW retries.
+    TakeAllList<PendingContext> ready;
+    PendingContext* free = nullptr;  // recycled contexts; this thread only
     uint32_t ops_since_refresh = 0;
+
+    ~ThreadState() {
+      for (PendingContext* c : {free, ready.TakeAll()}) {
+        while (c != nullptr) delete std::exchange(c, c->next);
+      }
+    }
   };
 
   RecordT* RecordAt(Address addr) const FASTER_REQUIRES_EPOCH() {
@@ -1072,9 +1078,9 @@ class FasterKv {
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
-      bool has_entry = true;
+      bool has_entry;
       if (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw) {
-        index_.FindOrCreateEntry(scope, hash, &fr);
+        has_entry = index_.FindOrCreateEntry(scope, hash, &fr) == Status::kOk;
       } else {
         has_entry = index_.FindEntry(scope, hash, &fr);
       }
@@ -1097,15 +1103,21 @@ class FasterKv {
         return true;
       }
     }
+    if (!has_entry && (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw)) {
+      // A batch resolution defers to Resolve, which creates the entry or
+      // finds no room for one: then the op fails, having changed nothing.
+      *out = {Status::kOutOfMemory, Ctr::kCount};
+      return chunk == nullptr;
+    }
     switch (op.kind) {
       case OpKind::kRead:
         return ApplyRead(ts, op, hash, has_entry, fr, chunk, out);
       case OpKind::kUpsert:
-        return ApplyUpsert(op, has_entry, fr, chunk, out);
+        return ApplyUpsert(op, fr, chunk, out);
       case OpKind::kRmw:
         // No entry point makes an RMW on a variable-length store.
         if constexpr (!kVarLen) {
-          return ApplyRmw(ts, op, hash, has_entry, fr, chunk, out);
+          return ApplyRmw(ts, op, hash, fr, chunk, out);
         }
         break;
       case OpKind::kDelete:
@@ -1182,9 +1194,8 @@ class FasterKv {
       return true;
     }
     // The chain continues on storage: go asynchronous (Sec. 5.3).
-    *out = {StartPendingIo(ts, new PendingContext(this, op, hash), addr,
-                           chunk),
-            Ctr::kReadStable};
+    Status s = StartPendingIo(ts, NewContext(ts, op, hash), addr, chunk);
+    *out = {s, s == Status::kPending ? Ctr::kReadStable : Ctr::kCount};
     return true;
   }
 
@@ -1193,9 +1204,8 @@ class FasterKv {
   /// behind a read-cache entry) appends a new record — blind updates need
   /// not read the old value (Table 2).
   [[gnu::always_inline]]
-  bool ApplyUpsert(const OpRef& op, bool has_entry, HashIndex::FindResult& fr,
+  bool ApplyUpsert(const OpRef& op, HashIndex::FindResult& fr,
                    ChunkRes* chunk, Outcome* out) FASTER_REQUIRES_EPOCH() {
-    if (!has_entry) return false;  // Resolve creates the entry
     Address addr;
     RecordT* rc_rec = nullptr;
     if (!ResolveEntry(fr, &addr, &rc_rec)) {
@@ -1248,17 +1258,19 @@ class FasterKv {
   /// or a fuzzy-region deferral for the outcomes that go pending.
   [[gnu::always_inline]]
   bool ApplyRmw(ThreadState& ts, const OpRef& op, KeyHash hash,
-                bool has_entry, HashIndex::FindResult& fr, ChunkRes* chunk,
-                Outcome* out) FASTER_REQUIRES_EPOCH() {
+                HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
+      FASTER_REQUIRES_EPOCH() {
     RmwOutcome oc;
-    if (!has_entry || !DispatchRmw(op.key, *op.input, fr, DiskState::kNone,
-                                   nullptr, Address::Invalid(), &oc)) {
+    if (!DispatchRmw(op.key, *op.input, fr, DiskState::kNone, nullptr,
+                     Address::Invalid(), &oc)) {
       return false;
     }
     *out = {oc.done() ? Status::kOk : Status::kPending, oc.kind};
     if (oc.done()) return true;
-    auto* ctx = new PendingContext(this, op, hash);
-    if (oc.kind == Ctr::kRmwStable) {
+    PendingContext* ctx = NewContext(ts, op, hash);
+    if (ctx == nullptr) {
+      *out = {Status::kOutOfMemory, Ctr::kCount};
+    } else if (oc.kind == Ctr::kRmwStable) {
       StartPendingIo(ts, ctx, oc.io_address, chunk);
     } else {
       DeferFuzzyRmw(ts, ctx);
@@ -1266,14 +1278,17 @@ class FasterKv {
     return true;
   }
 
-  /// Fuzzy region (Sec. 6.2): parks an RMW on the retry list, which
-  /// CompletePending retries once the safe read-only offset catches up.
-  /// The wait on the list is io_complete time.
-  void DeferFuzzyRmw(ThreadState& ts, PendingContext* ctx) {
-    ctx->clock.Mark(obs::Stage::kIoComplete);
-    ts.counters.Add(Ctr::kPendingRetries);
-    trace_.Emit(obs::Ev::kFuzzyRmwDeferred, ctx->owner);
-    ts.retries.push_back(ctx);
+  /// Fuzzy region (Sec. 6.2): parks an RMW on the ready list, which
+  /// CompletePending retries until the safe read-only offset catches up
+  /// (io_complete time). Out of line, like the op bodies' other exits.
+  [[gnu::noinline]] void DeferFuzzyRmw(ThreadState& ts, PendingContext* ctx) {
+    if (ctx->io_status != Status::kPending) {
+      ctx->io_status = Status::kPending;
+      ctx->chain_bottom = Address::Invalid();
+      ctx->clock.Mark(obs::Stage::kIoComplete);
+      ts.counters.Add(Ctr::kPendingRetries);
+    }
+    ts.ready.Push(ctx);
   }
 
   /// Delete: a tombstone in place in the mutable region, otherwise a
@@ -1434,24 +1449,6 @@ class FasterKv {
                         addr);
   }
 
-  /// RMW continuations (a completed storage read, a fuzzy-region retry)
-  /// re-resolve like a single op and run the same dispatch.
-  RmwOutcome RmwInMemory(const Key& key, KeyHash hash,
-                         const Input& input, DiskState disk_state,
-                         const Value* disk_value, Address disk_bottom)
-      FASTER_REQUIRES_EPOCH() {
-    RmwOutcome oc;
-    for (;;) {
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      index_.FindOrCreateEntry(scope, hash, &fr);
-      if (DispatchRmw(key, input, fr, disk_state, disk_value, disk_bottom,
-                      &oc)) {
-        return oc;
-      }
-    }
-  }
-
   /// Allocates and links a new RMW record of `kind` (kRmwCopy, kRmwInitial
   /// or kRmwDelta, recorded in `*oc`) at the tail, after `prev` (the
   /// primary-log chain start: a read-cache record is skipped). Returns false
@@ -1483,30 +1480,23 @@ class FasterKv {
   // Pending-operation machinery (Sec. 5.3).
   // -------------------------------------------------------------------
 
-  /// Starts a fresh op's storage read (Sec. 5.3). In a batch chunk the
-  /// submission is deferred so the chunk's reads reach the device as one
-  /// group; the op's io_queue stage covers that wait too.
-  Status StartPendingIo(ThreadState& ts, PendingContext* ctx, Address addr,
-                        ChunkRes* chunk) {
-    ctx->address = addr;
+  /// Starts a fresh op's storage read (Sec. 5.3); kOutOfMemory, with
+  /// nothing changed, if the op got no context.
+  [[gnu::noinline]] Status StartPendingIo(ThreadState& ts,
+                                          PendingContext* ctx, Address addr,
+                                          ChunkRes* chunk) {
+    if (ctx == nullptr) return Status::kOutOfMemory;
     ctx->chain_bottom = addr;
-    if constexpr (kVarLen) ctx->read_len = FirstReadSize(addr);
-    ctx->clock.Mark(obs::Stage::kIoQueue);
     ts.counters.Add(Ctr::kPendingIos);
-    ts.counters.Add(Ctr::kIosIssued);
-    trace_.Emit(obs::Ev::kPendingIoIssued, ctx->owner);
-    if (chunk != nullptr) {
-      chunk->ios[chunk->num_ios++] = ctx;
-    } else {
-      SubmitIo(ctx);
-    }
+    IssueIo(ctx, addr, 0, chunk);
     return Status::kPending;
   }
 
-  /// Re-issues a read for an already-pending context: the record at
-  /// `addr` (following the chain), or, with `whole_size`, all of a
-  /// variable-length record that the first block cut short.
-  void ReissueIo(PendingContext* ctx, Address addr, uint32_t whole_size = 0) {
+  /// Reads the record at `addr` (a chain hop), or, with `whole_size`, all
+  /// of a variable-length record the first block cut short. A batch chunk
+  /// defers the submission to send its reads as one group (io_queue).
+  void IssueIo(PendingContext* ctx, Address addr, uint32_t whole_size = 0,
+               ChunkRes* chunk = nullptr) {
     ctx->address = addr;
     if constexpr (kVarLen) {
       ctx->whole.resize(whole_size);
@@ -1514,10 +1504,10 @@ class FasterKv {
     }
     thread_states_[ctx->owner].counters.Add(Ctr::kIosIssued);
     ctx->clock.Mark(obs::Stage::kIoQueue);
-    SubmitIo(ctx);
-  }
-
-  void SubmitIo(PendingContext* ctx) {
+    if (chunk != nullptr) {
+      chunk->ios[chunk->num_ios++] = ctx;
+      return;
+    }
     // Submission work (and any inline execution a polling device runs
     // under it) is io_queue; device paths nest io_exec inside.
     obs::StageScope stage{obs::Stage::kIoQueue};
@@ -1709,18 +1699,40 @@ class FasterKv {
     // Everything from here to the owner processing the completion is
     // io_complete: the cross-thread hand-off wait.
     ctx->clock.MarkIoDone();
-    ThreadState& ts = ctx->store->thread_states_[ctx->owner];
-    std::lock_guard<std::mutex> lock{ts.mutex};
-    ts.completions.push_back(ctx);
+    ctx->store->thread_states_[ctx->owner].ready.Push(ctx);
   }
 
+  /// A context for `op`, recycled from this thread's free list or else
+  /// from the heap; nullptr if the heap fails. Op bodies inline the ctor.
+  [[gnu::always_inline]] PendingContext* NewContext(ThreadState& ts,
+                                                    OpRef op, KeyHash hash) {
+    void* mem = ContextMemory(ts);
+    return mem == nullptr ? nullptr : new (mem) PendingContext(this, op, hash);
+  }
+  [[gnu::noinline]] static void* ContextMemory(ThreadState& ts) {
+    static_assert(alignof(PendingContext) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    PendingContext* ctx = ts.free;
+    if (ctx == nullptr) {
+      return ::operator new(sizeof(PendingContext), std::nothrow);
+    }
+    ts.free = ctx->next;
+    ctx->~PendingContext();
+    return ctx;
+  }
+
+  /// Completes a pending op and recycles its context.
   void FinishPending(ThreadState& ts, PendingContext* ctx, Status result) {
     ts.counters.Add(Ctr::kCompleted);
-    ts.counters.Sub(Ctr::kPendingIos);
-    ctx->clock.Finish(&Hist(obs::StoreHistogram::kPendingIoNs));
-    trace_.Emit(obs::Ev::kPendingIoDone, ctx->owner);
+    if (ctx->io_status == Status::kPending) {
+      ts.counters.Sub(Ctr::kPendingRetries);
+      ctx->clock.Finish();
+    } else {
+      ts.counters.Sub(Ctr::kPendingIos);
+      ctx->clock.Finish(&Hist(obs::StoreHistogram::kPendingIoNs));
+    }
     NotifyCompletion(ctx, result);
-    delete ctx;
+    ctx->next = ts.free;
+    ts.free = ctx;
   }
 
   void NotifyCompletion(PendingContext* ctx, Status result) {
@@ -1731,17 +1743,23 @@ class FasterKv {
     }
   }
 
-  void ProcessCompletions(ThreadState& ts) FASTER_REQUIRES_EPOCH() {
-    std::vector<PendingContext*> ready;
-    {
-      std::lock_guard<std::mutex> lock{ts.mutex};
-      ready.swap(ts.completions);
-    }
-    if (ready.empty()) return;
+  /// Continues every context on this thread's ready list, in push order.
+  /// One that goes pending again is pushed back for a later call.
+  void ProcessReady(ThreadState& ts) FASTER_REQUIRES_EPOCH() {
+    PendingContext* next = ts.ready.TakeAll();
+    if (next == nullptr) return;
     // Gated on non-empty so the CompletePending polling loop stays free
     // of counter reads between completions.
     obs::StageScope stage{obs::Stage::kIoComplete};
-    for (PendingContext* ctx : ready) {
+    while (next != nullptr) {
+      PendingContext* ctx = std::exchange(next, next->next);
+      if constexpr (!kVarLen) {
+        if (ctx->io_status == Status::kPending) {
+          obs::StatSpan span{obs::SpanKind::kRetryFuzzy, ctx->clock.trace()};
+          RmwContinue(ts, ctx, DiskState::kNone, nullptr);
+          continue;
+        }
+      }
       // Re-establish the operation's trace around everything this
       // completion does synchronously (chain reissue, cache insert, RMW
       // continuation) — inactive when the operation was not sampled.
@@ -1758,7 +1776,7 @@ class FasterKv {
         Address prev = info.in_use() ? info.previous_address()
                                      : Address::Invalid();
         if (prev.IsValid() && prev >= begin) {
-          ReissueIo(ctx, prev);
+          IssueIo(ctx, prev);
         } else {
           CompleteChainMiss(ts, ctx);
         }
@@ -1772,7 +1790,7 @@ class FasterKv {
           if (ctx->address.offset() + size > Address::kPageSize) {
             FinishPending(ts, ctx, Status::kCorruption);
           } else {
-            ReissueIo(ctx, ctx->address, size);
+            IssueIo(ctx, ctx->address, size);
           }
           continue;
         }
@@ -1780,7 +1798,7 @@ class FasterKv {
       if (!Layout::KeyEquals(*rec, ctx->key)) {
         Address prev = info.previous_address();
         if (prev.IsValid() && prev >= begin) {
-          ReissueIo(ctx, prev);
+          IssueIo(ctx, prev);
         } else {
           CompleteChainMiss(ts, ctx);
         }
@@ -1828,51 +1846,40 @@ class FasterKv {
     if constexpr (!kVarLen) RmwContinue(ts, ctx, DiskState::kAbsent, nullptr);
   }
 
+  /// Resumes an RMW after its storage read, or (`state` kNone) a fuzzy
+  /// retry: re-resolves like a single op and runs the same dispatch.
   void RmwContinue(ThreadState& ts, PendingContext* ctx, DiskState state,
                    const Value* disk_value) FASTER_REQUIRES_EPOCH() {
-    RmwOutcome oc = RmwInMemory(ctx->key, ctx->hash, ctx->input, state,
-                                disk_value, ctx->chain_bottom);
-    if (oc.done()) {
+    RmwOutcome oc;
+    Status s = Status::kOk;
+    for (bool done = false; !done && s == Status::kOk;) {
+      typename HashIndex::OpScope scope{index_, ctx->hash};
+      HashIndex::FindResult fr;
+      // A key whose entry is gone may find no room to recreate it.
+      s = index_.FindOrCreateEntry(scope, ctx->hash, &fr);
+      done = s == Status::kOk &&
+             DispatchRmw(ctx->key, ctx->input, fr, state, disk_value,
+                         ctx->chain_bottom, &oc);
+    }
+    if (s != Status::kOk) {
+      FinishPending(ts, ctx, s);
+    } else if (oc.done()) {
       if (oc.appended()) ts.counters.Add(Ctr::kRmwPendingAppend);
       FinishPending(ts, ctx, Status::kOk);
     } else if (oc.kind == Ctr::kRmwStable) {
-      // The chain bottom changed while we were reading; chase it.
-      ctx->chain_bottom = oc.io_address;
-      ReissueIo(ctx, oc.io_address);
-    } else {
-      // The record migrated into the fuzzy region; fall back to the retry
-      // list (the context stops being an outstanding I/O).
-      ts.counters.Sub(Ctr::kPendingIos);
-      ctx->chain_bottom = Address::Invalid();
-      DeferFuzzyRmw(ts, ctx);
-    }
-  }
-
-  void ProcessRetries(ThreadState& ts) FASTER_REQUIRES_EPOCH() {
-    if (ts.retries.empty()) return;
-    std::vector<PendingContext*> work;
-    work.swap(ts.retries);
-    for (PendingContext* ctx : work) {
-      obs::StatSpan span{obs::SpanKind::kRetryFuzzy, ctx->clock.trace()};
-      RmwOutcome oc = RmwInMemory(ctx->key, ctx->hash, ctx->input,
-                                  DiskState::kNone, nullptr,
-                                  Address::Invalid());
-      if (oc.kind == Ctr::kRmwFuzzyDeferred) {
-        ts.retries.push_back(ctx);  // still fuzzy; try again later
-        continue;
-      }
-      ts.counters.Sub(Ctr::kPendingRetries);
-      if (oc.kind == Ctr::kRmwStable) {
-        ctx->chain_bottom = oc.io_address;
+      // A retry's chain went to storage, or a read's chain bottom changed
+      // while it was read: chase it.
+      if (ctx->io_status == Status::kPending) {
+        ctx->io_status = Status::kOk;
+        ts.counters.Sub(Ctr::kPendingRetries);
         ts.counters.Add(Ctr::kPendingIos);
-        ReissueIo(ctx, oc.io_address);
-        continue;
       }
-      if (oc.appended()) ts.counters.Add(Ctr::kRmwPendingAppend);
-      ts.counters.Add(Ctr::kCompleted);
-      ctx->clock.Finish();  // bypasses FinishPending
-      NotifyCompletion(ctx, Status::kOk);
-      delete ctx;
+      ctx->chain_bottom = oc.io_address;
+      IssueIo(ctx, oc.io_address);
+    } else {
+      // Fuzzy region: a read's context stops being an outstanding I/O.
+      if (ctx->io_status != Status::kPending) ts.counters.Sub(Ctr::kPendingIos);
+      DeferFuzzyRmw(ts, ctx);
     }
   }
 
@@ -1912,7 +1919,8 @@ class FasterKv {
       return {Status::kOk, Ctr::kReadMerged};
     }
     // Continue reconciliation on storage.
-    auto* ctx = new PendingContext(this, op, hash);
+    PendingContext* ctx = NewContext(ts, op, hash);
+    if (ctx == nullptr) return {Status::kOutOfMemory, Ctr::kCount};
     ctx->merge_acc = acc;
     ctx->merge_found = found;
     return {StartPendingIo(ts, ctx, addr, chunk), Ctr::kReadStable};
@@ -1929,7 +1937,7 @@ class FasterKv {
     ctx->merge_found = true;
     Address prev = info.previous_address();
     if (prev.IsValid() && prev >= hlog_.begin_address()) {
-      ReissueIo(ctx, prev);
+      IssueIo(ctx, prev);
       return;
     }
     CompleteMergeFinal(ts, ctx);

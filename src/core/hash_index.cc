@@ -1,10 +1,10 @@
 #include "core/hash_index.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
 #include <cassert>
-#include <map>
 #include <memory>
 #include <new>
 #include <thread>
@@ -67,14 +67,8 @@ HashIndex::HashIndex(uint64_t table_size, LightEpoch* epoch,
                    std::memory_order_release);
   table_size_[0].store(table_size, std::memory_order_release);
   table_granule_.store(table_regions_[0].granule(), std::memory_order_relaxed);
+  ResetArena(overflow_[0], table_size);
   set_resize_state(Phase::kStable, 0);
-}
-
-HashIndex::~HashIndex() {
-  // The tables themselves are unmapped by their regions.
-  for (int v = 0; v < 2; ++v) {
-    for (HashBucket* b : overflow_pool_[v]) delete b;
-  }
 }
 
 MemoryRegion HashIndex::AllocateTable(uint64_t num_buckets) {
@@ -82,11 +76,77 @@ MemoryRegion HashIndex::AllocateTable(uint64_t num_buckets) {
   return MemoryRegion::Reserve(num_buckets * sizeof(HashBucket));
 }
 
-HashBucket* HashIndex::AllocateOverflowBucket(uint8_t version) {
-  auto* bucket = new HashBucket{};
+void HashIndex::ResetArena(OverflowArena& arena, uint64_t table_size) {
+  arena.regions = {};
+  for (Atomic<HashBucket*>& segment : arena.segments) {
+    segment.store(nullptr, std::memory_order_relaxed);
+  }
+  arena.claimed.store(0, std::memory_order_relaxed);
+  // At least one OS page, and about one bucket in 64 of the table's: the
+  // paper's sizing overflows about one in 1000.
+  arena.first = std::max<uint64_t>(table_size / 64, 64);
+}
+
+HashBucket* HashIndex::ArenaBucket(OverflowArena& arena, uint64_t i,
+                                   bool map) {
+  const uint64_t first = arena.first;
+  // Segment s starts at index first * (2^s - 1).
+  const auto s = static_cast<uint32_t>(std::bit_width(i / first + 1) - 1);
+  // No segment spans more than a 47-bit address space.
+  if (s >= kSegments || first > (uint64_t{1} << 41 >> s)) return nullptr;
+  HashBucket* segment = arena.segments[s].load(std::memory_order_acquire);
+  if (segment == nullptr && map) {
+    MemoryRegion region = MemoryRegion::Reserve(
+        (first << s) * sizeof(HashBucket), 1, MemoryRegion::Use::kArena);
+    if (!region) return nullptr;
+    // A loser takes the winner's segment and unmaps its own.
+    if (arena.segments[s].compare_exchange_strong(
+            segment, region.As<HashBucket>(), std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      segment = region.As<HashBucket>();
+      arena.regions[s] = std::move(region);
+    }
+  }
+  if (segment == nullptr) return nullptr;
+  return segment + (i - first * ((uint64_t{1} << s) - 1));
+}
+
+uint64_t HashIndex::ArenaIndex(const OverflowArena& arena,
+                               const HashBucket* bucket) {
+  const auto at = reinterpret_cast<uintptr_t>(bucket);
+  uint64_t start = 0;
+  for (uint32_t s = 0; s < kSegments; ++s) {
+    const uint64_t size = arena.first << s;
+    const auto segment = reinterpret_cast<uintptr_t>(
+        arena.segments[s].load(std::memory_order_acquire));
+    if (segment != 0 && at >= segment &&
+        at < segment + size * sizeof(HashBucket)) {
+      return start + (at - segment) / sizeof(HashBucket);
+    }
+    start += size;
+  }
+  return UINT64_MAX;
+}
+
+bool HashIndex::MapArena(OverflowArena& arena, uint64_t n) {
+  // Segments start at 0, first, 3 first, 7 first, ...
+  for (uint64_t i = 0; i < n; i = 2 * i + arena.first) {
+    if (ArenaBucket(arena, i, /*map=*/true) == nullptr) return false;
+  }
+  return true;
+}
+
+HashBucket* HashIndex::ClaimOverflowBucket(uint8_t version) {
+  OverflowArena& arena = overflow_[version];
+  uint64_t i = arena.claimed.load(std::memory_order_relaxed);
+  HashBucket* bucket;
+  do {
+    bucket = ArenaBucket(arena, i, /*map=*/true);
+    if (bucket == nullptr) return nullptr;
+  } while (!arena.claimed.compare_exchange_weak(i, i + 1,
+                                                std::memory_order_release,
+                                                std::memory_order_relaxed));
   obs_stats_.overflow_allocs.Inc();
-  std::lock_guard<Mutex> lock{overflow_mutex_};
-  overflow_pool_[version].push_back(bucket);
   return bucket;
 }
 
@@ -224,8 +284,8 @@ bool HashIndex::TryFindEntriesStable(const KeyHash* hashes, const bool* skip,
   return true;
 }
 
-void HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
-                                  FindResult* out) {
+Status HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
+                                    FindResult* out) {
   uint16_t tag = EffectiveTag(hash);
   ResizeInfo info = resize_info();
   uint8_t alloc_version =
@@ -236,11 +296,13 @@ void HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
   for (;;) {
     Atomic<uint64_t>* free_slot = nullptr;
     if (ScanChain(head, tag, out, &free_slot, 0)) {
-      return;  // Existing non-tentative entry.
+      return Status::kOk;  // Existing non-tentative entry.
     }
     if (free_slot == nullptr) {
       // Chain is full: append an overflow bucket, then retry the scan (the
       // new bucket's slots become candidate free slots).
+      HashBucket* fresh = ClaimOverflowBucket(alloc_version);
+      if (fresh == nullptr) return Status::kOutOfMemory;
       HashBucket* last = head;
       for (;;) {
         uint64_t next = last->overflow.load(std::memory_order_acquire);
@@ -248,15 +310,14 @@ void HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
           last = reinterpret_cast<HashBucket*>(next);
           continue;
         }
-        HashBucket* fresh = AllocateOverflowBucket(alloc_version);
         uint64_t expected = 0;
         if (last->overflow.compare_exchange_strong(
                 expected, reinterpret_cast<uint64_t>(fresh),
                 std::memory_order_acq_rel)) {
           break;
         }
-        // Someone else extended the chain first; our bucket stays pooled
-        // (freed at teardown) and we follow theirs.
+        // Someone else extended the chain first; we follow theirs and link
+        // our bucket after it.
       }
       continue;
     }
@@ -295,7 +356,7 @@ void HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
     free_slot->store(final_entry.control(), std::memory_order_release);
     out->slot = free_slot;
     out->entry = final_entry;
-    return;
+    return Status::kOk;
   }
 }
 
@@ -365,10 +426,17 @@ Status HashIndex::Grow(const EntryRebase& rebase) {
   // index exactly as it was.
   MemoryRegion fresh = AllocateTable(new_size);
   if (!fresh) return Status::kOutOfMemory;
+  // Migration copies each chain into two no longer than it: map segments
+  // for twice the old claims now. (Prepare-phase inserts can claim more;
+  // MigrateChunk maps for those.)
+  OverflowArena& arena = overflow_[new_version];
+  ResetArena(arena, new_size);
+  if (!MapArena(arena, 2 * overflow_[old_version].claimed.load(
+                               std::memory_order_relaxed))) {
+    ResetArena(arena, new_size);
+    return Status::kOutOfMemory;
+  }
 
-  // Free any table left from the previous grow and set up the new one.
-  for (HashBucket* b : overflow_pool_[new_version]) delete b;
-  overflow_pool_[new_version].clear();
   tables_[new_version].store(fresh.As<HashBucket>(),
                              std::memory_order_release);
   table_granule_.store(fresh.granule(), std::memory_order_relaxed);
@@ -419,21 +487,16 @@ Status HashIndex::Grow(const EntryRebase& rebase) {
   // of bounds of pins_/migrated_. The epoch wait below guarantees all such
   // threads are gone before the next Grow() reuses this slot.
   tables_[old_version].store(nullptr, std::memory_order_release);
-  // std::function needs a copyable action: share the retired mapping.
-  auto old_table =
-      std::make_shared<MemoryRegion>(std::move(table_regions_[old_version]));
-  std::vector<HashBucket*> old_overflow;
-  {
-    std::lock_guard<Mutex> lock{overflow_mutex_};
-    old_overflow.swap(overflow_pool_[old_version]);
-  }
+  // std::function needs a copyable action: share the retired mappings.
+  auto old_maps = std::make_shared<
+      std::pair<MemoryRegion, std::array<MemoryRegion, kSegments>>>(
+      std::move(table_regions_[old_version]),
+      std::move(overflow_[old_version].regions));
   // order: release store in the trigger action, acquire load in the wait
   // loop below (a plain completion flag).
   Atomic<bool> freed{false};
-  epoch_->BumpCurrentEpoch([old_table, old_overflow = std::move(old_overflow),
-                            &freed]() {
-    old_table->Reset();
-    for (HashBucket* b : old_overflow) delete b;
+  epoch_->BumpCurrentEpoch([old_maps, &freed]() {
+    *old_maps = {};
     freed.store(true, std::memory_order_release);
   });
   while (!freed.load(std::memory_order_acquire)) {
@@ -507,7 +570,10 @@ void HashIndex::MigrateChunk(uint64_t chunk) {
             if (free_slot != nullptr) break;
             uint64_t next = d->overflow.load(std::memory_order_relaxed);
             if (next == 0) {
-              HashBucket* fresh = AllocateOverflowBucket(new_version);
+              // Only a failed mapping of a segment Grow did not map up
+              // front fails this claim: then throw, like operator new.
+              HashBucket* fresh = ClaimOverflowBucket(new_version);
+              if (fresh == nullptr) throw std::bad_alloc();
               d->overflow.store(reinterpret_cast<uint64_t>(fresh),
                                 std::memory_order_release);
               d = fresh;
@@ -535,6 +601,11 @@ struct IndexCheckpointHeader {
   uint64_t num_overflow;
 };
 constexpr uint64_t kIndexMagic = 0xFA57E21D4E5ULL;
+
+/// Bucket images are staged through one buffer of this many: a table costs
+/// one write(2) or read(2) per 64 KB, not one per bucket.
+constexpr uint64_t kStageBuckets = 1024;
+using BucketImage = uint64_t[8];
 }  // namespace
 
 Status HashIndex::WriteCheckpoint(int fd,
@@ -546,27 +617,23 @@ Status HashIndex::WriteCheckpoint(int fd,
   if (info.phase != Phase::kStable) return Status::kInvalid;
   const HashBucket* table = tables_[info.version].load(std::memory_order_acquire);
   uint64_t size = table_size_[info.version].load(std::memory_order_acquire);
+  // const_cast: ArenaBucket without `map` only loads.
+  auto& arena = const_cast<OverflowArena&>(overflow_[info.version]);
+  uint64_t used = arena.claimed.load(std::memory_order_acquire);
 
-  // Assign ordinals to overflow buckets as encountered (1-based; 0 = none).
-  std::map<const HashBucket*, uint64_t> ordinal;
-  std::vector<const HashBucket*> overflow_list;
-  for (uint64_t i = 0; i < size; ++i) {
-    const HashBucket* b = reinterpret_cast<const HashBucket*>(
-        table[i].overflow.load(std::memory_order_acquire));
-    while (b != nullptr) {
-      if (ordinal.emplace(b, overflow_list.size() + 1).second) {
-        overflow_list.push_back(b);
-      }
-      b = reinterpret_cast<const HashBucket*>(
-          b->overflow.load(std::memory_order_acquire));
-    }
-  }
-
-  IndexCheckpointHeader header{kIndexMagic, size, overflow_list.size()};
+  IndexCheckpointHeader header{kIndexMagic, size, used};
   if (!WriteAll(fd, &header, sizeof(header))) return Status::kIoError;
 
-  auto write_bucket = [&](const HashBucket* b) {
-    uint64_t image[8];
+  std::unique_ptr<BucketImage[]> stage{new BucketImage[kStageBuckets]};
+  uint64_t staged = 0;
+  for (uint64_t i = 0; i < size + used; ++i) {
+    const HashBucket* b =
+        i < size ? &table[i] : ArenaBucket(arena, i - size, /*map=*/false);
+    // A claim is published only after its segment is installed, so this
+    // fails only if those orders are broken (the model checker's mutation
+    // sweep breaks them): an error it can report, not a fault.
+    if (b == nullptr) return Status::kInvalid;
+    uint64_t* image = stage[staged];
     for (uint32_t j = 0; j < HashBucket::kNumEntries; ++j) {
       if (transform) {
         image[j] = transform(b->entries[j]);
@@ -577,27 +644,20 @@ Status HashIndex::WriteCheckpoint(int fd,
       // records are not yet linked.
       image[j] = e.tentative() ? 0 : e.control();
     }
+    // An overflow pointer becomes its arena index + 1 (0 = none). A bucket
+    // claimed after `used` was read cuts the persisted chain: its entries
+    // point at records appended after t1, which the recovery log scan
+    // over [t1, t2) re-inserts (Sec. 6.5's fuzzy checkpoint contract).
     const auto* next = reinterpret_cast<const HashBucket*>(
         b->overflow.load(std::memory_order_acquire));
-    // A concurrent insert can link a brand-new overflow bucket after the
-    // ordinal scan above. Cut the persisted chain there: every entry in
-    // such a bucket points at a record appended after t1, and the
-    // recovery log scan over [t1, t2) re-inserts it (Sec. 6.5's fuzzy
-    // checkpoint contract).
-    uint64_t next_ord = 0;
-    if (next != nullptr) {
-      auto it = ordinal.find(next);
-      if (it != ordinal.end()) next_ord = it->second;
+    uint64_t ord = next == nullptr ? UINT64_MAX : ArenaIndex(arena, next);
+    image[7] = ord < used ? ord + 1 : 0;
+    if (++staged == kStageBuckets || i + 1 == size + used) {
+      if (!WriteAll(fd, stage.get(), staged * sizeof(BucketImage))) {
+        return Status::kIoError;
+      }
+      staged = 0;
     }
-    image[7] = next_ord;
-    return WriteAll(fd, image, sizeof(image));
-  };
-
-  for (uint64_t i = 0; i < size; ++i) {
-    if (!write_bucket(&table[i])) return Status::kIoError;
-  }
-  for (const HashBucket* b : overflow_list) {
-    if (!write_bucket(b)) return Status::kIoError;
   }
   return Status::kOk;
 }
@@ -606,52 +666,53 @@ Status HashIndex::ReadCheckpoint(int fd) {
   IndexCheckpointHeader header;
   if (!ReadAll(fd, &header, sizeof(header))) return Status::kIoError;
   if (header.magic != kIndexMagic) return Status::kCorruption;
-  if (header.table_size == 0 ||
-      (header.table_size & (header.table_size - 1)) != 0) {
-    return Status::kCorruption;
-  }
+  uint64_t size = header.table_size;
+  uint64_t num_overflow = header.num_overflow;
+  if (size == 0 || (size & (size - 1)) != 0) return Status::kCorruption;
+  // Refuse counts the file cannot hold, before mapping anything.
+  struct stat st;
+  off_t at = ::lseek(fd, 0, SEEK_CUR);
+  if (at < 0 || ::fstat(fd, &st) != 0) return Status::kIoError;
+  uint64_t left = std::max<off_t>(st.st_size - at, 0) / sizeof(BucketImage);
+  if (size > left || num_overflow > left - size) return Status::kCorruption;
 
   ResizeInfo info = resize_info();
   if (info.phase != Phase::kStable) return Status::kInvalid;
   uint8_t v = info.version;
-  MemoryRegion fresh = AllocateTable(header.table_size);
+  MemoryRegion fresh = AllocateTable(size);
   if (!fresh) return Status::kOutOfMemory;
-  for (HashBucket* b : overflow_pool_[v]) delete b;
-  overflow_pool_[v].clear();
-  HashBucket* fresh_table = fresh.As<HashBucket>();
-  tables_[v].store(fresh_table, std::memory_order_release);
-  table_size_[v].store(header.table_size, std::memory_order_release);
+  HashBucket* table = fresh.As<HashBucket>();
+  tables_[v].store(table, std::memory_order_release);
+  table_size_[v].store(size, std::memory_order_release);
   table_granule_.store(fresh.granule(), std::memory_order_relaxed);
   table_regions_[v] = std::move(fresh);
+  OverflowArena& arena = overflow_[v];
+  ResetArena(arena, size);
+  if (!MapArena(arena, num_overflow)) return Status::kOutOfMemory;
+  arena.claimed.store(num_overflow, std::memory_order_relaxed);
 
-  std::vector<HashBucket*> overflow_list;
-  overflow_list.reserve(header.num_overflow);
-  for (uint64_t i = 0; i < header.num_overflow; ++i) {
-    overflow_list.push_back(AllocateOverflowBucket(v));
-  }
-
-  auto read_bucket = [&](HashBucket* b) {
-    uint64_t image[8];
-    if (!ReadAll(fd, image, sizeof(image))) return false;
+  std::unique_ptr<BucketImage[]> stage{new BucketImage[kStageBuckets]};
+  for (uint64_t i = 0; i < size + num_overflow; ++i) {
+    uint64_t staged = i % kStageBuckets;
+    if (staged == 0 &&
+        !ReadAll(fd, stage.get(),
+                 std::min(kStageBuckets, size + num_overflow - i) *
+                     sizeof(BucketImage))) {
+      return Status::kCorruption;
+    }
+    const uint64_t* image = stage[staged];
+    HashBucket* b =
+        i < size ? &table[i] : ArenaBucket(arena, i - size, /*map=*/false);
     for (uint32_t j = 0; j < HashBucket::kNumEntries; ++j) {
       b->entries[j].store(image[j], std::memory_order_relaxed);
     }
     uint64_t ord = image[7];
-    if (ord != 0) {
-      if (ord > overflow_list.size()) return false;
-      b->overflow.store(reinterpret_cast<uint64_t>(overflow_list[ord - 1]),
-                        std::memory_order_relaxed);
-    } else {
-      b->overflow.store(0, std::memory_order_relaxed);
-    }
-    return true;
-  };
-
-  for (uint64_t i = 0; i < header.table_size; ++i) {
-    if (!read_bucket(&fresh_table[i])) return Status::kCorruption;
-  }
-  for (uint64_t i = 0; i < header.num_overflow; ++i) {
-    if (!read_bucket(overflow_list[i])) return Status::kCorruption;
+    if (ord > num_overflow) return Status::kCorruption;
+    b->overflow.store(
+        ord == 0 ? 0
+                 : reinterpret_cast<uint64_t>(
+                       ArenaBucket(arena, ord - 1, /*map=*/false)),
+        std::memory_order_relaxed);
   }
   return Status::kOk;
 }

@@ -1,6 +1,7 @@
 #ifndef FASTER_CORE_HASH_INDEX_H_
 #define FASTER_CORE_HASH_INDEX_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -70,7 +71,6 @@ class HashIndex {
   /// table is reserved, not touched: buckets become resident as they are
   /// used. Throws std::bad_alloc if the table cannot be mapped.
   HashIndex(uint64_t table_size, LightEpoch* epoch, uint32_t tag_bits = 15);
-  ~HashIndex();
 
   HashIndex(const HashIndex&) = delete;
   HashIndex& operator=(const HashIndex&) = delete;
@@ -112,9 +112,11 @@ class HashIndex {
       FASTER_REQUIRES_EPOCH();
 
   /// Finds the entry matching `hash`'s tag, creating one (with an invalid
-  /// address) via the two-phase tentative insert if absent.
-  void FindOrCreateEntry(const OpScope& scope, KeyHash hash, FindResult* out)
-      FASTER_REQUIRES_EPOCH();
+  /// address) via the two-phase tentative insert if absent. Returns
+  /// kOutOfMemory, with nothing created, if the chain is full and no
+  /// memory can be mapped for an overflow bucket.
+  Status FindOrCreateEntry(const OpScope& scope, KeyHash hash,
+                           FindResult* out) FASTER_REQUIRES_EPOCH();
 
   /// CAS the slot in `result` from the observed entry to a new entry with
   /// `address` and the same tag. On success updates `result->entry`; on
@@ -210,10 +212,10 @@ class HashIndex {
   /// Doubles the index on-line (Appendix B). Must be called from an
   /// epoch-protected thread; concurrent operations cooperate. Blocks until
   /// the grow completes. Returns kOutOfMemory, with the index untouched,
-  /// if the doubled table cannot be mapped. `rebase`, if provided, runs on
-  /// every migrated entry, from whichever thread migrates its chunk (the
-  /// read cache uses it to swing cached addresses back to the primary log,
-  /// Appendix D).
+  /// if the doubled table, or overflow buckets for the chains it migrates,
+  /// cannot be mapped. `rebase`, if provided, runs on every migrated
+  /// entry, from whichever thread migrates its chunk (the read cache uses
+  /// it to swing cached addresses back to the primary log, Appendix D).
   Status Grow(const EntryRebase& rebase = {}) FASTER_REQUIRES_EPOCH();
 
   /// True while a grow is in progress.
@@ -232,8 +234,9 @@ class HashIndex {
   Status WriteCheckpoint(int fd, const EntryTransform& transform = {}) const
       FASTER_REQUIRES_EPOCH();
   /// Restores a table written by WriteCheckpoint. The index must be
-  /// otherwise idle. Returns kOutOfMemory, with the index untouched, if
-  /// the table cannot be mapped.
+  /// otherwise idle. Returns kCorruption, with the index untouched, if the
+  /// header's counts overrun the file, and kOutOfMemory if the table or
+  /// its overflow buckets cannot be mapped.
   Status ReadCheckpoint(int fd);
 
   /// Observability (compiled out unless FASTER_STATS): probe depth, CAS
@@ -289,8 +292,49 @@ class HashIndex {
   /// a guard page. Empty on failure.
   static MemoryRegion AllocateTable(uint64_t num_buckets);
 
-  /// Overflow-bucket allocation for table version `version`.
-  HashBucket* AllocateOverflowBucket(uint8_t version);
+  /// A table version's overflow buckets (DESIGN.md §5): one index space,
+  /// claimed in order, over segments mapped as claims reach them. Segment
+  /// s holds `first << s` buckets, so the segments mapped stay within
+  /// twice the claims plus the first; there are enough segments that only
+  /// the kernel refusing a mapping limits the claims.
+  static constexpr uint32_t kSegments = 36;
+  struct OverflowArena {
+    // Buckets claimed, in order. A claim counts only once its segment is
+    // mapped, so every claimed bucket is.
+    // order: release CAS (relaxed on failure) after the claim's segment
+    // is installed, and an acquire load in WriteCheckpoint, so every
+    // segment below the count is visible there; relaxed seed loads and
+    // stores: a claim hands out a distinct zeroed bucket, the chain CAS
+    // that links it publishes it, and the resize_state_ announcement
+    // publishes a version's reset.
+    Atomic<uint64_t> claimed{0};
+    uint64_t first = 0;  // buckets in segment 0; set with the version
+    // Installed once each: null until mapped.
+    // order: acq_rel CAS installs a mapped segment (acquire on failure
+    // adopts the winner's); acquire loads; relaxed stores reset a
+    // retired version's, published like `claimed`'s.
+    Atomic<HashBucket*> segments[kSegments] = {};
+    // The mappings behind `segments`, each moved in by the thread whose
+    // CAS installed it; read only by Grow's retirement, ReadCheckpoint
+    // and the destructor, once no claim can race.
+    std::array<MemoryRegion, kSegments> regions;
+  };
+
+  /// Empties `arena` (whose version no thread uses) for a table of
+  /// `table_size` buckets.
+  static void ResetArena(OverflowArena& arena, uint64_t table_size);
+  /// Overflow bucket `i` of `arena`: its segment is mapped if `map`, and
+  /// nullptr if that fails or (without `map`) it is not mapped.
+  static HashBucket* ArenaBucket(OverflowArena& arena, uint64_t i, bool map);
+  /// The index of `bucket` in `arena`, or UINT64_MAX if it is not there.
+  static uint64_t ArenaIndex(const OverflowArena& arena,
+                             const HashBucket* bucket);
+  /// Maps every segment holding one of the first `n` buckets; false if
+  /// one cannot be mapped.
+  static bool MapArena(OverflowArena& arena, uint64_t n);
+  /// Claims `version`'s next overflow bucket (zeroed) with a CAS;
+  /// nullptr, claiming nothing, if its segment cannot be mapped.
+  HashBucket* ClaimOverflowBucket(uint8_t version);
 
   /// Walks a bucket chain looking for `tag`; returns slot/value of the
   /// non-tentative match, and optionally the first free slot seen.
@@ -317,10 +361,12 @@ class HashIndex {
   // version, publishing the array it points to); acquire loads in
   // OpScope/MigrateChunk/stats.
   Atomic<HashBucket*> tables_[2] = {nullptr, nullptr};
-  // The mappings behind tables_; a retired one is unmapped by an epoch
-  // trigger in Grow. Changed only under grow_mutex_, in the constructor,
-  // or by ReadCheckpoint on an idle index.
+  // The mappings behind tables_; a retired one is unmapped, with its
+  // version's overflow segments, by an epoch trigger in Grow. Changed only
+  // under grow_mutex_, in the constructor, or by ReadCheckpoint on an idle
+  // index.
   MemoryRegion table_regions_[2];
+  OverflowArena overflow_[2];
   // order: release store paired with the tables_ install; acquire loads.
   Atomic<uint64_t> table_size_[2] = {0, 0};
   // table_regions_[v].granule() of the last installed table, readable
@@ -349,10 +395,6 @@ class HashIndex {
   // resize_state_ announcement, like num_chunks_.
   const EntryRebase* rebase_ = nullptr;
   Mutex grow_mutex_;  // serializes concurrent Grow() callers only
-
-  // Overflow bucket pools, per version.
-  mutable Mutex overflow_mutex_;
-  std::vector<HashBucket*> overflow_pool_[2];
 
   // Mutable: FindEntry is const but still counts probes.
   mutable ObsStats obs_stats_;

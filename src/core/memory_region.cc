@@ -49,13 +49,14 @@ MemoryRegion& MemoryRegion::operator=(MemoryRegion&& other) noexcept {
   return *this;
 }
 
-MemoryRegion MemoryRegion::Reserve(uint64_t block_bytes, uint64_t count) {
+MemoryRegion MemoryRegion::Reserve(uint64_t block_bytes, uint64_t count,
+                                   Use use) {
   MemoryRegion region;
   const uint64_t page = OsPageSize();
   if (block_bytes == 0 || count == 0 || block_bytes > UINT64_MAX / 2) {
     return region;
   }
-  const bool huge = block_bytes >= kHugePage;
+  const bool huge = use == Use::kBlocks && block_bytes >= kHugePage;
   const uint64_t rounded = RoundUp(block_bytes, page);
   // A huge block starts on a huge-page boundary: its guard runs from its
   // end to the next boundary, which leaves at least one page.
@@ -89,6 +90,8 @@ MemoryRegion MemoryRegion::Reserve(uint64_t block_bytes, uint64_t count) {
       std::strcmp(ThpEnabledMode(), "never") != 0) {
     region.granule_ = kHugePage;
   }
+  // THP `always` would back an arena with huge pages unasked.
+  if (use == Use::kArena) ::madvise(base, bytes, MADV_NOHUGEPAGE);
   for (uint64_t i = 0; i < count; ++i) {
     // Each guard splits the mapping; this fails (ENOMEM) once the process
     // would exceed vm.max_map_count.

@@ -23,12 +23,17 @@ namespace faster {
 /// random probe of an index table or log frame costs one TLB entry per
 /// 2 MB instead of per 4 KB. Smaller blocks are page-aligned with a
 /// one-page guard. A block whose size is not a multiple of the OS page
-/// ends before its guard, in the page's unused tail.
+/// ends before its guard, in the page's unused tail. An arena (kArena)
+/// stays on OS pages whatever its size, so a bump allocator's residency
+/// follows its claims one OS page at a time.
 ///
 /// Move-only; the destructor unmaps the whole region.
 class MemoryRegion {
  public:
   static constexpr uint64_t kHugePage = uint64_t{2} << 20;
+
+  /// kArena: OS pages only (MADV_NOHUGEPAGE), whatever the size.
+  enum class Use : uint8_t { kBlocks, kArena };
 
   MemoryRegion() = default;
   ~MemoryRegion() { Reset(); }
@@ -43,7 +48,8 @@ class MemoryRegion {
   /// argument is zero, the size overflows, or the kernel refuses the
   /// mapping or a guard. A refused huge-page advice is not a failure: the
   /// region then works on OS pages, and granule() says so.
-  static MemoryRegion Reserve(uint64_t block_bytes, uint64_t count = 1);
+  static MemoryRegion Reserve(uint64_t block_bytes, uint64_t count = 1,
+                              Use use = Use::kBlocks);
 
   /// Unmaps the region (no-op when empty) and leaves it empty.
   void Reset();

@@ -111,6 +111,42 @@ struct QuiescentRegion {
 
 #endif  // FASTER_MODEL
 
+/// A lock-free intrusive list of `T`s, linked through `T::next`: any
+/// thread pushes, one thread takes the whole list. Nothing is popped
+/// singly, so there is no ABA, and neither side allocates.
+template <typename T>
+class TakeAllList {
+ public:
+  void Push(T* item) {
+    T* head = head_.load(std::memory_order_relaxed);
+    do {
+      item->next = head;
+    } while (!head_.compare_exchange_weak(
+        head, item, std::memory_order_release, std::memory_order_relaxed));
+  }
+
+  /// Takes every item pushed so far, oldest first.
+  T* TakeAll() {
+    T* newest = head_.exchange(nullptr, std::memory_order_acquire);
+    T* oldest = nullptr;
+    while (newest != nullptr) {
+      T* item = std::exchange(newest, newest->next);
+      item->next = std::exchange(oldest, item);
+    }
+    return oldest;
+  }
+
+  bool Empty() const {
+    return head_.load(std::memory_order_relaxed) == nullptr;
+  }
+
+ private:
+  // order: release CAS pushes the item's fields (relaxed on failure, seed
+  // and Empty() loads); TakeAll's acquire exchange pairs with every push
+  // it takes, as later push CASes continue the release sequence.
+  Atomic<T*> head_{nullptr};
+};
+
 }  // namespace faster
 
 #endif  // FASTER_CORE_SYNC_H_

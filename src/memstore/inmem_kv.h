@@ -82,7 +82,8 @@ class InMemKv {
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
-      index_.FindOrCreateEntry(scope, hash, &fr);
+      Status s = index_.FindOrCreateEntry(scope, hash, &fr);
+      if (s != Status::kOk) return s;
       TryCollectChainHead(&fr);
       RecordT* rec = FindInChain(key, fr.entry.address());
       if (rec != nullptr && !rec->info().tombstone()) {
@@ -106,7 +107,8 @@ class InMemKv {
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
-      index_.FindOrCreateEntry(scope, hash, &fr);
+      Status s = index_.FindOrCreateEntry(scope, hash, &fr);
+      if (s != Status::kOk) return s;
       TryCollectChainHead(&fr);
       RecordT* rec = FindInChain(key, fr.entry.address());
       if (rec != nullptr && !rec->info().tombstone()) {

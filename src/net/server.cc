@@ -70,6 +70,14 @@ uint64_t AnonHugeBytes() {
   return kb * 1024;
 }
 
+// A failed op's reply: -OOM, as Redis replies, when the store had no
+// memory for it (an unmappable index segment, a failed allocation); else
+// -ERR.
+void AppendOpError(std::string* out, const char* op, Status s) {
+  AppendError(out, std::string(s == Status::kOutOfMemory ? "OOM " : "ERR ") +
+                       op + " failed: " + StatusName(s));
+}
+
 }  // namespace
 
 /// One command's reply recipe, recorded in per-connection order during
@@ -654,8 +662,7 @@ void FasterServer::RenderCommand(Worker& w, const CmdRec& rec,
       } else if (s.final_status == Status::kNotFound) {
         AppendNullBulk(out);
       } else {
-        AppendError(out, std::string("ERR read failed: ") +
-                             StatusName(s.final_status));
+        AppendOpError(out, "read", s.final_status);
       }
       break;
     }
@@ -664,8 +671,7 @@ void FasterServer::RenderCommand(Worker& w, const CmdRec& rec,
       if (s.final_status == Status::kOk) {
         AppendSimple(out, "OK");
       } else {
-        AppendError(out, std::string("ERR set failed: ") +
-                             StatusName(s.final_status));
+        AppendOpError(out, "set", s.final_status);
       }
       break;
     }
@@ -676,8 +682,7 @@ void FasterServer::RenderCommand(Worker& w, const CmdRec& rec,
       } else {
         Status bad = s.final_status != Status::kOk ? s.final_status
                                                    : s.incr_final;
-        AppendError(out,
-                    std::string("ERR incr failed: ") + StatusName(bad));
+        AppendOpError(out, "incr", bad);
       }
       break;
     }

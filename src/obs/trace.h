@@ -13,9 +13,6 @@ namespace obs {
 /// Event kinds emitted by the store (kept small: one record is 16 bytes).
 enum class Ev : uint16_t {
   kNone = 0,
-  kPendingIoIssued,    // arg = owner thread id
-  kPendingIoDone,      // arg = owner thread id
-  kFuzzyRmwDeferred,   // arg = owner thread id
   kPageClosed,         // arg = page number
   kFlushIssued,        // arg = bytes
   kCheckpointBegin,    // arg = 0
@@ -27,9 +24,6 @@ enum class Ev : uint16_t {
 inline const char* EvName(Ev e) {
   switch (e) {
     case Ev::kNone: return "none";
-    case Ev::kPendingIoIssued: return "pending_io_issued";
-    case Ev::kPendingIoDone: return "pending_io_done";
-    case Ev::kFuzzyRmwDeferred: return "fuzzy_rmw_deferred";
     case Ev::kPageClosed: return "page_closed";
     case Ev::kFlushIssued: return "flush_issued";
     case Ev::kCheckpointBegin: return "checkpoint_begin";

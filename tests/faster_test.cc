@@ -517,6 +517,31 @@ TEST(StorageFailureTest, RejectedReadFailsInsteadOfHanging) {
   store.StopSession();
 }
 
+// One thread's storage reads, run by another thread's PollAll, come back
+// through the owner's ready list: the completing thread's writes to each
+// context happen-before the owner continues it (TSan checks the edge).
+TEST_F(FasterTest, PendingReadCompletedByAnotherThreadsPollAll) {
+  Store store{SmallConfig(2, 0.5), &device_};
+  store.StartSession();
+  for (uint64_t k = 0; k < 400000; ++k) {
+    ASSERT_EQ(store.Upsert(k, k + 7), Status::kOk);
+  }
+  constexpr uint64_t kReads = 64;  // the first keys live on storage
+  uint64_t outs[kReads] = {};
+  int pending = 0;
+  for (uint64_t k = 0; k < kReads; ++k) {
+    Status s = store.Read(k, 0, &outs[k]);
+    ASSERT_TRUE(s == Status::kOk || s == Status::kPending);
+    if (s == Status::kPending) ++pending;
+  }
+  ASSERT_GT(pending, 0);
+  std::thread poller([&] { device_.PollAll(); });
+  poller.join();
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  for (uint64_t k = 0; k < kReads; ++k) EXPECT_EQ(outs[k], k + 7) << k;
+  store.StopSession();
+}
+
 TEST_F(FasterTest, CompletionCallbackReceivesUserContext) {
   auto cfg = SmallConfig(2, 0.5);
   cfg.completion_callback = &completion_cb::Callback;

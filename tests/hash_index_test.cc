@@ -305,6 +305,139 @@ TEST_F(HashIndexTest, CheckpointRoundTrip) {
   }
 }
 
+/// Hash landing in bucket `bucket` (mod the table size) with tag `tag`.
+KeyHash BucketTagHash(uint64_t bucket, uint64_t tag) {
+  return KeyHash{(tag << (64 - KeyHash::kTagBits)) | bucket};
+}
+
+/// The `i`th of up to 2^15 - 1 hashes with distinct tags, so no two share
+/// an index entry whatever the table size.
+KeyHash UniqueHash(uint64_t i) {
+  return BucketTagHash(Mix64(i) >> KeyHash::kTagBits, i + 1);
+}
+
+/// Inserts `hashes[i]` -> Address{i + 1} into `index`.
+void InsertAll(HashIndex& index, const std::vector<KeyHash>& hashes) {
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    HashIndex::OpScope scope{index, hashes[i]};
+    HashIndex::FindResult fr;
+    ASSERT_EQ(index.FindOrCreateEntry(scope, hashes[i], &fr), Status::kOk);
+    ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{i + 1}));
+  }
+}
+
+/// Expects every `hashes[i]` to map to Address{i + 1}.
+void ExpectAll(HashIndex& index, const std::vector<KeyHash>& hashes) {
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    HashIndex::OpScope scope{index, hashes[i]};
+    HashIndex::FindResult fr;
+    ASSERT_TRUE(index.FindEntry(scope, hashes[i], &fr)) << "entry " << i;
+    ASSERT_EQ(fr.entry.address(), Address{i + 1}) << "entry " << i;
+  }
+}
+
+// A tiny table takes entries as long as memory lasts: 64 buckets hold
+// 38,400 entries in chains of about 86 buckets each (5,440 overflow
+// buckets over seven arena segments), and a checkpoint round trip keeps
+// every chain.
+TEST_F(HashIndexTest, TinyTableChainsGrowAsLongAsMemoryLasts) {
+  HashIndex index{64, &epoch_};
+  std::vector<KeyHash> hashes;
+  for (uint64_t i = 0; i < 64 * 600; ++i) {
+    hashes.push_back(BucketTagHash(i % 64, i / 64 + 1));
+  }
+  InsertAll(index, hashes);
+  EXPECT_EQ(index.NumUsedEntries(), hashes.size());
+  ExpectAll(index, hashes);
+
+  char path[] = "/tmp/faster_index_chains_XXXXXX";
+  int fd = mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(index.WriteCheckpoint(fd), Status::kOk);
+  ::lseek(fd, 0, SEEK_SET);
+  HashIndex restored{64, &epoch_};
+  ASSERT_EQ(restored.ReadCheckpoint(fd), Status::kOk);
+  ::close(fd);
+  ::unlink(path);
+  EXPECT_EQ(restored.NumUsedEntries(), hashes.size());
+  ExpectAll(restored, hashes);
+}
+
+// ReadCheckpoint refuses a header whose overflow count the file does not
+// hold, before it maps or allocates anything: the index it was called on
+// is left as it was.
+TEST_F(HashIndexTest, CheckpointRejectsCorruptOverflowCount) {
+  HashIndex index{64, &epoch_};
+  std::vector<KeyHash> hashes;
+  for (uint64_t k = 0; k < 400; ++k) hashes.push_back(UniqueHash(k));
+  InsertAll(index, hashes);
+
+  char path[] = "/tmp/faster_index_corrupt_XXXXXX";
+  int fd = mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(index.WriteCheckpoint(fd), Status::kOk);
+  uint64_t header[3];
+  ASSERT_EQ(::pread(fd, header, sizeof(header), 0),
+            static_cast<ssize_t>(sizeof(header)));
+  ASSERT_GT(header[2], 0u) << "no overflow buckets to corrupt";
+  for (uint64_t bad : {uint64_t{1} << 40, header[2] + 1}) {
+    uint64_t count = bad;
+    ASSERT_EQ(::pwrite(fd, &count, sizeof(count), 2 * sizeof(uint64_t)),
+              static_cast<ssize_t>(sizeof(count)));
+    ::lseek(fd, 0, SEEK_SET);
+    HashIndex restored{128, &epoch_};
+    InsertAll(restored, {hashes[0]});
+    EXPECT_EQ(restored.ReadCheckpoint(fd), Status::kCorruption) << bad;
+    EXPECT_EQ(restored.size(), 128u);
+    ExpectAll(restored, {hashes[0]});
+  }
+  ::close(fd);
+  ::unlink(path);
+}
+
+// A checkpoint of a grown table keeps its overflow chains: the restored
+// index has the grown size, every entry, and an arena that goes on
+// claiming buckets after the restored ones instead of over them.
+TEST_F(HashIndexTest, CheckpointRoundTripKeepsChainsAcrossGrow) {
+  HashIndex index{64, &epoch_};
+  std::vector<KeyHash> hashes;
+  for (uint64_t k = 0; k < 6000; ++k) hashes.push_back(UniqueHash(k));
+  std::vector<KeyHash> first(hashes.begin(), hashes.begin() + 2000);
+  InsertAll(index, first);
+  ASSERT_EQ(index.Grow(), Status::kOk);
+  // Entries continue from Address{2001}.
+  for (size_t i = 2000; i < 4000; ++i) {
+    HashIndex::OpScope scope{index, hashes[i]};
+    HashIndex::FindResult fr;
+    ASSERT_EQ(index.FindOrCreateEntry(scope, hashes[i], &fr), Status::kOk);
+    ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{i + 1}));
+  }
+  uint64_t used = index.NumUsedEntries();
+
+  char path[] = "/tmp/faster_index_grown_XXXXXX";
+  int fd = mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(index.WriteCheckpoint(fd), Status::kOk);
+  ::lseek(fd, 0, SEEK_SET);
+  HashIndex restored{64, &epoch_};
+  ASSERT_EQ(restored.ReadCheckpoint(fd), Status::kOk);
+  ::close(fd);
+  ::unlink(path);
+
+  EXPECT_EQ(restored.size(), 128u);
+  EXPECT_EQ(restored.NumUsedEntries(), used);
+  std::vector<KeyHash> before(hashes.begin(), hashes.begin() + 4000);
+  ExpectAll(restored, before);
+  for (size_t i = 4000; i < hashes.size(); ++i) {
+    HashIndex::OpScope scope{restored, hashes[i]};
+    HashIndex::FindResult fr;
+    ASSERT_EQ(restored.FindOrCreateEntry(scope, hashes[i], &fr),
+              Status::kOk);
+    ASSERT_TRUE(restored.TryUpdateEntry(&fr, Address{i + 1}));
+  }
+  ExpectAll(restored, hashes);
+}
+
 // The bucket table is reserved, not touched: a 2^22-bucket (256 MB)
 // index is not resident after construction, and one insert faults in one
 // granule (a huge page where the kernel backs the table with them).
@@ -378,6 +511,110 @@ TEST_F(HashIndexTest, GrowFailureLeavesIndexUntouched) {
   }
   EXPECT_EQ(index.Grow(), Status::kOk);
   EXPECT_EQ(index.size(), 2 * kBuckets);
+}
+
+// An insert whose chain needs an overflow bucket in a segment that cannot
+// be mapped (here under an address-space limit too tight for the next
+// 4 MB segment) returns kOutOfMemory and changes nothing: every earlier
+// entry stays, the refused key is absent, and once the limit is lifted the
+// same insert succeeds.
+TEST_F(HashIndexTest, UnmappableOverflowSegmentRefusesInsert) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan allocates shadow state for every new atomic";
+#endif
+  // 4,096 buckets: segments of 64 << s buckets, so 32,768 claims (eight
+  // overflow buckets per chain) reach the 2 MB segment 9 and the next one
+  // is 4 MB.
+  constexpr uint64_t kBuckets = 4096;
+  HashIndex index{kBuckets, &epoch_};
+  std::vector<KeyHash> inserted;
+  inserted.reserve(kBuckets * 7 * 20);
+  auto insert = [&](KeyHash h) {
+    HashIndex::OpScope scope{index, h};
+    HashIndex::FindResult fr;
+    Status s = index.FindOrCreateEntry(scope, h, &fr);
+    if (s == Status::kOk) {
+      EXPECT_TRUE(index.TryUpdateEntry(&fr, Address{inserted.size() + 1}));
+      inserted.push_back(h);
+    }
+    return s;
+  };
+  uint64_t i = 0;
+  for (; i < kBuckets * 7 * 9; ++i) {
+    ASSERT_EQ(insert(BucketTagHash(i % kBuckets, i / kBuckets + 1)),
+              Status::kOk);
+  }
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_AS, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = MappedBytes() + (uint64_t{1} << 20);
+  if (saved.rlim_cur != RLIM_INFINITY && saved.rlim_cur < tight.rlim_cur) {
+    GTEST_SKIP() << "address-space limit already tighter than the test's";
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &tight), 0);
+  KeyHash refused;
+  Status s = Status::kOk;
+  for (; s == Status::kOk && i < kBuckets * 7 * 20; ++i) {
+    refused = BucketTagHash(i % kBuckets, i / kBuckets + 1);
+    s = insert(refused);
+  }
+  Status again;
+  {
+    HashIndex::OpScope scope{index, refused};
+    HashIndex::FindResult fr;
+    again = index.FindOrCreateEntry(scope, refused, &fr);
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &saved), 0);
+
+  EXPECT_EQ(s, Status::kOutOfMemory);
+  EXPECT_EQ(again, Status::kOutOfMemory);
+  EXPECT_GT(inserted.size(), kBuckets * 7 * 9);
+  EXPECT_EQ(index.NumUsedEntries(), inserted.size());
+  ExpectAll(index, inserted);
+  {
+    HashIndex::OpScope scope{index, refused};
+    HashIndex::FindResult fr;
+    EXPECT_FALSE(index.FindEntry(scope, refused, &fr));
+  }
+  EXPECT_EQ(insert(refused), Status::kOk);
+  ExpectAll(index, inserted);
+}
+
+// An index maps little beyond its tables: constructing a 2^16-bucket
+// (4 MB) index and growing it twice, with overflow chains in every
+// version, fits in eight tables' worth of address space. The tables alone
+// need more than seven at the second Grow's peak: 8 MB old, 16 MB new, and
+// the huge-page alignment slack of the new mapping.
+TEST_F(HashIndexTest, IndexMapsLittleBeyondItsTables) {
+  constexpr uint64_t kBuckets = uint64_t{1} << 16;
+  std::vector<KeyHash> hashes;
+  for (uint64_t k = 0; k < kBuckets * 8; k += 64) {  // 8 tags per bucket
+    hashes.push_back(BucketTagHash(k % kBuckets, k / kBuckets + 1));
+  }
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_AS, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = MappedBytes() + 8 * kBuckets * sizeof(HashBucket);
+  if (saved.rlim_cur != RLIM_INFINITY && saved.rlim_cur < tight.rlim_cur) {
+    GTEST_SKIP() << "address-space limit already tighter than the test's";
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &tight), 0);
+  Status grown[2] = {Status::kInvalid, Status::kInvalid};
+  std::unique_ptr<HashIndex> index;
+  try {
+    index = std::make_unique<HashIndex>(kBuckets, &epoch_);
+    InsertAll(*index, hashes);
+    grown[0] = index->Grow();
+    grown[1] = index->Grow();
+  } catch (const std::bad_alloc&) {
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &saved), 0);
+
+  ASSERT_NE(index, nullptr) << "construction ran out of address space";
+  EXPECT_EQ(grown[0], Status::kOk);
+  EXPECT_EQ(grown[1], Status::kOk);
+  EXPECT_EQ(index->size(), 4 * kBuckets);
+  ExpectAll(*index, hashes);
 }
 
 // A one-byte write just past the bucket table lands on its guard page and

@@ -1,19 +1,20 @@
 /// Regression model test for the HashIndex::WriteCheckpoint overflow-
-/// bucket race (fixed in the completion-polling PR): the fuzzy checkpoint
-/// assigns ordinals to overflow buckets in a pre-scan, but a concurrent
-/// insert can link a brand-new overflow bucket between that scan and the
-/// bucket serialization. The original code did `ordinal.at(next)` and
-/// threw; the fix cuts the persisted chain at unknown buckets (their
-/// entries are re-inserted by the recovery log scan over [t1, t2) per the
-/// Sec. 6.5 fuzzy contract).
+/// bucket race: the fuzzy checkpoint writes the overflow buckets claimed
+/// when it starts, but a concurrent insert can map a segment, claim and link
+/// a brand-new overflow bucket while the buckets are serialized. (An
+/// earlier version numbered the buckets in a pre-scan and threw on one it
+/// had not numbered.) The image cuts the persisted chain at a bucket past
+/// the prefix: its entries are re-inserted by the recovery log scan over
+/// [t1, t2) per the Sec. 6.5 fuzzy contract.
 ///
 /// The model makes the window deterministic to explore: bucket 0 is
 /// pre-filled to capacity, so the racing insert ALWAYS allocates and
 /// links a fresh overflow bucket, in every interleaving the checkpoint's
 /// scan/serialize steps can straddle. Every schedule must produce a
-/// well-formed image: WriteCheckpoint succeeds, ReadCheckpoint accepts
-/// the image (dangling ordinals are rejected as corruption), and the
-/// restored index holds every pre-existing entry exactly once.
+/// well-formed image: WriteCheckpoint succeeds (it fails if it reads a
+/// claim whose segment it cannot see), ReadCheckpoint accepts
+/// the image (a dangling overflow index is rejected as corruption), and
+/// the restored index holds every pre-existing entry exactly once.
 
 #include <gtest/gtest.h>
 
@@ -94,7 +95,7 @@ TEST(ModelCheckpoint, OverflowBucketLinkedMidCheckpointStaysWellFormed) {
     Status s = restored.ReadCheckpoint(fd);
     MODEL_ASSERT(s == Status::kOk,
                  "checkpoint image rejected on restore (dangling overflow "
-                 "ordinal?)");
+                 "index?)");
     uint32_t seen = 0;
     restored.ForEachEntry([&](faster::HashBucketEntry e) {
       uint64_t t = e.tag();

@@ -195,6 +195,60 @@ TEST(ModelHashIndex, DeleteRacingInsertKeepsChainConsistent) {
   EXPECT_TRUE(res.complete) << res.Summary();
 }
 
+/// Bucket 0 of a 4-bucket table, tag `t`.
+KeyHash TagHash(uint64_t t) {
+  return KeyHash{t << (64 - KeyHash::kTagBits)};
+}
+
+// Two inserts into a full bucket race to extend its chain: both race to
+// map and install the first overflow segment, their claims hand out
+// distinct buckets, and both tags end up in the chain once. Usually one
+// bucket is linked and the other insert takes a slot in it; an insert
+// whose scan read a stale end of the chain may link its bucket behind the
+// other's (wasting slots, never an entry), so at most two are.
+TEST(ModelHashIndex, OverflowClaimsRaceToDistinctBuckets) {
+  model::Result res = model::Check(IndexOpts("index_overflow_claim"), [] {
+    LightEpoch epoch;
+    HashIndex index{4, &epoch};
+    auto insert = [&](uint64_t t) {
+      HashIndex::OpScope scope(index, TagHash(t));
+      HashIndex::FindResult r;
+      MODEL_ASSERT(index.FindOrCreateEntry(scope, TagHash(t), &r) ==
+                       faster::Status::kOk,
+                   "insert refused with memory to map");
+    };
+    epoch.Protect();
+    for (uint64_t t = 1; t <= faster::HashBucket::kNumEntries; ++t) insert(t);
+    epoch.Unprotect();
+    for (uint64_t t : {8, 9}) {
+      model::Spawn([&, t] {
+        epoch.Protect();
+        insert(t);
+        epoch.Unprotect();
+      });
+    }
+    model::JoinAll();
+    epoch.Protect();
+    uint32_t live = 0, overflow = 0;
+    index.SampleBuckets(
+        1,
+        [&](uint32_t l, uint32_t o) {
+          live = l;
+          overflow = o;
+        },
+        [](faster::HashBucketEntry) {});
+    epoch.Unprotect();
+    MODEL_ASSERT(live == 9, "chain holds " + std::to_string(live) +
+                                " entries, not 9");
+    MODEL_ASSERT(overflow == 1 || overflow == 2,
+                 "chain links " + std::to_string(overflow) +
+                     " overflow buckets, not 1 or 2");
+  });
+  EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace;
+  EXPECT_TRUE(res.complete) << res.Summary();
+  EXPECT_GT(res.explored, 10) << res.Summary();
+}
+
 // Seeded bug 1: demote TryUpdateEntry's publishing CAS to relaxed. The
 // reader can then find the record's address through the index without the
 // payload write happening-before — the checker must produce the race with

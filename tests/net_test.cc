@@ -7,9 +7,13 @@
 #include "net/resp.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -256,6 +260,17 @@ TEST(RespKeys, MapKeyDecimalAndHash) {
 // Loopback integration: a real server, real sockets.
 // ---------------------------------------------------------------------------
 
+/// Bytes of address space this process has mapped (/proc/self/statm).
+uint64_t MappedBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  unsigned long long pages = 0;
+  if (f != nullptr) {
+    if (std::fscanf(f, "%llu", &pages) != 1) pages = 0;
+    std::fclose(f);
+  }
+  return pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
 class NetServerTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions opts = {}) {
@@ -449,6 +464,79 @@ TEST_F(NetServerTest, SmallMemoryPendingReads) {
   }
   std::string replies = Exchange(fd.get(), req, kKeys);
   EXPECT_EQ(replies, expect);
+}
+
+// A store that cannot map memory for a new key's index entry refuses the
+// SET with Redis's -OOM (here under an address-space limit too tight for
+// the next 4 MB overflow segment); every key it holds still reads back,
+// and the refused key is taken once the limit is lifted.
+TEST_F(NetServerTest, UnmappableIndexMemoryRepliesOom) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan allocates shadow state for every new atomic";
+#endif
+  ServerOptions opts;
+  // Overflow segments of 64 << s buckets: 300k keys claim about 41k
+  // buckets, inside the 2 MB segment 9 ([32704, 65472)); the next is 4 MB.
+  opts.table_size = 4096;
+  StartServer(opts);
+  UniqueFd fd = Connect();
+  constexpr int kBatch = 1000;
+  constexpr int kMaxKeys = 800000;
+  std::vector<int> stored;
+  stored.reserve(kMaxKeys);
+  int refused = -1;
+  std::string refusal;
+  auto set_batch = [&](int base) {
+    std::string req;
+    for (int i = base; i < base + kBatch; ++i) {
+      req += "SET " + std::to_string(i) + " " + std::to_string(i + 7) +
+             "\r\n";
+    }
+    std::string replies = Exchange(fd.get(), req, kBatch);
+    size_t pos = 0;
+    for (int i = base; i < base + kBatch; ++i) {
+      size_t next = SkipReply(replies, pos, nullptr);
+      ASSERT_NE(next, std::string::npos);
+      if (replies.compare(pos, next - pos, "+OK\r\n") == 0) {
+        stored.push_back(i);
+      } else if (refused < 0) {
+        refused = i;
+        refusal = replies.substr(pos, next - pos);
+      }
+      pos = next;
+    }
+  };
+  int base = 0;
+  for (; base < 300000; base += kBatch) set_batch(base);
+  ASSERT_EQ(refused, -1) << refusal;
+
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_AS, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = MappedBytes() + (uint64_t{1} << 20);
+  if (saved.rlim_cur != RLIM_INFINITY && saved.rlim_cur < tight.rlim_cur) {
+    GTEST_SKIP() << "address-space limit already tighter than the test's";
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &tight), 0);
+  for (; refused < 0 && base < kMaxKeys; base += kBatch) set_batch(base);
+  ASSERT_EQ(::setrlimit(RLIMIT_AS, &saved), 0);
+
+  ASSERT_GE(refused, 0) << "no SET was refused";
+  EXPECT_EQ(refusal.rfind("-OOM ", 0), 0u) << refusal;
+  for (size_t at = 0; at < stored.size(); at += 10000) {
+    std::string req, expect;
+    size_t end = std::min(stored.size(), at + 10000);
+    for (size_t k = at; k < end; ++k) {
+      std::string v = std::to_string(stored[k] + 7);
+      req += "GET " + std::to_string(stored[k]) + "\r\n";
+      expect += "$" + std::to_string(v.size()) + "\r\n" + v + "\r\n";
+    }
+    ASSERT_EQ(Exchange(fd.get(), req, end - at), expect);
+  }
+  std::string key = std::to_string(refused);
+  EXPECT_EQ(Exchange(fd.get(), "SET " + key + " 1\r\nGET " + key + "\r\n",
+                     2),
+            "+OK\r\n$1\r\n1\r\n");
 }
 
 TEST_F(NetServerTest, ShutdownClosesConnectionsAndIsIdempotent) {

@@ -187,5 +187,47 @@ TEST(ConcurrentCheckpointTest, CheckpointDoesNotQuiesceWriters) {
   std::filesystem::remove_all(dir);
 }
 
+// A checkpoint of an index grown twice, with overflow chains in every
+// version, recovers every key.
+TEST(GrownIndexRecoveryTest, RecoversOverflowChainsAcrossGrow) {
+  std::string dir = "/tmp/faster_recovery_grown";
+  std::filesystem::remove_all(dir);
+  MemoryDevice device;
+  Store::Config cfg;
+  cfg.table_size = 64;  // ~47 keys per bucket before the first Grow
+  cfg.log.memory_size_bytes = 8ull << Address::kOffsetBits;
+  constexpr uint64_t kKeys = 6000;
+  {
+    Store store{cfg, &device};
+    store.StartSession();
+    for (uint64_t k = 0; k < kKeys / 2; ++k) {
+      ASSERT_EQ(store.Upsert(k, k + 1), Status::kOk);
+    }
+    ASSERT_EQ(store.GrowIndex(), Status::kOk);
+    ASSERT_EQ(store.GrowIndex(), Status::kOk);
+    for (uint64_t k = kKeys / 2; k < kKeys; ++k) {
+      ASSERT_EQ(store.Upsert(k, k + 1), Status::kOk);
+    }
+    ASSERT_EQ(store.Checkpoint(dir), Status::kOk);
+    store.StopSession();
+  }
+  Store store{cfg, &device};
+  ASSERT_EQ(store.Recover(dir), Status::kOk);
+  EXPECT_EQ(store.index().size(), 256u);
+  store.StartSession();
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    uint64_t out = 0;
+    Status s = store.Read(k, 0, &out);
+    if (s == Status::kPending) {
+      ASSERT_TRUE(store.CompletePending(true));
+      s = Status::kOk;
+    }
+    ASSERT_EQ(s, Status::kOk) << "key " << k;
+    ASSERT_EQ(out, k + 1) << "key " << k;
+  }
+  store.StopSession();
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace faster

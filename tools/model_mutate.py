@@ -60,6 +60,7 @@ PROTOCOLS = {
     "src/device/io_queue_pair.h": ["model_io_queue_test"],
     "src/device/io_queue_pair.cc": ["model_io_queue_test"],
     "src/obs/seq_ring.h": ["model_seq_ring_test"],
+    "src/core/sync.h": ["model_take_all_test"],
 }
 GTEST_FILTER = "-*SeededBug*:*Mutated*"
 
