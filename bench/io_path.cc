@@ -1,13 +1,16 @@
 // I/O-path sidecar: the device I/O paths (DESIGN.md §13) under a
 // Fig. 10-style memory-budget sweep. At small budgets a 50:50 zipf
 // workload turns into a pending-read storm, so the per-I/O cost of the
-// completion path dominates throughput. Case names:
+// completion path dominates throughput. Case names ("polling" is
+// IoPathMode::kPolling, which now means synchronous I/O at submit):
 //
-//   io_path/polling/budgetMB:N   MemoryDevice: IoQueuePair submit/poll
+//   io_path/polling/budgetMB:N   MemoryDevice: segment copy and callback
+//                                at submit
 //   io_path_file/{polling,uring}/budgetMB:16
-//                                a FileDevice on the polling queue pairs
-//                                vs. the io_uring backend (uring_active
-//                                says whether the kernel backend engaged)
+//                                a FileDevice running pread/pwrite at
+//                                submit vs. the io_uring backend
+//                                (uring_active says whether the kernel
+//                                backend engaged)
 //
 // tools/summarize_bench.py pairs uring against polling per budget.
 
@@ -56,8 +59,8 @@ void BM_MemoryIoPath(benchmark::State& state) {
   uint64_t keys = DatasetKeys();
   uint64_t budget_mb = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
-    // Every flush write and cold read executes inside a worker's own
-    // CompletePending poll.
+    // Every flush write and cold read executes on the worker that issues
+    // it, before the submitting call returns.
     MemoryDevice device;
     RunCase(state, &device, keys, budget_mb);
   }

@@ -307,9 +307,9 @@ class FasterKv {
     assert(epoch_.IsProtected());
     ThreadState& ts = thread_states_[Thread::Id()];
     for (;;) {
-      // Completion polling (DESIGN.md §13): executes and reaps this
-      // thread's queued I/O right here — the callbacks push onto ts.ready
-      // with no cross-thread hop.
+      // Completion polling (DESIGN.md §13): on io_uring, reaps this
+      // thread's ring right here — the callbacks push onto ts.ready with
+      // no cross-thread hop. A synchronous device ran them at submit.
       hlog_.device()->Poll();
       ProcessReady(ts);
       bool done = ts.counters.Get(Ctr::kPendingIos) == 0 && ts.ready.Empty();
@@ -711,7 +711,7 @@ class FasterKv {
     // offsets from the ThreadState pointer.
     obs::CounterBlock counters;
     // Contexts CompletePending continues: reads done, pushed by whichever
-    // thread polled the device, and this thread's fuzzy RMW retries.
+    // thread ran or reaped the read, and this thread's fuzzy RMW retries.
     TakeAllList<PendingContext> ready;
     PendingContext* free = nullptr;  // recycled contexts; this thread only
     uint32_t ops_since_refresh = 0;
@@ -797,6 +797,11 @@ class FasterKv {
     }
   }
 
+  /// True when the index slot no longer holds the entry `fr` read.
+  static bool EntryMoved(const HashIndex::FindResult& fr) {
+    return fr.slot->load(std::memory_order_acquire) != fr.entry.control();
+  }
+
   /// Second chance (Appendix D): a cache hit in the cache's read-only
   /// region copies the record to the cache tail, exactly like the primary
   /// HybridLog's shaping behaviour. Out of line: a rare path that would
@@ -807,9 +812,7 @@ class FasterKv {
     // Skip a copy whose CAS is bound to fail: the entry already moved on
     // since `fr` was resolved (say, an earlier read of the key in the same
     // batch made the copy).
-    if (fr.slot->load(std::memory_order_acquire) != fr.entry.control()) {
-      return;
-    }
+    if (EntryMoved(fr)) return;
     Address new_addr = TryAllocateRcRecord(Layout::Size(*rc_rec));
     if (!new_addr.IsValid()) return;
     RecordT* rec = RcRecordAt(new_addr);
@@ -1156,6 +1159,9 @@ class FasterKv {
     }
     Address begin = hlog_.begin_address();
     if (!addr.IsValid() || addr < begin) {
+      // Compaction may have moved the key and truncated since `fr` was
+      // read (a batch op's stage-2 snapshot): re-resolve.
+      if (EntryMoved(fr)) return false;
       if (rc_rec == nullptr) {
         // Stale entry left behind by log truncation (Appendix C).
         index_.TryDeleteEntry(&fr);
@@ -1187,6 +1193,7 @@ class FasterKv {
       return true;
     }
     if (!addr.IsValid() || addr < begin) {
+      if (EntryMoved(fr)) return false;  // as above
       // The index tag matched but no record carried the key: a tag
       // false positive (Sec. 3.2) or a truncated chain. The stats-only
       // false-positive count refines the miss; it is no op outcome.
@@ -1508,8 +1515,8 @@ class FasterKv {
       chunk->ios[chunk->num_ios++] = ctx;
       return;
     }
-    // Submission work (and any inline execution a polling device runs
-    // under it) is io_queue; device paths nest io_exec inside.
+    // Submission work (and the execution a synchronous device runs under
+    // it) is io_queue; device paths nest io_exec inside.
     obs::StageScope stage{obs::Stage::kIoQueue};
     Status s = hlog_.AsyncGetFromDisk(ctx->address, ctx->read_len, ctx->dst(),
                                       &FasterKv::IoCallback, ctx);

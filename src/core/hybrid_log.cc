@@ -179,11 +179,12 @@ bool HybridLog::NewPage(uint64_t old_page) {
                           "allocation stalled on flush frontier",
                           obs::LogField{"want_head_page", desired_head_page},
                           obs::LogField{"flushed_page", flushed_page});
-      // The flush frontier only advances when someone executes the
-      // queued writes — including writes queued by other (possibly
-      // stalled or departed) threads, hence PollAll. Safe under
-      // flush_mutex_: it is recursive, so CompleteFlush re-entering on
-      // this thread is fine.
+      // On io_uring the flush frontier only advances when someone reaps
+      // the queued writes — including writes queued by other (possibly
+      // stalled or departed) threads, hence PollAll (a synchronous
+      // device completed them at submit and has nothing to reap). Safe
+      // under flush_mutex_: it is recursive, so CompleteFlush
+      // re-entering on this thread is fine.
       device_->PollAll();
       return false;  // Flush frontier not far enough yet; caller refreshes.
     }
@@ -199,8 +200,8 @@ bool HybridLog::NewPage(uint64_t old_page) {
     obs::StatLogLimited(evict_limit, obs::LogLevel::kWarn, "hlog",
                         "allocation stalled on frame eviction",
                         obs::LogField{"new_page", new_page});
-    // Eviction waits on the flush frontier too (see above): keep queued
-    // device writes moving while the caller's refresh loop spins.
+    // Eviction waits on the flush frontier too (see above): keep io_uring
+    // writes moving while the caller's refresh loop spins.
     device_->PollAll();
     return false;  // Eviction trigger hasn't run; caller refreshes.
   }
@@ -323,7 +324,8 @@ Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
   // A rejected read never fires its callback.
   if (submitted != Status::kOk) return submitted;
   while (done.load(std::memory_order_acquire) == 0) {
-    // The device completes the read on the thread that polls.
+    // A synchronous device has already run the callback; io_uring
+    // completes the read on the thread that polls.
     device_->Poll();
     std::this_thread::yield();
   }
@@ -343,7 +345,7 @@ Address HybridLog::ShiftReadOnlyToTail(bool wait) {
   if (wait) {
     while (Load(flushed_until_) < tail) {
       epoch_->Refresh();
-      // Execute queued flush writes — ours and other threads' — so the
+      // Reap io_uring flush writes — ours and other threads' — so the
       // frontier can advance.
       device_->PollAll();
       std::this_thread::yield();

@@ -115,11 +115,15 @@ class HybridLog {
   }
 
   /// Prefetches the first `bytes` of the in-memory record at `address`
-  /// into cache (batched pipeline stage 2). Same precondition as Get():
-  /// `address >= head_address()` under epoch protection.
+  /// into cache (batched pipeline stage 2). The caller checked `address >=
+  /// head_address()` under epoch protection, so the frame still holds the
+  /// page; unlike Get(), the head is not re-checked: it may have moved on
+  /// since the caller's check, and a prefetch reads nothing.
   void Prefetch(Address address, uint32_t bytes) const
       FASTER_REQUIRES_EPOCH() {
-    const uint8_t* p = Get(address);
+    FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
+                        "log prefetch without epoch protection");
+    const uint8_t* p = Frame(address.page()) + address.offset();
     for (uint32_t off = 0; off < bytes; off += 64) {
       __builtin_prefetch(p + off, /*rw=*/0, /*locality=*/3);
     }

@@ -33,7 +33,22 @@
 #include "model/atomic.h"
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+extern "C" void __tsan_ignore_thread_begin();
+extern "C" void __tsan_ignore_thread_end();
+#endif
+
 namespace faster {
+
+/// Hides the calling thread's memory accesses from TSan while it lives (a
+/// no-op in other builds): for reads that race by design and that TSan
+/// cannot match to a tsan.supp entry.
+struct TsanIgnoreScope {
+#if defined(__SANITIZE_THREAD__)
+  TsanIgnoreScope() { __tsan_ignore_thread_begin(); }
+  ~TsanIgnoreScope() { __tsan_ignore_thread_end(); }
+#endif
+};
 
 #ifdef FASTER_MODEL
 

@@ -5,14 +5,16 @@
 #include <string>
 
 #include "core/status.h"
+#include "obs/clock.h"
 #include "obs/stats.h"
 
 namespace faster {
 
-/// Completion callback for asynchronous device I/O. Invoked exactly once
-/// per issued operation, on whichever thread polls the device (or inline
-/// at submit); `context` is the caller's opaque pointer, `result` the
-/// outcome, `bytes` the number of bytes transferred.
+/// Completion callback for device I/O. Invoked exactly once per issued
+/// operation: before the submitting call returns on a synchronous device,
+/// or on whichever thread polls on io_uring; `context` is the caller's
+/// opaque pointer, `result` the outcome, `bytes` the number of bytes
+/// transferred.
 using IoCallback = void (*)(void* context, Status result, uint32_t bytes);
 
 /// One read in a coalesced batch submission (see ReadBatchAsync). Plain
@@ -28,11 +30,13 @@ struct IoReadRequest {
 /// Abstract block device backing the HybridLog's stable region (Sec. 5.2).
 ///
 /// The log issues sector-aligned page flushes (write) and record-sized
-/// random reads (read). Both are asynchronous: the call returns after
-/// enqueueing and the callback fires when a thread polls. Implementations:
-/// `FileDevice` (POSIX file, polling queue pairs or io_uring),
-/// `MemoryDevice` (in-RAM, used for tests and scaled-down benchmarks), and
-/// `NullDevice` (discards writes, for pure in-memory experiments).
+/// random reads (read). The callback runs exactly once: before the call
+/// returns on a synchronous device, or when a thread polls on io_uring.
+/// The asynchrony of Sec. 5.3 lives in the store (a pending read's
+/// context, CompletePending), not here. Implementations: `FileDevice`
+/// (POSIX file, pread/pwrite at submit or io_uring), `MemoryDevice`
+/// (in-RAM, used for tests and scaled-down benchmarks), and `NullDevice`
+/// (discards writes, for pure in-memory experiments).
 class IDevice {
  public:
   virtual ~IDevice() = default;
@@ -69,20 +73,20 @@ class IDevice {
     return Status::kOk;
   }
 
-  /// Completion polling: executes and/or reaps the calling thread's queued
-  /// operations, invoking their callbacks on this thread. Returns the
-  /// number of callbacks delivered. Devices that complete inline at submit
-  /// (NullDevice) return 0.
+  /// Completion polling: reaps the calling thread's queued operations,
+  /// invoking their callbacks on this thread. Returns the number of
+  /// callbacks delivered. A synchronous device has nothing queued and
+  /// returns 0.
   virtual uint32_t Poll() { return 0; }
 
-  /// Poll(), plus steals other threads' queued work — used by stall loops
-  /// (e.g. waiting on a flush another thread submitted) and Drain so
+  /// Poll(), plus every other thread's queued operations — used by stall
+  /// loops (e.g. waiting on a flush another thread submitted) and Drain so
   /// progress never depends on the submitting thread polling again.
   virtual uint32_t PollAll() { return Poll(); }
 
-  /// Blocks until every operation issued before this call has completed.
-  /// On polling paths this executes the work on the calling thread.
-  virtual void Drain() = 0;
+  /// Blocks until every operation issued before this call has completed
+  /// (a no-op on a synchronous device).
+  virtual void Drain() {}
 
   /// Total bytes ever written (monotonic; used to measure log growth).
   virtual uint64_t bytes_written() const = 0;
@@ -93,13 +97,22 @@ class IDevice {
                              const std::string& /*prefix*/) const {}
 };
 
-/// Metrics shared by the concrete async devices: operation counts and
-/// submit-to-completion latency (includes the time queued until a poll).
+/// Metrics shared by the concrete devices: operation counts and
+/// submit-to-completion latency (on io_uring, includes the time until a
+/// poll reaps it).
 struct DeviceObsStats {
   obs::StatCounter reads;
   obs::StatCounter writes;
   obs::StatHistogram read_ns;
   obs::StatHistogram write_ns;
+
+  /// Counts one finished op submitted at `submit_ns`.
+  void Finished(bool write, uint64_t submit_ns) {
+    (write ? writes : reads).Inc();
+    if constexpr (obs::kStatsEnabled) {
+      (write ? write_ns : read_ns).Record(obs::NowNs() - submit_ns);
+    }
+  }
 
   void Register(obs::StatRegistry& registry, const std::string& prefix) const {
     registry.Add(prefix + ".reads", &reads);
@@ -108,6 +121,25 @@ struct DeviceObsStats {
     registry.Add(prefix + ".write_ns", &write_ns);
   }
 };
+
+/// How a synchronous device completes an op: `execute(&bytes)` moves the
+/// data and returns the op's status, then `callback` runs, both on the
+/// calling thread before the submitting call returns. Both run under one
+/// I/O stamp (obs::RunIo), so the op's io_queue, io_exec and io_complete
+/// stages are stamped as on io_uring.
+template <class Execute>
+void CompleteAtSubmit(DeviceObsStats& stats, bool write, IoCallback callback,
+                      void* context, Execute&& execute) {
+  obs::StatIoStamp stamp = obs::StatIoStamp::Now();
+  Status status = Status::kOk;
+  uint32_t bytes = 0;
+  obs::RunIo(stamp, obs::IoHop::kExecute, [&] {
+    status = execute(&bytes);
+    stats.Finished(write, stamp.submit_ns);
+  });
+  obs::RunIo(stamp, obs::IoHop::kDeliver,
+             [&] { callback(context, status, bytes); });
+}
 
 }  // namespace faster
 

@@ -23,14 +23,14 @@ FileDevice::FileDevice(const std::string& path, uint32_t /*num_io_threads*/,
     mode_ = IoPathMode::kPolling;
     uring_fallbacks_ = 1;
     obs::StatLog(obs::LogLevel::kWarn, "device",
-                 "io_uring unavailable, falling back to polling",
+                 "io_uring unavailable, falling back to synchronous I/O",
                  obs::LogField{"path", path_.c_str()});
     return;
   }
   // Explicit upcast: the conversion must happen here, where the private
   // base is accessible, not inside make_unique.
   uring_ = std::make_unique<UringIo>(fd_, static_cast<IoOpExecutor&>(*this),
-                                     &obs_stats_);
+                                     obs_stats_);
 }
 
 FileDevice::~FileDevice() {
@@ -57,26 +57,22 @@ Status FileDevice::ExecuteOp(const IoOp& op, uint32_t* bytes) {
   }
   if (op.kind == IoOp::Kind::kWrite) {
     bytes_written_.fetch_add(op.len, std::memory_order_relaxed);
-    obs_stats_.writes.Inc();
-    if constexpr (obs::kStatsEnabled) {
-      obs_stats_.write_ns.Record(obs::NowNs() - op.stamp.submit_ns);
-    }
-  } else {
-    obs_stats_.reads.Inc();
-    if constexpr (obs::kStatsEnabled) {
-      obs_stats_.read_ns.Record(obs::NowNs() - op.stamp.submit_ns);
-    }
   }
   *bytes = op.len;
   return Status::kOk;
 }
 
-void FileDevice::Submit(const IoOp& op) {
+// IDevice's virtual surface carries no epoch annotation (its callers are
+// the store's sessions and teardown), so the forwards into UringIo's
+// annotated API are not analyzed.
+void FileDevice::Submit(const IoOp& op) FASTER_NO_THREAD_SAFETY_ANALYSIS {
   if (uring_ != nullptr) {
     uring_->Submit(&op, 1);
-  } else {
-    queues_.Submit(op, *this);
+    return;
   }
+  CompleteAtSubmit(obs_stats_, op.kind == IoOp::Kind::kWrite, op.callback,
+                   op.context,
+                   [&](uint32_t* bytes) { return ExecuteOp(op, bytes); });
 }
 
 Status FileDevice::WriteAsync(const void* src, uint64_t offset, uint32_t len,
@@ -105,7 +101,8 @@ Status FileDevice::ReadAsync(uint64_t offset, void* dst, uint32_t len,
 }
 
 Status FileDevice::ReadBatchAsync(const IoReadRequest* requests, uint32_t n,
-                                  uint32_t* accepted) {
+                                  uint32_t* accepted)
+    FASTER_NO_THREAD_SAFETY_ANALYSIS {
   if (uring_ == nullptr) return IDevice::ReadBatchAsync(requests, n, accepted);
   // One io_uring_enter per chunk of the batch.
   constexpr uint32_t kChunk = 64;
@@ -128,20 +125,16 @@ Status FileDevice::ReadBatchAsync(const IoReadRequest* requests, uint32_t n,
   return Status::kOk;
 }
 
-uint32_t FileDevice::Poll() {
-  return uring_ != nullptr ? uring_->Poll() : queues_.Poll(*this);
+uint32_t FileDevice::Poll() FASTER_NO_THREAD_SAFETY_ANALYSIS {
+  return uring_ != nullptr ? uring_->Poll() : 0;
 }
 
-uint32_t FileDevice::PollAll() {
-  return uring_ != nullptr ? uring_->PollAll() : queues_.PollAll(*this);
+uint32_t FileDevice::PollAll() FASTER_NO_THREAD_SAFETY_ANALYSIS {
+  return uring_ != nullptr ? uring_->PollAll() : 0;
 }
 
 void FileDevice::Drain() {
-  if (uring_ != nullptr) {
-    uring_->Drain();
-  } else {
-    queues_.Drain(*this);
-  }
+  if (uring_ != nullptr) uring_->Drain();
 }
 
 }  // namespace faster

@@ -6,14 +6,13 @@
 #include <string>
 
 #include "device/device.h"
-#include "device/io_queue_pair.h"
 #include "device/uring_device.h"
 
 namespace faster {
 
 /// The I/O path a FileDevice runs (see below).
 enum class IoPathMode : uint8_t {
-  kPolling,  ///< completion-polling queue pairs: pread/pwrite on the poller
+  kPolling,  ///< synchronous: pread/pwrite and the callback at submit
   kUring,    ///< Linux io_uring, reaped by polling; falls back to kPolling
 };
 
@@ -22,12 +21,14 @@ enum class IoPathMode : uint8_t {
 /// arrangement on whatever filesystem hosts `path`.
 ///
 /// `mode` selects the I/O path (DESIGN.md §13); neither starts a thread.
-/// kPolling queues on the calling thread's IoQueuePair and runs the
-/// pread/pwrite when a thread polls. kUring submits to a per-thread Linux
-/// io_uring and reaps completions in userspace — feature-detected at build
-/// (FASTER_IO_URING) and probed at runtime. When io_uring is unavailable
-/// the device falls back to kPolling, logs a warning and counts it
-/// (uring_fallbacks(); mode() reports the path that runs).
+/// kPolling (a historical name, kept because benchsuite/ passes it; it
+/// means synchronous I/O) runs each op's pread/pwrite loop and its
+/// callback before WriteAsync/ReadAsync returns. kUring submits to a
+/// per-thread Linux io_uring and reaps completions in userspace when a
+/// thread polls — feature-detected at build (FASTER_IO_URING) and probed
+/// at runtime. When io_uring is unavailable the device falls back to
+/// kPolling, logs a warning and counts it (uring_fallbacks(); mode()
+/// reports the path that runs).
 class FileDevice : public IDevice, private IoOpExecutor {
  public:
   /// Opens (creating if needed) `path`. `num_io_threads` is ignored (no
@@ -62,26 +63,21 @@ class FileDevice : public IDevice, private IoOpExecutor {
                      const std::string& prefix) const override {
     obs_stats_.Register(registry, prefix);
     registry.AddValue(prefix + ".uring_fallbacks", uring_fallbacks_);
-    if (uring_ != nullptr) {
-      uring_->RegisterStats(registry, prefix + ".io");
-    } else {
-      queues_.RegisterStats(registry, prefix + ".io");
-    }
+    if (uring_ != nullptr) uring_->RegisterStats(registry, prefix + ".io");
   }
 
  private:
-  /// Queues `op` on the io_uring ring or the polling queue pairs.
+  /// Places `op` on the io_uring ring, or runs it and its callback now.
   void Submit(const IoOp& op);
 
-  /// IoOpExecutor (polling path + io_uring inline fallback): runs one op
-  /// synchronously via the pread/pwrite loop.
+  /// IoOpExecutor (synchronous path + io_uring inline fallback): runs one
+  /// op via the pread/pwrite loop.
   Status ExecuteOp(const IoOp& op, uint32_t* bytes) override;
 
   std::string path_;
   int fd_;
   IoPathMode mode_;
   uint64_t uring_fallbacks_ = 0;    // set once, by the constructor
-  IoQueuePairSet queues_;           // kPolling
   std::unique_ptr<UringIo> uring_;  // kUring only
   // order: relaxed fetch_add/load — a monotonically increasing byte
   // counter for stats and tests; no data is published through it.

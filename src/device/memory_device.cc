@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(__SANITIZE_THREAD__)
-extern "C" void __tsan_ignore_thread_begin();
-extern "C" void __tsan_ignore_thread_end();
-#endif
+#include "core/sync.h"
 
 namespace faster {
 
@@ -19,20 +16,13 @@ namespace {
 // millions of accesses older than the flip it races with, so TSan builds
 // also hide the copy at the source.
 void CopyBytes(void* dst, const void* src, uint32_t n) {
-#if defined(__SANITIZE_THREAD__)
-  __tsan_ignore_thread_begin();
-#endif
+  [[maybe_unused]] TsanIgnoreScope hide;
   std::memcpy(dst, src, n);
-#if defined(__SANITIZE_THREAD__)
-  __tsan_ignore_thread_end();
-#endif
 }
 
 }  // namespace
 
 MemoryDevice::MemoryDevice(uint32_t /*num_io_threads*/) {}
-
-MemoryDevice::~MemoryDevice() { Drain(); }
 
 uint8_t* MemoryDevice::SegmentFor(uint64_t offset, bool create) {
   uint64_t idx = offset >> kSegmentBits;
@@ -67,35 +57,13 @@ Status MemoryDevice::WriteSync(const void* src, uint64_t offset,
   return Status::kOk;
 }
 
-Status MemoryDevice::ExecuteOp(const IoOp& op, uint32_t* bytes) {
-  Status s;
-  if (op.kind == IoOp::Kind::kWrite) {
-    s = WriteSync(op.buf, op.offset, op.len);
-    obs_stats_.writes.Inc();
-    if constexpr (obs::kStatsEnabled) {
-      obs_stats_.write_ns.Record(obs::NowNs() - op.stamp.submit_ns);
-    }
-  } else {
-    s = ReadSync(op.offset, op.buf, op.len);
-    obs_stats_.reads.Inc();
-    if constexpr (obs::kStatsEnabled) {
-      obs_stats_.read_ns.Record(obs::NowNs() - op.stamp.submit_ns);
-    }
-  }
-  *bytes = s == Status::kOk ? op.len : 0;
-  return s;
-}
-
 Status MemoryDevice::WriteAsync(const void* src, uint64_t offset, uint32_t len,
                                 IoCallback callback, void* context) {
-  IoOp op;
-  op.kind = IoOp::Kind::kWrite;
-  op.offset = offset;
-  op.buf = const_cast<void*>(src);
-  op.len = len;
-  op.callback = callback;
-  op.context = context;
-  queues_.Submit(op, *this);
+  CompleteAtSubmit(obs_stats_, /*write=*/true, callback, context,
+                   [&](uint32_t* bytes) {
+                     *bytes = len;
+                     return WriteSync(src, offset, len);
+                   });
   return Status::kOk;
 }
 
@@ -119,20 +87,13 @@ Status MemoryDevice::ReadSync(uint64_t offset, void* dst, uint32_t len) {
 
 Status MemoryDevice::ReadAsync(uint64_t offset, void* dst, uint32_t len,
                                IoCallback callback, void* context) {
-  IoOp op;
-  op.offset = offset;
-  op.buf = dst;
-  op.len = len;
-  op.callback = callback;
-  op.context = context;
-  queues_.Submit(op, *this);
+  CompleteAtSubmit(obs_stats_, /*write=*/false, callback, context,
+                   [&](uint32_t* bytes) {
+                     Status s = ReadSync(offset, dst, len);
+                     *bytes = s == Status::kOk ? len : 0;
+                     return s;
+                   });
   return Status::kOk;
 }
-
-uint32_t MemoryDevice::Poll() { return queues_.Poll(*this); }
-
-uint32_t MemoryDevice::PollAll() { return queues_.PollAll(*this); }
-
-void MemoryDevice::Drain() { queues_.Drain(*this); }
 
 }  // namespace faster

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "device/device.h"
-#include "device/io_queue_pair.h"
 
 namespace faster {
 
@@ -16,28 +15,24 @@ namespace faster {
 ///
 /// Substitution note (see DESIGN.md §2): the paper's evaluation ran the log
 /// on a FusionIO NVMe SSD. In this container we cannot reproduce that
-/// hardware; `MemoryDevice` preserves the entire asynchronous software path
-/// (request contexts, pending queues, completion callbacks) with
+/// hardware; `MemoryDevice` keeps the store's entire asynchronous software
+/// path (pending contexts, CompletePending, completion callbacks) with
 /// deterministic I/O latency, so larger-than-memory experiments measure
 /// FASTER's code paths rather than container disk noise.
 ///
-/// I/O runs on the completion-polling queue pairs (DESIGN.md §13): ops
-/// queue on the calling thread's IoQueuePair and execute, callbacks
-/// included, when a thread polls. The device starts no thread.
-class MemoryDevice : public IDevice, private IoOpExecutor {
+/// Synchronous (DESIGN.md §13): each op's segment copy and its callback
+/// run on the calling thread before WriteAsync/ReadAsync returns. The
+/// device starts no thread and queues nothing.
+class MemoryDevice : public IDevice {
  public:
   /// `num_io_threads` is ignored (no device starts a thread); it stays so
   /// that existing `MemoryDevice{n}` call sites keep compiling.
   explicit MemoryDevice(uint32_t num_io_threads = 0);
-  ~MemoryDevice() override;
 
   Status WriteAsync(const void* src, uint64_t offset, uint32_t len,
                     IoCallback callback, void* context) override;
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                    IoCallback callback, void* context) override;
-  uint32_t Poll() override;
-  uint32_t PollAll() override;
-  void Drain() override;
   uint64_t bytes_written() const override {
     return bytes_written_.load(std::memory_order_relaxed);
   }
@@ -48,7 +43,6 @@ class MemoryDevice : public IDevice, private IoOpExecutor {
   void RegisterStats(obs::StatRegistry& registry,
                      const std::string& prefix) const override {
     obs_stats_.Register(registry, prefix);
-    queues_.RegisterStats(registry, prefix + ".io");
   }
 
  private:
@@ -58,10 +52,6 @@ class MemoryDevice : public IDevice, private IoOpExecutor {
   uint8_t* SegmentFor(uint64_t offset, bool create);
   Status WriteSync(const void* src, uint64_t offset, uint32_t len);
 
-  /// IoOpExecutor: runs one queued op synchronously.
-  Status ExecuteOp(const IoOp& op, uint32_t* bytes) override;
-
-  IoQueuePairSet queues_;
   std::mutex segments_mutex_;
   std::vector<std::unique_ptr<uint8_t[]>> segments_;
   // order: relaxed fetch_add/load — a monotonically increasing byte
@@ -85,7 +75,6 @@ class NullDevice : public IDevice {
     callback(context, Status::kIoError, 0);
     return Status::kOk;
   }
-  void Drain() override {}
   uint64_t bytes_written() const override {
     return bytes_written_.load(std::memory_order_relaxed);
   }

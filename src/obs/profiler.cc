@@ -141,6 +141,9 @@ void Profiler::OnSignal(void* ucontext) {
   constexpr uintptr_t kAlignMask = sizeof(uintptr_t) - 1;
   constexpr uintptr_t kMaxFrameSpan = uintptr_t{1} << 20;
   constexpr uintptr_t kMaxWalkSpan = uintptr_t{16} << 20;
+  // TSan defers the signal and passes the interrupt's registers, so the
+  // chain may be stale and its probes may read other threads' memory.
+  [[maybe_unused]] TsanIgnoreScope hide;
   while (depth < kMaxFrames) {
     if (fp == 0 || (fp & kAlignMask) != 0) break;
     if (fp < sp || fp - sp > kMaxWalkSpan) break;

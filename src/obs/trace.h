@@ -13,8 +13,6 @@ namespace obs {
 /// Event kinds emitted by the store (kept small: one record is 16 bytes).
 enum class Ev : uint16_t {
   kNone = 0,
-  kPageClosed,         // arg = page number
-  kFlushIssued,        // arg = bytes
   kCheckpointBegin,    // arg = 0
   kCheckpointEnd,      // arg = 0 ok / 1 error
   kGrowBegin,          // arg = old table size (log2)
@@ -24,8 +22,6 @@ enum class Ev : uint16_t {
 inline const char* EvName(Ev e) {
   switch (e) {
     case Ev::kNone: return "none";
-    case Ev::kPageClosed: return "page_closed";
-    case Ev::kFlushIssued: return "flush_issued";
     case Ev::kCheckpointBegin: return "checkpoint_begin";
     case Ev::kCheckpointEnd: return "checkpoint_end";
     case Ev::kGrowBegin: return "grow_begin";

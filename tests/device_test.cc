@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,9 +22,9 @@ struct SyncIo {
     self->status = s;
     self->done.store(1, std::memory_order_release);
   }
-  /// Spins until the callback fires, driving the device's poll loop: the
-  /// device completes I/O only on a polling thread, never in the
-  /// background.
+  /// Spins until the callback fires, driving the device's poll loop: an
+  /// io_uring device completes I/O only on a polling thread, never in the
+  /// background (a synchronous one has already completed it).
   Status Wait(IDevice& device) {
     while (done.load(std::memory_order_acquire) == 0) {
       device.Poll();
@@ -212,63 +213,111 @@ TEST(DeviceBatchTest, FullAcceptanceReportsN) {
 }
 
 // ---------------------------------------------------------------------
-// Completion-polling queue pairs (DESIGN.md §13).
+// Synchronous devices (DESIGN.md §13): MemoryDevice and FileDevice
+// without io_uring run each op and its callback before the call returns.
 // ---------------------------------------------------------------------
 
-TEST(PollingDeviceTest, CompletionsArriveOnlyWhenPolled) {
-  MemoryDevice device;
-  std::vector<uint8_t> page(4096, 0x7E);
-  SyncIo w;
-  device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(w.Wait(device), Status::kOk);
-
-  SyncIo r;
-  std::vector<uint8_t> in(64);
-  device.ReadAsync(0, in.data(), in.size(), &SyncIo::Callback, &r);
-  // No poll yet: the op sits in this thread's submission ring.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(r.done.load(std::memory_order_acquire), 0);
-  EXPECT_EQ(device.Poll(), 1u);
-  EXPECT_EQ(r.done.load(std::memory_order_acquire), 1);
-  EXPECT_EQ(r.status, Status::kOk);
-}
-
-TEST(PollingDeviceTest, QueueFullBackpressureExecutesInline) {
-  MemoryDevice device;
-  std::vector<uint8_t> page(4096, 0x11);
-  SyncIo w;
-  device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(w.Wait(device), Status::kOk);
-
-  constexpr uint32_t kRing = IoQueuePair::kSubmissionEntries;
-  constexpr uint32_t kOps = kRing + 40;
-  static std::atomic<uint32_t> completed;
-  completed.store(0);
-  std::vector<std::vector<uint8_t>> bufs(kOps, std::vector<uint8_t>(16));
-  for (uint32_t i = 0; i < kOps; ++i) {
-    device.ReadAsync(
-        (i % 256) * 16, bufs[i].data(), 16,
-        [](void*, Status s, uint32_t) {
-          ASSERT_EQ(s, Status::kOk);
-          completed.fetch_add(1, std::memory_order_relaxed);
-        },
-        nullptr);
+/// Counts callbacks and records the thread each one ran on.
+struct CallbackLog {
+  int calls = 0;
+  std::thread::id thread;
+  static void Callback(void* ctx, Status s, uint32_t) {
+    ASSERT_EQ(s, Status::kOk);
+    auto* self = static_cast<CallbackLog*>(ctx);
+    ++self->calls;
+    self->thread = std::this_thread::get_id();
   }
-  // The ring holds kRing ops; the overflow executed inline at submit.
-  EXPECT_EQ(completed.load(std::memory_order_relaxed), kOps - kRing);
-  EXPECT_EQ(device.Poll(), kRing);
-  EXPECT_EQ(completed.load(std::memory_order_relaxed), kOps);
+};
+
+void ExpectCompletesAtSubmit(IDevice& device) {
+  std::vector<uint8_t> page(4096, 0x7E);
+  CallbackLog w;
+  ASSERT_EQ(device.WriteAsync(page.data(), 0, page.size(),
+                              &CallbackLog::Callback, &w),
+            Status::kOk);
+  EXPECT_EQ(w.calls, 1);
+  EXPECT_EQ(w.thread, std::this_thread::get_id());
+
+  std::vector<uint8_t> in(64);
+  CallbackLog r;
+  ASSERT_EQ(device.ReadAsync(64, in.data(), in.size(), &CallbackLog::Callback,
+                             &r),
+            Status::kOk);
+  EXPECT_EQ(r.calls, 1);
+  EXPECT_EQ(r.thread, std::this_thread::get_id());
+  EXPECT_EQ(in[0], 0x7E);
+
+  constexpr uint32_t kN = 8;
+  CallbackLog logs[kN];
+  std::vector<std::vector<uint8_t>> bufs(kN, std::vector<uint8_t>(32));
+  IoReadRequest reqs[kN];
+  for (uint32_t i = 0; i < kN; ++i) {
+    reqs[i] = IoReadRequest{i * 32, bufs[i].data(), 32, &CallbackLog::Callback,
+                            &logs[i]};
+  }
+  uint32_t accepted = 0;
+  ASSERT_EQ(device.ReadBatchAsync(reqs, kN, &accepted), Status::kOk);
+  EXPECT_EQ(accepted, kN);
+  for (uint32_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(logs[i].calls, 1) << i;
+    EXPECT_EQ(logs[i].thread, std::this_thread::get_id()) << i;
+    EXPECT_EQ(bufs[i][0], 0x7E) << i;
+  }
+
+  // Nothing is left for a poll to deliver, and no callback runs twice.
+  EXPECT_EQ(device.Poll(), 0u);
+  EXPECT_EQ(device.PollAll(), 0u);
+  device.Drain();
+  EXPECT_EQ(w.calls + r.calls, 2);
+  for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(logs[i].calls, 1) << i;
 }
 
-TEST(PollingDeviceTest, ExactOnceAcrossConcurrentPollers) {
+TEST(SyncDeviceTest, MemoryDeviceCompletesAtSubmit) {
   MemoryDevice device;
-  std::vector<uint8_t> page(4096, 0x3A);
-  SyncIo w;
-  device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(w.Wait(device), Status::kOk);
+  ExpectCompletesAtSubmit(device);
+}
 
-  // > ring capacity so the submitter also exercises the inline path.
-  constexpr uint32_t kOps = IoQueuePair::kSubmissionEntries + 100;
+TEST(SyncDeviceTest, FileDeviceCompletesAtSubmit) {
+  std::string path = "/tmp/faster_device_sync_test.log";
+  ::unlink(path.c_str());
+  {
+    FileDevice device{path, 0, IoPathMode::kPolling};
+    ExpectCompletesAtSubmit(device);
+  }
+  ::unlink(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// io_uring backend (kUring), the one path that queues. Where the kernel
+// or build lacks support the device falls back to synchronous I/O and
+// counts the fallback; the queueing tests then skip.
+// ---------------------------------------------------------------------
+
+/// A kUring FileDevice over `path` holding one written page of `fill`,
+/// or nullptr when io_uring degraded (the caller skips).
+std::unique_ptr<FileDevice> UringDeviceWithPage(const std::string& path,
+                                                uint8_t fill) {
+  ::unlink(path.c_str());
+  auto device = std::make_unique<FileDevice>(path, 0, IoPathMode::kUring);
+  if (device->mode() != IoPathMode::kUring) {
+    ::unlink(path.c_str());
+    return nullptr;
+  }
+  std::vector<uint8_t> page(4096, fill);
+  SyncIo w;
+  device->WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
+  EXPECT_EQ(w.Wait(*device), Status::kOk);
+  return device;
+}
+
+TEST(UringDeviceTest, ExactOnceAcrossConcurrentPollers) {
+  std::string path = "/tmp/faster_device_uring_pollers.log";
+  auto device = UringDeviceWithPage(path, 0x3A);
+  if (device == nullptr) GTEST_SKIP() << "io_uring unavailable";
+
+  // More than a ring's 64 slots, so the submitter also exercises the
+  // inline path.
+  constexpr uint32_t kOps = 200;
   constexpr uint32_t kPollers = 4;
   struct OpState {
     std::atomic<uint32_t> count{0};
@@ -278,12 +327,12 @@ TEST(PollingDeviceTest, ExactOnceAcrossConcurrentPollers) {
   total.store(0);
   std::vector<std::vector<uint8_t>> bufs(kOps, std::vector<uint8_t>(16));
 
-  // Submit from a dedicated thread, so every poller consumes foreign work
-  // (the submitter exits with its ring still full — the abandoned-queue
-  // case PollAll exists for).
+  // Submit from a dedicated thread, so every poller reaps foreign work
+  // (the submitter exits with its ring still holding completions — the
+  // abandoned-ring case PollAll exists for).
   std::thread submitter([&] {
     for (uint32_t i = 0; i < kOps; ++i) {
-      device.ReadAsync(
+      device->ReadAsync(
           (i % 256) * 16, bufs[i].data(), 16,
           [](void* ctx, Status s, uint32_t) {
             ASSERT_EQ(s, Status::kOk);
@@ -300,7 +349,7 @@ TEST(PollingDeviceTest, ExactOnceAcrossConcurrentPollers) {
   for (uint32_t p = 0; p < kPollers; ++p) {
     pollers.emplace_back([&] {
       while (total.load(std::memory_order_relaxed) < kOps) {
-        device.PollAll();
+        device->PollAll();
       }
     });
   }
@@ -309,15 +358,16 @@ TEST(PollingDeviceTest, ExactOnceAcrossConcurrentPollers) {
   EXPECT_EQ(total.load(std::memory_order_relaxed), kOps);
   for (uint32_t i = 0; i < kOps; ++i) {
     EXPECT_EQ(ops[i].count.load(std::memory_order_relaxed), 1u) << i;
+    EXPECT_EQ(bufs[i][0], 0x3A) << i;
   }
+  device.reset();
+  ::unlink(path.c_str());
 }
 
-TEST(PollingDeviceTest, DrainWhilePollingDeliversExactlyOnce) {
-  MemoryDevice device;
-  std::vector<uint8_t> page(4096, 0x99);
-  SyncIo w;
-  device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(w.Wait(device), Status::kOk);
+TEST(UringDeviceTest, DrainWhilePollingDeliversExactlyOnce) {
+  std::string path = "/tmp/faster_device_uring_drain.log";
+  auto device = UringDeviceWithPage(path, 0x99);
+  if (device == nullptr) GTEST_SKIP() << "io_uring unavailable";
 
   constexpr uint32_t kOps = 200;
   struct OpState {
@@ -328,15 +378,15 @@ TEST(PollingDeviceTest, DrainWhilePollingDeliversExactlyOnce) {
   total2.store(0);
   std::vector<std::vector<uint8_t>> bufs(kOps, std::vector<uint8_t>(16));
   std::atomic<bool> stop{false};
-  // A concurrent foreign poller races Drain for the same queue pairs
-  // (consumer-exclusion path).
+  // A concurrent foreign poller races Drain for the same rings (the
+  // reaper-exclusion path).
   std::thread poller([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      device.PollAll();
+      device->PollAll();
     }
   });
   for (uint32_t i = 0; i < kOps; ++i) {
-    device.ReadAsync(
+    device->ReadAsync(
         (i % 256) * 16, bufs[i].data(), 16,
         [](void* ctx, Status s, uint32_t) {
           ASSERT_EQ(s, Status::kOk);
@@ -346,21 +396,21 @@ TEST(PollingDeviceTest, DrainWhilePollingDeliversExactlyOnce) {
         },
         &ops[i]);
   }
-  device.Drain();
+  device->Drain();
   EXPECT_EQ(total2.load(std::memory_order_relaxed), kOps);
   stop.store(true, std::memory_order_release);
   poller.join();
   for (uint32_t i = 0; i < kOps; ++i) {
     EXPECT_EQ(ops[i].count.load(std::memory_order_relaxed), 1u) << i;
   }
+  device.reset();
+  ::unlink(path.c_str());
 }
 
-TEST(PollingDeviceTest, BatchSubmissionCompletesViaPoll) {
-  MemoryDevice device;
-  std::vector<uint8_t> page(4096, 0xC4);
-  SyncIo w;
-  device.WriteAsync(page.data(), 0, page.size(), &SyncIo::Callback, &w);
-  ASSERT_EQ(w.Wait(device), Status::kOk);
+TEST(UringDeviceTest, BatchSubmissionCompletesViaPoll) {
+  std::string path = "/tmp/faster_device_uring_batch.log";
+  auto device = UringDeviceWithPage(path, 0xC4);
+  if (device == nullptr) GTEST_SKIP() << "io_uring unavailable";
 
   constexpr uint32_t kN = 32;
   static std::atomic<uint32_t> batch_done;
@@ -377,18 +427,15 @@ TEST(PollingDeviceTest, BatchSubmissionCompletesViaPoll) {
         nullptr};
   }
   uint32_t accepted = 0;
-  ASSERT_EQ(device.ReadBatchAsync(reqs, kN, &accepted), Status::kOk);
+  ASSERT_EQ(device->ReadBatchAsync(reqs, kN, &accepted), Status::kOk);
   EXPECT_EQ(accepted, kN);
   while (batch_done.load(std::memory_order_relaxed) < kN) {
-    device.Poll();
+    device->Poll();
   }
   for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(bufs[i][0], 0xC4);
+  device.reset();
+  ::unlink(path.c_str());
 }
-
-// ---------------------------------------------------------------------
-// io_uring backend (kUring). Where the kernel or build lacks support the
-// device falls back to the polling queue pairs and counts the fallback.
-// ---------------------------------------------------------------------
 
 TEST(UringDeviceTest, WriteReadRoundTripOrCountedFallback) {
   std::string path = "/tmp/faster_device_uring_test.log";

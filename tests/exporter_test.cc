@@ -353,7 +353,7 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
         static obs::Counter counter;
         counter.Add(42);
         static obs::EventRing ring;
-        ring.Emit(obs::Ev::kFlushIssued, 4096);
+        ring.Emit(obs::Ev::kGrowBegin, 4096);
         static obs::Registry reg;
         reg.Add("crash.counter", &counter);
         static LightEpoch epoch;
@@ -367,7 +367,7 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
       },
       // Metric names are dumped verbatim (no Prometheus sanitization).
       "FASTER FLIGHT RECORDER BEGIN.*reason: SIGABRT.*-- metrics --"
-      ".*crash\\.counter 42.*-- events\\[crash\\].*flush_issued"
+      ".*crash\\.counter 42.*-- events\\[crash\\].*grow_begin"
       ".*FASTER FLIGHT RECORDER END",
       &text));
   EXPECT_NE(text.find("FASTER FLIGHT RECORDER BEGIN"), std::string::npos);

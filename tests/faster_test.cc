@@ -9,6 +9,7 @@
 
 #include "core/functions.h"
 #include "device/memory_device.h"
+#include "parking_device.h"
 
 namespace faster {
 namespace {
@@ -521,22 +522,27 @@ TEST(StorageFailureTest, RejectedReadFailsInsteadOfHanging) {
 // through the owner's ready list: the completing thread's writes to each
 // context happen-before the owner continues it (TSan checks the edge).
 TEST_F(FasterTest, PendingReadCompletedByAnotherThreadsPollAll) {
-  Store store{SmallConfig(2, 0.5), &device_};
+  ParkingDevice device;
+  Store store{SmallConfig(2, 0.5), &device};
   store.StartSession();
   for (uint64_t k = 0; k < 400000; ++k) {
     ASSERT_EQ(store.Upsert(k, k + 7), Status::kOk);
   }
   constexpr uint64_t kReads = 64;  // the first keys live on storage
   uint64_t outs[kReads] = {};
-  int pending = 0;
+  uint32_t pending = 0;
   for (uint64_t k = 0; k < kReads; ++k) {
     Status s = store.Read(k, 0, &outs[k]);
     ASSERT_TRUE(s == Status::kOk || s == Status::kPending);
     if (s == Status::kPending) ++pending;
   }
-  ASSERT_GT(pending, 0);
-  std::thread poller([&] { device_.PollAll(); });
+  ASSERT_GT(pending, 0u);
+  // The owner's own poll runs nothing: every read waits for the poller.
+  EXPECT_FALSE(store.CompletePending(/*wait=*/false));
+  uint32_t run_by_poller = 0;
+  std::thread poller([&] { run_by_poller = device.PollAll(); });
   poller.join();
+  EXPECT_EQ(run_by_poller, pending);
   ASSERT_TRUE(store.CompletePending(/*wait=*/true));
   for (uint64_t k = 0; k < kReads; ++k) EXPECT_EQ(outs[k], k + 7) << k;
   store.StopSession();

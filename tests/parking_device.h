@@ -1,0 +1,56 @@
+#ifndef FASTER_TESTS_PARKING_DEVICE_H_
+#define FASTER_TESTS_PARKING_DEVICE_H_
+
+#include <cstdint>
+#include <mutex>
+#include <vector>
+
+#include "device/memory_device.h"
+#include "obs/span.h"
+
+namespace faster {
+
+/// A MemoryDevice that parks every read until some thread calls PollAll,
+/// then runs it, callback included, on that thread under the submitter's
+/// trace context: the queueing shape of io_uring on any host, so tests
+/// can hand a completion across threads. Writes complete at submit, as on
+/// MemoryDevice. Shared by faster_test and stats_test.
+class ParkingDevice : public MemoryDevice {
+ public:
+  Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
+                   IoCallback callback, void* context) override {
+    std::lock_guard<std::mutex> lock{mutex_};
+    parked_.push_back({{offset, dst, len, callback, context},
+                       obs::CurrentTrace()});
+    return Status::kOk;
+  }
+  /// Runs every parked read on the calling thread; returns how many.
+  uint32_t PollAll() override {
+    std::vector<Parked> reads;
+    {
+      std::lock_guard<std::mutex> lock{mutex_};
+      reads.swap(parked_);
+    }
+    obs::TraceContext saved = obs::CurrentTrace();
+    for (const Parked& p : reads) {
+      obs::CurrentTrace() = p.trace;
+      const IoReadRequest& r = p.read;
+      MemoryDevice::ReadAsync(r.offset, r.dst, r.len, r.callback, r.context);
+    }
+    obs::CurrentTrace() = saved;
+    return static_cast<uint32_t>(reads.size());
+  }
+  void Drain() override { PollAll(); }
+
+ private:
+  struct Parked {
+    IoReadRequest read;
+    obs::TraceContext trace;
+  };
+  std::mutex mutex_;
+  std::vector<Parked> parked_;
+};
+
+}  // namespace faster
+
+#endif  // FASTER_TESTS_PARKING_DEVICE_H_

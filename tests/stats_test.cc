@@ -19,6 +19,7 @@
 #include "obs/span.h"
 #include "obs/store_view.h"
 #include "obs/trace.h"
+#include "parking_device.h"
 
 namespace faster {
 namespace {
@@ -252,8 +253,8 @@ TEST(StatsNoopTest, NoopTypesAreInert) {
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_NE(reg.Text().find("compiled out"), std::string::npos);
   EXPECT_EQ(reg.Json(), "{}");
-  // The clock a PendingContext embeds and the stamp every IoOp and
-  // IoCompletion embeds cost no bytes without stats.
+  // The clock a PendingContext embeds and the stamp every IoOp embeds
+  // cost no bytes without stats.
   if (!obs::kStatsEnabled) {
     EXPECT_TRUE(std::is_empty_v<obs::StatOpClock>);
     EXPECT_TRUE(std::is_empty_v<obs::StatIoStamp>);
@@ -263,7 +264,7 @@ TEST(StatsNoopTest, NoopTypesAreInert) {
 TEST(StatsTraceTest, EventRingRecordsAndSorts) {
   obs::EventRing ring;
   ring.Emit(obs::Ev::kCheckpointBegin, 0);
-  ring.Emit(obs::Ev::kFlushIssued, 4096);
+  ring.Emit(obs::Ev::kGrowBegin, 4096);
   ring.Emit(obs::Ev::kCheckpointEnd, 0);
   auto events = ring.Snapshot();
   ASSERT_EQ(events.size(), 3u);
@@ -278,7 +279,7 @@ TEST(StatsTraceTest, EventRingWrapsKeepingNewest) {
   obs::EventRing ring;
   constexpr uint32_t kTotal = obs::EventRing::kEventsPerThread + 100;
   for (uint32_t i = 0; i < kTotal; ++i) {
-    ring.Emit(obs::Ev::kPageClosed, i);
+    ring.Emit(obs::Ev::kGrowEnd, i);
   }
   auto events = ring.Snapshot();
   ASSERT_EQ(events.size(), size_t{obs::EventRing::kEventsPerThread});
@@ -539,7 +540,7 @@ TEST(SpanTraceJsonTest, ChromeTraceIsValidJson) {
   spans.push_back(s);
   std::vector<obs::TraceEvent> events;
   events.push_back(obs::TraceEvent{
-      2000, 4096, static_cast<uint16_t>(obs::Ev::kFlushIssued), 1});
+      2000, 4096, static_cast<uint16_t>(obs::Ev::kGrowBegin), 1});
   std::ostringstream os;
   obs::WriteChromeTrace(os, spans, events);
   std::string json = os.str();
@@ -848,12 +849,12 @@ TEST(StoreCountersTest, EachOpCountedOnceByOutcome) {
 
 // A storage read's spans must land under the same trace id as the Read()
 // that issued it: the root read span, the pending-I/O window, the device
-// exec span (on the thread that polled the read, here another one), and
+// exec span (on the thread that ran the read, here another one), and
 // the completion processing.
 TEST(SpanStoreTest, TraceCrossesPendingIoBoundary) {
   if (!obs::kStatsEnabled) GTEST_SKIP() << "span instrumentation compiled out";
   SpanSampleGuard guard{0};  // don't trace the fill phase
-  MemoryDevice device;
+  ParkingDevice device;  // parks the read until the poller's PollAll
   FasterKv<CountStoreFunctions>::Config cfg;
   cfg.table_size = 2048;
   cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;
@@ -869,7 +870,7 @@ TEST(SpanStoreTest, TraceCrossesPendingIoBoundary) {
   obs::SetSpanSampleEvery(1);
   uint64_t out = UINT64_MAX;
   ASSERT_EQ(store.Read(0, 0, &out), Status::kPending);
-  // A foreign poller steals the queued read and runs it and its callback.
+  // A foreign poller runs the parked read and its callback.
   std::thread poller([&] {
     store.StartSession();
     device.PollAll();

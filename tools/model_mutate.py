@@ -57,8 +57,6 @@ PROTOCOLS = {
     "src/core/epoch.h": ["model_epoch_test"],
     "src/core/hash_index.cc": ["model_hash_index_test",
                                "model_checkpoint_test"],
-    "src/device/io_queue_pair.h": ["model_io_queue_test"],
-    "src/device/io_queue_pair.cc": ["model_io_queue_test"],
     "src/obs/seq_ring.h": ["model_seq_ring_test"],
     "src/core/sync.h": ["model_take_all_test"],
 }

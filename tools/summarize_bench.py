@@ -205,8 +205,8 @@ def report_depth_speedup(group):
 
 def report_io_path_speedup(group):
     """For the io_path bench (cases named <fig>/<mode>/budgetMB:N), prints
-    per-budget speedup of the io_uring backend ('uring') over the
-    completion-polling queue pairs ('polling')."""
+    per-budget speedup of the io_uring backend ('uring') over synchronous
+    I/O at submit ('polling')."""
     sweeps = defaultdict(dict)  # budget -> {mode: Mops}
     for name, c in group:
         parts = name.split("/")

@@ -12,8 +12,8 @@
 #include "core/faster.h"
 #include "core/functions.h"
 #include "memstore/inmem_kv.h"
-#include "device/io_queue_pair.h"
 #include "device/memory_device.h"
+#include "device/uring_device.h"
 
 namespace {
 
@@ -86,7 +86,7 @@ void DriveEpoch() {
   epoch.Unprotect();
 }
 
-// The device reap paths (Submit/Poll/PollAll) require an epoch-protected
+// The io_uring paths (Submit/Poll/PollAll) require an epoch-protected
 // session; Drain is the documented teardown exception and needs none.
 struct NullExecutor final : faster::IoOpExecutor {
   faster::Status ExecuteOp(const faster::IoOp&, uint32_t* bytes) override {
@@ -95,18 +95,19 @@ struct NullExecutor final : faster::IoOpExecutor {
   }
 };
 
-void DriveIoQueues() {
+void DriveUring() {
   faster::LightEpoch epoch;
-  faster::IoQueuePairSet set;
   NullExecutor exec;
+  faster::DeviceObsStats stats;
+  faster::UringIo io{-1, exec, stats};
   epoch.Protect();
   faster::IoOp op{};
   op.callback = [](void*, faster::Status, uint32_t) {};
-  set.Submit(op, exec);
-  set.Poll(exec);
-  set.PollAll(exec);
+  io.Submit(&op, 1);
+  io.Poll();
+  io.PollAll();
   epoch.Unprotect();
-  set.Drain(exec);  // post-quiescence: no session required
+  io.Drain();  // post-quiescence: no session required
 }
 
 }  // namespace
@@ -115,6 +116,6 @@ int main() {
   DriveFaster();
   DriveInMem();
   DriveEpoch();
-  DriveIoQueues();
+  DriveUring();
   return 0;
 }

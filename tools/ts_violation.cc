@@ -6,8 +6,8 @@
 
 #include "core/faster.h"
 #include "core/functions.h"
-#include "device/io_queue_pair.h"
 #include "device/memory_device.h"
+#include "device/uring_device.h"
 
 namespace {
 
@@ -45,13 +45,14 @@ void UnprotectedPoll() {
       return faster::Status::kOk;
     }
   } exec;
-  faster::IoQueuePairSet set;
-  // BAD: the reap paths require an epoch-protected session.
+  faster::DeviceObsStats stats;
+  faster::UringIo io{-1, exec, stats};
+  // BAD: the io_uring paths require an epoch-protected session.
   faster::IoOp op{};
   op.callback = [](void*, faster::Status, uint32_t) {};
-  set.Submit(op, exec);
-  set.Poll(exec);
-  set.PollAll(exec);
+  io.Submit(&op, 1);
+  io.Poll();
+  io.PollAll();
 }
 
 }  // namespace
