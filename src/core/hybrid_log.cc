@@ -39,11 +39,9 @@ HybridLog::HybridLog(const LogConfig& config, IDevice* device,
 
   frames_ = MemoryRegion::Reserve(Address::kPageSize, buffer_pages_);
   if (!frames_) throw std::bad_alloc();
-  for (uint64_t i = 0; i < buffer_pages_; ++i) {
-    closed_page_.push_back(std::make_unique<Atomic<int64_t>>(-1));
-  }
-  frame_used_.assign(buffer_pages_, false);
-  frame_used_[0] = true;  // page 0 is open
+  frame_status_ = std::make_unique<FrameStatus[]>(buffer_pages_);
+  for (uint64_t f = 0; f < buffer_pages_; ++f) frame_status_[f].log = this;
+  frame_status_[0].used = true;  // page 0 is open
 }
 
 HybridLog::~HybridLog() { device_->Drain(); }
@@ -110,10 +108,6 @@ bool HybridLog::NewPage(uint64_t old_page) {
   // The epoch triggers armed here (safe-RO propagation, frame eviction)
   // only drain if this thread's refreshes can advance safety.
   assert(epoch_->IsProtected());
-  // Page transitions are rare (once per page); a mutex keeps the
-  // frame-recycling logic simple without touching the allocation fast path.
-  std::lock_guard<std::recursive_mutex> lock{flush_mutex_};
-
   uint64_t tpo = tail_page_offset_.load(std::memory_order_acquire);
   if ((tpo >> 32) != old_page) {
     return true;  // Another thread already opened the next page.
@@ -121,177 +115,169 @@ bool HybridLog::NewPage(uint64_t old_page) {
   uint64_t new_page = old_page + 1;
 
   // Shift the read-only offset to maintain its lag from the tail
-  // (Sec. 6.1); propagate to the safe read-only offset via an epoch
-  // trigger (Sec. 6.2) which also makes the newly immutable pages
-  // eligible for flushing.
+  // (Sec. 6.1).
   if (new_page > ro_lag_pages_) {
-    Address desired_ro{(new_page - ro_lag_pages_) << Address::kOffsetBits};
-    Address winner;
-    if (MonotonicUpdate(read_only_address_, desired_ro, &winner)) {
-      epoch_->BumpCurrentEpoch([this, winner]() {
-        // Trigger actions drain only from epoch calls that require
-        // protection, so the running thread holds the capability.
-        AssertEpochProtected(*epoch_);
-        UpdateSafeReadOnly(winner);
-      });
-    }
+    ShiftReadOnly(Address{(new_page - ro_lag_pages_) << Address::kOffsetBits});
   }
 
   // Shift the head if the buffer would otherwise overflow; pages may only
-  // be evicted once they are flushed (Sec. 5.2).
+  // be evicted once they are flushed (Sec. 5.2), and the new page's frame
+  // only reused once its previous tenant is evicted.
   if (new_page >= buffer_pages_) {
     uint64_t desired_head_page = new_page - buffer_pages_ + 1;
     uint64_t flushed_page = read_cache_mode_
                                 ? desired_head_page
                                 : Load(flushed_until_).page();
     uint64_t new_head_page = std::min(desired_head_page, flushed_page);
-    Address new_head{new_head_page << Address::kOffsetBits};
-    Address old_head = Load(head_address_);
-    Address winner;
-    if (MonotonicUpdate(head_address_, new_head, &winner)) {
-      uint64_t from_page = old_head.page();
-      uint64_t to_page = winner.page();
-      epoch_->BumpCurrentEpoch([this, from_page, to_page]() {
-        AssertEpochProtected(*epoch_);
-        // The epoch is safe: no thread still reads these pages. Let the
-        // eviction callback (read cache, Appendix D) inspect them before
-        // the frames become recyclable.
-        if (eviction_callback_ != nullptr) {
-          eviction_callback_(Address{from_page << Address::kOffsetBits},
-                             Address{to_page << Address::kOffsetBits});
-        }
-        obs_stats_.pages_evicted.Add(to_page - from_page);
-        obs::StatLog(obs::LogLevel::kInfo, "hlog", "pages evicted",
-                     obs::LogField{"from_page", from_page},
-                     obs::LogField{"to_page", to_page});
-        for (uint64_t p = from_page; p < to_page; ++p) {
-          closed_page_[p % buffer_pages_]->store(
-              static_cast<int64_t>(p), std::memory_order_release);
-        }
-      });
+    uint64_t new_head = new_head_page << Address::kOffsetBits;
+    uint64_t old_head = head_address_.load(std::memory_order_acquire);
+    while (old_head < new_head) {
+      if (head_address_.compare_exchange_weak(old_head, new_head,
+                                              std::memory_order_acq_rel)) {
+        // The CAS winner evicts exactly the pages it moved the head past.
+        // Both page numbers fit in 32 bits, so the action captures 16
+        // bytes and std::function stores it without allocating.
+        uint64_t pages = Address{old_head}.page() << 32 | new_head_page;
+        epoch_->BumpCurrentEpoch([this, pages]() {
+          AssertEpochProtected(*epoch_);
+          uint64_t from_page = pages >> 32;
+          uint64_t to_page = pages & 0xffffffffull;
+          // The epoch is safe: no thread still reads these pages. Let the
+          // eviction callback (read cache, Appendix D) inspect them
+          // before the frames become recyclable.
+          if (eviction_callback_ != nullptr) {
+            eviction_callback_(Address{from_page << Address::kOffsetBits},
+                               Address{to_page << Address::kOffsetBits});
+          }
+          obs_stats_.pages_evicted.Add(to_page - from_page);
+          obs::StatLog(obs::LogLevel::kInfo, "hlog", "pages evicted",
+                       obs::LogField{"from_page", from_page},
+                       obs::LogField{"to_page", to_page});
+          for (uint64_t p = from_page; p < to_page; ++p) {
+            frame_status_[p % buffer_pages_].closed_page.store(
+                static_cast<int64_t>(p), std::memory_order_release);
+          }
+        });
+        break;
+      }
     }
-    if (new_head_page < desired_head_page) {
+    if (new_head_page < desired_head_page ||
+        !PageClosed(new_page - buffer_pages_)) {
       obs_stats_.alloc_stalls.Inc();
       // Rate-limited: a stalled allocator retries this path in a tight
       // refresh loop; one report per window is plenty.
       static obs::StatLogRateLimit stall_limit{100'000'000};  // 100ms
       obs::StatLogLimited(stall_limit, obs::LogLevel::kWarn, "hlog",
-                          "allocation stalled on flush frontier",
-                          obs::LogField{"want_head_page", desired_head_page},
+                          "allocation stalled on flush or eviction",
+                          obs::LogField{"new_page", new_page},
                           obs::LogField{"flushed_page", flushed_page});
-      // On io_uring the flush frontier only advances when someone reaps
-      // the queued writes — including writes queued by other (possibly
-      // stalled or departed) threads, hence PollAll (a synchronous
-      // device completed them at submit and has nothing to reap). Safe
-      // under flush_mutex_: it is recursive, so CompleteFlush
-      // re-entering on this thread is fine.
+      // On io_uring the flush frontier, which eviction waits on too, only
+      // advances when someone reaps the queued writes — including writes
+      // queued by other (possibly stalled or departed) threads, hence
+      // PollAll (a synchronous device completed them at submit).
       device_->PollAll();
-      return false;  // Flush frontier not far enough yet; caller refreshes.
+      return false;  // The caller refreshes, running triggers, and retries.
     }
   }
 
-  // The new page's frame must have had its previous tenant evicted.
-  uint64_t frame = new_page % buffer_pages_;
-  if (new_page >= buffer_pages_ &&
-      closed_page_[frame]->load(std::memory_order_acquire) !=
-          static_cast<int64_t>(new_page - buffer_pages_)) {
-    obs_stats_.alloc_stalls.Inc();
-    static obs::StatLogRateLimit evict_limit{100'000'000};  // 100ms
-    obs::StatLogLimited(evict_limit, obs::LogLevel::kWarn, "hlog",
-                        "allocation stalled on frame eviction",
-                        obs::LogField{"new_page", new_page});
-    // Eviction waits on the flush frontier too (see above): keep io_uring
-    // writes moving while the caller's refresh loop spins.
-    device_->PollAll();
-    return false;  // Eviction trigger hasn't run; caller refreshes.
-  }
-
+  // One thread zeroes the frame and moves the tail onto the new page;
+  // allocators keep bumping the old page's offset meanwhile.
+  std::lock_guard<std::mutex> lock{flush_mutex_};
+  uint64_t expected = tail_page_offset_.load(std::memory_order_acquire);
+  if ((expected >> 32) != old_page) return true;
   ClearFrame(new_page);
   obs_stats_.pages_opened.Inc();
-  uint64_t expected = tail_page_offset_.load(std::memory_order_acquire);
-  while ((expected >> 32) == old_page) {
-    uint64_t desired = new_page << 32;
-    if (tail_page_offset_.compare_exchange_weak(expected, desired,
-                                                std::memory_order_acq_rel)) {
-      return true;
-    }
+  while (!tail_page_offset_.compare_exchange_weak(
+      expected, new_page << 32, std::memory_order_acq_rel)) {
   }
   return true;
 }
 
 void HybridLog::ClearFrame(uint64_t page) {
-  uint64_t frame = page % buffer_pages_;
-  if (frame_used_[frame]) std::memset(Frame(page), 0, Address::kPageSize);
-  frame_used_[frame] = true;
+  FrameStatus& frame = frame_status_[page % buffer_pages_];
+  if (frame.used) std::memset(Frame(page), 0, Address::kPageSize);
+  frame.used = true;
 }
 
-void HybridLog::UpdateSafeReadOnly(Address new_safe) {
-  std::lock_guard<std::recursive_mutex> lock{flush_mutex_};
-  UpdateSafeReadOnlyLocked(new_safe);
-}
-
-void HybridLog::UpdateSafeReadOnlyLocked(Address new_safe) {
+void HybridLog::ShiftReadOnly(Address to) {
   Address winner;
-  MonotonicUpdate(safe_read_only_address_, new_safe, &winner);
-  if (read_cache_mode_) {
-    // Read-cache pages are never flushed (their records already live on
-    // the primary log); the flush frontier trivially follows the safe
-    // read-only offset so eviction can proceed.
-    MonotonicUpdate(flushed_until_, winner);
-    return;
-  }
-  IssueFlushesLocked(winner);
+  if (!MonotonicUpdate(read_only_address_, to, &winner)) return;
+  epoch_->BumpCurrentEpoch([this, winner]() {
+    // Trigger actions drain only from epoch calls that require
+    // protection, so the running thread holds the capability.
+    AssertEpochProtected(*epoch_);
+    Address safe;
+    MonotonicUpdate(safe_read_only_address_, winner, &safe);
+    if (read_cache_mode_) {
+      // Read-cache pages are never flushed (their records already live on
+      // the primary log); the flush frontier trivially follows the safe
+      // read-only offset so eviction can proceed.
+      MonotonicUpdate(flushed_until_, safe);
+    } else {
+      IssueFlushes(safe);
+    }
+  });
 }
 
-void HybridLog::IssueFlushesLocked(Address limit) {
-  while (flush_issued_ < limit) {
-    Address chunk_end = std::min(limit, flush_issued_.NextPageStart());
-    auto* ctx = new FlushContext{this, flush_issued_, chunk_end, 0};
-    uint32_t len = static_cast<uint32_t>(chunk_end - flush_issued_);
-    if constexpr (obs::kStatsEnabled) {
-      ctx->issue_ns = obs::NowNs();
+void HybridLog::IssueFlushes(Address limit) {
+  for (;;) {
+    std::unique_lock<std::mutex> lock{flush_mutex_};
+    if (flush_issued_ >= limit) return;
+    Address start = flush_issued_;
+    Address end = std::min(limit, start.NextPageStart());
+    FrameStatus* frame = &frame_status_[start.page() % buffer_pages_];
+    if (frame->flush_page != start.page()) {
+      // The frame's previous page let this one open only once the flush
+      // frontier had passed it, so none of its writes are in flight.
+      assert(frame->in_flight == 0);
+      frame->flush_page = start.page();
     }
-    obs_stats_.flush_chunks.Inc();
+    frame->flush_issued = end;
+    ++frame->in_flight;
+    flush_issued_ = end;
+    lock.unlock();
+    uint32_t len = static_cast<uint32_t>(end - start);
     obs_stats_.flush_bytes.Add(len);
     obs::StatLog(obs::LogLevel::kDebug, "hlog", "flush chunk issued",
-                 obs::LogField{"start", flush_issued_.control()},
+                 obs::LogField{"start", start.control()},
                  obs::LogField{"len", static_cast<uint64_t>(len)});
-    device_->WriteAsync(Get(flush_issued_), flush_issued_.control(), len,
-                        &HybridLog::FlushCallback, ctx);
-    flush_issued_ = chunk_end;
+    Status submitted = device_->WriteAsync(Get(start), start.control(), len,
+                                           &HybridLog::FlushCallback, frame);
+    // A refused write never calls back: complete it as a failed one, or
+    // the frontier would stop here for good.
+    if (submitted != Status::kOk) FlushCallback(frame, submitted, 0);
   }
 }
 
 void HybridLog::FlushCallback(void* context, Status result, uint32_t) {
-  auto* ctx = static_cast<FlushContext*>(context);
+  auto* frame = static_cast<FrameStatus*>(context);
+  HybridLog* log = frame->log;
+  std::lock_guard<std::mutex> lock{log->flush_mutex_};
   // I/O errors are recorded but the frontier still advances so the log
   // cannot deadlock; callers that care (checkpoint) check io_error().
   if (result != Status::kOk) {
-    ctx->log->io_error_.store(true, std::memory_order_release);
+    log->io_error_.store(true, std::memory_order_release);
     obs::StatLog(obs::LogLevel::kError, "hlog", "flush write failed",
-                 obs::LogField{"start", ctx->start.control()},
-                 obs::LogField{"end", ctx->end.control()},
+                 obs::LogField{"page", frame->flush_page},
                  obs::LogField{"status", static_cast<uint64_t>(result)});
   }
-  if constexpr (obs::kStatsEnabled) {
-    ctx->log->obs_stats_.flush_ns.Record(obs::NowNs() - ctx->issue_ns);
-  }
-  ctx->log->CompleteFlush(ctx->start, ctx->end);
-  delete ctx;
-}
-
-void HybridLog::CompleteFlush(Address start, Address end) {
-  std::lock_guard<std::recursive_mutex> lock{flush_mutex_};
-  completed_flushes_[start.control()] = end.control();
-  // Advance the flush frontier across contiguous completed chunks.
-  uint64_t frontier = flushed_until_.load(std::memory_order_acquire);
+  --frame->in_flight;
+  // A page's writes are issued in address order, so once none is in
+  // flight every byte up to its flush_issued is on the device. Walk the
+  // frontier across such pages; it stops at a page with a write in
+  // flight (whatever order io_uring completes them in) or one whose
+  // writes have not all been issued.
+  Address frontier = Load(log->flushed_until_);
   for (;;) {
-    auto it = completed_flushes_.find(frontier);
-    if (it == completed_flushes_.end()) break;
-    frontier = it->second;
-    completed_flushes_.erase(it);
+    const FrameStatus& f =
+        log->frame_status_[frontier.page() % log->buffer_pages_];
+    if (f.flush_page != frontier.page() || f.in_flight != 0 ||
+        f.flush_issued <= frontier) {
+      break;
+    }
+    frontier = f.flush_issued;
   }
-  MonotonicUpdate(flushed_until_, Address{frontier});
+  MonotonicUpdate(log->flushed_until_, frontier);
 }
 
 Status HybridLog::AsyncGetFromDisk(Address address, uint32_t size, void* dst,
@@ -335,13 +321,7 @@ Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
 Address HybridLog::ShiftReadOnlyToTail(bool wait) {
   assert(epoch_->IsProtected());
   Address tail = tail_address();
-  Address winner;
-  if (MonotonicUpdate(read_only_address_, tail, &winner)) {
-    epoch_->BumpCurrentEpoch([this, winner]() {
-      AssertEpochProtected(*epoch_);
-      UpdateSafeReadOnly(winner);
-    });
-  }
+  ShiftReadOnly(tail);
   if (wait) {
     while (Load(flushed_until_) < tail) {
       epoch_->Refresh();
@@ -364,23 +344,21 @@ void HybridLog::RecoverTo(Address begin, Address tail) {
   read_only_address_.store(tail.control(), std::memory_order_release);
   safe_read_only_address_.store(tail.control(), std::memory_order_release);
   flushed_until_.store(tail.control(), std::memory_order_release);
-  {
-    std::lock_guard<std::recursive_mutex> lock{flush_mutex_};
-    flush_issued_ = tail;
-    completed_flushes_.clear();
-  }
+  std::lock_guard<std::mutex> lock{flush_mutex_};
+  flush_issued_ = tail;
   // Mark every frame's previous tenant as evicted so allocation can resume
-  // at `tail` (possibly mid-page): frame f's last pre-tail page is treated
-  // as closed.
+  // at `tail` (possibly mid-page): each frame's page among the
+  // `buffer_pages_` below the tail page is treated as closed. No write is
+  // in flight on an idle log.
   uint64_t tail_page = tail.page();
-  for (uint64_t f = 0; f < buffer_pages_; ++f) {
-    int64_t last;
-    uint64_t mod = tail_page % buffer_pages_;
-    uint64_t delta = (mod >= f) ? (mod - f) : (mod + buffer_pages_ - f);
-    int64_t p = static_cast<int64_t>(tail_page) - static_cast<int64_t>(delta);
-    if (f == mod) p -= static_cast<int64_t>(buffer_pages_);
-    last = p;
-    closed_page_[f]->store(last < 0 ? -1 : last, std::memory_order_release);
+  for (uint64_t back = 1; back <= buffer_pages_; ++back) {
+    FrameStatus& frame =
+        frame_status_[(tail_page + buffer_pages_ - back) % buffer_pages_];
+    assert(frame.in_flight == 0);
+    frame.flush_page = FrameStatus::kNoPage;
+    int64_t p = static_cast<int64_t>(tail_page) - static_cast<int64_t>(back);
+    frame.closed_page.store(std::max<int64_t>(p, -1),
+                            std::memory_order_release);
   }
   ClearFrame(tail_page);
   tail_page_offset_.store((tail_page << 32) | tail.offset(),

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/address.h"
 #include "core/annotations.h"
@@ -95,16 +93,18 @@ class HybridLog {
   uint8_t* Get(Address address) const FASTER_REQUIRES_EPOCH() {
     FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
                         "log dereference (Get) without epoch protection");
+    // Not a fresh head_address(): the head may pass the address after the
+    // caller's check, but its page closes only once this thread refreshes.
     FASTER_EPOCH_VERIFY(
-        address >= head_address(),
-        "log dereference (Get) below the head address — the frame may "
-        "already be recycled for a newer page");
+        !PageClosed(address.page()),
+        "log dereference (Get) below the head address — its page is "
+        "closed and the frame may already host a newer page");
     return Frame(address.page()) + address.offset();
   }
 
   /// As Get(), but for addresses in a range the eviction callback is being
   /// told about: those are already below the head, yet their frames are
-  /// still intact — frame recycling is gated on `closed_page_`, which is
+  /// still intact — a frame's closed page, which gates its recycling, is
   /// stored only after the callback returns. Valid solely inside the
   /// eviction callback; epoch protection is still required.
   uint8_t* GetEvicted(Address address) const FASTER_REQUIRES_EPOCH() {
@@ -245,9 +245,7 @@ class HybridLog {
     obs::StatCounter pages_opened;   // successful NewPage transitions
     obs::StatCounter alloc_stalls;   // NewPage retries (flush/evict pending)
     obs::StatCounter pages_evicted;  // pages closed out of memory
-    obs::StatCounter flush_chunks;   // device writes issued
     obs::StatCounter flush_bytes;    // bytes handed to the device
-    obs::StatHistogram flush_ns;     // issue -> completion latency
   };
   const ObsStats& obs_stats() const { return obs_stats_; }
 
@@ -257,9 +255,7 @@ class HybridLog {
     registry.Add(prefix + ".pages_opened", &obs_stats_.pages_opened);
     registry.Add(prefix + ".alloc_stalls", &obs_stats_.alloc_stalls);
     registry.Add(prefix + ".pages_evicted", &obs_stats_.pages_evicted);
-    registry.Add(prefix + ".flush_chunks", &obs_stats_.flush_chunks);
     registry.Add(prefix + ".flush_bytes", &obs_stats_.flush_bytes);
-    registry.Add(prefix + ".flush_ns", &obs_stats_.flush_ns);
   }
 
  private:
@@ -275,27 +271,48 @@ class HybridLog {
   static bool MonotonicUpdate(Atomic<uint64_t>& a, Address desired,
                               Address* winner = nullptr);
 
-  /// Epoch-trigger target: propagate the read-only offset to the safe
-  /// read-only offset and issue flushes for newly immutable bytes. Runs on
-  /// whichever protected thread drains the trigger action.
-  void UpdateSafeReadOnly(Address new_safe) FASTER_REQUIRES_EPOCH();
-  void UpdateSafeReadOnlyLocked(Address new_safe) FASTER_REQUIRES_EPOCH();
+  /// The paper's per-frame status (§5.2): the frame's closed page and
+  /// first-use bit, and the flush progress of the page it hosts. A flush
+  /// write's callback context is its frame's entry.
+  struct FrameStatus {
+    static constexpr uint64_t kNoPage = ~uint64_t{0};
+    /// The latest page evicted from this frame: the frame may host page P
+    /// iff P < buffer_pages_ or closed_page == P - buffer_pages_.
+    // order: release store in the eviction trigger action, after the
+    // eviction callback returns (epoch safety for every reader of the
+    // frame happens-before it); acquire loads in NewPage before recycling
+    // the frame and in Get's epoch check; release stores in RecoverTo
+    // (idle log).
+    Atomic<int64_t> closed_page{-1};
+    HybridLog* log = nullptr;
+    // The rest is guarded by flush_mutex_.
+    bool used = false;  // some page has opened here since it was mapped
+    uint64_t flush_page = kNoPage;  // the page the next two describe
+    Address flush_issued;           // end of its issued writes
+    uint32_t in_flight = 0;         // of those, writes not yet completed
+  };
+
+  /// True once `page`'s eviction from its frame has completed.
+  bool PageClosed(uint64_t page) const {
+    return frame_status_[page % buffer_pages_].closed_page.load(
+               std::memory_order_acquire) >= static_cast<int64_t>(page);
+  }
+
+  /// Moves the read-only offset up to `to`. The thread whose CAS moves it
+  /// arms an epoch trigger (Sec. 6.2) that propagates it to the safe
+  /// read-only offset and flushes the newly immutable bytes.
+  void ShiftReadOnly(Address to) FASTER_REQUIRES_EPOCH();
   /// Zeroes the frame `page` opens in, unless no page has used it since
   /// it was mapped (the kernel's zero fill: a memset would only make all
-  /// of it resident). Caller holds flush_mutex_ or the log is idle.
+  /// of it resident). Caller holds flush_mutex_.
   void ClearFrame(uint64_t page);
-  /// Issues device writes for [flush_issued_, limit). Caller holds
-  /// flush_mutex_ and epoch protection (reads page frames via Get).
-  void IssueFlushesLocked(Address limit) FASTER_REQUIRES_EPOCH();
-  /// Flush-completion bookkeeping: advance flushed_until_ contiguously.
-  void CompleteFlush(Address start, Address end);
-
-  struct FlushContext {
-    HybridLog* log;
-    Address start;
-    Address end;
-    uint64_t issue_ns;  // stats only; 0 when compiled out
-  };
+  /// Issues device writes for [flush_issued_, limit), one chunk per page.
+  /// Holds flush_mutex_ only to claim each chunk, never across the write.
+  /// Requires epoch protection (reads page frames via Get).
+  void IssueFlushes(Address limit) FASTER_REQUIRES_EPOCH();
+  /// Completion of one write of the page `context` (its FrameStatus)
+  /// hosts: advances flushed_until_ across every page whose issued writes
+  /// have all completed.
   static void FlushCallback(void* context, Status result, uint32_t bytes);
 
   IDevice* device_;
@@ -308,16 +325,8 @@ class HybridLog {
   /// All `buffer_pages_` frames, one guard page after each; the kernel
   /// zeroes a frame on first use, NewPage/RecoverTo on reuse.
   MemoryRegion frames_;
-  /// frame_used_[f]: some page has opened in frame f since it was mapped.
-  std::vector<bool> frame_used_;
-  /// closed_page_[f]: the latest page whose eviction from frame f has
-  /// completed; frame f may host page P iff P < buffer_pages_ or
-  /// closed_page_[f] == P - buffer_pages_.
-  // order: release store inside the eviction trigger action (epoch safety
-  // for all readers of the frame happens-before the store); acquire load
-  // in NewPage before recycling the frame; release stores in RecoverTo
-  // (idle log).
-  std::vector<std::unique_ptr<Atomic<int64_t>>> closed_page_;
+  /// frame_status_[f] describes frame f.
+  std::unique_ptr<FrameStatus[]> frame_status_;
 
   /// Packed (page << 32 | offset); offset may transiently exceed the page
   /// size while a page transition is in progress.
@@ -341,12 +350,12 @@ class HybridLog {
   // order: acquire load; acq_rel CAS; release store (RecoverTo).
   alignas(64) Atomic<uint64_t> flushed_until_;
 
-  // Flush issuance/completion state (off the fast path). Recursive because
-  // an epoch drain triggered inside NewPage (which holds the mutex) may run
-  // the safe-read-only trigger action inline.
-  std::recursive_mutex flush_mutex_;
+  // Guards flush_issued_, the non-atomic fields of frame_status_ and the
+  // page rollover. Held only while those are updated (and a reused frame
+  // is zeroed): never across a device call or an epoch bump, so it is
+  // never re-entered.
+  std::mutex flush_mutex_;
   Address flush_issued_;
-  std::map<uint64_t, uint64_t> completed_flushes_;  // start -> end
   // order: release store from the flush-completion callback (IO thread);
   // acquire load in io_error() so the reader observes the failed write's
   // bookkeeping.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <vector>
 
 namespace faster {
 namespace obs {
@@ -110,6 +109,8 @@ Logger& Logger::Global() {
 }
 
 Logger::Logger() {
+  batch_.reserve(256);  // records per drain
+  text_.reserve(256 * 256);
   drainer_ = std::thread([this] { DrainerLoop(); });
 }
 
@@ -193,44 +194,41 @@ void Logger::EmitEntry(const Record& e, std::string* out) const {
   }
 }
 
-size_t Logger::DrainOnce() {
+void Logger::Flush() {
   std::lock_guard<std::mutex> drain_lock{drain_mutex_};
   // Collect committed entries from every shard, then sort by wall time so
   // interleaved threads read chronologically in the sinks.
-  std::vector<Record> batch;
+  batch_.clear();
   for (uint32_t tid = 0; tid < LogRing::NumShards(); ++tid) {
     LogRing::Shard& shard = ring_.shard(tid);
     uint64_t begin = shard.drained.load(std::memory_order_relaxed);
     uint64_t pos = begin;
     Record rec{};
     while (pos < shard.ring.End() && shard.ring.Read(pos, &rec)) {
-      batch.push_back(rec);
+      batch_.push_back(rec);
       ++pos;
     }
     if (pos != begin) shard.drained.store(pos, std::memory_order_relaxed);
   }
-  if (batch.empty()) return 0;
-  std::sort(batch.begin(), batch.end(),
+  if (batch_.empty()) return;
+  std::sort(batch_.begin(), batch_.end(),
             [](const Record& a, const Record& b) {
               return a.wall_ns < b.wall_ns;
             });
-  std::string text;
-  for (const Record& e : batch) EmitEntry(e, &text);
+  text_.clear();
+  for (const Record& e : batch_) EmitEntry(e, &text_);
   {
     std::lock_guard<std::mutex> sink_lock{sink_mutex_};
     if (stderr_.load(std::memory_order_relaxed)) {
-      std::fwrite(text.data(), 1, text.size(), stderr);
+      std::fwrite(text_.data(), 1, text_.size(), stderr);
     }
     if (file_ != nullptr) {
-      std::fwrite(text.data(), 1, text.size(), file_);
+      std::fwrite(text_.data(), 1, text_.size(), file_);
       std::fflush(file_);
     }
   }
-  emitted_.fetch_add(batch.size(), std::memory_order_relaxed);
-  return batch.size();
+  emitted_.fetch_add(batch_.size(), std::memory_order_relaxed);
 }
-
-void Logger::Flush() { DrainOnce(); }
 
 uint64_t Logger::Dropped() const {
   uint64_t total = 0;
@@ -242,7 +240,7 @@ uint64_t Logger::Dropped() const {
 
 void Logger::DrainerLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
-    DrainOnce();
+    Flush();
     // Poll cadence: 20ms keeps the rings far from full at any plausible
     // log rate (64 slots/thread) without waking the CPU noticeably.
     timespec wait{0, 20 * 1000 * 1000};

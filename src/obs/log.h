@@ -17,7 +17,6 @@
 /// unless the build defines `FASTER_STATS` (see stats.h).
 
 #include <atomic>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/thread.h"
 #include "obs/seq_ring.h"
@@ -193,8 +193,6 @@ class Logger {
   void DrainerLoop();
   /// Joins the drainer, drains what is left and closes the file sink.
   void Stop();
-  /// Consumes committed entries from all shards; returns records written.
-  size_t DrainOnce();
   void EmitEntry(const Record& e, std::string* out) const;
 
   LogRing ring_;
@@ -210,7 +208,10 @@ class Logger {
   // order: relaxed; statistics only.
   std::atomic<uint64_t> emitted_{0};
 
-  std::mutex drain_mutex_;   // serializes DrainOnce (drainer vs Flush)
+  std::mutex drain_mutex_;   // serializes Flush (drainer vs callers)
+  // Flush's buffers (drain_mutex_), reserved so it allocates nothing.
+  std::vector<Record> batch_;
+  std::string text_;
   std::mutex sink_mutex_;    // guards file_ open/close vs writes
   FILE* file_ = nullptr;
   std::thread drainer_;

@@ -13,8 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-
+#include <cstring>
 #include <string>
+#include <thread>
 
 #include "core/epoch_check.h"
 #include "core/faster.h"
@@ -150,6 +151,53 @@ TEST_F(EpochCheckTest, BelowHeadLogGetAborts) {
                   "below the head address"} +
           dump_re);
   store.StopSession();
+}
+
+// The legal side of class 3: another thread moves the head past an
+// address after this thread checked it against the head. The page is not
+// closed until this thread refreshes, so its frame still holds it and Get
+// must not abort.
+TEST_F(EpochCheckTest, HeadPassingACheckedAddressBeforeRefreshIsLegal) {
+  LightEpoch epoch;
+  LogConfig cfg;
+  cfg.memory_size_bytes = 4ull << Address::kOffsetBits;
+  cfg.mutable_fraction = 0.5;  // pages behind the tail's last 2 read-only
+  HybridLog log{cfg, &device_, &epoch};
+  constexpr uint32_t kSize = 4096;
+  epoch.Protect();
+  auto allocate = [&] {
+    for (;;) {
+      uint64_t closed_page = 0;
+      Address a = log.Allocate(kSize, &closed_page);
+      if (a.IsValid()) return a;
+      while (!log.NewPage(closed_page)) epoch.Refresh();
+      epoch.Refresh();
+    }
+  };
+  Address a = allocate();
+  ASSERT_EQ(a.page(), 0u);
+  // Opening page 3 makes pages 0-1 read-only; refreshes flush page 0.
+  while (allocate().page() < 3) {
+  }
+  epoch.Refresh();
+  epoch.Refresh();
+  ASSERT_GE(log.flushed_until_address().page(), 1u);
+  ASSERT_GE(a, log.head_address());  // this thread's check
+  std::thread other{[&] {
+    epoch.Protect();
+    while (log.head_address() <= a) {
+      uint64_t closed_page = 0;
+      if (!log.Allocate(kSize, &closed_page).IsValid()) {
+        log.NewPage(closed_page);  // moves the head, then waits on eviction
+      }
+    }
+    epoch.Unprotect();
+  }};
+  other.join();
+  ASSERT_LT(a, log.head_address());
+  std::memset(log.Get(a), 0xAB, kSize);
+  epoch.Refresh();  // runs the eviction trigger before the log goes
+  epoch.Unprotect();
 }
 
 // Class 4: in-place mutation below the safe read-only offset — those

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <thread>
 #include <vector>
 
 #include "device/memory_device.h"
+#include "parking_device.h"
 
 namespace faster {
 namespace {
@@ -271,6 +273,89 @@ TEST_F(HybridLogTest, RecycledFrameReadsZeroPastTail) {
     nonzero += p[off] != 0;
   }
   EXPECT_EQ(nonzero, 0u);
+}
+
+/// Refuses every write: WriteAsync returns kIoError and never calls back.
+class RefusingWriteDevice : public MemoryDevice {
+ public:
+  Status WriteAsync(const void*, uint64_t, uint32_t, IoCallback,
+                    void*) override {
+    return Status::kIoError;
+  }
+};
+
+// A refused flush write completes as a failed one: the frontier moves
+// past it, so the log keeps recycling frames, and io_error() reports it.
+TEST_F(HybridLogTest, RefusedFlushWriteFailsInsteadOfHanging) {
+  RefusingWriteDevice device;
+  HybridLog log{SmallLog(4, 0.5), &device, &epoch_};
+  constexpr uint32_t kSize = 4096;
+  constexpr int kMaxRetries = 1000;
+  int retries = 0;
+  while (log.tail_address().page() < 3 * log.buffer_pages()) {
+    uint64_t closed_page = 0;
+    if (log.Allocate(kSize, &closed_page).IsValid()) continue;
+    while (!log.NewPage(closed_page)) {
+      ASSERT_LT(++retries, kMaxRetries) << "the log stopped at a refused "
+                                           "write, tail "
+                                        << log.tail_address().control();
+      epoch_.Refresh();
+    }
+    epoch_.Refresh();
+  }
+  EXPECT_TRUE(log.io_error());
+  EXPECT_GT(log.head_address().page(), log.buffer_pages());
+}
+
+// Flush writes that complete out of order (as io_uring may deliver them)
+// never let the frontier pass a write still in flight, and once every
+// write has completed the frontier reaches the end of what was issued.
+TEST_F(HybridLogTest, OutOfOrderFlushCompletionsKeepFrontierBehindParked) {
+  WriteParkingDevice device;
+  HybridLog log{SmallLog(8, 0.25), &device, &epoch_};  // 2 pages mutable
+  constexpr uint32_t kSize = 4096;
+  auto fill_to = [&](uint64_t page, uint64_t offset) {
+    while (log.tail_address() < Address{page, offset}) {
+      MustAllocate(log, epoch_, kSize);
+    }
+    epoch_.Refresh();
+    epoch_.Refresh();
+  };
+  // Pages 0-1 become read-only and flush as the tail enters page 4.
+  fill_to(4, Address::kPageSize / 2);
+  // Pages 2-3 and the first half of page 4 flush here ...
+  Address split = log.ShiftReadOnlyToTail(/*wait=*/false);
+  epoch_.Refresh();
+  epoch_.Refresh();
+  ASSERT_EQ(split.page(), 4u);
+  ASSERT_GT(split.offset(), 0u);
+  // ... and the second half of page 4 once the tail enters page 7.
+  fill_to(7, kSize);
+
+  std::vector<WriteParkingDevice::ParkedWrite> parked = device.parked();
+  ASSERT_GE(parked.size(), 6u);
+  uint64_t issued_end = 0;
+  bool split_page_has_two = false;
+  for (const auto& w : parked) {
+    issued_end = std::max(issued_end, w.offset + w.len);
+    split_page_has_two |= w.offset == split.control();
+  }
+  ASSERT_TRUE(split_page_has_two);
+  EXPECT_EQ(issued_end, log.safe_read_only_address().control());
+  EXPECT_EQ(log.flushed_until_address().control(), 64u);
+
+  while (!parked.empty()) {
+    device.Release(parked.size() - 1);  // newest first
+    parked = device.parked();
+    uint64_t lowest_parked = issued_end;
+    for (const auto& w : parked) {
+      lowest_parked = std::min(lowest_parked, w.offset);
+    }
+    EXPECT_LE(log.flushed_until_address().control(), lowest_parked)
+        << parked.size() << " writes still parked";
+  }
+  EXPECT_EQ(log.flushed_until_address().control(), issued_end);
+  EXPECT_FALSE(log.io_error());
 }
 
 // A budget no machine can map is a std::bad_alloc, not a crash.

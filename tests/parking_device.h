@@ -1,6 +1,7 @@
 #ifndef FASTER_TESTS_PARKING_DEVICE_H_
 #define FASTER_TESTS_PARKING_DEVICE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -49,6 +50,51 @@ class ParkingDevice : public MemoryDevice {
   };
   std::mutex mutex_;
   std::vector<Parked> parked_;
+};
+
+/// A MemoryDevice that parks every write until the test releases it, by
+/// index and in any order: the out-of-order completions io_uring can
+/// deliver, on any host. Reads complete at submit. Poll and PollAll
+/// release nothing, so a stalled allocator cannot drain the writes behind
+/// the test's back; Drain releases the rest in submission order.
+class WriteParkingDevice : public MemoryDevice {
+ public:
+  struct ParkedWrite {
+    const void* src;
+    uint64_t offset;
+    uint32_t len;
+    IoCallback callback;
+    void* context;
+  };
+
+  Status WriteAsync(const void* src, uint64_t offset, uint32_t len,
+                    IoCallback callback, void* context) override {
+    std::lock_guard<std::mutex> lock{mutex_};
+    parked_.push_back({src, offset, len, callback, context});
+    return Status::kOk;
+  }
+  /// The writes still parked, in submission order.
+  std::vector<ParkedWrite> parked() {
+    std::lock_guard<std::mutex> lock{mutex_};
+    return parked_;
+  }
+  /// Runs parked write `i`, callback included, on the calling thread.
+  void Release(size_t i) {
+    ParkedWrite w;
+    {
+      std::lock_guard<std::mutex> lock{mutex_};
+      w = parked_[i];
+      parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    MemoryDevice::WriteAsync(w.src, w.offset, w.len, w.callback, w.context);
+  }
+  void Drain() override {
+    while (!parked().empty()) Release(0);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<ParkedWrite> parked_;
 };
 
 }  // namespace faster

@@ -1,10 +1,12 @@
-// Stress: the completion-polling I/O path (DESIGN.md §13) under churn. Worker threads run a spilling-log workload
-// whose CompletePending calls poll the device — executing their own cold
-// reads and stealing other threads' queued flush writes — while the main
-// thread races index Grow, checkpoints, and log GC (ShiftBeginAddress)
-// against them. TSan target: the SPSC/MPSC rings, the consumer-exclusion
-// flag, and PollAll stealing inside NewPage/ShiftReadOnlyToTail stalls
-// all run with real contention here.
+// Stress: synchronous I/O (DESIGN.md §13) under churn. Worker threads run
+// a spilling-log workload on a MemoryDevice, which completes every op at
+// submit: a worker's cold read and its callback run inside its own
+// ReadAsync, and a page flush and its completion inside whichever
+// worker's epoch refresh issues it. Meanwhile the main thread races index
+// Grow, checkpoints and log GC (ShiftBeginAddress) against them. TSan
+// target: the per-frame flush bookkeeping (completions from any worker),
+// the pending contexts' ready lists, and the NewPage and
+// ShiftReadOnlyToTail stall loops, all under real contention.
 
 #include <gtest/gtest.h>
 
@@ -50,7 +52,7 @@ TEST(StressIoPollTest, PollRacesGrowCheckpointAndGc) {
   const uint64_t kOpsPerThread = stress::ScaleOps(30000);
 
   // No I/O threads at all: every flush write and cold read below executes
-  // inside some worker's poll loop.
+  // on the worker that submits it.
   MemoryDevice device;
   Store::Config cfg;
   cfg.table_size = 64;  // heavy chains + two doublings
