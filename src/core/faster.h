@@ -197,10 +197,11 @@ class FasterKv {
         OpRef{OpKind::kUpsert, key, nullptr, &value, nullptr, nullptr});
   }
 
-  /// Read-modify-write (Alg. 4): updates the value using F's updaters.
-  /// May return kPending (storage read, or deferred retry when the record
-  /// falls in the fuzzy region, Sec. 6.2-6.3); completion is reported via
-  /// the completion callback with `user_context` (Appendix E).
+  /// Read-modify-write (Alg. 4): updates the value using F's updaters
+  /// (dropping the value they report; a BatchOp keeps it). May return
+  /// kPending (storage read, or deferred retry when the record falls in
+  /// the fuzzy region, Sec. 6.2-6.3); completion is reported via the
+  /// completion callback with `user_context` (Appendix E).
   Status Rmw(const Key& key, const Input& input,
              void* user_context = nullptr) FASTER_REQUIRES_EPOCH() {
     static_assert(!kVarLen, "variable-length stores have no RMW");
@@ -233,30 +234,28 @@ class FasterKv {
   /// memory-level parallelism of current cores.
   static constexpr size_t kBatchChunk = 64;
 
-  /// One operation in a mixed batch. For reads, `output` must be non-null
-  /// and (like the single-op API) stay valid until the op completes if its
-  /// status comes back kPending.
+  /// One operation in a mixed batch. `output` receives a read's value or
+  /// the value an RMW wrote (not a mergeable store's); it must be non-null
+  /// for reads and (like the single-op API) stay valid until the op
+  /// completes if its status comes back kPending.
   struct BatchOp {
-    enum class Kind : uint8_t { kRead, kUpsert, kRmw };
+    enum class Kind : uint8_t { kRead, kUpsert, kRmw, kDelete };
     Kind kind = Kind::kRead;
     Key key{};
     Input input{};            // read input / RMW operand
     Value value{};            // upsert payload
-    Output* output = nullptr; // reads only
+    Output* output = nullptr; // reads and RMWs
     void* user_context = nullptr;
     Status status = Status::kOk;  // result, per op
   };
 
   /// Executes `count` mixed ops with the staged pipeline, filling each
-  /// op's `status`. Results are identical to calling Read/Upsert/Rmw
-  /// sequentially on the same thread in array order.
+  /// op's `status`. Results are identical to calling Read/Upsert/Rmw/
+  /// Delete sequentially on the same thread in array order.
   void ExecuteBatch(BatchOp* ops, size_t count) FASTER_REQUIRES_EPOCH() {
     static_assert(!kVarLen, "variable-length stores have no RMW");
-    size_t done = 0;
-    while (done < count) {
-      size_t n = std::min(count - done, kBatchChunk);
-      ExecuteChunk(ops + done, n);
-      done += n;
+    for (size_t done = 0; done < count; done += kBatchChunk) {
+      ExecuteChunk(ops + done, std::min(count - done, kBatchChunk));
     }
   }
 
@@ -267,36 +266,21 @@ class FasterKv {
                  Status* statuses, size_t count,
                  void* const* user_contexts = nullptr)
       FASTER_REQUIRES_EPOCH() {
-    ExecuteTyped(statuses, count, [&](BatchOp& op, size_t i) {
-      op.kind = BatchOp::Kind::kRead;
-      op.key = keys[i];
-      op.input = inputs[i];
-      op.output = &outputs[i];
-      if (user_contexts != nullptr) op.user_context = user_contexts[i];
-    });
-  }
-
-  /// Batched blind upserts; always complete synchronously.
-  void UpsertBatch(const Key* keys, const Value* values, Status* statuses,
-                   size_t count) FASTER_REQUIRES_EPOCH() {
-    ExecuteTyped(statuses, count, [&](BatchOp& op, size_t i) {
-      op.kind = BatchOp::Kind::kUpsert;
-      op.key = keys[i];
-      op.value = values[i];
-    });
-  }
-
-  /// Batched RMWs; kPending statuses complete via CompletePending.
-  void RmwBatch(const Key* keys, const Input* inputs, Status* statuses,
-                size_t count, void* const* user_contexts = nullptr)
-      FASTER_REQUIRES_EPOCH() {
-    static_assert(!kVarLen, "variable-length stores have no RMW");
-    ExecuteTyped(statuses, count, [&](BatchOp& op, size_t i) {
-      op.kind = BatchOp::Kind::kRmw;
-      op.key = keys[i];
-      op.input = inputs[i];
-      if (user_contexts != nullptr) op.user_context = user_contexts[i];
-    });
+    BatchOp ops[kBatchChunk];
+    for (size_t done = 0; done < count; done += kBatchChunk) {
+      size_t n = std::min(count - done, kBatchChunk);
+      for (size_t i = 0; i < n; ++i) {
+        ops[i] = BatchOp{};
+        ops[i].key = keys[done + i];
+        ops[i].input = inputs[done + i];
+        ops[i].output = &outputs[done + i];
+        if (user_contexts != nullptr) {
+          ops[i].user_context = user_contexts[done + i];
+        }
+      }
+      ExecuteChunk(ops, n);
+      for (size_t i = 0; i < n; ++i) statuses[done + i] = ops[i].status;
+    }
   }
 
   /// Processes this thread's pending work: storage-read completions and
@@ -646,7 +630,9 @@ class FasterKv {
   static_assert(static_cast<OpKind>(BatchOp::Kind::kRead) == OpKind::kRead &&
                 static_cast<OpKind>(BatchOp::Kind::kUpsert) ==
                     OpKind::kUpsert &&
-                static_cast<OpKind>(BatchOp::Kind::kRmw) == OpKind::kRmw);
+                static_cast<OpKind>(BatchOp::Kind::kRmw) == OpKind::kRmw &&
+                static_cast<OpKind>(BatchOp::Kind::kDelete) ==
+                    OpKind::kDelete);
 
   /// One op as Resolve and Apply see it. It refers to the caller's
   /// arguments (or BatchOp fields), so a single-op Upsert never copies its
@@ -656,7 +642,7 @@ class FasterKv {
     const Key& key;
     const Input* input;  // reads and RMWs
     const Value* value;  // upserts
-    Output* output;      // reads
+    Output* output;      // reads and RMWs (null: an RMW's value is dropped)
     void* user_context;  // reads and RMWs
     obs::StatOpClock* clock = nullptr;  // set by the op's entry
   };
@@ -1268,8 +1254,8 @@ class FasterKv {
                 HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
       FASTER_REQUIRES_EPOCH() {
     RmwOutcome oc;
-    if (!DispatchRmw(op.key, *op.input, fr, DiskState::kNone, nullptr,
-                     Address::Invalid(), &oc)) {
+    if (!DispatchRmw(op.key, *op.input, op.output, fr, DiskState::kNone,
+                     nullptr, Address::Invalid(), &oc)) {
       return false;
     }
     *out = {oc.done() ? Status::kOk : Status::kPending, oc.kind};
@@ -1313,6 +1299,7 @@ class FasterKv {
     }
     Address begin = hlog_.begin_address();
     if (!addr.IsValid() || addr < begin) {
+      if (EntryMoved(fr)) return false;  // moved by compaction: ApplyRead
       if (rc_rec != nullptr) {
         // The cached key's only version was truncated away.
         index_.TryUpdateEntry(&fr, addr);
@@ -1336,7 +1323,8 @@ class FasterKv {
         return true;
       }
     } else if (!found.IsValid() || found < begin) {
-      return true;  // key definitely absent in memory & log
+      // The key is absent in memory and on the log, unless it moved.
+      return !EntryMoved(fr);
     }
     // Read-only / fuzzy / on-disk: append a tombstone record (blind).
     Address new_addr = TryAllocateRecord(
@@ -1365,13 +1353,27 @@ class FasterKv {
     bool appended() const { return kind != Ctr::kRmwInPlace && done(); }
   };
 
+  /// Runs `update(Output&)` on `output`, or, when it is null or the store
+  /// mergeable (its updaters report deltas), on a local the compiler drops.
+  template <class Update>
+  [[gnu::always_inline]] static void WithOutput(Output* output,
+                                                Update&& update) {
+    if (kMergeable || output == nullptr) {
+      Output discard{};
+      update(discard);
+    } else {
+      update(*output);
+    }
+  }
+
   /// The RMW region dispatch (Alg. 4) on a resolved entry, shared by fresh
-  /// ops and continuations; fixed-size records only. `disk_state` /
-  /// `disk_value` carry the result of a completed storage read for chain
-  /// bottom `disk_bottom` (continuation path); kNone on the initial
-  /// attempt. Returns false if the op must re-resolve.
+  /// ops and continuations; fixed-size records only. The updater reports
+  /// its value to `output`. `disk_state` / `disk_value` carry the result
+  /// of a completed storage read for chain bottom `disk_bottom`
+  /// (continuation path); kNone on the initial attempt. Returns false if
+  /// the op must re-resolve.
   [[gnu::always_inline]]
-  bool DispatchRmw(const Key& key, const Input& input,
+  bool DispatchRmw(const Key& key, const Input& input, Output* output,
                    HashIndex::FindResult& fr, DiskState disk_state,
                    const Value* disk_value, Address disk_bottom,
                    RmwOutcome* oc) FASTER_REQUIRES_EPOCH() {
@@ -1385,7 +1387,7 @@ class FasterKv {
     if (rc_rec != nullptr && rc_rec->key == key) {
       // Read-cache hit (Appendix D): the cached copy is the newest
       // version, so RMW can copy-update from it without a storage read.
-      return AppendRecord(oc, Ctr::kRmwCopy, key, input, &fr,
+      return AppendRecord(oc, Ctr::kRmwCopy, key, input, output, &fr,
                           &rc_rec->value, addr);
     }
     Address begin = hlog_.begin_address();
@@ -1403,7 +1405,9 @@ class FasterKv {
       if (!config_.force_rcu && found >= hlog_.read_only_address()) {
         // Mutable region: in-place update (Table 2 bottom row).
         hlog_.VerifyMutableAddress(found);
-        F::InPlaceUpdater(key, input, rec->value);
+        WithOutput(output, [&](Output& out) {
+          F::InPlaceUpdater(key, input, rec->value, out);
+        });
         return true;
       }
       if (!config_.force_rcu && found >= hlog_.safe_read_only_address()) {
@@ -1413,7 +1417,7 @@ class FasterKv {
         // safe anywhere — the Sec. 5 append-only strawman.)
         if constexpr (kMergeable) {
           // CRDT (Sec. 6.3): append a delta record instead of waiting.
-          return AppendRecord(oc, Ctr::kRmwDelta, key, input, &fr,
+          return AppendRecord(oc, Ctr::kRmwDelta, key, input, output, &fr,
                               nullptr, addr);
         }
         oc->kind = Ctr::kRmwFuzzyDeferred;
@@ -1421,7 +1425,7 @@ class FasterKv {
       }
       // Safe read-only region: read-copy-update to the tail.
       if (!AppendRecord(oc, kMergeable ? Ctr::kRmwDelta : Ctr::kRmwCopy,
-                        key, input, &fr, &rec->value, addr)) {
+                        key, input, output, &fr, &rec->value, addr)) {
         return false;
       }
       if constexpr (!kMergeable) rec->SetOverwritten();  // Appendix C
@@ -1429,53 +1433,56 @@ class FasterKv {
     }
     if (rec != nullptr) {
       // Newest record is a tombstone: treat the key as absent.
-      return AppendRecord(oc, Ctr::kRmwInitial, key, input, &fr, nullptr,
-                          addr);
+      return AppendRecord(oc, Ctr::kRmwInitial, key, input, output, &fr,
+                          nullptr, addr);
     }
     if (found.IsValid() && found >= begin) {
       // Chain bottoms out on storage.
       if constexpr (kMergeable) {
         // CRDTs never read the old value: append a delta (Table 2).
-        return AppendRecord(oc, Ctr::kRmwDelta, key, input, &fr, nullptr,
-                            addr);
+        return AppendRecord(oc, Ctr::kRmwDelta, key, input, output, &fr,
+                            nullptr, addr);
       }
       if (disk_state != DiskState::kNone && found == disk_bottom) {
         // Continuation: we already resolved this chain bottom.
         return disk_state == DiskState::kValue
-                   ? AppendRecord(oc, Ctr::kRmwCopy, key, input, &fr,
-                                  disk_value, addr)
-                   : AppendRecord(oc, Ctr::kRmwInitial, key, input, &fr,
-                                  nullptr, addr);
+                   ? AppendRecord(oc, Ctr::kRmwCopy, key, input, output,
+                                  &fr, disk_value, addr)
+                   : AppendRecord(oc, Ctr::kRmwInitial, key, input, output,
+                                  &fr, nullptr, addr);
       }
       oc->kind = Ctr::kRmwStable;
       oc->io_address = found;
       return true;
     }
     // Key absent: create the initial record.
-    return AppendRecord(oc, Ctr::kRmwInitial, key, input, &fr, nullptr,
-                        addr);
+    return AppendRecord(oc, Ctr::kRmwInitial, key, input, output, &fr,
+                        nullptr, addr);
   }
 
   /// Allocates and links a new RMW record of `kind` (kRmwCopy, kRmwInitial
   /// or kRmwDelta, recorded in `*oc`) at the tail, after `prev` (the
   /// primary-log chain start: a read-cache record is skipped). Returns false
   /// if the operation must restart (allocation refreshed the epoch, or the
-  /// index CAS failed). `old_value` is required for kRmwCopy.
+  /// index CAS failed); a restart's updater overwrites `output` again.
+  /// `old_value` is required for kRmwCopy.
   bool AppendRecord(RmwOutcome* oc, Ctr kind, const Key& key,
-                    const Input& input, HashIndex::FindResult* fr,
-                    const Value* old_value, Address prev)
-      FASTER_REQUIRES_EPOCH() {
+                    const Input& input, Output* output,
+                    HashIndex::FindResult* fr, const Value* old_value,
+                    Address prev) FASTER_REQUIRES_EPOCH() {
     oc->kind = kind;
     Address new_addr = TryAllocateRecord(Layout::kFixedSize);
     if (!new_addr.IsValid()) return false;
     RecordT* new_rec = RecordAt(new_addr);
     new_rec->key = key;
-    if (kind == Ctr::kRmwCopy) {
-      F::CopyUpdater(key, input, *old_value, new_rec->value);
-    } else {
-      new_rec->value = Value{};
-      F::InitialUpdater(key, input, new_rec->value);
-    }
+    WithOutput(output, [&](Output& out) {
+      if (kind == Ctr::kRmwCopy) {
+        F::CopyUpdater(key, input, *old_value, new_rec->value, out);
+      } else {
+        new_rec->value = Value{};
+        F::InitialUpdater(key, input, new_rec->value, out);
+      }
+    });
     new_rec->set_info(
         RecordInfo{prev, false, false, kind == Ctr::kRmwDelta});
     if (index_.TryUpdateEntry(fr, new_addr)) return true;
@@ -1528,23 +1535,6 @@ class FasterKv {
   // -------------------------------------------------------------------
   // Batched pipeline internals (see the public batch API above).
   // -------------------------------------------------------------------
-
-  /// The typed batch wrappers: runs the `count` ops that `fill(op, i)`
-  /// describes, a chunk at a time, and copies out their statuses.
-  template <class Fill>
-  void ExecuteTyped(Status* statuses, size_t count, Fill&& fill)
-      FASTER_REQUIRES_EPOCH() {
-    BatchOp ops[kBatchChunk];
-    for (size_t done = 0; done < count; done += kBatchChunk) {
-      size_t n = std::min(count - done, kBatchChunk);
-      for (size_t i = 0; i < n; ++i) {
-        ops[i] = BatchOp{};
-        fill(ops[i], done + i);
-      }
-      ExecuteChunk(ops, n);
-      for (size_t i = 0; i < n; ++i) statuses[done + i] = ops[i].status;
-    }
-  }
 
   /// The three-stage pipeline over one chunk of at most kBatchChunk ops.
   void ExecuteChunk(BatchOp* ops, size_t n) FASTER_REQUIRES_EPOCH() {
@@ -1865,8 +1855,8 @@ class FasterKv {
       // A key whose entry is gone may find no room to recreate it.
       s = index_.FindOrCreateEntry(scope, ctx->hash, &fr);
       done = s == Status::kOk &&
-             DispatchRmw(ctx->key, ctx->input, fr, state, disk_value,
-                         ctx->chain_bottom, &oc);
+             DispatchRmw(ctx->key, ctx->input, ctx->output, fr, state,
+                         disk_value, ctx->chain_bottom, &oc);
     }
     if (s != Status::kOk) {
       FinishPending(ts, ctx, s);

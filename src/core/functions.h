@@ -25,7 +25,7 @@ namespace faster {
 ///   using Key    = ...;  // trivially copyable, alignment <= 8
 ///   using Value  = ...;  // trivially copyable, alignment <= 8
 ///   using Input  = ...;  // update operand (RMW) / read selector
-///   using Output = ...;  // read result
+///   using Output = ...;  // read result / the value an RMW wrote
 ///
 ///   // Reads (Sec. 2.2 / Appendix E). SingleReader runs with guaranteed
 ///   // read-only access (stable or safe-read-only region, or a record
@@ -45,12 +45,14 @@ namespace faster {
 ///
 ///   // RMW. InitialUpdater populates the value for an absent key;
 ///   // InPlaceUpdater runs in the mutable region and may race with
-///   // readers; CopyUpdater writes the updated value into a new tail
-///   // record from the (immutable) old value.
-///   static void InitialUpdater(const Key&, const Input&, Value&);
-///   static void InPlaceUpdater(const Key&, const Input&, Value&);
+///   // readers and updaters; CopyUpdater writes the updated value into a
+///   // new tail record from the (immutable) old value. Each reports the
+///   // value its own update wrote in Output (e.g. fetch-and-add's result
+///   // plus the input, never a re-read); a mergeable store drops it.
+///   static void InitialUpdater(const Key&, const Input&, Value&, Output&);
+///   static void InPlaceUpdater(const Key&, const Input&, Value&, Output&);
 ///   static void CopyUpdater(const Key&, const Input&, const Value& old,
-///                           Value& dst);
+///                           Value& dst, Output&);
 ///
 ///   // Optional: mergeable (CRDT) RMW support (Sec. 6.3). When true, RMW
 ///   // never blocks on the fuzzy region or storage: it appends a delta
@@ -119,16 +121,20 @@ struct CountStoreFunctions {
     reinterpret_cast<std::atomic<uint64_t>&>(dst).store(
         desired, std::memory_order_release);
   }
-  static void InitialUpdater(const Key&, const Input& input, Value& value) {
+  static void InitialUpdater(const Key&, const Input& input, Value& value,
+                             Output& out) {
     value = input;
+    out = input;
   }
-  static void InPlaceUpdater(const Key&, const Input& input, Value& value) {
-    reinterpret_cast<std::atomic<uint64_t>&>(value).fetch_add(
-        input, std::memory_order_acq_rel);
+  static void InPlaceUpdater(const Key&, const Input& input, Value& value,
+                             Output& out) {
+    auto& v = reinterpret_cast<std::atomic<uint64_t>&>(value);
+    out = v.fetch_add(input, std::memory_order_acq_rel) + input;
   }
   static void CopyUpdater(const Key&, const Input& input, const Value& old,
-                          Value& dst) {
+                          Value& dst, Output& out) {
     dst = old + input;
+    out = dst;
   }
 };
 
@@ -172,18 +178,25 @@ struct BlobStoreFunctions {
   static void ConcurrentWriter(const Key&, const Value& desired, Value& dst) {
     dst = desired;
   }
-  static void InitialUpdater(const Key&, const Input& input, Value& value) {
+  static void InitialUpdater(const Key&, const Input& input, Value& value,
+                             Output& out) {
     value = Value{};
     SetCounter(value, input);
+    out = value;
   }
-  static void InPlaceUpdater(const Key&, const Input& input, Value& value) {
-    reinterpret_cast<std::atomic<uint64_t>*>(value.bytes)->fetch_add(
-        input, std::memory_order_acq_rel);
+  /// The output's counter is exact, the rest a racy copy (ConcurrentReader).
+  static void InPlaceUpdater(const Key&, const Input& input, Value& value,
+                             Output& out) {
+    uint64_t c = reinterpret_cast<std::atomic<uint64_t>*>(value.bytes)
+                     ->fetch_add(input, std::memory_order_acq_rel);
+    out = value;
+    SetCounter(out, c + input);
   }
   static void CopyUpdater(const Key&, const Input& input, const Value& old,
-                          Value& dst) {
+                          Value& dst, Output& out) {
     dst = old;
     SetCounter(dst, Counter(old) + input);
+    out = dst;
   }
 };
 
@@ -198,8 +211,8 @@ struct MergeableCountFunctions : CountStoreFunctions {
 
 /// Byte-string keys and values of any length (Sec. 2.1), in VarRecord's
 /// layout. Read, Upsert and Delete only: an RMW's new value has no size
-/// before it is computed, so Rmw, RmwBatch and ExecuteBatch do not compile
-/// for this store, and it has no read cache. An upsert goes in place when
+/// before it is computed, so Rmw and ExecuteBatch do not compile for this
+/// store, and it has no read cache. An upsert goes in place when
 /// the record is mutable and the new value fits its capacity (the first
 /// value's size). Keys and values are views of the caller's bytes; a
 /// pending read keeps a copy of its key.

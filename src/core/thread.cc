@@ -4,6 +4,8 @@
 
 #ifdef FASTER_MODEL
 #include "model/runtime.h"
+#else
+#include "obs/profiler.h"
 #endif
 
 namespace faster {
@@ -64,6 +66,7 @@ void Thread::Release(uint32_t id) {
 uint32_t Thread::Id() {
   if (t_holder.id == kInvalidId) {
     t_holder.id = Acquire();
+    obs::Profiler::RegisterThread();  // outside the profiler's handler
   }
   return t_holder.id;
 }

@@ -100,9 +100,11 @@ class InMemKv {
   }
 
   /// RMW: in place when the key exists (the paper's count-store example
-  /// uses fetch-and-increment here), else insert the initial value.
+  /// uses fetch-and-increment here), else insert the initial value. The
+  /// value the updater reports is dropped.
   Status Rmw(const Key& key, const Input& input) FASTER_REQUIRES_EPOCH() {
     AutoRefresh();
+    Output discard{};
     KeyHash hash = Hasher{}(key);
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
@@ -112,12 +114,12 @@ class InMemKv {
       TryCollectChainHead(&fr);
       RecordT* rec = FindInChain(key, fr.entry.address());
       if (rec != nullptr && !rec->info().tombstone()) {
-        F::InPlaceUpdater(key, input, rec->value);
+        F::InPlaceUpdater(key, input, rec->value, discard);
         return Status::kOk;
       }
       RecordT* fresh = AllocateRecord(key, fr.entry.address());
       fresh->value = Value{};
-      F::InitialUpdater(key, input, fresh->value);
+      F::InitialUpdater(key, input, fresh->value, discard);
       if (index_.TryUpdateEntry(&fr, PointerToAddress(fresh))) {
         return Status::kOk;
       }

@@ -9,10 +9,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <optional>
 #include <type_traits>
+#include <utility>
 
+#include "core/key_hash.h"
 #include "core/memory_region.h"
 #include "obs/build_info.h"
 #include "obs/clock.h"
@@ -78,6 +79,33 @@ void AppendOpError(std::string* out, const char* op, Status s) {
                        op + " failed: " + StatusName(s));
 }
 
+/// The keys INCR'd in the current segment (MaybeSplitSegment), in fixed
+/// storage so a segment allocates nothing: open addressing, emptied in
+/// O(1) by a new generation. At kSlots / 2 keys it is full.
+struct SegmentKeys {
+  static constexpr uint32_t kSlots = 1024;
+  uint64_t keys[kSlots] = {};
+  uint32_t gen[kSlots] = {};  // == cur: the slot holds a key
+  uint32_t cur = 1, size = 0;
+
+  uint32_t Probe(uint64_t key) const {  // its slot, or the free one
+    uint32_t i = static_cast<uint32_t>(Mix64(key)) % kSlots;
+    while (gen[i] == cur && keys[i] != key) i = (i + 1) % kSlots;
+    return i;
+  }
+  bool Contains(uint64_t key) const { return gen[Probe(key)] == cur; }
+  void Insert(uint64_t key) {
+    uint32_t i = Probe(key);
+    size += gen[i] != cur;
+    gen[i] = cur;
+    keys[i] = key;
+  }
+  void Clear() {  // on wrap, frees every slot and restarts at 1
+    size = 0;
+    if (++cur == 0) std::fill(std::begin(gen), std::end(gen), cur++);
+  }
+};
+
 }  // namespace
 
 /// One command's reply recipe, recorded in per-connection order during
@@ -89,31 +117,25 @@ struct FasterServer::CmdRec {
     kGet,   // reply from slot: bulk value / $-1 / error
     kSet,   // reply from slot: +OK / error
     kIncr,  // reply from slot: :post-increment / error
-    kDel,   // reply: :intval
+    kDel,   // reply: :count of the `keys` slots from `slot` that deleted
     kLit,   // reply: lit verbatim (already RESP-encoded)
     kErr,   // reply: -lit
   };
   Type type;
   uint32_t slot = kNoSlot;
-  long long intval = 0;
+  uint32_t keys = 0;
   std::string lit;
 };
 
-/// One store operation's turn state. Lives in a per-worker std::deque so
-/// element addresses stay stable while later commands append — BatchOp
-/// output/user_context pointers and the pending-completion callback both
-/// point into these records.
+/// One store operation's turn state. The store (and PendingCompletion)
+/// write `out` and `status` only inside ExecuteSegment, which no new slot
+/// interrupts, so the turn's slots can live in a vector.
 struct FasterServer::SlotRec {
-  enum class Kind : uint8_t { kGet, kSet, kIncr };
-  Kind kind;
+  Store::BatchOp::Kind kind;
   uint64_t key = 0;
-  uint64_t value = 0;     // SET payload / INCR operand
-  uint64_t read_out = 0;  // GET result (written by the store, possibly at
-                          // CompletePending time)
-  Status final_status = Status::kOk;  // phase-1 result; pending ops have
-                                      // it written by PendingCompletion
-  uint64_t incr_out = 0;              // INCR phase-2 (post-increment) value
-  Status incr_final = Status::kOk;    // phase-2 result, same contract
+  uint64_t arg = 0;  // SET payload / INCR operand
+  uint64_t out = 0;  // GET's value / INCR's post-increment value
+  Status status = Status::kOk;
 };
 
 struct FasterServer::Connection {
@@ -141,10 +163,11 @@ struct FasterServer::Worker {
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
   std::vector<Connection*> ready;
   std::vector<char> scratch = std::vector<char>(size_t{1} << 16);
-  // Turn state (cleared per turn). slots is a deque: stable addresses.
-  std::deque<SlotRec> slots;
-  std::vector<uint32_t> segment;  // slot indices awaiting ExecuteBatch
-  std::unordered_set<uint64_t> segment_incr_keys;
+  // Turn state (cleared per turn). The slots from segment_begin on await
+  // ExecuteSegment.
+  std::vector<SlotRec> slots;
+  size_t segment_begin = 0;
+  SegmentKeys incr_keys;
   size_t turn_commands = 0;
 };
 
@@ -401,8 +424,8 @@ bool FasterServer::HandleReadable(Worker& w, Connection& conn) {
 
 void FasterServer::ProcessTurn(Worker& w) {
   w.slots.clear();
-  w.segment.clear();
-  w.segment_incr_keys.clear();
+  w.segment_begin = 0;
+  w.incr_keys.Clear();
   w.turn_commands = 0;
   {
     obs::StageScope parse{obs::Stage::kNetParse};
@@ -454,8 +477,10 @@ void FasterServer::GatherCommands(Worker& w, Connection& conn) {
   stats_.pipeline_depth.Record(count);
 }
 
+// An INCR whose RMW goes pending completes after the later ops of its
+// batch, so a later op on its key runs in the next segment.
 void FasterServer::MaybeSplitSegment(Worker& w, uint64_t key) {
-  if (w.segment_incr_keys.count(key) != 0) {
+  if (w.incr_keys.Contains(key)) {
     stats_.segment_splits.Inc();
     ExecuteSegment(w);
   }
@@ -472,22 +497,16 @@ void FasterServer::ClassifyCommand(Worker& w, Connection& conn,
     stats_.cmd_other.Inc();
     return;
   }
-  auto new_slot = [&](SlotRec::Kind kind, uint64_t key,
-                      uint64_t value) -> uint32_t {
-    SlotRec s;
-    s.kind = kind;
-    s.key = key;
-    s.value = value;
-    w.slots.push_back(s);
-    uint32_t idx = static_cast<uint32_t>(w.slots.size() - 1);
-    w.segment.push_back(idx);
-    return idx;
-  };
-  if (std::strcmp(name, "GET") == 0 && cmd.argv.size() == 2) {
-    uint64_t key = MapKey(cmd.argv[1]);
+  auto new_slot = [&](Store::BatchOp::Kind kind, uint64_t key,
+                      uint64_t arg) -> uint32_t {
     MaybeSplitSegment(w, key);
+    w.slots.push_back(SlotRec{kind, key, arg});
+    return static_cast<uint32_t>(w.slots.size() - 1);
+  };
+  using Kind = Store::BatchOp::Kind;
+  if (std::strcmp(name, "GET") == 0 && cmd.argv.size() == 2) {
     rec.type = CmdRec::Type::kGet;
-    rec.slot = new_slot(SlotRec::Kind::kGet, key, 0);
+    rec.slot = new_slot(Kind::kRead, MapKey(cmd.argv[1]), 0);
     stats_.cmd_get.Inc();
   } else if (std::strcmp(name, "SET") == 0 && cmd.argv.size() == 3) {
     uint64_t value;
@@ -495,33 +514,25 @@ void FasterServer::ClassifyCommand(Worker& w, Connection& conn,
       rec.type = CmdRec::Type::kErr;
       rec.lit = "ERR value is not an integer or out of range";
     } else {
-      uint64_t key = MapKey(cmd.argv[1]);
-      MaybeSplitSegment(w, key);
       rec.type = CmdRec::Type::kSet;
-      rec.slot = new_slot(SlotRec::Kind::kSet, key, value);
+      rec.slot = new_slot(Kind::kUpsert, MapKey(cmd.argv[1]), value);
     }
     stats_.cmd_set.Inc();
   } else if (std::strcmp(name, "INCR") == 0 && cmd.argv.size() == 2) {
     uint64_t key = MapKey(cmd.argv[1]);
-    // A second INCR (or any later write) on a segment-INCR'd key would
-    // make the post-increment read observe both effects; split so every
-    // INCR reply is exact.
-    MaybeSplitSegment(w, key);
+    if (w.incr_keys.size == SegmentKeys::kSlots / 2) ExecuteSegment(w);
     rec.type = CmdRec::Type::kIncr;
-    rec.slot = new_slot(SlotRec::Kind::kIncr, key, 1);
-    w.segment_incr_keys.insert(key);
+    rec.slot = new_slot(Kind::kRmw, key, 1);
+    w.incr_keys.Insert(key);
     stats_.cmd_incr.Inc();
   } else if (std::strcmp(name, "DEL") == 0 && cmd.argv.size() >= 2) {
-    // No batch form for deletes: flush the pipeline segment so ordering
-    // is preserved, then run the single-op path.
-    stats_.segment_splits.Inc();
-    ExecuteSegment(w);
-    long long deleted = 0;
-    for (size_t i = 1; i < cmd.argv.size(); ++i) {
-      if (store_->Delete(MapKey(cmd.argv[i])) == Status::kOk) ++deleted;
-    }
+    // One delete slot per key, consecutive in w.slots.
     rec.type = CmdRec::Type::kDel;
-    rec.intval = deleted;
+    rec.keys = static_cast<uint32_t>(cmd.argv.size() - 1);
+    for (size_t i = 1; i < cmd.argv.size(); ++i) {
+      uint32_t slot = new_slot(Kind::kDelete, MapKey(cmd.argv[i]), 0);
+      if (i == 1) rec.slot = slot;
+    }
     stats_.cmd_del.Inc();
   } else if (std::strcmp(name, "PING") == 0 && cmd.argv.size() <= 2) {
     rec.type = CmdRec::Type::kLit;
@@ -573,81 +584,25 @@ void FasterServer::ClassifyCommand(Worker& w, Connection& conn,
 }
 
 void FasterServer::ExecuteSegment(Worker& w) {
-  w.segment_incr_keys.clear();
-  if (w.segment.empty()) return;
-  size_t n = w.segment.size();
-  stats_.batch_fill.Record(n);
+  w.incr_keys.Clear();
+  size_t begin = std::exchange(w.segment_begin, w.slots.size());
+  if (begin == w.slots.size()) return;
+  stats_.batch_fill.Record(w.slots.size() - begin);
 
-  // Phase 1: the mixed batch. Pending ops report their final status via
-  // PendingCompletion into the slot's Status (the BatchOp's user_context).
-  std::vector<Store::BatchOp> ops(n);
-  for (size_t i = 0; i < n; ++i) {
-    SlotRec& s = w.slots[w.segment[i]];
-    Store::BatchOp& op = ops[i];
-    op.key = s.key;
-    switch (s.kind) {
-      case SlotRec::Kind::kGet:
-        op.kind = Store::BatchOp::Kind::kRead;
-        op.input = 0;
-        op.output = &s.read_out;
-        op.user_context = &s.final_status;
-        s.final_status = Status::kIoError;  // canary: callback must fire
-        break;
-      case SlotRec::Kind::kSet:
-        op.kind = Store::BatchOp::Kind::kUpsert;
-        op.value = s.value;
-        break;
-      case SlotRec::Kind::kIncr:
-        op.kind = Store::BatchOp::Kind::kRmw;
-        op.input = s.value;
-        op.user_context = &s.final_status;
-        s.final_status = Status::kIoError;
-        break;
+  // One batch: a GET's value and an INCR's post-increment value land in
+  // the slot's `out`; a pending op's final status reaches its slot through
+  // PendingCompletion (the BatchOp's user_context) inside CompletePending.
+  Store::BatchOp ops[Store::kBatchChunk];
+  for (size_t at = begin; at < w.slots.size(); at += Store::kBatchChunk) {
+    size_t m = std::min(w.slots.size() - at, Store::kBatchChunk);
+    for (size_t i = 0; i < m; ++i) {
+      SlotRec& s = w.slots[at + i];
+      ops[i] = {s.kind, s.key, s.arg, s.arg, &s.out, &s.status};
     }
-  }
-  store_->ExecuteBatch(ops.data(), n);
-  for (size_t i = 0; i < n; ++i) {
-    SlotRec& s = w.slots[w.segment[i]];
-    if (ops[i].status != Status::kPending) s.final_status = ops[i].status;
+    store_->ExecuteBatch(ops, m);
+    for (size_t i = 0; i < m; ++i) w.slots[at + i].status = ops[i].status;
   }
   store_->CompletePending(/*wait=*/true);
-
-  // Phase 2: post-increment reads for every INCR in the segment. The Rmw
-  // path returns no output, and a same-batch read after a *pending* Rmw
-  // would see the pre-RMW value (sequential equivalence), so the reply
-  // value comes from a dedicated read batch after phase 1 completes; the
-  // segment-split rule makes it exact.
-  std::vector<uint32_t> incrs;
-  for (uint32_t idx : w.segment) {
-    if (w.slots[idx].kind == SlotRec::Kind::kIncr &&
-        w.slots[idx].final_status == Status::kOk) {
-      incrs.push_back(idx);
-    }
-  }
-  if (!incrs.empty()) {
-    size_t m = incrs.size();
-    std::vector<uint64_t> keys(m), inputs(m, 0), outs(m, 0);
-    std::vector<Status> statuses(m, Status::kOk);
-    std::vector<void*> ctxs(m);
-    for (size_t i = 0; i < m; ++i) {
-      SlotRec& s = w.slots[incrs[i]];
-      keys[i] = s.key;
-      s.incr_final = Status::kIoError;  // canary, as above
-      ctxs[i] = &s.incr_final;
-    }
-    store_->ReadBatch(keys.data(), inputs.data(), outs.data(),
-                      statuses.data(), m, ctxs.data());
-    for (size_t i = 0; i < m; ++i) {
-      if (statuses[i] != Status::kPending) {
-        w.slots[incrs[i]].incr_final = statuses[i];
-      }
-    }
-    store_->CompletePending(/*wait=*/true);
-    for (size_t i = 0; i < m; ++i) {
-      w.slots[incrs[i]].incr_out = outs[i];
-    }
-  }
-  w.segment.clear();
 }
 
 void FasterServer::RenderCommand(Worker& w, const CmdRec& rec,
@@ -655,40 +610,43 @@ void FasterServer::RenderCommand(Worker& w, const CmdRec& rec,
   switch (rec.type) {
     case CmdRec::Type::kGet: {
       const SlotRec& s = w.slots[rec.slot];
-      if (s.final_status == Status::kOk) {
+      if (s.status == Status::kOk) {
         std::string v;
-        AppendU64(&v, s.read_out);
+        AppendU64(&v, s.out);
         AppendBulk(out, v);
-      } else if (s.final_status == Status::kNotFound) {
+      } else if (s.status == Status::kNotFound) {
         AppendNullBulk(out);
       } else {
-        AppendOpError(out, "read", s.final_status);
+        AppendOpError(out, "read", s.status);
       }
       break;
     }
     case CmdRec::Type::kSet: {
       const SlotRec& s = w.slots[rec.slot];
-      if (s.final_status == Status::kOk) {
+      if (s.status == Status::kOk) {
         AppendSimple(out, "OK");
       } else {
-        AppendOpError(out, "set", s.final_status);
+        AppendOpError(out, "set", s.status);
       }
       break;
     }
     case CmdRec::Type::kIncr: {
       const SlotRec& s = w.slots[rec.slot];
-      if (s.final_status == Status::kOk && s.incr_final == Status::kOk) {
-        AppendInteger(out, static_cast<long long>(s.incr_out));
+      if (s.status == Status::kOk) {
+        AppendInteger(out, static_cast<long long>(s.out));
       } else {
-        Status bad = s.final_status != Status::kOk ? s.final_status
-                                                   : s.incr_final;
-        AppendOpError(out, "incr", bad);
+        AppendOpError(out, "incr", s.status);
       }
       break;
     }
-    case CmdRec::Type::kDel:
-      AppendInteger(out, rec.intval);
+    case CmdRec::Type::kDel: {
+      long long deleted = 0;
+      for (uint32_t i = 0; i < rec.keys; ++i) {
+        if (w.slots[rec.slot + i].status == Status::kOk) ++deleted;
+      }
+      AppendInteger(out, deleted);
       break;
+    }
     case CmdRec::Type::kLit:
       out->append(rec.lit);
       break;

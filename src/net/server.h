@@ -7,7 +7,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/faster.h"
@@ -26,8 +25,9 @@
 /// long-lived FasterKv session, and every connection it accepted. A
 /// connection's bytes are parsed, executed, and answered on one thread,
 /// and pipelined commands arriving together are coalesced into
-/// ExecuteBatch/ReadBatch calls so network traffic naturally produces the
-/// batch depths where the software-pipelined batch path wins.
+/// ExecuteBatch calls — GET, SET, INCR and every key of a DEL — so network
+/// traffic naturally produces the batch depths where the
+/// software-pipelined batch path wins.
 ///
 /// Commands: GET, SET, DEL, INCR, PING, INFO, SLOWLOG GET|RESET|LEN (plus
 /// QUIT and a COMMAND stub for redis-cli handshakes), in inline or
@@ -38,10 +38,11 @@
 /// Ordering contract: replies are rendered strictly in per-connection
 /// command order, regardless of how commands were split across batch
 /// segments or completed asynchronously (out-of-order-safe sequencing).
-/// INCR replies are exact — a turn's shared batch is split whenever a
-/// later command touches a key already INCR'd in the current segment, so
-/// the post-increment read (phase 2) can never observe another command's
-/// effect on that key.
+/// INCR replies are exact: the reply is the value the store's RMW updater
+/// wrote (a fetch-and-add in place), not a later read. A turn's shared
+/// batch is split whenever a later command touches a key already INCR'd
+/// in the current segment, because an RMW that goes pending completes
+/// after the later ops of its batch have run.
 
 namespace faster {
 namespace net {
@@ -77,7 +78,7 @@ struct NetStats {
   obs::StatCounter cmd_get, cmd_set, cmd_incr, cmd_del, cmd_other;
   obs::StatCounter protocol_errors;  // parse failures (connection closed)
   obs::StatCounter turns;            // event-loop turns that executed ops
-  obs::StatCounter segment_splits;   // batch segments forced by DEL/INCR
+  obs::StatCounter segment_splits;   // batch segments forced by an INCR
   obs::StatCounter bytes_read, bytes_written;
   obs::StatHistogram pipeline_depth; // commands per connection per turn
   obs::StatHistogram batch_fill;     // ops per ExecuteBatch segment

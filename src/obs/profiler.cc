@@ -2,11 +2,13 @@
 
 #include <cxxabi.h>
 #include <dlfcn.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/time.h>
 #include <time.h>
 #include <ucontext.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +24,16 @@ namespace {
 // Saved disposition to restore on Stop (written/read only under the
 // Start/Stop caller; the handler never touches it).
 struct sigaction g_old_action;
+
+// The calling thread's stack, [lo, hi), or zeros: no walk. Initial-exec
+// TLS, so the handler reads it without a lookup that could allocate. A
+// sample amid RegisterThread's stores sees hi == 0 (no walk) or lo == 0
+// (the bound is still sp and hi).
+struct StackBounds {
+  uintptr_t lo, hi;
+};
+[[gnu::tls_model("initial-exec")]] thread_local constinit StackBounds
+    t_stack{0, 0};
 
 extern "C" void ProfilerSignalTrampoline(int /*sig*/, siginfo_t* /*info*/,
                                          void* ucontext) {
@@ -54,6 +66,18 @@ std::string SymbolFor(uintptr_t pc, bool return_address) {
 }
 
 }  // namespace
+
+void Profiler::RegisterThread() {
+  pthread_attr_t attr;
+  if (::pthread_getattr_np(::pthread_self(), &attr) != 0) return;
+  void* base = nullptr;
+  size_t size = 0;
+  if (::pthread_attr_getstack(&attr, &base, &size) == 0) {
+    auto lo = reinterpret_cast<uintptr_t>(base);
+    t_stack = {lo, lo + size};
+  }
+  ::pthread_attr_destroy(&attr);
+}
 
 Profiler& Profiler::Instance() {
   static constinit Profiler profiler;
@@ -132,21 +156,17 @@ void Profiler::OnSignal(void* ucontext) {
   return;
 #endif
 
-  // Frame-pointer chain walk. Every dereference is bounded to the mapped
-  // in-use stack: the saved-FP chain lives between the interrupted stack
-  // pointer and the stack base, so requiring sp <= fp (monotone,
-  // word-aligned, frames under 1 MiB each, whole walk under 16 MiB) keeps
-  // the loads inside the live stack for well-formed chains and stops at
-  // the first frame that is not.
+  // Frame-pointer chain walk (monotone, word-aligned, frames under 1 MiB
+  // each), inside this thread's own stack: every frame read lies between
+  // the interrupted stack pointer and the stack's top. A stale chain (TSan
+  // defers the signal and passes the interrupt's registers) stops at the
+  // first frame outside; an unregistered thread records its PC alone.
   constexpr uintptr_t kAlignMask = sizeof(uintptr_t) - 1;
   constexpr uintptr_t kMaxFrameSpan = uintptr_t{1} << 20;
-  constexpr uintptr_t kMaxWalkSpan = uintptr_t{16} << 20;
-  // TSan defers the signal and passes the interrupt's registers, so the
-  // chain may be stale and its probes may read other threads' memory.
-  [[maybe_unused]] TsanIgnoreScope hide;
+  const StackBounds stack = t_stack;
   while (depth < kMaxFrames) {
     if (fp == 0 || (fp & kAlignMask) != 0) break;
-    if (fp < sp || fp - sp > kMaxWalkSpan) break;
+    if (fp < std::max(sp, stack.lo) || fp + 2 * sizeof(fp) > stack.hi) break;
     const uintptr_t* frame = reinterpret_cast<const uintptr_t*>(fp);
     uintptr_t ret = frame[1];
     uintptr_t next = frame[0];

@@ -16,11 +16,13 @@
 ///   - no allocation, no locks, no syscalls in the handler;
 ///   - samples go into a SeqRing (seq_ring.h), whose writer claims the
 ///     slot before storing, so the drain side never reads torn frames;
-///   - the unwind only dereferences frame pointers above the interrupted
-///     stack pointer, with alignment / monotonicity / span checks, and
-///     stops at the first frame that fails them. Frames are only as good
-///     as the build: compile with -fno-omit-frame-pointer (the default
-///     here) or stacks truncate at the first FP-less frame.
+///   - the unwind only dereferences frame pointers between the
+///     interrupted stack pointer and the top of the thread's own stack
+///     (RegisterThread; an unregistered thread is sampled by its PC
+///     alone), with alignment / monotonicity / span checks, and stops at
+///     the first frame that fails them. Frames are only as good as the
+///     build: compile with -fno-omit-frame-pointer (the default here) or
+///     stacks truncate at the first FP-less frame.
 ///
 /// Symbolization happens at drain time (dladdr + __cxa_demangle), not in
 /// the handler; link executables with ENABLE_EXPORTS (-rdynamic) or
@@ -44,6 +46,10 @@ class Profiler {
   static constexpr uint32_t kDefaultHz = 497;  // prime: avoids lockstep
 
   static Profiler& Instance();
+
+  /// Records the calling thread's stack bounds for the handler's walk.
+  /// faster::Thread::Id() calls it when a thread registers.
+  static void RegisterThread();
 
   /// Installs the SIGPROF handler and starts the profiling timer.
   /// Returns false if already running or the timer cannot be installed.

@@ -1,16 +1,18 @@
 // The batched pipeline's correctness contract (DESIGN.md "Batched
-// pipeline"): ExecuteBatch/ReadBatch/UpsertBatch/RmwBatch must be
+// pipeline"): ExecuteBatch and ReadBatch must be
 // observably identical to issuing the same ops one at a time in order —
 // across every HybridLog region (mutable in-place, safe-read-only RCU,
 // fuzzy deferral, on-storage pending reads), through intra-batch
-// dependencies, across an index Grow, and through the read cache. The
-// harness runs every sequence against a mirror store using the single-op
-// API and compares statuses, outputs, and final state.
+// dependencies, deletes, across an index Grow, and through the read
+// cache. The harness runs every sequence against a mirror store using the
+// single-op API and compares statuses, outputs, and final state. A batch
+// RMW also reports the value its updater wrote, on every path.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/faster.h"
@@ -37,7 +39,7 @@ struct TestOp {
   Kind kind = Kind::kRead;
   uint64_t key = 0;
   uint64_t arg = 0;  // rmw delta / upsert value
-  uint64_t batch_out = UINT64_MAX;
+  uint64_t batch_out = UINT64_MAX;  // a read's value / an RMW's new value
   uint64_t seq_out = UINT64_MAX;
   Status batch_status = Status::kOk;
   Status seq_status = Status::kOk;
@@ -52,14 +54,9 @@ void RunBoth(Store& batch_store, Store& mirror, std::vector<TestOp>& ops,
   for (size_t i = 0; i < ops.size(); ++i) {
     b[i].kind = ops[i].kind;
     b[i].key = ops[i].key;
-    if (ops[i].kind == Kind::kRead) {
-      b[i].input = 0;
-      b[i].output = &ops[i].batch_out;
-    } else if (ops[i].kind == Kind::kUpsert) {
-      b[i].value = ops[i].arg;
-    } else {
-      b[i].input = ops[i].arg;
-    }
+    b[i].output = &ops[i].batch_out;
+    if (ops[i].kind == Kind::kUpsert) b[i].value = ops[i].arg;
+    if (ops[i].kind == Kind::kRmw) b[i].input = ops[i].arg;
   }
   for (size_t done = 0; done < ops.size(); done += batch_size) {
     size_t n = std::min(batch_size, ops.size() - done);
@@ -77,6 +74,9 @@ void RunBoth(Store& batch_store, Store& mirror, std::vector<TestOp>& ops,
         break;
       case Kind::kRmw:
         op.seq_status = mirror.Rmw(op.key, op.arg);
+        break;
+      case Kind::kDelete:
+        op.seq_status = mirror.Delete(op.key);
         break;
     }
   }
@@ -117,8 +117,10 @@ void AssertSameState(Store& a, Store& b, uint64_t n) {
   }
 }
 
+// Half reads, a quarter upserts, the rest RMWs — a tenth of all ops
+// deletes instead, with `deletes`.
 std::vector<TestOp> RandomMix(uint64_t key_space, size_t count,
-                              uint64_t seed) {
+                              uint64_t seed, bool deletes = false) {
   std::mt19937_64 rng{seed};
   std::vector<TestOp> ops(count);
   for (auto& op : ops) {
@@ -129,6 +131,8 @@ std::vector<TestOp> RandomMix(uint64_t key_space, size_t count,
     } else if (p < 75) {
       op.kind = Kind::kUpsert;
       op.arg = rng() % 100000;
+    } else if (deletes && p < 85) {
+      op.kind = Kind::kDelete;
     } else {
       op.kind = Kind::kRmw;
       op.arg = rng() % 1000;
@@ -225,9 +229,10 @@ TEST_F(BatchTest, FuzzyRegionRmwDefersLikeSequential) {
   mirror.StopSession();
 }
 
-// --- On storage: batch reads coalesce into pending I/O. --------------------
+// --- On storage: batch reads coalesce into pending I/O; RMWs report their
+// values after their storage reads; deletes in every region. ------------
 
-TEST_F(BatchTest, OnDiskReadsMatchSequential) {
+TEST_F(BatchTest, OnDiskOpsMatchSequential) {
   auto cfg = Cfg();
   cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;
   cfg.log.mutable_fraction = 0.5;
@@ -256,6 +261,37 @@ TEST_F(BatchTest, OnDiskReadsMatchSequential) {
   for (uint64_t k = 0; k < 64; ++k) {
     EXPECT_EQ(ops[k].batch_out, k * 2 + 1) << "key " << k;
   }
+
+  // RMWs of keys on storage go pending; each reports the value it wrote.
+  for (uint64_t k = 0; k < 64; ++k) ops[k] = TestOp{Kind::kRmw, 100 + k, 5};
+  RunBoth(batch, mirror, ops, 64);
+  for (const TestOp& op : ops) {
+    EXPECT_EQ(op.batch_status, Status::kPending) << "key " << op.key;
+    EXPECT_EQ(op.batch_out, op.key * 2 + 1 + 5) << "key " << op.key;
+  }
+
+  // Deletes among the other kinds, over keys in every region.
+  ops = RandomMix(1100, 2048, /*seed=*/47, /*deletes=*/true);
+  for (TestOp& op : ops) {
+    if (op.key >= 1050) {
+      op.key += 500000;  // absent
+    } else if (op.key % 3 == 1) {
+      op.key += 200000;  // read-only
+    } else if (op.key % 3 == 2) {
+      op.key += 398500;  // mutable
+    }  // else on storage
+  }
+  RunBoth(batch, mirror, ops, 64);
+  for (const TestOp& op : ops) {
+    uint64_t va = UINT64_MAX, vb = UINT64_MAX;
+    Status sa = batch.Read(op.key, 0, &va), sb = mirror.Read(op.key, 0, &vb);
+    ASSERT_TRUE(batch.CompletePending(true) && mirror.CompletePending(true));
+    ASSERT_EQ(sa == Status::kNotFound, sb == Status::kNotFound) << op.key;
+    ASSERT_EQ(va, vb) << "key " << op.key;
+  }
+  EXPECT_GT(batch.counters().Sum(obs::StoreCounter::kDeleteInPlace), 0u);
+  EXPECT_GT(batch.counters().Sum(obs::StoreCounter::kDeleteAppend), 0u);
+  EXPECT_GT(batch.counters().Sum(obs::StoreCounter::kDeleteMiss), 0u);
   batch.StopSession();
   mirror.StopSession();
 }
@@ -292,6 +328,116 @@ TEST_F(BatchTest, IntraBatchDependenciesAreOrdered) {
   EXPECT_EQ(ops[11].batch_out, 2u);
   batch.StopSession();
   mirror.StopSession();
+}
+
+// --- RMW outputs: the value each updater wrote, on every path. -------------
+
+// One RMW through ExecuteBatch; returns its status and (for kPending,
+// after CompletePending) the value it reported.
+std::pair<Status, uint64_t> BatchRmw(Store& store, uint64_t key,
+                                     uint64_t input) {
+  uint64_t out = UINT64_MAX;
+  BatchOp op{};
+  op.kind = Kind::kRmw;
+  op.key = key;
+  op.input = input;
+  op.output = &out;
+  store.ExecuteBatch(&op, 1);
+  if (op.status == Status::kPending) {
+    EXPECT_TRUE(store.CompletePending(true));
+  }
+  return {op.status, out};
+}
+
+uint64_t Counter(Store& store, obs::StoreCounter c) {
+  return store.counters().Sum(c);
+}
+
+TEST_F(BatchTest, RmwReportsItsValueOnEveryPath) {
+  auto cfg = Cfg();
+  cfg.refresh_interval = 1u << 30;
+  Store store{cfg, &device_a_};
+  store.StartSession();
+  using C = obs::StoreCounter;
+
+  // In place, then absent (initial). Storage reads: OnDiskOpsMatchSequential.
+  ASSERT_EQ(store.Upsert(1, 15), Status::kOk);
+  uint64_t in_place = Counter(store, C::kRmwInPlace);
+  EXPECT_EQ(BatchRmw(store, 1, 5), std::make_pair(Status::kOk, 20ul));
+  EXPECT_EQ(Counter(store, C::kRmwInPlace), in_place + 1);
+  uint64_t initial = Counter(store, C::kRmwInitial);
+  EXPECT_EQ(BatchRmw(store, 2, 7), std::make_pair(Status::kOk, 7ul));
+  EXPECT_EQ(Counter(store, C::kRmwInitial), initial + 1);
+
+  // Fuzzy: read-only but not yet safe, so the RMW defers until a refresh
+  // makes the region safe, and then copy-updates.
+  ASSERT_EQ(store.Upsert(3, 30), Status::kOk);
+  store.hlog().ShiftReadOnlyToTail(false);
+  uint64_t out = UINT64_MAX;
+  BatchOp op{};
+  op.kind = Kind::kRmw;
+  op.key = 3;
+  op.input = 4;
+  op.output = &out;
+  store.ExecuteBatch(&op, 1);
+  ASSERT_EQ(op.status, Status::kPending);
+  EXPECT_EQ(Counter(store, C::kRmwFuzzyDeferred), 1u);
+  store.Refresh();
+  ASSERT_TRUE(store.CompletePending(true));
+  EXPECT_EQ(out, 34u);
+
+  // Safe read-only: copy-update.
+  store.Refresh();
+  ASSERT_EQ(store.hlog().safe_read_only_address(),
+            store.hlog().read_only_address());
+  uint64_t copy = Counter(store, C::kRmwCopy);
+  EXPECT_EQ(BatchRmw(store, 2, 1), std::make_pair(Status::kOk, 8ul));
+  EXPECT_EQ(Counter(store, C::kRmwCopy), copy + 1);
+
+  // Two RMWs of one key in one chunk: each reports its own value.
+  uint64_t outs[3] = {UINT64_MAX, UINT64_MAX, UINT64_MAX};
+  BatchOp ops[3] = {};
+  for (int i = 0; i < 3; ++i) {
+    ops[i].kind = Kind::kRmw;
+    ops[i].key = i < 2 ? 2 : 5;
+    ops[i].input = static_cast<uint64_t>(i + 1);
+    ops[i].output = &outs[i];
+  }
+  store.ExecuteBatch(ops, 3);
+  for (const BatchOp& o : ops) EXPECT_EQ(o.status, Status::kOk);
+  EXPECT_EQ(outs[0], 9u);
+  EXPECT_EQ(outs[1], 11u);
+  EXPECT_EQ(outs[2], 3u);
+
+  // A null output is allowed.
+  op = BatchOp{};
+  op.kind = Kind::kRmw;
+  op.key = 2;
+  op.input = 1;
+  store.ExecuteBatch(&op, 1);
+  EXPECT_EQ(op.status, Status::kOk);
+  EXPECT_EQ(BatchRmw(store, 2, 0), std::make_pair(Status::kOk, 12ul));
+  store.StopSession();
+}
+
+// A mergeable store's RMW appends a delta; the op's output is untouched.
+TEST_F(BatchTest, MergeableRmwLeavesOutputUntouched) {
+  using MStore = FasterKv<MergeableCountFunctions>;
+  MStore store{MStore::Config{}, &device_a_};
+  store.StartSession();
+  uint64_t out = UINT64_MAX;
+  MStore::BatchOp op{};
+  op.kind = MStore::BatchOp::Kind::kRmw;
+  op.key = 1;
+  op.input = 3;
+  op.output = &out;
+  store.ExecuteBatch(&op, 1);
+  store.ExecuteBatch(&op, 1);
+  EXPECT_EQ(op.status, Status::kOk);
+  EXPECT_EQ(out, UINT64_MAX);
+  ASSERT_EQ(store.Read(1, 0, &out), Status::kOk);
+  EXPECT_EQ(out, 6u);
+  store.StopSession();
 }
 
 // --- Grow: batches before and after an index doubling. ---------------------
@@ -343,9 +489,9 @@ TEST_F(BatchTest, EmptyAndSingleOpBatches) {
   store.StopSession();
 }
 
-// --- Typed wrappers, including counts that span multiple chunks. -----------
+// --- Counts that span multiple chunks, through both entry points. ---------
 
-TEST_F(BatchTest, TypedWrappersMatchSequential) {
+TEST_F(BatchTest, ChunkSpanningBatchesMatchSequential) {
   Store batch{Cfg(), &device_a_};
   Store mirror{Cfg(), &device_b_};
   batch.StartSession();
@@ -360,14 +506,26 @@ TEST_F(BatchTest, TypedWrappersMatchSequential) {
     values[i] = i * 10;
   }
 
-  batch.UpsertBatch(keys.data(), values.data(), statuses.data(), kN);
+  std::vector<BatchOp> ops(kN);
   for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(statuses[i], mirror.Upsert(keys[i], values[i])) << i;
+    ops[i] = {Kind::kUpsert, keys[i], 0, values[i]};
+  }
+  batch.ExecuteBatch(ops.data(), kN);
+  std::vector<uint64_t> model(100);
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(ops[i].status, mirror.Upsert(keys[i], values[i])) << i;
+    model[keys[i]] = values[i];
   }
 
-  batch.RmwBatch(keys.data(), inputs.data(), statuses.data(), kN);
+  // Each RMW reports its own post-update value, duplicates included.
   for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(statuses[i], mirror.Rmw(keys[i], inputs[i])) << i;
+    ops[i] = {Kind::kRmw, keys[i], inputs[i], 0, &outputs[i]};
+  }
+  batch.ExecuteBatch(ops.data(), kN);
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(ops[i].status, mirror.Rmw(keys[i], inputs[i])) << i;
+    model[keys[i]] += inputs[i];
+    ASSERT_EQ(outputs[i], model[keys[i]]) << i;
   }
 
   batch.ReadBatch(keys.data(), inputs.data(), outputs.data(),
@@ -440,11 +598,22 @@ TEST(BatchReadCacheTest, ReadCacheMatchesSequential) {
   EXPECT_EQ(batch.GetStats().read_cache_hits, hits_before + hits.size());
 
   // 3. Upserts and RMWs on cached keys, with reads in between: RMWs
-  //    copy-update from the cached value without storage reads.
+  //    copy-update from the cached value without storage reads. A key's
+  //    first RMW reports the cached value plus its input.
   auto writes = RandomMix(512, 512, /*seed=*/46);
   for (TestOp& op : writes) op.key += 2000;
   RunBoth(batch, mirror, writes, 64);
   EXPECT_EQ(batch.GetStats().pending_ios, ios_after_promote);
+  std::vector<bool> written(512, false);
+  size_t first_rmws = 0;
+  for (const TestOp& op : writes) {
+    if (op.kind == Kind::kRmw && !written[op.key - 2000]) {
+      EXPECT_EQ(op.batch_out, op.key * 2 + 1 + op.arg) << "key " << op.key;
+      ++first_rmws;
+    }
+    if (op.kind != Kind::kRead) written[op.key - 2000] = true;
+  }
+  EXPECT_GT(first_rmws, 0u);
 
   // 4. Read every key of the read-only cache page once more: each hit is
   //    copied to the tail until the tail needs a new page, which evicts

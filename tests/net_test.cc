@@ -1,7 +1,7 @@
 // Tests for src/net: the RESP parser (framing, resumption, limits), the
 // reply/framing helpers, and a loopback integration test of FasterServer
-// (pipelining past kBatchChunk, forced segment splits, INCR exactness,
-// clean shutdown). The integration tests run under ASan/TSan via the
+// (pipelining past kBatchChunk, forced segment splits, INCR exactness
+// within and across workers, multi-key DEL, clean shutdown). The integration tests run under ASan/TSan via the
 // normal `unit` label; they use ephemeral ports only.
 
 #include "net/resp.h"
@@ -378,6 +378,35 @@ TEST_F(NetServerTest, IncrReadInterleavingIsExact) {
   EXPECT_EQ(replies, expect);
 }
 
+// DEL counts the keys it deleted: one batch slot per key, absent and
+// repeated keys included.
+TEST_F(NetServerTest, DelCountsEveryKey) {
+  StartServer();
+  UniqueFd fd = Connect();
+  std::string replies = Exchange(
+      fd.get(),
+      "SET a 1\r\nSET b 2\r\nSET c 3\r\nDEL a b nosuch a\r\n"
+      "GET a\r\nGET b\r\nGET c\r\nDEL a b\r\nDEL c\r\n",
+      9);
+  EXPECT_EQ(replies,
+            "+OK\r\n+OK\r\n+OK\r\n:2\r\n$-1\r\n$-1\r\n$1\r\n3\r\n"
+            ":0\r\n:1\r\n");
+}
+
+// A DEL in the same pipeline as INCRs of its keys deletes after them, and
+// an INCR after it starts over.
+TEST_F(NetServerTest, DelAfterIncrInOnePipeline) {
+  StartServer();
+  UniqueFd fd = Connect();
+  std::string replies = Exchange(
+      fd.get(),
+      "INCR p\r\nINCR p\r\nSET q 5\r\nDEL q p r\r\nGET p\r\n"
+      "INCR p\r\nINCR q\r\nDEL p\r\n",
+      8);
+  EXPECT_EQ(replies,
+            ":1\r\n:2\r\n+OK\r\n:2\r\n$-1\r\n:1\r\n:1\r\n:1\r\n");
+}
+
 TEST_F(NetServerTest, ErrorRepliesKeepPosition) {
   StartServer();
   UniqueFd fd = Connect();
@@ -464,6 +493,35 @@ TEST_F(NetServerTest, SmallMemoryPendingReads) {
   }
   std::string replies = Exchange(fd.get(), req, kKeys);
   EXPECT_EQ(replies, expect);
+}
+
+// INCRs of keys on storage go pending; each reply is still the value the
+// RMW wrote, delivered when it completes, and a GET of the key later in
+// the pipeline sees it (the same-key segment split).
+TEST_F(NetServerTest, PendingIncrsReplyTheirValue) {
+  ServerOptions opts;
+  opts.table_size = 1 << 16;
+  opts.log_memory_bytes = 1 << 16;  // the two-page minimum: ~350k records
+  StartServer(opts);
+  constexpr uint64_t kKeys = 400000;  // keys below ~50k spill to storage
+  {
+    FasterServer::Store::Session session{server_->store()};
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(server_->store().Upsert(k, k * 10), Status::kOk);
+    }
+  }
+  UniqueFd fd = Connect();
+  std::string req, expect;
+  for (int i = 0; i < 300; ++i) {
+    std::string v = std::to_string(i * 10 + 1);
+    req += "INCR " + std::to_string(i) + "\r\nGET " + std::to_string(i) +
+           "\r\n";
+    expect += ":" + v + "\r\n$" + std::to_string(v.size()) + "\r\n" + v +
+              "\r\n";
+  }
+  EXPECT_EQ(Exchange(fd.get(), req, 600), expect);
+  EXPECT_GT(server_->store().counters().Sum(obs::StoreCounter::kRmwStable),
+            0u);
 }
 
 // A store that cannot map memory for a new key's index entry refuses the
@@ -773,6 +831,81 @@ TEST_F(NetServerTest, DebugConnectionsTracksLiveConnections) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_NE(body.find("\"open\":0"), std::string::npos) << body;
+}
+
+// The worker serving a connection, from /debug/connections: the entry of
+// the one fd not in `seen`, once the connection's first reply is back.
+uint32_t NewConnectionWorker(const FasterServer& server,
+                             std::vector<std::string>* seen) {
+  std::string body = server.DebugConnectionsJson();
+  for (size_t at = body.find("{\"fd\":"); at != std::string::npos;
+       at = body.find("{\"fd\":", at + 1)) {
+    std::string fd = body.substr(at + 6, body.find(',', at) - at - 6);
+    if (std::find(seen->begin(), seen->end(), fd) != seen->end()) continue;
+    seen->push_back(fd);
+    size_t w = body.find("\"worker\":", at) + 9;
+    return static_cast<uint32_t>(std::strtoul(body.c_str() + w, nullptr, 10));
+  }
+  ADD_FAILURE() << "no new connection in " << body;
+  return UINT32_MAX;
+}
+
+// Two connections on distinct workers pipeline INCRs of one key: every
+// reply is the value its own increment produced, so together they are
+// exactly 1..N, each once.
+TEST_F(NetServerTest, SharedKeyIncrAcrossWorkersIsExact) {
+  ServerOptions opts;
+  opts.threads = 2;
+  StartServer(opts);
+  // SO_REUSEPORT spreads connections by hash: connect until one lands on
+  // each worker (the strays stay open, so their fds are not reused).
+  std::vector<UniqueFd> conns;
+  std::vector<std::string> seen;
+  int on_worker[2] = {-1, -1};
+  for (int tries = 0; tries < 64 && (on_worker[0] < 0 || on_worker[1] < 0);
+       ++tries) {
+    conns.push_back(Connect());
+    ASSERT_EQ(Exchange(conns.back().get(), "PING\r\n", 1), "+PONG\r\n");
+    uint32_t w = NewConnectionWorker(*server_, &seen);
+    ASSERT_LT(w, 2u);
+    if (on_worker[w] < 0) on_worker[w] = static_cast<int>(conns.size() - 1);
+  }
+  ASSERT_TRUE(on_worker[0] >= 0 && on_worker[1] >= 0);
+
+  constexpr int kPipelines = 3000;
+  constexpr int kDepth = 16;
+  std::string req;
+  for (int i = 0; i < kDepth; ++i) req += "INCR shared\r\n";
+  std::vector<long long> replies[2];
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      int fd = conns[static_cast<size_t>(on_worker[c])].get();
+      for (int p = 0; p < kPipelines; ++p) {
+        std::string buf = Exchange(fd, req, kDepth);
+        for (size_t at = 0; at < buf.size();) {
+          size_t eol = buf.find("\r\n", at);
+          if (buf[at] != ':' || eol == std::string::npos) {
+            ADD_FAILURE() << "bad reply: " << buf.substr(at);
+            return;
+          }
+          replies[c].push_back(std::stoll(buf.substr(at + 1, eol - at - 1)));
+          at = eol + 2;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  std::vector<long long> all = replies[0];
+  all.insert(all.end(), replies[1].begin(), replies[1].end());
+  ASSERT_EQ(all.size(), size_t{2} * kPipelines * kDepth);
+  std::sort(all.begin(), all.end());
+  size_t duplicates = 0;
+  for (size_t i = 1; i < all.size(); ++i) duplicates += all[i] == all[i - 1];
+  EXPECT_EQ(duplicates, 0u);
+  for (size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i], static_cast<long long>(i + 1)) << "at " << i;
+  }
 }
 
 TEST_F(NetServerTest, ConcurrentClients) {

@@ -335,11 +335,11 @@ TEST(SlowLogTest, UringPathStageSumsStillPartitionTotal) {
 struct SpinRmwFunctions : CountStoreFunctions {
   static constexpr uint64_t kSpinNs = 300000;
   static void InPlaceUpdater(const Key& key, const Input& input,
-                             Value& value) {
+                             Value& value, Output& out) {
     uint64_t until = obs::NowNs() + kSpinNs;
     while (obs::NowNs() < until) {
     }
-    CountStoreFunctions::InPlaceUpdater(key, input, value);
+    CountStoreFunctions::InPlaceUpdater(key, input, value, out);
   }
 };
 

@@ -36,10 +36,12 @@ using Store = FasterKv<CountStoreFunctions>;
 // front, that the last kColdReads ops of every batch read: those reads go
 // to storage and promote into the cache, so batch ops also race cache
 // promotions, hits and evictions (RcEvict redirects), the checkpoint's
-// entry transform, compaction and Grow. The cold reads cover more keys
-// than the cache's two 4 MB pages hold (~350k records), so the cache
-// wraps mid-run. Cold values never change, so each cold read is checked
-// exactly.
+// entry transform, compaction and Grow. After its Grow and before its
+// first checkpoint, the churn thread reads every cold key on storage
+// once: that promotes more records than the cache's two 4 MB pages hold
+// (~350k), so the cache wraps while its records are indexed, whatever
+// pace the churn's compactions later relocate cold keys at. Cold values
+// never change, so each cold read is checked exactly.
 void RunBatchedOpsUnderChurn(bool read_cache) {
   constexpr int kBatchThreads = 2;
   constexpr int kSingleThreads = 1;
@@ -170,6 +172,8 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
                           ops[j].status == Status::kPending);
               model[keys[j]] += args[j];
               break;
+            case Store::BatchOp::Kind::kDelete:
+              break;  // not generated
             case Store::BatchOp::Kind::kRead: {
               Status s = ops[j].status;
               auto it = model.find(keys[j]);
@@ -230,6 +234,18 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
     // First, while the workers warm up: a Grow after the read cache has
     // filled would swing every cached entry back to the primary log.
     store.GrowIndex();
+    constexpr size_t kWarm = Store::kBatchChunk;
+    uint64_t keys[kWarm], inputs[kWarm] = {}, outs[kWarm] = {};
+    Status statuses[kWarm];
+    for (uint64_t k = kKeySpace;
+         read_cache && k < kKeySpace + kColdKeys * 2 / 3; k += kWarm) {
+      for (size_t j = 0; j < kWarm; ++j) keys[j] = k + j;
+      store.ReadBatch(keys, inputs, outs, statuses, kWarm);
+      store.CompletePending(true);
+      for (size_t j = 0; j < kWarm; ++j) {
+        if (outs[j] != cold_value(keys[j])) read_errors.fetch_add(1);
+      }
+    }
     int c = 0;
     while (!churn_stop.load(std::memory_order_acquire)) {
       std::string dir = ckpt_dir + "/" + std::to_string(c++);

@@ -1,0 +1,170 @@
+// op_icount: exact instruction counts of single store ops, with no PMU.
+//
+//   ./op_icount
+//
+// A forked child runs each measured op on a cache-resident
+// FasterKv<CountStoreFunctions> between two markers (raise(SIGSTOP)); the
+// parent traces it with ptrace and single-steps from one marker to the
+// next, counting steps. Two markers back to back measure the markers' own
+// cost, which every count subtracts. The ops: an insert (Upsert of a new
+// key), an in-place Upsert, a Read, an in-place Rmw (its value dropped),
+// and one ExecuteBatch of 16 GETs and 16 INCRs (RMWs reporting their
+// values) on distinct keys. Counts repeat exactly for one binary, so two
+// builds' outputs compare op by op. A rep-prefixed string instruction
+// counts once per iteration (the trap flag stops after each one).
+//
+// Prints "op_icount: <op> <instructions>" lines; exits 0 with a skip
+// line where ptrace is refused (a sandbox or ptrace_scope policy).
+
+#include <signal.h>
+#include <sys/ptrace.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <vector>
+
+#include "core/faster.h"
+#include "core/functions.h"
+#include "device/memory_device.h"
+
+namespace {
+
+using Store = faster::FasterKv<faster::CountStoreFunctions>;
+
+constexpr int kChildRefused = 77;  // child exit: PTRACE_TRACEME failed
+constexpr uint64_t kKeys = 1024;
+constexpr size_t kBatch = 32;
+
+const char* const kOps[] = {"insert", "upsert_inplace", "read",
+                            "rmw_inplace", "batch32_get_incr"};
+constexpr size_t kNumOps = sizeof(kOps) / sizeof(kOps[0]);
+
+[[gnu::noinline]] void Marker() { ::raise(SIGSTOP); }
+
+/// Runs `op` once untraced (warm-up), then once between two markers.
+/// Each instantiation inlines its op, so a region holds the op alone.
+template <class Op>
+[[gnu::noinline]] void Region(Op&& op) {
+  op();
+  Marker();
+  op();
+  Marker();
+}
+
+/// The traced child: sets up the store, then runs each op's region.
+/// Region 0 is empty: the markers' own cost.
+[[noreturn]] void RunChild() {
+  if (::ptrace(PTRACE_TRACEME, 0, nullptr, nullptr) != 0) {
+    ::_exit(kChildRefused);
+  }
+  Marker();  // the parent attaches here; not a region
+  faster::MemoryDevice device;
+  Store::Config cfg;
+  cfg.table_size = 4096;
+  cfg.refresh_interval = 1u << 30;  // no epoch refresh inside a region
+  Store store{cfg, &device};
+  store.StartSession();
+  for (uint64_t k = 0; k < kKeys; ++k) store.Upsert(k, k);
+  uint64_t new_key = kKeys;
+  uint64_t out = 0;
+  uint64_t outs[kBatch] = {};
+  Store::BatchOp ops[kBatch];
+  for (size_t i = 0; i < kBatch; ++i) {
+    ops[i].kind = i % 2 == 0 ? Store::BatchOp::Kind::kRead
+                             : Store::BatchOp::Kind::kRmw;
+    ops[i].key = 100 + i;
+    ops[i].input = i % 2;
+    ops[i].output = &outs[i];
+  }
+  Region([] {});
+  Region([&] { store.Upsert(new_key++, 1); });
+  Region([&] { store.Upsert(7, 2); });
+  Region([&] { store.Read(7, 0, &out); });
+  Region([&] { store.Rmw(7, 1); });
+  Region([&] { store.ExecuteBatch(ops, kBatch); });
+  store.StopSession();
+  ::_exit(0);
+}
+
+}  // namespace
+
+int main() {
+  std::fflush(stdout);
+  pid_t pid = ::fork();
+  if (pid < 0) {
+    std::perror("op_icount: fork");
+    return 1;
+  }
+  if (pid == 0) RunChild();
+
+  // Every SIGSTOP the child raises is a marker: the first opens a region,
+  // which single steps count, and the next closes it.
+  std::vector<uint64_t> regions;
+  bool attached = false, counting = false;
+  uint64_t steps = 0;
+  for (;;) {
+    int status = 0;
+    if (::waitpid(pid, &status, 0) < 0) {
+      std::perror("op_icount: waitpid");
+      return 1;
+    }
+    if (WIFEXITED(status) || WIFSIGNALED(status)) {
+      if (WIFEXITED(status) && WEXITSTATUS(status) == kChildRefused) {
+        std::printf("op_icount: skipped: ptrace refused\n");
+        return 0;
+      }
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        std::fprintf(stderr, "op_icount: child failed (status %d)\n",
+                     status);
+        return 1;
+      }
+      break;
+    }
+    int sig = WSTOPSIG(status);
+    long request = PTRACE_CONT;
+    if (sig == SIGSTOP && !attached) {
+      attached = true;
+    } else if (sig == SIGSTOP) {
+      if (counting) regions.push_back(steps);
+      counting = !counting;
+      steps = 0;
+      if (counting) request = PTRACE_SINGLESTEP;
+    } else if (sig == SIGTRAP && counting) {
+      ++steps;
+      request = PTRACE_SINGLESTEP;
+    } else {
+      std::fprintf(stderr, "op_icount: unexpected signal %d\n", sig);
+      ::kill(pid, SIGKILL);
+      return 1;
+    }
+    // Resume without delivering the stop (the marker is consumed).
+    if (::ptrace(static_cast<__ptrace_request>(request), pid, nullptr,
+                 nullptr) != 0) {
+      std::fprintf(stderr, "op_icount: ptrace: %s\n", std::strerror(errno));
+      ::kill(pid, SIGKILL);
+      return 1;
+    }
+  }
+  if (regions.size() != kNumOps + 1) {
+    std::fprintf(stderr, "op_icount: %zu regions, expected %zu\n",
+                 regions.size(), kNumOps + 1);
+    return 1;
+  }
+  uint64_t marker = regions[0];
+  std::printf("op_icount: marker %llu (subtracted below)\n",
+              static_cast<unsigned long long>(marker));
+  for (size_t i = 0; i < kNumOps; ++i) {
+    uint64_t n = regions[i + 1] - marker;
+    std::printf("op_icount: %s %llu", kOps[i],
+                static_cast<unsigned long long>(n));
+    if (i + 1 == kNumOps) {
+      std::printf(" (%.1f/op)", static_cast<double>(n) / kBatch);
+    }
+    std::printf("\n");
+  }
+  return 0;
+}
