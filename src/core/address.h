@@ -34,7 +34,9 @@ class Address {
   static constexpr uint64_t kInvalidControl = 0;
 
   constexpr Address() : control_{kInvalidControl} {}
-  constexpr explicit Address(uint64_t control) : control_{control} {
+  // Inline everywhere, assert included: every op constructs several.
+  [[gnu::always_inline]] constexpr explicit Address(uint64_t control)
+      : control_{control} {
     assert(control <= kMaxAddress);
   }
   constexpr Address(uint64_t page, uint64_t offset)

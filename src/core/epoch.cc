@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "core/epoch_check.h"
+
 namespace faster {
 
 namespace {
@@ -55,6 +57,9 @@ uint64_t LightEpoch::Refresh() {
   uint64_t current = current_epoch_.load(std::memory_order_acquire);
   assert(table_[tid].local_epoch.load(std::memory_order_relaxed) !=
          kUnprotected);
+  FASTER_EPOCH_VERIFY(table_[tid].held_op_scopes == 0,
+                      "epoch refresh under an index OpScope: a trigger "
+                      "action it runs may wait on the scope's chunk pin");
   ++table_[tid].protect_serial;
   table_[tid].local_epoch.store(current, std::memory_order_seq_cst);
   uint64_t safe = ComputeNewSafeToReclaimEpoch();

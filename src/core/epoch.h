@@ -111,6 +111,12 @@ class LightEpoch {
     return table_[Thread::Id()].protect_serial;
   }
 
+  /// The calling thread's count of held index OpScopes, kept by OpScope
+  /// in epoch-check builds only. Refresh() verifies it is zero: a trigger
+  /// action the refresh runs (a read-cache eviction's index updates) may
+  /// wait for a chunk's pins to drain, this thread's pin among them.
+  uint32_t& HeldOpScopes() { return table_[Thread::Id()].held_op_scopes; }
+
   /// Raw epoch-table read for diagnostics (the flight recorder dumps the
   /// whole table at crash time): thread `tid`'s published local epoch,
   /// kUnprotected (0) when the slot holds no protected thread. Relaxed —
@@ -179,8 +185,10 @@ class LightEpoch {
     /// Written and read only by the owning thread (see ProtectSerial), so
     /// a plain field suffices.
     uint64_t protect_serial{0};
+    /// HeldOpScopes(); owning thread only.
+    uint32_t held_op_scopes{0};
 #ifndef FASTER_MODEL
-    uint8_t padding[48];
+    uint8_t padding[44];
 #endif
   };
 #ifndef FASTER_MODEL

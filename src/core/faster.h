@@ -422,11 +422,14 @@ class FasterKv {
       AssertEpochProtected(epoch_);
       if (rec.info().invalid() || repair != Status::kOk) return;
       KeyHash hash = Hasher{}(Layout::KeyOf(rec));
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      repair = index_.FindOrCreateEntry(scope, hash, &fr);
-      while (repair == Status::kOk && fr.entry.address() < addr) {
-        if (index_.TryUpdateEntry(&fr, addr)) break;
+      for (;;) {
+        typename HashIndex::OpScope scope{index_, hash};
+        HashIndex::FindResult fr;
+        repair = index_.FindSlot(scope, hash, &fr);
+        if (repair != Status::kOk || fr.entry.address() >= addr ||
+            index_.TryPublish(&fr, addr)) {
+          break;
+        }
       }
     });
     epoch_.Unprotect();
@@ -748,16 +751,14 @@ class FasterKv {
   }
 
   /// Allocates one record in the read cache; a single page-rollover retry,
-  /// then gives up (cache insertion is best-effort).
+  /// then gives up (cache insertion is best-effort). Never refreshes: its
+  /// callers hold an OpScope.
   Address TryAllocateRcRecord(uint32_t size) FASTER_REQUIRES_EPOCH() {
     for (int attempt = 0; attempt < 2; ++attempt) {
       uint64_t closed_page = 0;
       Address addr = rc_log_->Allocate(size, &closed_page);
       if (addr.IsValid()) return addr;
-      if (!rc_log_->NewPage(closed_page)) {
-        epoch_.Refresh();
-        return Address::Invalid();
-      }
+      if (!rc_log_->NewPage(closed_page)) return Address::Invalid();
     }
     return Address::Invalid();
   }
@@ -776,7 +777,7 @@ class FasterKv {
     RecordT* rec = RcRecordAt(rc_addr);
     CopyInto(rec, src,
              RecordInfo{a, false, false, false, /*read_cache=*/true});
-    if (index_.TryUpdateEntry(&fr, TagRc(rc_addr))) {
+    if (index_.TryPublish(&fr, TagRc(rc_addr))) {
       ts.counters.Add(Ctr::kRcInserts);
     } else {
       rec->SetInvalid();
@@ -788,13 +789,18 @@ class FasterKv {
     return fr.slot->load(std::memory_order_acquire) != fr.entry.control();
   }
 
-  /// Second chance (Appendix D): a cache hit in the cache's read-only
-  /// region copies the record to the cache tail, exactly like the primary
-  /// HybridLog's shaping behaviour. Out of line: a rare path that would
-  /// otherwise be inlined into every read.
-  [[gnu::noinline]] void RcSecondChance(ThreadState& ts, RecordT* rc_rec,
-                                        const HashIndex::FindResult& fr)
+  /// Read-cache hit (Appendix D): reads the cached copy, and a hit in the
+  /// cache's read-only region earns the record a second chance — a copy
+  /// at the cache tail, exactly like the primary HybridLog's shaping
+  /// behaviour. Out of line: a rare path that would otherwise be inlined
+  /// into every read.
+  [[gnu::noinline]] void ReadCacheHit(ThreadState& ts, const Key& key,
+                                      const Input& input, Output* output,
+                                      RecordT* rc_rec,
+                                      const HashIndex::FindResult& fr)
       FASTER_REQUIRES_EPOCH() {
+    F::SingleReader(key, input, Layout::ValueOf(*rc_rec), *output);
+    if (StripRc(fr.entry.address()) >= rc_log_->read_only_address()) return;
     // Skip a copy whose CAS is bound to fail: the entry already moved on
     // since `fr` was resolved (say, an earlier read of the key in the same
     // batch made the copy).
@@ -806,11 +812,23 @@ class FasterKv {
              RecordInfo{rc_rec->info().previous_address(), false, false,
                         false, /*read_cache=*/true});
     HashIndex::FindResult mutable_fr = fr;
-    if (index_.TryUpdateEntry(&mutable_fr, TagRc(new_addr))) {
+    if (index_.TryPublish(&mutable_fr, TagRc(new_addr))) {
       ts.counters.Add(Ctr::kRcSecondChance);
     } else {
       rec->SetInvalid();
     }
+  }
+
+  /// An entry whose chain starts below the begin address. Compaction may
+  /// have moved the key and truncated since `fr` was read (a batch op's
+  /// stage-2 snapshot): then the op re-resolves (false). Otherwise a
+  /// primary-log entry is a stale one log truncation left behind
+  /// (Appendix C), and is dropped. Out of line, like ReadCacheHit.
+  [[gnu::noinline]] bool DropStaleEntry(HashIndex::FindResult& fr,
+                                        bool primary) FASTER_REQUIRES_EPOCH() {
+    if (EntryMoved(fr)) return false;
+    if (primary) index_.TryDeleteEntry(&fr);
+    return true;
   }
 
   /// Eviction redirect: runs under epoch safety when cache pages fall off
@@ -842,7 +860,7 @@ class FasterKv {
         HashIndex::FindResult fr;
         if (index_.FindEntry(scope, hash, &fr) &&
             fr.entry.address() == TagRc(addr)) {
-          if (index_.TryUpdateEntry(&fr, rec->info().previous_address())) {
+          if (index_.TryPublish(&fr, rec->info().previous_address())) {
             // Counted on the thread running the eviction trigger.
             thread_states_[Thread::Id()].counters.Add(Ctr::kRcEvictions);
           }
@@ -853,7 +871,8 @@ class FasterKv {
   }
 
   /// Counts `ops` toward the refresh interval, refreshing when it is due.
-  ThreadState& AutoRefresh(uint32_t ops) FASTER_REQUIRES_EPOCH() {
+  [[gnu::always_inline]] ThreadState& AutoRefresh(uint32_t ops)
+      FASTER_REQUIRES_EPOCH() {
     ThreadState& ts = thread_states_[Thread::Id()];
     ts.ops_since_refresh += ops;
     if (ts.ops_since_refresh >= config_.refresh_interval) {
@@ -866,8 +885,9 @@ class FasterKv {
   /// Walks the in-memory record chain from `from` (>= `min_mem`) looking
   /// for `key`. On match sets `*rec` and returns the record's address; on
   /// miss returns the first address below `min_mem` (or invalid).
-  Address TraceBack(const Key& key, Address from, Address min_mem,
-                    RecordT** rec) const FASTER_REQUIRES_EPOCH() {
+  [[gnu::always_inline]] Address TraceBack(const Key& key, Address from,
+                                           Address min_mem, RecordT** rec) const
+      FASTER_REQUIRES_EPOCH() {
     Address addr = from;
     while (addr.IsValid() && addr >= min_mem) {
       RecordT* r = RecordAt(addr);
@@ -919,16 +939,13 @@ class FasterKv {
                           std::vector<uint8_t>* scratch)
       FASTER_REQUIRES_EPOCH() {
     KeyHash hash = Hasher{}(Layout::KeyOf(rec));
-    for (;;) {
+    for (;; epoch_.Refresh()) {  // outside the scope, as in Resolve
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
       if (!index_.FindEntry(scope, hash, &fr)) return Status::kNotFound;
       Address start;
       RecordT* rc_rec = nullptr;
-      if (!ResolveEntry(fr, &start, &rc_rec)) {
-        epoch_.Refresh();
-        continue;
-      }
+      if (!ResolveEntry(fr, &start, &rc_rec)) continue;
       (void)rc_rec;  // liveness is decided on the primary chain below
       Address newest;
       bool tombstone;
@@ -937,10 +954,10 @@ class FasterKv {
       if (s != Status::kOk) return s;
       if (newest != addr || tombstone) return Status::kNotFound;
       Address new_addr = TryAllocateRecord(Layout::Size(rec));
-      if (!new_addr.IsValid()) continue;  // epoch refreshed; re-verify
+      if (!new_addr.IsValid()) continue;  // page rollover; re-verify
       RecordT* new_rec = RecordAt(new_addr);
       CopyInto(new_rec, rec, RecordInfo{start, false, false});
-      if (index_.TryUpdateEntry(&fr, new_addr)) return Status::kOk;
+      if (index_.TryPublish(&fr, new_addr)) return Status::kOk;
       new_rec->SetInvalid();  // raced with an update; re-verify liveness
     }
   }
@@ -988,20 +1005,16 @@ class FasterKv {
     return hlog_.ReadFromDiskSync(addr, size, buf->data());
   }
 
-  /// One-shot allocation (Alg. 1 wrapper). Returns an invalid address if
-  /// the epoch had to be refreshed (page rollover); the caller must
-  /// restart its operation, since any record pointers it held may have
-  /// been invalidated by the refresh.
+  /// One-shot allocation (Alg. 1 wrapper). Returns an invalid address on
+  /// a page rollover: the caller must release its OpScope, refresh the
+  /// epoch (which drives the flushes and evictions the next frame may be
+  /// waiting for) and restart its operation. It never refreshes itself: a
+  /// trigger action the refresh runs may wait on the caller's chunk pin.
   Address TryAllocateRecord(uint32_t size) FASTER_REQUIRES_EPOCH() {
     uint64_t closed_page = 0;
     Address addr = hlog_.Allocate(size, &closed_page);
     if (addr.IsValid()) return addr;
-    while (!hlog_.NewPage(closed_page)) {
-      // Next frame not recyclable yet: drive the epoch (and flushes).
-      epoch_.Refresh();
-      std::this_thread::yield();
-    }
-    epoch_.Refresh();
+    if (!hlog_.NewPage(closed_page)) std::this_thread::yield();
     return Address::Invalid();
   }
 
@@ -1013,7 +1026,9 @@ class FasterKv {
   // stage 3 calls the same Apply. Apply returns false when the op must
   // re-resolve: a lost CAS, a page rollover, a read-cache eviction
   // redirect in flight, or — on a stage-2 resolution — a write to a key
-  // with no index entry yet. Otherwise it sets `*out`: the op's status and
+  // with no index entry yet. Apply never refreshes the epoch; Resolve
+  // does, after its OpScope closes (DESIGN.md §4: no refresh under an
+  // OpScope). Otherwise Apply sets `*out`: the op's status and
   // the counter of its outcome, which the entry point counts — once per
   // op. The engine is forced inline, so each entry point compiles to
   // straight-line code for its op kind (out-of-line calls cost 5-20% per
@@ -1059,23 +1074,25 @@ class FasterKv {
   }
 
   /// Resolve for single ops and for the batch ops stage 3 hands back:
-  /// finds the key's index entry under an OpScope — creating it for
-  /// upserts and RMWs — and applies the op, until Apply completes it.
+  /// finds the key's index entry under an OpScope — or, for upserts and
+  /// RMWs, the free slot a new key's record is published into — and
+  /// applies the op, refreshing between attempts, until Apply completes it.
   [[gnu::always_inline]]
   Outcome Resolve(ThreadState& ts, const OpRef& op, KeyHash hash)
       FASTER_REQUIRES_EPOCH() {
-    for (;;) {
+    Outcome out;
+    for (;; epoch_.Refresh()) {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
       bool has_entry;
       if (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw) {
-        has_entry = index_.FindOrCreateEntry(scope, hash, &fr) == Status::kOk;
+        has_entry = index_.FindSlot(scope, hash, &fr) == Status::kOk;
       } else {
         has_entry = index_.FindEntry(scope, hash, &fr);
       }
-      Outcome out;
-      if (Apply(ts, op, hash, has_entry, fr, nullptr, &out)) return out;
+      if (Apply(ts, op, hash, has_entry, fr, nullptr, &out)) break;
     }
+    return out;
   }
 
   [[gnu::always_inline]]
@@ -1093,8 +1110,8 @@ class FasterKv {
       }
     }
     if (!has_entry && (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw)) {
-      // A batch resolution defers to Resolve, which creates the entry or
-      // finds no room for one: then the op fails, having changed nothing.
+      // A batch resolution defers to Resolve, which finds a free slot or
+      // no room for one: then the op fails, having changed nothing.
       *out = {Status::kOutOfMemory, Ctr::kCount};
       return chunk == nullptr;
     }
@@ -1127,32 +1144,17 @@ class FasterKv {
     RecordT* rc_rec = nullptr;
     if (!ResolveEntry(fr, &addr, &rc_rec)) {
       // The cache page was evicted but the entry is not yet redirected;
-      // drive the epoch and retry (Appendix D).
-      epoch_.Refresh();
+      // retry after a refresh (Appendix D).
       return false;
     }
     if (rc_rec != nullptr && Layout::KeyEquals(*rc_rec, op.key)) {
-      // Read-cache hit. A hit in the cache's read-only region earns the
-      // record a second chance at the cache tail (Appendix D); read first,
-      // since the copy may refresh the epoch.
-      F::SingleReader(op.key, *op.input, Layout::ValueOf(*rc_rec),
-                      *op.output);
-      if (StripRc(fr.entry.address()) < rc_log_->read_only_address()) {
-        RcSecondChance(ts, rc_rec, fr);
-      }
+      ReadCacheHit(ts, op.key, *op.input, op.output, rc_rec, fr);
       *out = {Status::kOk, Ctr::kReadRc};
       return true;
     }
     Address begin = hlog_.begin_address();
     if (!addr.IsValid() || addr < begin) {
-      // Compaction may have moved the key and truncated since `fr` was
-      // read (a batch op's stage-2 snapshot): re-resolve.
-      if (EntryMoved(fr)) return false;
-      if (rc_rec == nullptr) {
-        // Stale entry left behind by log truncation (Appendix C).
-        index_.TryDeleteEntry(&fr);
-      }
-      return true;
+      return DropStaleEntry(fr, /*primary=*/rc_rec == nullptr);
     }
     if constexpr (kMergeable) {
       *out = MergeableRead(ts, op, hash, addr, chunk);
@@ -1187,7 +1189,7 @@ class FasterKv {
       return true;
     }
     // The chain continues on storage: go asynchronous (Sec. 5.3).
-    Status s = StartPendingIo(ts, NewContext(ts, op, hash), addr, chunk);
+    Status s = GoPending(ts, op, hash, addr, chunk);
     *out = {s, s == Status::kPending ? Ctr::kReadStable : Ctr::kCount};
     return true;
   }
@@ -1201,16 +1203,16 @@ class FasterKv {
                    ChunkRes* chunk, Outcome* out) FASTER_REQUIRES_EPOCH() {
     Address addr;
     RecordT* rc_rec = nullptr;
-    if (!ResolveEntry(fr, &addr, &rc_rec)) {
-      epoch_.Refresh();
-      return false;
-    }
-    Address begin = hlog_.begin_address();
-    Address head = hlog_.head_address();
+    if (!ResolveEntry(fr, &addr, &rc_rec)) return false;
     RecordT* rec = nullptr;
-    if (rc_rec == nullptr && addr.IsValid() && addr >= begin &&
-        addr >= head) {
-      Address found = TraceBack(op.key, addr, std::max(head, begin), &rec);
+    // A new key's free slot has no address: no region loads.
+    if (rc_rec == nullptr && addr.IsValid()) {
+      Address begin = hlog_.begin_address();
+      Address head = hlog_.head_address();
+      Address found = Address::Invalid();
+      if (addr >= begin && addr >= head) {
+        found = TraceBack(op.key, addr, std::max(head, begin), &rec);
+      }
       if (rec != nullptr && !rec->info().tombstone() && !config_.force_rcu &&
           found >= hlog_.read_only_address() &&
           (!kVarLen || Layout::Fits(*rec, *op.value))) {
@@ -1231,13 +1233,13 @@ class FasterKv {
     } else {
       new_addr = TryAllocateRecord(
           static_cast<uint32_t>(Layout::SizeFor(op.key, *op.value)));
-      if (!new_addr.IsValid()) return false;  // epoch refreshed
+      if (!new_addr.IsValid()) return false;  // page rollover
     }
     RecordT* new_rec = RecordAt(new_addr);
     Layout::Init(new_rec, op.key, *op.value);
     F::SingleWriter(op.key, *op.value, Layout::ValueOf(*new_rec));
     new_rec->set_info(RecordInfo{addr, false, false});
-    if (index_.TryUpdateEntry(&fr, new_addr)) {
+    if (index_.TryPublish(&fr, new_addr)) {
       *out = {Status::kOk, Ctr::kUpsertAppend};
       // Appendix C: flag the superseded in-memory version for GC.
       if (rec != nullptr) rec->SetOverwritten();
@@ -1260,15 +1262,25 @@ class FasterKv {
     }
     *out = {oc.done() ? Status::kOk : Status::kPending, oc.kind};
     if (oc.done()) return true;
-    PendingContext* ctx = NewContext(ts, op, hash);
-    if (ctx == nullptr) {
-      *out = {Status::kOutOfMemory, Ctr::kCount};
-    } else if (oc.kind == Ctr::kRmwStable) {
-      StartPendingIo(ts, ctx, oc.io_address, chunk);
-    } else {
-      DeferFuzzyRmw(ts, ctx);
-    }
+    // A storage read, or (no I/O address) a fuzzy-region deferral.
+    Status s = GoPending(ts, op, hash, oc.io_address, chunk);
+    if (s != Status::kPending) *out = {s, Ctr::kCount};
     return true;
+  }
+
+  /// Parks a fresh op that must wait: a storage read of the record at
+  /// `addr` (Sec. 5.3) or, with an invalid `addr`, an RMW's fuzzy-region
+  /// retry. kPending, or kOutOfMemory, with nothing changed, if the op got
+  /// no context. Out of line, context constructor and all: op bodies keep
+  /// only the call.
+  [[gnu::noinline]] Status GoPending(ThreadState& ts, OpRef op, KeyHash hash,
+                                     Address addr, ChunkRes* chunk) {
+    PendingContext* ctx = NewContext(ts, op, hash);
+    if (ctx == nullptr || addr.IsValid()) {
+      return StartPendingIo(ts, ctx, addr, chunk);
+    }
+    DeferFuzzyRmw(ts, ctx);
+    return Status::kPending;
   }
 
   /// Fuzzy region (Sec. 6.2): parks an RMW on the ready list, which
@@ -1293,16 +1305,13 @@ class FasterKv {
     if (!has_entry) return true;
     Address addr;
     RecordT* rc_rec = nullptr;
-    if (!ResolveEntry(fr, &addr, &rc_rec)) {
-      epoch_.Refresh();
-      return false;
-    }
+    if (!ResolveEntry(fr, &addr, &rc_rec)) return false;
     Address begin = hlog_.begin_address();
     if (!addr.IsValid() || addr < begin) {
       if (EntryMoved(fr)) return false;  // moved by compaction: ApplyRead
       if (rc_rec != nullptr) {
         // The cached key's only version was truncated away.
-        index_.TryUpdateEntry(&fr, addr);
+        index_.TryPublish(&fr, addr);
       } else {
         index_.TryDeleteEntry(&fr);
       }
@@ -1333,7 +1342,7 @@ class FasterKv {
     RecordT* new_rec = RecordAt(new_addr);
     Layout::Init(new_rec, op.key, Value{});
     new_rec->set_info(RecordInfo{addr, false, /*tombstone=*/true});
-    if (index_.TryUpdateEntry(&fr, new_addr)) {
+    if (index_.TryPublish(&fr, new_addr)) {
       if (rec != nullptr) rec->SetOverwritten();  // Appendix C
       *out = {Status::kOk, Ctr::kDeleteAppend};
       return true;
@@ -1380,10 +1389,7 @@ class FasterKv {
     *oc = RmwOutcome{};
     Address addr;
     RecordT* rc_rec = nullptr;
-    if (!ResolveEntry(fr, &addr, &rc_rec)) {
-      epoch_.Refresh();
-      return false;
-    }
+    if (!ResolveEntry(fr, &addr, &rc_rec)) return false;
     if (rc_rec != nullptr && rc_rec->key == key) {
       // Read-cache hit (Appendix D): the cached copy is the newest
       // version, so RMW can copy-update from it without a storage read.
@@ -1485,7 +1491,7 @@ class FasterKv {
     });
     new_rec->set_info(
         RecordInfo{prev, false, false, kind == Ctr::kRmwDelta});
-    if (index_.TryUpdateEntry(fr, new_addr)) return true;
+    if (index_.TryPublish(fr, new_addr)) return true;
     new_rec->SetInvalid();
     return false;
   }
@@ -1700,7 +1706,7 @@ class FasterKv {
   }
 
   /// A context for `op`, recycled from this thread's free list or else
-  /// from the heap; nullptr if the heap fails. Op bodies inline the ctor.
+  /// from the heap; nullptr if the heap fails.
   [[gnu::always_inline]] PendingContext* NewContext(ThreadState& ts,
                                                     OpRef op, KeyHash hash) {
     void* mem = ContextMemory(ts);
@@ -1850,13 +1856,16 @@ class FasterKv {
     RmwOutcome oc;
     Status s = Status::kOk;
     for (bool done = false; !done && s == Status::kOk;) {
-      typename HashIndex::OpScope scope{index_, ctx->hash};
-      HashIndex::FindResult fr;
-      // A key whose entry is gone may find no room to recreate it.
-      s = index_.FindOrCreateEntry(scope, ctx->hash, &fr);
-      done = s == Status::kOk &&
-             DispatchRmw(ctx->key, ctx->input, ctx->output, fr, state,
-                         disk_value, ctx->chain_bottom, &oc);
+      {
+        typename HashIndex::OpScope scope{index_, ctx->hash};
+        HashIndex::FindResult fr;
+        // A key whose entry is gone may find no room for a new one.
+        s = index_.FindSlot(scope, ctx->hash, &fr);
+        done = s == Status::kOk &&
+               DispatchRmw(ctx->key, ctx->input, ctx->output, fr, state,
+                           disk_value, ctx->chain_bottom, &oc);
+      }
+      if (!done) epoch_.Refresh();  // outside the scope, as in Resolve
     }
     if (s != Status::kOk) {
       FinishPending(ts, ctx, s);

@@ -64,12 +64,16 @@ struct alignas(64) HashBucket {
   static constexpr uint32_t kNumEntries = 7;
 
   // order: acquire loads on every chain scan; acq_rel CAS for the
-  // two-phase tentative insert and TryUpdate/TryDelete (the CAS is the
-  // publication point for a new record: the writer fills the record with
-  // plain stores, the CAS releases them); release store to back off a
-  // tentative entry, finalize an owned slot, or (migration) publish into a
-  // not-yet-shared table; relaxed loads/stores only in single-writer
-  // phases (migration scan, checkpoint restore).
+  // tentative claim and TryPublish/TryDelete on an existing entry (that
+  // CAS is the publication point for a record that supersedes one: the
+  // writer fills the record with plain stores, the CAS releases them);
+  // release store to finalize an owned slot — for a new key, whose record
+  // is written before the tentative claim that already points at it, the
+  // finalize is the publication point (readers skip tentative entries) —
+  // to back one off, or (migration) to publish into a not-yet-shared
+  // table; relaxed loads/stores only in single-writer phases (migration
+  // scan, checkpoint restore). Only FindOrCreateEntry can still leave a
+  // visible entry with an invalid address.
   Atomic<uint64_t> entries[kNumEntries];
   /// Physical pointer (as integer) to the next (overflow) bucket; 0 if
   /// none. Overflow buckets are cache-line aligned too.

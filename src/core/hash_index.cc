@@ -154,17 +154,13 @@ HashBucket* HashIndex::ClaimOverflowBucket(uint8_t version) {
 // OpScope: version resolution + chunk pinning (Appendix B).
 // ---------------------------------------------------------------------------
 
-HashIndex::OpScope::OpScope(HashIndex& index, KeyHash hash)
-    : index_{index}, pinned_chunk_{-1} {
-  // Every index operation walks bucket chains whose memory is reclaimed
-  // epoch-deferred (Grow retires tables, overflow pools are version-tied).
-  FASTER_EPOCH_VERIFY(index.epoch_->IsProtected(),
-                      "index operation (OpScope) without epoch protection");
+void HashIndex::OpScope::Resize(KeyHash hash) {
+  HashIndex& index = index_;
   for (;;) {
     ResizeInfo info = index.resize_info();
     uint8_t v = info.version;
     if (info.phase == Phase::kStable) {
-      // Common case: no resize in flight; operate on the active table.
+      // The grow finished since the caller looked.
       table_ = index.tables_[v].load(std::memory_order_acquire);
       table_size_ = index.table_size_[v].load(std::memory_order_acquire);
       return;
@@ -206,36 +202,42 @@ HashIndex::OpScope::~OpScope() {
     index_.pins_[static_cast<uint64_t>(pinned_chunk_)]->fetch_sub(
         1, std::memory_order_acq_rel);
   }
+  if constexpr (kEpochCheckEnabled) --index_.epoch_->HeldOpScopes();
 }
 
 // ---------------------------------------------------------------------------
 // Lookup / insert (Sec. 3.2).
 // ---------------------------------------------------------------------------
 
-bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag, FindResult* match,
-                          Atomic<uint64_t>** free_slot, uint8_t) {
+template <bool kFree>
+inline bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag,
+                                 FindResult* match,
+                                 Atomic<uint64_t>** free_slot) const {
+  // One masked compare per entry finds a non-tentative entry with the tag.
+  constexpr uint64_t kMask =
+      HashBucketEntry::kTentativeBit | HashBucketEntry::kTagMask;
+  const uint64_t want = uint64_t{tag} << HashBucketEntry::kTagShift;
+  Atomic<uint64_t>* free = nullptr;
   uint64_t probes = 0;
-  while (bucket != nullptr) {
+  do {
+#pragma GCC unroll 7
     for (uint32_t i = 0; i < HashBucket::kNumEntries; ++i) {
-      HashBucketEntry entry{
-          bucket->entries[i].load(std::memory_order_acquire)};
+      uint64_t control = bucket->entries[i].load(std::memory_order_acquire);
       ++probes;
-      if (entry.IsUnused()) {
-        if (free_slot != nullptr && *free_slot == nullptr) {
-          *free_slot = &bucket->entries[i];
-        }
-        continue;
-      }
-      if (!entry.tentative() && entry.tag() == tag) {
+      // Only tag 0 also matches an empty slot.
+      if ((control & kMask) == want && control != 0) [[unlikely]] {
         match->slot = &bucket->entries[i];
-        match->entry = entry;
+        match->entry = HashBucketEntry{control};
+        match->head = nullptr;
         obs_stats_.probe_len.Record(probes);
         return true;
       }
+      if (kFree && control == 0 && free == nullptr) free = &bucket->entries[i];
     }
     bucket = reinterpret_cast<HashBucket*>(
         bucket->overflow.load(std::memory_order_acquire));
-  }
+  } while (bucket != nullptr);
+  if constexpr (kFree) *free_slot = free;
   obs_stats_.probe_len.Record(probes);
   return false;
 }
@@ -244,12 +246,9 @@ bool HashIndex::FindEntry(const OpScope& scope, KeyHash hash,
                           FindResult* out) const {
   FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
                       "bucket read (FindEntry) without epoch protection");
-  uint16_t tag = EffectiveTag(hash);
   HashBucket* bucket = &scope.table_[hash.Bucket(scope.table_size_)];
   obs_stats_.finds.Inc();
-  // const_cast: ScanChain only performs atomic loads here.
-  bool hit =
-      const_cast<HashIndex*>(this)->ScanChain(bucket, tag, out, nullptr, 0);
+  bool hit = ScanChain<false>(bucket, EffectiveTag(hash), out, nullptr);
   if (hit) obs_stats_.find_hits.Inc();
   return hit;
 }
@@ -272,97 +271,67 @@ bool HashIndex::TryFindEntriesStable(const KeyHash* hashes, const bool* skip,
       found[i] = false;
       continue;
     }
-    uint16_t tag = EffectiveTag(hashes[i]);
     HashBucket* bucket = &table[hashes[i].Bucket(size)];
     obs_stats_.finds.Inc();
-    // const_cast: ScanChain only performs atomic loads here.
-    bool hit = const_cast<HashIndex*>(this)->ScanChain(bucket, tag, &out[i],
-                                                       nullptr, 0);
+    bool hit =
+        ScanChain<false>(bucket, EffectiveTag(hashes[i]), &out[i], nullptr);
     if (hit) obs_stats_.find_hits.Inc();
     found[i] = hit;
   }
   return true;
 }
 
-Status HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
-                                    FindResult* out) {
+Status HashIndex::FindSlot(const OpScope& scope, KeyHash hash,
+                           FindResult* out) {
+  FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
+                      "bucket read (FindSlot) without epoch protection");
   uint16_t tag = EffectiveTag(hash);
-  ResizeInfo info = resize_info();
-  uint8_t alloc_version =
-      (scope.pinned_chunk_ >= 0 || info.phase == Phase::kStable)
-          ? info.version
-          : static_cast<uint8_t>(1 - info.version);
   HashBucket* head = &scope.table_[hash.Bucket(scope.table_size_)];
-  for (;;) {
-    Atomic<uint64_t>* free_slot = nullptr;
-    if (ScanChain(head, tag, out, &free_slot, 0)) {
-      return Status::kOk;  // Existing non-tentative entry.
-    }
-    if (free_slot == nullptr) {
-      // Chain is full: append an overflow bucket, then retry the scan (the
-      // new bucket's slots become candidate free slots).
-      HashBucket* fresh = ClaimOverflowBucket(alloc_version);
-      if (fresh == nullptr) return Status::kOutOfMemory;
-      HashBucket* last = head;
-      for (;;) {
-        uint64_t next = last->overflow.load(std::memory_order_acquire);
-        if (next != 0) {
-          last = reinterpret_cast<HashBucket*>(next);
-          continue;
-        }
-        uint64_t expected = 0;
-        if (last->overflow.compare_exchange_strong(
-                expected, reinterpret_cast<uint64_t>(fresh),
-                std::memory_order_acq_rel)) {
-          break;
-        }
-        // Someone else extended the chain first; we follow theirs and link
-        // our bucket after it.
-      }
-      continue;
-    }
-    // Phase 1: claim the free slot with a tentative entry (invisible to
-    // concurrent readers and updaters).
-    HashBucketEntry tentative{Address::Invalid(), tag, /*tentative=*/true};
-    uint64_t expected = 0;
-    if (!free_slot->compare_exchange_strong(expected, tentative.control(),
-                                            std::memory_order_acq_rel)) {
-      continue;  // Slot taken; rescan.
-    }
-    // Phase 2: re-scan the chain for any other entry (tentative or not)
-    // with the same tag. If found, back off and retry (Fig. 3b).
-    bool duplicate = false;
-    for (HashBucket* b = head; b != nullptr && !duplicate;
-         b = reinterpret_cast<HashBucket*>(
-             b->overflow.load(std::memory_order_acquire))) {
-      for (uint32_t i = 0; i < HashBucket::kNumEntries; ++i) {
-        if (&b->entries[i] == free_slot) continue;
-        HashBucketEntry entry{b->entries[i].load(std::memory_order_acquire)};
-        if (!entry.IsUnused() && entry.tag() == tag) {
-          duplicate = true;
-          break;
-        }
-      }
-    }
-    if (duplicate) {
-      obs_stats_.tentative_conflicts.Inc();
-      free_slot->store(0, std::memory_order_release);
-      thread_yield();
-      continue;
-    }
-    // Finalize: clear the tentative bit. We own the slot, so a plain
-    // release store suffices.
-    HashBucketEntry final_entry = tentative.Finalized();
-    free_slot->store(final_entry.control(), std::memory_order_release);
-    out->slot = free_slot;
-    out->entry = final_entry;
-    return Status::kOk;
+  Atomic<uint64_t>* free_slot;
+  if (ScanChain<true>(head, tag, out, &free_slot)) return Status::kOk;
+  if (free_slot == nullptr) [[unlikely]] {
+    return FindSlotInFullChain(scope, hash, out);
   }
+  out->slot = free_slot;
+  out->entry = HashBucketEntry{Address::Invalid(), tag, false};
+  out->head = head;
+  return Status::kOk;
 }
 
-bool HashIndex::TryUpdateEntry(FindResult* result, Address address) {
+Status HashIndex::FindSlotInFullChain(const OpScope& scope, KeyHash hash,
+                                      FindResult* out) {
+  // Link an overflow bucket, whose slots are free, to the chain's end. A
+  // scope pinned in the prepare phase inserts into the old table's
+  // version.
+  ResizeInfo info = resize_info();
+  uint8_t version = (scope.pinned_chunk_ >= 0 || info.phase == Phase::kStable)
+                        ? info.version
+                        : static_cast<uint8_t>(1 - info.version);
+  HashBucket* fresh = ClaimOverflowBucket(version);
+  if (fresh == nullptr) return Status::kOutOfMemory;
+  HashBucket* last = &scope.table_[hash.Bucket(scope.table_size_)];
+  for (;;) {
+    uint64_t next = last->overflow.load(std::memory_order_acquire);
+    if (next != 0) {
+      last = reinterpret_cast<HashBucket*>(next);
+      continue;
+    }
+    uint64_t expected = 0;
+    if (last->overflow.compare_exchange_strong(
+            expected, reinterpret_cast<uint64_t>(fresh),
+            std::memory_order_acq_rel)) {
+      break;
+    }
+    // Someone else extended the chain first; we follow theirs and link
+    // our bucket after it.
+  }
+  return FindSlot(scope, hash, out);
+}
+
+bool HashIndex::TryPublish(FindResult* result, Address address) {
   FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
-                      "index CAS (TryUpdateEntry) without epoch protection");
+                      "index CAS (TryPublish) without epoch protection");
+  if (result->head != nullptr) return TryInsert(result, address);
   HashBucketEntry desired{address, result->entry.tag(), /*tentative=*/false};
   uint64_t expected = result->entry.control();
   if (result->slot->compare_exchange_strong(expected, desired.control(),
@@ -373,6 +342,60 @@ bool HashIndex::TryUpdateEntry(FindResult* result, Address address) {
   result->entry = HashBucketEntry{expected};
   obs_stats_.cas_retries.Inc();
   return false;
+}
+
+bool HashIndex::TryInsert(FindResult* result, Address address) {
+  // Phase 1: claim the free slot with a tentative entry, invisible to
+  // readers and updaters. It already carries the record's address.
+  Atomic<uint64_t>* slot = result->slot;
+  HashBucketEntry tentative{address, result->entry.tag(), /*tentative=*/true};
+  uint64_t expected = 0;
+  if (!slot->compare_exchange_strong(expected, tentative.control(),
+                                     std::memory_order_acq_rel)) {
+    return false;  // Slot taken; the caller rescans.
+  }
+  // Phase 2: rescan the chain for any other entry (tentative or not) with
+  // the same tag. If there is one, back off (Fig. 3b).
+  const uint64_t want = tentative.control() & HashBucketEntry::kTagMask;
+  HashBucket* b = result->head;
+  do {
+#pragma GCC unroll 7
+    for (uint32_t i = 0; i < HashBucket::kNumEntries; ++i) {
+      uint64_t control = b->entries[i].load(std::memory_order_acquire);
+      if ((control & HashBucketEntry::kTagMask) != want) [[likely]] continue;
+      // The claim itself has the tag (and may equal another claim in value:
+      // FindOrCreateEntry's all carry an invalid address), and for tag 0 so
+      // does an empty slot. The empty asm keeps the compiler from folding
+      // these rare tests into the one above, so each entry costs one test.
+      asm("" ::: "memory");
+      if (&b->entries[i] != slot && control != 0) {
+        obs_stats_.tentative_conflicts.Inc();
+        slot->store(0, std::memory_order_release);
+        thread_yield();
+        return false;
+      }
+    }
+    b = reinterpret_cast<HashBucket*>(
+        b->overflow.load(std::memory_order_acquire));
+  } while (b != nullptr);
+  // Finalize: clear the tentative bit. We own the slot, so a release store
+  // suffices; it is the store that publishes the record to readers.
+  HashBucketEntry final_entry = tentative.Finalized();
+  slot->store(final_entry.control(), std::memory_order_release);
+  result->entry = final_entry;
+  result->head = nullptr;
+  return true;
+}
+
+Status HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
+                                    FindResult* out) {
+  for (;;) {
+    Status s = FindSlot(scope, hash, out);
+    if (s != Status::kOk || out->head == nullptr ||
+        TryPublish(out, Address::Invalid())) {
+      return s;
+    }
+  }
 }
 
 bool HashIndex::TryDeleteEntry(FindResult* result) {

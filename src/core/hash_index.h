@@ -39,11 +39,14 @@ namespace faster {
 /// the operation (find through CAS).
 class HashIndex {
  public:
-  /// Result of locating (or creating) an entry: the atomic slot (for later
-  /// CAS) and the entry value observed.
+  /// Result of locating an entry: the atomic slot (for later CAS) and the
+  /// entry value observed. FindSlot may instead return a free slot for a
+  /// key with no entry: `head` is then the chain TryPublish rescans, and
+  /// `entry` the entry to be, with the key's tag and no address.
   struct FindResult {
     Atomic<uint64_t>* slot = nullptr;
     HashBucketEntry entry;
+    HashBucket* head = nullptr;  // null unless `slot` is a free slot
   };
 
   /// RAII bracket around one index operation. Resolves which table version
@@ -51,13 +54,38 @@ class HashIndex {
   /// chunk (prepare phase) or helps migrate it (resizing phase).
   class OpScope {
    public:
-    OpScope(HashIndex& index, KeyHash hash) FASTER_REQUIRES_EPOCH();
+    /// Inline for the stable phase; a resize in flight takes Resize().
+    [[gnu::always_inline]] OpScope(HashIndex& index, KeyHash hash)
+        FASTER_REQUIRES_EPOCH()
+        : index_{index}, pinned_chunk_{-1} {
+      // Every index operation walks bucket chains whose memory is
+      // reclaimed epoch-deferred (Grow retires tables and their overflow
+      // segments).
+      FASTER_EPOCH_VERIFY(
+          index.epoch_->IsProtected(),
+          "index operation (OpScope) without epoch protection");
+      if constexpr (kEpochCheckEnabled) ++index.epoch_->HeldOpScopes();
+      ResizeInfo info = index.resize_info();
+      if (info.phase != Phase::kStable) {
+        Resize(hash);
+        return;
+      }
+      table_ = index.tables_[info.version].load(std::memory_order_acquire);
+      table_size_ =
+          index.table_size_[info.version].load(std::memory_order_acquire);
+    }
+    /// Out of line: a call costs an op fewer bytes than the unpin check
+    /// inlined at each of its exits.
     ~OpScope();
     OpScope(const OpScope&) = delete;
     OpScope& operator=(const OpScope&) = delete;
 
    private:
     friend class HashIndex;
+    /// Resolves the table during a resize: pins the chunk (prepare phase)
+    /// or helps migrate it (resizing phase).
+    void Resize(KeyHash hash);
+
     HashIndex& index_;
     HashBucket* table_;
     uint64_t table_size_;
@@ -111,19 +139,39 @@ class HashIndex {
                             FindResult* out, bool* found) const
       FASTER_REQUIRES_EPOCH();
 
-  /// Finds the entry matching `hash`'s tag, creating one (with an invalid
-  /// address) via the two-phase tentative insert if absent. Returns
-  /// kOutOfMemory, with nothing created, if the chain is full and no
-  /// memory can be mapped for an overflow bucket.
+  /// One scan for a write: finds the entry matching `hash`'s tag or, if
+  /// there is none, the chain's first free slot (see FindResult), linking
+  /// an overflow bucket to a full chain. Returns kOutOfMemory, with
+  /// nothing changed, if the chain is full and no memory can be mapped
+  /// for an overflow bucket.
+  Status FindSlot(const OpScope& scope, KeyHash hash, FindResult* out)
+      FASTER_REQUIRES_EPOCH();
+
+  /// Points `result`'s entry at `address`, which the caller has filled in
+  /// already. An entry found: one CAS from the observed value; on failure
+  /// `result->entry` reloads the current value. A free slot (Sec. 3.2's
+  /// two-phase insert, record first): claims it with a tentative entry
+  /// that already carries `address`, rescans the chain for the tag, and
+  /// either backs off (clears the slot, returns false) or finalizes the
+  /// entry with a release store — the point that publishes the record.
+  /// After a failed claim or a back-off the caller must FindSlot again.
+  /// On success `result` holds the published entry.
+  bool TryPublish(FindResult* result, Address address)
+      FASTER_REQUIRES_EPOCH();
+
+  /// FindSlot, then publishes an entry with an invalid address in a free
+  /// slot: the entry a later TryUpdateEntry fills. Returns kOutOfMemory
+  /// like FindSlot.
   Status FindOrCreateEntry(const OpScope& scope, KeyHash hash,
                            FindResult* out) FASTER_REQUIRES_EPOCH();
 
-  /// CAS the slot in `result` from the observed entry to a new entry with
-  /// `address` and the same tag. On success updates `result->entry`; on
-  /// failure reloads the current value into `result->entry`. The slot
-  /// pointer is only valid under the epoch protection it was found under.
+  /// TryPublish for a result FindEntry or FindOrCreateEntry returned. The
+  /// slot pointer is only valid under the epoch protection it was found
+  /// under.
   bool TryUpdateEntry(FindResult* result, Address address)
-      FASTER_REQUIRES_EPOCH();
+      FASTER_REQUIRES_EPOCH() {
+    return TryPublish(result, address);
+  }
 
   /// CAS the slot in `result` from the observed entry to empty (0).
   bool TryDeleteEntry(FindResult* result) FASTER_REQUIRES_EPOCH();
@@ -337,9 +385,19 @@ class HashIndex {
   HashBucket* ClaimOverflowBucket(uint8_t version);
 
   /// Walks a bucket chain looking for `tag`; returns slot/value of the
-  /// non-tentative match, and optionally the first free slot seen.
-  bool ScanChain(HashBucket* bucket, uint16_t tag, FindResult* match,
-                 Atomic<uint64_t>** free_slot, uint8_t version);
+  /// non-tentative match. On a miss with `kFree`, sets `*free_slot` to the
+  /// first free slot seen (nullptr if none). Inlined into each scan.
+  template <bool kFree>
+  [[gnu::always_inline]] bool ScanChain(HashBucket* bucket, uint16_t tag,
+                                        FindResult* match,
+                                        Atomic<uint64_t>** free_slot) const;
+
+  /// FindSlot's path for a chain with no free slot: links an overflow
+  /// bucket to it and scans again.
+  [[gnu::noinline]] Status FindSlotInFullChain(const OpScope& scope,
+                                               KeyHash hash, FindResult* out);
+  /// TryPublish into a free slot: the two-phase insert.
+  bool TryInsert(FindResult* result, Address address);
 
   /// Migrates chunk `chunk` from the old to the new table. Caller must
   /// have claimed the chunk via the pin array.

@@ -68,22 +68,6 @@ Address HybridLog::tail_address() const {
   return Address{(page << Address::kOffsetBits) + offset};
 }
 
-Address HybridLog::Allocate(uint32_t size, uint64_t* closed_page) {
-  FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
-                      "log allocation without epoch protection");
-  assert(size % 8 == 0 && size > 0 && size <= Address::kPageSize);
-  uint64_t tpo = tail_page_offset_.fetch_add(size, std::memory_order_acq_rel);
-  uint64_t page = tpo >> 32;
-  uint64_t offset = tpo & 0xffffffffull;
-  if (offset + size <= Address::kPageSize) {
-    return Address{page, offset};
-  }
-  // This allocation (and any later one) overflowed the page; the caller
-  // must close it via NewPage and retry.
-  *closed_page = page;
-  return Address::Invalid();
-}
-
 Address HybridLog::AllocateExtent(uint32_t size, uint32_t count) {
   FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
                       "log extent allocation without epoch protection");

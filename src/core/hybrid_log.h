@@ -2,6 +2,7 @@
 #define FASTER_CORE_HYBRID_LOG_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -69,7 +70,21 @@ class HybridLog {
   /// `*closed_page` to the page that must be closed; the caller should
   /// invoke `NewPage(closed_page)`, `epoch->Refresh()`, and retry.
   Address Allocate(uint32_t size, uint64_t* closed_page)
-      FASTER_REQUIRES_EPOCH();
+      FASTER_REQUIRES_EPOCH() {
+    FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
+                        "log allocation without epoch protection");
+    assert(size % 8 == 0 && size > 0 && size <= Address::kPageSize);
+    uint64_t tpo = tail_page_offset_.fetch_add(size, std::memory_order_acq_rel);
+    uint64_t page = tpo >> 32;
+    uint64_t offset = tpo & 0xffffffffull;
+    if (offset + size <= Address::kPageSize) {
+      return Address{page, offset};
+    }
+    // This allocation (and any later one) overflowed the page; the caller
+    // must close it via NewPage and retry.
+    *closed_page = page;
+    return Address::Invalid();
+  }
 
   /// Reserves one contiguous extent of `count` records of `size` bytes each
   /// with a single tail bump, for a batch of upserts. Returns the address

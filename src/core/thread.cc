@@ -36,8 +36,6 @@ struct ThreadIdHolder {
   ~ThreadIdHolder();
 };
 
-thread_local ThreadIdHolder t_holder;
-
 }  // namespace
 
 uint32_t Thread::Acquire() {
@@ -63,12 +61,12 @@ void Thread::Release(uint32_t id) {
   }
 }
 
-uint32_t Thread::Id() {
-  if (t_holder.id == kInvalidId) {
-    t_holder.id = Acquire();
-    obs::Profiler::RegisterThread();  // outside the profiler's handler
-  }
-  return t_holder.id;
+uint32_t Thread::Register() {
+  static thread_local ThreadIdHolder holder;
+  holder.id = Acquire();
+  id_ = holder.id;
+  obs::Profiler::RegisterThread();  // outside the profiler's handler
+  return id_;
 }
 
 uint32_t Thread::HighWaterMark() {

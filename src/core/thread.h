@@ -27,8 +27,16 @@ class Thread {
 #endif
   static constexpr uint32_t kInvalidId = UINT32_MAX;
 
-  /// Dense id of the calling thread, assigned on first use.
+  /// Dense id of the calling thread, assigned on first use. Inline: every
+  /// op looks its thread slot up.
+#ifdef FASTER_MODEL
   static uint32_t Id();
+#else
+  static uint32_t Id() {
+    uint32_t id = id_;
+    return id != kInvalidId ? id : Register();
+  }
+#endif
 
   /// Number of ids ever handed out (high-water mark); used by tests.
   static uint32_t HighWaterMark();
@@ -38,6 +46,14 @@ class Thread {
 
  private:
   static uint32_t Acquire();
+#ifndef FASTER_MODEL
+  /// Assigns the calling thread its id on first use. Cold: op bodies keep
+  /// only the branch to it.
+  [[gnu::cold]] static uint32_t Register();
+  // The calling thread's id: trivially destructible, so its reads need no
+  // TLS wrapper call; Register arranges the release at thread exit.
+  static inline thread_local uint32_t id_ = kInvalidId;
+#endif
 
   // order: acq_rel CAS claims a slot in Acquire; release store frees it in
   // Release (orders the exiting thread's last epoch-table writes before

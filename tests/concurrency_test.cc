@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,14 +42,17 @@ TEST(GrowUnderWritersTest, NoEntryLostDuringGrow) {
       while (!stop.load(std::memory_order_relaxed)) {
         uint64_t k = rng() % kKeys;
         KeyHash h{Mix64(k)};
-        HashIndex::OpScope scope{index, h};
-        HashIndex::FindResult fr;
-        index.FindOrCreateEntry(scope, h, &fr);
-        if (!fr.entry.address().IsValid()) {
-          if (index.TryUpdateEntry(&fr, Address{k + 1, 0})) {
-            inserted.fetch_add(1, std::memory_order_relaxed);
+        {
+          HashIndex::OpScope scope{index, h};
+          HashIndex::FindResult fr;
+          index.FindOrCreateEntry(scope, h, &fr);
+          if (!fr.entry.address().IsValid()) {
+            if (index.TryUpdateEntry(&fr, Address{k + 1, 0})) {
+              inserted.fetch_add(1, std::memory_order_relaxed);
+            }
           }
         }
+        // Outside the OpScope (the epoch verifier checks).
         if (++i % 128 == 0) epoch.Refresh();
       }
       epoch.Unprotect();
@@ -162,6 +168,138 @@ TEST(StoreHammerTest, MixedOpsWithGrowAndCheckpoint) {
   }
   store.StopSession();
   std::filesystem::remove_all("/tmp/faster_hammer_ckpt");
+}
+
+// --------------------------------------------------------------------------
+// Record-first inserts racing on the same new keys: each write to a key
+// with no entry writes its record, then publishes it into a free slot;
+// the publishes that lose (slot taken, or a duplicate tag on the rescan)
+// leave an invalid record behind. Every key must end with one index entry,
+// and log scans, compaction and recovery must skip the invalid records.
+// --------------------------------------------------------------------------
+
+TEST(SameKeyInsertRaceTest, OneEntryPerKeyAndLostRecordsSkipped) {
+  using Store = FasterKv<CountStoreFunctions>;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = uint64_t{1} << 12;
+  // Thread t writes k << 8 | (t + 1) to key k.
+  auto written = [](uint64_t k, uint64_t v) {
+    return v >> 8 == k && (v & 0xff) >= 1 && (v & 0xff) <= kThreads;
+  };
+  const std::string ckpt_dir = "/tmp/faster_same_key_race_ckpt";
+  std::filesystem::remove_all(ckpt_dir);
+  MemoryDevice device;
+  Store::Config cfg;
+  cfg.table_size = uint64_t{1} << 16;  // no two of the keys share an entry
+  {
+    Store store{cfg, &device};
+
+    // The threads start once a checkpoint has begun, so that recovery
+    // replays records of the race, and meet at a spinning barrier before
+    // each block of keys, so that they race on every block.
+    constexpr uint64_t kBlock = 16;
+    std::atomic<bool> go{false};
+    std::atomic<uint64_t> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        store.StartSession();
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (uint64_t k = 0; k < kKeys; ++k) {
+          if (k % kBlock == 0) {
+            uint64_t all = (k / kBlock + 1) * kThreads;
+            arrived.fetch_add(1, std::memory_order_acq_rel);
+            // Spins without yielding (but for every 4096th turn), so the
+            // threads leave the barrier together.
+            for (uint64_t spins = 1;
+                 arrived.load(std::memory_order_acquire) < all; ++spins) {
+              if (spins % 4096 == 0) std::this_thread::yield();
+            }
+          }
+          ASSERT_EQ(store.Upsert(k, k << 8 | static_cast<uint64_t>(t + 1)),
+                    Status::kOk);
+        }
+        store.StopSession();
+      });
+    }
+    std::thread checkpointer([&] {
+      store.StartSession();
+      go.store(true, std::memory_order_release);
+      ASSERT_EQ(store.Checkpoint(ckpt_dir), Status::kOk);
+      store.StopSession();
+    });
+    for (auto& t : threads) t.join();
+    checkpointer.join();
+
+    store.StartSession();
+    EXPECT_EQ(store.index().NumUsedEntries(), kKeys);
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      uint64_t out = 0;
+      ASSERT_EQ(store.Read(k, 0, &out), Status::kOk) << "key " << k;
+      ASSERT_TRUE(written(k, out)) << "key " << k << " read " << out;
+    }
+    // Every key has a live record; the records of lost publishes are
+    // invalid. (Writes after the checkpoint's read-only shift append.)
+    uint64_t live = 0, invalid = 0;
+    std::set<uint64_t> live_keys;
+    ASSERT_EQ(store.ScanLog(store.hlog().begin_address(),
+                            store.hlog().tail_address(),
+                            [&](Address, const Store::RecordT& rec) {
+                              if (rec.info().invalid()) {
+                                ++invalid;
+                              } else {
+                                ++live;
+                                live_keys.insert(rec.key);
+                              }
+                            }),
+              Status::kOk);
+    EXPECT_EQ(live_keys.size(), kKeys);
+    // Compaction copies each key's newest record, finds the older live
+    // ones dead, and skips the invalid ones.
+    store.hlog().ShiftReadOnlyToTail(/*wait=*/true);
+    Store::CompactionStats cs;
+    ASSERT_EQ(store.CompactLog(store.hlog().tail_address(), &cs), Status::kOk);
+    EXPECT_EQ(cs.scanned, live + invalid);
+    EXPECT_EQ(cs.copied, kKeys);
+    EXPECT_EQ(cs.copied + cs.dead_by_overwrite_bit + cs.dead_by_trace, live);
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      uint64_t out = 0;
+      ASSERT_EQ(store.Read(k, 0, &out), Status::kOk) << "key " << k;
+      ASSERT_TRUE(written(k, out)) << "key " << k << " read " << out;
+    }
+    store.StopSession();
+  }
+
+  // Recovery replays the checkpoint's log range but no invalid record: a
+  // key reads back only if a valid record of it lies below the checkpoint.
+  Store recovered{cfg, &device};
+  ASSERT_EQ(recovered.Recover(ckpt_dir), Status::kOk);
+  recovered.StartSession();
+  std::set<uint64_t> recovered_keys;
+  ASSERT_EQ(recovered.ScanLog(recovered.hlog().begin_address(),
+                              recovered.hlog().tail_address(),
+                              [&](Address, const Store::RecordT& rec) {
+                                if (!rec.info().invalid()) {
+                                  recovered_keys.insert(rec.key);
+                                }
+                              }),
+            Status::kOk);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    uint64_t out = 0;
+    Status s = recovered.Read(k, 0, &out);
+    if (s == Status::kPending) {
+      ASSERT_TRUE(recovered.CompletePending(true));
+      s = out == 0 ? Status::kNotFound : Status::kOk;
+    }
+    if (s == Status::kOk) {
+      EXPECT_TRUE(recovered_keys.count(k)) << "key " << k;
+      EXPECT_TRUE(written(k, out)) << "key " << k << " read " << out;
+    } else {
+      EXPECT_EQ(s, Status::kNotFound) << "key " << k;
+    }
+  }
+  recovered.StopSession();
+  std::filesystem::remove_all(ckpt_dir);
 }
 
 // --------------------------------------------------------------------------

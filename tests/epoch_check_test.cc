@@ -8,7 +8,9 @@
 //   1. bucket read without epoch protection (OpScope / FindEntry),
 //   2. log dereference without epoch protection,
 //   3. log dereference below the head address (recycled frame),
-//   4. in-place write below the safe read-only offset (torn flush).
+//   4. in-place write below the safe read-only offset (torn flush),
+//   5. epoch refresh while holding an index OpScope (a trigger action the
+//      refresh runs may wait on the scope's own chunk pin).
 
 #include <gtest/gtest.h>
 
@@ -99,6 +101,26 @@ TEST_F(EpochCheckTest, UnprotectedFindEntryAborts) {
       std::string{"FASTER_EPOCH_CHECK violation: bucket read "
                   "\\(FindEntry\\) without epoch protection"} +
           kDumpMarkers);
+}
+
+// Class 5: refreshing inside an OpScope. During a Grow's prepare phase the
+// scope pins its chunk, and a read-cache eviction the refresh runs would
+// wait for that chunk's pins to drain; the verifier flags the refresh in
+// any phase.
+void RefreshUnderOpScope() {
+  LightEpoch epoch;
+  HashIndex index{64, &epoch};
+  KeyHash hash{0xdeadbeefull};
+  epoch.Protect();
+  HashIndex::OpScope scope{index, hash};
+  epoch.Refresh();  // BAD: refresh before the scope is released
+}
+
+TEST_F(EpochCheckTest, RefreshUnderOpScopeAborts) {
+  EXPECT_DEATH(RefreshUnderOpScope(),
+               std::string{"FASTER_EPOCH_CHECK violation: epoch refresh "
+                           "under an index OpScope"} +
+                   kDumpMarkers);
 }
 
 // Class 2: dereferencing a log address without epoch protection — the

@@ -93,6 +93,70 @@ TEST_F(HashIndexTest, DeleteEntryFreesSlot) {
   EXPECT_FALSE(index.FindEntry(scope, h, &miss));
 }
 
+// A write to a new key: FindSlot hands out a free slot, and TryPublish
+// publishes an entry that already points at the record (record first).
+TEST_F(HashIndexTest, PublishIntoFreeSlotCreatesEntry) {
+  HashIndex index{128, &epoch_};
+  KeyHash h{Mix64(13)};
+  HashIndex::OpScope scope{index, h};
+  HashIndex::FindResult fr;
+  ASSERT_EQ(index.FindSlot(scope, h, &fr), Status::kOk);
+  ASSERT_NE(fr.head, nullptr);
+  EXPECT_FALSE(fr.entry.address().IsValid());
+  EXPECT_EQ(fr.slot->load(), 0u);
+  ASSERT_TRUE(index.TryPublish(&fr, Address{5, 64}));
+  EXPECT_EQ(fr.head, nullptr);
+  EXPECT_FALSE(fr.entry.tentative());
+  EXPECT_EQ(fr.slot->load(), fr.entry.control());
+  // The next scan finds the entry, and publishes over it with one CAS.
+  HashIndex::FindResult found;
+  ASSERT_EQ(index.FindSlot(scope, h, &found), Status::kOk);
+  EXPECT_EQ(found.head, nullptr);
+  EXPECT_EQ(found.slot, fr.slot);
+  EXPECT_EQ(found.entry.address(), (Address{5, 64}));
+  EXPECT_TRUE(index.TryPublish(&found, Address{6, 64}));
+  EXPECT_EQ(index.NumUsedEntries(), 1u);
+}
+
+// Two publishes of one tag into one bucket, the second claiming its free
+// slot while the first's entry is already in the chain: the second's
+// rescan sees the first and backs off (Fig. 3b), leaving its slot empty.
+// Tag 0 too, whose tag bits an empty slot shares.
+TEST_F(HashIndexTest, SecondPublishOfATagBacksOff) {
+  for (uint64_t tag : {uint64_t{5}, uint64_t{0}}) {
+    SCOPED_TRACE(tag);
+    HashIndex index{128, &epoch_};
+    // Bucket 3, tags `tag` and `tag + 1`.
+    KeyHash h{3 | tag << (64 - KeyHash::kTagBits)};
+    KeyHash other{3 | (tag + 1) << (64 - KeyHash::kTagBits)};
+    ASSERT_EQ(h.Bucket(index.size()), other.Bucket(index.size()));
+    HashIndex::OpScope scope{index, h};
+    // Another tag takes slot 0, so the loser's scan gets slot 1 ...
+    HashIndex::FindResult fr_other;
+    ASSERT_EQ(index.FindSlot(scope, other, &fr_other), Status::kOk);
+    ASSERT_TRUE(index.TryPublish(&fr_other, Address{1, 64}));
+    HashIndex::FindResult loser;
+    ASSERT_EQ(index.FindSlot(scope, h, &loser), Status::kOk);
+    ASSERT_NE(loser.head, nullptr);
+    // ... and, once slot 0 is free again, the winner's scan gets slot 0.
+    ASSERT_TRUE(index.TryDeleteEntry(&fr_other));
+    HashIndex::FindResult winner;
+    ASSERT_EQ(index.FindSlot(scope, h, &winner), Status::kOk);
+    ASSERT_NE(winner.slot, loser.slot);
+    ASSERT_TRUE(index.TryPublish(&winner, Address{2, 64}));
+    EXPECT_FALSE(index.TryPublish(&loser, Address{3, 64}));
+    EXPECT_EQ(loser.slot->load(), 0u);
+    EXPECT_EQ(index.NumUsedEntries(), 1u);
+    HashIndex::FindResult found;
+    ASSERT_TRUE(index.FindEntry(scope, h, &found));
+    EXPECT_EQ(found.slot, winner.slot);
+    EXPECT_EQ(found.entry.address(), (Address{2, 64}));
+    if constexpr (obs::kStatsEnabled) {
+      EXPECT_EQ(index.obs_stats().tentative_conflicts.Sum(), 1u);
+    }
+  }
+}
+
 TEST_F(HashIndexTest, OverflowBucketsExtendChains) {
   // A tiny index (64 buckets) with many distinct tags per bucket forces
   // overflow bucket allocation.
@@ -141,14 +205,17 @@ TEST_F(HashIndexTest, TwoPhaseInsertInvariantUnderContention) {
       epoch_.Protect();
       for (int i = 0; i < kIters; ++i) {
         KeyHash h = hashes[rng() % hashes.size()];
-        HashIndex::OpScope scope{index, h};
-        HashIndex::FindResult fr;
-        index.FindOrCreateEntry(scope, h, &fr);
-        if (!fr.entry.address().IsValid()) {
-          index.TryUpdateEntry(&fr, Address{1, 64});
-        } else if (rng() % 4 == 0) {
-          index.TryDeleteEntry(&fr);
+        {
+          HashIndex::OpScope scope{index, h};
+          HashIndex::FindResult fr;
+          index.FindOrCreateEntry(scope, h, &fr);
+          if (!fr.entry.address().IsValid()) {
+            index.TryUpdateEntry(&fr, Address{1, 64});
+          } else if (rng() % 4 == 0) {
+            index.TryDeleteEntry(&fr);
+          }
         }
+        // Refreshes only outside an OpScope (the epoch verifier checks).
         if (i % 64 == 0) epoch_.Refresh();
       }
       epoch_.Unprotect();
@@ -256,10 +323,12 @@ TEST_F(HashIndexTest, GrowWithConcurrentReaders) {
     while (!stop.load()) {
       uint64_t k = rng() % kKeys;
       KeyHash h{Mix64(k)};
-      HashIndex::OpScope scope{index, h};
-      HashIndex::FindResult fr;
-      if (!index.FindEntry(scope, h, &fr)) misses.fetch_add(1);
-      epoch_.Refresh();
+      {
+        HashIndex::OpScope scope{index, h};
+        HashIndex::FindResult fr;
+        if (!index.FindEntry(scope, h, &fr)) misses.fetch_add(1);
+      }
+      epoch_.Refresh();  // outside the OpScope (the epoch verifier checks)
     }
     epoch_.Unprotect();
   });

@@ -19,6 +19,13 @@
 ///     payload visible to a reader that finds its address through the
 ///     index. Demoting it (or the reader-side scan load) to relaxed must
 ///     surface as a data race on the payload.
+///
+///  3. Record-first publication: a write to a key with no entry fills its
+///     record, then TryPublish claims a free slot with a tentative entry
+///     that already carries the record's address; the finalize release
+///     store is what publishes the record. Demoting it to relaxed must
+///     surface as a data race on the payload: the claim CAS heads no
+///     release sequence a later plain store continues (C++20).
 
 #include <gtest/gtest.h>
 
@@ -153,6 +160,52 @@ TEST(ModelHashIndex, EntryPublicationHappensBeforePayloadRead) {
   EXPECT_TRUE(res.complete) << res.Summary();
 }
 
+/// Writer/reader body for record-first publication: the writer finds a
+/// free slot for a new key, fills the record, then publishes it in one
+/// TryPublish; the reader touches the payload only after finding the
+/// record's address through the index.
+void RecordFirstBody() {
+  LightEpoch epoch;
+  HashIndex index{64, &epoch};
+  model::Data<int> record{0};
+  model::Spawn([&] {  // writer
+    epoch.Protect();
+    {
+      HashIndex::OpScope scope(index, TestHash());
+      HashIndex::FindResult r;
+      MODEL_ASSERT(index.FindSlot(scope, TestHash(), &r) == faster::Status::kOk,
+                   "no free slot in an empty index");
+      MODEL_ASSERT(r.head != nullptr, "a new key found an entry");
+      record.Mut() = 42;
+      MODEL_ASSERT(index.TryPublish(&r, Address{7}),
+                   "an uncontended publish failed");
+    }
+    epoch.Unprotect();
+  });
+  model::Spawn([&] {  // reader
+    epoch.Protect();
+    {
+      HashIndex::OpScope scope(index, TestHash());
+      HashIndex::FindResult r;
+      if (index.FindEntry(scope, TestHash(), &r)) {
+        MODEL_ASSERT(r.entry.address() == Address{7},
+                     "published entry without its record's address");
+        MODEL_ASSERT(record.Read() == 42,
+                     "new key's entry visible before its record");
+      }
+    }
+    epoch.Unprotect();
+  });
+  model::JoinAll();
+}
+
+TEST(ModelHashIndex, RecordFirstInsertPublishesWholeRecord) {
+  model::Result res =
+      model::Check(IndexOpts("index_record_first"), RecordFirstBody);
+  EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace;
+  EXPECT_TRUE(res.complete) << res.Summary();
+}
+
 // Delete racing an in-flight insert: whatever interleaves, the chain ends
 // with at most one non-tentative entry for the tag, and a successful
 // delete means the tag is gone unless the inserter re-created it — which
@@ -281,6 +334,23 @@ TEST(ModelHashIndex, SeededBugScanLoadRelaxedIsCaught) {
   EXPECT_GT(res.mutation_hits, 0);
   EXPECT_TRUE(res.violation) << "weakened chain-scan load went undetected: "
                              << res.Summary();
+}
+
+// Seeded bug 3: demote the finalize store of a record-first insert to
+// relaxed. The reader can then find the new key's entry without the
+// record's payload write happening-before.
+TEST(ModelHashIndex, SeededBugFinalizeStoreRelaxedIsCaught) {
+  int line = FindSourceLine("core/hash_index.cc",
+                            "slot->store(final_entry.control()");
+  ASSERT_GT(line, 0) << "TryPublish finalize store not found in "
+                        "core/hash_index.cc";
+  ScopedMutation mutate("core/hash_index.cc", line);
+  model::Result res =
+      model::Check(IndexOpts("index_mut_finalize"), RecordFirstBody);
+  EXPECT_GT(res.mutation_hits, 0);
+  EXPECT_TRUE(res.violation) << "weakened finalize store went undetected: "
+                             << res.Summary();
+  EXPECT_NE(res.trace.find("interleaving trace"), std::string::npos);
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <thread>
@@ -178,6 +182,91 @@ TEST_F(ReadCacheTest, GrowThenEvictionKeepsBothChildrenReadable) {
   EXPECT_EQ(MustRead(store, first), 1u);
   if constexpr (obs::kStatsEnabled) {
     EXPECT_GT(store.counters().Sum(obs::StoreCounter::kRcEvictions), 0u);
+  }
+  store.StopSession();
+}
+
+// An op whose allocation rolls a log page over while it holds its chunk's
+// pin (an OpScope in Grow's prepare phase), with a read-cache eviction
+// pending: the refresh after the rollover runs Grow's flip to the resizing
+// phase and then the eviction, whose OpScopes wait for each chunk's pins
+// to drain. Run under the op's own pin, that refresh would wait for
+// itself; the op must release its scope before it refreshes. Sessions
+// order the steps: the op's thread holds the oldest epoch from before the
+// Grow until its refresh, so the flip and the eviction, armed in that
+// order, cannot run before it. The grow thread's own refresh loop may
+// still win the race to run them, in which case it waits for the op's
+// pin instead and the op goes on, so a store that refreshes under the pin
+// deadlocks here in most runs, not all.
+TEST_F(ReadCacheTest, PageRolloverUnderAGrowPinDoesNotWaitOnItself) {
+  Store::Config cfg = CacheConfig();
+  cfg.table_size = uint64_t{1} << 17;  // short bucket scans for 800k keys
+  Store store{cfg, &device_};
+  store.StartSession();
+  Spill(store, 800000);  // keys below ~450k go to storage
+  // Fill the tail page: the op's record will not fit on it.
+  uint64_t fresh = uint64_t{1} << 40;
+  while (store.hlog().tail_address().offset() + Store::Layout::kFixedSize <=
+         Address::kPageSize) {
+    ASSERT_EQ(store.Upsert(fresh++, 1), Status::kOk);
+  }
+  // No trigger action left from the set-up.
+  for (int i = 0; i < 100 && store.epoch().NumOutstandingActions() != 0;
+       ++i) {
+    store.Refresh();
+  }
+  ASSERT_EQ(store.epoch().NumOutstandingActions(), 0u);
+
+  // The op's thread: protected now, it runs one Upsert when told.
+  std::atomic<int> op_state{0};  // 1: protected, 2: go, 3: done
+  Status op_status = Status::kInvalid;
+  std::thread op([&] {
+    store.StartSession();
+    op_state.store(1);
+    while (op_state.load() != 2) std::this_thread::yield();
+    op_status = store.Upsert(fresh, 7);
+    op_state.store(3);
+    store.StopSession();
+  });
+  while (op_state.load() != 1) std::this_thread::yield();
+  // The grow: prepare phase announced, its flip armed first.
+  Status grow_status = Status::kInvalid;
+  std::thread grow([&] {
+    store.StartSession();
+    grow_status = store.GrowIndex();
+    store.StopSession();
+  });
+  while (!store.index().IsResizing() ||
+         store.epoch().NumOutstandingActions() == 0) {
+    std::this_thread::yield();
+  }
+  // Promote cold keys until the read cache wraps: its eviction is armed.
+  HybridLog* rc = store.view().rc_log;
+  const Address rc_head = rc->head_address();
+  for (uint64_t k = 0; rc->head_address() == rc_head; ++k) {
+    ASSERT_LT(k, 450000u) << "the read cache never wrapped";
+    EXPECT_EQ(MustRead(store, k), k + 1) << "key " << k;
+  }
+  store.StopSession();  // holds back neither trigger action
+
+  op_state.store(2);
+  for (int waited_ms = 0; op_state.load() != 3; ++waited_ms) {
+    if (waited_ms == 30000) {
+      // The op waits on its own pin: nothing can end the test cleanly.
+      ADD_FAILURE() << "the op did not finish in 30 s: deadlocked";
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  op.join();
+  grow.join();
+  EXPECT_EQ(op_status, Status::kOk);
+  EXPECT_EQ(grow_status, Status::kOk);
+  store.StartSession();
+  EXPECT_EQ(MustRead(store, fresh), 7u);
+  for (uint64_t k = 0; k < 450000; k += 4999) {
+    EXPECT_EQ(MustRead(store, k), k + 1) << "key " << k;
   }
   store.StopSession();
 }

@@ -41,8 +41,11 @@ using Store = FasterKv<CountStoreFunctions>;
 // once: that promotes more records than the cache's two 4 MB pages hold
 // (~350k), so the cache wraps while its records are indexed, whatever
 // pace the churn's compactions later relocate cold keys at. Cold values
-// never change, so each cold read is checked exactly.
-void RunBatchedOpsUnderChurn(bool read_cache) {
+// never change, so each cold read is checked exactly. `grow_last` moves
+// the Grow after those reads: the Grow then races evictions of a full
+// cache, whose redirects would wait on the chunk pins of the ops they
+// interrupt if an op refreshed under its OpScope (a deadlock).
+void RunBatchedOpsUnderChurn(bool read_cache, bool grow_last = false) {
   constexpr int kBatchThreads = 2;
   constexpr int kSingleThreads = 1;
   constexpr int kThreads = kBatchThreads + kSingleThreads;
@@ -232,8 +235,8 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
   std::thread churn([&] {
     store.StartSession();
     // First, while the workers warm up: a Grow after the read cache has
-    // filled would swing every cached entry back to the primary log.
-    store.GrowIndex();
+    // filled swings every cached entry back to the primary log.
+    if (!grow_last) store.GrowIndex();
     constexpr size_t kWarm = Store::kBatchChunk;
     uint64_t keys[kWarm], inputs[kWarm] = {}, outs[kWarm] = {};
     Status statuses[kWarm];
@@ -246,6 +249,7 @@ void RunBatchedOpsUnderChurn(bool read_cache) {
         if (outs[j] != cold_value(keys[j])) read_errors.fetch_add(1);
       }
     }
+    if (grow_last) store.GrowIndex();
     int c = 0;
     while (!churn_stop.load(std::memory_order_acquire)) {
       std::string dir = ckpt_dir + "/" + std::to_string(c++);
@@ -308,6 +312,10 @@ TEST(StressBatchTest, BatchedOpsUnderChurn) { RunBatchedOpsUnderChurn(false); }
 
 TEST(StressBatchTest, BatchedOpsUnderChurnWithReadCache) {
   RunBatchedOpsUnderChurn(true);
+}
+
+TEST(StressBatchTest, BatchedOpsUnderChurnWithReadCacheGrowAfterFill) {
+  RunBatchedOpsUnderChurn(true, /*grow_last=*/true);
 }
 
 }  // namespace

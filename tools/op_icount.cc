@@ -1,6 +1,6 @@
 // op_icount: exact instruction counts of single store ops, with no PMU.
 //
-//   ./op_icount
+//   ./op_icount [--attribute]
 //
 // A forked child runs each measured op on a cache-resident
 // FasterKv<CountStoreFunctions> between two markers (raise(SIGSTOP)); the
@@ -15,16 +15,29 @@
 //
 // Prints "op_icount: <op> <instructions>" lines; exits 0 with a skip
 // line where ptrace is refused (a sandbox or ptrace_scope policy).
+// --attribute also prints, under each op, its instructions per function,
+// most first: "op_icount:   <count> <function>". The child is a fork, so
+// its code sits where the parent's does: the parent maps each stepped PC
+// to its object with dladdr and names it with addr2line (a PC in a shared
+// library is named by the library). The empty region's markers are
+// attributed too; subtract them by eye ("raise", "Marker").
 
+#include <dlfcn.h>
+#include <elf.h>
 #include <signal.h>
 #include <sys/ptrace.h>
+#include <sys/user.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/faster.h"
@@ -90,9 +103,82 @@ template <class Op>
   ::_exit(0);
 }
 
+using PcCounts = std::map<uint64_t, uint64_t>;
+
+/// The function `pc` (a code address in this process, and so in the
+/// forked child) lies in, with its source file: addr2line's answer for
+/// the main executable, the object's file name otherwise.
+std::map<uint64_t, std::string> NamePcs(const PcCounts& pcs) {
+  std::map<uint64_t, std::string> names;
+  Dl_info self{};
+  ::dladdr(reinterpret_cast<void*>(&Marker), &self);
+  // A PIE's addresses are relative to its load base; a fixed one's not.
+  auto* ehdr = static_cast<const Elf64_Ehdr*>(self.dli_fbase);
+  uint64_t base = ehdr != nullptr && ehdr->e_type == ET_DYN
+                      ? reinterpret_cast<uint64_t>(self.dli_fbase)
+                      : 0;
+  std::vector<std::pair<uint64_t, uint64_t>> queries;  // pc, file address
+  for (const auto& [pc, n] : pcs) {
+    Dl_info info{};
+    if (::dladdr(reinterpret_cast<void*>(pc), &info) == 0 ||
+        info.dli_fname == nullptr) {
+      names[pc] = "?";
+    } else if (info.dli_fbase != self.dli_fbase) {
+      const char* slash = std::strrchr(info.dli_fname, '/');
+      names[pc] = slash != nullptr ? slash + 1 : info.dli_fname;
+    } else {
+      queries.emplace_back(pc, pc - base);
+    }
+  }
+  if (queries.empty()) return names;
+  char exe[4096];
+  ssize_t len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  if (len <= 0) return names;
+  exe[len] = '\0';
+  std::string cmd = std::string("addr2line -C -f -e '") + exe + "'";
+  for (const auto& q : queries) {
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), " %llx",
+                  static_cast<unsigned long long>(q.second));
+    cmd += hex;
+  }
+  FILE* out = ::popen(cmd.c_str(), "r");
+  if (out == nullptr) return names;
+  char fn[4096], where[4096];
+  for (const auto& q : queries) {
+    if (std::fgets(fn, sizeof(fn), out) == nullptr ||
+        std::fgets(where, sizeof(where), out) == nullptr) {
+      break;
+    }
+    fn[std::strcspn(fn, "\n")] = '\0';
+    // Drop the argument list: "faster::HashIndex::FindEntry(...) const".
+    std::string name = fn;
+    size_t paren = name.find('(');
+    if (paren != std::string::npos && paren > 0) name.resize(paren);
+    names[q.first] = name;
+  }
+  ::pclose(out);
+  return names;
+}
+
+/// Prints one region's instructions per function, most first.
+void PrintAttribution(const PcCounts& pcs) {
+  std::map<uint64_t, std::string> names = NamePcs(pcs);
+  std::map<std::string, uint64_t> per_fn;
+  for (const auto& [pc, n] : pcs) per_fn[names[pc]] += n;
+  std::vector<std::pair<uint64_t, std::string>> sorted;
+  for (const auto& [fn, n] : per_fn) sorted.emplace_back(n, fn);
+  std::sort(sorted.rbegin(), sorted.rend());
+  for (const auto& [n, fn] : sorted) {
+    std::printf("op_icount:   %6llu %s\n", static_cast<unsigned long long>(n),
+                fn.c_str());
+  }
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool attribute = argc > 1 && std::strcmp(argv[1], "--attribute") == 0;
   std::fflush(stdout);
   pid_t pid = ::fork();
   if (pid < 0) {
@@ -104,6 +190,8 @@ int main() {
   // Every SIGSTOP the child raises is a marker: the first opens a region,
   // which single steps count, and the next closes it.
   std::vector<uint64_t> regions;
+  std::vector<PcCounts> region_pcs;  // --attribute: steps per PC
+  PcCounts pcs;
   bool attached = false, counting = false;
   uint64_t steps = 0;
   for (;;) {
@@ -129,12 +217,24 @@ int main() {
     if (sig == SIGSTOP && !attached) {
       attached = true;
     } else if (sig == SIGSTOP) {
-      if (counting) regions.push_back(steps);
+      if (counting) {
+        regions.push_back(steps);
+        region_pcs.push_back(std::move(pcs));
+        pcs.clear();
+      }
       counting = !counting;
       steps = 0;
       if (counting) request = PTRACE_SINGLESTEP;
     } else if (sig == SIGTRAP && counting) {
       ++steps;
+      if (attribute) {
+        // The trap reports the next instruction; the marker's raise() at
+        // a region's end is stepped too, and subtracted with the marker.
+        user_regs_struct regs{};
+        if (::ptrace(PTRACE_GETREGS, pid, nullptr, &regs) == 0) {
+          ++pcs[regs.rip];
+        }
+      }
       request = PTRACE_SINGLESTEP;
     } else {
       std::fprintf(stderr, "op_icount: unexpected signal %d\n", sig);
@@ -165,6 +265,11 @@ int main() {
       std::printf(" (%.1f/op)", static_cast<double>(n) / kBatch);
     }
     std::printf("\n");
+    if (attribute) PrintAttribution(region_pcs[i + 1]);
+  }
+  if (attribute) {
+    std::printf("op_icount: marker, attributed\n");
+    PrintAttribution(region_pcs[0]);
   }
   return 0;
 }
