@@ -113,6 +113,9 @@ class FasterKv {
         index_{config.table_size, &epoch_, config.tag_bits},
         hlog_{config.log, device, &epoch_},
         thread_states_(Thread::kMaxThreads) {
+    for (uint32_t i = 0; i < thread_states_.size(); ++i) {
+      thread_states_[i].slot = i;
+    }
     if (config_.enable_read_cache && kReadCache) {
       LogConfig rc_cfg = config_.read_cache;
       rc_cfg.read_cache_mode = true;  // evict without flushing
@@ -704,6 +707,7 @@ class FasterKv {
     TakeAllList<PendingContext> ready;
     PendingContext* free = nullptr;  // recycled contexts; this thread only
     uint32_t ops_since_refresh = 0;
+    uint32_t slot = 0;  // the Thread::Id() its ops record statistics under
 
     ~ThreadState() {
       for (PendingContext* c : {free, ready.TakeAll()}) {
@@ -870,10 +874,11 @@ class FasterKv {
     }
   }
 
-  /// Counts `ops` toward the refresh interval, refreshing when it is due.
-  [[gnu::always_inline]] ThreadState& AutoRefresh(uint32_t ops)
+  /// Counts `ops` toward the refresh interval of the calling thread, in
+  /// `slot`, refreshing when it is due.
+  [[gnu::always_inline]] ThreadState& AutoRefresh(uint32_t slot, uint32_t ops)
       FASTER_REQUIRES_EPOCH() {
-    ThreadState& ts = thread_states_[Thread::Id()];
+    ThreadState& ts = thread_states_[slot];
     ts.ops_since_refresh += ops;
     if (ts.ops_since_refresh >= config_.refresh_interval) {
       ts.ops_since_refresh = 0;
@@ -1054,12 +1059,12 @@ class FasterKv {
   };
 
   /// The single-op entry. The whole op is one execute segment (the batch
-  /// pipeline attributes hash/resolve separately); nested scopes (io_queue
-  /// at submit) pause this one, so counters never double-count.
+  /// pipeline attributes hash/resolve separately), timed by its one clock,
+  /// which also carries the thread slot to the op's statistics.
   [[gnu::always_inline]]
   Status RunSingle(const OpRef& op) FASTER_REQUIRES_EPOCH() {
-    ThreadState& ts = AutoRefresh(1);
-    obs::StageScope entry{obs::Stage::kExecute, obs::SpanKindOf(op.kind)};
+    uint32_t slot = Thread::Id();
+    ThreadState& ts = AutoRefresh(slot, 1);
     KeyHash hash = Hasher{}(op.key);
     obs::StatOpClock clock{op.kind, hash.control()};
     Outcome out = Resolve(
@@ -1068,8 +1073,8 @@ class FasterKv {
               &clock},
         hash);
     ts.counters.Add(out.counter);
-    // A pending op took the clock with it.
-    if (out.status != Status::kPending) clock.Finish();
+    // A pending op took a copy of the clock, which finishes it.
+    clock.Leave(out.status != Status::kPending, ts.slot);
     return out.status;
   }
 
@@ -1082,7 +1087,7 @@ class FasterKv {
       FASTER_REQUIRES_EPOCH() {
     Outcome out;
     for (;; epoch_.Refresh()) {
-      typename HashIndex::OpScope scope{index_, hash};
+      typename HashIndex::OpScope scope{index_, hash, ts.slot};
       HashIndex::FindResult fr;
       bool has_entry;
       if (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw) {
@@ -1530,7 +1535,7 @@ class FasterKv {
     }
     // Submission work (and the execution a synchronous device runs under
     // it) is io_queue; device paths nest io_exec inside.
-    obs::StageScope stage{obs::Stage::kIoQueue};
+    obs::StatPerfScope perf{obs::Stage::kIoQueue};
     Status s = hlog_.AsyncGetFromDisk(ctx->address, ctx->read_len, ctx->dst(),
                                       &FasterKv::IoCallback, ctx);
     // A rejected read never fires its callback: fail it through the
@@ -1548,15 +1553,17 @@ class FasterKv {
     assert(n <= kBatchChunk);
     assert(epoch_.IsProtected());
     // One refresh check covers the chunk (amortized epoch bookkeeping).
-    ThreadState& ts = AutoRefresh(static_cast<uint32_t>(n));
-    Hist(obs::StoreHistogram::kBatchSizes).Record(n);
+    uint32_t slot = Thread::Id();
+    ThreadState& ts = AutoRefresh(slot, static_cast<uint32_t>(n));
+    Hist(obs::StoreHistogram::kBatchSizes).Record(n, slot);
     // The chunk is one trace: the three stages appear as child spans, and
     // any pending-I/O continuation lands under the same trace id.
     obs::StatSpan chunk_span{obs::SpanKind::kBatchChunk,
                              static_cast<uint32_t>(n)};
     // Stages 1 and 2 are chunk-level, so the chunk's clock shares their
     // cost evenly across its ops; stage 3 times each op on its own clock.
-    obs::StatOpClock chunk_clock{obs::Stage::kHash};
+    obs::StatOpClock chunk_clock =
+        obs::StatOpClock::ForChunk(obs::Stage::kHash);
 
     // ---- Stage 1: hash every key; prefetch its hash bucket. ----
     KeyHash hashes[kBatchChunk];
@@ -1597,7 +1604,8 @@ class FasterKv {
     ChunkRes chunk;
     {
       obs::StageScope stage{obs::Stage::kResolve};
-      stable = index_.TryFindEntriesStable(hashes, dep, n, frs, entry_found);
+      stable = index_.TryFindEntriesStable(hashes, dep, n, frs, entry_found,
+                                           slot);
       if (stable) {
         Address begin = hlog_.begin_address();
         Address head = hlog_.head_address();
@@ -1663,8 +1671,8 @@ class FasterKv {
       }
       ts.counters.Add(out.counter);
       op.status = out.status;
-      // A pending op took the clock with it.
-      if (op.status != Status::kPending) clock.Finish();
+      // A pending op took a copy of the clock, which finishes it.
+      if (op.status != Status::kPending) clock.Finish(nullptr, slot);
     }
     // Unused extent slots keep the dead headers written at reservation.
 
@@ -1677,7 +1685,7 @@ class FasterKv {
         reqs[i] = IoReadRequest{c->address.control(), c->dst(), c->read_len,
                                 &FasterKv::IoCallback, c};
       }
-      Hist(obs::StoreHistogram::kBatchIoGroupSize).Record(num_ios);
+      Hist(obs::StoreHistogram::kBatchIoGroupSize).Record(num_ios, slot);
       uint32_t accepted = 0;
       obs::StageScope submit{obs::Stage::kIoQueue};
       Status s = hlog_.AsyncGetFromDiskBatch(
@@ -1728,10 +1736,10 @@ class FasterKv {
     ts.counters.Add(Ctr::kCompleted);
     if (ctx->io_status == Status::kPending) {
       ts.counters.Sub(Ctr::kPendingRetries);
-      ctx->clock.Finish();
+      ctx->clock.Finish(nullptr, ts.slot);
     } else {
       ts.counters.Sub(Ctr::kPendingIos);
-      ctx->clock.Finish(&Hist(obs::StoreHistogram::kPendingIoNs));
+      ctx->clock.Finish(&Hist(obs::StoreHistogram::kPendingIoNs), ts.slot);
     }
     NotifyCompletion(ctx, result);
     ctx->next = ts.free;
@@ -1758,15 +1766,10 @@ class FasterKv {
       PendingContext* ctx = std::exchange(next, next->next);
       if constexpr (!kVarLen) {
         if (ctx->io_status == Status::kPending) {
-          obs::StatSpan span{obs::SpanKind::kRetryFuzzy, ctx->clock.trace()};
           RmwContinue(ts, ctx, DiskState::kNone, nullptr);
           continue;
         }
       }
-      // Re-establish the operation's trace around everything this
-      // completion does synchronously (chain reissue, cache insert, RMW
-      // continuation) — inactive when the operation was not sampled.
-      obs::StatSpan span{obs::Stage::kIoComplete, ctx->clock.trace()};
       if (ctx->io_status != Status::kOk) {
         FinishPending(ts, ctx, Status::kIoError);
         continue;
@@ -1781,7 +1784,7 @@ class FasterKv {
         if (prev.IsValid() && prev >= begin) {
           IssueIo(ctx, prev);
         } else {
-          CompleteChainMiss(ts, ctx);
+          CompleteChainMiss(ts, ctx, /*truncated=*/prev.IsValid());
         }
         continue;
       }
@@ -1803,7 +1806,7 @@ class FasterKv {
         if (prev.IsValid() && prev >= begin) {
           IssueIo(ctx, prev);
         } else {
-          CompleteChainMiss(ts, ctx);
+          CompleteChainMiss(ts, ctx, /*truncated=*/prev.IsValid());
         }
         continue;
       }
@@ -1835,18 +1838,66 @@ class FasterKv {
     }
   }
 
-  /// The disk chain ran out without finding the key.
-  void CompleteChainMiss(ThreadState& ts, PendingContext* ctx)
+  /// The disk chain ran out without finding the key, at its end or, if
+  /// `truncated`, below the begin address.
+  void CompleteChainMiss(ThreadState& ts, PendingContext* ctx, bool truncated)
       FASTER_REQUIRES_EPOCH() {
     if (ctx->op == OpKind::kRead) {
       if constexpr (kMergeable) {
         CompleteMergeFinal(ts, ctx);
         return;
       }
-      FinishPending(ts, ctx, Status::kNotFound);
+      if (truncated) {
+        RestartRead(ts, ctx);
+      } else {
+        FinishPending(ts, ctx, Status::kNotFound);
+      }
       return;
     }
+    // An RMW re-resolves anyway, and chases a chain whose bottom moved.
     if constexpr (!kVarLen) RmwContinue(ts, ctx, DiskState::kAbsent, nullptr);
+  }
+
+  /// A read whose storage walk fell below the begin address: the log was
+  /// truncated under it. If the index now leads elsewhere than the chain
+  /// it walked (a compaction moved the key to the tail, Appendix C), the
+  /// read restarts from the index, as the in-memory path does when its
+  /// entry moved; going pending again, it continues in a context of its
+  /// own that carries this one's clock. Otherwise the key is absent.
+  [[gnu::noinline]] void RestartRead(ThreadState& ts, PendingContext* ctx)
+      FASTER_REQUIRES_EPOCH() {
+    Key key = ctx->key;
+    bool moved = true;
+    {
+      typename HashIndex::OpScope scope{index_, ctx->hash, ts.slot};
+      HashIndex::FindResult fr;
+      Address addr;
+      RecordT* rc = nullptr;
+      if (!index_.FindEntry(scope, ctx->hash, &fr)) {
+        moved = false;
+      } else if (ResolveEntry(fr, &addr, &rc) &&
+                 (rc == nullptr || !Layout::KeyEquals(*rc, key))) {
+        RecordT* rec = nullptr;
+        addr = TraceBack(key, addr,
+                         std::max(hlog_.head_address(), hlog_.begin_address()),
+                         &rec);
+        moved = rec != nullptr || addr != ctx->chain_bottom;
+      }
+    }
+    Outcome out{Status::kNotFound, Ctr::kCount};
+    if (moved) {
+      out = Resolve(ts,
+                    OpRef{OpKind::kRead, key, &ctx->input, nullptr,
+                          ctx->output, ctx->user_context, &ctx->clock},
+                    ctx->hash);
+    }
+    if (out.status != Status::kPending) {
+      FinishPending(ts, ctx, out.status);
+      return;
+    }
+    ts.counters.Sub(Ctr::kPendingIos);  // the op was counted as it started
+    ctx->next = ts.free;
+    ts.free = ctx;
   }
 
   /// Resumes an RMW after its storage read, or (`state` kNone) a fuzzy
@@ -1857,7 +1908,7 @@ class FasterKv {
     Status s = Status::kOk;
     for (bool done = false; !done && s == Status::kOk;) {
       {
-        typename HashIndex::OpScope scope{index_, ctx->hash};
+        typename HashIndex::OpScope scope{index_, ctx->hash, ts.slot};
         HashIndex::FindResult fr;
         // A key whose entry is gone may find no room for a new one.
         s = index_.FindSlot(scope, ctx->hash, &fr);

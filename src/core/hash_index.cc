@@ -212,7 +212,8 @@ HashIndex::OpScope::~OpScope() {
 template <bool kFree>
 inline bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag,
                                  FindResult* match,
-                                 Atomic<uint64_t>** free_slot) const {
+                                 Atomic<uint64_t>** free_slot,
+                                 obs::StatSlot slot) const {
   // One masked compare per entry finds a non-tentative entry with the tag.
   constexpr uint64_t kMask =
       HashBucketEntry::kTentativeBit | HashBucketEntry::kTagMask;
@@ -229,7 +230,7 @@ inline bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag,
         match->slot = &bucket->entries[i];
         match->entry = HashBucketEntry{control};
         match->head = nullptr;
-        obs_stats_.probe_len.Record(probes);
+        RecordScan<kFree>(probes, slot, true);
         return true;
       }
       if (kFree && control == 0 && free == nullptr) free = &bucket->entries[i];
@@ -238,7 +239,7 @@ inline bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag,
         bucket->overflow.load(std::memory_order_acquire));
   } while (bucket != nullptr);
   if constexpr (kFree) *free_slot = free;
-  obs_stats_.probe_len.Record(probes);
+  RecordScan<kFree>(probes, slot, false);
   return false;
 }
 
@@ -247,15 +248,13 @@ bool HashIndex::FindEntry(const OpScope& scope, KeyHash hash,
   FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
                       "bucket read (FindEntry) without epoch protection");
   HashBucket* bucket = &scope.table_[hash.Bucket(scope.table_size_)];
-  obs_stats_.finds.Inc();
-  bool hit = ScanChain<false>(bucket, EffectiveTag(hash), out, nullptr);
-  if (hit) obs_stats_.find_hits.Inc();
-  return hit;
+  return ScanChain<false>(bucket, EffectiveTag(hash), out, nullptr,
+                          scope.slot_);
 }
 
 bool HashIndex::TryFindEntriesStable(const KeyHash* hashes, const bool* skip,
-                                     size_t n, FindResult* out,
-                                     bool* found) const {
+                                     size_t n, FindResult* out, bool* found,
+                                     obs::StatSlot slot) const {
   // This path elides the OpScope pin entirely, so protection is the only
   // thing keeping the observed table alive (see the header contract).
   FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
@@ -272,11 +271,8 @@ bool HashIndex::TryFindEntriesStable(const KeyHash* hashes, const bool* skip,
       continue;
     }
     HashBucket* bucket = &table[hashes[i].Bucket(size)];
-    obs_stats_.finds.Inc();
-    bool hit =
-        ScanChain<false>(bucket, EffectiveTag(hashes[i]), &out[i], nullptr);
-    if (hit) obs_stats_.find_hits.Inc();
-    found[i] = hit;
+    found[i] = ScanChain<false>(bucket, EffectiveTag(hashes[i]), &out[i],
+                                nullptr, slot);
   }
   return true;
 }
@@ -288,7 +284,9 @@ Status HashIndex::FindSlot(const OpScope& scope, KeyHash hash,
   uint16_t tag = EffectiveTag(hash);
   HashBucket* head = &scope.table_[hash.Bucket(scope.table_size_)];
   Atomic<uint64_t>* free_slot;
-  if (ScanChain<true>(head, tag, out, &free_slot)) return Status::kOk;
+  if (ScanChain<true>(head, tag, out, &free_slot, scope.slot_)) {
+    return Status::kOk;
+  }
   if (free_slot == nullptr) [[unlikely]] {
     return FindSlotInFullChain(scope, hash, out);
   }

@@ -54,10 +54,15 @@ class HashIndex {
   /// chunk (prepare phase) or helps migrate it (resizing phase).
   class OpScope {
    public:
-    /// Inline for the stable phase; a resize in flight takes Resize().
     [[gnu::always_inline]] OpScope(HashIndex& index, KeyHash hash)
         FASTER_REQUIRES_EPOCH()
-        : index_{index}, pinned_chunk_{-1} {
+        : OpScope{index, hash, obs::kStatsEnabled ? Thread::Id() : 0} {}
+    /// `slot`: the calling thread's, for the scans' statistics. Inline for
+    /// the stable phase; a resize in flight takes Resize().
+    [[gnu::always_inline]] OpScope(HashIndex& index, KeyHash hash,
+                                   obs::StatSlot slot)
+        FASTER_REQUIRES_EPOCH()
+        : index_{index}, pinned_chunk_{-1}, slot_{slot} {
       // Every index operation walks bucket chains whose memory is
       // reclaimed epoch-deferred (Grow retires tables and their overflow
       // segments).
@@ -90,6 +95,7 @@ class HashIndex {
     HashBucket* table_;
     uint64_t table_size_;
     int64_t pinned_chunk_;  // -1 if not pinned
+    [[no_unique_address]] obs::StatSlot slot_;
   };
 
   /// Creates an index with `table_size` buckets (rounded up to a power of
@@ -125,8 +131,8 @@ class HashIndex {
   /// OpScope/pin overhead, so stage 3 can reuse the FindResults instead of
   /// re-probing the (now warm) buckets. `skip[i]` (optional) marks ops the
   /// caller will route to the single-op path regardless; they are not
-  /// probed. Returns false — with no probing done — if a resize is in
-  /// flight.
+  /// probed. `slot` is the calling thread's. Returns false — with no
+  /// probing done — if a resize is in flight.
   ///
   /// Safety: this elides the OpScope chunk pin. The caller must be
   /// epoch-protected and must discard every result if it refreshes its
@@ -136,8 +142,8 @@ class HashIndex {
   /// that cannot run until this thread refreshes; table retirement is
   /// likewise epoch-deferred.
   bool TryFindEntriesStable(const KeyHash* hashes, const bool* skip, size_t n,
-                            FindResult* out, bool* found) const
-      FASTER_REQUIRES_EPOCH();
+                            FindResult* out, bool* found,
+                            obs::StatSlot slot) const FASTER_REQUIRES_EPOCH();
 
   /// One scan for a write: finds the entry matching `hash`'s tag or, if
   /// there is none, the chain's first free slot (see FindResult), linking
@@ -290,21 +296,23 @@ class HashIndex {
   /// Observability (compiled out unless FASTER_STATS): probe depth, CAS
   /// contention, tentative-insert conflicts, and grow progress.
   struct ObsStats {
-    obs::StatCounter finds;             // FindEntry calls
-    obs::StatCounter find_hits;         // FindEntry tag matches
+    // Entries examined per chain scan; its rows 1 and 2 hold FindEntry's
+    // tag matches and misses, so a find records once.
+    obs::StatHistogram probe_len;
     obs::StatCounter cas_retries;       // failed TryUpdate/TryDelete CASes
     obs::StatCounter tentative_conflicts;  // two-phase insert back-offs
     obs::StatCounter overflow_allocs;   // overflow buckets allocated
     obs::StatCounter grow_chunks_migrated;
-    obs::StatHistogram probe_len;       // entries examined per chain scan
   };
   const ObsStats& obs_stats() const { return obs_stats_; }
 
   /// Registers this index's metrics under `prefix.` names.
   void RegisterStats(obs::StatRegistry& registry,
                      const std::string& prefix) const {
-    registry.Add(prefix + ".finds", &obs_stats_.finds);
-    registry.Add(prefix + ".find_hits", &obs_stats_.find_hits);
+    registry.Add(prefix + ".finds", obs::Registry::Kind::kCounter,
+                 obs_stats_.probe_len.row_slots(1, 2));
+    registry.Add(prefix + ".find_hits", obs::Registry::Kind::kCounter,
+                 obs_stats_.probe_len.row_slots(1, 1));
     registry.Add(prefix + ".cas_retries", &obs_stats_.cas_retries);
     registry.Add(prefix + ".tentative_conflicts",
                  &obs_stats_.tentative_conflicts);
@@ -386,11 +394,19 @@ class HashIndex {
 
   /// Walks a bucket chain looking for `tag`; returns slot/value of the
   /// non-tentative match. On a miss with `kFree`, sets `*free_slot` to the
-  /// first free slot seen (nullptr if none). Inlined into each scan.
+  /// first free slot seen (nullptr if none). Records the scan under `slot`
+  /// (RecordScan). Inlined into each scan.
   template <bool kFree>
   [[gnu::always_inline]] bool ScanChain(HashBucket* bucket, uint16_t tag,
                                         FindResult* match,
-                                        Atomic<uint64_t>** free_slot) const;
+                                        Atomic<uint64_t>** free_slot,
+                                        obs::StatSlot slot) const;
+  /// Records a scan's probe length, a find's (not a write's slot scan's)
+  /// in probe_len's row of hits or of misses.
+  template <bool kFree>
+  void RecordScan(uint64_t probes, obs::StatSlot slot, bool hit) const {
+    obs_stats_.probe_len.Record(probes, slot, kFree ? 0 : hit ? 1 : 2);
+  }
 
   /// FindSlot's path for a chain with no free slot: links an overflow
   /// bucket to it and scans again.

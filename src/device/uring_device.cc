@@ -296,7 +296,7 @@ uint32_t UringIo::Reap(Ring& ring) {
   }
   // The reap sweep is io_poll (the kernel window has no CPU cost to
   // attribute).
-  obs::PollSweep sweep;
+  obs::StatPerfScope perf{obs::Stage::kIoPoll};
   uint32_t delivered = 0;
   unsigned head = __atomic_load_n(ring.cq_head, __ATOMIC_RELAXED);
   for (;;) {
@@ -314,7 +314,6 @@ uint32_t UringIo::Reap(Ring& ring) {
     uint32_t bytes = 0;
     Status status = Finish(op, res, &bytes);
     dev_stats_.Finished(op.kind == IoOp::Kind::kWrite, op.stamp.submit_ns);
-    sweep.Delivered(op.stamp);
     Deliver(op, status, bytes);
     ring.in_flight.fetch_sub(1, std::memory_order_release);
     ++delivered;

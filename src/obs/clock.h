@@ -5,8 +5,9 @@
 /// (StageScope), one per-op clock that crosses the asynchronous I/O hop
 /// by value (OpClock), and one stamp a device op carries to its executor
 /// (IoStamp, run under RunIo). All of them speak the one Stage vocabulary
-/// (stage.h) and feed whichever sinks are armed: spans (span.h), perf
-/// segments (perf.h) and the slowlog (slowlog.h).
+/// (stage.h). An op's clock is its one record path: it alone reads the
+/// time for the op and feeds every sink, spans (span.h), perf segments
+/// (perf.h) and the slowlog (slowlog.h).
 ///
 /// Compile-out: the store and devices embed the Stat* aliases, which are
 /// empty no-op twins unless built with -DFASTER_STATS=ON.
@@ -30,8 +31,6 @@ class StageScope {
  public:
   explicit StageScope(Stage stage, uint32_t arg = 0)
       : span_{stage, arg}, perf_{stage} {}
-  /// An op's entry: its root span (span.h) and the perf segment `stage`.
-  StageScope(Stage stage, SpanKind root) : span_{root}, perf_{stage} {}
 
  private:
   [[no_unique_address]] StatSpan span_;
@@ -45,29 +44,56 @@ inline uint64_t& CurrentIoPickupNs() {
   return pickup_ns;
 }
 
-/// One op's clock: its kind, key hash and trace context, and the stage
-/// boundaries of its latency. A plain value: going pending moves it into
-/// the op's PendingContext, and whichever thread holds the context marks
-/// it. Mark(stage, at) closes the running stage at `at` and opens `stage`
-/// at the same instant, and Finish(now) closes the last, so the stages
-/// partition the op's latency exactly (a mark earlier than the previous
-/// one, read on another thread, closes a zero-length stage). Stages are
-/// timed only if the slowlog was armed as the op started; the first I/O
-/// issue and the trace are kept whenever stats are compiled in.
+/// One op's clock: its kind, key hash and trace position, and the stage
+/// boundaries of its latency. A value: going pending copies it into the
+/// op's PendingContext, and whichever thread holds the context marks it.
+/// Mark(stage, at) closes the running stage at `at` and opens `stage` at
+/// the same instant, and Finish closes the last, so the stages partition
+/// the op's latency exactly (a mark earlier than the previous one, read on
+/// another thread, closes a zero-length stage).
+///
+/// The sinks are decided once, as the clock starts. An op no sink wants —
+/// slowlog and perf disarmed, no trace active, not the thread's N-th root
+/// (SampleRoot) — reads no time: two stores and one branch. Otherwise its
+/// marks read the time, and the same marks feed every sink: the slowlog
+/// entry (if the slowlog was armed at the start) and a traced op's spans,
+/// one per I/O stage it closes, its pending_io span and, for a single op,
+/// its own span. Every op keeps its first I/O issue, for the store's
+/// pending_io_ns histogram. `slot` arguments are the calling thread's.
 class OpClock {
  public:
-  OpClock() = default;
-  /// Starts a batch chunk's clock in `first` at `start_ns` (0: untimed);
-  /// each op's clock splits off it with ForOp.
-  OpClock(Stage first, uint64_t start_ns)
-      : trace_{CurrentTrace()}, mark_ns_{start_ns}, running_{first} {}
-  /// Starts a chunk's clock now, timed if the slowlog is armed.
-  explicit OpClock(Stage first)
-      : OpClock{first, GlobalSlowLog().armed() ? NowNs() : 0} {}
-  /// Starts a single op's clock, running `execute`.
-  OpClock(SlowOpKind kind, uint64_t key_hash) : OpClock{Stage::kExecute} {
-    kind_ = kind;
-    key_hash_ = key_hash;
+  /// Starts a single op's clock, running `execute`. A traced op takes its
+  /// span id now, so its continuations parent under it (trace()). Its perf
+  /// segment, if perf is armed, runs until Leave.
+  [[gnu::always_inline]] OpClock(SlowOpKind kind, uint64_t key_hash) {
+    ThreadTrace& t = ThisThreadTrace();
+    // Counts a root as SampleRoot would; the N-th takes Start.
+    if (t.quiet != SinkWord().load(std::memory_order_relaxed) ||
+        --t.left == 0) [[unlikely]] {
+      Start(kind, key_hash);
+    }
+  }
+  /// Starts a batch chunk's clock in `first` at `start_ns` (0: untimed),
+  /// under the ambient trace; each op's clock splits off it with ForOp.
+  OpClock(Stage first, uint64_t start_ns) {
+    if (start_ns == 0) return;
+    flags_ = kSlowLog | (CurrentTrace().trace_id != 0 ? kTraced : 0);
+    Begin(SlowOpKind::kRead, 0, first, start_ns);
+  }
+  /// A chunk's clock started now: timed if the slowlog is armed or a trace
+  /// is active.
+  static OpClock ForChunk(Stage first) {
+    OpClock chunk;
+    if ((SinkWord().load(std::memory_order_relaxed) & kSinkSlowLog) != 0) {
+      chunk.flags_ = kSlowLog;
+    }
+    if (CurrentTrace().trace_id != 0) chunk.flags_ |= kTraced;
+    if (chunk.timed()) chunk.Begin(SlowOpKind::kRead, 0, first, NowNs());
+    return chunk;
+  }
+  /// Copies the first issue, and the rest only if the clock is timed.
+  OpClock(const OpClock& o) : flags_{o.flags_}, issue_ns_{o.issue_ns_} {
+    if (o.timed()) t_ = o.t_;
   }
 
   /// A batch op's clock: this chunk clock's hash and resolve stages shared
@@ -75,74 +101,162 @@ class OpClock {
   /// trace.
   OpClock ForOp(SlowOpKind kind, uint64_t key_hash, uint32_t ops) const {
     OpClock op;
-    op.kind_ = kind;
-    op.key_hash_ = key_hash;
-    op.trace_ = CurrentTrace();
-    if (mark_ns_ != 0) {
-      for (uint32_t s = 0; s < kNumOpStages; ++s) {
-        op.stage_ns_[s] = stage_ns_[s] / ops;
-      }
-      op.mark_ns_ = NowNs();
-    }
+    if (timed()) op.Split(*this, kind, key_hash, ops);
     return op;
   }
 
-  void Mark(Stage next, uint64_t at_ns) {
+  void Mark(Stage next, uint64_t at_ns, uint32_t slot = Thread::Id()) {
     if (next == Stage::kIoQueue && issue_ns_ == 0) issue_ns_ = at_ns;
-    if (mark_ns_ == 0) return;
-    if (at_ns > mark_ns_) {
-      stage_ns_[static_cast<uint32_t>(running_)] += at_ns - mark_ns_;
-      mark_ns_ = at_ns;
+    if (!timed()) return;
+    if (at_ns > t_.mark_ns) {
+      t_.stage_ns[static_cast<uint32_t>(t_.running)] += at_ns - t_.mark_ns;
+      if (t_.running >= Stage::kIoQueue) {
+        RecordSpan(trace(), t_.running, t_.mark_ns, at_ns, 0, slot);
+      }
+      t_.mark_ns = at_ns;
     }
-    running_ = next;
+    t_.running = next;
   }
   /// Mark at now, reading the clock only when something needs the time.
   void Mark(Stage next) {
-    if (mark_ns_ != 0 || (next == Stage::kIoQueue && issue_ns_ == 0)) {
+    if (timed() || (next == Stage::kIoQueue && issue_ns_ == 0)) {
       Mark(next, NowNs());
     }
   }
   /// The completion callback's marks: io_exec from the executor's pickup
   /// (RunIo), io_complete from now.
   void MarkIoDone() {
-    if (mark_ns_ == 0) return;
+    if (!timed()) return;
     uint64_t now = NowNs();
     uint64_t pickup = CurrentIoPickupNs();
     Mark(Stage::kIoExec, pickup != 0 ? pickup : now);
     Mark(Stage::kIoComplete, now);
   }
 
-  /// Closes the running stage at `now` and feeds every armed sink: the
-  /// pending_io span and `pending_io_ns` (when the op issued I/O) and the
-  /// slowlog entry (when timed).
-  void Finish(uint64_t now, Histogram* pending_io_ns = nullptr) {
-    if (issue_ns_ != 0) {
-      RecordSpan(trace_, SpanKind::kPendingIo, issue_ns_, now);
-      if (pending_io_ns != nullptr) pending_io_ns->Record(now - issue_ns_);
+  /// Closes the running stage at `now` and feeds the sinks: `pending_io_ns`
+  /// (when the op issued I/O), the slowlog entry, and the op's spans.
+  void Finish(uint64_t now, Histogram* pending_io_ns = nullptr,
+              uint32_t slot = Thread::Id()) {
+    if (issue_ns_ != 0 && pending_io_ns != nullptr) {
+      pending_io_ns->Record(now - issue_ns_, slot);
     }
-    if (mark_ns_ == 0) return;
-    Mark(running_, now);
+    if (!timed()) return;
+    Mark(t_.running, now, slot);
     uint64_t total = 0;
-    for (uint64_t ns : stage_ns_) total += ns;
-    GlobalSlowLog().MaybeRecord(kind_, key_hash_, total, stage_ns_,
-                                /*pending=*/running_ != Stage::kExecute,
-                                Thread::Id());
+    for (uint64_t ns : t_.stage_ns) total += ns;
+    if ((flags_ & kSlowLog) != 0) {
+      GlobalSlowLog().MaybeRecord(t_.kind, t_.key_hash, total, t_.stage_ns,
+                                  /*pending=*/t_.running != Stage::kExecute,
+                                  slot);
+    }
+    if ((flags_ & kTraced) == 0) return;
+    uint64_t end = t_.mark_ns;
+    if (issue_ns_ != 0) {
+      RecordSpan(trace(), SpanKind::kPendingIo, issue_ns_, end, 0, slot);
+    }
+    if ((flags_ & kOwnSpan) != 0) {
+      GlobalSpanRing().Record(t_.trace_id, t_.span_id, t_.parent_id,
+                              end - total, end, 0, SpanKindOf(t_.kind), slot);
+    }
   }
   /// Finish at now, reading the clock only when a sink needs the time.
-  void Finish(Histogram* pending_io_ns = nullptr) {
-    if (mark_ns_ != 0 || issue_ns_ != 0) Finish(NowNs(), pending_io_ns);
+  void Finish(Histogram* pending_io_ns = nullptr,
+              uint32_t slot = Thread::Id()) {
+    if (timed() || issue_ns_ != 0) Finish(NowNs(), pending_io_ns, slot);
   }
 
-  TraceContext trace() const { return trace_; }
+  /// A single op's entry returns: ends its perf segment, and finishes the
+  /// op unless it went pending (its PendingContext's copy finishes it).
+  [[gnu::always_inline]] void Leave(bool done, uint32_t slot) {
+    if (flags_ != 0) [[unlikely]] LeaveSlow(done, slot);
+  }
+
+  /// The op's trace position: where the spans of its stages attach.
+  TraceContext trace() const {
+    if ((flags_ & kTraced) == 0) return {};
+    return {t_.trace_id, t_.span_id};
+  }
 
  private:
-  uint64_t key_hash_ = 0;
-  TraceContext trace_;
-  uint64_t mark_ns_ = 0;   // start of the running stage; 0 = untimed
+  enum : uint8_t {
+    kSlowLog = 1,  // the slowlog was armed as the op started
+    kTraced = 2,   // the op is in a trace
+    kOwnSpan = 4,  // a single op: t_.span_id is its own span's
+    kPerf = 8,     // a single op's entry holds a perf segment
+  };
+  /// What a timed clock holds beyond its first issue.
+  struct Timed {
+    uint64_t key_hash;
+    uint64_t trace_id, span_id;  // kTraced: the op's trace position
+    uint64_t parent_id;          // kOwnSpan: its span's parent
+    uint64_t mark_ns;            // start of the running stage
+    uint64_t stage_ns[kNumOpStages];
+    SlowOpKind kind;
+    Stage running;
+  };
+
+  OpClock() = default;
+
+  bool timed() const { return (flags_ & (kSlowLog | kTraced)) != 0; }
+
+  void Begin(SlowOpKind kind, uint64_t key_hash, Stage first,
+             uint64_t start_ns) {
+    t_.kind = kind;
+    t_.key_hash = key_hash;
+    t_.running = first;
+    t_.mark_ns = start_ns;
+    for (uint64_t& ns : t_.stage_ns) ns = 0;
+  }
+
+  /// A single op's start when some sink may want it. Leaves the thread
+  /// quiet (ThreadTrace) when no sink is armed and no trace is active.
+  [[gnu::noinline]] void Start(SlowOpKind kind, uint64_t key_hash) {
+    ThreadTrace& t = ThisThreadTrace();
+    uint64_t sinks = SinkWord().load(std::memory_order_relaxed);
+    uint8_t flags = (sinks & kSinkSlowLog) != 0 ? kSlowLog : 0;
+    if (t.ambient.trace_id != 0) {
+      t_.trace_id = t.ambient.trace_id;
+      t_.span_id = NewSpanId();
+      t_.parent_id = t.ambient.span_id;
+      flags |= kTraced | kOwnSpan;
+    } else if (SampleRoot(t)) {
+      t_.trace_id = t_.span_id = NewSpanId();  // a root's span is its trace
+      t_.parent_id = 0;
+      flags |= kTraced | kOwnSpan;
+    }
+    bool quiet = (sinks & (kSinkSlowLog | kSinkPerf)) == 0 &&
+                 t.ambient.trace_id == 0 && t.sinks == sinks;
+    t.quiet = quiet ? sinks : 0;
+#ifndef FASTER_MODEL
+    if ((sinks & kSinkPerf) != 0 && PerfScopeEnter(Stage::kExecute)) {
+      flags |= kPerf;
+    }
+#endif
+    flags_ = flags;
+    if (timed()) Begin(kind, key_hash, Stage::kExecute, NowNs());
+  }
+
+  [[gnu::noinline]] void Split(const OpClock& chunk, SlowOpKind kind,
+                               uint64_t key_hash, uint32_t ops) {
+    flags_ = chunk.flags_;
+    t_.trace_id = CurrentTrace().trace_id;
+    t_.span_id = CurrentTrace().span_id;
+    Begin(kind, key_hash, Stage::kExecute, NowNs());
+    for (uint32_t s = 0; s < kNumOpStages; ++s) {
+      t_.stage_ns[s] = chunk.t_.stage_ns[s] / ops;
+    }
+  }
+
+  [[gnu::noinline]] void LeaveSlow(bool done, uint32_t slot) {
+    if (done) Finish(nullptr, slot);
+#ifndef FASTER_MODEL
+    if ((flags_ & kPerf) != 0) PerfScopeExit();
+#endif
+  }
+
+  uint8_t flags_ = 0;
   uint64_t issue_ns_ = 0;  // first io_queue mark; 0 = no I/O issued
-  uint64_t stage_ns_[kNumOpStages] = {};
-  SlowOpKind kind_ = SlowOpKind::kRead;
-  Stage running_ = Stage::kExecute;
+  Timed t_;                // valid when timed()
 };
 
 /// No-op twin for stats-off builds (empty, so it costs its embedder no
@@ -150,25 +264,23 @@ class OpClock {
 class NoopOpClock {
  public:
   NoopOpClock() = default;
-  explicit NoopOpClock(Stage, uint64_t = 0) {}
   NoopOpClock(SlowOpKind, uint64_t) {}
+  static NoopOpClock ForChunk(Stage) { return {}; }
   NoopOpClock ForOp(SlowOpKind, uint64_t, uint32_t) const { return {}; }
   void Mark(Stage, uint64_t = 0) {}
   void MarkIoDone() {}
   template <class... Args>
   void Finish(Args&&...) {}
-  TraceContext trace() const { return {}; }
+  void Leave(bool, uint32_t) {}
 };
 
 /// What a device op carries from its submitter to its executor: the
-/// submit time and the submitting span, plus the pickup time its executor
-/// stamps (RunIo).
+/// submit time, plus the pickup time its executor stamps (RunIo).
 struct IoStamp {
   uint64_t submit_ns = 0;
   uint64_t pickup_ns = 0;
-  TraceContext trace;
 
-  static IoStamp Now() { return IoStamp{NowNs(), 0, CurrentTrace()}; }
+  static IoStamp Now() { return IoStamp{NowNs(), 0}; }
 };
 
 /// No-op twin for stats-off builds.
@@ -193,26 +305,19 @@ enum class IoHop : uint8_t {
 };
 
 /// Runs `fn` — a device op's execution, its completion callback, or both
-/// — under the op's stamp; the one place the I/O stages are stamped.
-/// kExecute stamps the pickup, records the io_queue span (submit ->
-/// pickup) and wraps `fn` in the io_exec span and perf segment; kKernel
-/// records the io_exec span (submit -> now) post hoc. Every hop publishes
-/// the pickup to the callbacks `fn` runs (OpClock::MarkIoDone).
+/// — under the op's stamp. kExecute stamps the pickup and wraps `fn` in
+/// the io_exec perf segment; kKernel takes the submit as the pickup (the
+/// kernel executed the op). Every hop publishes the pickup to the
+/// callbacks `fn` runs, whose op clocks mark their I/O stages from it
+/// (OpClock::MarkIoDone).
 template <class Fn>
 void RunIo(IoStamp& stamp, IoHop hop, Fn&& fn) {
   uint64_t& published = CurrentIoPickupNs();
   uint64_t saved = published;
-  if (hop == IoHop::kExecute) {
-    stamp.pickup_ns = NowNs();
-    RecordSpan(stamp.trace, Stage::kIoQueue, stamp.submit_ns,
-               stamp.pickup_ns);
-  } else if (hop == IoHop::kKernel) {
-    stamp.pickup_ns = stamp.submit_ns;
-    RecordSpan(stamp.trace, Stage::kIoExec, stamp.submit_ns, NowNs());
-  }
+  if (hop == IoHop::kExecute) stamp.pickup_ns = NowNs();
+  if (hop == IoHop::kKernel) stamp.pickup_ns = stamp.submit_ns;
   published = stamp.pickup_ns;
   if (hop == IoHop::kExecute) {
-    Span exec{Stage::kIoExec, stamp.trace};
     StatPerfScope perf{Stage::kIoExec};
     fn();
   } else {
@@ -225,37 +330,6 @@ template <class Fn>
 void RunIo(NoopIoStamp&, IoHop, Fn&& fn) {
   fn();
 }
-
-/// One completion-polling sweep: the io_poll perf segment, plus one
-/// io_poll span (arg = completions delivered) under the first delivered
-/// op's trace, so traces show the reap batching rather than a per-op
-/// forest.
-class PollSweep {
- public:
-  PollSweep() : perf_{Stage::kIoPoll} {
-    if constexpr (kStatsEnabled) start_ns_ = NowNs();
-  }
-  ~PollSweep() {
-    if constexpr (kStatsEnabled) {
-      if (delivered_ > 0 && first_.trace_id != 0) {
-        RecordSpan(first_, Stage::kIoPoll, start_ns_, NowNs(), delivered_);
-      }
-    }
-  }
-
-  template <class Stamp>
-  void Delivered(const Stamp& stamp) {
-    if constexpr (kStatsEnabled) {
-      if (delivered_++ == 0) first_ = stamp.trace;
-    }
-  }
-
- private:
-  [[no_unique_address]] StatPerfScope perf_;
-  uint64_t start_ns_ = 0;
-  TraceContext first_;
-  uint32_t delivered_ = 0;
-};
 
 }  // namespace obs
 }  // namespace faster

@@ -208,7 +208,7 @@ PerfCounts Delta(const PerfCounts& from, const PerfCounts& to) {
 PerfAttribution::PerfAttribution() {
   const char* v = std::getenv("FASTER_PERF");
   if (v != nullptr && v[0] != '\0' && v[0] != '0') {
-    armed_.store(true, std::memory_order_relaxed);
+    Arm(true);
   }
 }
 
@@ -306,6 +306,12 @@ PerfAttribution& GlobalPerf() {
   static PerfAttribution perf;
   return perf;
 }
+
+namespace {
+// FASTER_PERF=1 arms attribution at process start, before any gate reads
+// the sink word (a gate no longer constructs the instance).
+[[maybe_unused]] const PerfAttribution& g_perf_at_start = GlobalPerf();
+}  // namespace
 
 void SetPerfReadHookForTest(PerfReadFn fn) {
   g_read_hook.store(fn, std::memory_order_relaxed);

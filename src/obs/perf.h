@@ -96,9 +96,12 @@ class PerfAttribution {
   PerfAttribution(const PerfAttribution&) = delete;
   PerfAttribution& operator=(const PerfAttribution&) = delete;
 
-  /// The per-scope hot-path gate (one relaxed load when disarmed).
-  bool armed() const { return armed_.load(std::memory_order_relaxed); }
-  void Arm(bool on) { armed_.store(on, std::memory_order_relaxed); }
+  /// The per-scope hot-path gate (one relaxed load when disarmed): a bit
+  /// of the sink word (stage.h), which an op's clock reads as it starts.
+  static bool armed() {
+    return (SinkWord().load(std::memory_order_relaxed) & kSinkPerf) != 0;
+  }
+  static void Arm(bool on) { SetSinks(kSinkPerf, on ? kSinkPerf : 0); }
 
   /// Forgets accumulated counts (PERF RESET). Concurrent scopes may leak
   /// an in-flight delta into the fresh totals; acceptable for telemetry.
@@ -142,8 +145,6 @@ class PerfAttribution {
     std::atomic<uint64_t> truncated{0};
   };
 
-  // order: relaxed; the per-scope armed gate needs no ordering.
-  std::atomic<bool> armed_{false};
   // order: relaxed fetch_or/load — an availability bitmask, monotone under
   // `or`; no data is published through it.
   std::atomic<uint32_t> mask_{0};
@@ -173,7 +174,7 @@ void PerfScopeExit();
 class PerfScope {
  public:
   explicit PerfScope(Stage stage) {
-    if (!GlobalPerf().armed()) return;
+    if (!PerfAttribution::armed()) return;
     active_ = PerfScopeEnter(stage);
   }
   ~PerfScope() {

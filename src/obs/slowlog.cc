@@ -20,6 +20,13 @@ uint64_t WallNs() {
 
 }  // namespace
 
+void SlowLog::set_threshold_ns(uint64_t ns) {
+  threshold_ns_.store(ns, std::memory_order_relaxed);
+  if (this == &GlobalSlowLog()) {
+    SetSinks(kSinkSlowLog, armed() ? kSinkSlowLog : 0);
+  }
+}
+
 void SlowLog::MaybeRecord(SlowOpKind kind, uint64_t key_hash,
                           uint64_t total_ns,
                           const uint64_t stage_ns[kNumOpStages],

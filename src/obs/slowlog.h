@@ -50,9 +50,9 @@ class SlowLog {
   /// `Entry::id` 0 and readers fill it in.
   using Ring = SeqRing<Entry, kCapacity>;
 
-  void set_threshold_ns(uint64_t ns) {
-    threshold_ns_.store(ns, std::memory_order_relaxed);
-  }
+  /// Setting the global slowlog's threshold arms or disarms it for ops
+  /// (SinkWord).
+  void set_threshold_ns(uint64_t ns);
   uint64_t threshold_ns() const {
     return threshold_ns_.load(std::memory_order_relaxed);
   }

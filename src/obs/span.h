@@ -17,13 +17,12 @@
 ///
 /// A *trace* is one user-visible operation (Read/Upsert/Rmw/Delete or one
 /// batch chunk) identified by a 64-bit trace id; a *span* is one timed
-/// segment of it (the synchronous entry, the pending-I/O window, the device
-/// execution, a retry, a pipeline stage), identified by a span id and
-/// linked to its parent span. Spans cross threads by value: an op's clock
-/// and each device op's stamp (clock.h) carry the `TraceContext` across
-/// the asynchronous boundary, and a resumed `Span` re-establishes it
-/// wherever the operation continues, so a storage read's spans land under
-/// the same trace id as the Read() that issued it.
+/// segment of it (an op, its pending-I/O window, one of its I/O stages, a
+/// pipeline stage), identified by a span id and linked to its parent span.
+/// An op's clock (clock.h) carries its trace position across the
+/// asynchronous boundary by value and records the spans of its I/O stages
+/// from its own marks, on whichever thread makes them, so a storage read's
+/// spans land under the same trace id as the Read() that issued it.
 ///
 /// Recording follows the obs:: sharding discipline (stats.h): every thread
 /// owns a SeqRing of span records (seq_ring.h), so `Snapshot()` never
@@ -50,7 +49,6 @@ enum class SpanKind : uint16_t {
   kBatchChunk,         // one ExecuteChunk pass (arg = ops in the chunk)
   kNetRequest,         // one server event-loop turn: socket read -> flush
   kPendingIo,          // first I/O issue -> completion processed
-  kRetryFuzzy,         // one fuzzy-RMW retry attempt at CompletePending
 };
 
 /// An op's entry span kind.
@@ -69,7 +67,7 @@ struct SpanLabel {
 inline const char* SpanName(uint16_t kind) {
   static constexpr const char* kRoots[] = {
       "read",        "upsert",      "rmw",        "delete",
-      "batch_chunk", "net_request", "pending_io", "retry_fuzzy"};
+      "batch_chunk", "net_request", "pending_io"};
   if (kind < kNumStages) return StageName(static_cast<Stage>(kind));
   uint32_t root = kind - kNumStages;
   return root < std::size(kRoots) ? kRoots[root] : "unknown";
@@ -98,32 +96,66 @@ inline uint64_t NewSpanId() {
   return seq.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Root-span sampling period: 1-in-N operations start a trace (0 disables
-/// span recording entirely). Tests set 1 for determinism.
-inline std::atomic<uint32_t>& SpanSamplePeriod() {
-  // order: relaxed load/store — a tuning knob read per candidate root; no
-  // data is published through it.
-  static std::atomic<uint32_t> every{64};
-  return every;
-}
-
-inline void SetSpanSampleEvery(uint32_t n) {
-  SpanSamplePeriod().store(n, std::memory_order_relaxed);
-}
+/// Root-span sampling: 1-in-N roots start a trace (0 disables span
+/// recording entirely; tests set 1 for determinism). N lives in the sink
+/// word (stage.h), so a change restarts each thread's countdown.
+inline void SetSpanSampleEvery(uint32_t n) { SetSinks(UINT32_MAX, n); }
 inline uint32_t SpanSampleEvery() {
-  return SpanSamplePeriod().load(std::memory_order_relaxed);
+  return static_cast<uint32_t>(SinkWord().load(std::memory_order_relaxed));
 }
 
-/// The ambient trace context of the calling thread: which span any new
-/// child work should attach to. {0, 0} means "no active trace".
+/// A trace position: the trace and the span new child work attaches to.
+/// {0, 0} means "no active trace".
 struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
 };
 
-inline TraceContext& CurrentTrace() {
-  thread_local TraceContext ctx;
-  return ctx;
+/// The calling thread's tracing state: its ambient context and its root
+/// sampling countdown.
+struct ThreadTrace {
+  TraceContext ambient;
+  uint64_t sinks = 0;  // the SinkWord() `left` counts under
+  uint32_t left = 0;   // roots until the next sampled one
+  // The SinkWord() as an op's clock last found it arming no sink, with no
+  // trace active (OpClock); 0 otherwise. A Span clears it.
+  uint64_t quiet = 0;
+};
+
+inline ThreadTrace& ThisThreadTrace() {
+  thread_local ThreadTrace t;
+  return t;
+}
+
+/// The ambient trace context of the calling thread: which span any new
+/// child work should attach to. Only a Span sets it.
+inline TraceContext& CurrentTrace() { return ThisThreadTrace().ambient; }
+
+/// SampleRoot past its countdown, or after the sink word changed.
+[[gnu::noinline]] inline bool SampleRootSlow(ThreadTrace& t) {
+  uint64_t sinks = SinkWord().load(std::memory_order_relaxed);
+  auto every = static_cast<uint32_t>(sinks);
+  if (t.sinks != sinks) {
+    t.sinks = sinks;
+    t.left = every;  // the every-th root from here is sampled
+  }
+  if (every == 0 || t.left > 1) {
+    t.left = every == 0 ? UINT32_MAX : t.left - 1;
+    return false;
+  }
+  t.left = every;
+  return true;
+}
+
+/// Counts one candidate root on the calling thread: true for each N-th,
+/// which starts a trace. Other roots pay two compares and a decrement.
+inline bool SampleRoot(ThreadTrace& t = ThisThreadTrace()) {
+  uint64_t sinks = SinkWord().load(std::memory_order_relaxed);
+  if (t.sinks == sinks && t.left > 1) [[likely]] {
+    --t.left;
+    return false;
+  }
+  return SampleRootSlow(t);
 }
 
 /// Per-thread ring of completed spans: one SeqRing per thread
@@ -136,10 +168,10 @@ class SpanRing {
 
   void Record(uint64_t trace_id, uint64_t span_id, uint64_t parent_id,
               uint64_t start_ns, uint64_t end_ns, uint32_t arg,
-              SpanLabel kind) {
-    uint32_t tid = Thread::Id();
-    rings_[tid].Push(SpanRecord{trace_id, span_id, parent_id, start_ns, end_ns,
-                                arg, kind.id, static_cast<uint16_t>(tid)});
+              SpanLabel kind, uint32_t slot = Thread::Id()) {
+    rings_[slot].Push(SpanRecord{trace_id, span_id, parent_id, start_ns,
+                                 end_ns, arg, kind.id,
+                                 static_cast<uint16_t>(slot)});
   }
 
   /// The per-thread rings, read raw by the flight recorder.
@@ -176,23 +208,23 @@ inline std::vector<SpanRecord> SnapshotSpans() {
 /// Records a finished segment of the trace `parent` belongs to, as a child
 /// of `parent` (a no-op when `parent` is untraced).
 inline void RecordSpan(TraceContext parent, SpanLabel kind, uint64_t start_ns,
-                       uint64_t end_ns, uint32_t arg = 0) {
+                       uint64_t end_ns, uint32_t arg = 0,
+                       uint32_t slot = Thread::Id()) {
   if (parent.trace_id == 0) return;
   GlobalSpanRing().Record(parent.trace_id, NewSpanId(), parent.span_id,
-                          start_ns, end_ns, arg, kind);
+                          start_ns, end_ns, arg, kind, slot);
 }
 
 /// RAII span scope (real type; see the StatSpan alias at the bottom). It
-/// opens one of three ways, and while active the ambient context points at
+/// opens one of two ways, and while active the ambient context points at
 /// it, so nested work parents under it:
-///  - `Span{SpanKind}` an op's entry: a sampled *root* when no trace is
-///    active on this thread, a *child* of the ambient span otherwise (so
-///    single ops run inside a batch fallback attach to the chunk's trace);
+///  - `Span{SpanKind}` a sampled *root* (a batch chunk, a server turn) when
+///    no trace is active on this thread, a *child* of the ambient span
+///    otherwise;
 ///  - `Span{Stage}` a child of the ambient span, inert without one: a
-///    stage never starts a trace itself;
-///  - `Span{label, parent}` resumes a context captured on another thread or
-///    earlier (I/O execution, completion processing, fuzzy retries); inert
-///    when the originating op was not sampled.
+///    stage never starts a trace itself.
+/// An op's own spans come from its clock (clock.h), which carries the op's
+/// trace position across threads.
 class Span {
  public:
   explicit Span(SpanKind root, uint32_t arg = 0) : kind_{root}, arg_{arg} {
@@ -207,10 +239,6 @@ class Span {
   explicit Span(Stage stage, uint32_t arg = 0) : kind_{stage}, arg_{arg} {
     TraceContext cur = CurrentTrace();
     if (cur.trace_id != 0) Open(cur, NewSpanId());
-  }
-  Span(SpanLabel kind, TraceContext parent, uint32_t arg = 0)
-      : kind_{kind}, arg_{arg} {
-    if (parent.trace_id != 0) Open(parent, NewSpanId());
   }
 
   ~Span() {
@@ -229,16 +257,10 @@ class Span {
   uint64_t span_id() const { return span_id_; }
 
  private:
-  static bool SampleRoot() {
-    uint32_t every = SpanSampleEvery();
-    if (every == 0) return false;
-    if (every == 1) return true;
-    thread_local uint32_t tick = 0;
-    return ++tick % every == 0;
-  }
-
   void Open(TraceContext parent, uint64_t span_id) {
-    TraceContext& cur = CurrentTrace();
+    ThreadTrace& t = ThisThreadTrace();
+    t.quiet = 0;  // ops under this span join its trace
+    TraceContext& cur = t.ambient;
     saved_ = cur;
     trace_id_ = parent.trace_id;
     parent_id_ = parent.span_id;

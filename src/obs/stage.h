@@ -1,6 +1,7 @@
 #ifndef FASTER_OBS_STAGE_H_
 #define FASTER_OBS_STAGE_H_
 
+#include <atomic>
 #include <cstdint>
 
 /// The one stage vocabulary (DESIGN.md §12.2 "Stage clock"). The slowlog
@@ -49,6 +50,31 @@ inline const char* SlowOpKindName(SlowOpKind kind) {
   static constexpr const char* kNames[] = {"read", "upsert", "rmw", "delete"};
   auto i = static_cast<uint32_t>(kind);
   return i < 4 ? kNames[i] : "?";
+}
+
+/// The sinks' settings in the one word an op's clock loads as it starts
+/// (clock.h): the span sampling period N in the low 32 bits (1-in-N roots
+/// start a trace; 0: none), whether the global slowlog and perf are armed,
+/// and above those a change count, so a thread that cached the word
+/// (ThreadTrace, span.h) sees any change.
+inline constexpr uint64_t kSinkSlowLog = uint64_t{1} << 32;
+inline constexpr uint64_t kSinkPerf = uint64_t{1} << 33;
+inline constexpr uint64_t kSinkChange = uint64_t{1} << 34;
+
+inline std::atomic<uint64_t>& SinkWord() {
+  // order: relaxed load/CAS — settings; what a sink records is published
+  // by its own ring, not through this word.
+  static std::atomic<uint64_t> word{kSinkChange | 64};
+  return word;
+}
+
+/// Sets the sink word's `mask` bits to `bits`, counting a change.
+inline void SetSinks(uint64_t mask, uint64_t bits) {
+  std::atomic<uint64_t>& word = SinkWord();
+  uint64_t old = word.load(std::memory_order_relaxed);
+  while (!word.compare_exchange_weak(old, ((old + kSinkChange) & ~mask) | bits,
+                                     std::memory_order_relaxed)) {
+  }
 }
 
 }  // namespace obs

@@ -45,6 +45,16 @@ namespace obs {
 
 inline constexpr bool kStatsEnabled = (FASTER_STATS_ENABLED != 0);
 
+/// A thread's slot (Thread::Id()) as an op carries it to its records;
+/// without stats, an empty token.
+#if FASTER_STATS_ENABLED
+using StatSlot = uint32_t;
+#else
+struct StatSlot {
+  constexpr StatSlot(uint32_t = 0) {}
+};
+#endif
+
 /// Monotonic wall time in nanoseconds (scoped timers, I/O latency).
 inline uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -66,13 +76,16 @@ struct SlotSum {
   const std::atomic<uint64_t>* first = nullptr;
   size_t stride = 0;
   uint32_t count = 0;
+  uint32_t width = 1;  // consecutive slots summed per thread
 
   uint64_t Sum() const {
     uint64_t total = 0;
     const char* p = reinterpret_cast<const char*>(first);
     for (uint32_t i = 0; i < count; ++i, p += stride) {
-      total += reinterpret_cast<const std::atomic<uint64_t>*>(p)->load(
-          std::memory_order_relaxed);
+      for (uint32_t w = 0; w < width; ++w) {
+        total += reinterpret_cast<const std::atomic<uint64_t>*>(p)[w].load(
+            std::memory_order_relaxed);
+      }
     }
     return total;
   }
@@ -133,10 +146,15 @@ class Gauge : public Sharded {
 
 /// Fixed-bucket log2 histogram: bucket 0 holds the value 0, bucket b
 /// (1 <= b <= 62) holds [2^(b-1), 2^b), bucket 63 holds everything above.
-/// Recording is an owner-shard-only relaxed load+store, like Counter.
+/// Recording is an owner-shard-only relaxed load+store, like Counter; a
+/// value below kExact costs one, in its row of an exact table that readers
+/// fold into the buckets and sum. Rows above 0 also count larger values,
+/// so each is a counter too (row_slots): HashIndex's finds and hits.
 class Histogram {
  public:
   static constexpr uint32_t kNumBuckets = 64;
+  static constexpr uint32_t kExact = 8;
+  static constexpr uint32_t kRows = 3;
 
   Histogram() : shards_{new Shard[Thread::kMaxThreads]} {}
   Histogram(const Histogram&) = delete;
@@ -155,12 +173,21 @@ class Histogram {
     return (uint64_t{1} << b) - 1;
   }
 
-  void Record(uint64_t v) {
-    Shard& shard = shards_[Thread::Id()];
-    std::atomic<uint64_t>& c = shard.buckets[BucketFor(v)];
-    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    shard.sum.store(shard.sum.load(std::memory_order_relaxed) + v,
-                    std::memory_order_relaxed);
+  void Record(uint64_t v, uint32_t slot = Thread::Id(), uint32_t row = 0) {
+    Shard& shard = shards_[slot];
+    if (v < kExact) {
+      Bump(shard.rows[row][v], 1);
+      return;
+    }
+    if (row != 0) Bump(shard.rows[row][kExact], 1);
+    Bump(shard.buckets[BucketFor(v)], 1);
+    Bump(shard.sum, v);
+  }
+
+  /// The records of rows [first, first + n) of every shard, as a counter.
+  SlotSum row_slots(uint32_t first, uint32_t n) const {
+    return {&shards_[0].rows[first][0], sizeof(Shard), Thread::kMaxThreads,
+            n * (kExact + 1)};
   }
 
   /// Sum of every recorded value (exact, unlike the log2 buckets) — the
@@ -168,7 +195,13 @@ class Histogram {
   uint64_t ValueSum() const {
     uint64_t total = 0;
     for (uint32_t i = 0; i < Thread::kMaxThreads; ++i) {
-      total += shards_[i].sum.load(std::memory_order_relaxed);
+      const Shard& shard = shards_[i];
+      total += shard.sum.load(std::memory_order_relaxed);
+      for (uint32_t v = 1; v < kExact; ++v) {
+        for (const auto& row : shard.rows) {
+          total += v * row[v].load(std::memory_order_relaxed);
+        }
+      }
     }
     return total;
   }
@@ -177,8 +210,14 @@ class Histogram {
   void SnapshotBuckets(uint64_t* out) const {
     for (uint32_t b = 0; b < kNumBuckets; ++b) out[b] = 0;
     for (uint32_t i = 0; i < Thread::kMaxThreads; ++i) {
+      const Shard& shard = shards_[i];
       for (uint32_t b = 0; b < kNumBuckets; ++b) {
-        out[b] += shards_[i].buckets[b].load(std::memory_order_relaxed);
+        out[b] += shard.buckets[b].load(std::memory_order_relaxed);
+      }
+      for (uint32_t v = 0; v < kExact; ++v) {
+        for (const auto& row : shard.rows) {
+          out[BucketFor(v)] += row[v].load(std::memory_order_relaxed);
+        }
       }
     }
   }
@@ -222,7 +261,13 @@ class Histogram {
     // order: relaxed load+store by the owner thread, relaxed load in
     // ValueSum — same discipline as `buckets`.
     std::atomic<uint64_t> sum{0};
+    // order: relaxed, as `buckets`. Per row: the records of each value
+    // below kExact, then (rows above 0) of every larger value.
+    std::atomic<uint64_t> rows[kRows][kExact + 1] = {};
   };
+  static void Bump(std::atomic<uint64_t>& c, uint64_t n) {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
   std::unique_ptr<Shard[]> shards_;
 };
 
@@ -470,7 +515,8 @@ class NoopGauge {
 class NoopHistogram {
  public:
   static constexpr uint32_t kNumBuckets = Histogram::kNumBuckets;
-  void Record(uint64_t) {}
+  void Record(uint64_t, StatSlot = {}, uint32_t = 0) {}
+  SlotSum row_slots(uint32_t, uint32_t) const { return {}; }
   void SnapshotBuckets(uint64_t* out) const {
     for (uint32_t b = 0; b < kNumBuckets; ++b) out[b] = 0;
   }

@@ -548,6 +548,55 @@ TEST_F(FasterTest, PendingReadCompletedByAnotherThreadsPollAll) {
   store.StopSession();
 }
 
+// A pending read whose storage walk falls below the begin address because
+// a compaction moved its key meanwhile restarts from the index. Two keys
+// share a chain (one tag bit): the read of the older one parks on the
+// newer one's record; CompactLog copies both to the tail and truncates
+// the log past them; then the parked read completes, and its walk's next
+// hop is gone.
+TEST(PendingReadTest, RestartsWhenCompactionMovesItsKey) {
+  ParkingDevice device;
+  Store::Config cfg = SmallConfig(/*mem_pages=*/2, 0.5);
+  cfg.tag_bits = 1;
+  cfg.completion_callback = [](Store::UserOp, Status result, void* ctx) {
+    *static_cast<Status*>(ctx) = result;
+  };
+  Store store{cfg, &device};
+  auto chain = [&cfg](uint64_t key) {
+    KeyHash h = DefaultKeyHasher<uint64_t>{}(key);
+    return std::pair{h.Bucket(cfg.table_size), h.Tag() & 1};
+  };
+  constexpr uint64_t kA = 1;
+  uint64_t b = kA + 1;
+  while (chain(b) != chain(kA)) ++b;
+  store.StartSession();
+  ASSERT_EQ(store.Upsert(kA, 100), Status::kOk);
+  ASSERT_EQ(store.Upsert(b, 200), Status::kOk);
+  Address past_both = store.hlog().tail_address();
+  // Spill both to storage; no other key joins their chain.
+  for (uint64_t k = b + 1, n = 0; n < 400000; ++k) {
+    if (chain(k) == chain(kA)) continue;
+    ASSERT_EQ(store.Upsert(k, k), Status::kOk);
+    ++n;
+  }
+  ASSERT_LT(past_both, store.hlog().head_address());
+
+  Status completed = Status::kPending;
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(kA, 0, &out, &completed), Status::kPending);
+  device.set_parking(false);  // the compaction reads synchronously
+  ASSERT_EQ(store.CompactLog(past_both), Status::kOk);
+  ASSERT_GE(store.hlog().begin_address(), past_both);
+  EXPECT_EQ(device.PollAll(), 1u);
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kOk);
+  EXPECT_EQ(out, 100u);
+  out = 0;
+  EXPECT_EQ(store.Read(kA, 0, &out), Status::kOk);
+  EXPECT_EQ(out, 100u);
+  store.StopSession();
+}
+
 TEST_F(FasterTest, CompletionCallbackReceivesUserContext) {
   auto cfg = SmallConfig(2, 0.5);
   cfg.completion_callback = &completion_cb::Callback;

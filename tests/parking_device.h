@@ -1,55 +1,55 @@
 #ifndef FASTER_TESTS_PARKING_DEVICE_H_
 #define FASTER_TESTS_PARKING_DEVICE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
 #include "device/memory_device.h"
-#include "obs/span.h"
 
 namespace faster {
 
 /// A MemoryDevice that parks every read until some thread calls PollAll,
-/// then runs it, callback included, on that thread under the submitter's
-/// trace context: the queueing shape of io_uring on any host, so tests
-/// can hand a completion across threads. Writes complete at submit, as on
-/// MemoryDevice. Shared by faster_test and stats_test.
+/// then runs it, callback included, on that thread: the queueing shape of
+/// io_uring on any host, so tests can hand a completion across threads.
+/// Writes complete at submit, as on MemoryDevice. Shared by faster_test and
+/// stats_test.
 class ParkingDevice : public MemoryDevice {
  public:
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                    IoCallback callback, void* context) override {
+    if (!parking_.load(std::memory_order_relaxed)) {
+      return MemoryDevice::ReadAsync(offset, dst, len, callback, context);
+    }
     std::lock_guard<std::mutex> lock{mutex_};
-    parked_.push_back({{offset, dst, len, callback, context},
-                       obs::CurrentTrace()});
+    parked_.push_back({offset, dst, len, callback, context});
     return Status::kOk;
   }
   /// Runs every parked read on the calling thread; returns how many.
   uint32_t PollAll() override {
-    std::vector<Parked> reads;
+    std::vector<IoReadRequest> reads;
     {
       std::lock_guard<std::mutex> lock{mutex_};
       reads.swap(parked_);
     }
-    obs::TraceContext saved = obs::CurrentTrace();
-    for (const Parked& p : reads) {
-      obs::CurrentTrace() = p.trace;
-      const IoReadRequest& r = p.read;
+    for (const IoReadRequest& r : reads) {
       MemoryDevice::ReadAsync(r.offset, r.dst, r.len, r.callback, r.context);
     }
-    obs::CurrentTrace() = saved;
     return static_cast<uint32_t>(reads.size());
   }
   void Drain() override { PollAll(); }
+  /// While off, reads complete at submit, as on MemoryDevice (say, a
+  /// compaction's synchronous reads); reads parked before stay parked.
+  void set_parking(bool on) { parking_.store(on, std::memory_order_relaxed); }
 
  private:
-  struct Parked {
-    IoReadRequest read;
-    obs::TraceContext trace;
-  };
   std::mutex mutex_;
-  std::vector<Parked> parked_;
+  std::vector<IoReadRequest> parked_;
+  // order: relaxed — set by the test thread between phases; the mutex
+  // orders the parked reads themselves.
+  std::atomic<bool> parking_{true};
 };
 
 /// A MemoryDevice that parks every write until the test releases it, by

@@ -330,6 +330,74 @@ TEST(SlowLogTest, UringPathStageSumsStillPartitionTotal) {
   std::remove(path.c_str());
 }
 
+// One clock per op feeds every sink, so the sinks agree exactly: a
+// synchronous op's slowlog total and execute stage are its span's
+// duration, and a pending read's pending_io span is the sum of its I/O
+// stages (io_queue, io_exec, io_complete) in its slowlog entry.
+TEST(SlowLogTest, OneClockFeedsSlowlogAndSpansTheSameNumbers) {
+  if (!obs::kStatsEnabled) {
+    GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
+  }
+  using Store = FasterKv<CountStoreFunctions>;
+  Store::Config cfg;
+  cfg.table_size = 2048;
+  cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;
+  cfg.log.mutable_fraction = 0.5;
+  MemoryDevice device;
+  Store store{cfg, &device};
+  uint32_t saved_sampling = obs::SpanSampleEvery();
+  obs::SetSpanSampleEvery(0);  // don't trace the fill phase
+  store.StartSession();
+  constexpr uint64_t kKeys = 400000;  // >> 2 pages: key 0 spills
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(store.Upsert(k, k), Status::kOk);
+  }
+  obs::SlowLog& global = obs::GlobalSlowLog();
+  global.Reset();
+  global.set_threshold_ns(0);
+  obs::SetSpanSampleEvery(1);
+  uint64_t first_span_id = obs::NewSpanId();
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(kKeys - 1, 0, &out), Status::kOk);
+  ASSERT_EQ(store.Read(0, 0, &out), Status::kPending);
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  obs::SetSpanSampleEvery(saved_sampling);
+  global.set_threshold_ns(SlowLog::kDisabled);
+  store.StopSession();
+
+  std::vector<SlowLog::Entry> entries = global.Snapshot();
+  ASSERT_EQ(entries.size(), 2u);
+  const SlowLog::Entry& pending = entries[0];  // newest first
+  const SlowLog::Entry& sync = entries[1];
+  ASSERT_TRUE(pending.pending);
+  ASSERT_FALSE(sync.pending);
+  // The two reads' own spans, in start order, and the pending one's
+  // pending_io span.
+  std::vector<obs::SpanRecord> roots;
+  std::map<uint64_t, obs::SpanRecord> pending_io;  // by trace
+  for (const obs::SpanRecord& s : obs::SnapshotSpans()) {
+    if (s.trace_id <= first_span_id) continue;
+    if (s.kind == obs::SpanLabel{obs::SpanKind::kRead}.id &&
+        s.span_id == s.trace_id) {
+      roots.push_back(s);
+    }
+    if (s.kind == obs::SpanLabel{obs::SpanKind::kPendingIo}.id) {
+      pending_io[s.trace_id] = s;
+    }
+  }
+  ASSERT_EQ(roots.size(), 2u);
+  auto at = [](obs::Stage s) { return static_cast<uint32_t>(s); };
+  EXPECT_EQ(sync.total_ns, roots[0].end_ns - roots[0].start_ns);
+  EXPECT_EQ(sync.stage_ns[at(obs::Stage::kExecute)], sync.total_ns);
+  EXPECT_EQ(pending.total_ns, roots[1].end_ns - roots[1].start_ns);
+  ASSERT_EQ(pending_io.count(roots[1].trace_id), 1u);
+  const obs::SpanRecord& io = pending_io[roots[1].trace_id];
+  EXPECT_EQ(io.end_ns - io.start_ns,
+            pending.stage_ns[at(obs::Stage::kIoQueue)] +
+                pending.stage_ns[at(obs::Stage::kIoExec)] +
+                pending.stage_ns[at(obs::Stage::kIoComplete)]);
+}
+
 /// Count-store functions whose in-place RMW spins for kSpinNs: a slow
 /// op that keeps the rest of its batch chunk waiting.
 struct SpinRmwFunctions : CountStoreFunctions {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -129,6 +130,32 @@ TEST(StatsHistogramTest, CountAndSnapshot) {
   EXPECT_EQ(buckets[0], 1u);
   EXPECT_EQ(buckets[3], 2u);
   EXPECT_EQ(buckets[7], 1u);
+}
+
+// A record names its row: a small value lands in the row's exact table,
+// and rows above 0 also count larger values, so each row counts its
+// records while the buckets and the sum still cover every record.
+TEST(StatsHistogramTest, RowsCountRecordsAndFoldIntoBuckets) {
+  Histogram h;
+  uint32_t slot = Thread::Id();
+  h.Record(3, slot, 1);
+  h.Record(7, slot, 1);
+  h.Record(20, slot, 1);  // not exact: bucket 5, and row 1's count
+  h.Record(1, slot, 2);
+  h.Record(6);    // row 0
+  h.Record(100);  // row 0, not exact: no row counts it
+  EXPECT_EQ(h.row_slots(1, 1).Sum(), 3u);
+  EXPECT_EQ(h.row_slots(2, 1).Sum(), 1u);
+  EXPECT_EQ(h.row_slots(1, 2).Sum(), 4u);
+  EXPECT_EQ(h.Count(), 6u);
+  EXPECT_EQ(h.ValueSum(), 3u + 7 + 20 + 1 + 6 + 100);
+  uint64_t buckets[Histogram::kNumBuckets];
+  h.SnapshotBuckets(buckets);
+  EXPECT_EQ(buckets[1], 1u);  // 1
+  EXPECT_EQ(buckets[2], 1u);  // 3
+  EXPECT_EQ(buckets[3], 2u);  // 6, 7
+  EXPECT_EQ(buckets[5], 1u);  // 20
+  EXPECT_EQ(buckets[7], 1u);  // 100
 }
 
 TEST(StatsHistogramTest, PercentileReturnsBucketUpperBound) {
@@ -468,40 +495,49 @@ TEST(SpanScopeTest, ChildSpanParentedUnderAmbient) {
   }
 }
 
-TEST(SpanScopeTest, ResumedSpanContinuesTraceOnAnotherThread) {
+// An op's clock carries its trace position by value: the stages another
+// thread marks record their spans there, on that thread's shard, under the
+// op's own span.
+TEST(SpanScopeTest, ClockTraceContinuesOnAnotherThread) {
   SpanSampleGuard guard{1};
-  obs::TraceContext captured;
-  uint64_t trace_id = 0;
-  uint16_t root_tid = 0;
-  {
-    obs::Span root{obs::SpanKind::kRead};
-    trace_id = root.trace_id();
-    captured = obs::CurrentTrace();  // what the store copies into contexts
-  }
-  root_tid = static_cast<uint16_t>(Thread::Id());
-  std::thread worker([&captured] {
-    obs::Span span{obs::Stage::kIoExec, captured};
-    EXPECT_TRUE(span.active());
-    EXPECT_EQ(obs::CurrentTrace().trace_id, captured.trace_id);
+  obs::OpClock clock{obs::SlowOpKind::kRead, 1};
+  obs::TraceContext op = clock.trace();
+  ASSERT_NE(op.trace_id, 0u);
+  EXPECT_EQ(obs::CurrentTrace().trace_id, 0u);  // the clock sets no ambient
+  uint64_t issue = obs::NowNs();
+  clock.Mark(obs::Stage::kIoQueue, issue);
+  std::thread worker([&clock, issue] {
+    clock.Mark(obs::Stage::kIoExec, issue + 100);
+    clock.Mark(obs::Stage::kIoComplete, issue + 300);
   });
   worker.join();
-  auto spans = SpansOfTrace(trace_id);
-  ASSERT_EQ(spans.size(), 2u);
-  bool saw_resumed = false;
-  for (const auto& s : spans) {
-    if (s.kind == K(obs::Stage::kIoExec)) {
-      saw_resumed = true;
-      EXPECT_EQ(s.parent_id, captured.span_id);
-      EXPECT_NE(s.tid, root_tid);  // recorded on the worker's shard
-    }
+  uint16_t owner_tid = static_cast<uint16_t>(Thread::Id());
+  clock.Finish(issue + 1000);
+  auto spans = SpansOfTrace(op.trace_id);
+  std::map<uint16_t, obs::SpanRecord> by_kind;
+  for (const auto& s : spans) by_kind[s.kind] = s;
+  ASSERT_EQ(spans.size(), 5u);  // the op, its 3 I/O stages, pending_io
+  const obs::SpanRecord& own = by_kind[K(obs::SpanKind::kRead)];
+  EXPECT_EQ(own.span_id, op.trace_id);  // a root: span id == trace id
+  EXPECT_EQ(own.end_ns, issue + 1000);
+  for (obs::Stage stage : {obs::Stage::kIoQueue, obs::Stage::kIoExec}) {
+    EXPECT_EQ(by_kind[K(stage)].parent_id, own.span_id);
+    EXPECT_NE(by_kind[K(stage)].tid, owner_tid);  // the worker's shard
   }
-  EXPECT_TRUE(saw_resumed);
+  EXPECT_EQ(by_kind[K(obs::Stage::kIoComplete)].start_ns, issue + 300);
+  EXPECT_EQ(by_kind[K(obs::SpanKind::kPendingIo)].start_ns, issue);
 }
 
-TEST(SpanScopeTest, ResumedSpanInertForUnsampledTrace) {
-  obs::Span span{obs::Stage::kIoComplete, obs::TraceContext{}};
-  EXPECT_FALSE(span.active());
-  EXPECT_EQ(obs::CurrentTrace().trace_id, 0u);
+TEST(SpanScopeTest, UntracedClockRecordsNoSpans) {
+  SpanSampleGuard guard{0};
+  size_t before = obs::GlobalSpanRing().Snapshot().size();
+  obs::OpClock clock{obs::SlowOpKind::kRead, 1};
+  EXPECT_EQ(clock.trace().trace_id, 0u);
+  uint64_t issue = obs::NowNs();
+  clock.Mark(obs::Stage::kIoQueue, issue);
+  clock.Mark(obs::Stage::kIoComplete, issue + 10);
+  clock.Finish(issue + 20);
+  EXPECT_EQ(obs::GlobalSpanRing().Snapshot().size(), before);
 }
 
 TEST(SpanScopeTest, SamplingZeroDisablesRecording) {
@@ -593,6 +629,35 @@ TEST(StatsStoreTest, DumpStatsAfterOps) {
     EXPECT_NE(text.find("compiled out"), std::string::npos);
     EXPECT_EQ(json, "{}");
   }
+}
+
+// index.finds counts FindEntry calls and index.find_hits their tag
+// matches; index.probe_len covers every chain scan, writes' too.
+TEST(StatsStoreTest, IndexFindsHitsAndProbeLen) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "index stats compiled out";
+  MemoryDevice device;
+  FasterKv<CountStoreFunctions>::Config cfg;
+  cfg.table_size = 2048;
+  FasterKv<CountStoreFunctions> store{cfg, &device};
+  store.StartSession();
+  for (uint64_t k = 0; k < 100; ++k) store.Upsert(k, k);
+  uint64_t out = 0;
+  for (uint64_t k = 0; k < 100; ++k) store.Read(k, 0, &out);
+  for (uint64_t k = 1000; k < 1050; ++k) store.Read(k, 0, &out);
+  store.StopSession();
+  obs::StatRegistry reg;
+  obs::CollectStats(store.view(), reg);
+  std::map<std::string, uint64_t> counters;
+  uint64_t probe_scans = 0;
+  reg.ForEach([&](const std::string& name, obs::Registry::Kind kind,
+                  obs::SlotSum slots, const obs::Histogram* h, uint64_t) {
+    if (kind == obs::Registry::Kind::kCounter) counters[name] = slots.Sum();
+    if (name == "index.probe_len") probe_scans = h->Count();
+  });
+  EXPECT_EQ(counters["index.finds"], 150u);
+  EXPECT_GE(counters["index.find_hits"], 100u);
+  EXPECT_LE(counters["index.find_hits"], 150u);
+  EXPECT_EQ(probe_scans, 250u);  // 100 upserts' slot scans, 150 finds
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Gates what compiling the stats layer in costs per op, in instructions.
+
+Usage: tools/check_op_icount.py OFF.txt ON.txt [--max-ratio 1.25]
+
+OFF.txt and ON.txt are tools/op_icount outputs of the same commit, built
+without and with -DFASTER_STATS=ON. Every op's stats-on count must be at
+most --max-ratio times its stats-off count; read_pending (a storage read
+through CompletePending) is printed but not gated. Exits 1 on a violation
+or a missing op. A ptrace refusal in either file prints a skip line and
+exits 0: nothing was measured.
+"""
+
+import argparse
+import re
+import sys
+
+UNGATED = {"read_pending"}
+
+
+def parse(path):
+    counts = {}
+    with open(path) as f:
+        for line in f:
+            if line.startswith("op_icount: skipped"):
+                return None
+            m = re.match(r"op_icount: (\w+) (\d+)", line)
+            if m and m.group(1) != "marker":
+                counts[m.group(1)] = int(m.group(2))
+    return counts
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("off")
+    ap.add_argument("on")
+    ap.add_argument("--max-ratio", type=float, default=1.25)
+    args = ap.parse_args()
+    off, on = parse(args.off), parse(args.on)
+    if off is None or on is None:
+        print("op_icount ratio: skipped: ptrace refused, nothing measured")
+        return 0
+    failed = False
+    for op, n_off in off.items():
+        n_on = on.get(op)
+        if n_on is None:
+            print(f"op_icount ratio: {op}: missing from {args.on}")
+            failed = True
+            continue
+        ratio = n_on / n_off
+        gated = op not in UNGATED
+        verdict = "ok" if ratio <= args.max_ratio else "FAIL"
+        if not gated:
+            verdict = "logged"
+        print(f"op_icount ratio: {op} {n_off} -> {n_on} "
+              f"({ratio:.3f}x, limit {args.max_ratio}x) {verdict}")
+        failed |= gated and ratio > args.max_ratio
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

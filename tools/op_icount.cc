@@ -8,10 +8,12 @@
 // next, counting steps. Two markers back to back measure the markers' own
 // cost, which every count subtracts. The ops: an insert (Upsert of a new
 // key), an in-place Upsert, a Read, an in-place Rmw (its value dropped),
-// and one ExecuteBatch of 16 GETs and 16 INCRs (RMWs reporting their
-// values) on distinct keys. Counts repeat exactly for one binary, so two
-// builds' outputs compare op by op. A rep-prefixed string instruction
-// counts once per iteration (the trap flag stops after each one).
+// one ExecuteBatch of 16 GETs and 16 INCRs (RMWs reporting their values)
+// on distinct keys, and a Read of a record on a MemoryDevice storage page
+// through its CompletePending (a second store, whose log the fill spilled).
+// Counts repeat exactly for one binary, so two builds' outputs compare op
+// by op. A rep-prefixed string instruction counts once per iteration (the
+// trap flag stops after each one).
 //
 // Prints "op_icount: <op> <instructions>" lines; exits 0 with a skip
 // line where ptrace is refused (a sandbox or ptrace_scope policy).
@@ -53,7 +55,7 @@ constexpr uint64_t kKeys = 1024;
 constexpr size_t kBatch = 32;
 
 const char* const kOps[] = {"insert", "upsert_inplace", "read",
-                            "rmw_inplace", "batch32_get_incr"};
+                            "rmw_inplace", "batch32_get_incr", "read_pending"};
 constexpr size_t kNumOps = sizeof(kOps) / sizeof(kOps[0]);
 
 [[gnu::noinline]] void Marker() { ::raise(SIGSTOP); }
@@ -100,6 +102,22 @@ template <class Op>
   Region([&] { store.Rmw(7, 1); });
   Region([&] { store.ExecuteBatch(ops, kBatch); });
   store.StopSession();
+
+  // Two log pages, which the fill spills key 0 out of.
+  faster::MemoryDevice cold_device;
+  Store::Config cold_cfg;
+  cold_cfg.table_size = 1 << 17;
+  cold_cfg.log.memory_size_bytes = 2ull << faster::Address::kOffsetBits;
+  cold_cfg.log.mutable_fraction = 0.5;
+  Store cold{cold_cfg, &cold_device};
+  cold.StartSession();
+  for (uint64_t k = 0; k < 400000; ++k) cold.Upsert(k, k);
+  Region([&] {
+    if (cold.Read(0, 0, &out) == faster::Status::kPending) {
+      cold.CompletePending(/*wait=*/true);
+    }
+  });
+  cold.StopSession();
   ::_exit(0);
 }
 
@@ -261,7 +279,7 @@ int main(int argc, char** argv) {
     uint64_t n = regions[i + 1] - marker;
     std::printf("op_icount: %s %llu", kOps[i],
                 static_cast<unsigned long long>(n));
-    if (i + 1 == kNumOps) {
+    if (std::strcmp(kOps[i], "batch32_get_incr") == 0) {
       std::printf(" (%.1f/op)", static_cast<double>(n) / kBatch);
     }
     std::printf("\n");
