@@ -116,49 +116,45 @@ uint64_t LightEpoch::BumpCurrentEpoch() {
 }
 
 uint64_t LightEpoch::BumpCurrentEpoch(std::function<void()> action) {
-  // See the declaration: the full-drain-list fallback below only
-  // terminates for a protected caller.
+  // List full: refresh. A caller that has not refreshed since arming
+  // earlier actions pins the safe epoch below all of them, and a bump is
+  // an operation boundary for it, so it moves its own epoch as well.
+  uint32_t slot;
+  while ((slot = TryClaimSlot()) == kNoSlot) Refresh();
+  return BumpCurrentEpoch(slot, std::move(action));
+}
+
+uint32_t LightEpoch::TryClaimSlot() {
+  for (uint32_t i = 0; i < kDrainListSize; ++i) {
+    uint64_t expected = DrainEntry::kFree;
+    if (drain_list_[i].epoch.compare_exchange_strong(
+            expected, DrainEntry::kLocked, std::memory_order_acq_rel)) {
+      return i;
+    }
+  }
+  return kNoSlot;
+}
+
+void LightEpoch::ReleaseSlot(uint32_t slot) {
+  drain_list_[slot].epoch.store(DrainEntry::kFree, std::memory_order_release);
+}
+
+uint64_t LightEpoch::BumpCurrentEpoch(uint32_t slot,
+                                      std::function<void()> action) {
   assert(IsProtected());
   // The action becomes runnable once the *prior* epoch (the value before
   // the increment) is safe. seq_cst for the Dekker pattern against
-  // Protect (see ComputeNewSafeToReclaimEpoch); the RMW's release half
-  // still publishes the armed drain-list entry.
+  // Protect (see ComputeNewSafeToReclaimEpoch).
   uint64_t prior = current_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  // Find a free slot in the drain list. The list is sized generously; if it
-  // is ever full we drain in-line until a slot frees up (this requires the
-  // caller to be epoch-protected so safety can advance).
-  for (;;) {
-    for (uint32_t i = 0; i < kDrainListSize; ++i) {
-      uint64_t expected = DrainEntry::kFree;
-      if (drain_list_[i].epoch.compare_exchange_strong(
-              expected, DrainEntry::kLocked, std::memory_order_acq_rel)) {
-        cell_mut(drain_list_[i].action) = std::move(action);
-        if constexpr (obs::kStatsEnabled) {
-          drain_list_[i].armed_ns = obs::NowNs();
-        }
-        drain_list_[i].epoch.store(prior, std::memory_order_release);
-        uint32_t outstanding =
-            drain_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
-        obs_stats_.bumps.Inc();
-        obs_stats_.drain_occupancy.Record(outstanding);
-        return prior + 1;
-      }
-    }
-    // List full: help drain. A protected caller that has not refreshed since
-    // arming earlier actions pins the safe epoch below all of them, so a
-    // plain drain would spin forever; if the drain frees nothing, advance our
-    // own slot to the epoch we just created. A bump is an operation boundary
-    // for its caller, so adopting the new epoch here is as safe as Refresh().
-    Drain(ComputeNewSafeToReclaimEpoch());
-    if (drain_count_.load(std::memory_order_acquire) >= kDrainListSize &&
-        IsProtected()) {
-      // This advances local_epoch exactly like Refresh() would, so it must
-      // also invalidate any outstanding BatchScope.
-      ++table_[Thread::Id()].protect_serial;
-      uint64_t now = current_epoch_.load(std::memory_order_acquire);
-      table_[Thread::Id()].local_epoch.store(now, std::memory_order_seq_cst);
-    }
-  }
+  DrainEntry& entry = drain_list_[slot];
+  cell_mut(entry.action) = std::move(action);
+  if constexpr (obs::kStatsEnabled) entry.armed_ns = obs::NowNs();
+  entry.epoch.store(prior, std::memory_order_release);
+  uint32_t outstanding =
+      drain_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  obs_stats_.bumps.Inc();
+  obs_stats_.drain_occupancy.Record(outstanding);
+  return prior + 1;
 }
 
 void LightEpoch::Drain(uint64_t safe_epoch) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/annotations.h"
+#include "core/epoch_check.h"
 #include "core/sync.h"
 #include "core/thread.h"
 #include "obs/stats.h"
@@ -37,9 +38,12 @@ class LightEpoch {
   /// Entries in the drain list of deferred (epoch, action) pairs. Model
   /// builds shrink the list (like Thread::kMaxThreads) so a full-list
   /// Drain scan is a handful of scheduling points, not 256 — the protocol
-  /// is identical, only the capacity differs.
+  /// is identical, only the capacity differs. Epoch-check builds shrink it
+  /// so that the whole suite runs the full-list paths.
 #ifdef FASTER_MODEL
   static constexpr uint32_t kDrainListSize = 4;
+#elif FASTER_EPOCH_CHECK_ENABLED
+  static constexpr uint32_t kDrainListSize = 8;
 #else
   static constexpr uint32_t kDrainListSize = 256;
 #endif
@@ -72,9 +76,17 @@ class LightEpoch {
 
   /// Increment the current epoch from `c` to `c+1` and register `action`
   /// to run once epoch `c` is safe (paper: `BumpEpoch(Action)`). Requires
-  /// protection: when the drain list is full the caller drains in-line,
-  /// which only terminates if this thread's refreshes can advance safety.
+  /// protection: when the drain list is full the caller refreshes in-line
+  /// until a slot frees, so, like Refresh(), never under an index OpScope.
   uint64_t BumpCurrentEpoch(std::function<void()> action)
+      FASTER_REQUIRES_EPOCH();
+  /// Claims a free drain-list slot for BumpCurrentEpoch(slot, action), or
+  /// returns kNoSlot. Never drains, so a caller under an OpScope can claim
+  /// before it commits to a bump, and hand its op back if the list is full.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  uint32_t TryClaimSlot();
+  void ReleaseSlot(uint32_t slot);  // a claim that will not be armed
+  uint64_t BumpCurrentEpoch(uint32_t slot, std::function<void()> action)
       FASTER_REQUIRES_EPOCH();
 
   /// Current epoch `E`.
@@ -90,11 +102,6 @@ class LightEpoch {
 
   /// Recompute `E_s` by scanning the epoch table.
   uint64_t ComputeNewSafeToReclaimEpoch();
-
-  /// True if `epoch` is safe, i.e., resources tagged with it can be freed.
-  bool IsSafeToReclaim(uint64_t epoch) {
-    return epoch <= SafeToReclaimEpoch();
-  }
 
   /// Spin (refreshing) until epoch `target` is safe and all drain-list
   /// actions registered up to it have run. Must be called while protected.
@@ -196,14 +203,15 @@ class LightEpoch {
 #endif
 
   /// A deferred action. `epoch` doubles as the slot's state machine:
-  /// kFree -> kLocked (being armed) -> <epoch value> -> kLocked (being
-  /// drained) -> kFree. CAS on `epoch` guarantees exactly-once execution.
+  /// kFree -> kLocked (claimed, being armed) -> <epoch value> -> kLocked
+  /// (being drained) -> kFree, or a released claim back to kFree. CAS on
+  /// `epoch` guarantees exactly-once execution.
   struct DrainEntry {
     static constexpr uint64_t kFree = UINT64_MAX;
     static constexpr uint64_t kLocked = UINT64_MAX - 1;
     // order: acq_rel CAS claims the slot for arming or draining
-    // (exactly-once execution); release store publishes the armed action;
-    // acquire load pairs with it before the drainer reads `action`.
+    // (exactly-once); release store publishes the armed action (or frees
+    // the slot); acquire load pairs with it before the drainer reads it.
     Atomic<uint64_t> epoch{kFree};
     /// Non-atomic payload published through the `epoch` release store;
     /// Cell<> makes that publication edge race-checkable under the model.

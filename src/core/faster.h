@@ -415,28 +415,26 @@ class FasterKv {
 
     // Repair pass: every index update during the fuzzy snapshot interval
     // corresponds to a record in [t1, t2); replaying them in order leaves
-    // each entry pointing at the newest record below t2 for its tag.
-    epoch_.Protect();
-    Status repair = Status::kOk;  // no memory for an entry stops the pass
-    Status scan_status = ScanDiskRange(t1, t2, [&](Address addr,
-                                                  const RecordT& rec) {
-      // Bracketed by the Protect/Unprotect above; the lambda body is
-      // analyzed in isolation, so re-establish the capability here.
-      AssertEpochProtected(epoch_);
-      if (rec.info().invalid() || repair != Status::kOk) return;
+    // each entry pointing at the newest record below t2 for its tag. No
+    // memory for an entry, a failed read or a torn page stops the pass.
+    epoch_.Protect();  // everything below t2, the head, is on storage
+    s = WalkLog(t1, t2, InMemory::kInPlace, [&](Address addr,
+                                                const RecordT& rec) {
+      AssertEpochProtected(epoch_);  // lambdas are analyzed alone
+      if (rec.info().invalid()) return Status::kOk;
       KeyHash hash = Hasher{}(Layout::KeyOf(rec));
       for (;;) {
         typename HashIndex::OpScope scope{index_, hash};
         HashIndex::FindResult fr;
-        repair = index_.FindSlot(scope, hash, &fr);
-        if (repair != Status::kOk || fr.entry.address() >= addr ||
+        Status found = index_.FindSlot(scope, hash, &fr);
+        if (found != Status::kOk || fr.entry.address() >= addr ||
             index_.TryPublish(&fr, addr)) {
-          break;
+          return found;
         }
       }
     });
     epoch_.Unprotect();
-    return scan_status != Status::kOk ? scan_status : repair;
+    return s;
   }
 
   // -------------------------------------------------------------------
@@ -495,9 +493,10 @@ class FasterKv {
   /// is updated mid-copy). Records carrying the overwrite bit skip the
   /// liveness check entirely — the common case for hot-then-cold data.
   /// Requires an active session. Not supported for mergeable stores
-  /// (deltas cannot be relocated independently). A failed storage read
-  /// ends the pass with kIoError, truncating only below the record it
-  /// failed on.
+  /// (deltas cannot be relocated independently). Reads each storage page
+  /// of the range once. A failed storage read ends the pass with its
+  /// status, and a torn page with kCorruption; either truncates only below
+  /// the record it stopped at.
   struct CompactionStats {
     uint64_t scanned = 0;
     uint64_t dead_by_overwrite_bit = 0;
@@ -515,49 +514,32 @@ class FasterKv {
     Address begin = hlog_.begin_address();
     until = std::min(until, hlog_.safe_read_only_address());
     if (until <= begin) return Status::kOk;
-    Status result = Status::kOk;
-    // Each record is copied into a local buffer before processing: the
-    // copy step below may refresh the epoch (page rollover), after which
-    // pointers into log frames can dangle (frames recycle under us).
-    std::vector<uint8_t> buf, scratch;
-    Address addr = begin;
-    for (uint64_t step = 1; addr < until; ++step) {
+    std::vector<uint8_t> scratch;
+    uint64_t step = 0;
+    Address examined = begin;  // the end of the last record examined
+    // Pages are copied: the pass refreshes its epoch (below, and on a page
+    // rollover in CompactOneRecord), which may recycle their frames.
+    Status result = WalkLog(begin, until, InMemory::kCopied, [&](Address addr,
+                                                             const RecordT& rec) {
+      AssertEpochProtected(epoch_);  // lambdas are analyzed alone
       // Keep the epoch moving: a long pass would otherwise hold back every
       // epoch trigger (page evictions, flushes) until it ends.
-      if (step % 1024 == 0) epoch_.Refresh();
-      if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
-        addr = addr.NextPageStart();
-        continue;
-      }
-      // A failed storage read ends the pass: only the records before
-      // `addr` were examined, so only they are truncated.
-      Status s = CopyRecord(addr, &buf);
-      const auto& rec = *reinterpret_cast<const RecordT*>(buf.data());
+      if (++step % 1024 == 0) epoch_.Refresh();
       RecordInfo info = rec.info();
-      if (s == Status::kOk && !info.in_use()) {
-        addr = addr.NextPageStart();  // page padding
-        continue;
-      }
-      if (s == Status::kOk && !info.invalid() && !info.tombstone()) {
+      if (!info.invalid() && !info.tombstone()) {
         if (info.overwritten()) {
           ++local.dead_by_overwrite_bit;
         } else {
-          s = CompactOneRecord(addr, rec, &scratch);
-          if (s == Status::kOk) ++local.copied;
-          if (s == Status::kNotFound) {
-            ++local.dead_by_trace;
-            s = Status::kOk;
-          }
+          Status s = CompactOneRecord(addr, rec, &scratch);
+          if (s != Status::kOk && s != Status::kNotFound) return s;
+          ++(s == Status::kOk ? local.copied : local.dead_by_trace);
         }
       }
-      if (s != Status::kOk) {
-        result = Status::kIoError;
-        until = addr;
-        break;
-      }
       ++local.scanned;
-      addr = addr + Layout::Size(rec);
-    }
+      examined = addr + Layout::Size(rec);
+      return Status::kOk;
+    });
+    if (result != Status::kOk) until = examined;  // truncate only those
     hlog_.ShiftBeginAddress(until);
     if (stats != nullptr) *stats = local;
     return result;
@@ -566,35 +548,18 @@ class FasterKv {
   /// Scans log records in [from, to) in log order (Appendix F), invoking
   /// `fn(Address, const RecordT&)` for every in-use record, including
   /// invalid and tombstone records (callers filter via RecordInfo).
-  /// Requires an active session. A failed storage read ends the scan
-  /// with its status.
+  /// Requires an active session. Reads each storage page once and walks
+  /// memory in place. A failed storage read ends the scan with its
+  /// status, and a torn page with kCorruption.
   template <class Fn>
   Status ScanLog(Address from, Address to, Fn&& fn) FASTER_REQUIRES_EPOCH() {
     assert(epoch_.IsProtected());
-    Address begin = std::max(from, hlog_.begin_address());
-    Address end = std::min(to, hlog_.tail_address());
-    Address head = hlog_.head_address();
-    if (begin < head) {
-      Status s = ScanDiskRange(begin, std::min(end, head), fn);
-      if (s != Status::kOk) return s;
-    }
-    // In-memory portion.
-    Address addr = std::max(begin, head);
-    while (addr < end) {
-      if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
-        addr = addr.NextPageStart();
-        continue;
-      }
-      const RecordT* rec = RecordAt(addr);
-      if (!rec->info().in_use()) {
-        // Zero header: page padding; skip to the next page.
-        addr = addr.NextPageStart();
-        continue;
-      }
-      fn(addr, *rec);
-      addr = addr + Layout::Size(*rec);
-    }
-    return Status::kOk;
+    return WalkLog(std::max(from, hlog_.begin_address()),
+                   std::min(to, hlog_.tail_address()), InMemory::kInPlace,
+                   [&](Address addr, const RecordT& rec) {
+                     fn(addr, rec);
+                     return Status::kOk;
+                   });
   }
 
   // -------------------------------------------------------------------
@@ -839,39 +804,26 @@ class FasterKv {
   /// the cache's head; swings index entries pointing at evicted cache
   /// records back to the primary-log addresses they displaced.
   void RcEvict(Address from, Address to) {
-    // Invoked through the eviction std::function from an epoch trigger
-    // action; the running thread is protected, but the analysis cannot see
-    // through the type-erased callback, so re-establish the capability.
+    // Run by an epoch trigger action, through a std::function the analysis
+    // cannot see through: the thread is protected.
     AssertEpochProtected(epoch_);
     // The cache's first page starts with the log's reserved bytes, whose
     // zero header would read as padding and skip the page's records.
-    Address addr = std::max(from, rc_log_->begin_address());
-    while (addr < to) {
-      if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
-        addr = addr.NextPageStart();
-        continue;
+    (void)WalkLog(std::max(from, rc_log_->begin_address()), to,
+                  InMemory::kEvicted, [this](Address addr, const RecordT& rec) {
+      AssertEpochProtected(epoch_);  // lambdas are analyzed alone
+      if (rec.info().invalid()) return Status::kOk;
+      KeyHash hash = Hasher{}(Layout::KeyOf(rec));
+      typename HashIndex::OpScope scope{index_, hash};
+      HashIndex::FindResult fr;
+      if (index_.FindEntry(scope, hash, &fr) &&
+          fr.entry.address() == TagRc(addr) &&
+          index_.TryPublish(&fr, rec.info().previous_address())) {
+        // Counted on the thread running the eviction trigger.
+        thread_states_[Thread::Id()].counters.Add(Ctr::kRcEvictions);
       }
-      // The addresses are already below the cache's head (the frames
-      // survive until this trigger returns), which Get() would reject.
-      auto* rec = reinterpret_cast<RecordT*>(rc_log_->GetEvicted(addr));
-      if (!rec->info().in_use()) {
-        addr = addr.NextPageStart();  // page padding
-        continue;
-      }
-      if (!rec->info().invalid()) {
-        KeyHash hash = Hasher{}(Layout::KeyOf(*rec));
-        typename HashIndex::OpScope scope{index_, hash};
-        HashIndex::FindResult fr;
-        if (index_.FindEntry(scope, hash, &fr) &&
-            fr.entry.address() == TagRc(addr)) {
-          if (index_.TryPublish(&fr, rec->info().previous_address())) {
-            // Counted on the thread running the eviction trigger.
-            thread_states_[Thread::Id()].counters.Add(Ctr::kRcEvictions);
-          }
-        }
-      }
-      addr = addr + Layout::Size(*rec);
-    }
+      return Status::kOk;
+    });
   }
 
   /// Counts `ops` toward the refresh interval of the calling thread, in
@@ -987,17 +939,9 @@ class FasterKv {
         std::min<uint64_t>(Layout::kReadBlock, end - addr));
   }
 
-  /// Copies the record at `addr`, in memory or on storage, into `*buf`
-  /// (page padding copies as its zero header).
-  Status CopyRecord(Address addr, std::vector<uint8_t>* buf)
-      FASTER_REQUIRES_EPOCH() {
-    if (addr >= hlog_.head_address()) {
-      // The header is read atomically: flag bits may be set concurrently.
-      const RecordT* rec = RecordAt(addr);
-      buf->resize(Layout::Size(*rec));
-      CopyInto(reinterpret_cast<RecordT*>(buf->data()), *rec, rec->info());
-      return Status::kOk;
-    }
+  /// Copies the record at `addr`, on storage, into `*buf` (page padding
+  /// copies as its zero header).
+  Status CopyRecord(Address addr, std::vector<uint8_t>* buf) {
     uint32_t len = FirstReadSize(addr);
     buf->resize(len);
     Status s = hlog_.ReadFromDiskSync(addr, len, buf->data());
@@ -2012,40 +1956,73 @@ class FasterKv {
   }
 
   // -------------------------------------------------------------------
-  // Disk scanning (recovery repair pass and Appendix F log analytics).
+  // The log page format (DESIGN.md §8): recovery's repair pass, ScanLog,
+  // CompactLog and read-cache eviction all read log pages through WalkLog.
   // -------------------------------------------------------------------
 
-  /// Reads [from, to) a page at a time; storage holds everything below
-  /// `to`, not necessarily the rest of its page.
+  /// How WalkLog reads a page in memory. A page below the head is read
+  /// from storage, once, into the walk's buffer.
+  enum class InMemory {
+    kInPlace,  // the walk never refreshes its epoch
+    kCopied,   // into the buffer first: the walk refreshes
+    kEvicted,  // read-cache frames the cache's head just passed, in place
+  };
+
+  /// Walks the records that start in [from, to) in log order, calling
+  /// `fn(Address, const RecordT&) -> Status` for each in-use one; a status
+  /// other than kOk, or a failed storage read, ends the walk with it. The
+  /// page format: a record never spans a page; a zero header, or a page
+  /// tail too short for a record (Layout::kMinSize), ends the page; a
+  /// record whose size overruns the page, or the bytes stored of it, is a
+  /// torn page, which ends the walk with kCorruption.
   template <class Fn>
-  Status ScanDiskRange(Address from, Address to, Fn&& fn) {
-    std::vector<uint8_t> page(Address::kPageSize);
-    Address addr = from;
-    uint64_t loaded_page = UINT64_MAX;
-    while (addr < to) {
+  Status WalkLog(Address from, Address to, InMemory mode, Fn&& fn)
+      FASTER_REQUIRES_EPOCH() {
+    std::vector<uint8_t> buffer;
+    const uint8_t* data = nullptr;
+    Address start = from, end = from;  // `data` holds [start, end)
+    for (Address addr = from; addr < to;) {
       if (addr.offset() + Layout::kMinSize > Address::kPageSize) {
         addr = addr.NextPageStart();
         continue;
       }
-      if (addr.page() != loaded_page) {
-        Address start = addr.PageStart();
-        Status s = hlog_.ReadFromDiskSync(
-            start, static_cast<uint32_t>(std::min<uint64_t>(
-                       Address::kPageSize, to - start)),
-            page.data());
-        if (s != Status::kOk) return s;
-        loaded_page = addr.page();
+      if (addr >= end) {
+        // The bytes up to the page end, or to a record boundary before it:
+        // the head, below which all is on storage, or for a copy the safe
+        // read-only offset, below which only header flag bits change.
+        Address head = hlog_.head_address();
+        start = addr;
+        end = addr.NextPageStart();
+        if (mode == InMemory::kEvicted) {
+          data = rc_log_->GetEvicted(addr);
+        } else if (addr >= head && mode == InMemory::kInPlace) {
+          data = hlog_.Get(addr);
+        } else {
+          buffer.resize(Address::kPageSize);
+          data = buffer.data();
+          if (addr < head) {
+            end = std::min(end, head);
+            Status s = hlog_.ReadFromDiskSync(
+                addr, static_cast<uint32_t>(end - addr), buffer.data());
+            if (s != Status::kOk) return s;
+          } else {
+            end = std::min(end, hlog_.safe_read_only_address());
+            [[maybe_unused]] TsanIgnoreScope hide;  // atomic flag bits
+            std::memcpy(buffer.data(), hlog_.Get(addr), end - addr);
+          }
+        }
       }
-      const auto* rec =
-          reinterpret_cast<const RecordT*>(page.data() + addr.offset());
-      // Padding, or a record size that overruns the page (a torn page).
-      if (!rec->info().in_use() ||
-          addr.offset() + Layout::Size(*rec) > Address::kPageSize) {
+      if (addr + Layout::kMinSize > end) return Status::kCorruption;
+      const auto* rec = reinterpret_cast<const RecordT*>(data + (addr - start));
+      if (!rec->info().in_use()) {
         addr = addr.NextPageStart();
         continue;
       }
-      fn(addr, *rec);
-      addr = addr + Layout::Size(*rec);
+      uint32_t size = Layout::Size(*rec);
+      if (addr + size > end) return Status::kCorruption;
+      Status s = fn(addr, *rec);
+      if (s != Status::kOk) return s;
+      addr = addr + size;
     }
     return Status::kOk;
   }

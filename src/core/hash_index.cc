@@ -389,7 +389,9 @@ Status HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
                                     FindResult* out) {
   for (;;) {
     Status s = FindSlot(scope, hash, out);
-    if (s != Status::kOk || out->head == nullptr ||
+    // Tag 0 with no address is the empty entry, which a second writer of
+    // the key would take for a free slot: keep the slot for TryUpdateEntry.
+    if (s != Status::kOk || out->head == nullptr || out->entry.tag() == 0 ||
         TryPublish(out, Address::Invalid())) {
       return s;
     }

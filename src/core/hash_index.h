@@ -166,8 +166,9 @@ class HashIndex {
       FASTER_REQUIRES_EPOCH();
 
   /// FindSlot, then publishes an entry with an invalid address in a free
-  /// slot: the entry a later TryUpdateEntry fills. Returns kOutOfMemory
-  /// like FindSlot.
+  /// slot: the entry a later TryUpdateEntry fills (for tag 0, whose entry
+  /// would read as free, the slot: TryUpdateEntry then inserts). Returns
+  /// kOutOfMemory like FindSlot.
   Status FindOrCreateEntry(const OpScope& scope, KeyHash hash,
                            FindResult* out) FASTER_REQUIRES_EPOCH();
 

@@ -100,8 +100,10 @@ bool HybridLog::NewPage(uint64_t old_page) {
 
   // Shift the read-only offset to maintain its lag from the tail
   // (Sec. 6.1).
-  if (new_page > ro_lag_pages_) {
-    ShiftReadOnly(Address{(new_page - ro_lag_pages_) << Address::kOffsetBits});
+  if (new_page > ro_lag_pages_ &&
+      !ShiftReadOnly(
+          Address{(new_page - ro_lag_pages_) << Address::kOffsetBits})) {
+    return false;
   }
 
   // Shift the head if the buffer would otherwise overflow; pages may only
@@ -115,14 +117,22 @@ bool HybridLog::NewPage(uint64_t old_page) {
     uint64_t new_head_page = std::min(desired_head_page, flushed_page);
     uint64_t new_head = new_head_page << Address::kOffsetBits;
     uint64_t old_head = head_address_.load(std::memory_order_acquire);
-    while (old_head < new_head) {
-      if (head_address_.compare_exchange_weak(old_head, new_head,
-                                              std::memory_order_acq_rel)) {
+    if (old_head < new_head) {
+      // The eviction's drain-list slot is claimed first (see ShiftReadOnly).
+      uint32_t slot = epoch_->TryClaimSlot();
+      if (slot == LightEpoch::kNoSlot) return false;
+      while (old_head < new_head &&
+             !head_address_.compare_exchange_weak(old_head, new_head,
+                                                  std::memory_order_acq_rel)) {
+      }
+      if (old_head >= new_head) {
+        epoch_->ReleaseSlot(slot);
+      } else {
         // The CAS winner evicts exactly the pages it moved the head past.
         // Both page numbers fit in 32 bits, so the action captures 16
         // bytes and std::function stores it without allocating.
         uint64_t pages = Address{old_head}.page() << 32 | new_head_page;
-        epoch_->BumpCurrentEpoch([this, pages]() {
+        epoch_->BumpCurrentEpoch(slot, [this, pages]() {
           AssertEpochProtected(*epoch_);
           uint64_t from_page = pages >> 32;
           uint64_t to_page = pages & 0xffffffffull;
@@ -142,7 +152,6 @@ bool HybridLog::NewPage(uint64_t old_page) {
                 static_cast<int64_t>(p), std::memory_order_release);
           }
         });
-        break;
       }
     }
     if (new_head_page < desired_head_page ||
@@ -183,10 +192,18 @@ void HybridLog::ClearFrame(uint64_t page) {
   frame.used = true;
 }
 
-void HybridLog::ShiftReadOnly(Address to) {
+bool HybridLog::ShiftReadOnly(Address to) {
+  if (read_only_address() >= to) return true;
+  // Claim the trigger's slot before moving the marker: a full drain list
+  // must not be drained here, under the OpScope of an allocating op.
+  uint32_t slot = epoch_->TryClaimSlot();
+  if (slot == LightEpoch::kNoSlot) return false;
   Address winner;
-  if (!MonotonicUpdate(read_only_address_, to, &winner)) return;
-  epoch_->BumpCurrentEpoch([this, winner]() {
+  if (!MonotonicUpdate(read_only_address_, to, &winner)) {
+    epoch_->ReleaseSlot(slot);
+    return true;
+  }
+  epoch_->BumpCurrentEpoch(slot, [this, winner]() {
     // Trigger actions drain only from epoch calls that require
     // protection, so the running thread holds the capability.
     AssertEpochProtected(*epoch_);
@@ -201,6 +218,7 @@ void HybridLog::ShiftReadOnly(Address to) {
       IssueFlushes(safe);
     }
   });
+  return true;
 }
 
 void HybridLog::IssueFlushes(Address limit) {
@@ -305,7 +323,7 @@ Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
 Address HybridLog::ShiftReadOnlyToTail(bool wait) {
   assert(epoch_->IsProtected());
   Address tail = tail_address();
-  ShiftReadOnly(tail);
+  while (!ShiftReadOnly(tail)) epoch_->Refresh();
   if (wait) {
     while (Load(flushed_until_) < tail) {
       epoch_->Refresh();

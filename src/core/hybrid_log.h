@@ -99,8 +99,9 @@ class HybridLog {
 
   /// Closes `old_page` and opens `old_page + 1`, advancing the head and
   /// read-only offsets as needed. Returns false if the new page's frame is
-  /// not yet recyclable (flush or eviction still pending); the caller
-  /// should refresh its epoch and retry.
+  /// not yet recyclable (flush or eviction still pending), or the epoch's
+  /// drain list is full; the caller should refresh its epoch, outside any
+  /// OpScope, and retry. It never refreshes or drains itself.
   bool NewPage(uint64_t old_page) FASTER_REQUIRES_EPOCH();
 
   /// Physical pointer for an in-memory logical address (caller must have
@@ -315,8 +316,9 @@ class HybridLog {
 
   /// Moves the read-only offset up to `to`. The thread whose CAS moves it
   /// arms an epoch trigger (Sec. 6.2) that propagates it to the safe
-  /// read-only offset and flushes the newly immutable bytes.
-  void ShiftReadOnly(Address to) FASTER_REQUIRES_EPOCH();
+  /// read-only offset and flushes the newly immutable bytes. Returns
+  /// false, moving nothing, if the epoch's drain list has no free slot.
+  bool ShiftReadOnly(Address to) FASTER_REQUIRES_EPOCH();
   /// Zeroes the frame `page` opens in, unless no page has used it since
   /// it was mapped (the kernel's zero fill: a memset would only make all
   /// of it resident). Caller holds flush_mutex_.

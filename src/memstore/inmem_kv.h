@@ -77,54 +77,22 @@ class InMemKv {
   /// Blind update: in place when the key exists, else insert at the head
   /// of the chain.
   Status Upsert(const Key& key, const Value& value) FASTER_REQUIRES_EPOCH() {
-    AutoRefresh();
-    KeyHash hash = Hasher{}(key);
-    for (;;) {
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      Status s = index_.FindOrCreateEntry(scope, hash, &fr);
-      if (s != Status::kOk) return s;
-      TryCollectChainHead(&fr);
-      RecordT* rec = FindInChain(key, fr.entry.address());
-      if (rec != nullptr && !rec->info().tombstone()) {
-        F::ConcurrentWriter(key, value, rec->value);
-        return Status::kOk;
-      }
-      RecordT* fresh = AllocateRecord(key, fr.entry.address());
-      F::SingleWriter(key, value, fresh->value);
-      if (index_.TryUpdateEntry(&fr, PointerToAddress(fresh))) {
-        return Status::kOk;
-      }
-      std::free(fresh);
-    }
+    return Write(
+        key, [&](Value& v) { F::ConcurrentWriter(key, value, v); },
+        [&](Value& v) { F::SingleWriter(key, value, v); });
   }
 
   /// RMW: in place when the key exists (the paper's count-store example
   /// uses fetch-and-increment here), else insert the initial value. The
   /// value the updater reports is dropped.
   Status Rmw(const Key& key, const Input& input) FASTER_REQUIRES_EPOCH() {
-    AutoRefresh();
     Output discard{};
-    KeyHash hash = Hasher{}(key);
-    for (;;) {
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      Status s = index_.FindOrCreateEntry(scope, hash, &fr);
-      if (s != Status::kOk) return s;
-      TryCollectChainHead(&fr);
-      RecordT* rec = FindInChain(key, fr.entry.address());
-      if (rec != nullptr && !rec->info().tombstone()) {
-        F::InPlaceUpdater(key, input, rec->value, discard);
-        return Status::kOk;
-      }
-      RecordT* fresh = AllocateRecord(key, fr.entry.address());
-      fresh->value = Value{};
-      F::InitialUpdater(key, input, fresh->value, discard);
-      if (index_.TryUpdateEntry(&fr, PointerToAddress(fresh))) {
-        return Status::kOk;
-      }
-      std::free(fresh);
-    }
+    return Write(
+        key, [&](Value& v) { F::InPlaceUpdater(key, input, v, discard); },
+        [&](Value& v) {
+          v = Value{};
+          F::InitialUpdater(key, input, v, discard);
+        });
   }
 
   /// Delete: tombstone the record; if it heads its chain, unlink it (CAS
@@ -165,6 +133,33 @@ class InMemKv {
   }
   static RecordT* AddressToPointer(Address addr) {
     return reinterpret_cast<RecordT*>(addr.control());
+  }
+
+  /// Upsert and Rmw: `in_place(value)` on the key's live record, else
+  /// `init(value)` on a new record published at the head of the chain.
+  template <class InPlace, class Init>
+  Status Write(const Key& key, InPlace&& in_place, Init&& init)
+      FASTER_REQUIRES_EPOCH() {
+    AutoRefresh();
+    KeyHash hash = Hasher{}(key);
+    for (;;) {
+      typename HashIndex::OpScope scope{index_, hash};
+      HashIndex::FindResult fr;
+      Status s = index_.FindOrCreateEntry(scope, hash, &fr);
+      if (s != Status::kOk) return s;
+      TryCollectChainHead(&fr);
+      RecordT* rec = FindInChain(key, fr.entry.address());
+      if (rec != nullptr && !rec->info().tombstone()) {
+        in_place(rec->value);
+        return Status::kOk;
+      }
+      RecordT* fresh = AllocateRecord(key, fr.entry.address());
+      init(fresh->value);
+      if (index_.TryUpdateEntry(&fr, PointerToAddress(fresh))) {
+        return Status::kOk;
+      }
+      std::free(fresh);
+    }
   }
 
   void AutoRefresh() FASTER_REQUIRES_EPOCH() {

@@ -10,12 +10,16 @@
 //   3. log dereference below the head address (recycled frame),
 //   4. in-place write below the safe read-only offset (torn flush),
 //   5. epoch refresh while holding an index OpScope (a trigger action the
-//      refresh runs may wait on the scope's own chunk pin).
+//      refresh runs may wait on the scope's own chunk pin), including the
+//      in-line refresh of a BumpCurrentEpoch that finds the drain list
+//      full.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -121,6 +125,67 @@ TEST_F(EpochCheckTest, RefreshUnderOpScopeAborts) {
                std::string{"FASTER_EPOCH_CHECK violation: epoch refresh "
                            "under an index OpScope"} +
                    kDumpMarkers);
+}
+
+// Arms no-op actions until the drain list is full. The calling thread
+// does not refresh, so none of them can drain yet.
+void FillDrainList(LightEpoch& epoch, const std::function<void()>& action) {
+  while (epoch.NumOutstandingActions() < LightEpoch::kDrainListSize) {
+    epoch.BumpCurrentEpoch(action);
+  }
+}
+
+// Class 5, in-line: a bump that finds the drain list full refreshes to
+// drain it, which under a scope is the refresh above.
+void InlineDrainUnderOpScope() {
+  LightEpoch epoch;
+  HashIndex index{64, &epoch};
+  KeyHash hash{0xdeadbeefull};
+  epoch.Protect();
+  FillDrainList(epoch, [] {});
+  HashIndex::OpScope scope{index, hash};
+  epoch.BumpCurrentEpoch([] {});  // BAD: drains under the scope
+}
+
+TEST_F(EpochCheckTest, InlineDrainUnderOpScopeAborts) {
+  EXPECT_DEATH(InlineDrainUnderOpScope(),
+               std::string{"FASTER_EPOCH_CHECK violation: epoch refresh "
+                           "under an index OpScope"} +
+                   kDumpMarkers);
+}
+
+// The legal path: an upsert whose allocation opens a page while the drain
+// list is full. NewPage cannot arm its triggers under the op's OpScope;
+// it hands the op back, and the actions drain in the op's refresh once
+// the scope is closed.
+TEST_F(EpochCheckTest, PageOpenWithAFullDrainListHandsTheOpBack) {
+  // Outlive the store: an action left in the list runs as it closes.
+  uint32_t ran = 0;
+  uint32_t max_held_scopes = 0;
+  Store store{SmallCfg(2), &device_};
+  store.StartSession();
+  constexpr uint64_t kRecord = Store::Layout::kFixedSize;
+  uint64_t key = 0;
+  // Fill the log's two frames up to the last record that fits.
+  for (;;) {
+    Address tail = store.hlog().tail_address();
+    if (tail.page() == 1 && tail.offset() + kRecord > Address::kPageSize) {
+      break;
+    }
+    ASSERT_EQ(store.Upsert(key++, 0), Status::kOk);
+  }
+  FillDrainList(store.epoch(), [&] {
+    ++ran;
+    max_held_scopes = std::max(max_held_scopes, store.epoch().HeldOpScopes());
+  });
+  uint32_t armed = store.epoch().NumOutstandingActions();
+  ASSERT_EQ(store.Upsert(key, 0), Status::kOk);  // opens page 2
+  EXPECT_EQ(store.hlog().tail_address().page(), 2u);
+  EXPECT_GE(ran, 1u);
+  EXPECT_LE(ran, armed);
+  EXPECT_EQ(max_held_scopes, 0u) << "a trigger action ran under the op's "
+                                    "OpScope";
+  store.StopSession();
 }
 
 // Class 2: dereferencing a log address without epoch protection — the

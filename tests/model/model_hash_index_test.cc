@@ -253,6 +253,45 @@ KeyHash TagHash(uint64_t t) {
   return KeyHash{t << (64 - KeyHash::kTagBits)};
 }
 
+// Two writers of a tag-0 key race FindOrCreateEntry, then each tries
+// TryUpdateEntry with its own record, as InMemKv's insert does. A tag-0
+// entry with no address is all zero: published, it reads as a free slot,
+// so the second writer could claim another slot and both updates land,
+// leaving the key two entries and splitting its updates between them.
+TEST(ModelHashIndex, TagZeroCreateIsExactlyOnce) {
+  model::Result res = model::Check(IndexOpts("index_tag0_create"), [] {
+    LightEpoch epoch;
+    HashIndex index{64, &epoch};
+    HashIndex::FindResult found[2];
+    for (int t = 0; t < 2; ++t) {
+      model::Spawn([&, t] {
+        epoch.Protect();
+        {
+          HashIndex::OpScope scope(index, TagHash(0));
+          MODEL_ASSERT(index.FindOrCreateEntry(scope, TagHash(0), &found[t]) ==
+                           faster::Status::kOk,
+                       "no free slot in an empty index");
+        }
+        epoch.Unprotect();
+      });
+    }
+    model::JoinAll();
+    epoch.Protect();
+    for (uint64_t t = 0; t < 2; ++t) {
+      index.TryUpdateEntry(&found[t], Address{8 * (t + 1)});
+    }
+    uint32_t live = 0;
+    index.SampleBuckets(
+        1, [&](uint32_t l, uint32_t) { live = l; },
+        [](faster::HashBucketEntry) {});
+    epoch.Unprotect();
+    MODEL_ASSERT(live == 1, "the key has " + std::to_string(live) +
+                                " entries, not 1");
+  });
+  EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace;
+  EXPECT_TRUE(res.complete) << res.Summary();
+}
+
 // Two inserts into a full bucket race to extend its chain: both race to
 // map and install the first overflow segment, their claims hand out
 // distinct buckets, and both tags end up in the chain once. Usually one
