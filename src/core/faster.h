@@ -65,7 +65,7 @@ class FasterKv {
   using RecordT = typename Layout::RecordT;
 
   static constexpr bool kMergeable = IsMergeable<F>;
-  /// Variable-length records: no RMW, read cache or append extents.
+  /// Variable-length records: no RMW or read cache.
   static constexpr bool kVarLen = Layout::kFixedSize == 0;
   static constexpr bool kReadCache = !kMergeable && !kVarLen;
   static_assert(!(kMergeable && kVarLen),
@@ -701,8 +701,10 @@ class FasterKv {
   /// resident read-cache record if the entry points into the cache.
   /// Returns false if the cache page was evicted but the entry has not
   /// been redirected yet (caller refreshes and restarts).
-  bool ResolveEntry(const HashIndex::FindResult& fr, Address* start,
-                    RecordT** rc_rec) const FASTER_REQUIRES_EPOCH() {
+  [[gnu::always_inline]] bool ResolveEntry(const HashIndex::FindResult& fr,
+                                           Address* start,
+                                           RecordT** rc_rec) const
+      FASTER_REQUIRES_EPOCH() {
     *rc_rec = nullptr;
     Address a = fr.entry.address();
     if (!kReadCache || rc_log_ == nullptr || !InReadCache(a)) {
@@ -744,8 +746,8 @@ class FasterKv {
     Address rc_addr = TryAllocateRcRecord(Layout::Size(src));
     if (!rc_addr.IsValid()) return;
     RecordT* rec = RcRecordAt(rc_addr);
-    CopyInto(rec, src,
-             RecordInfo{a, false, false, false, /*read_cache=*/true});
+    CopyBody(rec, src);
+    rec->set_info(RecordInfo{a, false, false, false, /*read_cache=*/true});
     if (index_.TryPublish(&fr, TagRc(rc_addr))) {
       ts.counters.Add(Ctr::kRcInserts);
     } else {
@@ -777,9 +779,9 @@ class FasterKv {
     Address new_addr = TryAllocateRcRecord(Layout::Size(*rc_rec));
     if (!new_addr.IsValid()) return;
     RecordT* rec = RcRecordAt(new_addr);
-    CopyInto(rec, *rc_rec,
-             RecordInfo{rc_rec->info().previous_address(), false, false,
-                        false, /*read_cache=*/true});
+    CopyBody(rec, *rc_rec);
+    rec->set_info(RecordInfo{rc_rec->info().previous_address(), false, false,
+                             false, /*read_cache=*/true});
     HashIndex::FindResult mutable_fr = fr;
     if (index_.TryPublish(&mutable_fr, TagRc(new_addr))) {
       ts.counters.Add(Ctr::kRcSecondChance);
@@ -910,23 +912,22 @@ class FasterKv {
                                  &tombstone, scratch);
       if (s != Status::kOk) return s;
       if (newest != addr || tombstone) return Status::kNotFound;
-      Address new_addr = TryAllocateRecord(Layout::Size(rec));
-      if (!new_addr.IsValid()) continue;  // page rollover; re-verify
-      RecordT* new_rec = RecordAt(new_addr);
-      CopyInto(new_rec, rec, RecordInfo{start, false, false});
-      if (index_.TryPublish(&fr, new_addr)) return Status::kOk;
-      new_rec->SetInvalid();  // raced with an update; re-verify liveness
+      if (Append(fr, Layout::Size(rec), nullptr, [&](RecordT* r) {
+            CopyBody(r, rec);
+            return RecordInfo{start, false, false};
+          })) {
+        return Status::kOk;
+      }
+      // A page rollover, or a race with an update: re-verify liveness.
     }
   }
 
-  /// Copies `src`'s key and value into the fresh record `dst`, then
-  /// publishes `dst` with `info`.
-  static void CopyInto(RecordT* dst, const RecordT& src, RecordInfo info) {
+  /// Copies `src`'s key and value, all but its header, into `dst`.
+  static void CopyBody(RecordT* dst, const RecordT& src) {
     constexpr size_t kHeader = sizeof(RecordInfo);
     std::memcpy(reinterpret_cast<uint8_t*>(dst) + kHeader,
                 reinterpret_cast<const uint8_t*>(&src) + kHeader,
                 Layout::Size(src) - kHeader);
-    dst->set_info(info);
   }
 
   /// Bytes a storage read of the record at `addr` fetches first: the
@@ -959,12 +960,36 @@ class FasterKv {
   /// epoch (which drives the flushes and evictions the next frame may be
   /// waiting for) and restart its operation. It never refreshes itself: a
   /// trigger action the refresh runs may wait on the caller's chunk pin.
-  Address TryAllocateRecord(uint32_t size) FASTER_REQUIRES_EPOCH() {
+  [[gnu::always_inline]] Address TryAllocateRecord(uint32_t size)
+      FASTER_REQUIRES_EPOCH() {
     uint64_t closed_page = 0;
     Address addr = hlog_.Allocate(size, &closed_page);
     if (addr.IsValid()) return addr;
     if (!hlog_.NewPage(closed_page)) std::this_thread::yield();
     return Address::Invalid();
+  }
+
+  /// The one append (Alg. 1; Sec. 3.2): allocates `size` bytes at the
+  /// tail, lets `fill(RecordT*)` write the key and value and return the
+  /// header, writes that header and publishes the record into `fr`. Once
+  /// it is published, the superseded in-memory record `old`, if any, is
+  /// flagged overwritten (Appendix C). Returns false, the op to
+  /// re-resolve, on a page rollover or a lost CAS, whose record is
+  /// invalidated.
+  template <class Fill>
+  [[gnu::always_inline]] bool Append(HashIndex::FindResult& fr, uint32_t size,
+                                     RecordT* old, Fill&& fill)
+      FASTER_REQUIRES_EPOCH() {
+    Address new_addr = TryAllocateRecord(size);
+    if (!new_addr.IsValid()) return false;
+    RecordT* rec = RecordAt(new_addr);
+    rec->set_info(fill(rec));
+    if (!index_.TryPublish(&fr, new_addr)) {
+      rec->SetInvalid();
+      return false;
+    }
+    if (old != nullptr) old->SetOverwritten();
+    return true;
   }
 
   // -------------------------------------------------------------------
@@ -984,13 +1009,9 @@ class FasterKv {
   // op on a cache-resident store; EXPERIMENTS.md "One op engine").
   // -------------------------------------------------------------------
 
-  /// What a batch chunk lends to Apply: stage 2's append extent and the
-  /// storage reads to submit as one group. Only a stage-2 resolution gets
-  /// it: one that predates the extent, so a record placed there lands
-  /// above the version it supersedes (DESIGN.md §8 "Append extents").
+  /// What a batch chunk lends to Apply: the storage reads to submit as
+  /// one group. Only a stage-2 resolution gets it.
   struct ChunkRes {
-    Address extent = Address::Invalid();
-    uint32_t extent_left = 0;
     PendingContext* ios[kBatchChunk];
     size_t num_ios = 0;
   };
@@ -1068,7 +1089,7 @@ class FasterKv {
       case OpKind::kRead:
         return ApplyRead(ts, op, hash, has_entry, fr, chunk, out);
       case OpKind::kUpsert:
-        return ApplyUpsert(op, fr, chunk, out);
+        return ApplyUpsert(op, fr, out);
       case OpKind::kRmw:
         // No entry point makes an RMW on a variable-length store.
         if constexpr (!kVarLen) {
@@ -1148,20 +1169,18 @@ class FasterKv {
   /// behind a read-cache entry) appends a new record — blind updates need
   /// not read the old value (Table 2).
   [[gnu::always_inline]]
-  bool ApplyUpsert(const OpRef& op, HashIndex::FindResult& fr,
-                   ChunkRes* chunk, Outcome* out) FASTER_REQUIRES_EPOCH() {
+  bool ApplyUpsert(const OpRef& op, HashIndex::FindResult& fr, Outcome* out)
+      FASTER_REQUIRES_EPOCH() {
     Address addr;
     RecordT* rc_rec = nullptr;
     if (!ResolveEntry(fr, &addr, &rc_rec)) return false;
     RecordT* rec = nullptr;
     // A new key's free slot has no address: no region loads.
     if (rc_rec == nullptr && addr.IsValid()) {
-      Address begin = hlog_.begin_address();
-      Address head = hlog_.head_address();
+      Address min_mem =
+          std::max(hlog_.head_address(), hlog_.begin_address());
       Address found = Address::Invalid();
-      if (addr >= begin && addr >= head) {
-        found = TraceBack(op.key, addr, std::max(head, begin), &rec);
-      }
+      if (addr >= min_mem) found = TraceBack(op.key, addr, min_mem, &rec);
       if (rec != nullptr && !rec->info().tombstone() && !config_.force_rcu &&
           found >= hlog_.read_only_address() &&
           (!kVarLen || Layout::Fits(*rec, *op.value))) {
@@ -1174,28 +1193,14 @@ class FasterKv {
     }
     // The new record's chain skips any cache record (its copy lives on
     // the primary log already).
-    Address new_addr;
-    if (!kVarLen && chunk != nullptr && chunk->extent_left > 0) {
-      new_addr = chunk->extent;
-      chunk->extent = chunk->extent + Layout::kFixedSize;
-      --chunk->extent_left;
-    } else {
-      new_addr = TryAllocateRecord(
-          static_cast<uint32_t>(Layout::SizeFor(op.key, *op.value)));
-      if (!new_addr.IsValid()) return false;  // page rollover
-    }
-    RecordT* new_rec = RecordAt(new_addr);
-    Layout::Init(new_rec, op.key, *op.value);
-    F::SingleWriter(op.key, *op.value, Layout::ValueOf(*new_rec));
-    new_rec->set_info(RecordInfo{addr, false, false});
-    if (index_.TryPublish(&fr, new_addr)) {
-      *out = {Status::kOk, Ctr::kUpsertAppend};
-      // Appendix C: flag the superseded in-memory version for GC.
-      if (rec != nullptr) rec->SetOverwritten();
-      return true;
-    }
-    new_rec->SetInvalid();  // Lost the CAS; record is garbage.
-    return false;
+    *out = {Status::kOk, Ctr::kUpsertAppend};
+    return Append(
+        fr, static_cast<uint32_t>(Layout::SizeFor(op.key, *op.value)), rec,
+        [&](RecordT* r) {
+          Layout::Init(r, op.key, *op.value);
+          F::SingleWriter(op.key, *op.value, Layout::ValueOf(*r));
+          return RecordInfo{addr, false, false};
+        });
   }
 
   /// RMW (Alg. 4) as a fresh op: the region dispatch, then a storage read
@@ -1285,19 +1290,12 @@ class FasterKv {
       return !EntryMoved(fr);
     }
     // Read-only / fuzzy / on-disk: append a tombstone record (blind).
-    Address new_addr = TryAllocateRecord(
-        static_cast<uint32_t>(Layout::SizeFor(op.key, Value{})));
-    if (!new_addr.IsValid()) return false;
-    RecordT* new_rec = RecordAt(new_addr);
-    Layout::Init(new_rec, op.key, Value{});
-    new_rec->set_info(RecordInfo{addr, false, /*tombstone=*/true});
-    if (index_.TryPublish(&fr, new_addr)) {
-      if (rec != nullptr) rec->SetOverwritten();  // Appendix C
-      *out = {Status::kOk, Ctr::kDeleteAppend};
-      return true;
-    }
-    new_rec->SetInvalid();
-    return false;
+    *out = {Status::kOk, Ctr::kDeleteAppend};
+    return Append(fr, static_cast<uint32_t>(Layout::SizeFor(op.key, Value{})),
+                  rec, [&](RecordT* r) {
+                    Layout::Init(r, op.key, Value{});
+                    return RecordInfo{addr, false, /*tombstone=*/true};
+                  });
   }
 
   /// How the RMW region dispatch ended, named by its counter (Table 2):
@@ -1311,25 +1309,23 @@ class FasterKv {
     bool appended() const { return kind != Ctr::kRmwInPlace && done(); }
   };
 
-  /// Runs `update(Output&)` on `output`, or, when it is null or the store
-  /// mergeable (its updaters report deltas), on a local the compiler drops.
-  template <class Update>
-  [[gnu::always_inline]] static void WithOutput(Output* output,
-                                                Update&& update) {
-    if (kMergeable || output == nullptr) {
-      Output discard{};
-      update(discard);
-    } else {
-      update(*output);
-    }
+  /// Where an updater reports its value: `*output`, or, when it is null or
+  /// the store mergeable (its updaters report deltas), `discard`, a local
+  /// the compiler drops.
+  [[gnu::always_inline]] static Output& OutputOr(Output* output,
+                                                 Output& discard) {
+    return kMergeable || output == nullptr ? discard : *output;
   }
 
   /// The RMW region dispatch (Alg. 4) on a resolved entry, shared by fresh
   /// ops and continuations; fixed-size records only. The updater reports
   /// its value to `output`. `disk_state` / `disk_value` carry the result
   /// of a completed storage read for chain bottom `disk_bottom`
-  /// (continuation path); kNone on the initial attempt. Returns false if
-  /// the op must re-resolve.
+  /// (continuation path); kNone on the initial attempt. Every outcome that
+  /// writes a new record (kRmwCopy, kRmwInitial or kRmwDelta) ends in the
+  /// one append below, after the primary-log chain start (a read-cache
+  /// record is skipped); a restart reruns its updater, which overwrites
+  /// `output` again. Returns false if the op must re-resolve.
   [[gnu::always_inline]]
   bool DispatchRmw(const Key& key, const Input& input, Output* output,
                    HashIndex::FindResult& fr, DiskState disk_state,
@@ -1339,110 +1335,96 @@ class FasterKv {
     Address addr;
     RecordT* rc_rec = nullptr;
     if (!ResolveEntry(fr, &addr, &rc_rec)) return false;
+    // The append: copy-update from `old_value` (kRmwCopy), superseding the
+    // in-memory record `old` if there is one; else an initial value
+    // (kRmwInitial), or a mergeable store's delta (kRmwDelta).
+    Ctr kind = Ctr::kRmwInitial;
+    const Value* old_value = nullptr;
+    RecordT* old = nullptr;
     if (rc_rec != nullptr && rc_rec->key == key) {
       // Read-cache hit (Appendix D): the cached copy is the newest
       // version, so RMW can copy-update from it without a storage read.
-      return AppendRecord(oc, Ctr::kRmwCopy, key, input, output, &fr,
-                          &rc_rec->value, addr);
-    }
-    Address begin = hlog_.begin_address();
-    Address head = hlog_.head_address();
-    RecordT* rec = nullptr;
-    Address found = Address::Invalid();
-    if (addr.IsValid() && addr >= begin) {
-      if (addr >= head) {
-        found = TraceBack(key, addr, std::max(head, begin), &rec);
-      } else {
-        found = addr;  // chain starts on disk
-      }
-    }
-    if (rec != nullptr && !rec->info().tombstone()) {
-      if (!config_.force_rcu && found >= hlog_.read_only_address()) {
-        // Mutable region: in-place update (Table 2 bottom row).
-        hlog_.VerifyMutableAddress(found);
-        WithOutput(output, [&](Output& out) {
-          F::InPlaceUpdater(key, input, rec->value, out);
-        });
-        return true;
-      }
-      if (!config_.force_rcu && found >= hlog_.safe_read_only_address()) {
-        // Fuzzy region (Sec. 6.2): an in-place update elsewhere could be
-        // lost if we copied now. (In force_rcu mode no update is ever
-        // in-place, so the lost-update anomaly cannot occur and RCU is
-        // safe anywhere — the Sec. 5 append-only strawman.)
-        if constexpr (kMergeable) {
-          // CRDT (Sec. 6.3): append a delta record instead of waiting.
-          return AppendRecord(oc, Ctr::kRmwDelta, key, input, output, &fr,
-                              nullptr, addr);
+      kind = Ctr::kRmwCopy;
+      old_value = &rc_rec->value;
+    } else {
+      Address begin = hlog_.begin_address();
+      Address head = hlog_.head_address();
+      RecordT* rec = nullptr;
+      Address found = Address::Invalid();
+      if (addr.IsValid() && addr >= begin) {
+        if (addr >= head) {
+          found = TraceBack(key, addr, std::max(head, begin), &rec);
+        } else {
+          found = addr;  // chain starts on disk
         }
-        oc->kind = Ctr::kRmwFuzzyDeferred;
-        return true;
       }
-      // Safe read-only region: read-copy-update to the tail.
-      if (!AppendRecord(oc, kMergeable ? Ctr::kRmwDelta : Ctr::kRmwCopy,
-                        key, input, output, &fr, &rec->value, addr)) {
-        return false;
+      if (rec != nullptr && !rec->info().tombstone()) {
+        if (!config_.force_rcu && found >= hlog_.read_only_address()) {
+          // Mutable region: in-place update (Table 2 bottom row).
+          hlog_.VerifyMutableAddress(found);
+          Output discard{};
+          F::InPlaceUpdater(key, input, rec->value,
+                            OutputOr(output, discard));
+          return true;
+        }
+        if constexpr (kMergeable) {
+          // CRDT (Sec. 6.3): a delta, in the fuzzy region too.
+          kind = Ctr::kRmwDelta;
+        } else if (!config_.force_rcu &&
+                   found >= hlog_.safe_read_only_address()) {
+          // Fuzzy region (Sec. 6.2): an in-place update elsewhere could be
+          // lost if we copied now. (In force_rcu mode no update is ever
+          // in-place, so the lost-update anomaly cannot occur and RCU is
+          // safe anywhere — the Sec. 5 append-only strawman.)
+          oc->kind = Ctr::kRmwFuzzyDeferred;
+          return true;
+        } else {
+          // Safe read-only region: read-copy-update to the tail.
+          kind = Ctr::kRmwCopy;
+          old_value = &rec->value;
+          old = rec;  // Appendix C
+        }
+      } else if (rec == nullptr && found.IsValid() && found >= begin) {
+        // Chain bottoms out on storage. CRDTs never read the old value:
+        // they append a delta (Table 2).
+        if constexpr (kMergeable) {
+          kind = Ctr::kRmwDelta;
+        } else if (disk_state == DiskState::kNone || found != disk_bottom) {
+          oc->kind = Ctr::kRmwStable;
+          oc->io_address = found;
+          return true;
+        } else if (disk_state == DiskState::kValue) {
+          // Continuation: we already resolved this chain bottom.
+          kind = Ctr::kRmwCopy;
+          old_value = disk_value;
+        }
       }
-      if constexpr (!kMergeable) rec->SetOverwritten();  // Appendix C
-      return true;
+      // Otherwise the newest record is a tombstone, or the key is absent:
+      // the initial record.
     }
-    if (rec != nullptr) {
-      // Newest record is a tombstone: treat the key as absent.
-      return AppendRecord(oc, Ctr::kRmwInitial, key, input, output, &fr,
-                          nullptr, addr);
-    }
-    if (found.IsValid() && found >= begin) {
-      // Chain bottoms out on storage.
-      if constexpr (kMergeable) {
-        // CRDTs never read the old value: append a delta (Table 2).
-        return AppendRecord(oc, Ctr::kRmwDelta, key, input, output, &fr,
-                            nullptr, addr);
-      }
-      if (disk_state != DiskState::kNone && found == disk_bottom) {
-        // Continuation: we already resolved this chain bottom.
-        return disk_state == DiskState::kValue
-                   ? AppendRecord(oc, Ctr::kRmwCopy, key, input, output,
-                                  &fr, disk_value, addr)
-                   : AppendRecord(oc, Ctr::kRmwInitial, key, input, output,
-                                  &fr, nullptr, addr);
-      }
-      oc->kind = Ctr::kRmwStable;
-      oc->io_address = found;
-      return true;
-    }
-    // Key absent: create the initial record.
-    return AppendRecord(oc, Ctr::kRmwInitial, key, input, output, &fr,
-                        nullptr, addr);
+    oc->kind = kind;
+    return AppendRmw(key, input, output, fr, old_value, addr, old,
+                     kind == Ctr::kRmwDelta);
   }
 
-  /// Allocates and links a new RMW record of `kind` (kRmwCopy, kRmwInitial
-  /// or kRmwDelta, recorded in `*oc`) at the tail, after `prev` (the
-  /// primary-log chain start: a read-cache record is skipped). Returns false
-  /// if the operation must restart (allocation refreshed the epoch, or the
-  /// index CAS failed); a restart's updater overwrites `output` again.
-  /// `old_value` is required for kRmwCopy.
-  bool AppendRecord(RmwOutcome* oc, Ctr kind, const Key& key,
-                    const Input& input, Output* output,
-                    HashIndex::FindResult* fr, const Value* old_value,
-                    Address prev) FASTER_REQUIRES_EPOCH() {
-    oc->kind = kind;
-    Address new_addr = TryAllocateRecord(Layout::kFixedSize);
-    if (!new_addr.IsValid()) return false;
-    RecordT* new_rec = RecordAt(new_addr);
-    new_rec->key = key;
-    WithOutput(output, [&](Output& out) {
-      if (kind == Ctr::kRmwCopy) {
-        F::CopyUpdater(key, input, *old_value, new_rec->value, out);
+  /// DispatchRmw's append, out of line: the in-place path stays short.
+  [[gnu::noinline]] bool AppendRmw(const Key& key, const Input& input,
+                                   Output* output, HashIndex::FindResult& fr,
+                                   const Value* old_value, Address prev,
+                                   RecordT* old, bool delta)
+      FASTER_REQUIRES_EPOCH() {
+    return Append(fr, Layout::kFixedSize, old, [&](RecordT* r) {
+      r->key = key;
+      Output discard{};
+      Output& out = OutputOr(output, discard);
+      if (old_value != nullptr) {
+        F::CopyUpdater(key, input, *old_value, r->value, out);
       } else {
-        new_rec->value = Value{};
-        F::InitialUpdater(key, input, new_rec->value, out);
+        r->value = Value{};
+        F::InitialUpdater(key, input, r->value, out);
       }
+      return RecordInfo{prev, false, false, delta};
     });
-    new_rec->set_info(
-        RecordInfo{prev, false, false, kind == Ctr::kRmwDelta});
-    if (index_.TryPublish(fr, new_addr)) return true;
-    new_rec->SetInvalid();
-    return false;
   }
 
   // -------------------------------------------------------------------
@@ -1553,8 +1535,6 @@ class FasterKv {
       if (stable) {
         Address begin = hlog_.begin_address();
         Address head = hlog_.head_address();
-        Address read_only = hlog_.read_only_address();
-        uint32_t predicted_appends = 0;
         for (size_t i = 0; i < n; ++i) {
           if (dep[i] || !entry_found[i]) continue;
           Address a = frs[i].entry.address();
@@ -1564,30 +1544,6 @@ class FasterKv {
             hlog_.Prefetch(a, Layout::kMinSize);
           } else if (in_cache && StripRc(a) >= rc_log_->head_address()) {
             rc_log_->Prefetch(StripRc(a), Layout::kMinSize);
-          }
-          if (ops[i].kind == BatchOp::Kind::kUpsert &&
-              !(in_mem && a >= read_only)) {
-            // Likely an append (chain head immutable, on disk, invalid,
-            // or a read-cache copy).
-            ++predicted_appends;
-          }
-        }
-        if (!kVarLen && predicted_appends >= 2) {
-          chunk.extent =
-              hlog_.AllocateExtent(Layout::kFixedSize, predicted_appends);
-          if (chunk.extent.IsValid()) {
-            chunk.extent_left = predicted_appends;
-            // Give every reserved slot a dead header now: log scans treat
-            // an all-zero slot as page padding and would skip the rest of
-            // the page. A slot is made live only while this thread has not
-            // refreshed (BatchScope), i.e. before any flush of this range
-            // can have been issued, so the dead header is never persisted
-            // for a slot that later becomes live.
-            for (uint32_t s = 0; s < predicted_appends; ++s) {
-              RecordAt(chunk.extent + s * Layout::kFixedSize)
-                  ->set_info(
-                      RecordInfo{Address::Invalid(), /*invalid=*/true, false});
-            }
           }
         }
       }
@@ -1618,7 +1574,6 @@ class FasterKv {
       // A pending op took a copy of the clock, which finishes it.
       if (op.status != Status::kPending) clock.Finish(nullptr, slot);
     }
-    // Unused extent slots keep the dead headers written at reservation.
 
     // Coalesced submission of every disk read stage 3 discovered.
     size_t num_ios = chunk.num_ios;

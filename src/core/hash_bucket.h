@@ -72,8 +72,8 @@ struct alignas(64) HashBucket {
   // finalize is the publication point (readers skip tentative entries) —
   // to back one off, or (migration) to publish into a not-yet-shared
   // table; relaxed loads/stores only in single-writer phases (migration
-  // scan, checkpoint restore). Only FindOrCreateEntry can still leave a
-  // visible entry with an invalid address.
+  // scan, checkpoint restore). Every entry is published pointing at its
+  // record.
   Atomic<uint64_t> entries[kNumEntries];
   /// Physical pointer (as integer) to the next (overflow) bucket; 0 if
   /// none. Overflow buckets are cache-line aligned too.

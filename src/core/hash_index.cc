@@ -361,10 +361,9 @@ bool HashIndex::TryInsert(FindResult* result, Address address) {
     for (uint32_t i = 0; i < HashBucket::kNumEntries; ++i) {
       uint64_t control = b->entries[i].load(std::memory_order_acquire);
       if ((control & HashBucketEntry::kTagMask) != want) [[likely]] continue;
-      // The claim itself has the tag (and may equal another claim in value:
-      // FindOrCreateEntry's all carry an invalid address), and for tag 0 so
-      // does an empty slot. The empty asm keeps the compiler from folding
-      // these rare tests into the one above, so each entry costs one test.
+      // The claim itself has the tag, and for tag 0 so does an empty slot.
+      // The empty asm keeps the compiler from folding these rare tests
+      // into the one above, so each entry costs one test.
       asm("" ::: "memory");
       if (&b->entries[i] != slot && control != 0) {
         obs_stats_.tentative_conflicts.Inc();
@@ -383,19 +382,6 @@ bool HashIndex::TryInsert(FindResult* result, Address address) {
   result->entry = final_entry;
   result->head = nullptr;
   return true;
-}
-
-Status HashIndex::FindOrCreateEntry(const OpScope& scope, KeyHash hash,
-                                    FindResult* out) {
-  for (;;) {
-    Status s = FindSlot(scope, hash, out);
-    // Tag 0 with no address is the empty entry, which a second writer of
-    // the key would take for a free slot: keep the slot for TryUpdateEntry.
-    if (s != Status::kOk || out->head == nullptr || out->entry.tag() == 0 ||
-        TryPublish(out, Address::Invalid())) {
-      return s;
-    }
-  }
 }
 
 bool HashIndex::TryDeleteEntry(FindResult* result) {

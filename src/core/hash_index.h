@@ -165,16 +165,11 @@ class HashIndex {
   bool TryPublish(FindResult* result, Address address)
       FASTER_REQUIRES_EPOCH();
 
-  /// FindSlot, then publishes an entry with an invalid address in a free
-  /// slot: the entry a later TryUpdateEntry fills (for tag 0, whose entry
-  /// would read as free, the slot: TryUpdateEntry then inserts). Returns
-  /// kOutOfMemory like FindSlot.
+  /// Aliases of FindSlot and TryPublish, kept for benchsuite/layers.cc.
   Status FindOrCreateEntry(const OpScope& scope, KeyHash hash,
-                           FindResult* out) FASTER_REQUIRES_EPOCH();
-
-  /// TryPublish for a result FindEntry or FindOrCreateEntry returned. The
-  /// slot pointer is only valid under the epoch protection it was found
-  /// under.
+                           FindResult* out) FASTER_REQUIRES_EPOCH() {
+    return FindSlot(scope, hash, out);
+  }
   bool TryUpdateEntry(FindResult* result, Address address)
       FASTER_REQUIRES_EPOCH() {
     return TryPublish(result, address);

@@ -68,26 +68,6 @@ Address HybridLog::tail_address() const {
   return Address{(page << Address::kOffsetBits) + offset};
 }
 
-Address HybridLog::AllocateExtent(uint32_t size, uint32_t count) {
-  FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
-                      "log extent allocation without epoch protection");
-  assert(size % 8 == 0 && size > 0 && count > 0);
-  uint64_t total = static_cast<uint64_t>(size) * count;
-  if (total > Address::kPageSize) {
-    return Address::Invalid();
-  }
-  uint64_t tpo =
-      tail_page_offset_.fetch_add(total, std::memory_order_acq_rel);
-  uint64_t page = tpo >> 32;
-  uint64_t offset = tpo & 0xffffffffull;
-  if (offset + total <= Address::kPageSize) {
-    return Address{page, offset};
-  }
-  // Overflowed the page. Leave the page closing to the next per-record
-  // Allocate, whose failure path drives NewPage + epoch refresh.
-  return Address::Invalid();
-}
-
 bool HybridLog::NewPage(uint64_t old_page) {
   // The epoch triggers armed here (safe-RO propagation, frame eviction)
   // only drain if this thread's refreshes can advance safety.

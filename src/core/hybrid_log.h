@@ -69,7 +69,8 @@ class HybridLog {
   /// If the current page overflowed, returns an invalid address and sets
   /// `*closed_page` to the page that must be closed; the caller should
   /// invoke `NewPage(closed_page)`, `epoch->Refresh()`, and retry.
-  Address Allocate(uint32_t size, uint64_t* closed_page)
+  [[gnu::always_inline]] Address Allocate(uint32_t size,
+                                         uint64_t* closed_page)
       FASTER_REQUIRES_EPOCH() {
     FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
                         "log allocation without epoch protection");
@@ -85,17 +86,6 @@ class HybridLog {
     *closed_page = page;
     return Address::Invalid();
   }
-
-  /// Reserves one contiguous extent of `count` records of `size` bytes each
-  /// with a single tail bump, for a batch of upserts. Returns the address
-  /// of the first slot, or an invalid address if the extent does not fit on
-  /// the current page — the caller then falls back to per-record Allocate,
-  /// whose own overflow handling closes the page. The caller owns every
-  /// reserved slot and must write a real record header (possibly an
-  /// invalidated one) into each: a slot left all-zero would read as page
-  /// padding and terminate scans of the page early.
-  Address AllocateExtent(uint32_t size, uint32_t count)
-      FASTER_REQUIRES_EPOCH();
 
   /// Closes `old_page` and opens `old_page + 1`, advancing the head and
   /// read-only offsets as needed. Returns false if the new page's frame is
@@ -165,10 +155,17 @@ class HybridLog {
     (void)address;
   }
 
-  Address begin_address() const { return Load(begin_address_); }
-  Address head_address() const { return Load(head_address_); }
-  Address read_only_address() const { return Load(read_only_address_); }
-  Address safe_read_only_address() const {
+  // Inline everywhere: every op reads several region markers.
+  [[gnu::always_inline]] Address begin_address() const {
+    return Load(begin_address_);
+  }
+  [[gnu::always_inline]] Address head_address() const {
+    return Load(head_address_);
+  }
+  [[gnu::always_inline]] Address read_only_address() const {
+    return Load(read_only_address_);
+  }
+  [[gnu::always_inline]] Address safe_read_only_address() const {
     return Load(safe_read_only_address_);
   }
   Address flushed_until_address() const { return Load(flushed_until_); }
@@ -280,7 +277,7 @@ class HybridLog {
     return frames_.block(page % buffer_pages_);
   }
 
-  static Address Load(const Atomic<uint64_t>& a) {
+  [[gnu::always_inline]] static Address Load(const Atomic<uint64_t>& a) {
     return Address{a.load(std::memory_order_acquire)};
   }
   /// Monotonic (never-backward) update; returns true if we advanced it.
@@ -347,10 +344,11 @@ class HybridLog {
 
   /// Packed (page << 32 | offset); offset may transiently exceed the page
   /// size while a page transition is in progress.
-  // order: acq_rel fetch_add in Allocate/AllocateExtent (Alg. 1); acq_rel
+  // order: acq_rel fetch_add in Allocate (Alg. 1); acq_rel
   // CAS for the page rollover — threads that observe the new page's offset
   // also observe its zeroing (memset on reuse, kernel-zeroed on first use);
-  // acquire loads; release store in RecoverTo.
+  // acquire loads; release store in RecoverTo. Disjoint allocations alone
+  // need only the fetch_add's atomicity; its acq_rel is for that handshake.
   alignas(64) Atomic<uint64_t> tail_page_offset_;
   // Region markers: monotone frontiers — acquire loads, acq_rel CAS-loop
   // in MonotonicUpdate; release store only in RecoverTo (idle log).

@@ -136,7 +136,8 @@ class InMemKv {
   }
 
   /// Upsert and Rmw: `in_place(value)` on the key's live record, else
-  /// `init(value)` on a new record published at the head of the chain.
+  /// `init(value)` on a new record published at the head of the chain —
+  /// for a new key, into a free slot, record first (Sec. 3.2).
   template <class InPlace, class Init>
   Status Write(const Key& key, InPlace&& in_place, Init&& init)
       FASTER_REQUIRES_EPOCH() {
@@ -145,9 +146,10 @@ class InMemKv {
     for (;;) {
       typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
-      Status s = index_.FindOrCreateEntry(scope, hash, &fr);
+      Status s = index_.FindSlot(scope, hash, &fr);
       if (s != Status::kOk) return s;
-      TryCollectChainHead(&fr);
+      // An entry unlinked to its chain's end is gone: find a free slot.
+      if (!TryCollectChainHead(&fr)) continue;
       RecordT* rec = FindInChain(key, fr.entry.address());
       if (rec != nullptr && !rec->info().tombstone()) {
         in_place(rec->value);
@@ -155,7 +157,7 @@ class InMemKv {
       }
       RecordT* fresh = AllocateRecord(key, fr.entry.address());
       init(fresh->value);
-      if (index_.TryUpdateEntry(&fr, PointerToAddress(fresh))) {
+      if (index_.TryPublish(&fr, PointerToAddress(fresh))) {
         return Status::kOk;
       }
       std::free(fresh);
@@ -191,18 +193,20 @@ class InMemKv {
   /// Physically unlinks tombstoned records from the head of the chain
   /// (progressive reclamation; mid-chain tombstones surface as their
   /// predecessors are removed). Updates `fr` to the new chain head.
-  void TryCollectChainHead(HashIndex::FindResult* fr)
+  /// Returns false if the entry is gone: unlinked here or by a racer.
+  bool TryCollectChainHead(HashIndex::FindResult* fr)
       FASTER_REQUIRES_EPOCH() {
     while (fr->entry.address().IsValid()) {
       RecordT* head = AddressToPointer(fr->entry.address());
-      if (!head->info().tombstone()) return;
+      if (!head->info().tombstone()) return true;
       Address next = head->info().previous_address();
-      bool ok = next.IsValid() ? index_.TryUpdateEntry(fr, next)
+      bool ok = next.IsValid() ? index_.TryPublish(fr, next)
                                : index_.TryDeleteEntry(fr);
-      if (!ok) return;  // someone else raced; they own the cleanup
+      if (!ok) break;  // someone else raced; they own the cleanup
       Retire(head);
-      if (!next.IsValid()) return;
     }
+    // A free slot (FindSlot's, for a new key) has no address either.
+    return fr->head != nullptr || fr->entry.address().IsValid();
   }
 
   /// Defer the free until every thread has moved past the current epoch

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -539,6 +541,69 @@ TEST_F(BatchTest, ChunkSpanningBatchesMatchSequential) {
   AssertSameState(batch, mirror, 100);
   batch.StopSession();
   mirror.StopSession();
+}
+
+// --- Appends to read-only keys survive a checkpoint. ----------------------
+
+// Every upsert and delete of a batch over read-only keys appends a record
+// at the tail, one allocation each, as single ops do. A checkpoint then
+// recovers into a fresh store: every key reads its batch result.
+TEST_F(BatchTest, BatchedAppendsSurviveRecovery) {
+  std::string dir = "/tmp/faster_batch_append_recovery";
+  std::filesystem::remove_all(dir);
+  auto cfg = Cfg();
+  cfg.refresh_interval = 1u << 30;
+  // Every recovered record is on storage: reads complete through here.
+  cfg.completion_callback = [](Store::UserOp, Status s, void* status) {
+    *static_cast<Status*>(status) = s;
+  };
+  constexpr uint64_t kKeys = 256;
+  constexpr size_t kN = 100;  // two chunks
+  {
+    Store store{cfg, &device_a_};
+    store.StartSession();
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(store.Upsert(k, k), Status::kOk);
+    }
+    store.hlog().ShiftReadOnlyToTail(/*wait=*/true);
+    auto appends = [&] {
+      return store.counters().Sum(obs::StoreCounter::kUpsertAppend) +
+             store.counters().Sum(obs::StoreCounter::kDeleteAppend);
+    };
+    uint64_t before = appends();
+    std::vector<BatchOp> ops(kN);
+    for (size_t i = 0; i < kN; ++i) {
+      ops[i].kind = i % 3 == 2 ? Kind::kDelete : Kind::kUpsert;
+      ops[i].key = i;
+      ops[i].value = 1000 + i;
+    }
+    store.ExecuteBatch(ops.data(), kN);
+    for (size_t i = 0; i < kN; ++i) ASSERT_EQ(ops[i].status, Status::kOk) << i;
+    ASSERT_EQ(appends() - before, kN);
+    ASSERT_EQ(store.Checkpoint(dir), Status::kOk);
+    store.StopSession();
+  }
+  Store recovered{cfg, &device_a_};
+  ASSERT_EQ(recovered.Recover(dir), Status::kOk);
+  recovered.StartSession();
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    uint64_t value = UINT64_MAX;
+    Status s = Status::kPending;
+    Status read = recovered.Read(k, 0, &value, &s);
+    if (read == Status::kPending) {
+      ASSERT_TRUE(recovered.CompletePending(true));
+    } else {
+      s = read;
+    }
+    if (k < kN && k % 3 == 2) {
+      EXPECT_EQ(s, Status::kNotFound) << "key " << k;
+    } else {
+      ASSERT_EQ(s, Status::kOk) << "key " << k;
+      EXPECT_EQ(value, k < kN ? 1000 + k : k) << "key " << k;
+    }
+  }
+  recovered.StopSession();
+  std::filesystem::remove_all(dir);
 }
 
 // --- Read cache: batches take the same cache-aware paths. -----------------

@@ -45,9 +45,9 @@ TEST(GrowUnderWritersTest, NoEntryLostDuringGrow) {
         {
           HashIndex::OpScope scope{index, h};
           HashIndex::FindResult fr;
-          index.FindOrCreateEntry(scope, h, &fr);
+          index.FindSlot(scope, h, &fr);
           if (!fr.entry.address().IsValid()) {
-            if (index.TryUpdateEntry(&fr, Address{k + 1, 0})) {
+            if (index.TryPublish(&fr, Address{k + 1, 0})) {
               inserted.fetch_add(1, std::memory_order_relaxed);
             }
           }

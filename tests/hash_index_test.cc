@@ -41,10 +41,10 @@ TEST_F(HashIndexTest, CreateThenFind) {
   HashIndex::FindResult fr;
   {
     HashIndex::OpScope scope{index, h};
-    index.FindOrCreateEntry(scope, h, &fr);
+    index.FindSlot(scope, h, &fr);
     EXPECT_FALSE(fr.entry.address().IsValid());
     EXPECT_EQ(fr.entry.tag(), h.Tag());
-    EXPECT_TRUE(index.TryUpdateEntry(&fr, Address{1, 64}));
+    EXPECT_TRUE(index.TryPublish(&fr, Address{1, 64}));
   }
   {
     HashIndex::OpScope scope{index, h};
@@ -54,13 +54,13 @@ TEST_F(HashIndexTest, CreateThenFind) {
   }
 }
 
-TEST_F(HashIndexTest, FindOrCreateIsIdempotent) {
+TEST_F(HashIndexTest, FindSlotIsIdempotent) {
   HashIndex index{128, &epoch_};
   KeyHash h{Mix64(7)};
   HashIndex::OpScope scope{index, h};
   HashIndex::FindResult a, b;
-  index.FindOrCreateEntry(scope, h, &a);
-  index.FindOrCreateEntry(scope, h, &b);
+  index.FindSlot(scope, h, &a);
+  index.FindSlot(scope, h, &b);
   EXPECT_EQ(a.slot, b.slot);
 }
 
@@ -69,14 +69,14 @@ TEST_F(HashIndexTest, UpdateEntryCasSemantics) {
   KeyHash h{Mix64(9)};
   HashIndex::OpScope scope{index, h};
   HashIndex::FindResult fr;
-  index.FindOrCreateEntry(scope, h, &fr);
-  ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{2, 0}));
+  index.FindSlot(scope, h, &fr);
+  ASSERT_TRUE(index.TryPublish(&fr, Address{2, 0}));
   // Stale expected value: CAS must fail and reload the current entry.
   HashIndex::FindResult stale = fr;
   stale.entry = HashBucketEntry{Address{1, 0}, h.Tag(), false};
-  EXPECT_FALSE(index.TryUpdateEntry(&stale, Address{3, 0}));
+  EXPECT_FALSE(index.TryPublish(&stale, Address{3, 0}));
   EXPECT_EQ(stale.entry.address(), (Address{2, 0}));
-  EXPECT_TRUE(index.TryUpdateEntry(&stale, Address{3, 0}));
+  EXPECT_TRUE(index.TryPublish(&stale, Address{3, 0}));
 }
 
 TEST_F(HashIndexTest, DeleteEntryFreesSlot) {
@@ -84,8 +84,8 @@ TEST_F(HashIndexTest, DeleteEntryFreesSlot) {
   KeyHash h{Mix64(11)};
   HashIndex::OpScope scope{index, h};
   HashIndex::FindResult fr;
-  index.FindOrCreateEntry(scope, h, &fr);
-  ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{4, 0}));
+  index.FindSlot(scope, h, &fr);
+  ASSERT_TRUE(index.TryPublish(&fr, Address{4, 0}));
   EXPECT_EQ(index.NumUsedEntries(), 1u);
   EXPECT_TRUE(index.TryDeleteEntry(&fr));
   EXPECT_EQ(index.NumUsedEntries(), 0u);
@@ -171,9 +171,9 @@ TEST_F(HashIndexTest, OverflowBucketsExtendChains) {
     distinct.insert({h.Bucket(index.size()), h.Tag()});
     HashIndex::OpScope scope{index, h};
     HashIndex::FindResult fr;
-    index.FindOrCreateEntry(scope, h, &fr);
+    index.FindSlot(scope, h, &fr);
     if (!fr.entry.address().IsValid()) {
-      ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{created + 1, 0}));
+      ASSERT_TRUE(index.TryPublish(&fr, Address{created + 1, 0}));
       ++created;
     }
   }
@@ -208,9 +208,9 @@ TEST_F(HashIndexTest, TwoPhaseInsertInvariantUnderContention) {
         {
           HashIndex::OpScope scope{index, h};
           HashIndex::FindResult fr;
-          index.FindOrCreateEntry(scope, h, &fr);
+          index.FindSlot(scope, h, &fr);
           if (!fr.entry.address().IsValid()) {
-            index.TryUpdateEntry(&fr, Address{1, 64});
+            index.TryPublish(&fr, Address{1, 64});
           } else if (rng() % 4 == 0) {
             index.TryDeleteEntry(&fr);
           }
@@ -248,9 +248,9 @@ TEST_F(HashIndexTest, GrowDoublesAndPreservesEntries) {
     KeyHash h{Mix64(k)};
     HashIndex::OpScope scope{index, h};
     HashIndex::FindResult fr;
-    index.FindOrCreateEntry(scope, h, &fr);
+    index.FindSlot(scope, h, &fr);
     if (!fr.entry.address().IsValid()) {
-      ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{k + 1, 0}));
+      ASSERT_TRUE(index.TryPublish(&fr, Address{k + 1, 0}));
     }
   }
   uint64_t old_size = index.size();
@@ -278,9 +278,9 @@ TEST_F(HashIndexTest, GrowRebasesEntriesInBothChildren) {
     KeyHash h{Mix64(k)};
     HashIndex::OpScope scope{index, h};
     HashIndex::FindResult fr;
-    index.FindOrCreateEntry(scope, h, &fr);
+    index.FindSlot(scope, h, &fr);
     if (!fr.entry.address().IsValid()) {
-      ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{k + 1, 0}));
+      ASSERT_TRUE(index.TryPublish(&fr, Address{k + 1, 0}));
     }
   }
   uint64_t old_size = index.size();
@@ -310,9 +310,9 @@ TEST_F(HashIndexTest, GrowWithConcurrentReaders) {
     KeyHash h{Mix64(k)};
     HashIndex::OpScope scope{index, h};
     HashIndex::FindResult fr;
-    index.FindOrCreateEntry(scope, h, &fr);
+    index.FindSlot(scope, h, &fr);
     if (!fr.entry.address().IsValid()) {
-      index.TryUpdateEntry(&fr, Address{k + 1, 0});
+      index.TryPublish(&fr, Address{k + 1, 0});
     }
   }
   std::atomic<bool> stop{false};
@@ -347,9 +347,9 @@ TEST_F(HashIndexTest, CheckpointRoundTrip) {
     KeyHash h{Mix64(k)};
     HashIndex::OpScope scope{index, h};
     HashIndex::FindResult fr;
-    index.FindOrCreateEntry(scope, h, &fr);
+    index.FindSlot(scope, h, &fr);
     if (!fr.entry.address().IsValid()) {
-      index.TryUpdateEntry(&fr, Address{k + 1, 8});
+      index.TryPublish(&fr, Address{k + 1, 8});
     }
   }
   uint64_t used = index.NumUsedEntries();
@@ -390,8 +390,8 @@ void InsertAll(HashIndex& index, const std::vector<KeyHash>& hashes) {
   for (size_t i = 0; i < hashes.size(); ++i) {
     HashIndex::OpScope scope{index, hashes[i]};
     HashIndex::FindResult fr;
-    ASSERT_EQ(index.FindOrCreateEntry(scope, hashes[i], &fr), Status::kOk);
-    ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{i + 1}));
+    ASSERT_EQ(index.FindSlot(scope, hashes[i], &fr), Status::kOk);
+    ASSERT_TRUE(index.TryPublish(&fr, Address{i + 1}));
   }
 }
 
@@ -478,8 +478,8 @@ TEST_F(HashIndexTest, CheckpointRoundTripKeepsChainsAcrossGrow) {
   for (size_t i = 2000; i < 4000; ++i) {
     HashIndex::OpScope scope{index, hashes[i]};
     HashIndex::FindResult fr;
-    ASSERT_EQ(index.FindOrCreateEntry(scope, hashes[i], &fr), Status::kOk);
-    ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{i + 1}));
+    ASSERT_EQ(index.FindSlot(scope, hashes[i], &fr), Status::kOk);
+    ASSERT_TRUE(index.TryPublish(&fr, Address{i + 1}));
   }
   uint64_t used = index.NumUsedEntries();
 
@@ -500,9 +500,9 @@ TEST_F(HashIndexTest, CheckpointRoundTripKeepsChainsAcrossGrow) {
   for (size_t i = 4000; i < hashes.size(); ++i) {
     HashIndex::OpScope scope{restored, hashes[i]};
     HashIndex::FindResult fr;
-    ASSERT_EQ(restored.FindOrCreateEntry(scope, hashes[i], &fr),
+    ASSERT_EQ(restored.FindSlot(scope, hashes[i], &fr),
               Status::kOk);
-    ASSERT_TRUE(restored.TryUpdateEntry(&fr, Address{i + 1}));
+    ASSERT_TRUE(restored.TryPublish(&fr, Address{i + 1}));
   }
   ExpectAll(restored, hashes);
 }
@@ -518,7 +518,8 @@ TEST_F(HashIndexTest, TableBecomesResidentOnlyWhenUsed) {
   KeyHash h{Mix64(42)};
   HashIndex::OpScope scope{index, h};
   HashIndex::FindResult fr;
-  index.FindOrCreateEntry(scope, h, &fr);
+  index.FindSlot(scope, h, &fr);
+  ASSERT_TRUE(index.TryPublish(&fr, Address{1, 0}));
   EXPECT_EQ(table.ResidentBytes(0), table.granule());
 }
 
@@ -554,8 +555,8 @@ TEST_F(HashIndexTest, GrowFailureLeavesIndexUntouched) {
     KeyHash h{Mix64(k)};
     HashIndex::OpScope scope{index, h};
     HashIndex::FindResult fr;
-    index.FindOrCreateEntry(scope, h, &fr);
-    ASSERT_TRUE(index.TryUpdateEntry(&fr, Address{k + 1, 0}));
+    index.FindSlot(scope, h, &fr);
+    ASSERT_TRUE(index.TryPublish(&fr, Address{k + 1, 0}));
   }
   rlimit saved;
   ASSERT_EQ(::getrlimit(RLIMIT_AS, &saved), 0);
@@ -601,9 +602,9 @@ TEST_F(HashIndexTest, UnmappableOverflowSegmentRefusesInsert) {
   auto insert = [&](KeyHash h) {
     HashIndex::OpScope scope{index, h};
     HashIndex::FindResult fr;
-    Status s = index.FindOrCreateEntry(scope, h, &fr);
+    Status s = index.FindSlot(scope, h, &fr);
     if (s == Status::kOk) {
-      EXPECT_TRUE(index.TryUpdateEntry(&fr, Address{inserted.size() + 1}));
+      EXPECT_TRUE(index.TryPublish(&fr, Address{inserted.size() + 1}));
       inserted.push_back(h);
     }
     return s;
@@ -631,7 +632,7 @@ TEST_F(HashIndexTest, UnmappableOverflowSegmentRefusesInsert) {
   {
     HashIndex::OpScope scope{index, refused};
     HashIndex::FindResult fr;
-    again = index.FindOrCreateEntry(scope, refused, &fr);
+    again = index.FindSlot(scope, refused, &fr);
   }
   ASSERT_EQ(::setrlimit(RLIMIT_AS, &saved), 0);
 

@@ -155,5 +155,50 @@ TEST(InMemKvTest, ConcurrentUpsertDelete) {
   store.StopSession();
 }
 
+// A write that unlinks a key's last (tombstoned) record finds the key's
+// entry gone. It must then insert through a fresh two-phase claim: taking
+// the emptied slot back with a bare CAS races a concurrent insert of the
+// same key into a second entry, and the key gets two chains.
+TEST(InMemKvTest, ConcurrentWriteDeleteKeepsOneEntryPerKey) {
+  Store store{64};
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = 4;
+  // A duplicate entry can later empty and vanish: check after each round.
+  for (int round = 0; round < 150; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        store.StartSession();
+        std::mt19937_64 rng(round * kThreads + t);
+        for (int i = 0; i < 10000; ++i) {
+          uint64_t k = rng() % kKeys;
+          switch (rng() % 3) {
+            case 0: store.Delete(k); break;
+            case 1: store.Upsert(k, k); break;
+            default: store.Rmw(k, 1); break;
+          }
+        }
+        store.StopSession();
+      });
+    }
+    for (auto& t : threads) t.join();
+    // Records live at their pointer addresses; count the chains holding
+    // each key.
+    uint64_t chains[kKeys] = {};
+    store.index().ForEachEntry([&](HashBucketEntry entry) {
+      bool seen[kKeys] = {};
+      for (Address a = entry.address(); a.IsValid();) {
+        auto* rec = reinterpret_cast<Store::RecordT*>(a.control());
+        seen[rec->key] = true;
+        a = rec->info().previous_address();
+      }
+      for (uint64_t k = 0; k < kKeys; ++k) chains[k] += seen[k];
+    });
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      ASSERT_LE(chains[k], 1u) << "key " << k << ", round " << round;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace faster

@@ -51,9 +51,9 @@ KeyHash TagHash(uint64_t t) {
 void InsertTag(HashIndex& index, uint64_t t) {
   HashIndex::OpScope scope(index, TagHash(t));
   HashIndex::FindResult r;
-  index.FindOrCreateEntry(scope, TagHash(t), &r);
+  index.FindSlot(scope, TagHash(t), &r);
   if (!r.entry.address().IsValid()) {
-    index.TryUpdateEntry(&r, Address{t});
+    index.TryPublish(&r, Address{t});
   }
 }
 

@@ -4,8 +4,9 @@
 ///
 /// Two protocol obligations are checked exhaustively (bounded):
 ///
-///  1. Exactly-once insert: concurrent FindOrCreateEntry calls for the
-///     same tag converge on ONE non-tentative entry (Sec. 3.2, Fig. 3b).
+///  1. Exactly-once insert: concurrent record-first inserts (FindSlot,
+///     then TryPublish of the new record's address) for the same tag
+///     converge on ONE non-tentative entry (Sec. 3.2, Fig. 3b).
 ///     The safety argument is subtler than a Dekker pattern: both
 ///     inserters target the same first-free slot, so the claiming CAS —
 ///     which, as an RMW, always reads the latest value in modification
@@ -15,10 +16,10 @@
 ///     values the re-scan IS allowed to see and proves none breaks the
 ///     invariant.
 ///
-///  2. Publication: TryUpdateEntry's acq_rel CAS is what makes a record's
-///     payload visible to a reader that finds its address through the
-///     index. Demoting it (or the reader-side scan load) to relaxed must
-///     surface as a data race on the payload.
+///  2. Publication: TryPublish's acq_rel CAS on an existing entry is what
+///     makes a superseding record's payload visible to a reader that finds
+///     its address through the index. Demoting it (or the reader-side scan
+///     load) to relaxed must surface as a data race on the payload.
 ///
 ///  3. Record-first publication: a write to a key with no entry fills its
 ///     record, then TryPublish claims a free slot with a tentative entry
@@ -77,9 +78,60 @@ uint64_t CountTagEntries(HashIndex& index) {
   return n;
 }
 
-// Two threads race FindOrCreateEntry for the same tag. Post-join, the
-// chain must hold exactly one non-tentative entry with the tag, and
-// neither thread may have been handed a tentative or foreign entry.
+/// Bucket 0 of any table, tag `t`.
+KeyHash TagHash(uint64_t t) {
+  return KeyHash{t << (64 - KeyHash::kTagBits)};
+}
+
+/// Counts the live entries in bucket 0's chain.
+uint32_t LiveEntries(HashIndex& index) {
+  uint32_t live = 0;
+  index.SampleBuckets(
+      1, [&](uint32_t l, uint32_t) { live = l; },
+      [](faster::HashBucketEntry) {});
+  return live;
+}
+
+/// The record-first insert of a key with hash `hash` and record
+/// `address`, as the store's writes run it: FindSlot, then TryPublish
+/// into a free slot, until the key has an entry (this one's, or a
+/// racer's). Every FindSlot must hand back the key's tag, never a
+/// tentative entry.
+void InsertRecordFirst(HashIndex& index, KeyHash hash, Address address) {
+  HashIndex::OpScope scope(index, hash);
+  for (;;) {
+    HashIndex::FindResult r;
+    MODEL_ASSERT(index.FindSlot(scope, hash, &r) == faster::Status::kOk,
+                 "insert refused with memory to map");
+    MODEL_ASSERT(!r.entry.tentative(), "FindSlot returned a tentative entry");
+    MODEL_ASSERT(r.entry.tag() == hash.Tag(), "FindSlot returned a foreign tag");
+    if (r.head == nullptr || index.TryPublish(&r, address)) return;
+  }
+}
+
+/// Two writers race record-first inserts of one key with hash `hash`.
+/// Post-join, the chain must hold exactly one entry for it.
+void RaceInserts(KeyHash hash) {
+  LightEpoch epoch;
+  HashIndex index{64, &epoch};
+  for (uint64_t t = 0; t < 2; ++t) {
+    model::Spawn([&, t] {
+      epoch.Protect();
+      InsertRecordFirst(index, hash, Address{8 * (t + 1)});
+      epoch.Unprotect();
+    });
+  }
+  model::JoinAll();
+  epoch.Protect();
+  uint32_t live = LiveEntries(index);
+  epoch.Unprotect();
+  MODEL_ASSERT(live == 1, "the key has " + std::to_string(live) +
+                              " entries, not 1");
+}
+
+// Two threads race record-first inserts for the same tag: exactly one
+// entry results, and neither thread is handed a tentative or foreign
+// entry.
 //
 // Budget note: this is the one test where BOTH threads run the full
 // retry-looping insert protocol (~20 atomic ops each, with mutual
@@ -89,51 +141,38 @@ uint64_t CountTagEntries(HashIndex& index) {
 TEST(ModelHashIndex, ConcurrentInsertSameTagIsExactlyOnce) {
   model::Options opts = IndexOpts("index_insert_once");
   opts.preemption_bound = 1;
-  model::Result res = model::Check(opts, [] {
-    LightEpoch epoch;
-    HashIndex index{64, &epoch};
-    for (int t = 0; t < 2; ++t) {
-      model::Spawn([&] {
-        epoch.Protect();
-        {
-          HashIndex::OpScope scope(index, TestHash());
-          HashIndex::FindResult r;
-          index.FindOrCreateEntry(scope, TestHash(), &r);
-          MODEL_ASSERT(!r.entry.tentative(),
-                       "FindOrCreateEntry returned a tentative entry");
-          MODEL_ASSERT(r.entry.tag() == TestHash().Tag(),
-                       "FindOrCreateEntry returned a foreign tag");
-        }
-        epoch.Unprotect();
-      });
-    }
-    model::JoinAll();
-    uint64_t n = CountTagEntries(index);
-    MODEL_ASSERT(n == 1, "expected exactly one entry for the tag, found " +
-                             std::to_string(n));
-  });
+  model::Result res =
+      model::Check(opts, [] { RaceInserts(TestHash()); });
   EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace;
   EXPECT_TRUE(res.complete) << res.Summary();
   EXPECT_GT(res.explored, 10) << res.Summary();
 }
 
 /// Writer/reader body shared by the clean publication run and the
-/// mutation demos: the writer fills the record payload BEFORE swinging
-/// the index entry to its address; the reader only touches the payload
-/// after finding that address through the index. Any weakening that lets
-/// the address travel without the payload is a data race.
+/// mutation demos. The key's entry points at its first record; the writer
+/// fills a superseding record's payload BEFORE swinging the entry to its
+/// address; the reader only touches the payload after finding that
+/// address through the index. Any weakening that lets the address travel
+/// without the payload is a data race.
 void PublicationBody() {
   LightEpoch epoch;
   HashIndex index{64, &epoch};
   model::Data<int> record{0};
+  epoch.Protect();
+  InsertRecordFirst(index, TestHash(), Address{5});
+  epoch.Unprotect();
   model::Spawn([&] {  // writer
     epoch.Protect();
     {
       HashIndex::OpScope scope(index, TestHash());
       HashIndex::FindResult r;
-      index.FindOrCreateEntry(scope, TestHash(), &r);
+      MODEL_ASSERT(index.FindSlot(scope, TestHash(), &r) ==
+                           faster::Status::kOk &&
+                       r.head == nullptr,
+                   "the key's entry is missing");
       record.Mut() = 42;
-      index.TryUpdateEntry(&r, Address{7});
+      MODEL_ASSERT(index.TryPublish(&r, Address{7}),
+                   "an uncontended publish failed");
     }
     epoch.Unprotect();
   });
@@ -219,9 +258,9 @@ TEST(ModelHashIndex, DeleteRacingInsertKeepsChainConsistent) {
       {
         HashIndex::OpScope scope(index, TestHash());
         HashIndex::FindResult r;
-        index.FindOrCreateEntry(scope, TestHash(), &r);
-        if (!r.entry.address().IsValid()) {
-          index.TryUpdateEntry(&r, Address{7});  // may lose to the deleter
+        index.FindSlot(scope, TestHash(), &r);
+        if (r.head != nullptr) {
+          index.TryPublish(&r, Address{7});  // a single attempt
         }
       }
       epoch.Unprotect();
@@ -248,46 +287,15 @@ TEST(ModelHashIndex, DeleteRacingInsertKeepsChainConsistent) {
   EXPECT_TRUE(res.complete) << res.Summary();
 }
 
-/// Bucket 0 of a 4-bucket table, tag `t`.
-KeyHash TagHash(uint64_t t) {
-  return KeyHash{t << (64 - KeyHash::kTagBits)};
-}
-
-// Two writers of a tag-0 key race FindOrCreateEntry, then each tries
-// TryUpdateEntry with its own record, as InMemKv's insert does. A tag-0
-// entry with no address is all zero: published, it reads as a free slot,
-// so the second writer could claim another slot and both updates land,
-// leaving the key two entries and splitting its updates between them.
+// Two writers of a tag-0 key race record-first inserts, as InMemKv's
+// and the store's writes do. A tag-0 claim's rescan must not take an
+// empty slot, which has tag 0 too, for a rival entry, nor may a rival's
+// entry read as free: the key gets exactly one entry.
 TEST(ModelHashIndex, TagZeroCreateIsExactlyOnce) {
-  model::Result res = model::Check(IndexOpts("index_tag0_create"), [] {
-    LightEpoch epoch;
-    HashIndex index{64, &epoch};
-    HashIndex::FindResult found[2];
-    for (int t = 0; t < 2; ++t) {
-      model::Spawn([&, t] {
-        epoch.Protect();
-        {
-          HashIndex::OpScope scope(index, TagHash(0));
-          MODEL_ASSERT(index.FindOrCreateEntry(scope, TagHash(0), &found[t]) ==
-                           faster::Status::kOk,
-                       "no free slot in an empty index");
-        }
-        epoch.Unprotect();
-      });
-    }
-    model::JoinAll();
-    epoch.Protect();
-    for (uint64_t t = 0; t < 2; ++t) {
-      index.TryUpdateEntry(&found[t], Address{8 * (t + 1)});
-    }
-    uint32_t live = 0;
-    index.SampleBuckets(
-        1, [&](uint32_t l, uint32_t) { live = l; },
-        [](faster::HashBucketEntry) {});
-    epoch.Unprotect();
-    MODEL_ASSERT(live == 1, "the key has " + std::to_string(live) +
-                                " entries, not 1");
-  });
+  model::Options opts = IndexOpts("index_tag0_create");
+  opts.preemption_bound = 1;  // both threads run the whole insert, as above
+  model::Result res =
+      model::Check(opts, [] { RaceInserts(TagHash(0)); });
   EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace;
   EXPECT_TRUE(res.complete) << res.Summary();
 }
@@ -303,11 +311,7 @@ TEST(ModelHashIndex, OverflowClaimsRaceToDistinctBuckets) {
     LightEpoch epoch;
     HashIndex index{4, &epoch};
     auto insert = [&](uint64_t t) {
-      HashIndex::OpScope scope(index, TagHash(t));
-      HashIndex::FindResult r;
-      MODEL_ASSERT(index.FindOrCreateEntry(scope, TagHash(t), &r) ==
-                       faster::Status::kOk,
-                   "insert refused with memory to map");
+      InsertRecordFirst(index, TagHash(t), Address{t});
     };
     epoch.Protect();
     for (uint64_t t = 1; t <= faster::HashBucket::kNumEntries; ++t) insert(t);
@@ -341,15 +345,15 @@ TEST(ModelHashIndex, OverflowClaimsRaceToDistinctBuckets) {
   EXPECT_GT(res.explored, 10) << res.Summary();
 }
 
-// Seeded bug 1: demote TryUpdateEntry's publishing CAS to relaxed. The
-// reader can then find the record's address through the index without the
-// payload write happening-before — the checker must produce the race with
-// a trace.
+// Seeded bug 1: demote TryPublish's CAS on an existing entry to relaxed.
+// The reader can then find the superseding record's address through the
+// index without the payload write happening-before — the checker must
+// produce the race with a trace.
 TEST(ModelHashIndex, SeededBugPublishCasRelaxedIsCaught) {
   int line = FindSourceLine(
       "core/hash_index.cc",
       "result->slot->compare_exchange_strong(expected, desired.control()");
-  ASSERT_GT(line, 0) << "TryUpdateEntry CAS not found in core/hash_index.cc";
+  ASSERT_GT(line, 0) << "TryPublish CAS not found in core/hash_index.cc";
   ScopedMutation mutate("core/hash_index.cc", line);
   model::Result res =
       model::Check(IndexOpts("index_mut_publish"), PublicationBody);

@@ -2,8 +2,8 @@
 // checkpoints, log GC, and an index Grow on a tiny spilling log. The
 // batch fast path elides per-op epoch work and reuses one stable-table
 // snapshot per chunk, so the hazards to hunt are: stale index snapshots
-// surviving a refresh (BatchScope), extent records colliding with
-// page-close flushes, batch reads racing RCU appends, and the kStable
+// surviving a refresh (BatchScope), batched appends racing page-close
+// flushes, batch reads racing RCU appends, and the kStable
 // check racing Grow's migration.
 //
 // Verification mirrors stress_ops_test: keys are owner-sharded, each

@@ -9,8 +9,11 @@
 // cost, which every count subtracts. The ops: an insert (Upsert of a new
 // key), an in-place Upsert, a Read, an in-place Rmw (its value dropped),
 // one ExecuteBatch of 16 GETs and 16 INCRs (RMWs reporting their values)
-// on distinct keys, and a Read of a record on a MemoryDevice storage page
-// through its CompletePending (a second store, whose log the fill spilled).
+// on distinct keys; then, once the read-only offset has passed every key,
+// the appends: an Upsert, a Delete and a copy-update Rmw of a read-only
+// key, and one ExecuteBatch of 32 such Upserts; and last a Read of a
+// record on a MemoryDevice storage page through its CompletePending (a
+// second store, whose log the fill spilled).
 // Counts repeat exactly for one binary, so two builds' outputs compare op
 // by op. A rep-prefixed string instruction counts once per iteration (the
 // trap flag stops after each one).
@@ -54,8 +57,11 @@ constexpr int kChildRefused = 77;  // child exit: PTRACE_TRACEME failed
 constexpr uint64_t kKeys = 1024;
 constexpr size_t kBatch = 32;
 
-const char* const kOps[] = {"insert", "upsert_inplace", "read",
-                            "rmw_inplace", "batch32_get_incr", "read_pending"};
+const char* const kOps[] = {
+    "insert",        "upsert_inplace", "read",
+    "rmw_inplace",   "batch32_get_incr", "upsert_append",
+    "delete_append", "rmw_copy",       "batch32_upsert_append",
+    "read_pending"};
 constexpr size_t kNumOps = sizeof(kOps) / sizeof(kOps[0]);
 
 [[gnu::noinline]] void Marker() { ::raise(SIGSTOP); }
@@ -101,6 +107,24 @@ template <class Op>
   Region([&] { store.Read(7, 0, &out); });
   Region([&] { store.Rmw(7, 1); });
   Region([&] { store.ExecuteBatch(ops, kBatch); });
+
+  // Every key below the read-only offset, on the device: each write to
+  // one appends. Every run takes a key of its own, still read-only.
+  store.hlog().ShiftReadOnlyToTail(/*wait=*/true);
+  uint64_t ro_key = 200;
+  Store::BatchOp upserts[2][kBatch];
+  for (auto& batch : upserts) {
+    for (Store::BatchOp& op : batch) {
+      op.kind = Store::BatchOp::Kind::kUpsert;
+      op.key = ro_key++;
+      op.value = 3;
+    }
+  }
+  Region([&] { store.Upsert(ro_key++, 3); });
+  Region([&] { store.Delete(ro_key++); });
+  Region([&] { store.Rmw(ro_key++, 1); });
+  size_t round = 0;
+  Region([&] { store.ExecuteBatch(upserts[round++], kBatch); });
   store.StopSession();
 
   // Two log pages, which the fill spills key 0 out of.
@@ -279,7 +303,7 @@ int main(int argc, char** argv) {
     uint64_t n = regions[i + 1] - marker;
     std::printf("op_icount: %s %llu", kOps[i],
                 static_cast<unsigned long long>(n));
-    if (std::strcmp(kOps[i], "batch32_get_incr") == 0) {
+    if (std::strncmp(kOps[i], "batch32_", 8) == 0) {
       std::printf(" (%.1f/op)", static_cast<double>(n) / kBatch);
     }
     std::printf("\n");
