@@ -605,20 +605,36 @@ class FasterKv {
                 static_cast<OpKind>(BatchOp::Kind::kDelete) ==
                     OpKind::kDelete);
 
+  struct PendingContext;
+
   /// One op as Resolve and Apply see it. It refers to the caller's
   /// arguments (or BatchOp fields), so a single-op Upsert never copies its
-  /// value.
+  /// value. A resumed op names its own context, which it waits in again.
   struct OpRef {
     OpKind kind;
     const Key& key;
     const Input* input;  // reads and RMWs
-    const Value* value;  // upserts
+    // Upserts; a resumed RMW: the value its storage read found (null: the
+    // key is absent on storage).
+    const Value* value;
     Output* output;      // reads and RMWs (null: an RMW's value is dropped)
-    void* user_context;  // reads and RMWs
-    obs::StatOpClock* clock = nullptr;  // set by the op's entry
+    // Reads and RMWs: the user's context; a resumed op (no clock): its
+    // PendingContext, whose clock it runs on.
+    void* user_context;
+    obs::StatOpClock* clock = nullptr;  // a fresh op's, set by its entry
+
+    /// A resumed op's own context, which it waits in again; null for a
+    /// fresh op. Not a field of its own: a 64-byte OpRef costs each batch
+    /// op 5 more instructions (EXPERIMENTS.md "One pending-op path").
+    PendingContext* resumed() const {
+      return clock != nullptr ? nullptr
+                              : static_cast<PendingContext*>(user_context);
+    }
   };
 
-  enum class DiskState : uint8_t { kNone, kValue, kAbsent };
+  /// What a pending context waits on. Only Await changes it, and with it
+  /// the level that counts the context.
+  enum class Wait : uint8_t { kNothing, kRead, kRetry };
 
   /// Context carried by an operation that went pending (Sec. 5.3): enough
   /// to resume after the asynchronous storage read (or fuzzy retry).
@@ -643,7 +659,8 @@ class FasterKv {
     uint32_t read_len = Layout::kFixedSize;    // bytes the read fetches
     Address address = Address::Invalid();     // record being read
     Address chain_bottom = Address::Invalid();  // first disk address of chain
-    Status io_status = Status::kOk;  // kPending: a fuzzy-region retry
+    Status io_status = Status::kOk;  // the last storage read's result
+    Wait wait = Wait::kNothing;
     // The op's clock, moved in as it went asynchronous: continuations on
     // any thread mark it and resume its trace (empty without stats).
     [[no_unique_address]] obs::StatOpClock clock;
@@ -940,19 +957,37 @@ class FasterKv {
         std::min<uint64_t>(Layout::kReadBlock, end - addr));
   }
 
+  /// The one check of a record read from storage at `addr` whose first
+  /// `len` bytes are at `rec` (the pending walk's and CopyRecord's): kOk,
+  /// with `*whole` the record's size if those bytes cut it short (a
+  /// variable-length record longer than the first block, to reread whole),
+  /// else 0; kCorruption if its size overruns its page (a torn record).
+  /// Page padding passes as it is.
+  static Status CheckRead(Address addr, const RecordT& rec, uint32_t len,
+                          uint32_t* whole) {
+    *whole = 0;
+    if (!kVarLen || !rec.info().in_use()) return Status::kOk;
+    uint32_t size = Layout::Size(rec);
+    if (size <= len) return Status::kOk;
+    if (addr.offset() + size > Address::kPageSize) return Status::kCorruption;
+    *whole = size;
+    return Status::kOk;
+  }
+
   /// Copies the record at `addr`, on storage, into `*buf` (page padding
   /// copies as its zero header).
   Status CopyRecord(Address addr, std::vector<uint8_t>* buf) {
     uint32_t len = FirstReadSize(addr);
     buf->resize(len);
+    uint32_t whole = 0;
     Status s = hlog_.ReadFromDiskSync(addr, len, buf->data());
-    const auto* rec = reinterpret_cast<const RecordT*>(buf->data());
-    if (s != Status::kOk || !rec->info().in_use()) return s;
-    uint32_t size = Layout::Size(*rec);
-    if (size <= len) return Status::kOk;
-    if (addr.offset() + size > Address::kPageSize) return Status::kCorruption;
-    buf->resize(size);
-    return hlog_.ReadFromDiskSync(addr, size, buf->data());
+    if (s == Status::kOk) {
+      s = CheckRead(addr, *reinterpret_cast<const RecordT*>(buf->data()), len,
+                    &whole);
+    }
+    if (s != Status::kOk || whole == 0) return s;
+    buf->resize(whole);
+    return hlog_.ReadFromDiskSync(addr, whole, buf->data());
   }
 
   /// One-shot allocation (Alg. 1 wrapper). Returns an invalid address on
@@ -1051,7 +1086,7 @@ class FasterKv {
   Outcome Resolve(ThreadState& ts, const OpRef& op, KeyHash hash)
       FASTER_REQUIRES_EPOCH() {
     Outcome out;
-    for (;; epoch_.Refresh()) {
+    for (;; RefreshToRetry()) {
       typename HashIndex::OpScope scope{index_, hash, ts.slot};
       HashIndex::FindResult fr;
       bool has_entry;
@@ -1063,6 +1098,13 @@ class FasterKv {
       if (Apply(ts, op, hash, has_entry, fr, nullptr, &out)) break;
     }
     return out;
+  }
+
+  /// Resolve's refresh between attempts. Out of line and cold, so an op
+  /// body keeps only the call: inlined, GCC kept `&epoch_` in a stack
+  /// slot across every op (EXPERIMENTS.md "One pending-op path").
+  [[gnu::noinline, gnu::cold]] void RefreshToRetry() FASTER_REQUIRES_EPOCH() {
+    epoch_.Refresh();
   }
 
   [[gnu::always_inline]]
@@ -1203,51 +1245,30 @@ class FasterKv {
         });
   }
 
-  /// RMW (Alg. 4) as a fresh op: the region dispatch, then a storage read
-  /// or a fuzzy-region deferral for the outcomes that go pending.
-  [[gnu::always_inline]]
-  bool ApplyRmw(ThreadState& ts, const OpRef& op, KeyHash hash,
-                HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
-      FASTER_REQUIRES_EPOCH() {
-    RmwOutcome oc;
-    if (!DispatchRmw(op.key, *op.input, op.output, fr, DiskState::kNone,
-                     nullptr, Address::Invalid(), &oc)) {
-      return false;
-    }
-    *out = {oc.done() ? Status::kOk : Status::kPending, oc.kind};
-    if (oc.done()) return true;
-    // A storage read, or (no I/O address) a fuzzy-region deferral.
-    Status s = GoPending(ts, op, hash, oc.io_address, chunk);
-    if (s != Status::kPending) *out = {s, Ctr::kCount};
-    return true;
-  }
-
-  /// Parks a fresh op that must wait: a storage read of the record at
-  /// `addr` (Sec. 5.3) or, with an invalid `addr`, an RMW's fuzzy-region
-  /// retry. kPending, or kOutOfMemory, with nothing changed, if the op got
-  /// no context. Out of line, context constructor and all: op bodies keep
-  /// only the call.
-  [[gnu::noinline]] Status GoPending(ThreadState& ts, OpRef op, KeyHash hash,
-                                     Address addr, ChunkRes* chunk) {
-    PendingContext* ctx = NewContext(ts, op, hash);
-    if (ctx == nullptr || addr.IsValid()) {
-      return StartPendingIo(ts, ctx, addr, chunk);
-    }
-    DeferFuzzyRmw(ts, ctx);
+  /// Parks an op that must wait: a storage read of the record at `addr`
+  /// (Sec. 5.3) or, with an invalid `addr`, an RMW's fuzzy-region retry.
+  /// kPending. A fresh op gets a context (ParkNew); a resumed one waits in
+  /// its own, unless it is a restarted read that finds the chain bottom it
+  /// walked: truncation ended that chain, so the key is absent (kNotFound).
+  [[gnu::always_inline]] Status GoPending(ThreadState& ts, const OpRef& op,
+                                          KeyHash hash, Address addr,
+                                          ChunkRes* chunk) {
+    PendingContext* ctx = op.resumed();
+    if (ctx == nullptr) return ParkNew(ts, op, hash, addr, chunk);
+    if (addr.IsValid() && addr == ctx->chain_bottom) return Status::kNotFound;
+    Await(ts, ctx, addr.IsValid() ? Wait::kRead : Wait::kRetry, addr, chunk);
     return Status::kPending;
   }
 
-  /// Fuzzy region (Sec. 6.2): parks an RMW on the ready list, which
-  /// CompletePending retries until the safe read-only offset catches up
-  /// (io_complete time). Out of line, like the op bodies' other exits.
-  [[gnu::noinline]] void DeferFuzzyRmw(ThreadState& ts, PendingContext* ctx) {
-    if (ctx->io_status != Status::kPending) {
-      ctx->io_status = Status::kPending;
-      ctx->chain_bottom = Address::Invalid();
-      ctx->clock.Mark(obs::Stage::kIoComplete);
-      ts.counters.Add(Ctr::kPendingRetries);
-    }
-    ts.ready.Push(ctx);
+  /// A fresh op's GoPending: kOutOfMemory, with nothing changed, if it got
+  /// no context. Out of line, context constructor and all: op bodies keep
+  /// only the call.
+  [[gnu::noinline]] Status ParkNew(ThreadState& ts, OpRef op, KeyHash hash,
+                                   Address addr, ChunkRes* chunk) {
+    PendingContext* ctx = NewContext(ts, op, hash);
+    if (ctx == nullptr) return Status::kOutOfMemory;
+    Await(ts, ctx, addr.IsValid() ? Wait::kRead : Wait::kRetry, addr, chunk);
+    return Status::kPending;
   }
 
   /// Delete: a tombstone in place in the mutable region, otherwise a
@@ -1298,17 +1319,6 @@ class FasterKv {
                   });
   }
 
-  /// How the RMW region dispatch ended, named by its counter (Table 2):
-  /// in place, an appended record of some kind, or pending — a fuzzy-region
-  /// retry (kRmwFuzzyDeferred) or a storage read (kRmwStable).
-  struct RmwOutcome {
-    Ctr kind = Ctr::kRmwInPlace;
-    Address io_address = Address::Invalid();
-
-    bool done() const { return kind < Ctr::kRmwFuzzyDeferred; }
-    bool appended() const { return kind != Ctr::kRmwInPlace && done(); }
-  };
-
   /// Where an updater reports its value: `*output`, or, when it is null or
   /// the store mergeable (its updaters report deltas), `discard`, a local
   /// the compiler drops.
@@ -1317,21 +1327,19 @@ class FasterKv {
     return kMergeable || output == nullptr ? discard : *output;
   }
 
-  /// The RMW region dispatch (Alg. 4) on a resolved entry, shared by fresh
-  /// ops and continuations; fixed-size records only. The updater reports
-  /// its value to `output`. `disk_state` / `disk_value` carry the result
-  /// of a completed storage read for chain bottom `disk_bottom`
-  /// (continuation path); kNone on the initial attempt. Every outcome that
-  /// writes a new record (kRmwCopy, kRmwInitial or kRmwDelta) ends in the
-  /// one append below, after the primary-log chain start (a read-cache
-  /// record is skipped); a restart reruns its updater, which overwrites
-  /// `output` again. Returns false if the op must re-resolve.
+  /// RMW (Alg. 4): the region dispatch on a resolved entry; fixed-size
+  /// records only. The updater reports its value to `op.output`. A resumed
+  /// RMW (op.resumed()) has read its chain bottom from storage: `op.value` is
+  /// the value found there. Every outcome that writes a new record
+  /// (kRmwCopy, kRmwInitial or kRmwDelta) ends in the one append, after
+  /// the primary-log chain start (a read-cache record is skipped); a
+  /// restart reruns its updater, which overwrites `output` again. A
+  /// storage read (kRmwStable) or a fuzzy-region retry (kRmwFuzzyDeferred)
+  /// goes pending.
   [[gnu::always_inline]]
-  bool DispatchRmw(const Key& key, const Input& input, Output* output,
-                   HashIndex::FindResult& fr, DiskState disk_state,
-                   const Value* disk_value, Address disk_bottom,
-                   RmwOutcome* oc) FASTER_REQUIRES_EPOCH() {
-    *oc = RmwOutcome{};
+  bool ApplyRmw(ThreadState& ts, const OpRef& op, KeyHash hash,
+                HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
+      FASTER_REQUIRES_EPOCH() {
     Address addr;
     RecordT* rc_rec = nullptr;
     if (!ResolveEntry(fr, &addr, &rc_rec)) return false;
@@ -1341,7 +1349,8 @@ class FasterKv {
     Ctr kind = Ctr::kRmwInitial;
     const Value* old_value = nullptr;
     RecordT* old = nullptr;
-    if (rc_rec != nullptr && rc_rec->key == key) {
+    Address io = Address::Invalid();  // kRmwStable: the record to read
+    if (rc_rec != nullptr && rc_rec->key == op.key) {
       // Read-cache hit (Appendix D): the cached copy is the newest
       // version, so RMW can copy-update from it without a storage read.
       kind = Ctr::kRmwCopy;
@@ -1353,7 +1362,7 @@ class FasterKv {
       Address found = Address::Invalid();
       if (addr.IsValid() && addr >= begin) {
         if (addr >= head) {
-          found = TraceBack(key, addr, std::max(head, begin), &rec);
+          found = TraceBack(op.key, addr, std::max(head, begin), &rec);
         } else {
           found = addr;  // chain starts on disk
         }
@@ -1363,8 +1372,9 @@ class FasterKv {
           // Mutable region: in-place update (Table 2 bottom row).
           hlog_.VerifyMutableAddress(found);
           Output discard{};
-          F::InPlaceUpdater(key, input, rec->value,
-                            OutputOr(output, discard));
+          F::InPlaceUpdater(op.key, *op.input, rec->value,
+                            OutputOr(op.output, discard));
+          *out = {Status::kOk, Ctr::kRmwInPlace};
           return true;
         }
         if constexpr (kMergeable) {
@@ -1376,8 +1386,7 @@ class FasterKv {
           // lost if we copied now. (In force_rcu mode no update is ever
           // in-place, so the lost-update anomaly cannot occur and RCU is
           // safe anywhere — the Sec. 5 append-only strawman.)
-          oc->kind = Ctr::kRmwFuzzyDeferred;
-          return true;
+          kind = Ctr::kRmwFuzzyDeferred;
         } else {
           // Safe read-only region: read-copy-update to the tail.
           kind = Ctr::kRmwCopy;
@@ -1389,25 +1398,30 @@ class FasterKv {
         // they append a delta (Table 2).
         if constexpr (kMergeable) {
           kind = Ctr::kRmwDelta;
-        } else if (disk_state == DiskState::kNone || found != disk_bottom) {
-          oc->kind = Ctr::kRmwStable;
-          oc->io_address = found;
-          return true;
-        } else if (disk_state == DiskState::kValue) {
-          // Continuation: we already resolved this chain bottom.
+        } else if (op.resumed() == nullptr ||
+                   found != op.resumed()->chain_bottom) {
+          kind = Ctr::kRmwStable;
+          io = found;
+        } else if (op.value != nullptr) {
+          // Resumed: its storage read resolved this chain bottom.
           kind = Ctr::kRmwCopy;
-          old_value = disk_value;
+          old_value = op.value;
         }
       }
       // Otherwise the newest record is a tombstone, or the key is absent:
       // the initial record.
     }
-    oc->kind = kind;
-    return AppendRmw(key, input, output, fr, old_value, addr, old,
+    if (kind >= Ctr::kRmwFuzzyDeferred) {
+      Status s = GoPending(ts, op, hash, io, chunk);
+      *out = {s, s == Status::kPending ? kind : Ctr::kCount};
+      return true;
+    }
+    *out = {Status::kOk, kind};
+    return AppendRmw(op.key, *op.input, op.output, fr, old_value, addr, old,
                      kind == Ctr::kRmwDelta);
   }
 
-  /// DispatchRmw's append, out of line: the in-place path stays short.
+  /// ApplyRmw's append, out of line: the in-place path stays short.
   [[gnu::noinline]] bool AppendRmw(const Key& key, const Input& input,
                                    Output* output, HashIndex::FindResult& fr,
                                    const Value* old_value, Address prev,
@@ -1431,16 +1445,27 @@ class FasterKv {
   // Pending-operation machinery (Sec. 5.3).
   // -------------------------------------------------------------------
 
-  /// Starts a fresh op's storage read (Sec. 5.3); kOutOfMemory, with
-  /// nothing changed, if the op got no context.
-  [[gnu::noinline]] Status StartPendingIo(ThreadState& ts,
-                                          PendingContext* ctx, Address addr,
-                                          ChunkRes* chunk) {
-    if (ctx == nullptr) return Status::kOutOfMemory;
-    ctx->chain_bottom = addr;
-    ts.counters.Add(Ctr::kPendingIos);
-    IssueIo(ctx, addr, 0, chunk);
-    return Status::kPending;
+  /// The one function that changes what a pending context waits on, and
+  /// so the only one that moves the pending levels (DESIGN.md §13): a
+  /// storage read of the record at `addr`, the chain's new bottom; with an
+  /// invalid `addr` the fuzzy retry list, which CompletePending retries
+  /// until the safe read-only offset catches up (Sec. 6.2, io_complete
+  /// time); or nothing, as the op completes (FinishPending).
+  void Await(ThreadState& ts, PendingContext* ctx, Wait wait,
+             Address addr = Address::Invalid(), ChunkRes* chunk = nullptr) {
+    Wait was = std::exchange(ctx->wait, wait);
+    if (was == Wait::kRead) ts.counters.Sub(Ctr::kPendingIos);
+    if (was == Wait::kRetry) ts.counters.Sub(Ctr::kPendingRetries);
+    if (wait == Wait::kRead) {
+      ts.counters.Add(Ctr::kPendingIos);
+      ctx->chain_bottom = addr;
+      IssueIo(ctx, addr, 0, chunk);
+    } else if (wait == Wait::kRetry) {
+      ts.counters.Add(Ctr::kPendingRetries);
+      ctx->chain_bottom = Address::Invalid();
+      if (was != Wait::kRetry) ctx->clock.Mark(obs::Stage::kIoComplete);
+      ts.ready.Push(ctx);
+    }
   }
 
   /// Reads the record at `addr` (a chain hop), or, with `whole_size`, all
@@ -1632,14 +1657,11 @@ class FasterKv {
 
   /// Completes a pending op and recycles its context.
   void FinishPending(ThreadState& ts, PendingContext* ctx, Status result) {
+    bool read = ctx->wait == Wait::kRead;
+    Await(ts, ctx, Wait::kNothing);
     ts.counters.Add(Ctr::kCompleted);
-    if (ctx->io_status == Status::kPending) {
-      ts.counters.Sub(Ctr::kPendingRetries);
-      ctx->clock.Finish(nullptr, ts.slot);
-    } else {
-      ts.counters.Sub(Ctr::kPendingIos);
-      ctx->clock.Finish(&Hist(obs::StoreHistogram::kPendingIoNs), ts.slot);
-    }
+    ctx->clock.Finish(read ? &Hist(obs::StoreHistogram::kPendingIoNs) : nullptr,
+                      ts.slot);
     NotifyCompletion(ctx, result);
     ctx->next = ts.free;
     ts.free = ctx;
@@ -1653,8 +1675,10 @@ class FasterKv {
     }
   }
 
-  /// Continues every context on this thread's ready list, in push order.
-  /// One that goes pending again is pushed back for a later call.
+  /// Continues every context on this thread's ready list, in push order:
+  /// a fuzzy retry resumes; a storage read's record ends the op, resumes
+  /// it, or leads one hop down the chain. One that goes pending again
+  /// waits for a later call.
   void ProcessReady(ThreadState& ts) FASTER_REQUIRES_EPOCH() {
     PendingContext* next = ts.ready.TakeAll();
     if (next == nullptr) return;
@@ -1663,60 +1687,42 @@ class FasterKv {
     obs::StageScope stage{obs::Stage::kIoComplete};
     while (next != nullptr) {
       PendingContext* ctx = std::exchange(next, next->next);
-      if constexpr (!kVarLen) {
-        if (ctx->io_status == Status::kPending) {
-          RmwContinue(ts, ctx, DiskState::kNone, nullptr);
-          continue;
-        }
-      }
-      if (ctx->io_status != Status::kOk) {
-        FinishPending(ts, ctx, Status::kIoError);
+      if (ctx->wait == Wait::kRetry) {
+        if constexpr (!kVarLen) Resume<OpKind::kRmw>(ts, ctx, nullptr);
         continue;
       }
       const RecordT* rec = ctx->record();
-      RecordInfo info = rec->info();
-      Address begin = hlog_.begin_address();
-      if (!info.in_use() || info.invalid()) {
-        // Invalid record (lost CAS) or padding: follow the chain.
-        Address prev = info.in_use() ? info.previous_address()
-                                     : Address::Invalid();
-        if (prev.IsValid() && prev >= begin) {
-          IssueIo(ctx, prev);
-        } else {
-          CompleteChainMiss(ts, ctx, /*truncated=*/prev.IsValid());
-        }
+      uint32_t whole = 0;
+      Status s = ctx->io_status != Status::kOk
+                     ? Status::kIoError
+                     : CheckRead(ctx->address, *rec, ctx->read_len, &whole);
+      if (s != Status::kOk) {
+        FinishPending(ts, ctx, s);
         continue;
       }
-      if constexpr (kVarLen) {
-        // The first block cut the record short: read it whole. A size
-        // that overruns its page is a torn record.
-        uint32_t size = Layout::Size(*rec);
-        if (size > ctx->read_len) {
-          if (ctx->address.offset() + size > Address::kPageSize) {
-            FinishPending(ts, ctx, Status::kCorruption);
-          } else {
-            IssueIo(ctx, ctx->address, size);
+      if (whole != 0) {
+        IssueIo(ctx, ctx->address, whole);  // the first block cut it short
+        continue;
+      }
+      RecordInfo info = rec->info();
+      if (info.in_use() && !info.invalid() &&
+          Layout::KeyEquals(*rec, ctx->key)) {
+        // Key matched on storage.
+        if (ctx->op == OpKind::kRmw) {
+          if constexpr (!kVarLen) {
+            Resume<OpKind::kRmw>(ts, ctx,
+                                 info.tombstone() ? nullptr : &rec->value);
           }
           continue;
         }
-      }
-      if (!Layout::KeyEquals(*rec, ctx->key)) {
-        Address prev = info.previous_address();
-        if (prev.IsValid() && prev >= begin) {
-          IssueIo(ctx, prev);
-        } else {
-          CompleteChainMiss(ts, ctx, /*truncated=*/prev.IsValid());
-        }
-        continue;
-      }
-      // Key matched on storage.
-      if (ctx->op == OpKind::kRead) {
-        if constexpr (kMergeable) {
-          CompleteMergeStep(ts, ctx, rec);
+        if (info.tombstone()) {
+          EndChain(ts, ctx, /*truncated=*/false);
           continue;
         }
-        if (info.tombstone()) {
-          FinishPending(ts, ctx, Status::kNotFound);
+        if constexpr (kMergeable) {
+          // CRDT reads reconcile every delta record (Sec. 6.3).
+          F::Merge(ctx->merge_acc, rec->value);
+          ctx->merge_found = true;
         } else {
           F::SingleReader(ctx->key, ctx->input, Layout::ValueOf(*rec),
                           *ctx->output);
@@ -1725,118 +1731,67 @@ class FasterKv {
             TryInsertToCache(ts, ctx->hash, *rec);
           }
           FinishPending(ts, ctx, Status::kOk);
+          continue;
         }
-        continue;
       }
-      // RMW continuation (fixed-size records only).
-      if constexpr (!kVarLen) {
-        DiskState state =
-            info.tombstone() ? DiskState::kAbsent : DiskState::kValue;
-        RmwContinue(ts, ctx, state, &rec->value);
+      // One hop down the chain: past padding, an invalid record (a lost
+      // CAS), another key's record or a merged delta.
+      Address prev =
+          info.in_use() ? info.previous_address() : Address::Invalid();
+      if (prev.IsValid() && prev >= hlog_.begin_address()) {
+        IssueIo(ctx, prev);
+      } else {
+        EndChain(ts, ctx, /*truncated=*/prev.IsValid());
       }
     }
   }
 
-  /// The disk chain ran out without finding the key, at its end or, if
-  /// `truncated`, below the begin address.
-  void CompleteChainMiss(ThreadState& ts, PendingContext* ctx, bool truncated)
+  /// A storage walk that found no record of the key to use ended: at a
+  /// tombstone or the chain's end or, if `truncated`, below the begin
+  /// address. An RMW resumes (it chases a chain bottom that moved). A read
+  /// that truncation cut short restarts from the index: a compaction may
+  /// have moved its key to the tail (Appendix C). A mergeable read reports
+  /// what it merged; otherwise the key is absent.
+  void EndChain(ThreadState& ts, PendingContext* ctx, bool truncated)
       FASTER_REQUIRES_EPOCH() {
-    if (ctx->op == OpKind::kRead) {
-      if constexpr (kMergeable) {
-        CompleteMergeFinal(ts, ctx);
+    if (ctx->op == OpKind::kRmw) {
+      if constexpr (!kVarLen) Resume<OpKind::kRmw>(ts, ctx, nullptr);
+      return;
+    }
+    if constexpr (kMergeable) {
+      if (ctx->merge_found) {
+        *ctx->output = ctx->merge_acc;
+        FinishPending(ts, ctx, Status::kOk);
         return;
       }
-      if (truncated) {
-        RestartRead(ts, ctx);
-      } else {
-        FinishPending(ts, ctx, Status::kNotFound);
-      }
+    } else if (truncated) {
+      Resume<OpKind::kRead>(ts, ctx, nullptr);
       return;
     }
-    // An RMW re-resolves anyway, and chases a chain whose bottom moved.
-    if constexpr (!kVarLen) RmwContinue(ts, ctx, DiskState::kAbsent, nullptr);
+    FinishPending(ts, ctx, Status::kNotFound);
   }
 
-  /// A read whose storage walk fell below the begin address: the log was
-  /// truncated under it. If the index now leads elsewhere than the chain
-  /// it walked (a compaction moved the key to the tail, Appendix C), the
-  /// read restarts from the index, as the in-memory path does when its
-  /// entry moved; going pending again, it continues in a context of its
-  /// own that carries this one's clock. Otherwise the key is absent.
-  [[gnu::noinline]] void RestartRead(ThreadState& ts, PendingContext* ctx)
+  /// Resumes a pending op of kind `kKind` through the op engine, in its
+  /// own context: an RMW after its fuzzy retry or its storage read
+  /// (`disk_value`: the value found, null if the key is absent on
+  /// storage), or a read whose storage walk truncation cut short. Going
+  /// pending again, it waits in the same context; otherwise it completes.
+  /// It was counted as it started.
+  template <OpKind kKind>
+  [[gnu::noinline]] void Resume(ThreadState& ts, PendingContext* ctx,
+                                const Value* disk_value)
       FASTER_REQUIRES_EPOCH() {
     Key key = ctx->key;
-    bool moved = true;
-    {
-      typename HashIndex::OpScope scope{index_, ctx->hash, ts.slot};
-      HashIndex::FindResult fr;
-      Address addr;
-      RecordT* rc = nullptr;
-      if (!index_.FindEntry(scope, ctx->hash, &fr)) {
-        moved = false;
-      } else if (ResolveEntry(fr, &addr, &rc) &&
-                 (rc == nullptr || !Layout::KeyEquals(*rc, key))) {
-        RecordT* rec = nullptr;
-        addr = TraceBack(key, addr,
-                         std::max(hlog_.head_address(), hlog_.begin_address()),
-                         &rec);
-        moved = rec != nullptr || addr != ctx->chain_bottom;
-      }
+    Outcome out = Resolve(ts,
+                          OpRef{kKind, key, &ctx->input, disk_value,
+                                ctx->output, ctx, nullptr},
+                          ctx->hash);
+    if (out.status == Status::kPending) return;
+    if (kKind == OpKind::kRmw && out.status == Status::kOk &&
+        out.counter != Ctr::kRmwInPlace) {
+      ts.counters.Add(Ctr::kRmwPendingAppend);
     }
-    Outcome out{Status::kNotFound, Ctr::kCount};
-    if (moved) {
-      out = Resolve(ts,
-                    OpRef{OpKind::kRead, key, &ctx->input, nullptr,
-                          ctx->output, ctx->user_context, &ctx->clock},
-                    ctx->hash);
-    }
-    if (out.status != Status::kPending) {
-      FinishPending(ts, ctx, out.status);
-      return;
-    }
-    ts.counters.Sub(Ctr::kPendingIos);  // the op was counted as it started
-    ctx->next = ts.free;
-    ts.free = ctx;
-  }
-
-  /// Resumes an RMW after its storage read, or (`state` kNone) a fuzzy
-  /// retry: re-resolves like a single op and runs the same dispatch.
-  void RmwContinue(ThreadState& ts, PendingContext* ctx, DiskState state,
-                   const Value* disk_value) FASTER_REQUIRES_EPOCH() {
-    RmwOutcome oc;
-    Status s = Status::kOk;
-    for (bool done = false; !done && s == Status::kOk;) {
-      {
-        typename HashIndex::OpScope scope{index_, ctx->hash, ts.slot};
-        HashIndex::FindResult fr;
-        // A key whose entry is gone may find no room for a new one.
-        s = index_.FindSlot(scope, ctx->hash, &fr);
-        done = s == Status::kOk &&
-               DispatchRmw(ctx->key, ctx->input, ctx->output, fr, state,
-                           disk_value, ctx->chain_bottom, &oc);
-      }
-      if (!done) epoch_.Refresh();  // outside the scope, as in Resolve
-    }
-    if (s != Status::kOk) {
-      FinishPending(ts, ctx, s);
-    } else if (oc.done()) {
-      if (oc.appended()) ts.counters.Add(Ctr::kRmwPendingAppend);
-      FinishPending(ts, ctx, Status::kOk);
-    } else if (oc.kind == Ctr::kRmwStable) {
-      // A retry's chain went to storage, or a read's chain bottom changed
-      // while it was read: chase it.
-      if (ctx->io_status == Status::kPending) {
-        ctx->io_status = Status::kOk;
-        ts.counters.Sub(Ctr::kPendingRetries);
-        ts.counters.Add(Ctr::kPendingIos);
-      }
-      ctx->chain_bottom = oc.io_address;
-      IssueIo(ctx, oc.io_address);
-    } else {
-      // Fuzzy region: a read's context stops being an outstanding I/O.
-      if (ctx->io_status != Status::kPending) ts.counters.Sub(Ctr::kPendingIos);
-      DeferFuzzyRmw(ts, ctx);
-    }
+    FinishPending(ts, ctx, out.status);
   }
 
   // -------------------------------------------------------------------
@@ -1879,35 +1834,8 @@ class FasterKv {
     if (ctx == nullptr) return {Status::kOutOfMemory, Ctr::kCount};
     ctx->merge_acc = acc;
     ctx->merge_found = found;
-    return {StartPendingIo(ts, ctx, addr, chunk), Ctr::kReadStable};
-  }
-
-  void CompleteMergeStep(ThreadState& ts, PendingContext* ctx,
-                         const RecordT* rec) FASTER_REQUIRES_EPOCH() {
-    RecordInfo info = rec->info();
-    if (info.tombstone()) {
-      CompleteMergeFinal(ts, ctx);
-      return;
-    }
-    F::Merge(ctx->merge_acc, rec->value);
-    ctx->merge_found = true;
-    Address prev = info.previous_address();
-    if (prev.IsValid() && prev >= hlog_.begin_address()) {
-      IssueIo(ctx, prev);
-      return;
-    }
-    CompleteMergeFinal(ts, ctx);
-  }
-
-  void CompleteMergeFinal(ThreadState& ts, PendingContext* ctx) {
-    if constexpr (kMergeable) {
-      if (ctx->merge_found) {
-        *ctx->output = ctx->merge_acc;
-        FinishPending(ts, ctx, Status::kOk);
-        return;
-      }
-    }
-    FinishPending(ts, ctx, Status::kNotFound);
+    Await(ts, ctx, Wait::kRead, addr, chunk);
+    return {Status::kPending, Ctr::kReadStable};
   }
 
   // -------------------------------------------------------------------

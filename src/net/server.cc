@@ -436,7 +436,6 @@ void FasterServer::ProcessTurn(Worker& w) {
   ExecuteSegment(w);  // trailing segment
   if (w.turn_commands > 0) {
     commands_.fetch_add(w.turn_commands, std::memory_order_relaxed);
-    stats_.commands.Add(w.turn_commands);
     stats_.turns.Inc();
   }
 }
@@ -946,12 +945,10 @@ std::string FasterServer::DebugConnectionsJson() const {
 }
 
 void FasterServer::CollectStats(obs::StatRegistry& reg) {
-  reg.AddValue("net.commands_total",
-               commands_.load(std::memory_order_relaxed));
+  reg.AddValue("net.commands", commands_.load(std::memory_order_relaxed));
   reg.Add("net.connections_accepted", &stats_.connections_accepted);
   reg.Add("net.connections_closed", &stats_.connections_closed);
   reg.Add("net.connections_open", &stats_.connections_open);
-  reg.Add("net.commands", &stats_.commands);
   reg.Add("net.cmd_get", &stats_.cmd_get);
   reg.Add("net.cmd_set", &stats_.cmd_set);
   reg.Add("net.cmd_incr", &stats_.cmd_incr);

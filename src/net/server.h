@@ -74,7 +74,6 @@ struct NetStats {
   obs::StatCounter connections_accepted;
   obs::StatCounter connections_closed;
   obs::StatGauge connections_open;
-  obs::StatCounter commands;         // total commands executed
   obs::StatCounter cmd_get, cmd_set, cmd_incr, cmd_del, cmd_other;
   obs::StatCounter protocol_errors;  // parse failures (connection closed)
   obs::StatCounter turns;            // event-loop turns that executed ops
@@ -207,8 +206,8 @@ class FasterServer {
   // order: release store after workers are joined; acquire load in
   // Shutdown makes second callers wait-free and idempotent.
   std::atomic<bool> stopped_{false};
-  // order: relaxed fetch_add/load — a monotone command tally for tests
-  // and INFO; no data is published through it.
+  // order: relaxed fetch_add/load — a monotone command tally for tests,
+  // INFO and net.commands; no data is published through it.
   std::atomic<uint64_t> commands_{0};
   ConnSlot conn_slots_[kMaxConnSlots];
 };

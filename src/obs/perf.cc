@@ -21,14 +21,6 @@ std::atomic<PerfReadFn> g_read_hook{nullptr};
 // initialize after it is set take the no-counter path.
 std::atomic<bool> g_force_unavailable{false};
 
-bool EnvDisabled() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("FASTER_PERF_DISABLE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return disabled;
-}
-
 #if defined(__linux__)
 long PerfEventOpen(perf_event_attr* attr, pid_t pid, int cpu, int group_fd,
                    unsigned long flags) {
@@ -132,7 +124,7 @@ PerfThread& Self() {
 void EnsureInit(PerfThread& t) {
   if (t.init_done) return;
   t.init_done = true;
-  if (EnvDisabled() || g_force_unavailable.load(std::memory_order_relaxed)) {
+  if (g_force_unavailable.load(std::memory_order_relaxed)) {
     return;  // forced fallback: mask stays 0
   }
 #if defined(__linux__)
@@ -384,7 +376,7 @@ PerfWholeRun::~PerfWholeRun() {
 
 uint32_t PerfWholeRun::Start() {
   mask_ = 0;
-  if (EnvDisabled() || g_force_unavailable.load(std::memory_order_relaxed)) {
+  if (g_force_unavailable.load(std::memory_order_relaxed)) {
     return 0;
   }
 #if defined(__linux__)

@@ -24,9 +24,9 @@
 /// Degradation is per event and per environment: hardware events that the
 /// kernel refuses (no PMU, perf_event_paranoid, seccomp) are dropped from
 /// the group individually; if nothing opens, scopes still count stage
-/// entries but attribute zeros. `FASTER_PERF_DISABLE=1` forces the
-/// no-counter fallback (used by tests and restricted CI runners);
-/// `FASTER_PERF=1` arms attribution at process start.
+/// entries but attribute zeros (tests force this fallback with
+/// ForcePerfUnavailableForTest). `FASTER_PERF=1` arms attribution at
+/// process start.
 ///
 /// Everything is always compiled; hot-path sites open segments through
 /// obs::StageScope (clock.h) or the `StatPerfScope` alias, which compile
@@ -157,7 +157,7 @@ PerfAttribution& GlobalPerf();
 /// Installs (or clears, with nullptr) the deterministic read hook.
 void SetPerfReadHookForTest(PerfReadFn fn);
 /// Forces the "perf_event_open unavailable" fallback regardless of what
-/// the kernel would grant (also reachable via FASTER_PERF_DISABLE=1).
+/// the kernel would grant.
 void ForcePerfUnavailableForTest(bool on);
 /// Per-thread availability mask after lazy init (opens the counters if
 /// needed). 0 means this thread runs the no-counter fallback.

@@ -78,10 +78,6 @@ std::string DumpPrometheus(const StoreView& v) {
   return reg.Prometheus();
 }
 
-std::vector<TraceEvent> TraceEvents(const StoreView& v) {
-  return v.trace->Snapshot();
-}
-
 void DumpTrace(const StoreView& v, std::ostream& os) {
   WriteChromeTrace(os, SnapshotSpans(), v.trace->Snapshot());
 }

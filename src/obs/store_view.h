@@ -178,9 +178,6 @@ std::string DumpStats(const StoreView& v, bool json = false);
 /// when stats are compiled out). The /metrics handler.
 std::string DumpPrometheus(const StoreView& v);
 
-/// Recent trace events, oldest first (empty when compiled out).
-std::vector<TraceEvent> TraceEvents(const StoreView& v);
-
 /// Writes recorded spans and trace events as Chrome trace-event JSON
 /// (Perfetto; tools/trace2perfetto.py); empty but valid without stats.
 void DumpTrace(const StoreView& v, std::ostream& os);

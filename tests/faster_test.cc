@@ -597,6 +597,274 @@ TEST(PendingReadTest, RestartsWhenCompactionMovesItsKey) {
   store.StopSession();
 }
 
+// ---------------------------------------------------------------------
+// Pending ops whose storage read fails at completion, and every change of
+// what a pending context waits on: nothing, a storage read, or the fuzzy
+// retry list.
+// ---------------------------------------------------------------------
+
+using Ctr = obs::StoreCounter;
+
+/// SmallConfig(2, 0.5), reporting each pending op's status to the
+/// `Status` its user context points at.
+template <class S = Store>
+typename S::Config ReportingConfig() {
+  typename S::Config cfg;
+  cfg.table_size = 2048;
+  cfg.log.memory_size_bytes = 2ull << Address::kOffsetBits;
+  cfg.log.mutable_fraction = 0.5;
+  cfg.completion_callback = [](typename S::UserOp, Status result, void* ctx) {
+    *static_cast<Status*>(ctx) = result;
+  };
+  return cfg;
+}
+
+/// The hash chain `key` lives in: its bucket and the tag bits `cfg` keeps.
+template <class Config>
+auto ChainOf(const Config& cfg, uint64_t key) {
+  KeyHash h = DefaultKeyHasher<uint64_t>{}(key);
+  return std::pair{h.Bucket(cfg.table_size),
+                   h.Tag() & ((1u << cfg.tag_bits) - 1)};
+}
+
+/// Upserts keys [from, from + 400000) that are not in `skip`'s chain, which
+/// pushes what came before them onto storage.
+template <class S>
+void Spill(S& store, uint64_t from, uint64_t skip = ~uint64_t{0}) {
+  for (uint64_t k = from, n = 0; n < 400000; ++k) {
+    if (skip != ~uint64_t{0} &&
+        ChainOf(store.config(), k) == ChainOf(store.config(), skip)) {
+      continue;
+    }
+    ASSERT_EQ(store.Upsert(k, k), Status::kOk);
+    ++n;
+  }
+}
+
+template <class S>
+void ExpectNoPendingLevels(const S& store) {
+  EXPECT_EQ(store.counters().Sum(Ctr::kPendingIos), 0u);
+  EXPECT_EQ(store.counters().Sum(Ctr::kPendingRetries), 0u);
+}
+
+// The second read of a walk (its first chain hop) fails: the read ends with
+// kIoError. Two keys share a chain (one tag bit): a read of the older one
+// reads the newer one's record first.
+TEST(StorageFailureTest, ReadFailingOnItsSecondHopReportsIoError) {
+  ParkingDevice device;
+  device.set_parking(false);
+  Store::Config cfg = ReportingConfig();
+  cfg.tag_bits = 1;
+  Store store{cfg, &device};
+  constexpr uint64_t kA = 1;
+  uint64_t b = kA + 1;
+  while (ChainOf(cfg, b) != ChainOf(cfg, kA)) ++b;
+  store.StartSession();
+  ASSERT_EQ(store.Upsert(kA, 100), Status::kOk);
+  ASSERT_EQ(store.Upsert(b, 200), Status::kOk);
+  Address past_both = store.hlog().tail_address();
+  Spill(store, b + 1, kA);
+  ASSERT_LT(past_both, store.hlog().head_address());
+
+  uint64_t ios = store.counters().Sum(Ctr::kIosIssued);
+  device.FailRead(2);
+  Status completed = Status::kPending;
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(kA, 0, &out, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kIoError);
+  EXPECT_EQ(out, 0u);
+  EXPECT_EQ(store.counters().Sum(Ctr::kIosIssued), ios + 2);
+  ExpectNoPendingLevels(store);
+  store.StopSession();
+}
+
+// An RMW whose storage read fails ends with kIoError and changes nothing.
+TEST(StorageFailureTest, RmwWhoseReadFailsReportsIoErrorAndChangesNothing) {
+  ParkingDevice device;
+  device.set_parking(false);
+  Store store{ReportingConfig(), &device};
+  store.StartSession();
+  ASSERT_EQ(store.Upsert(0, 100), Status::kOk);
+  Spill(store, 1);
+  device.FailRead(1);
+  Status completed = Status::kPending;
+  ASSERT_EQ(store.Rmw(0, 11, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kIoError);
+  ExpectNoPendingLevels(store);
+
+  completed = Status::kPending;
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(0, 0, &out, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kOk);
+  EXPECT_EQ(out, 100u);
+  store.StopSession();
+}
+
+// A mergeable (CRDT) read that fails after merging a delta from storage
+// ends with kIoError and leaves its output alone.
+TEST(StorageFailureTest, MergeableReadFailingMidMergeReportsIoError) {
+  using CrdtStore = FasterKv<MergeableCountFunctions>;
+  ParkingDevice device;
+  device.set_parking(false);
+  CrdtStore store{ReportingConfig<CrdtStore>(), &device};
+  store.StartSession();
+  // Three delta records of key 7: each RMW after the first finds the one
+  // before it read-only and appends a delta.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(store.Rmw(7, 1), Status::kOk);
+    store.hlog().ShiftReadOnlyToTail(/*wait=*/true);
+  }
+  Address past_deltas = store.hlog().tail_address();
+  Spill(store, 1000);
+  ASSERT_LT(past_deltas, store.hlog().head_address());
+
+  uint64_t ios = store.counters().Sum(Ctr::kIosIssued);
+  device.FailRead(2);
+  Status completed = Status::kPending;
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(7, 0, &out, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kIoError);
+  EXPECT_EQ(out, 0u);
+  EXPECT_EQ(store.counters().Sum(Ctr::kIosIssued), ios + 2);
+  ExpectNoPendingLevels(store);
+
+  completed = Status::kPending;
+  ASSERT_EQ(store.Read(7, 0, &out, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kOk);
+  EXPECT_EQ(out, 3u);
+  store.StopSession();
+}
+
+// A pending read whose storage walk falls below the begin address while
+// the index still leads to the chain it walked ends kNotFound: its key's
+// only record was truncated away. The read of the older of two keys that
+// share a chain (one tag bit) reads the newer one's record, whose
+// previous address is below the begin.
+TEST(PendingReadTest, TruncatedChainThatDidNotMoveEndsNotFound) {
+  MemoryDevice device;
+  Store::Config cfg = ReportingConfig();
+  cfg.tag_bits = 1;
+  Store store{cfg, &device};
+  constexpr uint64_t kA = 1;
+  uint64_t b = kA + 1;
+  while (ChainOf(cfg, b) != ChainOf(cfg, kA)) ++b;
+  store.StartSession();
+  ASSERT_EQ(store.Upsert(kA, 100), Status::kOk);
+  Address b_record = store.hlog().tail_address();
+  ASSERT_EQ(store.Upsert(b, 200), Status::kOk);
+  Spill(store, b + 1, kA);
+  ASSERT_LT(b_record, store.hlog().head_address());
+  ASSERT_TRUE(store.ShiftBeginAddress(b_record));
+
+  Status completed = Status::kPending;
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(kA, 0, &out, &completed), Status::kPending);
+  ASSERT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kNotFound);
+  EXPECT_EQ(out, 0u);
+  ExpectNoPendingLevels(store);
+  store.StopSession();
+}
+
+// Fresh -> retry -> retry -> read -> done. An RMW of a record between the
+// safe read-only and read-only offsets waits on the retry list, and stays
+// there until a refresh moves the safe offset. By then its record spilled
+// to storage, so the retry reads it.
+TEST(PendingWaitTest, FuzzyRetryReadsTheRecordThatSpilledMeanwhile) {
+  MemoryDevice device;
+  Store store{ReportingConfig(), &device};
+  store.StartSession();
+  Address record = store.hlog().tail_address();
+  ASSERT_EQ(store.Upsert(0, 100), Status::kOk);
+  // The safe read-only offset follows at this thread's next refresh.
+  store.hlog().ShiftReadOnlyToTail(/*wait=*/false);
+  uint64_t fuzzy = store.GetStats().fuzzy_rmws;
+  Status completed = Status::kPending;
+  ASSERT_EQ(store.Rmw(0, 11, &completed), Status::kPending);
+  EXPECT_EQ(store.GetStats().fuzzy_rmws, fuzzy + 1);
+  EXPECT_FALSE(store.CompletePending(/*wait=*/false));  // no refresh yet
+  if constexpr (obs::kStatsEnabled) {
+    EXPECT_EQ(store.counters().Sum(Ctr::kPendingRetries), 1u);
+  }
+  Spill(store, 1);  // refreshes as it goes
+  ASSERT_LT(record, store.hlog().head_address());
+
+  uint64_t ios = store.counters().Sum(Ctr::kIosIssued);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kOk);
+  EXPECT_EQ(store.counters().Sum(Ctr::kIosIssued), ios + 1);
+  ExpectNoPendingLevels(store);
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(0, 0, &out), Status::kOk);
+  EXPECT_EQ(out, 111u);
+  store.StopSession();
+}
+
+// Fresh -> read -> read -> done. While an RMW's storage read is parked, its
+// key gets a newer record, which spills to storage too: the RMW resumes,
+// finds its chain bottom moved, and reads the new one.
+TEST(PendingWaitTest, RmwChasesAChainBottomThatMovedWhileItRead) {
+  ParkingDevice device;
+  Store store{ReportingConfig(), &device};
+  store.StartSession();
+  ASSERT_EQ(store.Upsert(0, 100), Status::kOk);
+  Spill(store, 1);
+  Status completed = Status::kPending;
+  ASSERT_EQ(store.Rmw(0, 11, &completed), Status::kPending);
+  Address newer = store.hlog().tail_address();
+  ASSERT_EQ(store.Upsert(0, 200), Status::kOk);
+  Spill(store, 1);
+  ASSERT_LT(newer, store.hlog().head_address());
+
+  uint64_t ios = store.counters().Sum(Ctr::kIosIssued);
+  device.set_parking(false);  // the chase reads at submit
+  device.PollAll();  // unless an allocation stall in Spill polled it already
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kOk);
+  EXPECT_EQ(store.counters().Sum(Ctr::kIosIssued), ios + 1);
+  ExpectNoPendingLevels(store);
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(0, 0, &out), Status::kOk);
+  EXPECT_EQ(out, 211u);
+  store.StopSession();
+}
+
+// Fresh -> read -> retry -> done. While an RMW's storage read is parked,
+// its key gets a newer record in memory, which the read-only offset then
+// passes: the RMW resumes into the fuzzy region and waits on the retry
+// list until a refresh moves the safe read-only offset.
+TEST(PendingWaitTest, RmwReadResumesIntoTheFuzzyRegion) {
+  ParkingDevice device;
+  Store store{ReportingConfig(), &device};
+  store.StartSession();
+  ASSERT_EQ(store.Upsert(0, 100), Status::kOk);
+  Spill(store, 1);
+  Status completed = Status::kPending;
+  ASSERT_EQ(store.Rmw(0, 11, &completed), Status::kPending);
+  ASSERT_EQ(store.Upsert(0, 200), Status::kOk);
+  store.hlog().ShiftReadOnlyToTail(/*wait=*/false);
+
+  device.PollAll();
+  EXPECT_FALSE(store.CompletePending(/*wait=*/false));  // now a retry
+  EXPECT_EQ(completed, Status::kPending);
+  EXPECT_EQ(store.counters().Sum(Ctr::kPendingIos), 0u);
+  if constexpr (obs::kStatsEnabled) {
+    EXPECT_EQ(store.counters().Sum(Ctr::kPendingRetries), 1u);
+  }
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kOk);
+  ExpectNoPendingLevels(store);
+  uint64_t out = 0;
+  ASSERT_EQ(store.Read(0, 0, &out), Status::kOk);
+  EXPECT_EQ(out, 211u);
+  store.StopSession();
+}
+
 TEST_F(FasterTest, CompletionCallbackReceivesUserContext) {
   auto cfg = SmallConfig(2, 0.5);
   cfg.completion_callback = &completion_cb::Callback;

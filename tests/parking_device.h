@@ -14,42 +14,65 @@ namespace faster {
 /// A MemoryDevice that parks every read until some thread calls PollAll,
 /// then runs it, callback included, on that thread: the queueing shape of
 /// io_uring on any host, so tests can hand a completion across threads.
-/// Writes complete at submit, as on MemoryDevice. Shared by faster_test and
+/// Writes complete at submit, as on MemoryDevice. A read can be made to
+/// fail at completion instead (FailRead). Shared by faster_test and
 /// stats_test.
 class ParkingDevice : public MemoryDevice {
  public:
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                    IoCallback callback, void* context) override {
+    Parked read{{offset, dst, len, callback, context},
+                fail_in_.load(std::memory_order_relaxed) != 0 &&
+                    fail_in_.fetch_sub(1, std::memory_order_relaxed) == 1};
     if (!parking_.load(std::memory_order_relaxed)) {
-      return MemoryDevice::ReadAsync(offset, dst, len, callback, context);
+      Complete(read);
+      return Status::kOk;
     }
     std::lock_guard<std::mutex> lock{mutex_};
-    parked_.push_back({offset, dst, len, callback, context});
+    parked_.push_back(read);
     return Status::kOk;
   }
   /// Runs every parked read on the calling thread; returns how many.
   uint32_t PollAll() override {
-    std::vector<IoReadRequest> reads;
+    std::vector<Parked> reads;
     {
       std::lock_guard<std::mutex> lock{mutex_};
       reads.swap(parked_);
     }
-    for (const IoReadRequest& r : reads) {
-      MemoryDevice::ReadAsync(r.offset, r.dst, r.len, r.callback, r.context);
-    }
+    for (const Parked& r : reads) Complete(r);
     return static_cast<uint32_t>(reads.size());
   }
   void Drain() override { PollAll(); }
   /// While off, reads complete at submit, as on MemoryDevice (say, a
   /// compaction's synchronous reads); reads parked before stay parked.
   void set_parking(bool on) { parking_.store(on, std::memory_order_relaxed); }
+  /// The `n`-th read submitted from now on (1: the next) completes with
+  /// kIoError and reads nothing: a device that accepted the read, then
+  /// failed it.
+  void FailRead(uint32_t n) { fail_in_.store(n, std::memory_order_relaxed); }
 
  private:
+  struct Parked {
+    IoReadRequest req;
+    bool fail;
+  };
+
+  void Complete(const Parked& r) {
+    if (r.fail) {
+      r.req.callback(r.req.context, Status::kIoError, 0);
+    } else {
+      MemoryDevice::ReadAsync(r.req.offset, r.req.dst, r.req.len,
+                              r.req.callback, r.req.context);
+    }
+  }
+
   std::mutex mutex_;
-  std::vector<IoReadRequest> parked_;
+  std::vector<Parked> parked_;
   // order: relaxed — set by the test thread between phases; the mutex
   // orders the parked reads themselves.
   std::atomic<bool> parking_{true};
+  // order: relaxed — armed by the test thread before the reads it counts.
+  std::atomic<uint32_t> fail_in_{0};
 };
 
 /// A MemoryDevice that parks every write until the test releases it, by

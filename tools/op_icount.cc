@@ -11,9 +11,13 @@
 // one ExecuteBatch of 16 GETs and 16 INCRs (RMWs reporting their values)
 // on distinct keys; then, once the read-only offset has passed every key,
 // the appends: an Upsert, a Delete and a copy-update Rmw of a read-only
-// key, and one ExecuteBatch of 32 such Upserts; and last a Read of a
-// record on a MemoryDevice storage page through its CompletePending (a
-// second store, whose log the fill spilled).
+// key, and one ExecuteBatch of 32 such Upserts; and last, on a second
+// store whose log the fill spilled to a MemoryDevice, a Read and an Rmw of
+// a record on a storage page through their CompletePending, and an Rmw of
+// a record in the fuzzy region (between the safe read-only and read-only
+// offsets: the read-only offset moved to the tail, and the epoch action
+// that moves the safe one waits for this thread's next refresh), which
+// CompletePending retries until its refresh has run that action.
 // Counts repeat exactly for one binary, so two builds' outputs compare op
 // by op. A rep-prefixed string instruction counts once per iteration (the
 // trap flag stops after each one).
@@ -61,7 +65,7 @@ const char* const kOps[] = {
     "insert",        "upsert_inplace", "read",
     "rmw_inplace",   "batch32_get_incr", "upsert_append",
     "delete_append", "rmw_copy",       "batch32_upsert_append",
-    "read_pending"};
+    "read_pending",  "rmw_pending",    "rmw_fuzzy_retry"};
 constexpr size_t kNumOps = sizeof(kOps) / sizeof(kOps[0]);
 
 [[gnu::noinline]] void Marker() { ::raise(SIGSTOP); }
@@ -71,6 +75,17 @@ constexpr size_t kNumOps = sizeof(kOps) / sizeof(kOps[0]);
 template <class Op>
 [[gnu::noinline]] void Region(Op&& op) {
   op();
+  Marker();
+  op();
+  Marker();
+}
+
+/// Region(op), with `setup` run, untraced, before each run of `op`.
+template <class Setup, class Op>
+[[gnu::noinline]] void Region(Setup&& setup, Op&& op) {
+  setup();
+  op();
+  setup();
   Marker();
   op();
   Marker();
@@ -141,6 +156,23 @@ template <class Op>
       cold.CompletePending(/*wait=*/true);
     }
   });
+  uint64_t cold_key = 1;  // still on storage: each run takes its own
+  Region([&] {
+    if (cold.Rmw(cold_key++, 1) == faster::Status::kPending) {
+      cold.CompletePending(/*wait=*/true);
+    }
+  });
+  uint64_t fuzzy_key = 400000;  // a new key each run, then read-only
+  Region(
+      [&] {
+        cold.Upsert(++fuzzy_key, 1);
+        cold.hlog().ShiftReadOnlyToTail(/*wait=*/false);
+      },
+      [&] {
+        if (cold.Rmw(fuzzy_key, 1) == faster::Status::kPending) {
+          cold.CompletePending(/*wait=*/true);
+        }
+      });
   cold.StopSession();
   ::_exit(0);
 }
