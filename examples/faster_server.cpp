@@ -148,8 +148,8 @@ int main(int argc, char** argv) {
   Options o;
   if (!ParseArgs(argc, argv, &o)) return 2;
 
-  // Flags override the FASTER_LOG_* environment defaults read by the
-  // logger's first use.
+  // Flags override the FASTER_LOG_LEVEL and FASTER_LOG_FILE defaults read
+  // by the logger's first use.
   faster::obs::Logger& logger = faster::obs::Logger::Global();
   if (!o.log_level.empty()) {
     faster::obs::LogLevel level;

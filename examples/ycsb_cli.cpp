@@ -11,8 +11,8 @@
 //
 // Prints throughput, log growth, fuzzy-op and storage-read percentages.
 // With --stats (requires a -DFASTER_STATS=ON build to be useful), also dumps
-// the full store metric registry periodically during the run and once at
-// the end; --stats-json switches the final dump to JSON.
+// the full store metric registry as Prometheus text periodically during the
+// run and once at the end; --stats-json switches the final dump to JSON.
 //
 // --export-port P serves live Prometheus text on http://127.0.0.1:P/metrics
 // (plus /vars JSON and /healthz) for the duration of the process.
@@ -291,9 +291,7 @@ int main(int argc, char** argv) {
     exporter = std::make_unique<obs::MetricsExporter>(
         eo, obs::MetricsExporter::Handlers{
                 [&store] { return obs::DumpPrometheus(store.view()); },
-                [&store] {
-                  return obs::DumpStats(store.view(), /*json=*/true);
-                }});
+                [&store] { return obs::DumpStats(store.view()); }});
     if (!exporter->ok()) {
       std::fprintf(stderr, "error: could not bind exporter to port %u\n",
                    static_cast<unsigned>(o.export_port));
@@ -335,7 +333,7 @@ int main(int argc, char** argv) {
         if (now < start + tick * interval) continue;
         double elapsed = std::chrono::duration<double>(now - start).count();
         std::printf("--- stats @ %.1fs ---\n%s", elapsed,
-                    obs::DumpStats(store.view()).c_str());
+                    obs::DumpPrometheus(store.view()).c_str());
         std::fflush(stdout);
         // Schedule every dump against the absolute start time so the time
         // spent formatting a dump never accumulates into drift; when a dump
@@ -420,7 +418,9 @@ int main(int argc, char** argv) {
   if (o.perf) PrintPerfTable();
   if (o.stats) {
     std::printf("--- final stats ---\n%s",
-                obs::DumpStats(store.view(), o.stats_json).c_str());
+                (o.stats_json ? obs::DumpStats(store.view())
+                              : obs::DumpPrometheus(store.view()))
+                    .c_str());
   }
   if (!o.trace_file.empty()) {
     if (!obs::kStatsEnabled) {

@@ -32,7 +32,6 @@
 #include "obs/clock.h"
 #include "obs/stats.h"
 #include "obs/store_view.h"
-#include "obs/trace.h"
 
 namespace faster {
 
@@ -315,78 +314,13 @@ class FasterKv {
   /// the read-only offset to the tail and waits for the flush. Requires an
   /// active session; other threads may keep operating (the checkpoint does
   /// not quiesce the store).
+  /// Records one checkpoint span (arg 0 ok / 1 error), whatever the
+  /// sampling period, with the index write and log flush nested under it.
   Status Checkpoint(const std::string& dir) FASTER_REQUIRES_EPOCH() {
-    assert(epoch_.IsProtected());
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    thread_states_[Thread::Id()].counters.Add(Ctr::kCheckpoints);
-    trace_.Emit(obs::Ev::kCheckpointBegin);
-    Address t1 = hlog_.tail_address();
-    int fd = ::open((dir + "/index.dat").c_str(),
-                    O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-      trace_.Emit(obs::Ev::kCheckpointEnd, 1);
-      return Status::kIoError;
-    }
-    HashIndex::EntryTransform transform;
-    if (rc_log_ != nullptr) {
-      // Appendix D: persisted index entries must point at the primary log,
-      // so cached addresses are swung back to the address they displaced.
-      transform = [this](const std::atomic<uint64_t>& slot) -> uint64_t {
-        // Runs inside WriteCheckpoint on the checkpointing thread, which
-        // holds an active session (lambdas are analyzed in isolation).
-        AssertEpochProtected(epoch_);
-        for (;;) {
-          HashBucketEntry e{slot.load(std::memory_order_acquire)};
-          if (e.tentative()) return 0;
-          Address a = e.address();
-          if (!InReadCache(a)) return e.control();
-          Address rc = StripRc(a);
-          if (rc >= rc_log_->head_address()) {
-            Address prev = RcRecordAt(rc)->info().previous_address();
-            return HashBucketEntry{prev, e.tag(), false}.control();
-          }
-          // Eviction redirect in flight: drive the epoch and re-read.
-          epoch_.Refresh();
-          std::this_thread::yield();
-        }
-      };
-    }
-    Status s;
-    {
-      obs::StatTimer timer{Hist(obs::StoreHistogram::kCheckpointIndexNs)};
-      obs::StageScope stage{obs::Stage::kCkptIndex};
-      s = index_.WriteCheckpoint(fd, transform);
-    }
-    ::close(fd);
-    if (s != Status::kOk) {
-      trace_.Emit(obs::Ev::kCheckpointEnd, 1);
-      return s;
-    }
-    Address t2 = hlog_.tail_address();
-    // Flush the log through t2 (and beyond, to the current tail).
-    {
-      obs::StatTimer timer{Hist(obs::StoreHistogram::kCheckpointFlushNs)};
-      obs::StageScope stage{obs::Stage::kCkptFlush};
-      hlog_.ShiftReadOnlyToTail(/*wait=*/true);
-    }
-    if (hlog_.io_error()) {
-      trace_.Emit(obs::Ev::kCheckpointEnd, 1);
-      return Status::kIoError;
-    }
-    CheckpointMetadata meta{kCheckpointMagic, t1.control(), t2.control(),
-                            hlog_.begin_address().control(),
-                            Layout::kFixedSize};
-    fd = ::open((dir + "/meta.dat").c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                0644);
-    if (fd < 0) {
-      trace_.Emit(obs::Ev::kCheckpointEnd, 1);
-      return Status::kIoError;
-    }
-    bool ok = ::write(fd, &meta, sizeof(meta)) == sizeof(meta);
-    ::close(fd);
-    trace_.Emit(obs::Ev::kCheckpointEnd, ok ? 0 : 1);
-    return ok ? Status::kOk : Status::kIoError;
+    obs::StatSpan span{obs::SpanKind::kCheckpoint, obs::EveryCall{}};
+    Status s = TakeCheckpoint(dir);
+    span.set_arg(s == Status::kOk ? 0 : 1);
+    return s;
   }
 
   /// Recovers a freshly constructed store from a checkpoint in `dir`. The
@@ -451,13 +385,11 @@ class FasterKv {
   /// Doubles the hash index on-line (Appendix B). Requires an active
   /// session; all live sessions must keep issuing operations (or Refresh)
   /// for the grow to complete. Returns kOutOfMemory, with the index
-  /// unchanged, if the doubled table cannot be mapped.
+  /// unchanged, if the doubled table cannot be mapped. Records one grow
+  /// span (arg = the new table's log2 size, 0 on failure) on every call.
   Status GrowIndex() FASTER_REQUIRES_EPOCH() {
     assert(epoch_.IsProtected());
-    if constexpr (obs::kStatsEnabled) {
-      trace_.Emit(obs::Ev::kGrowBegin,
-                  static_cast<uint32_t>(std::bit_width(index_.size()) - 1));
-    }
+    obs::StatSpan span{obs::SpanKind::kGrow, obs::EveryCall{}};
     HashIndex::EntryRebase rebase;
     if (rc_log_ != nullptr) {
       // Grow points both children of a bucket at its chain, but RcEvict
@@ -479,10 +411,7 @@ class FasterKv {
       };
     }
     Status s = index_.Grow(rebase);
-    if constexpr (obs::kStatsEnabled) {
-      trace_.Emit(obs::Ev::kGrowEnd,
-                  static_cast<uint32_t>(std::bit_width(index_.size()) - 1));
-    }
+    span.set_arg(s == Status::kOk ? std::bit_width(index_.size()) - 1 : 0);
     return s;
   }
 
@@ -579,8 +508,8 @@ class FasterKv {
 
   /// What src/obs renders from (obs::DumpStats, obs::DebugLogJson, ...).
   obs::StoreView view() {
-    return {this,    counters(), histograms_,   &epoch_,
-            &index_, &hlog_,     rc_log_.get(), &trace_};
+    return {this,   counters(), histograms_, &epoch_,
+            &index_, &hlog_,    rc_log_.get()};
   }
 
   HybridLog& hlog() { return hlog_; }
@@ -590,6 +519,67 @@ class FasterKv {
 
  private:
   using Ctr = obs::StoreCounter;
+
+  /// Checkpoint's steps (Sec. 6.5).
+  Status TakeCheckpoint(const std::string& dir) FASTER_REQUIRES_EPOCH() {
+    assert(epoch_.IsProtected());
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    thread_states_[Thread::Id()].counters.Add(Ctr::kCheckpoints);
+    Address t1 = hlog_.tail_address();
+    int fd = ::open((dir + "/index.dat").c_str(),
+                    O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) return Status::kIoError;
+    HashIndex::EntryTransform transform;
+    if (rc_log_ != nullptr) {
+      // Appendix D: persisted index entries must point at the primary log,
+      // so cached addresses are swung back to the address they displaced.
+      transform = [this](const std::atomic<uint64_t>& slot) -> uint64_t {
+        // Runs inside WriteCheckpoint on the checkpointing thread, which
+        // holds an active session (lambdas are analyzed in isolation).
+        AssertEpochProtected(epoch_);
+        for (;;) {
+          HashBucketEntry e{slot.load(std::memory_order_acquire)};
+          if (e.tentative()) return 0;
+          Address a = e.address();
+          if (!InReadCache(a)) return e.control();
+          Address rc = StripRc(a);
+          if (rc >= rc_log_->head_address()) {
+            Address prev = RcRecordAt(rc)->info().previous_address();
+            return HashBucketEntry{prev, e.tag(), false}.control();
+          }
+          // Eviction redirect in flight: drive the epoch and re-read.
+          epoch_.Refresh();
+          std::this_thread::yield();
+        }
+      };
+    }
+    Status s;
+    {
+      obs::StatTimer timer{Hist(obs::StoreHistogram::kCheckpointIndexNs)};
+      obs::StageScope stage{obs::Stage::kCkptIndex};
+      s = index_.WriteCheckpoint(fd, transform);
+    }
+    ::close(fd);
+    if (s != Status::kOk) return s;
+    Address t2 = hlog_.tail_address();
+    // Flush the log through t2 (and beyond, to the current tail).
+    {
+      obs::StatTimer timer{Hist(obs::StoreHistogram::kCheckpointFlushNs)};
+      obs::StageScope stage{obs::Stage::kCkptFlush};
+      hlog_.ShiftReadOnlyToTail(/*wait=*/true);
+    }
+    if (hlog_.io_error()) return Status::kIoError;
+    CheckpointMetadata meta{kCheckpointMagic, t1.control(), t2.control(),
+                            hlog_.begin_address().control(),
+                            Layout::kFixedSize};
+    fd = ::open((dir + "/meta.dat").c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                0644);
+    if (fd < 0) return Status::kIoError;
+    bool ok = ::write(fd, &meta, sizeof(meta)) == sizeof(meta);
+    ::close(fd);
+    return ok ? Status::kOk : Status::kIoError;
+  }
 
   obs::StatHistogram& Hist(obs::StoreHistogram h) {
     return histograms_[static_cast<size_t>(h)];
@@ -1927,7 +1917,6 @@ class FasterKv {
   std::vector<ThreadState> thread_states_;
   obs::StatHistogram
       histograms_[static_cast<size_t>(obs::StoreHistogram::kCount)];
-  mutable obs::StatEventRing trace_;
 };
 
 }  // namespace faster

@@ -42,6 +42,7 @@ class InMemKv {
         free_lists_(Thread::kMaxThreads) {}
 
   ~InMemKv() {
+    QuiescentRegion quiet;  // the chain walk loads index entries
     // Free all reachable records and everything on the retire lists.
     for (auto& fl : free_lists_) {
       for (auto& [epoch, rec] : fl.retired) std::free(rec);
@@ -193,7 +194,10 @@ class InMemKv {
   /// Physically unlinks tombstoned records from the head of the chain
   /// (progressive reclamation; mid-chain tombstones surface as their
   /// predecessors are removed). Updates `fr` to the new chain head.
-  /// Returns false if the entry is gone: unlinked here or by a racer.
+  /// Returns false if the entry is gone (unlinked here) or changed under
+  /// a lost CAS: the caller must find it again, because the value the CAS
+  /// reloaded may be another insert's tentative claim, whose record that
+  /// insert frees if it backs off.
   bool TryCollectChainHead(HashIndex::FindResult* fr)
       FASTER_REQUIRES_EPOCH() {
     while (fr->entry.address().IsValid()) {
@@ -202,11 +206,11 @@ class InMemKv {
       Address next = head->info().previous_address();
       bool ok = next.IsValid() ? index_.TryPublish(fr, next)
                                : index_.TryDeleteEntry(fr);
-      if (!ok) break;  // someone else raced; they own the cleanup
+      if (!ok) return false;  // a racer owns the cleanup
       Retire(head);
     }
     // A free slot (FindSlot's, for a new key) has no address either.
-    return fr->head != nullptr || fr->entry.address().IsValid();
+    return fr->head != nullptr;
   }
 
   /// Defer the free until every thread has moved past the current epoch

@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.h"
 
 #include "core/epoch_check.h"
+#include "obs/safe_writer.h"
 
 #include <fcntl.h>
 #include <signal.h>
@@ -8,117 +9,11 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
 
 namespace faster {
 namespace obs {
 
 namespace {
-
-/// Append-only formatter over a caller-supplied buffer, flushed with
-/// write(2). Everything here is async-signal-safe: no allocation, no
-/// stdio, no locale. Output goes to up to two fds (stderr + flight file).
-class SafeWriter {
- public:
-  SafeWriter(char* buf, size_t cap, int fd1, int fd2)
-      : buf_{buf}, cap_{cap}, fd1_{fd1}, fd2_{fd2} {}
-
-  void Str(const char* s) {
-    while (*s != '\0') Ch(*s++);
-  }
-
-  /// Length-bounded append for unterminated ring text (control characters
-  /// replaced; the ring stores raw bytes).
-  void StrN(const char* s, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      char c = s[i];
-      Ch(static_cast<unsigned char>(c) >= 0x20 ? c : '.');
-    }
-  }
-
-  void U64(uint64_t v) {
-    char tmp[20];
-    size_t n = 0;
-    do {
-      tmp[n++] = static_cast<char>('0' + v % 10);
-      v /= 10;
-    } while (v != 0);
-    while (n > 0) Ch(tmp[--n]);
-  }
-
-  void I64(int64_t v) {
-    if (v < 0) {
-      Ch('-');
-      U64(static_cast<uint64_t>(-(v + 1)) + 1);
-    } else {
-      U64(static_cast<uint64_t>(v));
-    }
-  }
-
-  void Hex(uint64_t v) {
-    Str("0x");
-    char tmp[16];
-    size_t n = 0;
-    do {
-      tmp[n++] = "0123456789abcdef"[v & 0xf];
-      v >>= 4;
-    } while (v != 0);
-    while (n > 0) Ch(tmp[--n]);
-  }
-
-  /// Appends each part: strings as-is, integers in decimal, Hex in hex.
-  template <class... Parts>
-  void Put(const Parts&... parts) {
-    (Part(parts), ...);
-  }
-
-  size_t size() const { return len_; }
-
-  struct HexOf {
-    uint64_t v;
-  };
-
-  void Flush() {
-    if (len_ == 0) return;
-    WriteFull(fd1_);
-    WriteFull(fd2_);
-    len_ = 0;
-  }
-
- private:
-  void Part(const char* s) { Str(s); }
-  void Part(HexOf h) { Hex(h.v); }
-  template <class T>
-    requires std::is_integral_v<T>
-  void Part(T v) {
-    if constexpr (std::is_signed_v<T>) {
-      I64(v);
-    } else {
-      U64(v);
-    }
-  }
-
-  void Ch(char c) {
-    if (len_ == cap_) Flush();
-    buf_[len_++] = c;
-  }
-
-  void WriteFull(int fd) {
-    if (fd < 0) return;
-    size_t off = 0;
-    while (off < len_) {
-      ssize_t n = ::write(fd, buf_ + off, len_ - off);
-      if (n <= 0) return;  // nothing useful to do about EIO at crash time
-      off += static_cast<size_t>(n);
-    }
-  }
-
-  char* buf_;
-  size_t cap_;
-  size_t len_ = 0;
-  int fd1_;
-  int fd2_;
-};
 
 void CopyName(char* dst, size_t cap, const char* src) {
   size_t i = 0;
@@ -194,15 +89,6 @@ void FlightRecorder::Install() {
   installed_.store(true, std::memory_order_release);
 }
 
-void FlightRecorder::AttachEventRing(const void* owner, const char* name,
-                                     const EventRing* ring) {
-  std::lock_guard<std::mutex> guard{attach_mutex_};
-  Claim(event_rings_, owner, [&](EventRingSlot& slot) {
-    CopyName(slot.name, sizeof slot.name, name);
-    slot.ring = ring;
-  });
-}
-
 void FlightRecorder::AttachEpoch(const void* owner, const LightEpoch* epoch) {
   std::lock_guard<std::mutex> guard{attach_mutex_};
   Claim(epochs_, owner, [&](EpochSlot& slot) { slot.epoch = epoch; });
@@ -226,14 +112,12 @@ void FlightRecorder::AttachProcessRings() {
   std::lock_guard<std::mutex> guard{attach_mutex_};
   if (process_rings_.load(std::memory_order_acquire)) return;
   spans_ = &GlobalSpanRing();
-  log_ = &Logger::Global().ring();
   slowlog_ = &GlobalSlowLog();
   process_rings_.store(true, std::memory_order_release);
 }
 
 void FlightRecorder::Detach(const void* owner) {
   std::lock_guard<std::mutex> guard{attach_mutex_};
-  Release(event_rings_, owner);
   Release(epochs_, owner);
   Release(metrics_, owner);
 }
@@ -247,9 +131,9 @@ void FlightRecorder::Dump(const char* reason) {
   int file_fd = -1;
   if (have_flight_dir_) {
     // "<dir>/flight_<pid>.txt", NUL-terminated by hand (SafeWriter has no
-    // terminator concept; with no fds it never flushes).
+    // terminator concept; with no fds it truncates).
     static char path[sizeof flight_dir_ + 64];
-    SafeWriter pw{path, sizeof path - 1, -1, -1};
+    SafeWriter pw{path, sizeof path - 1};
     pw.Put(flight_dir_, "/flight_", static_cast<uint64_t>(::getpid()),
            ".txt");
     path[pw.size()] = '\0';
@@ -299,21 +183,6 @@ void FlightRecorder::Dump(const char* reason) {
     w.Str("\n");
   }
 
-  // --- Last events per thread, per attached ring ----------------------
-  for (const EventRingSlot& slot : event_rings_) {
-    if (!slot.used.load(std::memory_order_acquire)) continue;
-    w.Put("-- events[", slot.name, "] (last ", kEventsPerThreadDumped,
-          " per thread) --\n");
-    for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
-      slot.ring->rings()[tid].ForEach(
-          kEventsPerThreadDumped, [&w](uint64_t, const TraceEvent& e) {
-            w.Put("  tid=", e.tid, " ns=", e.ns,
-                  " ev=", EvName(static_cast<Ev>(e.id)), " arg=", e.arg,
-                  "\n");
-          });
-    }
-  }
-
   if (process_rings_.load(std::memory_order_acquire)) {
     // --- Recent spans ----------------------------------------------------
     w.Put("-- spans (last ", kSpansPerThreadDumped, " per thread) --\n");
@@ -326,20 +195,6 @@ void FlightRecorder::Dump(const char* reason) {
                   " dur_ns=", s.end_ns >= s.start_ns ? s.end_ns - s.start_ns
                                                      : 0,
                   " arg=", s.arg, "\n");
-          });
-    }
-
-    // --- Structured-log ring tail --------------------------------------
-    w.Put("-- log (last ", kLogRecordsPerThreadDumped,
-          " records per thread) --\n");
-    for (uint32_t tid = 0; tid < LogRing::NumShards(); ++tid) {
-      log_->shard(tid).ring.ForEach(
-          kLogRecordsPerThreadDumped,
-          [&w](uint64_t, const LogRing::Record& rec) {
-            w.Put("  tid=", rec.tid, " ns=", rec.wall_ns, " ",
-                  LogLevelName(static_cast<LogLevel>(rec.level)), " ");
-            w.StrN(rec.text, rec.len);
-            w.Str("\n");
           });
     }
 

@@ -6,21 +6,19 @@
 #include <mutex>
 
 #include "core/epoch.h"
-#include "obs/log.h"
 #include "obs/slowlog.h"
 #include "obs/span.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 
-/// FlightRecorder: a crash black box. Stores register their event rings,
-/// metric sources and epoch tables up front, and the process-wide span,
-/// log and slow-op rings are attached once (allocation and locking are
-/// allowed then); when the process dies — an epoch-verifier abort, an
-/// assert's SIGABRT, a stray SIGSEGV/SIGBUS — the recorder dumps the
-/// last-N trace events per thread, the recent spans, log records and slow
-/// ops, a metric snapshot, and the per-thread epoch table to stderr and
-/// (when $FASTER_FLIGHT_DIR is set, cached at Install time) to
-/// $FASTER_FLIGHT_DIR/flight_<pid>.txt.
+/// FlightRecorder: a crash black box. Stores register their metric
+/// sources and epoch tables up front, and the process-wide span and
+/// slow-op rings are attached once (allocation and locking are allowed
+/// then); when the process dies — an epoch-verifier abort, an assert's
+/// SIGABRT, a stray SIGSEGV/SIGBUS — the recorder dumps the recent spans
+/// (checkpoints and grows among them) and slow ops, a metric snapshot, and
+/// the per-thread epoch table to stderr and (when $FASTER_FLIGHT_DIR is
+/// set, cached at Install time) to $FASTER_FLIGHT_DIR/flight_<pid>.txt.
+/// Log records are not kept: each is in its sink before Log returns.
 ///
 /// Signal-safety contract (DESIGN.md §10): the dump path performs only
 /// lock-free atomic loads on pre-registered pointers (every ring is read
@@ -30,8 +28,8 @@
 /// data lives in fixed-size slots whose names were copied at attach time,
 /// so the dump never touches std::string.
 ///
-/// The registration surface takes the *real* obs types (EventRing,
-/// Registry) — callers gate attachment with
+/// The registration surface takes the *real* obs types (Registry) —
+/// callers gate attachment with
 /// `if constexpr (obs::kStatsEnabled)`, the same compile-out discipline as
 /// every Stat* site; the epoch table attaches in every build. A dump is
 /// attempted at most once per process (re-entry from the SIGABRT that
@@ -42,17 +40,12 @@ namespace obs {
 
 class FlightRecorder {
  public:
-  static constexpr uint32_t kMaxEventRings = 8;
   static constexpr uint32_t kMaxEpochs = 8;
   static constexpr uint32_t kMaxMetrics = 192;
   static constexpr uint32_t kNameLen = 64;
-  /// Most recent events dumped per thread (of EventRing::kEventsPerThread
-  /// retained) and spans per thread — keeps a 128-thread dump readable.
-  static constexpr uint32_t kEventsPerThreadDumped = 32;
+  /// Most recent spans dumped per thread — keeps a 128-thread dump
+  /// readable — and slow-op entries overall.
   static constexpr uint32_t kSpansPerThreadDumped = 16;
-  /// Tail of the structured-log ring dumped per thread, and of the slow-op
-  /// log overall.
-  static constexpr uint32_t kLogRecordsPerThreadDumped = 8;
   static constexpr uint32_t kSlowlogEntriesDumped = 32;
 
   static FlightRecorder& Instance();
@@ -69,24 +62,20 @@ class FlightRecorder {
   /// keys the slots for Detach; names are copied. Attached pointers must
   /// stay valid until Detach(owner) — a store's obs::FlightAttachment
   /// (store_view.h) detaches in its destructor.
-  void AttachEventRing(const void* owner, const char* name,
-                       const EventRing* ring);
   void AttachEpoch(const void* owner, const LightEpoch* epoch);
   /// Copies every counter/gauge/histogram pointer out of `reg` into fixed
   /// slots (kValue snapshots are taken at attach time and marked stale).
   void AttachMetrics(const void* owner, const Registry& reg);
   void Detach(const void* owner);
 
-  /// Attaches the process-wide rings — GlobalSpanRing(), the global
-  /// logger's ring and GlobalSlowLog() — so the dump shows each once,
-  /// however many stores attach. Idempotent; none of them is ever
-  /// destroyed, so they are never detached. Creates the span ring and the
-  /// logger: stats builds only.
+  /// Attaches the process-wide rings — GlobalSpanRing() and
+  /// GlobalSlowLog() — so the dump shows each once, however many stores
+  /// attach. Idempotent; neither is ever destroyed, so they are never
+  /// detached. Creates the span ring: stats builds only.
   void AttachProcessRings();
 
-  /// Noop-twin overloads: attach sites compile identically in stats-off
-  /// builds, where the Stat* aliases resolve to the noop obs types.
-  void AttachEventRing(const void*, const char*, const NoopEventRing*) {}
+  /// Noop-twin overload: attach sites compile identically in stats-off
+  /// builds, where StatRegistry resolves to the noop type.
   void AttachMetrics(const void*, const NoopRegistry&) {}
 
   /// Writes the dump. Async-signal-safe; at most one dump per process
@@ -108,9 +97,6 @@ class FlightRecorder {
     const void* owner = nullptr;
     char name[kNameLen] = {};
   };
-  struct EventRingSlot : Slot {
-    const EventRing* ring = nullptr;
-  };
   struct EpochSlot : Slot {
     const LightEpoch* epoch = nullptr;
   };
@@ -122,14 +108,12 @@ class FlightRecorder {
   };
 
   std::mutex attach_mutex_;  // attach/detach only; never on the dump path
-  EventRingSlot event_rings_[kMaxEventRings];
   EpochSlot epochs_[kMaxEpochs];
   MetricSlot metrics_[kMaxMetrics];
-  // order: release store in AttachProcessRings publishes the three
+  // order: release store in AttachProcessRings publishes the two
   // pointers below; acquire load on the dump path pairs with it.
   std::atomic<bool> process_rings_{false};
   const SpanRing* spans_ = nullptr;
-  const LogRing* log_ = nullptr;
   const SlowLog* slowlog_ = nullptr;
   // order: release store at the end of Install / acquire load in
   // installed() — publishes the cached flight dir and handler state.

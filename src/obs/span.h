@@ -11,7 +11,6 @@
 #include "obs/seq_ring.h"
 #include "obs/stage.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 
 /// Per-operation lifecycle spans (Dapper-style causal tracing).
 ///
@@ -49,6 +48,8 @@ enum class SpanKind : uint16_t {
   kBatchChunk,         // one ExecuteChunk pass (arg = ops in the chunk)
   kNetRequest,         // one server event-loop turn: socket read -> flush
   kPendingIo,          // first I/O issue -> completion processed
+  kCheckpoint,         // Checkpoint() (arg = 0 ok / 1 error)
+  kGrow,               // GrowIndex() (arg = new log2 size / 0 on failure)
 };
 
 /// An op's entry span kind.
@@ -67,7 +68,8 @@ struct SpanLabel {
 inline const char* SpanName(uint16_t kind) {
   static constexpr const char* kRoots[] = {
       "read",        "upsert",      "rmw",        "delete",
-      "batch_chunk", "net_request", "pending_io"};
+      "batch_chunk", "net_request", "pending_io", "checkpoint",
+      "grow"};
   if (kind < kNumStages) return StageName(static_cast<Stage>(kind));
   uint32_t root = kind - kNumStages;
   return root < std::size(kRoots) ? kRoots[root] : "unknown";
@@ -215,12 +217,17 @@ inline void RecordSpan(TraceContext parent, SpanLabel kind, uint64_t start_ns,
                           start_ns, end_ns, arg, kind, slot);
 }
 
+/// Tag for a root span recorded on every call, whatever the sampling
+/// period: rare store-wide work (a checkpoint, a grow).
+struct EveryCall {};
+
 /// RAII span scope (real type; see the StatSpan alias at the bottom). It
-/// opens one of two ways, and while active the ambient context points at
+/// opens one of three ways, and while active the ambient context points at
 /// it, so nested work parents under it:
 ///  - `Span{SpanKind}` a sampled *root* (a batch chunk, a server turn) when
 ///    no trace is active on this thread, a *child* of the ambient span
 ///    otherwise;
+///  - `Span{SpanKind, EveryCall{}}` a root, always;
 ///  - `Span{Stage}` a child of the ambient span, inert without one: a
 ///    stage never starts a trace itself.
 /// An op's own spans come from its clock (clock.h), which carries the op's
@@ -235,6 +242,10 @@ class Span {
       uint64_t id = NewSpanId();
       Open(TraceContext{id, 0}, id);  // a root's span id == its trace id
     }
+  }
+  Span(SpanKind root, EveryCall) : kind_{root}, arg_{0} {
+    uint64_t id = NewSpanId();
+    Open(TraceContext{id, 0}, id);
   }
   explicit Span(Stage stage, uint32_t arg = 0) : kind_{stage}, arg_{arg} {
     TraceContext cur = CurrentTrace();
@@ -252,6 +263,8 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// The span's result, recorded when it closes.
+  void set_arg(uint32_t arg) { arg_ = arg; }
   bool active() const { return trace_id_ != 0; }
   uint64_t trace_id() const { return trace_id_; }
   uint64_t span_id() const { return span_id_; }
@@ -282,14 +295,12 @@ class Span {
 // Chrome trace-event JSON (Perfetto-loadable).
 // ---------------------------------------------------------------------------
 
-/// Writes spans as "X" (complete) events and ring events as "i" (instant)
-/// events in the Chrome trace-event JSON format, which Perfetto and
-/// chrome://tracing load directly. Timestamps are microseconds with
-/// nanosecond precision; span ids are carried in args so
-/// tools/trace2perfetto.py can re-link parents.
+/// Writes spans as "X" (complete) events in the Chrome trace-event JSON
+/// format, which Perfetto and chrome://tracing load directly. Timestamps
+/// are microseconds with nanosecond precision; span ids are carried in
+/// args so tools/trace2perfetto.py can re-link parents.
 inline void WriteChromeTrace(std::ostream& os,
-                             const std::vector<SpanRecord>& spans,
-                             const std::vector<TraceEvent>& events) {
+                             const std::vector<SpanRecord>& spans) {
   os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
         "\"args\":{\"name\":\"faster\"}}";
@@ -310,12 +321,6 @@ inline void WriteChromeTrace(std::ostream& os,
        << ",\"span_id\":" << s.span_id << ",\"parent_span_id\":" << s.parent_id
        << ",\"arg\":" << s.arg << "}}";
   }
-  for (const TraceEvent& e : events) {
-    os << ",\n{\"name\":\"" << EvName(static_cast<Ev>(e.id))
-       << "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
-       << e.tid << ",\"ts\":" << us(e.ns) << ",\"args\":{\"arg\":" << e.arg
-       << "}}";
-  }
   os << "\n]}\n";
 }
 
@@ -324,6 +329,7 @@ class NoopSpan {
  public:
   template <class... Args>
   explicit NoopSpan(Args&&...) {}
+  void set_arg(uint32_t) {}
 };
 
 #if FASTER_STATS_ENABLED

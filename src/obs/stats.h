@@ -271,9 +271,10 @@ class Histogram {
   std::unique_ptr<Shard[]> shards_;
 };
 
-/// Aggregates named metrics into text or JSON exposition. Non-owning: the
-/// registry holds pointers and reads the live metrics at Dump time, so it
-/// can be built on demand (DumpStats) over long-lived component metrics.
+/// Aggregates named metrics into JSON or Prometheus exposition.
+/// Non-owning: the registry holds pointers and reads the live metrics at
+/// Dump time, so it can be built on demand (DumpStats) over long-lived
+/// component metrics.
 class Registry {
  public:
   enum class Kind : uint8_t { kCounter, kGauge, kHistogram, kValue };
@@ -309,35 +310,6 @@ class Registry {
     for (const Entry& e : entries_) {
       fn(e.name, e.kind, e.slots, e.histogram, e.value);
     }
-  }
-
-  /// One metric per line: `name<spaces>value` for scalars,
-  /// `name count=N p50=X p99=Y p999=Z sum=S buckets=...` for histograms.
-  std::string Text() const {
-    std::string out;
-    for (const Entry& e : Sorted()) {
-      out += e.name;
-      out.append(e.name.size() < 44 ? 44 - e.name.size() : 1, ' ');
-      if (e.kind != Kind::kHistogram) {
-        out += e.Scalar();
-      } else {
-        out += "count=" + std::to_string(e.histogram->Count());
-        out += " p50=" + std::to_string(e.histogram->Percentile(0.50));
-        out += " p99=" + std::to_string(e.histogram->Percentile(0.99));
-        out += " p999=" + std::to_string(e.histogram->Percentile(0.999));
-        // Raw bucket data too, so offline tooling can re-aggregate
-        // across runs instead of trusting derived percentiles.
-        out += " sum=" + std::to_string(e.histogram->ValueSum());
-        std::string buckets;
-        e.ForEachBucket([&buckets](uint64_t upper, uint64_t n) {
-          buckets += (buckets.empty() ? "" : ",") + std::to_string(upper) +
-                     ':' + std::to_string(n);
-        });
-        out += " buckets=" + (buckets.empty() ? "-" : buckets);
-      }
-      out += '\n';
-    }
-    return out;
   }
 
   /// {"counters":{...},"gauges":{...},"histograms":{name:{"count":..,
@@ -535,9 +507,6 @@ class NoopRegistry {
   size_t size() const { return 0; }
   template <class Fn>
   void ForEach(Fn&&) const {}
-  std::string Text() const {
-    return "(stats compiled out; rebuild with -DFASTER_STATS=ON)\n";
-  }
   std::string Json() const { return "{}"; }
   std::string Prometheus() const {
     // A bare comment is still valid Prometheus text exposition.

@@ -66,10 +66,10 @@ void CollectStats(const StoreView& v, StatRegistry& reg) {
   if (v.rc_log != nullptr) v.rc_log->RegisterStats(reg, "rc_log");
 }
 
-std::string DumpStats(const StoreView& v, bool json) {
+std::string DumpStats(const StoreView& v) {
   StatRegistry reg;
   CollectStats(v, reg);
-  return json ? reg.Json() : reg.Text();
+  return reg.Json();
 }
 
 std::string DumpPrometheus(const StoreView& v) {
@@ -78,8 +78,8 @@ std::string DumpPrometheus(const StoreView& v) {
   return reg.Prometheus();
 }
 
-void DumpTrace(const StoreView& v, std::ostream& os) {
-  WriteChromeTrace(os, SnapshotSpans(), v.trace->Snapshot());
+void DumpTrace(const StoreView&, std::ostream& os) {
+  WriteChromeTrace(os, SnapshotSpans());
 }
 
 std::string& JsonClose(std::string* out, const char* close) {
@@ -253,7 +253,6 @@ FlightAttachment AttachFlightRecorder(const StoreView& v) {
   FlightRecorder& rec = FlightRecorder::Instance();
   rec.Install();
   rec.AttachEpoch(v.owner, v.epoch);
-  rec.AttachEventRing(v.owner, "store", v.trace);
   if constexpr (kStatsEnabled) rec.AttachProcessRings();
   StatRegistry reg;
   CollectStats(v, reg);

@@ -12,7 +12,6 @@
 
 #include "core/hybrid_log.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 
 /// The store's counters, and the read-only StoreView that stats,
 /// Prometheus, trace and /debug output render from, so the op engine
@@ -161,7 +160,6 @@ struct StoreView {
   HashIndex* index = nullptr;
   HybridLog* hlog = nullptr;
   HybridLog* rc_log = nullptr;  // null without a read cache
-  const StatEventRing* trace = nullptr;
 };
 
 /// Registers every metric of the store and its components: the counter
@@ -170,16 +168,15 @@ struct StoreView {
 /// device.* and rc_log.*.
 void CollectStats(const StoreView& v, StatRegistry& reg);
 
-/// Human-readable (or JSON) dump of every metric. With stats compiled
-/// out, a one-line notice (an empty JSON object).
-std::string DumpStats(const StoreView& v, bool json = false);
+/// JSON dump of every metric (an empty object with stats compiled out).
+std::string DumpStats(const StoreView& v);
 
 /// Prometheus text exposition 0.0.4 of every metric (a one-line notice
 /// when stats are compiled out). The /metrics handler.
 std::string DumpPrometheus(const StoreView& v);
 
-/// Writes recorded spans and trace events as Chrome trace-event JSON
-/// (Perfetto; tools/trace2perfetto.py); empty but valid without stats.
+/// Writes recorded spans as Chrome trace-event JSON (Perfetto;
+/// tools/trace2perfetto.py); empty but valid without stats.
 void DumpTrace(const StoreView& v, std::ostream& os);
 
 /// /debug/index: bucket-occupancy and hash-chain-length histograms from a
@@ -227,10 +224,10 @@ struct FlightDetach {
 };
 using FlightAttachment = std::unique_ptr<const void, FlightDetach>;
 
-/// Registers the store's epoch table, event ring and metrics (and, once
-/// per process, the global span, log and slow-op rings) with the crash
-/// flight recorder (obs/flight_recorder.h) and arms it. Counters are read
-/// live at dump time; the GetStats() totals are snapshot at attach time.
+/// Registers the store's epoch table and metrics (and, once per process,
+/// the global span and slow-op rings) with the crash flight recorder
+/// (obs/flight_recorder.h) and arms it. Counters are read live at dump
+/// time; the GetStats() totals are snapshot at attach time.
 FlightAttachment AttachFlightRecorder(const StoreView& v);
 
 }  // namespace obs

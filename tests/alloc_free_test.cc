@@ -22,6 +22,7 @@
 #include "core/faster.h"
 #include "core/functions.h"
 #include "device/memory_device.h"
+#include "obs/log.h"
 #include "obs/store_view.h"
 
 namespace {
@@ -231,6 +232,28 @@ TEST(AllocFreeTest, SteadyStateOpMixAllocatesNothing) {
   }
   EXPECT_GT(pending, 0u);
   store.StopSession();
+}
+
+// An enabled record is formatted on the stack and written straight to its
+// sink, so logging allocates nothing either.
+TEST(AllocFreeTest, EnabledLogRecordAllocatesNothing) {
+  obs::Logger logger;
+  logger.set_stderr(false);
+  logger.set_level(obs::LogLevel::kDebug);
+  ASSERT_TRUE(logger.OpenFile("/dev/null"));
+  logger.Write(obs::LogLevel::kInfo, "warm", "up");  // the thread's slot
+  WarmUpBacktrace();
+  allocations.store(0);
+  counting.store(true);
+  for (uint64_t i = 0; i < 100; ++i) {
+    logger.Write(obs::LogLevel::kInfo, "hlog", "pages evicted",
+                 obs::LogField{"from_page", i},
+                 obs::LogField{"to_page", i + 1}, obs::LogField{"errno", -1},
+                 obs::LogField{"path", "/dev/null"});
+  }
+  counting.store(false);
+  EXPECT_EQ(allocations.load(), 0u);
+  if (allocations.load() != 0) PrintFirstAllocation();
 }
 
 }  // namespace

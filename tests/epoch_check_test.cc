@@ -225,12 +225,11 @@ TEST_F(EpochCheckTest, BelowHeadLogGetAborts) {
     ASSERT_EQ(store.Upsert(k, k), Status::kOk);
   }
   ASSERT_GT(store.hlog().head_address().control(), 64u);
-  // With the store's rings attached, the dump must carry the store's
-  // EventRing section (`events[store]`; the fill emits no event, so it is
-  // empty) — when stats are compiled in; the markers alone otherwise.
+  // With the store attached, the dump must carry the process-wide spans
+  // section — when stats are compiled in; the markers alone otherwise.
   obs::FlightAttachment flight = obs::AttachFlightRecorder(store.view());
   std::string dump_re = ".*FASTER FLIGHT RECORDER BEGIN";
-  if (obs::kStatsEnabled) dump_re += ".*-- events\\[store\\]";
+  if (obs::kStatsEnabled) dump_re += ".*-- spans";
   dump_re += ".*FASTER FLIGHT RECORDER END";
   EXPECT_DEATH(
       store.hlog().Get(Address{64}),

@@ -24,9 +24,9 @@
 #include "device/memory_device.h"
 #include "mini_json.h"
 #include "obs/flight_recorder.h"
+#include "obs/span.h"
 #include "obs/stats.h"
 #include "obs/store_view.h"
-#include "obs/trace.h"
 
 namespace faster {
 namespace {
@@ -352,14 +352,14 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
       [] {
         static obs::Counter counter;
         counter.Add(42);
-        static obs::EventRing ring;
-        ring.Emit(obs::Ev::kGrowBegin, 4096);
+        obs::GlobalSpanRing().Record(7, 7, 0, 100, 250, 12,
+                                     obs::SpanKind::kGrow);
         static obs::Registry reg;
         reg.Add("crash.counter", &counter);
         static LightEpoch epoch;
         epoch.Protect();
         auto& rec = obs::FlightRecorder::Instance();
-        rec.AttachEventRing(&reg, "crash", &ring);
+        rec.AttachProcessRings();
         rec.AttachMetrics(&reg, reg);
         rec.AttachEpoch(&reg, &epoch);
         rec.Install();
@@ -367,8 +367,8 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
       },
       // Metric names are dumped verbatim (no Prometheus sanitization).
       "FASTER FLIGHT RECORDER BEGIN.*reason: SIGABRT.*-- metrics --"
-      ".*crash\\.counter 42.*-- events\\[crash\\].*grow_begin"
-      ".*FASTER FLIGHT RECORDER END",
+      ".*crash\\.counter 42.*-- spans.*kind=grow start_ns=100 dur_ns=150 "
+      "arg=12.*FASTER FLIGHT RECORDER END",
       &text));
   EXPECT_NE(text.find("FASTER FLIGHT RECORDER BEGIN"), std::string::npos);
   EXPECT_NE(text.find("reason: SIGABRT"), std::string::npos);
@@ -379,9 +379,9 @@ TEST(FlightRecorderTest, DumpWritesMarkersEpochsEventsAndMetrics) {
   EXPECT_NE(text.find("FASTER FLIGHT RECORDER END"), std::string::npos);
 }
 
-// Each store attaches its own epoch table, event ring and metrics, but the
-// process-wide span, log and slow-op rings are attached once: a process
-// with two stores dumps one section of each.
+// Each store attaches its own epoch table and metrics, but the
+// process-wide span and slow-op rings are attached once: a process with
+// two stores dumps one section of each, and a store's grow is a span in it.
 TEST(FlightRecorderTest, TwoStoresDumpProcessRingsOnce) {
   if constexpr (!obs::kStatsEnabled) {
     GTEST_SKIP() << "the process-wide rings attach in stats builds only";
@@ -400,15 +400,16 @@ TEST(FlightRecorderTest, TwoStoresDumpProcessRingsOnce) {
             obs::AttachFlightRecorder(first.view());
         static obs::FlightAttachment second_flight =
             obs::AttachFlightRecorder(second.view());
+        first.StartSession();
+        first.GrowIndex();  // 1024 -> 2048 buckets
+        first.StopSession();
         std::abort();
       },
-      "FASTER FLIGHT RECORDER BEGIN.*-- spans.*-- log.*-- slowlog"
-      ".*FASTER FLIGHT RECORDER END",
+      "FASTER FLIGHT RECORDER BEGIN.*-- spans.*kind=grow .*arg=11"
+      ".*-- slowlog.*FASTER FLIGHT RECORDER END",
       &text));
   EXPECT_EQ(Occurrences(text, "-- epoch["), 2u) << text;
-  EXPECT_EQ(Occurrences(text, "-- events[store]"), 2u) << text;
   EXPECT_EQ(Occurrences(text, "-- spans"), 1u) << text;
-  EXPECT_EQ(Occurrences(text, "-- log"), 1u) << text;
   EXPECT_EQ(Occurrences(text, "-- slowlog"), 1u) << text;
 }
 

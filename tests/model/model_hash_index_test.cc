@@ -35,8 +35,10 @@
 
 #include "core/address.h"
 #include "core/epoch.h"
+#include "core/functions.h"
 #include "core/hash_index.h"
 #include "core/key_hash.h"
+#include "memstore/inmem_kv.h"
 #include "model/atomic.h"
 #include "model/runtime.h"
 #include "model_test_util.h"
@@ -298,6 +300,52 @@ TEST(ModelHashIndex, TagZeroCreateIsExactlyOnce) {
       model::Check(opts, [] { RaceInserts(TagHash(0)); });
   EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace;
   EXPECT_TRUE(res.complete) << res.Summary();
+}
+
+/// Every key hashes to bucket 0 with tag 1, so InMemKv keeps all keys in
+/// one chain behind one entry.
+struct OneTagHasher {
+  KeyHash operator()(uint64_t) const { return TestHash(); }
+};
+
+// InMemKv's writes against a delete that empties the key's slot and an
+// insert that claims it again. A write whose unlink CAS lost must not
+// follow the entry that CAS reloaded: a tentative entry is another
+// insert's claim, whose record it may yet free, and a write that chained
+// onto it and won a CAS over it was overwritten by the claim's finalize.
+// Keys 2 and 3 are written once and never deleted, so both must be found.
+// Budget: three whole ops at two preemptions do not finish at CI scale;
+// the lost write showed by execution 2,293 before the fix, so the cap
+// leaves it ninefold room.
+TEST(ModelHashIndex, InMemKvWriteNeverFollowsTentativeEntry) {
+  model::Options opts = IndexOpts("inmem_kv_tentative");
+  opts.max_executions = 20000;
+  model::Result res = model::Check(opts, [] {
+    faster::InMemKv<faster::CountStoreFunctions, OneTagHasher> kv{4};
+    kv.StartSession();
+    kv.Upsert(1, 1);
+    kv.StopSession();
+    auto run = [&](auto op) {
+      model::Spawn([&, op] {
+        kv.StartSession();
+        op();
+        kv.StopSession();
+      });
+    };
+    run([&] { kv.Upsert(2, 2); });
+    run([&] { kv.Delete(1); });
+    run([&] { kv.Upsert(3, 3); });
+    model::JoinAll();
+    kv.StartSession();
+    uint64_t out = 0;
+    for (uint64_t key : {2, 3}) {
+      MODEL_ASSERT(kv.Read(key, 0, &out) == faster::Status::kOk,
+                   "key " + std::to_string(key) + " lost its write");
+    }
+    kv.StopSession();
+  });
+  EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace
+                              << res.Summary();
 }
 
 // Two inserts into a full bucket race to extend its chain: both race to

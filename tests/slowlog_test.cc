@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -527,89 +529,130 @@ TEST(SlowLogTest, JsonShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Log ring / logger unit coverage
+// Logger unit coverage: a private logger writing to a temp file only
 // ---------------------------------------------------------------------------
 
-TEST(LogRingTest, CommitPublishesAndRawReadsSee) {
-  obs::Logger logger;
-  logger.set_stderr(false);
-  logger.set_level(obs::LogLevel::kDebug);
-  logger.Write(obs::LogLevel::kInfo, "test", "hello",
-               obs::LogField{"k", uint64_t{42}});
-  uint32_t tid = Thread::Id();
-  const obs::LogRing& ring = logger.ring();
-  ASSERT_GE(ring.shard(tid).ring.End(), 1u);
-  obs::LogRing::Record rec;
-  ASSERT_TRUE(
-      ring.shard(tid).ring.Read(ring.shard(tid).ring.End() - 1, &rec));
-  std::string text{rec.text, rec.len};
-  EXPECT_NE(text.find("test: hello"), std::string::npos);
-  EXPECT_NE(text.find("k=42"), std::string::npos);
-  EXPECT_EQ(rec.tid, tid);
-  EXPECT_EQ(rec.level, static_cast<uint8_t>(obs::LogLevel::kInfo));
-}
-
-TEST(LogRingTest, LevelGateFiltersBelow) {
-  obs::Logger logger;
-  logger.set_stderr(false);
-  logger.set_level(obs::LogLevel::kWarn);
-  uint32_t tid = Thread::Id();
-  uint64_t before = logger.ring().shard(tid).ring.End();
-  logger.Write(obs::LogLevel::kDebug, "test", "dropped");
-  logger.Write(obs::LogLevel::kInfo, "test", "dropped");
-  EXPECT_EQ(logger.ring().shard(tid).ring.End(), before);
-  logger.Write(obs::LogLevel::kError, "test", "kept");
-  EXPECT_EQ(logger.ring().shard(tid).ring.End(), before + 1);
-}
-
-TEST(LogRingTest, OverflowDropsAndAccountsForEveryWrite) {
-  obs::Logger logger;
-  logger.set_stderr(false);
-  logger.set_level(obs::LogLevel::kDebug);
-  // Far more writes than one ring can hold. The concurrent drainer may
-  // free slots mid-loop, so assert the conservation law rather than an
-  // exact split: every enabled write is either committed or counted as
-  // dropped, and at least one full ring must have committed.
-  constexpr uint64_t kWrites = 8 * obs::LogRing::kEntriesPerThread;
-  for (uint64_t i = 0; i < kWrites; ++i) {
-    logger.Write(obs::LogLevel::kInfo, "test", "spam",
-                 obs::LogField{"i", i});
-  }
-  uint64_t committed = logger.ring().shard(Thread::Id()).ring.End();
-  EXPECT_EQ(committed + logger.Dropped(), kWrites);
-  EXPECT_GE(committed, uint64_t{obs::LogRing::kEntriesPerThread});
-  // Flush drains everything committed to the sinks.
-  logger.Flush();
-  EXPECT_EQ(logger.Emitted(), committed);
-  logger.Write(obs::LogLevel::kInfo, "test", "after-drain");
-  logger.Flush();
-  EXPECT_EQ(logger.Emitted(), committed + 1);
-}
-
-TEST(LogRingTest, FileSinkReceivesStructuredLines) {
-  std::string path = ::testing::TempDir() + "/slowlog_test_log.txt";
-  std::remove(path.c_str());
-  {
-    obs::Logger logger;
+/// A logger whose one sink is a fresh temp file; Lines() reads it back.
+class FileLogger {
+ public:
+  explicit FileLogger(const char* name)
+      : path_{::testing::TempDir() + "/" + name} {
+    std::remove(path_.c_str());
     logger.set_stderr(false);
     logger.set_level(obs::LogLevel::kDebug);
-    ASSERT_TRUE(logger.OpenFile(path));
-    logger.Write(obs::LogLevel::kWarn, "unit", "file sink works",
-                 obs::LogField{"answer", uint64_t{42}},
-                 obs::LogField{"name", "faster"});
-    logger.Flush();
+    EXPECT_TRUE(logger.OpenFile(path_));
   }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[4096];
-  size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  std::string content{buf, n};
-  EXPECT_NE(content.find("unit: file sink works"), std::string::npos);
-  EXPECT_NE(content.find("answer=42"), std::string::npos);
-  EXPECT_NE(content.find("name=faster"), std::string::npos);
-  EXPECT_NE(content.find("warn"), std::string::npos);
+  ~FileLogger() { std::remove(path_.c_str()); }
+
+  std::vector<std::string> Lines() const {
+    std::ifstream in{path_};
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  }
+
+  obs::Logger logger;
+
+ private:
+  std::string path_;
+};
+
+/// `line` starts with a `2024-01-31T09:05:07.123Z ` stamp; returns the
+/// rest ("" if not).
+std::string AfterUtcStamp(const std::string& line) {
+  static constexpr char kShape[] = "dddd-dd-ddTdd:dd:dd.dddZ ";
+  constexpr size_t kLen = sizeof kShape - 1;
+  if (line.size() < kLen) return "";
+  for (size_t i = 0; i < kLen; ++i) {
+    bool digit = line[i] >= '0' && line[i] <= '9';
+    if (kShape[i] == 'd' ? !digit : line[i] != kShape[i]) return "";
+  }
+  return line.substr(kLen);
+}
+
+TEST(LoggerTest, LevelGateFiltersBelow) {
+  FileLogger f{"logger_gate.txt"};
+  f.logger.set_level(obs::LogLevel::kWarn);
+  EXPECT_FALSE(f.logger.Enabled(obs::LogLevel::kInfo));
+  f.logger.Write(obs::LogLevel::kDebug, "test", "dropped");
+  f.logger.Write(obs::LogLevel::kInfo, "test", "dropped");
+  f.logger.Write(obs::LogLevel::kError, "test", "kept");
+  std::vector<std::string> lines = f.Lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("test: kept"), std::string::npos) << lines[0];
+}
+
+// `<UTC ts> <level> [t<tid>] component: message k=v ...`, in the file
+// before Write returns.
+TEST(LoggerTest, FileSinkLineShape) {
+  FileLogger f{"logger_shape.txt"};
+  f.logger.Write(obs::LogLevel::kWarn, "unit", "file sink works",
+                 obs::LogField{"answer", uint64_t{42}},
+                 obs::LogField{"delta", -7}, obs::LogField{"name", "faster"});
+  std::vector<std::string> lines = f.Lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(AfterUtcStamp(lines[0]),
+            "warn  [t" + std::to_string(Thread::Id()) +
+                "] unit: file sink works answer=42 delta=-7 name=faster")
+      << lines[0];
+}
+
+// Each record is one write(2), so concurrent records never interleave.
+TEST(LoggerTest, ConcurrentRecordsStayWholeLines) {
+  FileLogger f{"logger_threads.txt"};
+  constexpr int kThreads = 4;
+  constexpr uint64_t kRecords = 1000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&f, t] {
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        f.logger.Write(obs::LogLevel::kInfo, "load", "record",
+                       obs::LogField{"writer", t}, obs::LogField{"i", i});
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::vector<std::string> lines = f.Lines();
+  ASSERT_EQ(lines.size(), kThreads * kRecords);
+  std::map<int, uint64_t> next;  // each writer's records stay in order
+  for (const std::string& line : lines) {
+    std::string rest = AfterUtcStamp(line);
+    unsigned tid = 0;
+    int writer = -1;
+    unsigned long long i = 0;
+    int end = 0;
+    ASSERT_EQ(std::sscanf(rest.c_str(), "info  [t%u] load: record writer=%d "
+                                        "i=%llu%n",
+                          &tid, &writer, &i, &end),
+              3)
+        << line;
+    ASSERT_EQ(static_cast<size_t>(end), rest.size()) << line;
+    ASSERT_TRUE(writer >= 0 && writer < kThreads) << line;
+    EXPECT_EQ(i, next[writer]++) << line;
+  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(next[t], kRecords);
+}
+
+// A limited site writes one record per window; the next one carries the
+// count of calls swallowed in between.
+TEST(LoggerTest, RateLimitCarriesSuppressedCount) {
+  FileLogger f{"logger_limit.txt"};
+  obs::LogRateLimit limit{500'000'000};  // one record per 500 ms
+  auto stall = [&](int call) {
+    f.logger.WriteLimited(limit, obs::LogLevel::kWarn, "hlog", "stall",
+                          obs::LogField{"call", call});
+  };
+  for (int call = 0; call < 4; ++call) stall(call);
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  stall(4);
+  std::vector<std::string> lines = f.Lines();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("hlog: stall call=0 suppressed=0"),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("hlog: stall call=4 suppressed=3"),
+            std::string::npos)
+      << lines[1];
 }
 
 TEST(LogRateLimitTest, AllowsOncePerWindowAndCountsSuppressed) {

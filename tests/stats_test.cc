@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -19,7 +20,6 @@
 #include "obs/clock.h"
 #include "obs/span.h"
 #include "obs/store_view.h"
-#include "obs/trace.h"
 #include "parking_device.h"
 
 namespace faster {
@@ -190,36 +190,6 @@ TEST(StatsHistogramTest, AggregatesAcrossThreads) {
 // Registry exposition
 // ---------------------------------------------------------------------------
 
-TEST(StatsRegistryTest, TextFormat) {
-  Counter c;
-  c.Add(3);
-  Gauge g;
-  g.Add(-2);
-  Histogram h;
-  h.Record(10);
-  Registry reg;
-  reg.Add("z.counter", &c);
-  reg.Add("a.gauge", &g);
-  reg.Add("m.hist", &h);
-  reg.AddValue("k.value", 99);
-  EXPECT_EQ(reg.size(), 4u);
-  std::string text = reg.Text();
-  // Alphabetically sorted, one line each.
-  size_t a = text.find("a.gauge");
-  size_t k = text.find("k.value");
-  size_t m = text.find("m.hist");
-  size_t z = text.find("z.counter");
-  ASSERT_NE(a, std::string::npos);
-  ASSERT_NE(k, std::string::npos);
-  ASSERT_NE(m, std::string::npos);
-  ASSERT_NE(z, std::string::npos);
-  EXPECT_LT(a, k);
-  EXPECT_LT(k, m);
-  EXPECT_LT(m, z);
-  EXPECT_NE(text.find("-2"), std::string::npos);
-  EXPECT_NE(text.find("count=1 p50=15 p99=15 p999=15"), std::string::npos);
-}
-
 TEST(StatsRegistryTest, JsonRoundTrip) {
   Counter c;
   c.Add(17);
@@ -251,7 +221,7 @@ TEST(StatsRegistryTest, EmptyRegistryJsonIsValid) {
 }
 
 // ---------------------------------------------------------------------------
-// ScopedTimer, noop twins, event ring
+// ScopedTimer, noop twins
 // ---------------------------------------------------------------------------
 
 TEST(StatsTimerTest, ScopedTimerRecordsOnce) {
@@ -278,7 +248,6 @@ TEST(StatsNoopTest, NoopTypesAreInert) {
   reg.Add("x", &c);
   reg.AddValue("y", 1);
   EXPECT_EQ(reg.size(), 0u);
-  EXPECT_NE(reg.Text().find("compiled out"), std::string::npos);
   EXPECT_EQ(reg.Json(), "{}");
   // The clock a PendingContext embeds and the stamp every IoOp embeds
   // cost no bytes without stats.
@@ -286,34 +255,6 @@ TEST(StatsNoopTest, NoopTypesAreInert) {
     EXPECT_TRUE(std::is_empty_v<obs::StatOpClock>);
     EXPECT_TRUE(std::is_empty_v<obs::StatIoStamp>);
   }
-}
-
-TEST(StatsTraceTest, EventRingRecordsAndSorts) {
-  obs::EventRing ring;
-  ring.Emit(obs::Ev::kCheckpointBegin, 0);
-  ring.Emit(obs::Ev::kGrowBegin, 4096);
-  ring.Emit(obs::Ev::kCheckpointEnd, 0);
-  auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].ns, events[i - 1].ns);
-  }
-  EXPECT_EQ(events[0].id, static_cast<uint16_t>(obs::Ev::kCheckpointBegin));
-  EXPECT_EQ(events[1].arg, 4096u);
-}
-
-TEST(StatsTraceTest, EventRingWrapsKeepingNewest) {
-  obs::EventRing ring;
-  constexpr uint32_t kTotal = obs::EventRing::kEventsPerThread + 100;
-  for (uint32_t i = 0; i < kTotal; ++i) {
-    ring.Emit(obs::Ev::kGrowEnd, i);
-  }
-  auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), size_t{obs::EventRing::kEventsPerThread});
-  // The oldest 100 events were overwritten.
-  uint32_t min_arg = UINT32_MAX;
-  for (const auto& e : events) min_arg = std::min(min_arg, e.arg);
-  EXPECT_EQ(min_arg, 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -574,11 +515,8 @@ TEST(SpanTraceJsonTest, ChromeTraceIsValidJson) {
   s.kind = K(obs::SpanKind::kRead);
   s.tid = 3;
   spans.push_back(s);
-  std::vector<obs::TraceEvent> events;
-  events.push_back(obs::TraceEvent{
-      2000, 4096, static_cast<uint16_t>(obs::Ev::kGrowBegin), 1});
   std::ostringstream os;
-  obs::WriteChromeTrace(os, spans, events);
+  obs::WriteChromeTrace(os, spans);
   std::string json = os.str();
   EXPECT_TRUE(MiniJson::Valid(json)) << json;
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << json;
@@ -587,12 +525,11 @@ TEST(SpanTraceJsonTest, ChromeTraceIsValidJson) {
   EXPECT_NE(json.find("\"dur\":2.250"), std::string::npos) << json;
   EXPECT_NE(json.find("\"trace_id\":42"), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\":\"read\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos) << json;
 }
 
 TEST(SpanTraceJsonTest, EmptyTraceIsValidJson) {
   std::ostringstream os;
-  obs::WriteChromeTrace(os, {}, {});
+  obs::WriteChromeTrace(os, {});
   EXPECT_TRUE(MiniJson::Valid(os.str())) << os.str();
 }
 
@@ -615,18 +552,15 @@ TEST(StatsStoreTest, DumpStatsAfterOps) {
   store.CompletePending(true);
   store.StopSession();
 
-  std::string text = obs::DumpStats(store.view());
-  std::string json = obs::DumpStats(store.view(), /*json=*/true);
+  std::string json = obs::DumpStats(store.view());
   if constexpr (obs::kStatsEnabled) {
-    EXPECT_NE(text.find("store.reads"), std::string::npos) << text;
-    EXPECT_NE(text.find("index.probe_len"), std::string::npos) << text;
-    EXPECT_NE(text.find("store.read_mutable"), std::string::npos);
+    EXPECT_NE(json.find("\"index.probe_len\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"store.read_mutable\""), std::string::npos);
     // Counts must reflect the ops we ran.
-    EXPECT_NE(text.find("store.upsert_append"), std::string::npos);
+    EXPECT_NE(json.find("\"store.upsert_append\""), std::string::npos);
     EXPECT_TRUE(MiniJson::Valid(json)) << json;
     EXPECT_NE(json.find("\"store.reads\":1000"), std::string::npos) << json;
   } else {
-    EXPECT_NE(text.find("compiled out"), std::string::npos);
     EXPECT_EQ(json, "{}");
   }
 }
@@ -1029,6 +963,55 @@ TEST(SpanStoreTest, BatchStagesParentUnderChunkSpan) {
   EXPECT_EQ(hash_stages, 1u);
   EXPECT_EQ(resolve_stages, 1u);
   EXPECT_EQ(execute_stages, 1u);
+}
+
+// Every Checkpoint() and GrowIndex() records one root span, whatever the
+// sampling period: the checkpoint (arg 0: ok) with its index write and log
+// flush nested under it, the grow with the new table's log2 size.
+TEST(SpanStoreTest, CheckpointAndGrowAreRootSpansAtAnySampling) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "span instrumentation compiled out";
+  const std::string dir = ::testing::TempDir() + "faster_span_ckpt";
+  for (uint32_t every : {0u, 1000u}) {
+    SpanSampleGuard guard{every};
+    MemoryDevice device;
+    using Store = FasterKv<CountStoreFunctions>;
+    Store::Config cfg;
+    cfg.table_size = 2048;
+    cfg.log.memory_size_bytes = 16 << 20;
+    Store store{cfg, &device};
+    store.StartSession();
+    for (uint64_t k = 0; k < 100; ++k) {
+      ASSERT_EQ(store.Upsert(k, k), Status::kOk);
+    }
+    const uint64_t since = obs::NowNs();
+    ASSERT_EQ(store.Checkpoint(dir), Status::kOk);
+    ASSERT_EQ(store.GrowIndex(), Status::kOk);
+    store.StopSession();
+
+    std::vector<obs::SpanRecord> ckpts, grows;
+    for (const obs::SpanRecord& s : obs::SnapshotSpans()) {
+      if (s.start_ns < since || s.span_id != s.trace_id) continue;
+      if (s.kind == K(obs::SpanKind::kCheckpoint)) ckpts.push_back(s);
+      if (s.kind == K(obs::SpanKind::kGrow)) grows.push_back(s);
+    }
+    ASSERT_EQ(ckpts.size(), 1u) << "sampling 1 in " << every;
+    ASSERT_EQ(grows.size(), 1u) << "sampling 1 in " << every;
+    EXPECT_EQ(ckpts[0].arg, 0u);
+    EXPECT_EQ(grows[0].arg, 12u);  // 2048 -> 4096 buckets
+    uint32_t index_writes = 0, flushes = 0;
+    for (const obs::SpanRecord& s : SpansOfTrace(ckpts[0].trace_id)) {
+      if (s.parent_id != ckpts[0].span_id) continue;
+      index_writes += s.kind == K(obs::Stage::kCkptIndex);
+      flushes += s.kind == K(obs::Stage::kCkptFlush);
+    }
+    EXPECT_EQ(index_writes, 1u);
+    EXPECT_EQ(flushes, 1u);
+    std::ostringstream os;
+    obs::DumpTrace(store.view(), os);
+    EXPECT_TRUE(MiniJson::Valid(os.str()));
+    EXPECT_NE(os.str().find("\"name\":\"checkpoint\""), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

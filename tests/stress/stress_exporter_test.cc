@@ -108,7 +108,7 @@ TEST(StressExporterTest, ScrapesAndTraceDumpsRaceStoreOperations) {
   const obs::StoreView view = store.view();
   obs::MetricsExporter::Handlers handlers{
       [view] { return obs::DumpPrometheus(view); },
-      [view] { return obs::DumpStats(view, /*json=*/true); }};
+      [view] { return obs::DumpStats(view); }};
   handlers
       .AddRoute("/debug/slowlog",
                 [] { return obs::GlobalSlowLog().Json(); })
