@@ -37,7 +37,6 @@
 #include "obs/exporter.h"
 #include "obs/log.h"
 #include "obs/perf.h"
-#include "obs/profiler.h"
 #include "obs/slowlog.h"
 #include "obs/stats.h"
 #include "obs/store_view.h"
@@ -47,8 +46,6 @@ namespace {
 struct Options {
   faster::net::ServerOptions server;
   uint16_t export_port = 0;
-  uint16_t profile_port = 0;  // 0: no dedicated profiling endpoint
-  bool profile_port_set = false;
   bool perf = false;  // arm per-stage hardware counters at startup
   bool print_port = false;  // machine-readable "PORT <n>" line on stdout
   std::string log_level;    // empty: keep env/default
@@ -62,13 +59,11 @@ void Usage(const char* argv0) {
                "          [--log-level debug|info|warn|error|off]\n"
                "          [--log-file PATH] [--slowlog-threshold-us N]\n"
                "          [--memory-budget-mb N]\n"
-               "          [--perf] [--profile-port P]\n"
+               "          [--perf]\n"
                "  --port 0 binds an ephemeral port (printed with "
                "--print-port)\n"
                "  --perf arms per-stage hardware counters (also: PERF "
-               "ENABLE over RESP)\n"
-               "  --profile-port serves /debug/profile?seconds=N "
-               "(collapsed stacks)\n",
+               "ENABLE over RESP)\n",
                argv0);
 }
 
@@ -94,9 +89,6 @@ bool ParseArgs(int argc, char** argv, Options* o) {
       o->server.max_pipeline = static_cast<size_t>(v);
     } else if (a == "--export-port" && next(0, 65535, &v)) {
       o->export_port = static_cast<uint16_t>(v);
-    } else if (a == "--profile-port" && next(0, 65535, &v)) {
-      o->profile_port = static_cast<uint16_t>(v);
-      o->profile_port_set = true;
     } else if (a == "--perf") {
       o->perf = true;
     } else if (a == "--print-port") {
@@ -115,31 +107,6 @@ bool ParseArgs(int argc, char** argv, Options* o) {
     }
   }
   return true;
-}
-
-/// /debug/profile?seconds=N&hz=M — blocks the (single-connection)
-/// exporter thread while sampling, then returns collapsed stacks.
-std::string ProfileHandler(const std::string& query) {
-  double seconds = 2.0;
-  uint32_t hz = faster::obs::Profiler::kDefaultHz;
-  size_t pos = 0;
-  while (pos <= query.size() && !query.empty()) {
-    size_t amp = query.find('&', pos);
-    size_t end = amp == std::string::npos ? query.size() : amp;
-    size_t eq = query.find('=', pos);
-    if (eq != std::string::npos && eq < end) {
-      std::string k = query.substr(pos, eq - pos);
-      std::string v = query.substr(eq + 1, end - eq - 1);
-      if (k == "seconds") seconds = std::atof(v.c_str());
-      if (k == "hz") {
-        long h = std::atol(v.c_str());
-        if (h >= 1 && h <= 10000) hz = static_cast<uint32_t>(h);
-      }
-    }
-    if (amp == std::string::npos) break;
-    pos = amp + 1;
-  }
-  return faster::obs::Profiler::Instance().ProfileForSeconds(seconds, hz);
 }
 
 }  // namespace
@@ -217,7 +184,6 @@ int main(int argc, char** argv) {
                   [] { return faster::obs::GlobalPerf().Json(); })
         .AddRoute("/debug/build",
                   [] { return faster::obs::BuildInfoJson(); });
-    handlers.AddQueryRoute("/debug/profile", ProfileHandler);
     exporter = std::make_unique<faster::obs::MetricsExporter>(
         eo, std::move(handlers));
     if (!exporter->ok()) {
@@ -227,29 +193,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "metrics on http://127.0.0.1:%u/metrics\n",
                  static_cast<unsigned>(exporter->port()));
-  }
-
-  // A dedicated profiling endpoint, separate from --export-port so a
-  // long-running profile request never blocks metric scrapes (each
-  // exporter serves one connection at a time).
-  std::unique_ptr<faster::obs::MetricsExporter> profile_exporter;
-  if (o.profile_port_set) {
-    faster::obs::ExporterOptions po;
-    po.port = o.profile_port;
-    faster::obs::MetricsExporter::Handlers ph;
-    ph.AddQueryRoute("/debug/profile", ProfileHandler);
-    ph.AddRoute("/debug/perf",
-                [] { return faster::obs::GlobalPerf().Json(); });
-    profile_exporter = std::make_unique<faster::obs::MetricsExporter>(
-        po, std::move(ph));
-    if (!profile_exporter->ok()) {
-      std::fprintf(stderr, "faster_server: profiler failed to bind %u\n",
-                   static_cast<unsigned>(o.profile_port));
-      return 1;
-    }
-    std::fprintf(
-        stderr, "profiler on http://127.0.0.1:%u/debug/profile?seconds=2\n",
-        static_cast<unsigned>(profile_exporter->port()));
   }
 
   std::fprintf(stderr, "faster_server listening on %s:%u (%u threads)\n",

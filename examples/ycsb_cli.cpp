@@ -7,7 +7,7 @@
 //            [--batch N] [--append-only] [--read-cache]
 //            [--stats [--stats-interval S]] [--stats-json]
 //            [--export-port P] [--trace FILE] [--trace-sample N]
-//            [--perf] [--profile FILE [--profile-hz N]]
+//            [--perf]
 //
 // Prints throughput, log growth, fuzzy-op and storage-read percentages.
 // With --stats (requires a -DFASTER_STATS=ON build to be useful), also dumps
@@ -21,9 +21,7 @@
 // tools/trace2perfetto.py); --trace-sample N samples 1-in-N operations.
 // --perf (FASTER_STATS builds) arms per-stage hardware counters
 // (perf_event_open) and prints the per-stage attribution table after the
-// run. --profile FILE runs the SIGPROF sampling profiler during the
-// workload and writes collapsed stacks to FILE (render with
-// tools/collapse2svg.py); --profile-hz N overrides the sample rate.
+// run.
 // The crash flight recorder is always armed: a fatal signal or epoch-check
 // abort dumps the black box to stderr (and $FASTER_FLIGHT_DIR if set).
 
@@ -43,7 +41,6 @@
 #include "device/memory_device.h"
 #include "obs/exporter.h"
 #include "obs/perf.h"
-#include "obs/profiler.h"
 #include "obs/store_view.h"
 #include "workload/ycsb.h"
 
@@ -71,8 +68,6 @@ struct Options {
   std::string trace_file;
   uint32_t trace_sample = 0;  // 0: keep the library default
   bool perf = false;
-  std::string profile_file;
-  uint32_t profile_hz = 0;  // 0: keep the profiler default
 };
 
 void Usage(const char* argv0) {
@@ -84,7 +79,7 @@ void Usage(const char* argv0) {
       "[--read-cache]\n"
       "          [--stats] [--stats-interval S] [--stats-json]\n"
       "          [--export-port P] [--trace FILE] [--trace-sample N]\n"
-      "          [--perf] [--profile FILE] [--profile-hz N]\n",
+      "          [--perf]\n",
       argv0);
   std::exit(2);
 }
@@ -125,12 +120,6 @@ Options Parse(int argc, char** argv) {
       o.export_port = static_cast<uint16_t>(p);
     }
     else if (a == "--perf") o.perf = true;
-    else if (a == "--profile") o.profile_file = next();
-    else if (a == "--profile-hz") {
-      long hz = std::atol(next());
-      if (hz < 1 || hz > 10000) Usage(argv[0]);
-      o.profile_hz = static_cast<uint32_t>(hz);
-    }
     else if (a == "--trace") o.trace_file = next();
     else if (a == "--trace-sample") {
       long s = std::atol(next());
@@ -349,39 +338,11 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Start the sampling profiler only around the measured run, so the
-  // flamegraph shows steady-state work rather than the load phase.
-  bool profiling = false;
-  if (!o.profile_file.empty()) {
-    profiling = obs::Profiler::Instance().Start(
-        o.profile_hz != 0 ? o.profile_hz : obs::Profiler::kDefaultHz);
-    if (!profiling) {
-      std::fprintf(stderr,
-                   "warning: --profile could not start the SIGPROF sampler; "
-                   "no profile will be written\n");
-    }
-  }
-
   auto r = RunWorkload(adapter, spec, o.threads, o.seconds, /*seed=*/1,
                        o.batch);
   if (monitor.joinable()) {
     monitor_stop.store(true, std::memory_order_relaxed);
     monitor.join();
-  }
-
-  if (profiling) {
-    obs::Profiler::Instance().Stop();
-    std::ofstream prof{o.profile_file};
-    if (!prof) {
-      std::fprintf(stderr, "error: cannot open %s\n", o.profile_file.c_str());
-      return 1;
-    }
-    prof << obs::Profiler::Instance().Collapse();
-    std::printf("profile:        %s (%llu samples, collapsed stacks; render "
-                "with tools/collapse2svg.py)\n",
-                o.profile_file.c_str(),
-                static_cast<unsigned long long>(
-                    obs::Profiler::Instance().SamplesTaken()));
   }
 
   auto stats = store.GetStats();

@@ -4,8 +4,6 @@
 
 #ifdef FASTER_MODEL
 #include "model/runtime.h"
-#else
-#include "obs/profiler.h"
 #endif
 
 namespace faster {
@@ -65,7 +63,6 @@ uint32_t Thread::Register() {
   static thread_local ThreadIdHolder holder;
   holder.id = Acquire();
   id_ = holder.id;
-  obs::Profiler::RegisterThread();  // outside the profiler's handler
   return id_;
 }
 

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -15,16 +16,25 @@ namespace obs {
 
 namespace {
 
-/// Reads until the end of the request head (CRLFCRLF), EOF, error, or a
-/// short timeout; returns what was read. The exporter only needs the
+/// How long after accept a request head may take to arrive, however its
+/// bytes trickle in. A constant: scrapes are tiny and local.
+constexpr std::chrono::milliseconds kHeadDeadline{2000};
+
+/// Reads until the end of the request head (CRLFCRLF), EOF, error, or
+/// kHeadDeadline; returns what was read. The exporter only needs the
 /// request line, but draining the head keeps clients happy.
 std::string ReadRequestHead(int fd) {
   std::string req;
   char buf[1024];
-  for (int rounds = 0; rounds < 64; ++rounds) {
+  const auto deadline = std::chrono::steady_clock::now() + kHeadDeadline;
+  for (;;) {
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
     struct pollfd pfd{fd, POLLIN, 0};
-    int pr = ::poll(&pfd, 1, /*timeout_ms=*/2000);
-    if (pr <= 0) break;  // timeout or error: serve what we have
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      break;  // deadline or error: serve what we have
+    }
     ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     req.append(buf, static_cast<size_t>(n));
@@ -121,20 +131,7 @@ void MetricsExporter::HandleConnection(int fd) {
                               "only GET is supported\n"));
     return;
   }
-  // Split "?query" off the path; only query routes see the query part.
-  std::string query;
-  size_t qmark = path.find('?');
-  if (qmark != std::string::npos) {
-    query = path.substr(qmark + 1);
-    path = path.substr(0, qmark);
-  }
-  for (const Handlers::QueryRoute& route : handlers_.query_routes) {
-    if (path == route.path) {
-      WriteAll(fd, HttpResponse(200, "OK", route.content_type.c_str(),
-                                route.handler ? route.handler(query) : ""));
-      return;
-    }
-  }
+  path = path.substr(0, path.find('?'));  // no route reads a query
   if (path == "/metrics") {
     WriteAll(fd,
              HttpResponse(200, "OK", "text/plain; version=0.0.4",
@@ -147,10 +144,6 @@ void MetricsExporter::HandleConnection(int fd) {
   } else if (path == "/") {
     std::string index = "faster exporter: /metrics /vars /healthz";
     for (const Handlers::Route& route : handlers_.routes) {
-      index += ' ';
-      index += route.path;
-    }
-    for (const Handlers::QueryRoute& route : handlers_.query_routes) {
       index += ' ';
       index += route.path;
     }

@@ -19,9 +19,12 @@
 ///   ...plus any JSON routes the host registers (Handlers::routes) — the
 ///   server wires /debug/slowlog, /debug/index, /debug/log, /debug/epochs,
 ///   and /debug/connections this way (DESIGN.md §12).
+/// A query string is ignored: "/metrics?x=1" serves /metrics.
 ///
 /// One background thread accepts one connection at a time — scrapes are
 /// rare (seconds apart) and tiny, so no connection concurrency is needed.
+/// A request head must arrive within 2 s of its accept (kHeadDeadline in
+/// exporter.cc), so a client that trickles it holds the exporter no longer.
 /// Handlers run on the exporter thread; every metric read is a relaxed
 /// atomic load on the sharded obs:: types, so scraping never blocks or
 /// races store operations (TSan-clean by the same argument as DumpStats).
@@ -62,26 +65,6 @@ class MetricsExporter {
     Handlers& AddRoute(std::string path,
                        std::function<std::string()> handler) {
       routes.push_back(Route{std::move(path), std::move(handler)});
-      return *this;
-    }
-
-    /// GET routes that take a query string ("/debug/profile?seconds=5"):
-    /// matched on the path before '?', handed the raw query (possibly
-    /// empty), served with an explicit content type. Checked before the
-    /// plain JSON routes.
-    struct QueryRoute {
-      std::string path;
-      std::function<std::string(const std::string& query)> handler;
-      std::string content_type;
-    };
-    std::vector<QueryRoute> query_routes{};
-
-    Handlers& AddQueryRoute(
-        std::string path,
-        std::function<std::string(const std::string&)> handler,
-        std::string content_type = "text/plain") {
-      query_routes.push_back(QueryRoute{std::move(path), std::move(handler),
-                                        std::move(content_type)});
       return *this;
     }
   };

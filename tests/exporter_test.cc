@@ -12,11 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/epoch.h"
 #include "core/faster.h"
@@ -192,18 +194,22 @@ class ExporterTest : public ::testing::Test {
 };
 
 TEST_F(ExporterTest, MetricsEndpointServesPrometheusText) {
-  std::string response = HttpGet(exporter_->port(), "/metrics");
-  EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
-  EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
-            std::string::npos)
-      << response;
-  std::string body = BodyOf(response);
-  CheckPrometheusGrammar(body);
-  EXPECT_NE(body.find("faster_test_requests_total 7"), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("faster_test_latency_bucket{le=\"+Inf\"} 1"),
-            std::string::npos)
-      << body;
+  // A query string is split off before matching, so it serves /metrics.
+  for (const char* path : {"/metrics", "/metrics?x=1"}) {
+    SCOPED_TRACE(path);
+    std::string response = HttpGet(exporter_->port(), path);
+    EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+    EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
+              std::string::npos)
+        << response;
+    std::string body = BodyOf(response);
+    CheckPrometheusGrammar(body);
+    EXPECT_NE(body.find("faster_test_requests_total 7"), std::string::npos)
+        << body;
+    EXPECT_NE(body.find("faster_test_latency_bucket{le=\"+Inf\"} 1"),
+              std::string::npos)
+        << body;
+  }
 }
 
 TEST_F(ExporterTest, VarsEndpointServesValidJson) {
@@ -242,40 +248,36 @@ TEST_F(ExporterTest, ScrapeIsRepeatable) {
   EXPECT_NE(second.find("faster_test_requests_total 10"), std::string::npos);
 }
 
-TEST_F(ExporterTest, QueryRoutesReceiveQueryAndContentType) {
-  obs::ExporterOptions options;
-  options.port = 0;
-  MetricsExporter::Handlers handlers{
-      [this] { return registry_.Prometheus(); },
-      [this] { return registry_.Json(); }};
-  handlers.AddQueryRoute(
-      "/debug/echo",
-      [](const std::string& query) { return "query=[" + query + "]"; },
-      "text/plain; charset=x-test");
-  MetricsExporter exporter{options, std::move(handlers)};
-  ASSERT_TRUE(exporter.ok());
-
-  // Query split off the path and handed through verbatim.
-  std::string response =
-      HttpGet(exporter.port(), "/debug/echo?seconds=5&hz=97");
-  EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
-  EXPECT_NE(response.find("Content-Type: text/plain; charset=x-test"),
-            std::string::npos)
-      << response;
-  EXPECT_EQ(BodyOf(response), "query=[seconds=5&hz=97]");
-
-  // No '?': the route still matches, with an empty query.
-  response = HttpGet(exporter.port(), "/debug/echo");
-  EXPECT_EQ(BodyOf(response), "query=[]");
-
-  // The query is split off before any matching, so plain routes ignore it.
-  response = HttpGet(exporter.port(), "/metrics?x=1");
-  EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
-
-  // Query routes are listed on the index.
-  response = HttpGet(exporter.port(), "/");
-  EXPECT_NE(BodyOf(response).find("/debug/echo"), std::string::npos)
-      << response;
+TEST_F(ExporterTest, TricklingClientHoldsTheExporterAtMostTheHeadDeadline) {
+  // Client A sends one byte every 200 ms for 8 s and never ends its
+  // request head. The exporter serves one connection at a time, so
+  // client B's /healthz, sent 100 ms after A connects, waits for A's head
+  // read to give up: within 4 s, not for as long as A keeps trickling.
+  int a = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(a, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(exporter_->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(a, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  std::thread trickle([a] {
+    const std::string head = "GET /metrics HTTP/1.1\r\nX-Pad: ";
+    for (int i = 0; i < 40; ++i) {
+      char c = i < static_cast<int>(head.size()) ? head[i] : 'x';
+      // Stops once the exporter has closed A's connection.
+      if (::send(a, &c, 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto start = std::chrono::steady_clock::now();
+  std::string response = HttpGet(exporter_->port(), "/healthz");
+  auto waited = std::chrono::steady_clock::now() - start;
+  trickle.join();
+  ::close(a);
+  EXPECT_EQ(BodyOf(response), "ok\n") << response;
+  EXPECT_LT(waited, std::chrono::seconds(4))
+      << std::chrono::duration<double>(waited).count() << " s";
 }
 
 TEST_F(ExporterTest, PortCollisionDisablesSecondExporter) {

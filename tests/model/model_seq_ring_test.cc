@@ -9,7 +9,7 @@
 ///   - a torn copy: words from two records (the words disagree);
 ///   - a stale copy: a whole record other than the one pushed at that
 ///     sequence number (the stamp disagrees with the writer's note).
-/// The seeded bug replays the profiler's ring before SeqRing — a writer
+/// The seeded bug replays a sample ring that predates SeqRing — a writer
 /// that never claims the slot and stores the words relaxed — which lets a
 /// lapping writer tear a committed record under a reader.
 
@@ -38,7 +38,7 @@ struct Rec {
   uint64_t w[2];
 };
 
-/// The profiler's sample ring before SeqRing, reduced to two words: the
+/// A sample ring from before SeqRing, reduced to two words: the
 /// writer stores into the slot without claiming it, with relaxed stores,
 /// and the reader trusts a commit tag that is unchanged across the copy.
 class LegacyProfilerRing {
