@@ -16,9 +16,14 @@
 // replies, complete pending store work, unprotect every worker's epoch
 // slot, exit 0.
 //
-// Logging: --log-level debug|info|warn|error|off (default warn; also
-// FASTER_LOG_LEVEL), --log-file PATH appends structured records to a
-// file. --slowlog-threshold-us N arms the slow-op log (SLOWLOG GET).
+// Logging, in every build: --log-level debug|info|warn|error|off (default
+// warn; also FASTER_LOG_LEVEL), --log-file PATH appends structured records
+// to a file. /metrics carries the store's always-on op counters in every
+// build; -DFASTER_STATS=ON adds latency histograms, stage attribution and
+// the slow-op log (--slowlog-threshold-us N arms it; SLOWLOG GET).
+// The crash flight recorder is always armed: a fatal signal dumps the
+// epoch table, metrics and (stats builds) spans and slow ops to stderr and
+// $FASTER_FLIGHT_DIR/flight_<pid>.txt if that is set.
 //
 // --memory-budget-mb N caps the HybridLog in-memory buffer (cold keys
 // spill and GETs of them take the pending-I/O path, served by the workers'
@@ -149,6 +154,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Declared after the server, so it detaches before the store dies.
+  faster::obs::FlightAttachment flight =
+      faster::obs::AttachFlightRecorder(server.store().view());
+
   if (o.perf) faster::obs::GlobalPerf().Arm(true);
 
   std::unique_ptr<faster::obs::MetricsExporter> exporter;
@@ -157,7 +166,7 @@ int main(int argc, char** argv) {
     eo.port = o.export_port;
     const faster::obs::StoreView view = server.store().view();
     auto collect = [&server, view] {
-      faster::obs::StatRegistry reg;
+      faster::obs::Registry reg;
       faster::obs::CollectStats(view, reg);
       server.CollectStats(reg);
       return reg;

@@ -10,9 +10,10 @@
 //            [--perf]
 //
 // Prints throughput, log growth, fuzzy-op and storage-read percentages.
-// With --stats (requires a -DFASTER_STATS=ON build to be useful), also dumps
-// the full store metric registry as Prometheus text periodically during the
-// run and once at the end; --stats-json switches the final dump to JSON.
+// With --stats, also dumps the store metric registry as Prometheus text
+// periodically during the run and once at the end (a default build carries
+// the always-on op counters; -DFASTER_STATS=ON adds the component counters
+// and histograms); --stats-json switches the final dump to JSON.
 //
 // --export-port P serves live Prometheus text on http://127.0.0.1:P/metrics
 // (plus /vars JSON and /healthz) for the duration of the process.
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
   cfg.read_cache.memory_size_bytes = (o.memory_mb / 4 + 8) << 20;
   FasterKv<CountStoreFunctions> store{cfg, &device};
   // Arm the crash black box: any fatal signal or FASTER_EPOCH_CHECK abort
-  // from here on dumps recent events, spans, metrics, and the epoch table.
+  // from here on dumps the epoch table, metrics, and recent spans.
   obs::FlightAttachment flight = obs::AttachFlightRecorder(store.view());
 
   if (o.trace_sample > 0) {
@@ -269,12 +270,6 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<obs::MetricsExporter> exporter;
   if (o.export_enabled) {
-    if (!obs::kStatsEnabled) {
-      std::fprintf(stderr,
-                   "warning: --export-port requested but this binary was "
-                   "built without -DFASTER_STATS=ON; /metrics will carry a "
-                   "notice only\n");
-    }
     obs::ExporterOptions eo;
     eo.port = o.export_port;
     exporter = std::make_unique<obs::MetricsExporter>(
@@ -307,11 +302,6 @@ int main(int argc, char** argv) {
   std::atomic<bool> monitor_stop{false};
   std::thread monitor;
   if (o.stats) {
-    if (!obs::kStatsEnabled) {
-      std::fprintf(stderr,
-                   "warning: --stats requested but this binary was built "
-                   "without -DFASTER_STATS=ON\n");
-    }
     monitor = std::thread([&] {
       auto interval = std::chrono::duration<double>(o.stats_interval);
       auto start = std::chrono::steady_clock::now();

@@ -41,9 +41,9 @@ RemoteStore::RemoteStore() {
     // Construction failed; leave the server thread unstarted (Connect()
     // then returns nullptr). The UniqueFd members release whichever
     // descriptors were created.
-    obs::StatLog(obs::LogLevel::kError, "remote_store",
-                 "construction failed: epoll/pipe setup",
-                 obs::LogField{"errno", errno});
+    obs::Log(obs::LogLevel::kError, "remote_store",
+             "construction failed: epoll/pipe setup",
+             obs::LogField{"errno", errno});
     return;
   }
   epoll_event ev{};
@@ -66,8 +66,8 @@ std::unique_ptr<RemoteStore::Client> RemoteStore::Connect() {
   if (!server_.joinable()) return nullptr;  // construction failed
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    obs::StatLog(obs::LogLevel::kError, "remote_store",
-                 "socketpair failed", obs::LogField{"errno", errno});
+    obs::Log(obs::LogLevel::kError, "remote_store", "socketpair failed",
+             obs::LogField{"errno", errno});
     return nullptr;
   }
   net::UniqueFd client_fd{fds[0]};

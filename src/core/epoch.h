@@ -169,7 +169,7 @@ class LightEpoch {
   const ObsStats& obs_stats() const { return obs_stats_; }
 
   /// Registers this epoch's metrics under `prefix.` names.
-  void RegisterStats(obs::StatRegistry& registry,
+  void RegisterStats(obs::Registry& registry,
                      const std::string& prefix) const {
     registry.Add(prefix + ".bumps", &obs_stats_.bumps);
     registry.Add(prefix + ".actions_run", &obs_stats_.actions_run);

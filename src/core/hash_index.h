@@ -303,7 +303,7 @@ class HashIndex {
   const ObsStats& obs_stats() const { return obs_stats_; }
 
   /// Registers this index's metrics under `prefix.` names.
-  void RegisterStats(obs::StatRegistry& registry,
+  void RegisterStats(obs::Registry& registry,
                      const std::string& prefix) const {
     registry.Add(prefix + ".finds", obs::Registry::Kind::kCounter,
                  obs_stats_.probe_len.row_slots(1, 2));

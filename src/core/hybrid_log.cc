@@ -124,9 +124,9 @@ bool HybridLog::NewPage(uint64_t old_page) {
                                Address{to_page << Address::kOffsetBits});
           }
           obs_stats_.pages_evicted.Add(to_page - from_page);
-          obs::StatLog(obs::LogLevel::kInfo, "hlog", "pages evicted",
-                       obs::LogField{"from_page", from_page},
-                       obs::LogField{"to_page", to_page});
+          obs::Log(obs::LogLevel::kInfo, "hlog", "pages evicted",
+                   obs::LogField{"from_page", from_page},
+                   obs::LogField{"to_page", to_page});
           for (uint64_t p = from_page; p < to_page; ++p) {
             frame_status_[p % buffer_pages_].closed_page.store(
                 static_cast<int64_t>(p), std::memory_order_release);
@@ -139,11 +139,11 @@ bool HybridLog::NewPage(uint64_t old_page) {
       obs_stats_.alloc_stalls.Inc();
       // Rate-limited: a stalled allocator retries this path in a tight
       // refresh loop; one report per window is plenty.
-      static obs::StatLogRateLimit stall_limit{100'000'000};  // 100ms
-      obs::StatLogLimited(stall_limit, obs::LogLevel::kWarn, "hlog",
-                          "allocation stalled on flush or eviction",
-                          obs::LogField{"new_page", new_page},
-                          obs::LogField{"flushed_page", flushed_page});
+      static obs::LogRateLimit stall_limit{100'000'000};  // 100ms
+      obs::LogLimited(stall_limit, obs::LogLevel::kWarn, "hlog",
+                      "allocation stalled on flush or eviction",
+                      obs::LogField{"new_page", new_page},
+                      obs::LogField{"flushed_page", flushed_page});
       // On io_uring the flush frontier, which eviction waits on too, only
       // advances when someone reaps the queued writes — including writes
       // queued by other (possibly stalled or departed) threads, hence
@@ -220,9 +220,6 @@ void HybridLog::IssueFlushes(Address limit) {
     lock.unlock();
     uint32_t len = static_cast<uint32_t>(end - start);
     obs_stats_.flush_bytes.Add(len);
-    obs::StatLog(obs::LogLevel::kDebug, "hlog", "flush chunk issued",
-                 obs::LogField{"start", start.control()},
-                 obs::LogField{"len", static_cast<uint64_t>(len)});
     Status submitted = device_->WriteAsync(Get(start), start.control(), len,
                                            &HybridLog::FlushCallback, frame);
     // A refused write never calls back: complete it as a failed one, or
@@ -234,15 +231,10 @@ void HybridLog::IssueFlushes(Address limit) {
 void HybridLog::FlushCallback(void* context, Status result, uint32_t) {
   auto* frame = static_cast<FrameStatus*>(context);
   HybridLog* log = frame->log;
-  std::lock_guard<std::mutex> lock{log->flush_mutex_};
   // I/O errors are recorded but the frontier still advances so the log
   // cannot deadlock; callers that care (checkpoint) check io_error().
-  if (result != Status::kOk) {
-    log->io_error_.store(true, std::memory_order_release);
-    obs::StatLog(obs::LogLevel::kError, "hlog", "flush write failed",
-                 obs::LogField{"page", frame->flush_page},
-                 obs::LogField{"status", static_cast<uint64_t>(result)});
-  }
+  if (result != Status::kOk) FlushFailed(frame, result);
+  std::lock_guard<std::mutex> lock{log->flush_mutex_};
   --frame->in_flight;
   // A page's writes are issued in address order, so once none is in
   // flight every byte up to its flush_issued is on the device. Walk the
@@ -260,6 +252,19 @@ void HybridLog::FlushCallback(void* context, Status result, uint32_t) {
     frontier = f.flush_issued;
   }
   MonotonicUpdate(log->flushed_until_, frontier);
+}
+
+void HybridLog::FlushFailed(FrameStatus* frame, Status result) {
+  HybridLog* log = frame->log;
+  log->io_error_.store(true, std::memory_order_release);
+  uint64_t page;
+  {
+    std::lock_guard<std::mutex> lock{log->flush_mutex_};
+    page = frame->flush_page;
+  }
+  obs::Log(obs::LogLevel::kError, "hlog", "flush write failed",
+           obs::LogField{"page", page},
+           obs::LogField{"status", static_cast<uint64_t>(result)});
 }
 
 Status HybridLog::AsyncGetFromDisk(Address address, uint32_t size, void* dst,

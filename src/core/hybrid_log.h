@@ -263,7 +263,7 @@ class HybridLog {
   const ObsStats& obs_stats() const { return obs_stats_; }
 
   /// Registers this log's metrics under `prefix.` names.
-  void RegisterStats(obs::StatRegistry& registry,
+  void RegisterStats(obs::Registry& registry,
                      const std::string& prefix) const {
     registry.Add(prefix + ".pages_opened", &obs_stats_.pages_opened);
     registry.Add(prefix + ".alloc_stalls", &obs_stats_.alloc_stalls);
@@ -328,6 +328,10 @@ class HybridLog {
   /// hosts: advances flushed_until_ across every page whose issued writes
   /// have all completed.
   static void FlushCallback(void* context, Status result, uint32_t bytes);
+  /// FlushCallback's error path: sets io_error_ and logs the failure. Out
+  /// of line, cold and before the lock, so the common path keeps its frame.
+  [[gnu::cold, gnu::noinline]] static void FlushFailed(FrameStatus* frame,
+                                                       Status result);
 
   IDevice* device_;
   LightEpoch* epoch_;

@@ -92,8 +92,8 @@ class IDevice {
   virtual uint64_t bytes_written() const = 0;
 
   /// Registers this device's metrics (if any) under `prefix.` names.
-  /// Compiled out unless FASTER_STATS; the default exposes nothing.
-  virtual void RegisterStats(obs::StatRegistry& /*registry*/,
+  /// The default registers nothing; compiled-out metrics register nothing.
+  virtual void RegisterStats(obs::Registry& /*registry*/,
                              const std::string& /*prefix*/) const {}
 };
 
@@ -114,7 +114,7 @@ struct DeviceObsStats {
     }
   }
 
-  void Register(obs::StatRegistry& registry, const std::string& prefix) const {
+  void Register(obs::Registry& registry, const std::string& prefix) const {
     registry.Add(prefix + ".reads", &reads);
     registry.Add(prefix + ".writes", &writes);
     registry.Add(prefix + ".read_ns", &read_ns);

@@ -22,9 +22,9 @@ FileDevice::FileDevice(const std::string& path, uint32_t /*num_io_threads*/,
   if (!UringIo::Supported()) {  // stub build, old kernel, or seccomp
     mode_ = IoPathMode::kPolling;
     uring_fallbacks_ = 1;
-    obs::StatLog(obs::LogLevel::kWarn, "device",
-                 "io_uring unavailable, falling back to synchronous I/O",
-                 obs::LogField{"path", path_.c_str()});
+    obs::Log(obs::LogLevel::kWarn, "device",
+             "io_uring unavailable, falling back to synchronous I/O",
+             obs::LogField{"path", path_.c_str()});
     return;
   }
   // Explicit upcast: the conversion must happen here, where the private

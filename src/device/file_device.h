@@ -59,7 +59,7 @@ class FileDevice : public IDevice, private IoOpExecutor {
   /// 1 when a kUring request fell back to kPolling, else 0.
   uint64_t uring_fallbacks() const { return uring_fallbacks_; }
 
-  void RegisterStats(obs::StatRegistry& registry,
+  void RegisterStats(obs::Registry& registry,
                      const std::string& prefix) const override {
     obs_stats_.Register(registry, prefix);
     registry.AddValue(prefix + ".uring_fallbacks", uring_fallbacks_);

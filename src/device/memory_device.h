@@ -40,7 +40,7 @@ class MemoryDevice : public IDevice {
   /// Synchronous read used by recovery and the log-scan iterator.
   Status ReadSync(uint64_t offset, void* dst, uint32_t len);
 
-  void RegisterStats(obs::StatRegistry& registry,
+  void RegisterStats(obs::Registry& registry,
                      const std::string& prefix) const override {
     obs_stats_.Register(registry, prefix);
   }

@@ -60,7 +60,7 @@ struct IoPollStats {
   obs::StatCounter sq_full_inline;    // no ring slot: executed at submit
   obs::StatCounter foreign_execs;     // ops reaped from another's ring
 
-  void Register(obs::StatRegistry& registry, const std::string& prefix) const {
+  void Register(obs::Registry& registry, const std::string& prefix) const {
     registry.Add(prefix + ".poll_submits", &submits);
     registry.Add(prefix + ".poll_calls", &poll_calls);
     registry.Add(prefix + ".poll_empty", &poll_empty);
@@ -111,7 +111,7 @@ class UringIo {
 
   bool AllIdle() const;
 
-  void RegisterStats(obs::StatRegistry& registry,
+  void RegisterStats(obs::Registry& registry,
                      const std::string& prefix) const {
     stats_.Register(registry, prefix);
   }

@@ -29,9 +29,9 @@ RespParser::Result RespParser::Fail(const std::string& what) {
   state_ = State::kFailed;
   error_ = what;
   // Rate-limited: a garbage-spraying client can fail once per byte.
-  static obs::StatLogRateLimit fail_limit{100'000'000};  // 100ms
-  obs::StatLogLimited(fail_limit, obs::LogLevel::kDebug, "resp",
-                      "parse failure", obs::LogField{"what", what.c_str()});
+  static obs::LogRateLimit fail_limit{100'000'000};  // 100ms
+  obs::LogLimited(fail_limit, obs::LogLevel::kDebug, "resp",
+                  "parse failure", obs::LogField{"what", what.c_str()});
   return Result::kError;
 }
 
@@ -80,40 +80,23 @@ RespParser::Result RespParser::Next(RespCommand* out) {
         if (n == 0) continue;  // *0: empty command, skip (as Redis does)
         argv_.clear();
         args_remaining_ = static_cast<size_t>(n);
+        bulk_left_ = limits_.max_bulk;
         bulk_len_ = -1;
         state_ = State::kBulkArgs;
         continue;
       }
-      // Inline command: one line, space-separated words.
-      bool overlong = false;
-      size_t eol = FindLineEnd(limits_.max_inline, &overlong);
-      if (eol == std::string::npos) {
-        // Tolerate bare-LF line endings for hand-typed (nc) input.
-        size_t lf = buf_.find('\n', pos_);
-        if (lf != std::string::npos && lf - pos_ <= limits_.max_inline) {
-          eol = lf;  // consume below as LF-terminated
-          std::string_view line{buf_.data() + pos_, lf - pos_};
-          if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-          out->argv.clear();
-          size_t i = 0;
-          while (i < line.size()) {
-            while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-            size_t start = i;
-            while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-            if (i > start) out->argv.emplace_back(line.substr(start, i - start));
-          }
-          pos_ = lf + 1;
-          Compact();
-          if (out->argv.empty()) continue;  // blank line: skip
-          return Result::kCommand;
-        }
-        if (overlong ||
-            (lf == std::string::npos && buf_.size() - pos_ > limits_.max_inline)) {
-          return Fail("Protocol error: too big inline request");
-        }
-        return Result::kNeedMore;
+      // Inline command: one line of space-separated words, ended by CRLF
+      // or, for hand-typed (nc) input, a bare LF.
+      std::string_view rest{buf_.data() + pos_,
+                            std::min(buf_.size() - pos_,
+                                     limits_.max_inline + 2)};
+      size_t lf = rest.find('\n');
+      std::string_view line = rest.substr(0, lf);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (line.size() > limits_.max_inline) {
+        return Fail("Protocol error: too big inline request");
       }
-      std::string_view line{buf_.data() + pos_, eol - pos_};
+      if (lf == std::string_view::npos) return Result::kNeedMore;
       out->argv.clear();
       size_t i = 0;
       while (i < line.size()) {
@@ -122,7 +105,7 @@ RespParser::Result RespParser::Next(RespCommand* out) {
         while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
         if (i > start) out->argv.emplace_back(line.substr(start, i - start));
       }
-      pos_ = eol + 2;
+      pos_ += lf + 1;
       Compact();
       if (out->argv.empty()) continue;  // blank line: skip
       return Result::kCommand;
@@ -140,13 +123,16 @@ RespParser::Result RespParser::Next(RespCommand* out) {
         return Fail("Protocol error: expected '$', got '" +
                     std::string(1, buf_[pos_]) + "'");
       }
-      ptrdiff_t len = ParseCount(buf_.data() + pos_ + 1, buf_.data() + eol,
-                                 static_cast<ptrdiff_t>(limits_.max_bulk));
-      if (len < 0 || len > static_cast<ptrdiff_t>(limits_.max_bulk)) {
+      // max_bulk bounds the command's arguments together, not each one.
+      auto left = static_cast<ptrdiff_t>(bulk_left_);
+      ptrdiff_t len =
+          ParseCount(buf_.data() + pos_ + 1, buf_.data() + eol, left);
+      if (len < 0 || len > left) {
         return Fail("Protocol error: invalid bulk length");
       }
       pos_ = eol + 2;
       bulk_len_ = len;
+      bulk_left_ -= static_cast<size_t>(len);
     }
     size_t need = static_cast<size_t>(bulk_len_) + 2;  // payload + CRLF
     if (buf_.size() - pos_ < need) {

@@ -16,9 +16,9 @@
 ///   - inline:     GET foo\r\n
 /// and resumes mid-frame: bytes may arrive split at any boundary (header,
 /// bulk payload, even mid-CRLF); state persists across Feed() calls so no
-/// input is ever rescanned. Malformed input (bad header, oversized bulk,
-/// too many args) puts the parser into a sticky error state — the server
-/// reports the error and closes the connection, as Redis does.
+/// input is ever rescanned. Malformed input (bad header, oversized
+/// command, too many args) puts the parser into a sticky error state —
+/// the server reports the error and closes the connection, as Redis does.
 
 namespace faster {
 namespace net {
@@ -28,7 +28,7 @@ struct RespLimits {
   size_t max_inline = 64 * 1024;
   /// Most arguments in one multibulk command.
   size_t max_args = 1024;
-  /// Largest single bulk-string payload.
+  /// Most payload bytes in one multibulk command, all arguments together.
   size_t max_bulk = 512 * 1024;
 };
 
@@ -75,6 +75,7 @@ class RespParser {
   // Multibulk progress (valid in kBulkArgs).
   std::vector<std::string> argv_;
   size_t args_remaining_ = 0;
+  size_t bulk_left_ = 0;     // max_bulk less the arguments read so far
   ptrdiff_t bulk_len_ = -1;  // -1: expecting a $<len> header
 };
 

@@ -219,11 +219,11 @@ FasterServer::FasterServer(const ServerOptions& options)
   }
   port_ = bound;
   ok_ = true;
-  obs::StatLog(obs::LogLevel::kInfo, "server", "listening",
-               obs::LogField{"port", static_cast<uint64_t>(port_)},
-               obs::LogField{"workers", threads},
-               obs::LogField{"slowlog_threshold_us",
-                             options_.slowlog_threshold_us});
+  obs::Log(obs::LogLevel::kInfo, "server", "listening",
+           obs::LogField{"port", static_cast<uint64_t>(port_)},
+           obs::LogField{"workers", threads},
+           obs::LogField{"slowlog_threshold_us",
+                         options_.slowlog_threshold_us});
   for (auto& w : workers_) {
     Worker* wp = w.get();
     wp->thread = std::thread([this, wp] { WorkerLoop(*wp); });
@@ -237,9 +237,9 @@ void FasterServer::Shutdown() {
   if (stopping_.compare_exchange_strong(expected, true,
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
-    obs::StatLog(obs::LogLevel::kInfo, "server", "shutdown: draining",
-                 obs::LogField{"commands",
-                               commands_.load(std::memory_order_relaxed)});
+    obs::Log(obs::LogLevel::kInfo, "server", "shutdown: draining",
+             obs::LogField{"commands",
+                           commands_.load(std::memory_order_relaxed)});
     for (auto& w : workers_) {
       char b = 1;
       if (w->wake_write) (void)!::write(w->wake_write.get(), &b, 1);
@@ -368,9 +368,8 @@ void FasterServer::AcceptNew(Worker& w) {
     w.conns.emplace(cfd, std::move(conn));
     stats_.connections_accepted.Inc();
     stats_.connections_open.Inc();
-    obs::StatLog(obs::LogLevel::kDebug, "server", "connection accepted",
-                 obs::LogField{"fd", cfd},
-                 obs::LogField{"worker", w.index});
+    obs::Log(obs::LogLevel::kDebug, "server", "connection accepted",
+             obs::LogField{"fd", cfd}, obs::LogField{"worker", w.index});
   }
 }
 
@@ -453,12 +452,11 @@ void FasterServer::GatherCommands(Worker& w, Connection& conn) {
     }
     if (r == RespParser::Result::kError && !conn.want_close) {
       stats_.protocol_errors.Inc();
-      static obs::StatLogRateLimit proto_limit{100'000'000};  // 100ms
-      obs::StatLogLimited(proto_limit, obs::LogLevel::kWarn, "server",
-                          "protocol error, closing connection",
-                          obs::LogField{"fd", conn.fd.get()},
-                          obs::LogField{"error",
-                                        conn.parser.error().c_str()});
+      static obs::LogRateLimit proto_limit{100'000'000};  // 100ms
+      obs::LogLimited(proto_limit, obs::LogLevel::kWarn, "server",
+                      "protocol error, closing connection",
+                      obs::LogField{"fd", conn.fd.get()},
+                      obs::LogField{"error", conn.parser.error().c_str()});
       CmdRec rec;
       rec.type = CmdRec::Type::kErr;
       rec.lit = "ERR " + conn.parser.error();
@@ -705,9 +703,8 @@ void FasterServer::CloseConnection(Worker& w, int fd) {
   auto it = w.conns.find(fd);
   if (it == w.conns.end()) return;
   Connection* conn = it->second.get();
-  obs::StatLog(obs::LogLevel::kDebug, "server", "connection closed",
-               obs::LogField{"fd", fd},
-               obs::LogField{"worker", w.index});
+  obs::Log(obs::LogLevel::kDebug, "server", "connection closed",
+           obs::LogField{"fd", fd}, obs::LogField{"worker", w.index});
   ReleaseConnSlot(conn->stat_slot);
   w.ready.erase(std::remove(w.ready.begin(), w.ready.end(), conn),
                 w.ready.end());
@@ -944,7 +941,7 @@ std::string FasterServer::DebugConnectionsJson() const {
   return obs::JsonClose(&out, "}\n");
 }
 
-void FasterServer::CollectStats(obs::StatRegistry& reg) {
+void FasterServer::CollectStats(obs::Registry& reg) {
   reg.AddValue("net.commands", commands_.load(std::memory_order_relaxed));
   reg.Add("net.connections_accepted", &stats_.connections_accepted);
   reg.Add("net.connections_closed", &stats_.connections_closed);

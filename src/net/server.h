@@ -120,7 +120,7 @@ class FasterServer {
   /// Registers server metrics (prefix "net.") into `reg`; callers
   /// typically combine with obs::CollectStats(store().view(), reg) for one
   /// exposition.
-  void CollectStats(obs::StatRegistry& reg);
+  void CollectStats(obs::Registry& reg);
 
   /// Total commands executed (independent of FASTER_STATS, so tests can
   /// assert on it in any build).

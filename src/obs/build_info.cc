@@ -1,5 +1,7 @@
 #include "obs/build_info.h"
 
+#include <iterator>
+
 #include "core/epoch_check.h"
 #include "obs/stats.h"
 
@@ -27,6 +29,27 @@ constexpr bool kHaveIoUring =
 
 const char* OnOff(bool on) { return on ? "on" : "off"; }
 
+/// Renders the build fields from `first` on as `pre key mid value post`,
+/// comma-separated: one field list behind INFO's build_flags,
+/// /debug/build and the faster_build_info line.
+std::string JoinFields(size_t first, const char* pre, const char* mid,
+                       const char* post) {
+  const char* const fields[][2] = {
+      {"git_sha", GitSha()},
+      {"build_type", BuildType()},
+      {"stats", OnOff(kStatsEnabled)},
+      {"epoch_check", OnOff(kEpochCheckEnabled)},
+      {"io_uring", OnOff(kHaveIoUring)},
+      {"sanitizer", BuildSanitizer()}};
+  std::string out;
+  for (size_t i = first; i < std::size(fields); ++i) {
+    if (i > first) out += ',';
+    out.append(pre).append(fields[i][0]).append(mid).append(fields[i][1]);
+    out += post;
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* GitSha() { return FASTER_GIT_SHA; }
@@ -51,53 +74,15 @@ const char* BuildSanitizer() {
 #endif
 }
 
-std::string BuildFlagsSummary() {
-  std::string out;
-  out += "stats=";
-  out += OnOff(kStatsEnabled);
-  out += ",epoch_check=";
-  out += OnOff(kEpochCheckEnabled);
-  out += ",io_uring=";
-  out += OnOff(kHaveIoUring);
-  out += ",sanitizer=";
-  out += BuildSanitizer();
-  return out;
-}
+std::string BuildFlagsSummary() { return JoinFields(2, "", "=", ""); }
 
 std::string BuildInfoJson() {
-  std::string out = "{";
-  out += "\"git_sha\":\"";
-  out += GitSha();
-  out += "\",\"build_type\":\"";
-  out += BuildType();
-  out += "\",\"stats\":\"";
-  out += OnOff(kStatsEnabled);
-  out += "\",\"epoch_check\":\"";
-  out += OnOff(kEpochCheckEnabled);
-  out += "\",\"io_uring\":\"";
-  out += OnOff(kHaveIoUring);
-  out += "\",\"sanitizer\":\"";
-  out += BuildSanitizer();
-  out += "\"}";
-  return out;
+  return "{" + JoinFields(0, "\"", "\":\"", "\"") + "}";
 }
 
 std::string BuildInfoPromLine() {
-  std::string out = "# TYPE faster_build_info gauge\n";
-  out += "faster_build_info{git_sha=\"";
-  out += GitSha();
-  out += "\",build_type=\"";
-  out += BuildType();
-  out += "\",stats=\"";
-  out += OnOff(kStatsEnabled);
-  out += "\",epoch_check=\"";
-  out += OnOff(kEpochCheckEnabled);
-  out += "\",io_uring=\"";
-  out += OnOff(kHaveIoUring);
-  out += "\",sanitizer=\"";
-  out += BuildSanitizer();
-  out += "\"} 1\n";
-  return out;
+  return "# TYPE faster_build_info gauge\nfaster_build_info{" +
+         JoinFields(0, "", "=\"", "\"") + "} 1\n";
 }
 
 }  // namespace obs

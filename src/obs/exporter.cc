@@ -19,6 +19,8 @@ namespace {
 /// How long after accept a request head may take to arrive, however its
 /// bytes trickle in. A constant: scrapes are tiny and local.
 constexpr std::chrono::milliseconds kHeadDeadline{2000};
+/// Pending connections the listener queues: scrapes are few.
+constexpr int kBacklog = 16;
 
 /// Reads until the end of the request head (CRLFCRLF), EOF, error, or
 /// kHeadDeadline; returns what was read. The exporter only needs the
@@ -82,7 +84,7 @@ MetricsExporter::MetricsExporter(const ExporterOptions& options,
     return;
   }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, options.backlog) != 0) {
+      ::listen(fd, kBacklog) != 0) {
     ::close(fd);
     return;
   }

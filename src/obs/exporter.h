@@ -43,7 +43,6 @@ struct ExporterOptions {
   /// Bind address. Loopback by default: metrics are diagnostics, not a
   /// public surface.
   std::string bind_address = "127.0.0.1";
-  int backlog = 16;
 };
 
 class MetricsExporter {

@@ -28,12 +28,10 @@
 /// data lives in fixed-size slots whose names were copied at attach time,
 /// so the dump never touches std::string.
 ///
-/// The registration surface takes the *real* obs types (Registry) —
-/// callers gate attachment with
-/// `if constexpr (obs::kStatsEnabled)`, the same compile-out discipline as
-/// every Stat* site; the epoch table attaches in every build. A dump is
-/// attempted at most once per process (re-entry from the SIGABRT that
-/// follows an epoch-check hook dump is suppressed).
+/// The epoch table and the metrics attach in every build (a default
+/// build's registry holds the always-on counters); the process rings only
+/// with stats. A dump is attempted at most once per process (re-entry
+/// from the SIGABRT that follows an epoch-check hook dump is suppressed).
 
 namespace faster {
 namespace obs {
@@ -73,10 +71,6 @@ class FlightRecorder {
   /// attach. Idempotent; neither is ever destroyed, so they are never
   /// detached. Creates the span ring: stats builds only.
   void AttachProcessRings();
-
-  /// Noop-twin overload: attach sites compile identically in stats-off
-  /// builds, where StatRegistry resolves to the noop type.
-  void AttachMetrics(const void*, const NoopRegistry&) {}
 
   /// Writes the dump. Async-signal-safe; at most one dump per process
   /// (later calls return immediately). Public so tests and fatal paths

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "core/thread.h"
 
@@ -33,8 +34,11 @@ void LogField::Render(SafeWriter& w) const {
 }
 
 Logger& Logger::Global() {
+  // Built in static storage and never destroyed: no allocation, and
+  // records written while the process exits still find it.
+  alignas(Logger) static unsigned char storage[sizeof(Logger)];
   static Logger* logger = [] {
-    auto* l = new Logger;
+    auto* l = new (storage) Logger;
     LogLevel level;
     if (ParseLogLevel(std::getenv("FASTER_LOG_LEVEL"), &level)) {
       l->set_level(level);
@@ -51,8 +55,8 @@ Logger::~Logger() {
   if (fd >= 0) ::close(fd);
 }
 
-bool Logger::OpenFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+bool Logger::OpenFile(const char* path) {
+  int fd = ::open(path, O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
                   0644);
   if (fd < 0) return false;
   int old = fd_.exchange(fd, std::memory_order_relaxed);

@@ -9,11 +9,8 @@
 /// opened O_APPEND) on the calling thread: a record is in its sinks when
 /// Log returns, and lines of concurrent threads never interleave. No lock,
 /// no allocation. The store's log sites are page-granular or rate-limited
-/// (LogRateLimit); none is on the op path.
-///
-/// Like the rest of `src/obs`, the real types are always compiled; call
-/// sites use the `StatLog*` aliases/helpers which collapse to no-ops
-/// unless the build defines `FASTER_STATS` (see stats.h).
+/// (LogRateLimit); none is on the op path, so logging is live in every
+/// build, whatever FASTER_STATS says.
 
 #include <atomic>
 #include <cstdint>
@@ -116,9 +113,9 @@ class Logger {
   /// Longest line written; a longer record is truncated.
   static constexpr size_t kLineSize = 512;
 
-  /// Global instance, never destroyed. First use reads FASTER_LOG_LEVEL
-  /// (debug/info/warn/error/off; default warn) and FASTER_LOG_FILE from
-  /// the environment.
+  /// Global instance, never destroyed. First use allocates nothing and
+  /// reads FASTER_LOG_LEVEL (debug/info/warn/error/off; default warn) and
+  /// FASTER_LOG_FILE from the environment.
   static Logger& Global();
 
   Logger() = default;
@@ -137,7 +134,8 @@ class Logger {
 
   /// Opens (appends to) the file sink, replacing any earlier one. A setup
   /// call: not safe against a concurrent Log. Returns false on failure.
-  bool OpenFile(const std::string& path);
+  bool OpenFile(const char* path);
+  bool OpenFile(const std::string& path) { return OpenFile(path.c_str()); }
   /// Enable/disable the stderr sink (on by default).
   void set_stderr(bool enabled) {
     stderr_.store(enabled, std::memory_order_relaxed);
@@ -183,44 +181,21 @@ class Logger {
   std::atomic<int> fd_{-1};
 };
 
-/// No-op twin for stats-off builds.
-class NoopLogRateLimit {
- public:
-  explicit constexpr NoopLogRateLimit(uint64_t) {}
-};
-
-#if FASTER_STATS_ENABLED
-
-using StatLogRateLimit = LogRateLimit;
-
-/// Leveled structured log; collapses to nothing without FASTER_STATS.
+/// A record to the global logger, in every build: no log site is on the
+/// op path.
 template <typename... Fields>
-inline void StatLog(LogLevel level, const char* component,
-                    const char* message, const Fields&... fields) {
+inline void Log(LogLevel level, const char* component, const char* message,
+                const Fields&... fields) {
   Logger::Global().Write(level, component, message, fields...);
 }
 
 /// Rate-limited variant (Logger::WriteLimited).
 template <typename... Fields>
-inline void StatLogLimited(LogRateLimit& limit, LogLevel level,
-                           const char* component, const char* message,
-                           const Fields&... fields) {
-  Logger::Global().WriteLimited(limit, level, component, message,
-                                fields...);
+inline void LogLimited(LogRateLimit& limit, LogLevel level,
+                       const char* component, const char* message,
+                       const Fields&... fields) {
+  Logger::Global().WriteLimited(limit, level, component, message, fields...);
 }
-
-#else  // !FASTER_STATS_ENABLED
-
-using StatLogRateLimit = NoopLogRateLimit;
-
-template <typename... Fields>
-inline void StatLog(LogLevel, const char*, const char*, const Fields&...) {}
-
-template <typename... Fields>
-inline void StatLogLimited(NoopLogRateLimit&, LogLevel, const char*,
-                           const char*, const Fields&...) {}
-
-#endif  // FASTER_STATS_ENABLED
 
 }  // namespace obs
 }  // namespace faster

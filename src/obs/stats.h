@@ -31,8 +31,9 @@
 /// no-op types whose inline members compile to nothing, so the default
 /// build carries no counters, no clock reads, and no extra atomic loads
 /// (sites that need auxiliary loads guard them with
-/// `if constexpr (obs::kStatsEnabled)`). The real types stay compiled in
-/// every configuration so tests can exercise them directly.
+/// `if constexpr (obs::kStatsEnabled)`). Only what an op pays for compiles
+/// out: the Registry is live in every build and skips no-op metrics, so a
+/// default build exports its always-on counters and no false zeros.
 
 #if defined(FASTER_STATS) && FASTER_STATS
 #define FASTER_STATS_ENABLED 1
@@ -271,6 +272,40 @@ class Histogram {
   std::unique_ptr<Shard[]> shards_;
 };
 
+// ---------------------------------------------------------------------------
+// No-op twins: identical API, empty bodies. Every member is inline and
+// argument-free of side effects, so -O2 erases the call entirely and the
+// enclosing object contributes an empty member.
+// ---------------------------------------------------------------------------
+
+class NoopCounter {
+ public:
+  void Add(uint64_t) {}
+  void Inc() {}
+  uint64_t Sum() const { return 0; }
+};
+
+class NoopGauge {
+ public:
+  void Add(int64_t) {}
+  void Inc() {}
+  void Dec() {}
+  int64_t Value() const { return 0; }
+};
+
+class NoopHistogram {
+ public:
+  static constexpr uint32_t kNumBuckets = Histogram::kNumBuckets;
+  void Record(uint64_t, StatSlot = {}, uint32_t = 0) {}
+  SlotSum row_slots(uint32_t, uint32_t) const { return {}; }
+  void SnapshotBuckets(uint64_t* out) const {
+    for (uint32_t b = 0; b < kNumBuckets; ++b) out[b] = 0;
+  }
+  uint64_t Count() const { return 0; }
+  uint64_t ValueSum() const { return 0; }
+  uint64_t Percentile(double) const { return 0; }
+};
+
 /// Aggregates named metrics into JSON or Prometheus exposition.
 /// Non-owning: the registry holds pointers and reads the live metrics at
 /// Dump time, so it can be built on demand (DumpStats) over long-lived
@@ -286,13 +321,19 @@ class Registry {
     Add(std::move(name), Kind::kGauge, g->slots());
   }
   /// A per-thread counter (kCounter) or gauge (kGauge) kept outside an
-  /// obs:: metric, e.g. a slot of the store's counter block.
+  /// obs:: metric, e.g. a slot of the store's counter block. An empty
+  /// SlotSum (a stats-only slot, compiled out) registers nothing.
   void Add(std::string name, Kind kind, SlotSum slots) {
+    if (slots.first == nullptr) return;
     entries_.push_back({std::move(name), kind, slots, nullptr, 0});
   }
   void Add(std::string name, const Histogram* h) {
     entries_.push_back({std::move(name), Kind::kHistogram, {}, h, 0});
   }
+  /// A compiled-out metric registers nothing: it is never exported as 0.
+  void Add(const std::string&, const NoopCounter*) {}
+  void Add(const std::string&, const NoopGauge*) {}
+  void Add(const std::string&, const NoopHistogram*) {}
   /// A precomputed scalar (for values derived at collection time, e.g.
   /// the store's GetStats() totals).
   void AddValue(std::string name, uint64_t v) {
@@ -464,57 +505,6 @@ class ScopedTimerT {
 };
 
 // ---------------------------------------------------------------------------
-// No-op twins: identical API, empty bodies. Every member is inline and
-// argument-free of side effects, so -O2 erases the call entirely and the
-// enclosing object contributes an empty member.
-// ---------------------------------------------------------------------------
-
-class NoopCounter {
- public:
-  void Add(uint64_t) {}
-  void Inc() {}
-  uint64_t Sum() const { return 0; }
-};
-
-class NoopGauge {
- public:
-  void Add(int64_t) {}
-  void Inc() {}
-  void Dec() {}
-  int64_t Value() const { return 0; }
-};
-
-class NoopHistogram {
- public:
-  static constexpr uint32_t kNumBuckets = Histogram::kNumBuckets;
-  void Record(uint64_t, StatSlot = {}, uint32_t = 0) {}
-  SlotSum row_slots(uint32_t, uint32_t) const { return {}; }
-  void SnapshotBuckets(uint64_t* out) const {
-    for (uint32_t b = 0; b < kNumBuckets; ++b) out[b] = 0;
-  }
-  uint64_t Count() const { return 0; }
-  uint64_t ValueSum() const { return 0; }
-  uint64_t Percentile(double) const { return 0; }
-};
-
-class NoopRegistry {
- public:
-  using Kind = Registry::Kind;
-  template <class T>
-  void Add(const std::string&, const T*) {}
-  void Add(const std::string&, Kind, SlotSum) {}
-  void AddValue(const std::string&, uint64_t) {}
-  size_t size() const { return 0; }
-  template <class Fn>
-  void ForEach(Fn&&) const {}
-  std::string Json() const { return "{}"; }
-  std::string Prometheus() const {
-    // A bare comment is still valid Prometheus text exposition.
-    return "# faster stats compiled out; rebuild with -DFASTER_STATS=ON\n";
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Selected aliases: what instrumentation sites use.
 // ---------------------------------------------------------------------------
 
@@ -522,12 +512,10 @@ class NoopRegistry {
 using StatCounter = Counter;
 using StatGauge = Gauge;
 using StatHistogram = Histogram;
-using StatRegistry = Registry;
 #else
 using StatCounter = NoopCounter;
 using StatGauge = NoopGauge;
 using StatHistogram = NoopHistogram;
-using StatRegistry = NoopRegistry;
 #endif
 
 using StatTimer = ScopedTimerT<StatHistogram>;

@@ -39,7 +39,7 @@ StoreStats Totals(const CounterTable& t) {
   return s;
 }
 
-void CollectStats(const StoreView& v, StatRegistry& reg) {
+void CollectStats(const StoreView& v, Registry& reg) {
   // The totals are sums of the counters below; they keep their historic
   // names (and their GetStats() meaning) as precomputed scalars.
   StoreStats s = Totals(v.counters);
@@ -67,13 +67,13 @@ void CollectStats(const StoreView& v, StatRegistry& reg) {
 }
 
 std::string DumpStats(const StoreView& v) {
-  StatRegistry reg;
+  Registry reg;
   CollectStats(v, reg);
   return reg.Json();
 }
 
 std::string DumpPrometheus(const StoreView& v) {
-  StatRegistry reg;
+  Registry reg;
   CollectStats(v, reg);
   return reg.Prometheus();
 }
@@ -254,7 +254,7 @@ FlightAttachment AttachFlightRecorder(const StoreView& v) {
   rec.Install();
   rec.AttachEpoch(v.owner, v.epoch);
   if constexpr (kStatsEnabled) rec.AttachProcessRings();
-  StatRegistry reg;
+  Registry reg;
   CollectStats(v, reg);
   rec.AttachMetrics(v.owner, reg);
   return FlightAttachment{v.owner};

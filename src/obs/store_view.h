@@ -166,13 +166,14 @@ struct StoreView {
 /// table from kStoreCounterNames, the histograms, the GetStats() totals as
 /// precomputed scalars (store.reads etc.), then index.*, hlog.*, epoch.*,
 /// device.* and rc_log.*.
-void CollectStats(const StoreView& v, StatRegistry& reg);
+void CollectStats(const StoreView& v, Registry& reg);
 
-/// JSON dump of every metric (an empty object with stats compiled out).
+/// JSON dump of every metric. A default build has the always-on store
+/// counters and plain values; no compiled-out metric appears.
 std::string DumpStats(const StoreView& v);
 
-/// Prometheus text exposition 0.0.4 of every metric (a one-line notice
-/// when stats are compiled out). The /metrics handler.
+/// Prometheus text exposition 0.0.4 of the same metrics. The /metrics
+/// handler.
 std::string DumpPrometheus(const StoreView& v);
 
 /// Writes recorded spans as Chrome trace-event JSON (Perfetto;

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "device/memory_device.h"
+#include "obs/log.h"
 #include "parking_device.h"
 
 namespace faster {
@@ -305,6 +310,27 @@ TEST_F(HybridLogTest, RefusedFlushWriteFailsInsteadOfHanging) {
   }
   EXPECT_TRUE(log.io_error());
   EXPECT_GT(log.head_address().page(), log.buffer_pages());
+}
+
+// A failed flush write leaves an error record in the global logger's
+// sinks, in every build.
+TEST_F(HybridLogTest, FailedFlushWriteLogsAnError) {
+  const std::string path = ::testing::TempDir() + "/hlog_flush_error.log";
+  std::remove(path.c_str());
+  obs::Logger& logger = obs::Logger::Global();
+  ASSERT_TRUE(logger.OpenFile(path));
+  RefusingWriteDevice device;
+  {
+    HybridLog log{SmallLog(4, 0.5), &device, &epoch_};
+    MustAllocate(log, epoch_, 4096);
+    log.ShiftReadOnlyToTail(/*wait=*/true);
+    EXPECT_TRUE(log.io_error());
+  }
+  std::ifstream in{path};
+  std::string text{std::istreambuf_iterator<char>{in}, {}};
+  EXPECT_NE(text.find(" error "), std::string::npos) << text;
+  EXPECT_NE(text.find("hlog: flush write failed"), std::string::npos) << text;
+  std::remove(path.c_str());
 }
 
 // Flush writes that complete out of order (as io_uring may deliver them)

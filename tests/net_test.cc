@@ -167,6 +167,15 @@ TEST(RespParser, RejectsOversizedBulk) {
   ExpectStickyError("*2\r\n$3\r\nGET\r\n$17\r\n", limits);
 }
 
+// max_bulk bounds a command's arguments together: two 10-byte arguments
+// overrun a 16-byte bound that each fits alone.
+TEST(RespParser, RejectsOversizedCommand) {
+  RespLimits limits;
+  limits.max_bulk = 16;
+  ExpectStickyError("*2\r\n$10\r\n0123456789\r\n$10\r\n0123456789\r\n",
+                    limits);
+}
+
 TEST(RespParser, RejectsOversizedArgCount) {
   RespLimits limits;
   limits.max_args = 4;

@@ -244,11 +244,13 @@ TEST(StatsNoopTest, NoopTypesAreInert) {
   h.Record(123);
   EXPECT_EQ(h.Count(), 0u);
   EXPECT_EQ(h.Percentile(0.99), 0u);
-  obs::NoopRegistry reg;
+  // The registry skips a compiled-out metric rather than export a zero.
+  obs::Registry reg;
   reg.Add("x", &c);
-  reg.AddValue("y", 1);
+  reg.Add("g", &g);
+  reg.Add("h", &h);
+  reg.Add("s", obs::Registry::Kind::kCounter, obs::SlotSum{});
   EXPECT_EQ(reg.size(), 0u);
-  EXPECT_EQ(reg.Json(), "{}");
   // The clock a PendingContext embeds and the stamp every IoOp embeds
   // cost no bytes without stats.
   if (!obs::kStatsEnabled) {
@@ -555,13 +557,39 @@ TEST(StatsStoreTest, DumpStatsAfterOps) {
   std::string json = obs::DumpStats(store.view());
   if constexpr (obs::kStatsEnabled) {
     EXPECT_NE(json.find("\"index.probe_len\""), std::string::npos) << json;
-    EXPECT_NE(json.find("\"store.read_mutable\""), std::string::npos);
-    // Counts must reflect the ops we ran.
-    EXPECT_NE(json.find("\"store.upsert_append\""), std::string::npos);
-    EXPECT_TRUE(MiniJson::Valid(json)) << json;
-    EXPECT_NE(json.find("\"store.reads\":1000"), std::string::npos) << json;
-  } else {
-    EXPECT_EQ(json, "{}");
+  }
+  EXPECT_NE(json.find("\"store.read_mutable\""), std::string::npos);
+  // Counts must reflect the ops we ran.
+  EXPECT_NE(json.find("\"store.upsert_append\""), std::string::npos);
+  EXPECT_TRUE(MiniJson::Valid(json)) << json;
+  EXPECT_NE(json.find("\"store.reads\":1000"), std::string::npos) << json;
+}
+
+// Every build exports the always-on op counters and their totals; a
+// default build exports no compiled-out metric, not even as a zero.
+TEST(StatsStoreTest, PrometheusExportsAlwaysOnCounters) {
+  MemoryDevice device;
+  FasterKv<CountStoreFunctions>::Config cfg;
+  cfg.table_size = 2048;
+  FasterKv<CountStoreFunctions> store{cfg, &device};
+  store.StartSession();
+  for (uint64_t k = 0; k < 1000; ++k) store.Upsert(k, k);
+  uint64_t out = 0;
+  for (uint64_t k = 0; k < 1000; ++k) store.Read(k, 0, &out);
+  store.StopSession();
+
+  std::string text = obs::DumpPrometheus(store.view());
+  EXPECT_NE(text.find("\nfaster_store_reads_total 1000\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nfaster_store_upsert_append_total "),
+            std::string::npos)
+      << text;
+  if constexpr (!obs::kStatsEnabled) {
+    for (const char* stats_only :
+         {"read_fuzzy", "index_", "hlog_", "device_read_ns"}) {
+      EXPECT_EQ(text.find(stats_only), std::string::npos)
+          << stats_only << " in\n" << text;
+    }
   }
 }
 
@@ -579,7 +607,7 @@ TEST(StatsStoreTest, IndexFindsHitsAndProbeLen) {
   for (uint64_t k = 0; k < 100; ++k) store.Read(k, 0, &out);
   for (uint64_t k = 1000; k < 1050; ++k) store.Read(k, 0, &out);
   store.StopSession();
-  obs::StatRegistry reg;
+  obs::Registry reg;
   obs::CollectStats(store.view(), reg);
   std::map<std::string, uint64_t> counters;
   uint64_t probe_scans = 0;
@@ -803,10 +831,10 @@ TEST(StoreCountersTest, EachOpCountedOnceByOutcome) {
   EXPECT_EQ(count(C::kPendingRetries), 0u);
   store.StopSession();
 
-  // GetStats() and the registry's store.* scalars agree (stats builds: the
-  // registry is empty otherwise).
+  // GetStats() and the registry's store.* scalars agree; a compiled-out
+  // counter is not registered.
   std::vector<std::pair<std::string, uint64_t>> metrics;
-  obs::StatRegistry reg;
+  obs::Registry reg;
   obs::CollectStats(store.view(), reg);
   reg.ForEach([&metrics](const std::string& name, obs::Registry::Kind kind,
                          obs::SlotSum slots, const obs::Histogram*,
@@ -823,22 +851,26 @@ TEST(StoreCountersTest, EachOpCountedOnceByOutcome) {
     ADD_FAILURE() << "no metric " << name;
     return 0;
   };
-  if constexpr (obs::kStatsEnabled) {
-    EXPECT_EQ(metric("store.reads"), s.reads);
-    EXPECT_EQ(metric("store.upserts"), s.upserts);
-    EXPECT_EQ(metric("store.rmws"), s.rmws);
-    EXPECT_EQ(metric("store.deletes"), s.deletes);
-    EXPECT_EQ(metric("store.fuzzy_rmws"), s.fuzzy_rmws);
-    EXPECT_EQ(metric("store.ios_issued"), s.pending_ios);
-    EXPECT_EQ(metric("store.completed_pending"), s.completed_pending);
-    EXPECT_EQ(metric("store.appended_records"), s.appended_records);
-    EXPECT_EQ(metric("store.read_cache_hits"), s.read_cache_hits);
-    for (size_t i = 0; i < std::size(obs::kStoreCounterNames); ++i) {
-      EXPECT_EQ(metric(obs::kStoreCounterNames[i]), count(static_cast<C>(i)))
-          << obs::kStoreCounterNames[i];
+  EXPECT_EQ(metric("store.reads"), s.reads);
+  EXPECT_EQ(metric("store.upserts"), s.upserts);
+  EXPECT_EQ(metric("store.rmws"), s.rmws);
+  EXPECT_EQ(metric("store.deletes"), s.deletes);
+  EXPECT_EQ(metric("store.fuzzy_rmws"), s.fuzzy_rmws);
+  EXPECT_EQ(metric("store.ios_issued"), s.pending_ios);
+  EXPECT_EQ(metric("store.completed_pending"), s.completed_pending);
+  EXPECT_EQ(metric("store.appended_records"), s.appended_records);
+  EXPECT_EQ(metric("store.read_cache_hits"), s.read_cache_hits);
+  for (size_t i = 0; i < std::size(obs::kStoreCounterNames); ++i) {
+    const std::string name = obs::kStoreCounterNames[i];
+    if (i < obs::CounterBlock::kSlots) {
+      EXPECT_EQ(metric(name), count(static_cast<C>(i))) << name;
+    } else {
+      EXPECT_TRUE(std::none_of(metrics.begin(), metrics.end(),
+                               [&name](const auto& m) {
+                                 return m.first == name;
+                               }))
+          << name;
     }
-  } else {
-    EXPECT_TRUE(metrics.empty());
   }
 }
 
