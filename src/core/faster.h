@@ -227,7 +227,7 @@ class FasterKv {
   // resolution against the now-warm lines — the Apply single ops use. An
   // op that cannot use its resolution re-resolves like a single op, so
   // results are identical to executing the ops one at a time in order.
-  // Storage reads found in stage 3 go to the device as one submission.
+  // A storage read stage 3 finds goes to the device as a single op's does.
   // One epoch refresh check covers the whole chunk.
   // -------------------------------------------------------------------
 
@@ -1023,9 +1023,8 @@ class FasterKv {
   // region dispatch on that entry. Single ops resolve under an OpScope
   // (Resolve below); batch stages 1-2 resolve a whole chunk at once and
   // stage 3 calls the same Apply. Apply returns false when the op must
-  // re-resolve: a lost CAS, a page rollover, a read-cache eviction
-  // redirect in flight, or — on a stage-2 resolution — a write to a key
-  // with no index entry yet. Apply never refreshes the epoch; Resolve
+  // re-resolve: a lost CAS, a page rollover or a read-cache eviction
+  // redirect in flight. Apply never refreshes the epoch; Resolve
   // does, after its OpScope closes (DESIGN.md §4: no refresh under an
   // OpScope). Otherwise Apply sets `*out`: the op's status and
   // the counter of its outcome, which the entry point counts — once per
@@ -1033,13 +1032,6 @@ class FasterKv {
   // straight-line code for its op kind (out-of-line calls cost 5-20% per
   // op on a cache-resident store; EXPERIMENTS.md "One op engine").
   // -------------------------------------------------------------------
-
-  /// What a batch chunk lends to Apply: the storage reads to submit as
-  /// one group. Only a stage-2 resolution gets it.
-  struct ChunkRes {
-    PendingContext* ios[kBatchChunk];
-    size_t num_ios = 0;
-  };
 
   /// A completed op: its status and the counter of the outcome that
   /// completed it (obs::StoreCounter's op partition).
@@ -1085,7 +1077,7 @@ class FasterKv {
       } else {
         has_entry = index_.FindEntry(scope, hash, &fr);
       }
-      if (Apply(ts, op, hash, has_entry, fr, nullptr, &out)) break;
+      if (Apply(ts, op, hash, has_entry, fr, &out)) break;
     }
     return out;
   }
@@ -1099,8 +1091,7 @@ class FasterKv {
 
   [[gnu::always_inline]]
   bool Apply(ThreadState& ts, const OpRef& op, KeyHash hash, bool has_entry,
-             HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
-      FASTER_REQUIRES_EPOCH() {
+             HashIndex::FindResult& fr, Outcome* out) FASTER_REQUIRES_EPOCH() {
     if constexpr (kVarLen) {
       // A record must fit one log page. Kept off the counters (kCount
       // counts nothing): the op did not run.
@@ -1112,20 +1103,20 @@ class FasterKv {
       }
     }
     if (!has_entry && (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw)) {
-      // A batch resolution defers to Resolve, which finds a free slot or
-      // no room for one: then the op fails, having changed nothing.
+      // FindSlot found no room for the new key's entry: the op fails,
+      // having changed nothing.
       *out = {Status::kOutOfMemory, Ctr::kCount};
-      return chunk == nullptr;
+      return true;
     }
     switch (op.kind) {
       case OpKind::kRead:
-        return ApplyRead(ts, op, hash, has_entry, fr, chunk, out);
+        return ApplyRead(ts, op, hash, has_entry, fr, out);
       case OpKind::kUpsert:
         return ApplyUpsert(op, fr, out);
       case OpKind::kRmw:
         // No entry point makes an RMW on a variable-length store.
         if constexpr (!kVarLen) {
-          return ApplyRmw(ts, op, hash, fr, chunk, out);
+          return ApplyRmw(ts, op, hash, fr, out);
         }
         break;
       case OpKind::kDelete:
@@ -1138,8 +1129,8 @@ class FasterKv {
   /// through the reader its region allows, else a storage read.
   [[gnu::always_inline]]
   bool ApplyRead(ThreadState& ts, const OpRef& op, KeyHash hash,
-                 bool has_entry, HashIndex::FindResult& fr, ChunkRes* chunk,
-                 Outcome* out) FASTER_REQUIRES_EPOCH() {
+                 bool has_entry, HashIndex::FindResult& fr, Outcome* out)
+      FASTER_REQUIRES_EPOCH() {
     *out = {Status::kNotFound, Ctr::kReadMiss};
     if (!has_entry) return true;
     Address addr;
@@ -1159,7 +1150,7 @@ class FasterKv {
       return DropStaleEntry(fr, /*primary=*/rc_rec == nullptr);
     }
     if constexpr (kMergeable) {
-      *out = MergeableRead(ts, op, hash, addr, chunk);
+      *out = MergeableRead(ts, op, hash, addr);
       return true;
     }
     Address head = hlog_.head_address();
@@ -1191,7 +1182,7 @@ class FasterKv {
       return true;
     }
     // The chain continues on storage: go asynchronous (Sec. 5.3).
-    Status s = GoPending(ts, op, hash, addr, chunk);
+    Status s = GoPending(ts, op, hash, addr);
     *out = {s, s == Status::kPending ? Ctr::kReadStable : Ctr::kCount};
     return true;
   }
@@ -1241,12 +1232,11 @@ class FasterKv {
   /// its own, unless it is a restarted read that finds the chain bottom it
   /// walked: truncation ended that chain, so the key is absent (kNotFound).
   [[gnu::always_inline]] Status GoPending(ThreadState& ts, const OpRef& op,
-                                          KeyHash hash, Address addr,
-                                          ChunkRes* chunk) {
+                                          KeyHash hash, Address addr) {
     PendingContext* ctx = op.resumed();
-    if (ctx == nullptr) return ParkNew(ts, op, hash, addr, chunk);
+    if (ctx == nullptr) return ParkNew(ts, op, hash, addr);
     if (addr.IsValid() && addr == ctx->chain_bottom) return Status::kNotFound;
-    Await(ts, ctx, addr.IsValid() ? Wait::kRead : Wait::kRetry, addr, chunk);
+    Await(ts, ctx, addr.IsValid() ? Wait::kRead : Wait::kRetry, addr);
     return Status::kPending;
   }
 
@@ -1254,10 +1244,10 @@ class FasterKv {
   /// no context. Out of line, context constructor and all: op bodies keep
   /// only the call.
   [[gnu::noinline]] Status ParkNew(ThreadState& ts, OpRef op, KeyHash hash,
-                                   Address addr, ChunkRes* chunk) {
+                                   Address addr) {
     PendingContext* ctx = NewContext(ts, op, hash);
     if (ctx == nullptr) return Status::kOutOfMemory;
-    Await(ts, ctx, addr.IsValid() ? Wait::kRead : Wait::kRetry, addr, chunk);
+    Await(ts, ctx, addr.IsValid() ? Wait::kRead : Wait::kRetry, addr);
     return Status::kPending;
   }
 
@@ -1328,8 +1318,7 @@ class FasterKv {
   /// goes pending.
   [[gnu::always_inline]]
   bool ApplyRmw(ThreadState& ts, const OpRef& op, KeyHash hash,
-                HashIndex::FindResult& fr, ChunkRes* chunk, Outcome* out)
-      FASTER_REQUIRES_EPOCH() {
+                HashIndex::FindResult& fr, Outcome* out) FASTER_REQUIRES_EPOCH() {
     Address addr;
     RecordT* rc_rec = nullptr;
     if (!ResolveEntry(fr, &addr, &rc_rec)) return false;
@@ -1402,7 +1391,7 @@ class FasterKv {
       // the initial record.
     }
     if (kind >= Ctr::kRmwFuzzyDeferred) {
-      Status s = GoPending(ts, op, hash, io, chunk);
+      Status s = GoPending(ts, op, hash, io);
       *out = {s, s == Status::kPending ? kind : Ctr::kCount};
       return true;
     }
@@ -1442,14 +1431,14 @@ class FasterKv {
   /// until the safe read-only offset catches up (Sec. 6.2, io_complete
   /// time); or nothing, as the op completes (FinishPending).
   void Await(ThreadState& ts, PendingContext* ctx, Wait wait,
-             Address addr = Address::Invalid(), ChunkRes* chunk = nullptr) {
+             Address addr = Address::Invalid()) {
     Wait was = std::exchange(ctx->wait, wait);
     if (was == Wait::kRead) ts.counters.Sub(Ctr::kPendingIos);
     if (was == Wait::kRetry) ts.counters.Sub(Ctr::kPendingRetries);
     if (wait == Wait::kRead) {
       ts.counters.Add(Ctr::kPendingIos);
       ctx->chain_bottom = addr;
-      IssueIo(ctx, addr, 0, chunk);
+      IssueIo(ctx, addr);
     } else if (wait == Wait::kRetry) {
       ts.counters.Add(Ctr::kPendingRetries);
       ctx->chain_bottom = Address::Invalid();
@@ -1459,10 +1448,8 @@ class FasterKv {
   }
 
   /// Reads the record at `addr` (a chain hop), or, with `whole_size`, all
-  /// of a variable-length record the first block cut short. A batch chunk
-  /// defers the submission to send its reads as one group (io_queue).
-  void IssueIo(PendingContext* ctx, Address addr, uint32_t whole_size = 0,
-               ChunkRes* chunk = nullptr) {
+  /// of a variable-length record the first block cut short.
+  void IssueIo(PendingContext* ctx, Address addr, uint32_t whole_size = 0) {
     ctx->address = addr;
     if constexpr (kVarLen) {
       ctx->whole.resize(whole_size);
@@ -1470,17 +1457,13 @@ class FasterKv {
     }
     thread_states_[ctx->owner].counters.Add(Ctr::kIosIssued);
     ctx->clock.Mark(obs::Stage::kIoQueue);
-    if (chunk != nullptr) {
-      chunk->ios[chunk->num_ios++] = ctx;
-      return;
-    }
     // Submission work (and the execution a synchronous device runs under
     // it) is io_queue; device paths nest io_exec inside.
     obs::StatPerfScope perf{obs::Stage::kIoQueue};
     Status s = hlog_.AsyncGetFromDisk(ctx->address, ctx->read_len, ctx->dst(),
                                       &FasterKv::IoCallback, ctx);
     // A rejected read never fires its callback: fail it through the
-    // completion machinery, as the batch path does.
+    // completion machinery, so the op still completes exactly once.
     if (s != Status::kOk) IoCallback(ctx, Status::kIoError, 0);
   }
 
@@ -1508,7 +1491,7 @@ class FasterKv {
 
     // ---- Stage 1: hash every key; prefetch its hash bucket. ----
     KeyHash hashes[kBatchChunk];
-    bool dep[kBatchChunk] = {};
+    bool dep[kBatchChunk] = {};  // ops stage 3 must re-resolve
     {
       obs::StageScope stage{obs::Stage::kHash};
       for (size_t i = 0; i < n; ++i) {
@@ -1541,17 +1524,24 @@ class FasterKv {
     LightEpoch::BatchScope batch_scope{epoch_};
     HashIndex::FindResult frs[kBatchChunk];
     bool entry_found[kBatchChunk];
-    bool stable;
-    ChunkRes chunk;
     {
       obs::StageScope stage{obs::Stage::kResolve};
-      stable = index_.TryFindEntriesStable(hashes, dep, n, frs, entry_found,
-                                           slot);
-      if (stable) {
+      if (!index_.TryFindEntriesStable(hashes, dep, n, frs, entry_found,
+                                       slot)) {
+        // A resize is in flight: every op re-resolves.
+        std::fill_n(dep, n, true);
+      } else {
         Address begin = hlog_.begin_address();
         Address head = hlog_.head_address();
         for (size_t i = 0; i < n; ++i) {
-          if (dep[i] || !entry_found[i]) continue;
+          // No entry (the skipped dep[i] ops report none either): a new
+          // key's upsert or RMW re-resolves, since FindSlot, which finds
+          // the slot to publish it in, runs under Resolve's OpScope.
+          if (!entry_found[i]) {
+            dep[i] |= ops[i].kind == BatchOp::Kind::kUpsert ||
+                      ops[i].kind == BatchOp::Kind::kRmw;
+            continue;
+          }
           Address a = frs[i].entry.address();
           bool in_cache = rc_log_ != nullptr && InReadCache(a);
           bool in_mem = !in_cache && a.IsValid() && a >= begin && a >= head;
@@ -1577,8 +1567,8 @@ class FasterKv {
       OpRef ref{kind,      op.key,          &op.input, &op.value,
                 op.output, op.user_context, &clock};
       Outcome out;
-      if (stable && !dep[i] && !batch_scope.interrupted() &&
-          Apply(ts, ref, hashes[i], entry_found[i], frs[i], &chunk, &out)) {
+      if (!dep[i] && !batch_scope.interrupted() &&
+          Apply(ts, ref, hashes[i], entry_found[i], frs[i], &out)) {
         ts.counters.Add(Ctr::kBatchFast);
       } else {
         ts.counters.Add(Ctr::kBatchFallback);
@@ -1588,30 +1578,6 @@ class FasterKv {
       op.status = out.status;
       // A pending op took a copy of the clock, which finishes it.
       if (op.status != Status::kPending) clock.Finish(nullptr, slot);
-    }
-
-    // Coalesced submission of every disk read stage 3 discovered.
-    size_t num_ios = chunk.num_ios;
-    if (num_ios > 0) {
-      IoReadRequest reqs[kBatchChunk];
-      for (size_t i = 0; i < num_ios; ++i) {
-        PendingContext* c = chunk.ios[i];
-        reqs[i] = IoReadRequest{c->address.control(), c->dst(), c->read_len,
-                                &FasterKv::IoCallback, c};
-      }
-      Hist(obs::StoreHistogram::kBatchIoGroupSize).Record(num_ios, slot);
-      uint32_t accepted = 0;
-      obs::StageScope submit{obs::Stage::kIoQueue};
-      Status s = hlog_.AsyncGetFromDiskBatch(
-          reqs, static_cast<uint32_t>(num_ios), &accepted);
-      if (s != Status::kOk) {
-        // Rejected requests ([accepted, num_ios)) never reach the device
-        // and never fire callbacks; fail them through the normal
-        // completion machinery so each still completes exactly once.
-        for (size_t k = accepted; k < num_ios; ++k) {
-          IoCallback(chunk.ios[k], Status::kIoError, 0);
-        }
-      }
     }
   }
 
@@ -1788,8 +1754,8 @@ class FasterKv {
   // Mergeable (CRDT) reads: reconcile all delta records (Sec. 6.3).
   // -------------------------------------------------------------------
 
-  Outcome MergeableRead(ThreadState& ts, OpRef op, KeyHash hash, Address addr,
-                        ChunkRes* chunk) FASTER_REQUIRES_EPOCH() {
+  Outcome MergeableRead(ThreadState& ts, OpRef op, KeyHash hash, Address addr)
+      FASTER_REQUIRES_EPOCH() {
     static_assert(!kMergeable || std::is_same_v<Value, Output>,
                   "mergeable stores require Output == Value");
     Value acc{};
@@ -1824,7 +1790,7 @@ class FasterKv {
     if (ctx == nullptr) return {Status::kOutOfMemory, Ctr::kCount};
     ctx->merge_acc = acc;
     ctx->merge_found = found;
-    Await(ts, ctx, Wait::kRead, addr, chunk);
+    Await(ts, ctx, Wait::kRead, addr);
     return {Status::kPending, Ctr::kReadStable};
   }
 

@@ -131,7 +131,7 @@ class HashIndex {
   /// OpScope/pin overhead, so stage 3 can reuse the FindResults instead of
   /// re-probing the (now warm) buckets. `skip[i]` (optional) marks ops the
   /// caller will route to the single-op path regardless; they are not
-  /// probed. `slot` is the calling thread's. Returns false — with no
+  /// probed, and `found[i]` is false. `slot` is the calling thread's. Returns false — with no
   /// probing done — if a resize is in flight.
   ///
   /// Safety: this elides the OpScope chunk pin. The caller must be

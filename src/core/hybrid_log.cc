@@ -272,11 +272,6 @@ Status HybridLog::AsyncGetFromDisk(Address address, uint32_t size, void* dst,
   return device_->ReadAsync(address.control(), dst, size, callback, context);
 }
 
-Status HybridLog::AsyncGetFromDiskBatch(const IoReadRequest* requests,
-                                        uint32_t n, uint32_t* accepted) {
-  return device_->ReadBatchAsync(requests, n, accepted);
-}
-
 Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
   // order: release store from the IO callback publishes `result`; acquire
   // load in the spin loop pairs with it.

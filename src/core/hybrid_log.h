@@ -179,15 +179,6 @@ class HybridLog {
   Status AsyncGetFromDisk(Address address, uint32_t size, void* dst,
                           IoCallback callback, void* context);
 
-  /// Issues a group of stable-region reads as one coalesced device
-  /// submission. `requests[i].offset` must already hold the logical
-  /// address (`Address::control()`), as filled in by the store's batch
-  /// pipeline; callbacks complete into the usual pending machinery.
-  /// `*accepted` (when non-null) reports the accepted prefix as in
-  /// IDevice::ReadBatchAsync; rejected requests never fire callbacks.
-  Status AsyncGetFromDiskBatch(const IoReadRequest* requests, uint32_t n,
-                               uint32_t* accepted = nullptr);
-
   /// Synchronously reads from the stable region (recovery / log scan).
   Status ReadFromDiskSync(Address address, uint32_t size, void* dst);
 

@@ -1,6 +1,7 @@
 #ifndef FASTER_DEVICE_DEVICE_H_
 #define FASTER_DEVICE_DEVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -17,26 +18,18 @@ namespace faster {
 /// transferred.
 using IoCallback = void (*)(void* context, Status result, uint32_t bytes);
 
-/// One read in a coalesced batch submission (see ReadBatchAsync). Plain
-/// aggregate so callers can build an array on the stack.
-struct IoReadRequest {
-  uint64_t offset = 0;
-  void* dst = nullptr;
-  uint32_t len = 0;
-  IoCallback callback = nullptr;
-  void* context = nullptr;
-};
-
 /// Abstract block device backing the HybridLog's stable region (Sec. 5.2).
 ///
 /// The log issues sector-aligned page flushes (write) and record-sized
-/// random reads (read). The callback runs exactly once: before the call
-/// returns on a synchronous device, or when a thread polls on io_uring.
-/// The asynchrony of Sec. 5.3 lives in the store (a pending read's
-/// context, CompletePending), not here. Implementations: `FileDevice`
-/// (POSIX file, pread/pwrite at submit or io_uring), `MemoryDevice`
-/// (in-RAM, used for tests and scaled-down benchmarks), and `NullDevice`
-/// (discards writes, for pure in-memory experiments).
+/// random reads (read), one op per call: a batch op's storage read goes
+/// through ReadAsync as a single op's does. The callback runs exactly
+/// once: before the call returns on a synchronous device, or when a
+/// thread polls on io_uring. The asynchrony of Sec. 5.3 lives in the
+/// store (a pending read's context, CompletePending), not here.
+/// Implementations: `FileDevice` (POSIX file, pread/pwrite at submit or
+/// io_uring), `MemoryDevice` (in-RAM, used for tests and scaled-down
+/// benchmarks), and `NullDevice` (discards writes, for pure in-memory
+/// experiments).
 class IDevice {
  public:
   virtual ~IDevice() = default;
@@ -49,29 +42,6 @@ class IDevice {
   /// `dst` (caller-owned, must outlive the operation).
   virtual Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                            IoCallback callback, void* context) = 0;
-
-  /// Issues `n` reads as one group. Returns kOk if every request was
-  /// accepted; otherwise the status of the first rejected request, with
-  /// `*accepted` (when non-null) set to its index. Requests `[0,
-  /// *accepted)` were accepted and their callbacks fire exactly once, as
-  /// with ReadAsync; requests `[*accepted, n)` were NOT issued and never
-  /// fire — the caller owns completing or failing them. The default stops
-  /// at the first rejection so the accepted set is always a prefix;
-  /// FileDevice overrides this to submit a kernel ring's share as one
-  /// io_uring_enter.
-  virtual Status ReadBatchAsync(const IoReadRequest* requests, uint32_t n,
-                                uint32_t* accepted = nullptr) {
-    for (uint32_t i = 0; i < n; ++i) {
-      const IoReadRequest& r = requests[i];
-      Status s = ReadAsync(r.offset, r.dst, r.len, r.callback, r.context);
-      if (s != Status::kOk) {
-        if (accepted != nullptr) *accepted = i;
-        return s;
-      }
-    }
-    if (accepted != nullptr) *accepted = n;
-    return Status::kOk;
-  }
 
   /// Completion polling: reaps the calling thread's queued operations,
   /// invoking their callbacks on this thread. Returns the number of
@@ -97,17 +67,21 @@ class IDevice {
                              const std::string& /*prefix*/) const {}
 };
 
-/// Metrics shared by the concrete devices: operation counts and
-/// submit-to-completion latency (on io_uring, includes the time until a
-/// poll reaps it).
+/// Metrics shared by the concrete devices: bytes written, operation
+/// counts and submit-to-completion latency (on io_uring, includes the time
+/// until a poll reaps it). Every op, whatever its path, finishes here.
 struct DeviceObsStats {
+  // order: relaxed fetch_add/load — a monotonically increasing byte
+  // counter for stats and tests; no data is published through it.
+  std::atomic<uint64_t> bytes_written{0};
   obs::StatCounter reads;
   obs::StatCounter writes;
   obs::StatHistogram read_ns;
   obs::StatHistogram write_ns;
 
-  /// Counts one finished op submitted at `submit_ns`.
-  void Finished(bool write, uint64_t submit_ns) {
+  /// Counts one finished op submitted at `submit_ns` that moved `bytes`.
+  void Finished(bool write, uint64_t submit_ns, uint32_t bytes) {
+    if (write) bytes_written.fetch_add(bytes, std::memory_order_relaxed);
     (write ? writes : reads).Inc();
     if constexpr (obs::kStatsEnabled) {
       (write ? write_ns : read_ns).Record(obs::NowNs() - submit_ns);
@@ -135,7 +109,7 @@ void CompleteAtSubmit(DeviceObsStats& stats, bool write, IoCallback callback,
   uint32_t bytes = 0;
   obs::RunIo(stamp, obs::IoHop::kExecute, [&] {
     status = execute(&bytes);
-    stats.Finished(write, stamp.submit_ns);
+    stats.Finished(write, stamp.submit_ns, bytes);
   });
   obs::RunIo(stamp, obs::IoHop::kDeliver,
              [&] { callback(context, status, bytes); });

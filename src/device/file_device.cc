@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "obs/log.h"
@@ -55,9 +54,6 @@ Status FileDevice::ExecuteOp(const IoOp& op, uint32_t* bytes) {
     off += static_cast<uint64_t>(n);
     remaining -= static_cast<uint32_t>(n);
   }
-  if (op.kind == IoOp::Kind::kWrite) {
-    bytes_written_.fetch_add(op.len, std::memory_order_relaxed);
-  }
   *bytes = op.len;
   return Status::kOk;
 }
@@ -67,7 +63,7 @@ Status FileDevice::ExecuteOp(const IoOp& op, uint32_t* bytes) {
 // annotated API are not analyzed.
 void FileDevice::Submit(const IoOp& op) FASTER_NO_THREAD_SAFETY_ANALYSIS {
   if (uring_ != nullptr) {
-    uring_->Submit(&op, 1);
+    uring_->Submit(op);
     return;
   }
   CompleteAtSubmit(obs_stats_, op.kind == IoOp::Kind::kWrite, op.callback,
@@ -97,31 +93,6 @@ Status FileDevice::ReadAsync(uint64_t offset, void* dst, uint32_t len,
   op.callback = callback;
   op.context = context;
   Submit(op);
-  return Status::kOk;
-}
-
-Status FileDevice::ReadBatchAsync(const IoReadRequest* requests, uint32_t n,
-                                  uint32_t* accepted)
-    FASTER_NO_THREAD_SAFETY_ANALYSIS {
-  if (uring_ == nullptr) return IDevice::ReadBatchAsync(requests, n, accepted);
-  // One io_uring_enter per chunk of the batch.
-  constexpr uint32_t kChunk = 64;
-  IoOp ops[kChunk];
-  uint32_t i = 0;
-  while (i < n) {
-    uint32_t m = std::min(n - i, kChunk);
-    for (uint32_t j = 0; j < m; ++j) {
-      const IoReadRequest& r = requests[i + j];
-      ops[j].offset = r.offset;
-      ops[j].buf = r.dst;
-      ops[j].len = r.len;
-      ops[j].callback = r.callback;
-      ops[j].context = r.context;
-    }
-    uring_->Submit(ops, m);
-    i += m;
-  }
-  if (accepted != nullptr) *accepted = n;
   return Status::kOk;
 }
 

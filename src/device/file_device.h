@@ -1,7 +1,6 @@
 #ifndef FASTER_DEVICE_FILE_DEVICE_H_
 #define FASTER_DEVICE_FILE_DEVICE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 
@@ -41,13 +40,11 @@ class FileDevice : public IDevice, private IoOpExecutor {
                     IoCallback callback, void* context) override;
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                    IoCallback callback, void* context) override;
-  Status ReadBatchAsync(const IoReadRequest* requests, uint32_t n,
-                        uint32_t* accepted = nullptr) override;
   uint32_t Poll() override;
   uint32_t PollAll() override;
   void Drain() override;
   uint64_t bytes_written() const override {
-    return bytes_written_.load(std::memory_order_relaxed);
+    return obs_stats_.bytes_written.load(std::memory_order_relaxed);
   }
 
   const std::string& path() const { return path_; }
@@ -79,9 +76,6 @@ class FileDevice : public IDevice, private IoOpExecutor {
   IoPathMode mode_;
   uint64_t uring_fallbacks_ = 0;    // set once, by the constructor
   std::unique_ptr<UringIo> uring_;  // kUring only
-  // order: relaxed fetch_add/load — a monotonically increasing byte
-  // counter for stats and tests; no data is published through it.
-  std::atomic<uint64_t> bytes_written_{0};
   mutable DeviceObsStats obs_stats_;
 };
 

@@ -53,7 +53,6 @@ Status MemoryDevice::WriteSync(const void* src, uint64_t offset,
     off += chunk;
     remaining -= chunk;
   }
-  bytes_written_.fetch_add(len, std::memory_order_relaxed);
   return Status::kOk;
 }
 

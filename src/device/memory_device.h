@@ -34,7 +34,7 @@ class MemoryDevice : public IDevice {
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                    IoCallback callback, void* context) override;
   uint64_t bytes_written() const override {
-    return bytes_written_.load(std::memory_order_relaxed);
+    return obs_stats_.bytes_written.load(std::memory_order_relaxed);
   }
 
   /// Synchronous read used by recovery and the log-scan iterator.
@@ -54,9 +54,6 @@ class MemoryDevice : public IDevice {
 
   std::mutex segments_mutex_;
   std::vector<std::unique_ptr<uint8_t[]>> segments_;
-  // order: relaxed fetch_add/load — a monotonically increasing byte
-  // counter for stats and tests; no data is published through it.
-  std::atomic<uint64_t> bytes_written_{0};
   mutable DeviceObsStats obs_stats_;
 };
 

@@ -182,72 +182,63 @@ UringIo::Ring* UringIo::RingFor(uint32_t tid, bool create) {
   return ring;
 }
 
-void UringIo::Submit(const IoOp* ops, uint32_t n) {
+void UringIo::Submit(const IoOp& submitted) {
   Ring* ring = RingFor(Thread::Id(), /*create=*/true);
   if (ring == nullptr) {
     // Ring creation failed (fd limits, mmap): stay correct, go sync.
-    for (uint32_t i = 0; i < n; ++i) InlineFallback(ops[i]);
+    InlineFallback(submitted);
     return;
   }
-  uint32_t queued = 0;
-  unsigned tail = __atomic_load_n(ring->sq_tail, __ATOMIC_RELAXED);
-  for (uint32_t i = 0; i < n; ++i) {
-    IoOp op = ops[i];
-    op.stamp = obs::StatIoStamp::Now();
-    // Claim an op slot; the slot count == SQ entries, so a free slot
-    // implies SQ space (the kernel consumes SQEs inside io_uring_enter).
-    uint32_t slot_idx = Ring::kEntries;
-    for (uint32_t s = 0; s < Ring::kEntries; ++s) {
-      bool expected = false;
-      if (ring->slots[s].busy.compare_exchange_strong(
-              expected, true, std::memory_order_acq_rel,
-              std::memory_order_acquire)) {
-        slot_idx = s;
-        break;
-      }
+  IoOp op = submitted;
+  op.stamp = obs::StatIoStamp::Now();
+  // Claim an op slot; the slot count == SQ entries, so a free slot
+  // implies SQ space (the kernel consumes SQEs inside io_uring_enter).
+  uint32_t slot_idx = Ring::kEntries;
+  for (uint32_t s = 0; s < Ring::kEntries; ++s) {
+    bool expected = false;
+    if (ring->slots[s].busy.compare_exchange_strong(
+            expected, true, std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      slot_idx = s;
+      break;
     }
-    unsigned head = __atomic_load_n(ring->sq_head, __ATOMIC_ACQUIRE);
-    if (slot_idx == Ring::kEntries || tail - head >= Ring::kEntries) {
-      if (slot_idx != Ring::kEntries) {
-        ring->slots[slot_idx].busy.store(false, std::memory_order_release);
-      }
-      InlineFallback(op);
-      continue;
-    }
-    Ring::OpSlot& slot = ring->slots[slot_idx];
-    slot.op = op;
-    slot.iov.iov_base = op.buf;
-    slot.iov.iov_len = op.len;
-    slot.busy.store(true, std::memory_order_release);
-    unsigned idx = tail & *ring->sq_mask;
-    io_uring_sqe* sqe = &ring->sqes[idx];
-    std::memset(sqe, 0, sizeof(*sqe));
-    sqe->opcode =
-        op.kind == IoOp::Kind::kWrite ? IORING_OP_WRITEV : IORING_OP_READV;
-    sqe->fd = fd_;
-    sqe->off = op.offset;
-    sqe->addr = reinterpret_cast<uint64_t>(&slot.iov);
-    sqe->len = 1;
-    sqe->user_data = slot_idx;
-    ring->sq_array[idx] = idx;
-    ++tail;
-    ++queued;
-    ring->in_flight.fetch_add(1, std::memory_order_relaxed);
-    stats_.submits.Inc();
   }
-  if (queued == 0) return;
-  __atomic_store_n(ring->sq_tail, tail, __ATOMIC_RELEASE);
-  uint32_t submitted = 0;
-  while (submitted < queued) {
-    int r = IoUringEnter(ring->ring_fd, queued - submitted, 0, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
+  unsigned tail = __atomic_load_n(ring->sq_tail, __ATOMIC_RELAXED);
+  unsigned head = __atomic_load_n(ring->sq_head, __ATOMIC_ACQUIRE);
+  if (slot_idx == Ring::kEntries || tail - head >= Ring::kEntries) {
+    if (slot_idx != Ring::kEntries) {
+      ring->slots[slot_idx].busy.store(false, std::memory_order_release);
+    }
+    InlineFallback(op);
+    return;
+  }
+  Ring::OpSlot& slot = ring->slots[slot_idx];
+  slot.op = op;
+  slot.iov.iov_base = op.buf;
+  slot.iov.iov_len = op.len;
+  slot.busy.store(true, std::memory_order_release);
+  unsigned idx = tail & *ring->sq_mask;
+  io_uring_sqe* sqe = &ring->sqes[idx];
+  std::memset(sqe, 0, sizeof(*sqe));
+  sqe->opcode =
+      op.kind == IoOp::Kind::kWrite ? IORING_OP_WRITEV : IORING_OP_READV;
+  sqe->fd = fd_;
+  sqe->off = op.offset;
+  sqe->addr = reinterpret_cast<uint64_t>(&slot.iov);
+  sqe->len = 1;
+  sqe->user_data = slot_idx;
+  ring->sq_array[idx] = idx;
+  ring->in_flight.fetch_add(1, std::memory_order_relaxed);
+  stats_.submits.Inc();
+  __atomic_store_n(ring->sq_tail, tail + 1, __ATOMIC_RELEASE);
+  for (;;) {
+    int r = IoUringEnter(ring->ring_fd, 1, 0, 0);
+    if (r > 0) return;
+    if (r < 0 && errno != EINTR) {
       // EAGAIN/EBUSY: kernel backlogged — reap to make space, retry.
       Reap(*ring);
       std::this_thread::yield();
-      continue;
     }
-    submitted += static_cast<uint32_t>(r);
   }
 }
 
@@ -313,7 +304,8 @@ uint32_t UringIo::Reap(Ring& ring) {
     slot.busy.store(false, std::memory_order_release);
     uint32_t bytes = 0;
     Status status = Finish(op, res, &bytes);
-    dev_stats_.Finished(op.kind == IoOp::Kind::kWrite, op.stamp.submit_ns);
+    dev_stats_.Finished(op.kind == IoOp::Kind::kWrite, op.stamp.submit_ns,
+                        bytes);
     Deliver(op, status, bytes);
     ring.in_flight.fetch_sub(1, std::memory_order_release);
     ++delivered;
@@ -381,9 +373,7 @@ UringIo::UringIo(int fd, IoOpExecutor& inline_exec, DeviceObsStats& dev_stats)
 
 UringIo::~UringIo() = default;
 
-void UringIo::Submit(const IoOp* ops, uint32_t n) {
-  for (uint32_t i = 0; i < n; ++i) InlineFallback(ops[i]);
-}
+void UringIo::Submit(const IoOp& op) { InlineFallback(op); }
 
 uint32_t UringIo::Poll() { return 0; }
 uint32_t UringIo::PollAll() { return 0; }

@@ -13,8 +13,8 @@
 
 /// Linux io_uring backend for FileDevice (IoPathMode::kUring; DESIGN.md
 /// §13), the one device path that queues. Each submitting thread owns a
-/// kernel ring: submission fills SQEs and makes one io_uring_enter syscall
-/// per batch (no wakeup, no pool thread), and completions are reaped in
+/// kernel ring: submitting an op fills one SQE and makes one io_uring_enter
+/// syscall (no wakeup, no pool thread), and completions are reaped in
 /// pure userspace by polling the CQ ring; any thread's PollAll may reap
 /// any ring.
 ///
@@ -86,15 +86,15 @@ class UringIo {
   UringIo(const UringIo&) = delete;
   UringIo& operator=(const UringIo&) = delete;
 
-  /// Submits `ops[0..n)` from the calling thread's ring as one
-  /// io_uring_enter. Ops that cannot get a ring slot are executed and
-  /// completed inline on the calling thread.
+  /// Submits `op` from the calling thread's ring with one io_uring_enter.
+  /// An op that cannot get a ring slot is executed and completed inline on
+  /// the calling thread.
   ///
   /// Submit/Poll/PollAll require an epoch-protected session: the rings
   /// are indexed by Thread::Id() (valid only inside a session), and the
   /// delivered callbacks touch epoch-protected store state
   /// (tools/check_thread_safety.sh enforces this under clang).
-  void Submit(const IoOp* ops, uint32_t n) FASTER_REQUIRES_EPOCH();
+  void Submit(const IoOp& op) FASTER_REQUIRES_EPOCH();
 
   /// Reaps the calling thread's completion ring, invoking callbacks on
   /// this thread. Returns callbacks delivered.

@@ -137,14 +137,12 @@ StoreStats Totals(const CounterTable& t);
 
 /// The store's latency and size distributions (stats builds only).
 enum class StoreHistogram : uint8_t {
-  kPendingIoNs, kCheckpointIndexNs, kCheckpointFlushNs, kBatchSizes,
-  kBatchIoGroupSize, kCount
+  kPendingIoNs, kCheckpointIndexNs, kCheckpointFlushNs, kBatchSizes, kCount
 };
 inline constexpr const char* kStoreHistogramNames[] = {
-    "store.pending_io_ns",       // issue -> done, incl. chain hops
+    "store.pending_io_ns",  // issue -> done, incl. chain hops
     "store.checkpoint_index_ns", "store.checkpoint_flush_ns",
-    "store.batch_sizes",         // ops per executed chunk
-    "store.batch_io_group_size"  // reads per coalesced submit
+    "store.batch_sizes",  // ops per executed chunk
 };
 static_assert(std::size(kStoreHistogramNames) ==
               static_cast<size_t>(StoreHistogram::kCount));

@@ -231,8 +231,8 @@ TEST_F(BatchTest, FuzzyRegionRmwDefersLikeSequential) {
   mirror.StopSession();
 }
 
-// --- On storage: batch reads coalesce into pending I/O; RMWs report their
-// values after their storage reads; deletes in every region. ------------
+// --- On storage: batch reads go pending like single reads; RMWs report
+// their values after their storage reads; deletes in every region. ------
 
 TEST_F(BatchTest, OnDiskOpsMatchSequential) {
   auto cfg = Cfg();
@@ -252,7 +252,7 @@ TEST_F(BatchTest, OnDiskOpsMatchSequential) {
 
   uint64_t ios_before = batch.GetStats().pending_ios;
   // The oldest keys are on storage now; a batch of reads for them must go
-  // pending (issued as one coalesced submission) and complete with the
+  // pending (each read issued as a single op's is) and complete with the
   // same values the mirror's sequential pending reads produce.
   std::vector<TestOp> ops(64);
   for (uint64_t k = 0; k < 64; ++k) {

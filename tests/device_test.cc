@@ -143,76 +143,6 @@ TEST(MemoryDeviceTest, ConcurrentWritersToDistinctRegions) {
 }
 
 // ---------------------------------------------------------------------
-// ReadBatchAsync partial failure: the accepted set must be a reported
-// prefix, and rejected requests must never fire callbacks.
-// ---------------------------------------------------------------------
-
-/// Accepts the first `limit` reads (completing them inline) and rejects
-/// the rest — a stand-in for a device hitting queue exhaustion mid-batch.
-class RejectAfterDevice : public IDevice {
- public:
-  explicit RejectAfterDevice(uint32_t limit) : limit_{limit} {}
-  Status WriteAsync(const void*, uint64_t, uint32_t len, IoCallback callback,
-                    void* context) override {
-    callback(context, Status::kOk, len);
-    return Status::kOk;
-  }
-  Status ReadAsync(uint64_t, void*, uint32_t len, IoCallback callback,
-                   void* context) override {
-    if (issued_ >= limit_) return Status::kIoError;
-    ++issued_;
-    callback(context, Status::kOk, len);
-    return Status::kOk;
-  }
-  void Drain() override {}
-  uint64_t bytes_written() const override { return 0; }
-
- private:
-  uint32_t limit_;
-  uint32_t issued_ = 0;
-};
-
-TEST(DeviceBatchTest, PartialBatchFailureReportsAcceptedPrefix) {
-  RejectAfterDevice device{3};
-  constexpr uint32_t kN = 5;
-  int fired[kN] = {};
-  uint8_t dst[kN][8];
-  IoReadRequest reqs[kN];
-  for (uint32_t i = 0; i < kN; ++i) {
-    reqs[i] = IoReadRequest{
-        i * 8, dst[i], 8,
-        [](void* ctx, Status s, uint32_t) {
-          ASSERT_EQ(s, Status::kOk);
-          ++*static_cast<int*>(ctx);
-        },
-        &fired[i]};
-  }
-  uint32_t accepted = 99;
-  EXPECT_EQ(device.ReadBatchAsync(reqs, kN, &accepted), Status::kIoError);
-  EXPECT_EQ(accepted, 3u);
-  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(fired[i], 1) << i;
-  for (uint32_t i = 3; i < kN; ++i) EXPECT_EQ(fired[i], 0) << i;
-}
-
-TEST(DeviceBatchTest, FullAcceptanceReportsN) {
-  RejectAfterDevice device{8};
-  constexpr uint32_t kN = 4;
-  int fired[kN] = {};
-  uint8_t dst[kN][8];
-  IoReadRequest reqs[kN];
-  for (uint32_t i = 0; i < kN; ++i) {
-    reqs[i] = IoReadRequest{
-        i * 8, dst[i], 8,
-        [](void* ctx, Status, uint32_t) { ++*static_cast<int*>(ctx); },
-        &fired[i]};
-  }
-  uint32_t accepted = 0;
-  EXPECT_EQ(device.ReadBatchAsync(reqs, kN, &accepted), Status::kOk);
-  EXPECT_EQ(accepted, kN);
-  for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(fired[i], 1) << i;
-}
-
-// ---------------------------------------------------------------------
 // Synchronous devices (DESIGN.md §13): MemoryDevice and FileDevice
 // without io_uring run each op and its callback before the call returns.
 // ---------------------------------------------------------------------
@@ -247,29 +177,11 @@ void ExpectCompletesAtSubmit(IDevice& device) {
   EXPECT_EQ(r.thread, std::this_thread::get_id());
   EXPECT_EQ(in[0], 0x7E);
 
-  constexpr uint32_t kN = 8;
-  CallbackLog logs[kN];
-  std::vector<std::vector<uint8_t>> bufs(kN, std::vector<uint8_t>(32));
-  IoReadRequest reqs[kN];
-  for (uint32_t i = 0; i < kN; ++i) {
-    reqs[i] = IoReadRequest{i * 32, bufs[i].data(), 32, &CallbackLog::Callback,
-                            &logs[i]};
-  }
-  uint32_t accepted = 0;
-  ASSERT_EQ(device.ReadBatchAsync(reqs, kN, &accepted), Status::kOk);
-  EXPECT_EQ(accepted, kN);
-  for (uint32_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(logs[i].calls, 1) << i;
-    EXPECT_EQ(logs[i].thread, std::this_thread::get_id()) << i;
-    EXPECT_EQ(bufs[i][0], 0x7E) << i;
-  }
-
   // Nothing is left for a poll to deliver, and no callback runs twice.
   EXPECT_EQ(device.Poll(), 0u);
   EXPECT_EQ(device.PollAll(), 0u);
   device.Drain();
   EXPECT_EQ(w.calls + r.calls, 2);
-  for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(logs[i].calls, 1) << i;
 }
 
 TEST(SyncDeviceTest, MemoryDeviceCompletesAtSubmit) {
@@ -407,29 +319,28 @@ TEST(UringDeviceTest, DrainWhilePollingDeliversExactlyOnce) {
   ::unlink(path.c_str());
 }
 
-TEST(UringDeviceTest, BatchSubmissionCompletesViaPoll) {
-  std::string path = "/tmp/faster_device_uring_batch.log";
+// Reads submitted one at a time stay queued on the submitter's ring
+// until its Poll reaps them.
+TEST(UringDeviceTest, SingleReadsCompleteViaPoll) {
+  std::string path = "/tmp/faster_device_uring_reads.log";
   auto device = UringDeviceWithPage(path, 0xC4);
   if (device == nullptr) GTEST_SKIP() << "io_uring unavailable";
 
   constexpr uint32_t kN = 32;
-  static std::atomic<uint32_t> batch_done;
-  batch_done.store(0);
+  static std::atomic<uint32_t> reads_done;
+  reads_done.store(0);
   std::vector<std::vector<uint8_t>> bufs(kN, std::vector<uint8_t>(32));
-  IoReadRequest reqs[kN];
   for (uint32_t i = 0; i < kN; ++i) {
-    reqs[i] = IoReadRequest{
-        i * 32, bufs[i].data(), 32,
-        [](void*, Status s, uint32_t) {
-          ASSERT_EQ(s, Status::kOk);
-          batch_done.fetch_add(1, std::memory_order_relaxed);
-        },
-        nullptr};
+    ASSERT_EQ(device->ReadAsync(
+                  i * 32, bufs[i].data(), 32,
+                  [](void*, Status s, uint32_t) {
+                    ASSERT_EQ(s, Status::kOk);
+                    reads_done.fetch_add(1, std::memory_order_relaxed);
+                  },
+                  nullptr),
+              Status::kOk);
   }
-  uint32_t accepted = 0;
-  ASSERT_EQ(device->ReadBatchAsync(reqs, kN, &accepted), Status::kOk);
-  EXPECT_EQ(accepted, kN);
-  while (batch_done.load(std::memory_order_relaxed) < kN) {
+  while (reads_done.load(std::memory_order_relaxed) < kN) {
     device->Poll();
   }
   for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(bufs[i][0], 0xC4);
@@ -455,6 +366,8 @@ TEST(UringDeviceTest, WriteReadRoundTripOrCountedFallback) {
     SyncIo w;
     device.WriteAsync(out.data(), 0, out.size(), &SyncIo::Callback, &w);
     ASSERT_EQ(w.Wait(device), Status::kOk);
+    // A write the kernel completed whole counts like a synchronous one.
+    EXPECT_EQ(device.bytes_written(), out.size());
 
     std::vector<uint8_t> in(4096, 0);
     SyncIo r;
@@ -462,24 +375,21 @@ TEST(UringDeviceTest, WriteReadRoundTripOrCountedFallback) {
     ASSERT_EQ(r.Wait(device), Status::kOk);
     EXPECT_EQ(in, out);
 
-    // Coalesced batch through the kernel ring.
+    // Several reads in flight on the kernel ring at once.
     constexpr uint32_t kN = 16;
     static std::atomic<uint32_t> uring_done;
     uring_done.store(0);
     std::vector<std::vector<uint8_t>> bufs(kN, std::vector<uint8_t>(64));
-    IoReadRequest reqs[kN];
     for (uint32_t i = 0; i < kN; ++i) {
-      reqs[i] = IoReadRequest{
-          i * 64, bufs[i].data(), 64,
-          [](void*, Status s, uint32_t) {
-            ASSERT_EQ(s, Status::kOk);
-            uring_done.fetch_add(1, std::memory_order_relaxed);
-          },
-          nullptr};
+      ASSERT_EQ(device.ReadAsync(
+                    i * 64, bufs[i].data(), 64,
+                    [](void*, Status s, uint32_t) {
+                      ASSERT_EQ(s, Status::kOk);
+                      uring_done.fetch_add(1, std::memory_order_relaxed);
+                    },
+                    nullptr),
+                Status::kOk);
     }
-    uint32_t accepted = 0;
-    ASSERT_EQ(device.ReadBatchAsync(reqs, kN, &accepted), Status::kOk);
-    EXPECT_EQ(accepted, kN);
     while (uring_done.load(std::memory_order_relaxed) < kN) {
       device.Poll();
       std::this_thread::yield();

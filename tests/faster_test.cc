@@ -478,9 +478,10 @@ class RejectingDevice : public MemoryDevice {
   bool reject = false;
 };
 
-// A rejected storage read fails the op through the completion callback
-// (so CompletePending and StopSession return), and fails a compaction and
-// a log scan instead of spinning in the synchronous read.
+// A rejected storage read, a single op's or a batch op's, fails the op
+// through the completion callback (so CompletePending and StopSession
+// return), and fails a compaction and a log scan instead of spinning in
+// the synchronous read.
 TEST(StorageFailureTest, RejectedReadFailsInsteadOfHanging) {
   RejectingDevice device;
   Store::Config cfg = SmallConfig(/*mem_pages=*/2);
@@ -499,6 +500,16 @@ TEST(StorageFailureTest, RejectedReadFailsInsteadOfHanging) {
   Status completed = Status::kPending;
   uint64_t out = 0;
   ASSERT_EQ(store.Read(0, 0, &out, &completed), Status::kPending);
+  EXPECT_TRUE(store.CompletePending(/*wait=*/true));
+  EXPECT_EQ(completed, Status::kIoError);
+  completed = Status::kPending;
+  Store::BatchOp op;
+  op.kind = Store::BatchOp::Kind::kRead;
+  op.key = 0;
+  op.output = &out;
+  op.user_context = &completed;
+  store.ExecuteBatch(&op, 1);
+  ASSERT_EQ(op.status, Status::kPending);
   EXPECT_TRUE(store.CompletePending(/*wait=*/true));
   EXPECT_EQ(completed, Status::kIoError);
   Address begin = store.hlog().begin_address();

@@ -21,7 +21,7 @@ class ParkingDevice : public MemoryDevice {
  public:
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
                    IoCallback callback, void* context) override {
-    Parked read{{offset, dst, len, callback, context},
+    Parked read{offset, dst, len, callback, context,
                 fail_in_.load(std::memory_order_relaxed) != 0 &&
                     fail_in_.fetch_sub(1, std::memory_order_relaxed) == 1};
     if (!parking_.load(std::memory_order_relaxed)) {
@@ -53,16 +53,19 @@ class ParkingDevice : public MemoryDevice {
 
  private:
   struct Parked {
-    IoReadRequest req;
+    uint64_t offset;
+    void* dst;
+    uint32_t len;
+    IoCallback callback;
+    void* context;
     bool fail;
   };
 
   void Complete(const Parked& r) {
     if (r.fail) {
-      r.req.callback(r.req.context, Status::kIoError, 0);
+      r.callback(r.context, Status::kIoError, 0);
     } else {
-      MemoryDevice::ReadAsync(r.req.offset, r.req.dst, r.req.len,
-                              r.req.callback, r.req.context);
+      MemoryDevice::ReadAsync(r.offset, r.dst, r.len, r.callback, r.context);
     }
   }
 

@@ -413,10 +413,11 @@ struct SpinRmwFunctions : CountStoreFunctions {
   }
 };
 
-// A batch op that goes pending waits in its chunk until stage 3 submits
-// the chunk's reads as one group: that wait is its io_queue time, so its
-// total must cover the slow ops that ran after it in the chunk.
-TEST(SlowLogTest, BatchPendingTotalCoversChunkSubmitWait) {
+// A batch op that goes pending issues its read at once; the completed
+// read then waits on the owner's ready list while the rest of the chunk
+// runs. That wait is its io_complete time, so its total must cover the
+// slow ops that ran after it in the chunk.
+TEST(SlowLogTest, BatchPendingTotalCoversChunkCompletionWait) {
   if (!obs::kStatsEnabled) {
     GTEST_SKIP() << "store instrumentation requires FASTER_STATS";
   }

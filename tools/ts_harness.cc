@@ -103,7 +103,7 @@ void DriveUring() {
   epoch.Protect();
   faster::IoOp op{};
   op.callback = [](void*, faster::Status, uint32_t) {};
-  io.Submit(&op, 1);
+  io.Submit(op);
   io.Poll();
   io.PollAll();
   epoch.Unprotect();

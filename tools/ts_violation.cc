@@ -50,7 +50,7 @@ void UnprotectedPoll() {
   // BAD: the io_uring paths require an epoch-protected session.
   faster::IoOp op{};
   op.callback = [](void*, faster::Status, uint32_t) {};
-  io.Submit(&op, 1);
+  io.Submit(op);
   io.Poll();
   io.PollAll();
 }
