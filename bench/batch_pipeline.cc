@@ -1,9 +1,9 @@
 // Measures the software-pipelined batch API (ReadBatch / ExecuteBatch)
 // against the single-op path by sweeping the batch size B over
 // {1, 4, 8, 16, 32, 64}. B=1 uses the plain single-op loop; B>1 hashes
-// all keys up front, prefetches hash buckets and records, and executes
-// against warm cache lines (group prefetching a la Lomet & Wang's
-// pipelined BwTree work, cited in Sec. 7 discussion).
+// all keys up front, prefetches their hash buckets, then runs each op
+// through the single-op engine against warm buckets (group prefetching
+// a la Lomet & Wang's pipelined BwTree work, cited in Sec. 7 discussion).
 //
 // The headline case is read-heavy uniform in-memory (YCSB-C style): with
 // a working set far larger than L2, every op is a dependent cache-miss

@@ -27,7 +27,6 @@ LightEpoch::~LightEpoch() {
 // disabled for the definition; the contract lives on the declaration.
 uint64_t LightEpoch::Protect() FASTER_NO_THREAD_SAFETY_ANALYSIS {
   uint32_t tid = Thread::Id();
-  ++table_[tid].protect_serial;
   uint64_t current = current_epoch_.load(std::memory_order_acquire);
   // Publish-then-recheck: between reading E and publishing it, another
   // thread may bump E and compute a safe epoch that excludes this (still
@@ -60,7 +59,6 @@ uint64_t LightEpoch::Refresh() {
   FASTER_EPOCH_VERIFY(table_[tid].held_op_scopes == 0,
                       "epoch refresh under an index OpScope: a trigger "
                       "action it runs may wait on the scope's chunk pin");
-  ++table_[tid].protect_serial;
   table_[tid].local_epoch.store(current, std::memory_order_seq_cst);
   uint64_t safe = ComputeNewSafeToReclaimEpoch();
   if (drain_count_.load(std::memory_order_acquire) > 0) {
@@ -73,7 +71,6 @@ void LightEpoch::Unprotect() FASTER_NO_THREAD_SAFETY_ANALYSIS {
   // Releasing protection a thread does not hold corrupts nothing directly
   // but means some caller's protected region ended earlier than it thinks.
   assert(IsProtected());
-  ++table_[Thread::Id()].protect_serial;
   table_[Thread::Id()].local_epoch.store(kUnprotected,
                                          std::memory_order_release);
 }

@@ -107,17 +107,6 @@ class LightEpoch {
   /// actions registered up to it have run. Must be called while protected.
   void SpinWaitForSafety(uint64_t target) FASTER_REQUIRES_EPOCH();
 
-  /// Count of the calling thread's Protect()/Refresh() transitions. A
-  /// refresh (or re-protect) is the only way this thread's view of the
-  /// store can be invalidated: trigger actions that migrate the index or
-  /// recycle log frames run only after an epoch bump becomes safe, which
-  /// requires every protected thread — including this one — to move its
-  /// local epoch forward. While the serial is unchanged, pointers and
-  /// region markers this thread observed remain valid.
-  uint64_t ProtectSerial() const {
-    return table_[Thread::Id()].protect_serial;
-  }
-
   /// The calling thread's count of held index OpScopes, kept by OpScope
   /// in epoch-check builds only. Refresh() verifies it is zero: a trigger
   /// action the refresh runs (a read-cache eviction's index updates) may
@@ -132,26 +121,6 @@ class LightEpoch {
   uint64_t LocalEpochOf(uint32_t tid) const {
     return table_[tid].local_epoch.load(std::memory_order_relaxed);
   }
-
-  /// Snapshot of the calling thread's refresh serial, bracketing a batch
-  /// of operations under one protection scope (the batched pipeline's
-  /// amortized epoch bookkeeping). `interrupted()` turns true iff the
-  /// thread refreshed since construction — e.g. a page rollover inside the
-  /// batch — after which any state resolved before the snapshot is stale
-  /// and per-op fallback paths must re-resolve from scratch.
-  class BatchScope {
-   public:
-    explicit BatchScope(const LightEpoch& epoch)
-        : epoch_{epoch}, serial_{epoch.ProtectSerial()} {}
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-    bool interrupted() const { return epoch_.ProtectSerial() != serial_; }
-
-   private:
-    const LightEpoch& epoch_;
-    uint64_t serial_;
-  };
 
   /// Number of drain-list actions currently outstanding (for tests).
   uint32_t NumOutstandingActions() const {
@@ -189,13 +158,10 @@ class LightEpoch {
     // its own store) and in the LocalEpochOf crash-time diagnostic
     // snapshot.
     Atomic<uint64_t> local_epoch{kUnprotected};
-    /// Written and read only by the owning thread (see ProtectSerial), so
-    /// a plain field suffices.
-    uint64_t protect_serial{0};
     /// HeldOpScopes(); owning thread only.
     uint32_t held_op_scopes{0};
 #ifndef FASTER_MODEL
-    uint8_t padding[44];
+    uint8_t padding[52];
 #endif
   };
 #ifndef FASTER_MODEL

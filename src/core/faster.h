@@ -219,16 +219,13 @@ class FasterKv {
   }
 
   // -------------------------------------------------------------------
-  // Batched operations (software pipelining / group prefetching; see
-  // DESIGN.md "Batched pipeline"). Each chunk of up to kBatchChunk ops is
-  // processed in three stages: (1) hash every key and prefetch its hash
-  // bucket, (2) resolve all index entries against one stable-table
-  // snapshot and prefetch the head records, (3) Apply each op to its
-  // resolution against the now-warm lines — the Apply single ops use. An
-  // op that cannot use its resolution re-resolves like a single op, so
-  // results are identical to executing the ops one at a time in order.
-  // A storage read stage 3 finds goes to the device as a single op's does.
-  // One epoch refresh check covers the whole chunk.
+  // Batched operations (group prefetching; see DESIGN.md "Batched
+  // pipeline"). Each chunk of up to kBatchChunk ops is processed in two
+  // stages: (1) hash every key and prefetch its hash bucket, (2) run each
+  // op in array order through the single-op engine (Resolve + Apply)
+  // against the now-warm buckets, so results are identical to executing
+  // the ops one at a time in order. One epoch refresh check covers the
+  // whole chunk.
   // -------------------------------------------------------------------
 
   /// Largest number of ops processed per pipeline pass; bigger batches are
@@ -780,8 +777,8 @@ class FasterKv {
     F::SingleReader(key, input, Layout::ValueOf(*rc_rec), *output);
     if (StripRc(fr.entry.address()) >= rc_log_->read_only_address()) return;
     // Skip a copy whose CAS is bound to fail: the entry already moved on
-    // since `fr` was resolved (say, an earlier read of the key in the same
-    // batch made the copy).
+    // since `fr` was resolved (say, another thread's read of the key made
+    // the copy).
     if (EntryMoved(fr)) return;
     Address new_addr = TryAllocateRcRecord(Layout::Size(*rc_rec));
     if (!new_addr.IsValid()) return;
@@ -798,10 +795,10 @@ class FasterKv {
   }
 
   /// An entry whose chain starts below the begin address. Compaction may
-  /// have moved the key and truncated since `fr` was read (a batch op's
-  /// stage-2 snapshot): then the op re-resolves (false). Otherwise a
-  /// primary-log entry is a stale one log truncation left behind
-  /// (Appendix C), and is dropped. Out of line, like ReadCacheHit.
+  /// have moved the key and truncated since `fr` was read: then the op
+  /// re-resolves (false). Otherwise a primary-log entry is a stale one log
+  /// truncation left behind (Appendix C), and is dropped. Out of line,
+  /// like ReadCacheHit.
   [[gnu::noinline]] bool DropStaleEntry(HashIndex::FindResult& fr,
                                         bool primary) FASTER_REQUIRES_EPOCH() {
     if (EntryMoved(fr)) return false;
@@ -1020,9 +1017,9 @@ class FasterKv {
   // -------------------------------------------------------------------
   // The op engine (Alg. 2-4, Tables 1-2). Every op is Resolve + Apply:
   // Resolve hashes the key and finds its index entry; Apply runs the
-  // region dispatch on that entry. Single ops resolve under an OpScope
-  // (Resolve below); batch stages 1-2 resolve a whole chunk at once and
-  // stage 3 calls the same Apply. Apply returns false when the op must
+  // region dispatch on that entry. Single ops and batch ops alike resolve
+  // under an OpScope (Resolve below); a batch only hashes and prefetches
+  // its chunk's buckets first. Apply returns false when the op must
   // re-resolve: a lost CAS, a page rollover or a read-cache eviction
   // redirect in flight. Apply never refreshes the epoch; Resolve
   // does, after its OpScope closes (DESIGN.md §4: no refresh under an
@@ -1041,7 +1038,7 @@ class FasterKv {
   };
 
   /// The single-op entry. The whole op is one execute segment (the batch
-  /// pipeline attributes hash/resolve separately), timed by its one clock,
+  /// pipeline attributes hash separately), timed by its one clock,
   /// which also carries the thread slot to the op's statistics.
   [[gnu::always_inline]]
   Status RunSingle(const OpRef& op) FASTER_REQUIRES_EPOCH() {
@@ -1060,10 +1057,10 @@ class FasterKv {
     return out.status;
   }
 
-  /// Resolve for single ops and for the batch ops stage 3 hands back:
-  /// finds the key's index entry under an OpScope — or, for upserts and
-  /// RMWs, the free slot a new key's record is published into — and
-  /// applies the op, refreshing between attempts, until Apply completes it.
+  /// Resolve for single ops and for each batch op: finds the key's index
+  /// entry under an OpScope — or, for upserts and RMWs, the free slot a
+  /// new key's record is published into — and applies the op, refreshing
+  /// between attempts, until Apply completes it.
   [[gnu::always_inline]]
   Outcome Resolve(ThreadState& ts, const OpRef& op, KeyHash hash)
       FASTER_REQUIRES_EPOCH() {
@@ -1471,7 +1468,7 @@ class FasterKv {
   // Batched pipeline internals (see the public batch API above).
   // -------------------------------------------------------------------
 
-  /// The three-stage pipeline over one chunk of at most kBatchChunk ops.
+  /// The two-stage pipeline over one chunk of at most kBatchChunk ops.
   void ExecuteChunk(BatchOp* ops, size_t n) FASTER_REQUIRES_EPOCH() {
     if (n == 0) return;
     assert(n <= kBatchChunk);
@@ -1480,82 +1477,27 @@ class FasterKv {
     uint32_t slot = Thread::Id();
     ThreadState& ts = AutoRefresh(slot, static_cast<uint32_t>(n));
     Hist(obs::StoreHistogram::kBatchSizes).Record(n, slot);
-    // The chunk is one trace: the three stages appear as child spans, and
+    // The chunk is one trace: the two stages appear as child spans, and
     // any pending-I/O continuation lands under the same trace id.
     obs::StatSpan chunk_span{obs::SpanKind::kBatchChunk,
                              static_cast<uint32_t>(n)};
-    // Stages 1 and 2 are chunk-level, so the chunk's clock shares their
-    // cost evenly across its ops; stage 3 times each op on its own clock.
+    // Stage 1 is chunk-level, so the chunk's clock shares its cost evenly
+    // across its ops; stage 2 times each op on its own clock.
     obs::StatOpClock chunk_clock =
         obs::StatOpClock::ForChunk(obs::Stage::kHash);
 
     // ---- Stage 1: hash every key; prefetch its hash bucket. ----
     KeyHash hashes[kBatchChunk];
-    bool dep[kBatchChunk] = {};  // ops stage 3 must re-resolve
     {
       obs::StageScope stage{obs::Stage::kHash};
       for (size_t i = 0; i < n; ++i) {
         hashes[i] = Hasher{}(ops[i].key);
         index_.PrefetchBucket(hashes[i]);
       }
-      // Intra-batch dependencies: an op must observe the effects of every
-      // earlier write in the same chunk, but stage-2 resolutions are all
-      // taken before any of the chunk executes. Conservatively (by hash, so
-      // tag collisions are covered too) make any op that follows a write
-      // with an equal hash re-resolve when its turn comes.
-      size_t write_idx[kBatchChunk];
-      size_t num_writes = 0;
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t w = 0; w < num_writes; ++w) {
-          if (hashes[write_idx[w]] == hashes[i]) {
-            dep[i] = true;
-            break;
-          }
-        }
-        if (ops[i].kind != BatchOp::Kind::kRead) write_idx[num_writes++] = i;
-      }
-    }
-    chunk_clock.Mark(obs::Stage::kResolve);
-
-    // ---- Stage 2: resolve index entries; prefetch head records. ----
-    // BatchScope pins the validity of everything resolved here: if this
-    // thread refreshes its epoch mid-chunk (page rollover, a re-resolved
-    // op), all remaining resolutions are discarded.
-    LightEpoch::BatchScope batch_scope{epoch_};
-    HashIndex::FindResult frs[kBatchChunk];
-    bool entry_found[kBatchChunk];
-    {
-      obs::StageScope stage{obs::Stage::kResolve};
-      if (!index_.TryFindEntriesStable(hashes, dep, n, frs, entry_found,
-                                       slot)) {
-        // A resize is in flight: every op re-resolves.
-        std::fill_n(dep, n, true);
-      } else {
-        Address begin = hlog_.begin_address();
-        Address head = hlog_.head_address();
-        for (size_t i = 0; i < n; ++i) {
-          // No entry (the skipped dep[i] ops report none either): a new
-          // key's upsert or RMW re-resolves, since FindSlot, which finds
-          // the slot to publish it in, runs under Resolve's OpScope.
-          if (!entry_found[i]) {
-            dep[i] |= ops[i].kind == BatchOp::Kind::kUpsert ||
-                      ops[i].kind == BatchOp::Kind::kRmw;
-            continue;
-          }
-          Address a = frs[i].entry.address();
-          bool in_cache = rc_log_ != nullptr && InReadCache(a);
-          bool in_mem = !in_cache && a.IsValid() && a >= begin && a >= head;
-          if (in_mem) {
-            hlog_.Prefetch(a, Layout::kMinSize);
-          } else if (in_cache && StripRc(a) >= rc_log_->head_address()) {
-            rc_log_->Prefetch(StripRc(a), Layout::kMinSize);
-          }
-        }
-      }
     }
     chunk_clock.Mark(obs::Stage::kExecute);
 
-    // ---- Stage 3: Apply each op to its stage-2 resolution. ----
+    // ---- Stage 2: each op in array order, as a single op runs. ----
     // Perf attribution is per-chunk, not per-op; pending submissions nest
     // io_queue.
     obs::StageScope exec_stage{obs::Stage::kExecute};
@@ -1564,16 +1506,10 @@ class FasterKv {
       auto kind = static_cast<OpKind>(op.kind);
       obs::StatOpClock clock = chunk_clock.ForOp(
           kind, hashes[i].control(), static_cast<uint32_t>(n));
-      OpRef ref{kind,      op.key,          &op.input, &op.value,
-                op.output, op.user_context, &clock};
-      Outcome out;
-      if (!dep[i] && !batch_scope.interrupted() &&
-          Apply(ts, ref, hashes[i], entry_found[i], frs[i], &out)) {
-        ts.counters.Add(Ctr::kBatchFast);
-      } else {
-        ts.counters.Add(Ctr::kBatchFallback);
-        out = Resolve(ts, ref, hashes[i]);
-      }
+      Outcome out = Resolve(ts,
+                            OpRef{kind, op.key, &op.input, &op.value, op.output,
+                                  op.user_context, &clock},
+                            hashes[i]);
       ts.counters.Add(out.counter);
       op.status = out.status;
       // A pending op took a copy of the clock, which finishes it.

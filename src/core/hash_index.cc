@@ -252,31 +252,6 @@ bool HashIndex::FindEntry(const OpScope& scope, KeyHash hash,
                           scope.slot_);
 }
 
-bool HashIndex::TryFindEntriesStable(const KeyHash* hashes, const bool* skip,
-                                     size_t n, FindResult* out, bool* found,
-                                     obs::StatSlot slot) const {
-  // This path elides the OpScope pin entirely, so protection is the only
-  // thing keeping the observed table alive (see the header contract).
-  FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
-                      "TryFindEntriesStable without epoch protection");
-  ResizeInfo info = resize_info();
-  if (info.phase != Phase::kStable) {
-    return false;
-  }
-  HashBucket* table = tables_[info.version].load(std::memory_order_acquire);
-  uint64_t size = table_size_[info.version].load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    if (skip != nullptr && skip[i]) {
-      found[i] = false;
-      continue;
-    }
-    HashBucket* bucket = &table[hashes[i].Bucket(size)];
-    found[i] = ScanChain<false>(bucket, EffectiveTag(hashes[i]), &out[i],
-                                nullptr, slot);
-  }
-  return true;
-}
-
 Status HashIndex::FindSlot(const OpScope& scope, KeyHash hash,
                            FindResult* out) {
   FASTER_EPOCH_VERIFY(epoch_->IsProtected(),

@@ -115,8 +115,8 @@ class HashIndex {
       FASTER_REQUIRES_EPOCH();
 
   /// Prefetches `hash`'s bucket cache line (batched pipeline stage 1).
-  /// No-op while a resize is in flight (the batch falls back to single-op
-  /// execution then anyway, and the bucket location is version-dependent).
+  /// No-op while a resize is in flight: the bucket location is
+  /// version-dependent then, and each op's OpScope finds it.
   void PrefetchBucket(KeyHash hash) const FASTER_REQUIRES_EPOCH() {
     ResizeInfo info = resize_info();
     if (info.phase != Phase::kStable) return;
@@ -125,25 +125,6 @@ class HashIndex {
     uint64_t size = table_size_[info.version].load(std::memory_order_acquire);
     __builtin_prefetch(&table[hash.Bucket(size)], /*rw=*/0, /*locality=*/3);
   }
-
-  /// Batched FindEntry for the stable (non-resizing) phase: resolves all
-  /// `n` hashes against one table-version snapshot, without per-op
-  /// OpScope/pin overhead, so stage 3 can reuse the FindResults instead of
-  /// re-probing the (now warm) buckets. `skip[i]` (optional) marks ops the
-  /// caller will route to the single-op path regardless; they are not
-  /// probed, and `found[i]` is false. `slot` is the calling thread's. Returns false — with no
-  /// probing done — if a resize is in flight.
-  ///
-  /// Safety: this elides the OpScope chunk pin. The caller must be
-  /// epoch-protected and must discard every result if it refreshes its
-  /// epoch afterwards (LightEpoch::BatchScope). Under that contract the
-  /// snapshot stays valid: migration out of the observed table only starts
-  /// in the resizing phase, which is entered by an epoch trigger action
-  /// that cannot run until this thread refreshes; table retirement is
-  /// likewise epoch-deferred.
-  bool TryFindEntriesStable(const KeyHash* hashes, const bool* skip, size_t n,
-                            FindResult* out, bool* found,
-                            obs::StatSlot slot) const FASTER_REQUIRES_EPOCH();
 
   /// One scan for a write: finds the entry matching `hash`'s tag or, if
   /// there is none, the chain's first free slot (see FindResult), linking

@@ -120,21 +120,6 @@ class HybridLog {
     return Frame(address.page()) + address.offset();
   }
 
-  /// Prefetches the first `bytes` of the in-memory record at `address`
-  /// into cache (batched pipeline stage 2). The caller checked `address >=
-  /// head_address()` under epoch protection, so the frame still holds the
-  /// page; unlike Get(), the head is not re-checked: it may have moved on
-  /// since the caller's check, and a prefetch reads nothing.
-  void Prefetch(Address address, uint32_t bytes) const
-      FASTER_REQUIRES_EPOCH() {
-    FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
-                        "log prefetch without epoch protection");
-    const uint8_t* p = Frame(address.page()) + address.offset();
-    for (uint32_t off = 0; off < bytes; off += 64) {
-      __builtin_prefetch(p + off, /*rw=*/0, /*locality=*/3);
-    }
-  }
-
   /// FASTER_EPOCH_CHECK hook for in-place update sites: the store calls
   /// this immediately before mutating record bytes at `address` in place.
   /// The non-vacuous invariant is the *safe* read-only bound: the store

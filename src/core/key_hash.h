@@ -53,10 +53,6 @@ class KeyHash {
     return static_cast<uint16_t>(control_ >> (64 - kTagBits));
   }
 
-  friend constexpr bool operator==(KeyHash a, KeyHash b) {
-    return a.control_ == b.control_;
-  }
-
  private:
   uint64_t control_;
 };

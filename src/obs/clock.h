@@ -96,9 +96,8 @@ class OpClock {
     if (o.timed()) t_ = o.t_;
   }
 
-  /// A batch op's clock: this chunk clock's hash and resolve stages shared
-  /// evenly over `ops` ops, then `execute` from now under the ambient
-  /// trace.
+  /// A batch op's clock: this chunk clock's hash stage shared evenly over
+  /// `ops` ops, then `execute` from now under the ambient trace.
   OpClock ForOp(SlowOpKind kind, uint64_t key_hash, uint32_t ops) const {
     OpClock op;
     if (timed()) op.Split(*this, kind, key_hash, ops);

@@ -6,7 +6,7 @@
 /// The slowlog (slowlog.h) answers *where time goes* per operation; this
 /// layer answers *why a stage is slow* — cycles, instructions, cache and
 /// TLB misses, branch mispredicts, and context switches, attributed to
-/// every obs::Stage (stage.h): the six the slowlog partitions plus the
+/// every obs::Stage (stage.h): the five the slowlog partitions plus the
 /// checkpoint phases, the completion-polling loop and the server's
 /// parse/flush segments.
 ///

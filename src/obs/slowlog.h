@@ -7,7 +7,7 @@
 /// latency crossed a settable threshold (Redis SLOWLOG semantics: newest
 /// N slow ops, evicting oldest). Each entry carries the op type, key
 /// hash, total latency, and its breakdown over the first kNumOpStages
-/// stages (stage.h): hash / resolve / execute, then the pending-I/O hop
+/// stages (stage.h): hash / execute, then the pending-I/O hop
 /// io_queue / io_exec / io_complete. Entries come from obs::OpClock
 /// (clock.h), whose stages partition the op's latency exactly, so stage
 /// sums always reconstruct the reported total.

@@ -14,26 +14,25 @@ namespace obs {
 
 enum class Stage : uint8_t {
   kHash = 0,        // batch stage 1: hash + bucket prefetch
-  kResolve = 1,     // batch stage 2: stable resolve + record prefetch
-  kExecute = 2,     // the op body (batch stage 3, or a whole single op)
-  kIoQueue = 3,     // went pending -> an executor picked the I/O up
-  kIoExec = 4,      // pickup -> the completion callback
-  kIoComplete = 5,  // callback -> the owner finished (or re-issued) it
-  kCkptIndex = 6,   // checkpoint: index write
-  kCkptFlush = 7,   // checkpoint: log flush
-  kIoPoll = 8,      // one completion-polling sweep
-  kNetParse = 9,    // RESP frame parsing within a server turn
-  kNetFlush = 10,   // reply rendering + socket writes within a turn
+  kExecute = 1,     // the op body (batch stage 2, or a whole single op)
+  kIoQueue = 2,     // went pending -> an executor picked the I/O up
+  kIoExec = 3,      // pickup -> the completion callback
+  kIoComplete = 4,  // callback -> the owner finished (or re-issued) it
+  kCkptIndex = 5,   // checkpoint: index write
+  kCkptFlush = 6,   // checkpoint: log flush
+  kIoPoll = 7,      // one completion-polling sweep
+  kNetParse = 8,    // RESP frame parsing within a server turn
+  kNetFlush = 9,    // reply rendering + socket writes within a turn
 };
-inline constexpr uint32_t kNumStages = 11;
+inline constexpr uint32_t kNumStages = 10;
 /// The stages an op's clock partitions its latency into (the slowlog's).
-inline constexpr uint32_t kNumOpStages = 6;
+inline constexpr uint32_t kNumOpStages = 5;
 
 inline const char* StageName(Stage stage) {
   static constexpr const char* kNames[kNumStages] = {
-      "hash",       "resolve",    "execute",    "io_queue",
-      "io_exec",    "io_complete", "ckpt_index", "ckpt_flush",
-      "io_poll",    "net_parse",  "net_flush"};
+      "hash",       "execute",    "io_queue",   "io_exec",
+      "io_complete", "ckpt_index", "ckpt_flush", "io_poll",
+      "net_parse",  "net_flush"};
   auto i = static_cast<uint32_t>(stage);
   return i < kNumStages ? kNames[i] : "?";
 }

@@ -46,12 +46,10 @@ enum class StoreCounter : uint8_t {
   // ops finished, records resumed RMWs appended, and the level of storage
   // reads in flight.
   kIosIssued, kCompleted, kRmwPendingAppend, kPendingIos,
-  // Stats-only. kTagFalsePositives is a subset of kReadMiss; kBatchFast
-  // counts batch ops applied to their stage-2 resolution, kBatchFallback
-  // those that re-resolved; kPendingRetries is the level of fuzzy RMWs on
-  // the retry list.
+  // Stats-only. kTagFalsePositives is a subset of kReadMiss;
+  // kPendingRetries is the level of fuzzy RMWs on the retry list.
   kReadFuzzy, kTagFalsePositives, kRcInserts, kRcSecondChance, kRcEvictions,
-  kCheckpoints, kBatchFast, kBatchFallback, kPendingRetries,
+  kCheckpoints, kPendingRetries,
   kCount
 };
 inline constexpr size_t kAlwaysOnCounters =
@@ -68,7 +66,6 @@ inline constexpr const char* kStoreCounterNames[] = {
     "store.completed_pending", "store.rmw_pending_append", "store.pending_ios",
     "store.read_fuzzy",     "store.tag_false_positives", "store.rc_inserts",
     "store.rc_second_chance", "store.rc_evictions",     "store.checkpoints",
-    "store.batch_fast",     "store.batch_fallback",
     "store.pending_retries"};
 static_assert(std::size(kStoreCounterNames) ==
               static_cast<size_t>(StoreCounter::kCount));

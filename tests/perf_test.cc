@@ -47,14 +47,14 @@ struct HookGuard {
 
 TEST(PerfScopeTest, StageSumInvariantUnderNesting) {
   HookGuard hook;
-  // Scope structure: hash { resolve {} execute {} } — six reads total
+  // Scope structure: hash { io_queue {} execute {} } — six reads total
   // (outer enter, two nested enter/exit pairs, outer exit), five
   // single-tick segments, three attributed to hash (the segments between
   // the children) and one to each child.
   uint64_t t0 = g_tick.load(std::memory_order_relaxed);
   {
     PerfScope outer(Stage::kHash);
-    { PerfScope nested(Stage::kResolve); }
+    { PerfScope nested(Stage::kIoQueue); }
     { PerfScope nested(Stage::kExecute); }
   }
   uint64_t reads = g_tick.load(std::memory_order_relaxed) - t0;
@@ -62,14 +62,14 @@ TEST(PerfScopeTest, StageSumInvariantUnderNesting) {
 
   PerfAttribution::Snapshot s = GlobalPerf().Take();
   EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kHash)], 1u);
-  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kResolve)], 1u);
+  EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kIoQueue)], 1u);
   EXPECT_EQ(s.scopes[static_cast<uint32_t>(Stage::kExecute)], 1u);
   for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
     uint64_t per_tick = c + 1;
     EXPECT_EQ(s.counts[static_cast<uint32_t>(Stage::kHash)][c],
               3 * per_tick)
         << PerfCounterName(c);
-    EXPECT_EQ(s.counts[static_cast<uint32_t>(Stage::kResolve)][c],
+    EXPECT_EQ(s.counts[static_cast<uint32_t>(Stage::kIoQueue)][c],
               per_tick);
     EXPECT_EQ(s.counts[static_cast<uint32_t>(Stage::kExecute)][c],
               per_tick);

@@ -36,7 +36,7 @@ uint64_t StageSum(const SlowLog::Entry& e) {
 /// Records one entry with total_ns spread across the execute stage.
 void Record(SlowLog& log, uint64_t total_ns,
             SlowOpKind kind = SlowOpKind::kRead, uint64_t key_hash = 0) {
-  uint64_t stages[kNumOpStages] = {0, 0, total_ns, 0, 0, 0};
+  uint64_t stages[kNumOpStages] = {0, total_ns, 0, 0, 0};
   log.MaybeRecord(kind, key_hash, total_ns, stages, /*pending=*/false,
                   /*tid=*/1);
 }
@@ -156,12 +156,11 @@ TEST(SlowLogTest, PendingCaptureAndRecordPartitionTheWindow) {
   global.Reset();
   global.set_threshold_ns(0);
 
-  // A batch op's clock splits off its chunk's (stage 1 and 2 shares),
+  // A batch op's clock splits off its chunk's (stage 1's share),
   // executes, goes pending, is picked up by an executor, calls back, and
   // finishes on the owner. The recorded stages must partition the window.
   uint64_t chunk_start = obs::NowNs() - 10000;
   obs::OpClock chunk{obs::Stage::kHash, chunk_start};
-  chunk.Mark(obs::Stage::kResolve, chunk_start + 120);
   chunk.Mark(obs::Stage::kExecute, chunk_start + 200);
   obs::OpClock clock = chunk.ForOp(SlowOpKind::kRead, 77, /*ops=*/1);
 
@@ -181,9 +180,7 @@ TEST(SlowLogTest, PendingCaptureAndRecordPartitionTheWindow) {
   EXPECT_EQ(e.kind, SlowOpKind::kRead);
   EXPECT_EQ(e.key_hash, 77u);
   EXPECT_EQ(StageSum(e), e.total_ns);
-  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::Stage::kHash)], 120u);
-  EXPECT_EQ(
-      e.stage_ns[static_cast<uint32_t>(obs::Stage::kResolve)], 80u);
+  EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::Stage::kHash)], 200u);
   EXPECT_EQ(
       e.stage_ns[static_cast<uint32_t>(obs::Stage::kIoQueue)], 300u);
   EXPECT_EQ(e.stage_ns[static_cast<uint32_t>(obs::Stage::kIoExec)], 500u);
@@ -483,7 +480,7 @@ TEST(SlowLogTest, ConcurrentWritersAndReadersAreClean) {
   for (uint32_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&log, w] {
       for (uint64_t i = 0; i < kPerWriter; ++i) {
-        uint64_t stages[kNumOpStages] = {i, i, i, 0, 0, 0};
+        uint64_t stages[kNumOpStages] = {i, i, i, 0, 0};
         log.MaybeRecord(SlowOpKind::kUpsert, (uint64_t{w} << 32) | i,
                         3 * i, stages, /*pending=*/false, w);
       }

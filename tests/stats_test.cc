@@ -792,9 +792,6 @@ TEST(StoreCountersTest, EachOpCountedOnceByOutcome) {
   EXPECT_EQ(count(C::kRmwInPlace), 1 + kN);
   EXPECT_EQ(count(C::kRmwInitial), 2u);
   EXPECT_EQ(count(C::kReadStable), 2u);
-  if constexpr (obs::kStatsEnabled) {
-    EXPECT_EQ(count(C::kBatchFast) + count(C::kBatchFallback), n + kN);
-  }
 
   // Each op kind's outcome counters sum to its total, which counts every
   // op issued exactly once.
@@ -942,7 +939,7 @@ TEST(SpanStoreTest, TraceCrossesPendingIoBoundary) {
   EXPECT_TRUE(crossed_thread);
 }
 
-// Each batch chunk opens a root span; the three pipeline stages are its
+// Each batch chunk opens a root span; the two pipeline stages are its
 // direct children.
 TEST(SpanStoreTest, BatchStagesParentUnderChunkSpan) {
   if (!obs::kStatsEnabled) GTEST_SKIP() << "span instrumentation compiled out";
@@ -976,15 +973,11 @@ TEST(SpanStoreTest, BatchStagesParentUnderChunkSpan) {
   ASSERT_NE(chunk, nullptr);
   EXPECT_EQ(chunk->span_id, chunk->trace_id);  // chunk is a root
   EXPECT_EQ(chunk->arg, kOps);                 // arg carries the chunk size
-  uint32_t hash_stages = 0, resolve_stages = 0, execute_stages = 0;
+  uint32_t hash_stages = 0, execute_stages = 0;
   for (const auto& s : all) {
     if (s.trace_id != chunk->trace_id || s.span_id == chunk->span_id) continue;
     if (s.kind == K(obs::Stage::kHash)) {
       ++hash_stages;
-      EXPECT_EQ(s.parent_id, chunk->span_id);
-    }
-    if (s.kind == K(obs::Stage::kResolve)) {
-      ++resolve_stages;
       EXPECT_EQ(s.parent_id, chunk->span_id);
     }
     if (s.kind == K(obs::Stage::kExecute)) {
@@ -993,7 +986,6 @@ TEST(SpanStoreTest, BatchStagesParentUnderChunkSpan) {
     }
   }
   EXPECT_EQ(hash_stages, 1u);
-  EXPECT_EQ(resolve_stages, 1u);
   EXPECT_EQ(execute_stages, 1u);
 }
 

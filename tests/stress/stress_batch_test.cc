@@ -1,10 +1,12 @@
 // Stress: the batched pipeline racing single-op threads, fuzzy
-// checkpoints, log GC, and an index Grow on a tiny spilling log. The
-// batch fast path elides per-op epoch work and reuses one stable-table
-// snapshot per chunk, so the hazards to hunt are: stale index snapshots
-// surviving a refresh (BatchScope), batched appends racing page-close
-// flushes, batch reads racing RCU appends, and the kStable
-// check racing Grow's migration.
+// checkpoints, log GC, and an index Grow on a tiny spilling log. A chunk
+// prefetches its buckets once and checks for a refresh once, then each
+// op takes its own OpScope chunk pin in Resolve and may refresh between
+// attempts, so the hazards to hunt are: a batch op's Resolve racing
+// Grow's migration (its pin, and the bucket prefetch of a table that is
+// being replaced), batched appends racing checkpoints and page-close
+// flushes, batch reads racing log GC's truncation and RCU appends, and
+// (with the read cache) batch ops racing promotions and evictions.
 //
 // Verification mirrors stress_ops_test: keys are owner-sharded, each
 // owner keeps an exact model (keys within one batch are distinct, and
@@ -230,8 +232,9 @@ void RunBatchedOpsUnderChurn(bool read_cache, bool grow_last = false) {
     });
   }
   // Churn: fuzzy checkpoints, log GC (compaction + begin shift), and one
-  // index Grow — each forces the batch path's fallbacks (interrupted
-  // BatchScope, non-kStable index) while the workers hammer the store.
+  // index Grow, while the workers hammer the store: each batch op's
+  // Resolve races the Grow's migration, and its Apply races the
+  // checkpoint's flushes and GC's truncation (DropStaleEntry).
   std::thread churn([&] {
     store.StartSession();
     // First, while the workers warm up: a Grow after the read cache has
@@ -294,7 +297,7 @@ void RunBatchedOpsUnderChurn(bool read_cache, bool grow_last = false) {
   }
   store.StopSession();
 
-  // The run must actually have exercised the fast path and the log:
+  // The run must actually have exercised the batch path and the log:
   Store::Stats stats = store.GetStats();
   EXPECT_GT(stats.appended_records, 0u);
   if (read_cache) {

@@ -10,7 +10,7 @@ Beyond "is it JSON", this asserts the shape and the internal invariants
 each inspector promises (DESIGN.md §12):
 
   slowlog      threshold_ns null-or-int; len == len(entries); every entry
-               carries all six stages and stage sums equal total_ns
+               carries all five stages and stage sums equal total_ns
   index        when not resizing: histogram totals match sampled_buckets /
                sampled_entries; table_size is a power of two; tag_bits is
                in the configured 1..15 range
@@ -34,11 +34,10 @@ import json
 import sys
 
 # obs::Stage's name table (src/obs/stage.h); the slowlog reports the
-# first six.
-STAGES = ("hash", "resolve", "execute", "io_queue", "io_exec",
-          "io_complete", "ckpt_index", "ckpt_flush", "io_poll", "net_parse",
-          "net_flush")
-SLOW_STAGES = STAGES[:6]
+# first five.
+STAGES = ("hash", "execute", "io_queue", "io_exec", "io_complete",
+          "ckpt_index", "ckpt_flush", "io_poll", "net_parse", "net_flush")
+SLOW_STAGES = STAGES[:5]
 PERF_COUNTERS = ("task_clock_ns", "ctx_switches", "cycles", "instructions",
                  "cache_refs", "cache_misses", "branch_misses",
                  "dtlb_misses")
