@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "core/epoch_check.h"
+#include "core/wait.h"
 
 namespace faster {
 
@@ -117,8 +118,20 @@ uint64_t LightEpoch::BumpCurrentEpoch(std::function<void()> action) {
   // earlier actions pins the safe epoch below all of them, and a bump is
   // an operation boundary for it, so it moves its own epoch as well.
   uint32_t slot;
-  while ((slot = TryClaimSlot()) == kNoSlot) Refresh();
+  WaitUntil<kWaitEpochSlot>(
+      [&] { return (slot = TryClaimSlot()) != kNoSlot; }, this);
   return BumpCurrentEpoch(slot, std::move(action));
+}
+
+void LightEpoch::BumpAndWait(std::function<void()> action) {
+  // order: release store after the action, acquire load in the wait.
+  Atomic<bool> ran{false};
+  BumpCurrentEpoch([&ran, action = std::move(action)] {
+    action();
+    ran.store(true, std::memory_order_release);
+  });
+  WaitUntil<kWaitBumpAndWait>(
+      [&] { return ran.load(std::memory_order_acquire); }, this);
 }
 
 uint32_t LightEpoch::TryClaimSlot() {
@@ -181,10 +194,10 @@ void LightEpoch::Drain(uint64_t safe_epoch) {
 
 void LightEpoch::SpinWaitForSafety(uint64_t target) {
   assert(IsProtected());
-  while (SafeToReclaimEpoch() < target ||
-         drain_count_.load(std::memory_order_acquire) > 0) {
-    Refresh();
-  }
+  WaitUntil<kWaitEpochSafety>([&] {
+    return SafeToReclaimEpoch() >= target &&
+           drain_count_.load(std::memory_order_acquire) == 0;
+  }, this);
 }
 
 }  // namespace faster

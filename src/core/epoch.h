@@ -88,6 +88,9 @@ class LightEpoch {
   void ReleaseSlot(uint32_t slot);  // a claim that will not be armed
   uint64_t BumpCurrentEpoch(uint32_t slot, std::function<void()> action)
       FASTER_REQUIRES_EPOCH();
+  /// BumpCurrentEpoch(action), then refreshes until the action has run, on
+  /// this thread or another. Like Refresh(), never under an index OpScope.
+  void BumpAndWait(std::function<void()> action) FASTER_REQUIRES_EPOCH();
 
   /// Current epoch `E`.
   uint64_t CurrentEpoch() const {
@@ -120,6 +123,14 @@ class LightEpoch {
   /// async-signal-safe (a single lock-free load).
   uint64_t LocalEpochOf(uint32_t tid) const {
     return table_[tid].local_epoch.load(std::memory_order_relaxed);
+  }
+  /// The wait site (core/wait.h) thread `tid` spins in, or nullptr; read
+  /// like LocalEpochOf. A long wait names the caller's in WaitSiteSlot().
+  const char* WaitSiteOf(uint32_t tid) const {
+    return table_[tid].wait_site.load(std::memory_order_relaxed);
+  }
+  std::atomic<const char*>& WaitSiteSlot() {
+    return table_[Thread::Id()].wait_site;
   }
 
   /// Number of drain-list actions currently outstanding (for tests).
@@ -160,8 +171,11 @@ class LightEpoch {
     Atomic<uint64_t> local_epoch{kUnprotected};
     /// HeldOpScopes(); owning thread only.
     uint32_t held_op_scopes{0};
+    // order: relaxed — written by the owning thread only, read by
+    // diagnostics; a snapshot needs no ordering.
+    std::atomic<const char*> wait_site{nullptr};
 #ifndef FASTER_MODEL
-    uint8_t padding[52];
+    uint8_t padding[40];
 #endif
   };
 #ifndef FASTER_MODEL

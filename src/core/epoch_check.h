@@ -49,8 +49,11 @@ inline void SetEpochCheckFatalHook(EpochCheckFatalHook hook) {
   EpochCheckHookSlot().store(hook, std::memory_order_release);
 }
 
-[[noreturn]] inline void EpochCheckFail(const char* msg) {
-  std::fprintf(stderr, "FASTER_EPOCH_CHECK violation: %s\n", msg);
+/// Prints `kind` and `msg`, fires the hook with `msg` and aborts: the
+/// verifier's violations, and the wait watchdog's (core/wait.h).
+[[noreturn]] inline void EpochCheckFail(
+    const char* msg, const char* kind = "FASTER_EPOCH_CHECK violation: ") {
+  std::fprintf(stderr, "%s%s\n", kind, msg);
   std::fflush(stderr);
   EpochCheckFatalHook hook =
       EpochCheckHookSlot().load(std::memory_order_acquire);

@@ -14,7 +14,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/address.h"
@@ -28,6 +27,7 @@
 #include "core/record.h"
 #include "core/status.h"
 #include "core/thread.h"
+#include "core/wait.h"
 #include "device/device.h"
 #include "obs/clock.h"
 #include "obs/stats.h"
@@ -289,17 +289,17 @@ class FasterKv {
   bool CompletePending(bool wait = false) FASTER_REQUIRES_EPOCH() {
     assert(epoch_.IsProtected());
     ThreadState& ts = thread_states_[Thread::Id()];
-    for (;;) {
+    auto done = [&]() FASTER_REQUIRES_EPOCH() {
       // Completion polling (DESIGN.md §13): on io_uring, reaps this
       // thread's ring right here — the callbacks push onto ts.ready with
       // no cross-thread hop. A synchronous device ran them at submit.
       hlog_.device()->Poll();
       ProcessReady(ts);
-      bool done = ts.counters.Get(Ctr::kPendingIos) == 0 && ts.ready.Empty();
-      if (done || !wait) return done;
-      epoch_.Refresh();
-      std::this_thread::yield();
-    }
+      return ts.counters.Get(Ctr::kPendingIos) == 0 && ts.ready.Empty();
+    };
+    if (!wait) return done();
+    WaitUntil<kWaitCompletePending>(done, &epoch_);
+    return true;
   }
 
   // -------------------------------------------------------------------
@@ -535,20 +535,19 @@ class FasterKv {
         // Runs inside WriteCheckpoint on the checkpointing thread, which
         // holds an active session (lambdas are analyzed in isolation).
         AssertEpochProtected(epoch_);
-        for (;;) {
+        uint64_t control;
+        WaitUntil<kWaitCheckpointRedirect>([&]() FASTER_REQUIRES_EPOCH() {
           HashBucketEntry e{slot.load(std::memory_order_acquire)};
-          if (e.tentative()) return 0;
-          Address a = e.address();
-          if (!InReadCache(a)) return e.control();
-          Address rc = StripRc(a);
-          if (rc >= rc_log_->head_address()) {
-            Address prev = RcRecordAt(rc)->info().previous_address();
-            return HashBucketEntry{prev, e.tag(), false}.control();
-          }
+          control = e.tentative() ? 0 : e.control();
+          if (e.tentative() || !InReadCache(e.address())) return true;
+          Address rc = StripRc(e.address());
           // Eviction redirect in flight: drive the epoch and re-read.
-          epoch_.Refresh();
-          std::this_thread::yield();
-        }
+          if (rc < rc_log_->head_address()) return false;
+          Address prev = RcRecordAt(rc)->info().previous_address();
+          control = HashBucketEntry{prev, e.tag(), false}.control();
+          return true;
+        }, &epoch_);
+        return control;
       };
     }
     Status s;
@@ -987,7 +986,7 @@ class FasterKv {
     uint64_t closed_page = 0;
     Address addr = hlog_.Allocate(size, &closed_page);
     if (addr.IsValid()) return addr;
-    if (!hlog_.NewPage(closed_page)) std::this_thread::yield();
+    if (!hlog_.NewPage(closed_page)) thread_yield();
     return Address::Invalid();
   }
 

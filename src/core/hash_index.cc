@@ -7,7 +7,8 @@
 #include <cassert>
 #include <memory>
 #include <new>
-#include <thread>
+
+#include "core/wait.h"
 
 namespace faster {
 
@@ -434,30 +435,18 @@ Status HashIndex::Grow(const EntryRebase& rebase) {
     pins_.push_back(std::make_unique<Atomic<int64_t>>(0));
     migrated_.push_back(std::make_unique<Atomic<bool>>(false));
   }
-  num_migrated_chunks_.store(0, std::memory_order_release);
   rebase_ = rebase ? &rebase : nullptr;
 
   // Announce the resize; once every thread has observed the prepare phase
   // (i.e., the bumped epoch is safe), flip to the resizing phase.
   set_resize_state(Phase::kPrepare, old_version);
-  // order: release store in the trigger action, acquire load in the wait
-  // loop below (a plain completion flag).
-  Atomic<bool> resizing_started{false};
-  epoch_->BumpCurrentEpoch([this, old_version, &resizing_started]() {
-    set_resize_state(Phase::kResizing, old_version);
-    resizing_started.store(true, std::memory_order_release);
-  });
-  while (!resizing_started.load(std::memory_order_acquire)) {
-    epoch_->Refresh();
-    thread_yield();
-  }
+  epoch_->BumpAndWait(
+      [this, old_version] { set_resize_state(Phase::kResizing, old_version); });
 
   // Migrate chunks co-operatively; concurrent operations grab chunks too.
+  // Each call returns once its chunk is migrated, by whichever thread.
   for (uint64_t c = 0; c < num_chunks_; ++c) {
     EnsureMigrated(c);
-  }
-  while (num_migrated_chunks_.load(std::memory_order_acquire) < num_chunks_) {
-    thread_yield();
   }
   rebase_ = nullptr;
 
@@ -476,42 +465,25 @@ Status HashIndex::Grow(const EntryRebase& rebase) {
       std::pair<MemoryRegion, std::array<MemoryRegion, kSegments>>>(
       std::move(table_regions_[old_version]),
       std::move(overflow_[old_version].regions));
-  // order: release store in the trigger action, acquire load in the wait
-  // loop below (a plain completion flag).
-  Atomic<bool> freed{false};
-  epoch_->BumpCurrentEpoch([old_maps, &freed]() {
-    *old_maps = {};
-    freed.store(true, std::memory_order_release);
-  });
-  while (!freed.load(std::memory_order_acquire)) {
-    epoch_->Refresh();
-    thread_yield();
-  }
+  epoch_->BumpAndWait([old_maps] { *old_maps = {}; });
   return Status::kOk;
 }
 
 void HashIndex::EnsureMigrated(uint64_t chunk) {
-  if (migrated_[chunk]->load(std::memory_order_acquire)) return;
-  for (;;) {
+  // Wait until the chunk is migrated, or until prepare-phase operations'
+  // pins drain and this thread locks it to migrate it itself.
+  bool locked = false;
+  WaitUntil<kWaitChunkMigrated>([&] {
+    if (migrated_[chunk]->load(std::memory_order_acquire)) return true;
     int64_t expected = 0;
-    if (pins_[chunk]->compare_exchange_strong(expected, kChunkLocked,
-                                              std::memory_order_acq_rel)) {
-      MigrateChunk(chunk);
-      obs_stats_.grow_chunks_migrated.Inc();
-      migrated_[chunk]->store(true, std::memory_order_release);
-      num_migrated_chunks_.fetch_add(1, std::memory_order_acq_rel);
-      return;
-    }
-    if (expected == kChunkLocked || expected < 0) {
-      // Another thread is migrating; wait for it.
-      while (!migrated_[chunk]->load(std::memory_order_acquire)) {
-        thread_yield();
-      }
-      return;
-    }
-    // Pins still held by prepare-phase operations; wait for them to drain.
-    thread_yield();
-  }
+    locked = pins_[chunk]->compare_exchange_strong(expected, kChunkLocked,
+                                                   std::memory_order_acq_rel);
+    return locked;
+  }, epoch_);
+  if (!locked) return;
+  MigrateChunk(chunk);
+  obs_stats_.grow_chunks_migrated.Inc();
+  migrated_[chunk]->store(true, std::memory_order_release);
 }
 
 void HashIndex::MigrateChunk(uint64_t chunk) {

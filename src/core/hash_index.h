@@ -435,12 +435,8 @@ class HashIndex {
   // pin state before deciding.
   std::vector<std::unique_ptr<Atomic<int64_t>>> pins_;
   // order: release store after MigrateChunk's writes land (publishes the
-  // migrated buckets); acquire loads in EnsureMigrated's wait loops.
+  // migrated buckets); acquire loads in EnsureMigrated's wait.
   std::vector<std::unique_ptr<Atomic<bool>>> migrated_;
-  // order: acq_rel fetch_add per migrated chunk; acquire load in Grow's
-  // completion wait; release store resets the counter before the resize
-  // phase is announced.
-  Atomic<uint64_t> num_migrated_chunks_{0};
   uint64_t num_chunks_ = 0;
   // Grow's `rebase` while it runs; published to migrating threads by the
   // resize_state_ announcement, like num_chunks_.

@@ -3,8 +3,8 @@
 #include <cassert>
 #include <cstring>
 #include <new>
-#include <thread>
 
+#include "core/wait.h"
 #include "obs/log.h"
 
 namespace faster {
@@ -136,7 +136,7 @@ bool HybridLog::NewPage(uint64_t old_page) {
     }
     if (new_head_page < desired_head_page ||
         !PageClosed(new_page - buffer_pages_)) {
-      obs_stats_.alloc_stalls.Inc();
+      kWaitSites[kWaitAlloc].waits.fetch_add(1, std::memory_order_relaxed);
       // Rate-limited: a stalled allocator retries this path in a tight
       // refresh loop; one report per window is plenty.
       static obs::LogRateLimit stall_limit{100'000'000};  // 100ms
@@ -273,45 +273,36 @@ Status HybridLog::AsyncGetFromDisk(Address address, uint32_t size, void* dst,
 }
 
 Status HybridLog::ReadFromDiskSync(Address address, uint32_t size, void* dst) {
-  // order: release store from the IO callback publishes `result`; acquire
-  // load in the spin loop pairs with it.
-  std::atomic<int> done{0};
-  Status result = Status::kOk;
-  struct SyncCtx {
-    std::atomic<int>* done;
-    Status* result;
-  } ctx{&done, &result};
+  struct SyncRead {
+    // order: release store from the IO callback publishes `result`;
+    // acquire load in the wait pairs with it.
+    std::atomic<bool> done{false};
+    Status result = Status::kOk;
+  } read;
   Status submitted = device_->ReadAsync(
       address.control(), dst, size,
       [](void* c, Status s, uint32_t) {
-        auto* sc = static_cast<SyncCtx*>(c);
-        *sc->result = s;
-        sc->done->store(1, std::memory_order_release);
+        auto* r = static_cast<SyncRead*>(c);
+        r->result = s;
+        r->done.store(true, std::memory_order_release);
       },
-      &ctx);
+      &read);
   // A rejected read never fires its callback.
   if (submitted != Status::kOk) return submitted;
-  while (done.load(std::memory_order_acquire) == 0) {
-    // A synchronous device has already run the callback; io_uring
-    // completes the read on the thread that polls.
-    device_->Poll();
-    std::this_thread::yield();
-  }
-  return result;
+  WaitUntil<kWaitReadSync>(
+      [&] { return read.done.load(std::memory_order_acquire); }, epoch_,
+      device_);
+  return read.result;
 }
 
 Address HybridLog::ShiftReadOnlyToTail(bool wait) {
   assert(epoch_->IsProtected());
   Address tail = tail_address();
-  while (!ShiftReadOnly(tail)) epoch_->Refresh();
+  WaitUntil<kWaitShiftReadOnly>(
+      [&]() FASTER_REQUIRES_EPOCH() { return ShiftReadOnly(tail); }, epoch_);
   if (wait) {
-    while (Load(flushed_until_) < tail) {
-      epoch_->Refresh();
-      // Reap io_uring flush writes — ours and other threads' — so the
-      // frontier can advance.
-      device_->PollAll();
-      std::this_thread::yield();
-    }
+    WaitUntil<kWaitFlush>([&] { return Load(flushed_until_) >= tail; }, epoch_,
+                          device_);
   }
   return tail;
 }

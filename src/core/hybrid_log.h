@@ -232,7 +232,6 @@ class HybridLog {
   /// flush pipeline health.
   struct ObsStats {
     obs::StatCounter pages_opened;   // successful NewPage transitions
-    obs::StatCounter alloc_stalls;   // NewPage retries (flush/evict pending)
     obs::StatCounter pages_evicted;  // pages closed out of memory
     obs::StatCounter flush_bytes;    // bytes handed to the device
   };
@@ -242,7 +241,6 @@ class HybridLog {
   void RegisterStats(obs::Registry& registry,
                      const std::string& prefix) const {
     registry.Add(prefix + ".pages_opened", &obs_stats_.pages_opened);
-    registry.Add(prefix + ".alloc_stalls", &obs_stats_.alloc_stalls);
     registry.Add(prefix + ".pages_evicted", &obs_stats_.pages_evicted);
     registry.Add(prefix + ".flush_bytes", &obs_stats_.flush_bytes);
   }

@@ -8,9 +8,9 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
-#include <thread>
+
+#include "core/wait.h"
 
 namespace faster {
 
@@ -231,15 +231,9 @@ void UringIo::Submit(const IoOp& submitted) {
   ring->in_flight.fetch_add(1, std::memory_order_relaxed);
   stats_.submits.Inc();
   __atomic_store_n(ring->sq_tail, tail + 1, __ATOMIC_RELEASE);
-  for (;;) {
-    int r = IoUringEnter(ring->ring_fd, 1, 0, 0);
-    if (r > 0) return;
-    if (r < 0 && errno != EINTR) {
-      // EAGAIN/EBUSY: kernel backlogged — reap to make space, retry.
-      Reap(*ring);
-      std::this_thread::yield();
-    }
-  }
+  // EAGAIN/EBUSY: kernel backlogged — reap this ring to make space, retry.
+  WaitUntil<kWaitUringSubmit>(
+      [&] { return IoUringEnter(ring->ring_fd, 1, 0, 0) > 0; }, nullptr, this);
 }
 
 Status UringIo::Finish(const IoOp& op, int res, uint32_t* bytes) {
@@ -351,9 +345,7 @@ bool UringIo::AllIdle() const {
 // teardown and quiescence points that hold none, so the analysis is
 // suppressed rather than the contract weakened.
 void UringIo::Drain() FASTER_NO_THREAD_SAFETY_ANALYSIS {
-  while (!AllIdle()) {
-    if (PollAll() == 0) std::this_thread::yield();
-  }
+  WaitUntil<kWaitUringDrain>([this] { return AllIdle(); }, nullptr, this);
 }
 
 }  // namespace faster

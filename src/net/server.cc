@@ -15,6 +15,7 @@
 
 #include "core/key_hash.h"
 #include "core/memory_region.h"
+#include "core/wait.h"
 #include "obs/build_info.h"
 #include "obs/clock.h"
 #include "obs/log.h"
@@ -251,9 +252,8 @@ void FasterServer::Shutdown() {
   } else {
     // Another caller (e.g. the destructor racing a signal thread) owns
     // the drain; wait for it so Shutdown() implies "drained" for all.
-    while (!stopped_.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
+    WaitUntil<kWaitServerStop>(
+        [this] { return stopped_.load(std::memory_order_acquire); });
   }
 }
 
@@ -339,7 +339,7 @@ void FasterServer::WorkerLoop(Worker& w) {
     while (!conn->outbuf.empty() && !conn->dead &&
            std::chrono::steady_clock::now() < deadline) {
       FlushConnection(*conn);
-      if (!conn->outbuf.empty()) std::this_thread::yield();
+      if (!conn->outbuf.empty()) thread_yield();
     }
     ReleaseConnSlot(conn->stat_slot);
     stats_.connections_closed.Inc();
@@ -897,6 +897,20 @@ std::string FasterServer::InfoText() {
   field("epoch_current", epochs.current);
   field("epoch_safe", epochs.safe);
   field("epoch_protected_threads", epochs.threads.size());
+  for (const obs::EpochsSnapshot::ThreadEpoch& t : epochs.threads) {
+    if (t.wait_site == nullptr) continue;
+    out += "epoch_wait_tid" + std::to_string(t.tid) + ':' + t.wait_site;
+    out += "\r\n";
+  }
+  out += "# Waits\r\n";  // the wait sites' counters (core/wait.h)
+  for (const WaitSite& site : kWaitSites) {
+    std::string name = std::string{"wait."} + site.name;
+    field((name + ".waits").c_str(),
+          site.waits.load(std::memory_order_relaxed));
+    if (site.step == kWaitOnce) continue;  // it never spins
+    field((name + ".spins").c_str(),
+          site.spins.load(std::memory_order_relaxed));
+  }
   out += "# Slowlog\r\n";
   const obs::SlowLog& slowlog = obs::GlobalSlowLog();
   field("slowlog_enabled", slowlog.armed());

@@ -156,7 +156,9 @@ void FlightRecorder::Dump(const char* reason) {
     for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
       uint64_t local = epoch->LocalEpochOf(tid);
       if (local == LightEpoch::kUnprotected) continue;
-      w.Put("  tid=", tid, " local_epoch=", local, "\n");
+      w.Put("  tid=", tid, " local_epoch=", local);
+      if (const char* site = epoch->WaitSiteOf(tid)) w.Put(" wait=", site);
+      w.Str("\n");
     }
   }
 

@@ -6,6 +6,7 @@
 #include "core/epoch_check.h"
 #include "core/hash_index.h"
 #include "core/record.h"
+#include "core/wait.h"
 #include "device/device.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
@@ -64,6 +65,12 @@ void CollectStats(const StoreView& v, Registry& reg) {
   v.epoch->RegisterStats(reg, "epoch");
   v.hlog->device()->RegisterStats(reg, "device");
   if (v.rc_log != nullptr) v.rc_log->RegisterStats(reg, "rc_log");
+  for (const WaitSite& site : kWaitSites) {
+    std::string name = std::string{"wait."} + site.name;
+    reg.Add(name + ".waits", Registry::Kind::kCounter, {&site.waits, 0, 1});
+    if (site.step == kWaitOnce) continue;  // it never spins
+    reg.Add(name + ".spins", Registry::Kind::kCounter, {&site.spins, 0, 1});
+  }
 }
 
 std::string DumpStats(const StoreView& v) {
@@ -220,7 +227,7 @@ EpochsSnapshot SnapshotEpochs(const StoreView& v) {
   for (uint32_t tid = 0; tid < Thread::kMaxThreads; ++tid) {
     uint64_t local = epoch.LocalEpochOf(tid);
     if (local == LightEpoch::kUnprotected) continue;
-    s.threads.push_back({tid, local});
+    s.threads.push_back({tid, local, epoch.WaitSiteOf(tid)});
   }
   return s;
 }
@@ -238,7 +245,10 @@ std::string DebugEpochsJson(const StoreView& v) {
     JsonField(&out, "local_epoch", t.local_epoch);
     JsonField(&out, "lag", s.current > t.local_epoch ? s.current - t.local_epoch
                                                   : 0);
-    JsonClose(&out, "},");
+    out += "\"wait\":";
+    out += t.wait_site != nullptr ? '"' + std::string{t.wait_site} + '"'
+                                  : std::string{"null"};
+    out += "},";
   }
   JsonClose(&out, "],");
   JsonField(&out, "protected_threads", s.threads.size());

@@ -202,6 +202,7 @@ struct EpochsSnapshot {
   struct ThreadEpoch {
     uint32_t tid;
     uint64_t local_epoch;
+    const char* wait_site;  // the wait it spins in (core/wait.h), or null
   };
   uint64_t current = 0;
   uint64_t safe = 0;

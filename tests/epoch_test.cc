@@ -6,6 +6,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/wait.h"
+#include "obs/flight_recorder.h"
+
 namespace faster {
 namespace {
 
@@ -196,6 +199,105 @@ TEST(EpochTest, MonotonicInvariant) {
     EXPECT_LT(epoch.SafeToReclaimEpoch(), local);
   }
   epoch.Unprotect();
+}
+
+// Test sites: fresh counters. A wait needs static storage for its site.
+constexpr WaitSite kSatisfiedSite{"test_satisfied", kWaitRefresh, 0};
+constexpr WaitSite kSpinningSite{"test_spinning", kWaitRefresh, 0};
+
+// A wait whose predicate already holds is one test: it counts nothing and
+// names no site.
+TEST(WaitTest, SatisfiedWaitCountsNothing) {
+  LightEpoch epoch;
+  epoch.Protect();
+  int tests = 0;
+  WaitUntil<kSatisfiedSite>([&] { return ++tests > 0; }, &epoch);
+  EXPECT_EQ(tests, 1);
+  EXPECT_EQ(kSatisfiedSite.waits.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(kSatisfiedSite.spins.load(std::memory_order_relaxed), 0u);
+  epoch.Unprotect();
+}
+
+// A wait that spins counts one wait and its spins. Past its first 1,024
+// spins it names its site in the thread's epoch entry, and it clears the
+// name on exit.
+TEST(WaitTest, SpinningWaitCountsOneWaitAndItsSpins) {
+  LightEpoch epoch;
+  epoch.Protect();
+  const uint32_t tid = Thread::Id();
+  int tests = 0;
+  const char* early = nullptr;
+  const char* late = nullptr;
+  WaitUntil<kSpinningSite>([&] {
+    if (tests == 1) early = epoch.WaitSiteOf(tid);
+    if (tests == 1100) late = epoch.WaitSiteOf(tid);
+    return ++tests == 1200;
+  }, &epoch);
+  EXPECT_EQ(kSpinningSite.waits.load(std::memory_order_relaxed), 1u);
+  EXPECT_EQ(kSpinningSite.spins.load(std::memory_order_relaxed), 1199u);
+  EXPECT_EQ(early, nullptr);
+  EXPECT_STREQ(late, "test_spinning");
+  EXPECT_EQ(epoch.WaitSiteOf(tid), nullptr);
+  epoch.Unprotect();
+}
+
+// BumpAndWait returns only after its action has run, and runs it once,
+// while a second protected thread refreshes (and may run it instead).
+TEST(WaitTest, BumpAndWaitRunsItsActionOnceBeforeReturning) {
+  LightEpoch epoch;
+  std::atomic<bool> other_protected{false};
+  std::atomic<bool> stop{false};
+  std::thread other([&] {
+    epoch.Protect();
+    other_protected.store(true);
+    while (!stop.load()) {
+      epoch.Refresh();
+      std::this_thread::yield();
+    }
+    epoch.Unprotect();
+  });
+  while (!other_protected.load()) std::this_thread::yield();
+  epoch.Protect();
+  std::atomic<int> runs{0};
+  for (int i = 0; i < 100; ++i) {
+    epoch.BumpAndWait([&] { runs.fetch_add(1); });
+    ASSERT_EQ(runs.load(), i + 1);
+  }
+  stop.store(true);
+  other.join();
+  epoch.Refresh();
+  EXPECT_EQ(runs.load(), 100);
+  epoch.Unprotect();
+}
+
+// The waits for the device have no watchdog bound: a slow device may take
+// longer than any bound and still be making progress
+// (HybridLogTest.FlushOnASlowDeviceOutlastsAWatchdogBound runs one).
+TEST(WaitTest, DeviceWaitsAreUnbounded) {
+  for (WaitSiteId id : {kWaitCompletePending, kWaitReadSync, kWaitFlush,
+                        kWaitUringSubmit, kWaitUringDrain, kWaitServerStop}) {
+    EXPECT_EQ(kWaitSites[id].bound_ns, 0u) << kWaitSites[id].name;
+  }
+}
+
+// The watchdog: a wait past its site's bound dumps the flight recorder,
+// whose epoch table names the site, and aborts.
+constexpr WaitSite kNeverSite{"test_never", kWaitRefresh, 50'000'000};
+
+void WaitForever() {
+  static LightEpoch epoch;
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Instance();
+  recorder.Install();
+  recorder.AttachEpoch(&epoch, &epoch);
+  epoch.Protect();
+  WaitUntil<kNeverSite>([] { return false; }, &epoch);
+}
+
+TEST(WaitDeathTest, WatchdogDumpsTheSiteAndAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(WaitForever(),
+               "FASTER wait watchdog: spun past bound: test_never.*"
+               "reason: test_never.*local_epoch=[0-9]+ wait=test_never");
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -12,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/wait.h"
 #include "device/memory_device.h"
 #include "obs/log.h"
 #include "parking_device.h"
@@ -149,12 +152,59 @@ TEST_F(HybridLogTest, InMemoryBufferNeverExceedsBudget) {
   }
 }
 
+// On a two-frame log, opening the third page waits for the first to be
+// flushed and evicted, which only a refresh drives: until then NewPage
+// stalls, and each stall counts one wait into the allocation site (a
+// stall on a full drain list is not counted).
+TEST_F(HybridLogTest, StalledAllocationCountsIntoTheAllocationSite) {
+  HybridLog log{SmallLog(2, 0.5), &device_, &epoch_};
+  const std::atomic<uint64_t>& stalls = kWaitSites[kWaitAlloc].waits;
+  const uint64_t waits = stalls.load(std::memory_order_relaxed);
+  uint64_t failed = 0;
+  for (;;) {
+    uint64_t closed_page = 0;
+    Address a = log.Allocate(4096, &closed_page);
+    if (a.IsValid() && a.page() == 2) break;
+    if (a.IsValid()) continue;
+    if (!log.NewPage(closed_page)) {
+      ++failed;
+      epoch_.Refresh();
+    }
+  }
+  const uint64_t counted = stalls.load(std::memory_order_relaxed) - waits;
+  EXPECT_GE(counted, 1u);
+  EXPECT_LE(counted, failed);
+}
+
 TEST_F(HybridLogTest, ShiftReadOnlyToTailFlushesEverything) {
   HybridLog log{SmallLog(8, 0.9), &device_, &epoch_};
   for (int i = 0; i < 1000; ++i) MustAllocate(log, epoch_, 64);
   Address tail = log.ShiftReadOnlyToTail(/*wait=*/true);
   EXPECT_GE(log.flushed_until_address(), tail);
   EXPECT_FALSE(log.io_error());
+}
+
+// A wait for the device has no watchdog bound: a flush wait on a device
+// that completes its writes only after 300 ms spins six times as long as
+// the watchdog death test's bound (epoch_test), and completes.
+TEST_F(HybridLogTest, FlushOnASlowDeviceOutlastsAWatchdogBound) {
+  WriteParkingDevice device;
+  HybridLog log{SmallLog(8, 0.9), &device, &epoch_};
+  for (int i = 0; i < 1000; ++i) MustAllocate(log, epoch_, 64);
+  std::thread slow([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    device.Drain();
+  });
+  const std::atomic<uint64_t>& flush_waits = kWaitSites[kWaitFlush].waits;
+  const uint64_t waits = flush_waits.load(std::memory_order_relaxed);
+  auto start = std::chrono::steady_clock::now();
+  Address tail = log.ShiftReadOnlyToTail(/*wait=*/true);
+  auto waited = std::chrono::steady_clock::now() - start;
+  slow.join();
+  EXPECT_GE(log.flushed_until_address(), tail);
+  EXPECT_GE(waited, std::chrono::milliseconds(250));
+  EXPECT_EQ(flush_waits.load(std::memory_order_relaxed), waits + 1);
+  EXPECT_EQ(kWaitSites[kWaitFlush].bound_ns, 0u);
 }
 
 TEST_F(HybridLogTest, ShiftBeginAddressIsMonotonic) {

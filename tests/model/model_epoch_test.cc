@@ -108,6 +108,39 @@ TEST(ModelEpoch, DrainActionsRunExactlyOnce) {
   EXPECT_TRUE(res.complete) << res.Summary();
 }
 
+// BumpAndWait against a thread that refreshes: either thread may run the
+// action, exactly once, and the waiter returns only after it ran. The
+// counter is model::Data, so a return that does not happen-after the
+// action (a weakened completion flag) is a race the checker reports.
+TEST(ModelEpoch, BumpAndWaitRunsItsActionOnceBeforeReturning) {
+  // Every spin of the wait yields, a free switch: a smaller bound than
+  // ReclaimOpts' keeps the exploration to seconds.
+  model::Options opts = ReclaimOpts("epoch_bump_and_wait");
+  opts.preemption_bound = 1;
+  opts.max_steps = 150;
+  model::Result res = model::Check(opts, [] {
+    auto epoch = std::make_unique<faster::LightEpoch>();
+    model::Data<int> runs{0};
+    model::Spawn([&] {  // waiter
+      epoch->Protect();
+      epoch->BumpAndWait([&] { ++runs.Mut(); });
+      MODEL_ASSERT(runs.Read() == 1, "BumpAndWait returned before its action");
+      epoch->Unprotect();
+    });
+    model::Spawn([&] {  // refresher
+      epoch->Protect();
+      epoch->Refresh();
+      epoch->Unprotect();
+    });
+    model::JoinAll();
+    epoch.reset();
+    MODEL_ASSERT(runs.Read() == 1,
+                 "action ran " + std::to_string(runs.Read()) + " times");
+  });
+  EXPECT_FALSE(res.violation) << res.violation_message << "\n" << res.trace;
+  EXPECT_TRUE(res.complete) << res.Summary();
+}
+
 // Seeded bug 1: demote the safety scan's seq_cst loads to relaxed. The
 // scan may then miss a concurrently published local epoch (the Dekker
 // hole Protect's publish-then-recheck exists to close) and declare a

@@ -728,8 +728,9 @@ TEST_F(NetServerTest, InfoIsSectioned) {
   std::string info = Exchange(fd.get(), "INFO\r\n", 1);
   for (const char* needle :
        {"# Server", "# Clients", "# Stats", "# Log", "# Index", "# Memory",
-        "# Epoch", "# Slowlog", "# Perf", "connected_clients:",
+        "# Epoch", "# Waits", "# Slowlog", "# Perf", "connected_clients:",
         "total_commands_processed:", "log_tail_address:", "epoch_current:",
+        "wait.complete_pending.spins:", "wait.alloc.waits:",
         "slowlog_enabled:", "slowlog_dropped:", "build_git_sha:",
         "build_flags:", "perf_enabled:", "perf_counter_mask:"}) {
     EXPECT_NE(info.find(needle), std::string::npos) << needle;

@@ -202,6 +202,9 @@ TEST_F(ReadCacheTest, PageRolloverUnderAGrowPinDoesNotWaitOnItself) {
   Store::Config cfg = CacheConfig();
   cfg.table_size = uint64_t{1} << 17;  // short bucket scans for 800k keys
   Store store{cfg, &device_};
+  // A deadlock ends in the wait watchdog's abort, with a flight dump that
+  // names the wait site (tools/seeded_deadlock.py seeds one).
+  obs::FlightAttachment flight = obs::AttachFlightRecorder(store.view());
   store.StartSession();
   Spill(store, 800000);  // keys below ~450k go to storage
   // Fill the tail page: the op's record will not fit on it.

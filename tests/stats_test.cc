@@ -15,6 +15,7 @@
 
 #include "core/faster.h"
 #include "core/functions.h"
+#include "core/wait.h"
 #include "device/memory_device.h"
 #include "mini_json.h"
 #include "obs/clock.h"
@@ -584,6 +585,17 @@ TEST(StatsStoreTest, PrometheusExportsAlwaysOnCounters) {
   EXPECT_NE(text.find("\nfaster_store_upsert_append_total "),
             std::string::npos)
       << text;
+  // Every wait site's counters (core/wait.h), in every build.
+  // A one-shot site (alloc) exports no spins.
+  for (const WaitSite& site : kWaitSites) {
+    for (const char* counter : {"waits", "spins"}) {
+      std::string series = std::string{"\nfaster_wait_"} + site.name + "_" +
+                           counter + "_total ";
+      EXPECT_EQ(text.find(series) != std::string::npos,
+                site.step != kWaitOnce || counter[0] == 'w')
+          << series << text;
+    }
+  }
   if constexpr (!obs::kStatsEnabled) {
     for (const char* stats_only :
          {"read_fuzzy", "index_", "hlog_", "device_read_ns"}) {

@@ -18,8 +18,8 @@ each inspector promises (DESIGN.md §12):
                the in-memory / mutable / flush-backlog byte arithmetic;
                same checks for the read_cache region if present
   epochs       every thread's local_epoch <= current_epoch, lag matches,
-               safe_epoch <= current_epoch, protected_threads ==
-               len(threads)
+               wait is null or a wait-site name, safe_epoch <=
+               current_epoch, protected_threads == len(threads)
   connections  open == len(connections); counters are non-negative
   perf         the stage keys are exactly the obs::Stage name table, in
                order; every stage's scopes and counters are unsigned
@@ -158,6 +158,13 @@ def check_epochs(doc):
         raise CheckError("protected_threads != len(threads)")
     for i, t in enumerate(threads):
         need_u64(t, "tid")
+        # The wait site (core/wait.h) the thread spins in, or null.
+        if "wait" not in t:
+            raise CheckError(f"threads[{i}]: missing key 'wait'")
+        if t["wait"] is not None and (not isinstance(t["wait"], str)
+                                      or not t["wait"]):
+            raise CheckError(f"threads[{i}]: wait must be null or a site "
+                             f"name: {t['wait']!r}")
         local = need_u64(t, "local_epoch")
         lag = need_u64(t, "lag")
         # A thread may Protect (bumping its local epoch to one the scan's

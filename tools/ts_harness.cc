@@ -82,6 +82,7 @@ void DriveEpoch() {
   epoch.Protect();
   epoch.Refresh();
   epoch.BumpCurrentEpoch([] {});
+  epoch.BumpAndWait([] {});
   epoch.SpinWaitForSafety(epoch.CurrentEpoch() - 1);
   epoch.Unprotect();
 }
