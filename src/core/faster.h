@@ -418,11 +418,14 @@ class FasterKv {
   /// operations (copies install via compare-and-swap and retry if the key
   /// is updated mid-copy). Records carrying the overwrite bit skip the
   /// liveness check entirely — the common case for hot-then-cold data.
+  /// Every other candidate is a compaction op (ApplyCompact): at most
+  /// kBatchChunk are in flight, and the pass waits for its own ops only,
+  /// all of them before it truncates. Reads each storage page of the range
+  /// once, and chain hops only above a candidate. A failed read ends the
+  /// pass with its status, a torn record with kCorruption; either
+  /// truncates only below the lowest candidate the pass did not finish.
   /// Requires an active session. Not supported for mergeable stores
-  /// (deltas cannot be relocated independently). Reads each storage page
-  /// of the range once. A failed storage read ends the pass with its
-  /// status, and a torn page with kCorruption; either truncates only below
-  /// the record it stopped at.
+  /// (deltas cannot be relocated independently).
   struct CompactionStats {
     uint64_t scanned = 0;
     uint64_t dead_by_overwrite_bit = 0;
@@ -432,43 +435,58 @@ class FasterKv {
   Status CompactLog(Address until, CompactionStats* stats = nullptr)
       FASTER_REQUIRES_EPOCH() {
     assert(epoch_.IsProtected());
-    static_assert(!kMergeable || sizeof(F) >= 0);
-    if constexpr (kMergeable) {
-      return Status::kInvalid;
-    }
-    CompactionStats local;
+    if constexpr (kMergeable) return Status::kInvalid;
+    ThreadState& ts = thread_states_[Thread::Id()];
     Address begin = hlog_.begin_address();
     until = std::min(until, hlog_.safe_read_only_address());
     if (until <= begin) return Status::kOk;
-    std::vector<uint8_t> scratch;
+    CompactPass pass{.keep = until};
+    static const Input kNoInput{};  // a compaction op's context copies it
+    // Continues this thread's ready contexts, its caller's pending ops
+    // too, until at most `most` of the pass's ops are in flight.
+    auto drain = [&](uint32_t most) FASTER_REQUIRES_EPOCH() {
+      WaitUntil<kWaitCompact>([&]() FASTER_REQUIRES_EPOCH() {
+        hlog_.device()->Poll();  // this thread's io_uring completions
+        ProcessReady(ts);
+        return pass.in_flight <= most;
+      }, &epoch_);
+    };
     uint64_t step = 0;
     Address examined = begin;  // the end of the last record examined
-    // Pages are copied: the pass refreshes its epoch (below, and on a page
-    // rollover in CompactOneRecord), which may recycle their frames.
-    Status result = WalkLog(begin, until, InMemory::kCopied, [&](Address addr,
+    // Pages are copied: the pass refreshes its epoch (below, as it drains,
+    // and on a page rollover), which may recycle their frames.
+    Status walked = WalkLog(begin, until, InMemory::kCopied, [&](Address addr,
                                                              const RecordT& rec) {
       AssertEpochProtected(epoch_);  // lambdas are analyzed alone
       // Keep the epoch moving: a long pass would otherwise hold back every
       // epoch trigger (page evictions, flushes) until it ends.
       if (++step % 1024 == 0) epoch_.Refresh();
       RecordInfo info = rec.info();
-      if (!info.invalid() && !info.tombstone()) {
-        if (info.overwritten()) {
-          ++local.dead_by_overwrite_bit;
-        } else {
-          Status s = CompactOneRecord(addr, rec, &scratch);
-          if (s != Status::kOk && s != Status::kNotFound) return s;
-          ++(s == Status::kOk ? local.copied : local.dead_by_trace);
-        }
+      if (info.invalid() || info.tombstone()) {
+        // Nothing to copy.
+      } else if (info.overwritten()) {
+        ++pass.stats.dead_by_overwrite_bit;
+      } else {
+        pass.at = addr;
+        pass.rec = &rec;
+        ++pass.in_flight;
+        const Key& key = Layout::KeyOf(rec);
+        obs::StatOpClock clock{obs::Stage::kExecute, 0};  // untimed
+        OpRef op{OpKind::kCompact, key, &kNoInput, nullptr, nullptr, &pass,
+                 &clock};
+        Status s = Resolve(ts, op, Hasher{}(key)).status;
+        if (s != Status::kPending) pass.Finish(addr, s);
+        if (pass.in_flight == kBatchChunk) drain(kBatchChunk - 1);
       }
-      ++local.scanned;
+      ++pass.stats.scanned;
       examined = addr + Layout::Size(rec);
       return Status::kOk;
     });
-    if (result != Status::kOk) until = examined;  // truncate only those
-    hlog_.ShiftBeginAddress(until);
-    if (stats != nullptr) *stats = local;
-    return result;
+    drain(0);
+    if (walked != Status::kOk) pass.keep = std::min(pass.keep, examined);
+    hlog_.ShiftBeginAddress(pass.keep);
+    if (stats != nullptr) *stats = pass.stats;
+    return walked != Status::kOk ? walked : pass.status;
   }
 
   /// Scans log records in [from, to) in log order (Appendix F), invoking
@@ -604,8 +622,9 @@ class FasterKv {
     // key is absent on storage).
     const Value* value;
     Output* output;      // reads and RMWs (null: an RMW's value is dropped)
-    // Reads and RMWs: the user's context; a resumed op (no clock): its
-    // PendingContext, whose clock it runs on.
+    // Reads and RMWs: the user's context; a fresh compaction op: its
+    // CompactPass; a resumed op (no clock): its PendingContext, whose clock
+    // it runs on.
     void* user_context;
     obs::StatOpClock* clock = nullptr;  // a fresh op's, set by its entry
 
@@ -645,6 +664,7 @@ class FasterKv {
     uint32_t read_len = Layout::kFixedSize;    // bytes the read fetches
     Address address = Address::Invalid();     // record being read
     Address chain_bottom = Address::Invalid();  // first disk address of chain
+    Address target;  // a compaction op's candidate
     Status io_status = Status::kOk;  // the last storage read's result
     Wait wait = Wait::kNothing;
     // The op's clock, moved in as it went asynchronous: continuations on
@@ -863,68 +883,6 @@ class FasterKv {
     return addr;
   }
 
-  /// Synchronously finds the newest record address for `key` starting at
-  /// `start`, following the chain through memory and storage (used by
-  /// compaction's liveness check). Sets `*newest` to the invalid address
-  /// if the key has no record at or above `begin`, and `*tombstone`
-  /// accordingly. Fails if a storage read fails.
-  Status TraceNewestSync(const Key& key, Address start, Address* newest,
-                         bool* tombstone, std::vector<uint8_t>* buf)
-      FASTER_REQUIRES_EPOCH() {
-    Address begin = hlog_.begin_address();
-    Address head = hlog_.head_address();
-    Address addr = start;
-    *newest = Address::Invalid();
-    *tombstone = false;
-    while (addr.IsValid() && addr >= begin) {
-      // In memory, read in place: a mutable record's value may be changing.
-      const RecordT* rec = addr >= head ? RecordAt(addr) : nullptr;
-      if (rec == nullptr) {
-        Status s = CopyRecord(addr, buf);
-        if (s != Status::kOk) return s;
-        rec = reinterpret_cast<const RecordT*>(buf->data());
-      }
-      if (Layout::KeyEquals(*rec, key)) {
-        *newest = addr;
-        *tombstone = rec->info().tombstone();
-        break;
-      }
-      addr = rec->info().previous_address();
-    }
-    return Status::kOk;
-  }
-
-  /// Copies a (potentially live) record to the tail if it is still the
-  /// newest version of its key: kOk if a copy was installed, kNotFound if
-  /// the record turned out to be dead, the error if a storage read failed.
-  Status CompactOneRecord(Address addr, const RecordT& rec,
-                          std::vector<uint8_t>* scratch)
-      FASTER_REQUIRES_EPOCH() {
-    KeyHash hash = Hasher{}(Layout::KeyOf(rec));
-    for (;; epoch_.Refresh()) {  // outside the scope, as in Resolve
-      typename HashIndex::OpScope scope{index_, hash};
-      HashIndex::FindResult fr;
-      if (!index_.FindEntry(scope, hash, &fr)) return Status::kNotFound;
-      Address start;
-      RecordT* rc_rec = nullptr;
-      if (!ResolveEntry(fr, &start, &rc_rec)) continue;
-      (void)rc_rec;  // liveness is decided on the primary chain below
-      Address newest;
-      bool tombstone;
-      Status s = TraceNewestSync(Layout::KeyOf(rec), start, &newest,
-                                 &tombstone, scratch);
-      if (s != Status::kOk) return s;
-      if (newest != addr || tombstone) return Status::kNotFound;
-      if (Append(fr, Layout::Size(rec), nullptr, [&](RecordT* r) {
-            CopyBody(r, rec);
-            return RecordInfo{start, false, false};
-          })) {
-        return Status::kOk;
-      }
-      // A page rollover, or a race with an update: re-verify liveness.
-    }
-  }
-
   /// Copies `src`'s key and value, all but its header, into `dst`.
   static void CopyBody(RecordT* dst, const RecordT& src) {
     constexpr size_t kHeader = sizeof(RecordInfo);
@@ -933,22 +891,12 @@ class FasterKv {
                 Layout::Size(src) - kHeader);
   }
 
-  /// Bytes a storage read of the record at `addr` fetches first: the
-  /// record, or for variable-length records a block that stops at the
-  /// page end and at the head (everything below the head is on storage).
-  uint32_t FirstReadSize(Address addr) const {
-    if constexpr (!kVarLen) return Layout::kFixedSize;
-    Address end = std::min(addr.NextPageStart(), hlog_.head_address());
-    return static_cast<uint32_t>(
-        std::min<uint64_t>(Layout::kReadBlock, end - addr));
-  }
-
-  /// The one check of a record read from storage at `addr` whose first
-  /// `len` bytes are at `rec` (the pending walk's and CopyRecord's): kOk,
-  /// with `*whole` the record's size if those bytes cut it short (a
-  /// variable-length record longer than the first block, to reread whole),
-  /// else 0; kCorruption if its size overruns its page (a torn record).
-  /// Page padding passes as it is.
+  /// The one check of a record the pending walk read from storage at
+  /// `addr`, whose first `len` bytes are at `rec`: kOk, with `*whole` the
+  /// record's size if those bytes cut it short (a variable-length record
+  /// longer than the first block, to reread whole), else 0; kCorruption if
+  /// its size overruns its page (a torn record). Page padding passes as it
+  /// is.
   static Status CheckRead(Address addr, const RecordT& rec, uint32_t len,
                           uint32_t* whole) {
     *whole = 0;
@@ -958,22 +906,6 @@ class FasterKv {
     if (addr.offset() + size > Address::kPageSize) return Status::kCorruption;
     *whole = size;
     return Status::kOk;
-  }
-
-  /// Copies the record at `addr`, on storage, into `*buf` (page padding
-  /// copies as its zero header).
-  Status CopyRecord(Address addr, std::vector<uint8_t>* buf) {
-    uint32_t len = FirstReadSize(addr);
-    buf->resize(len);
-    uint32_t whole = 0;
-    Status s = hlog_.ReadFromDiskSync(addr, len, buf->data());
-    if (s == Status::kOk) {
-      s = CheckRead(addr, *reinterpret_cast<const RecordT*>(buf->data()), len,
-                    &whole);
-    }
-    if (s != Status::kOk || whole == 0) return s;
-    buf->resize(whole);
-    return hlog_.ReadFromDiskSync(addr, whole, buf->data());
   }
 
   /// One-shot allocation (Alg. 1 wrapper). Returns an invalid address on
@@ -1104,6 +1036,11 @@ class FasterKv {
       *out = {Status::kOutOfMemory, Ctr::kCount};
       return true;
     }
+    if constexpr (!kMergeable) {
+      if (op.kind == OpKind::kCompact) {
+        return ApplyCompact(ts, op, hash, has_entry, fr, out);
+      }
+    }
     switch (op.kind) {
       case OpKind::kRead:
         return ApplyRead(ts, op, hash, has_entry, fr, out);
@@ -1117,6 +1054,8 @@ class FasterKv {
         break;
       case OpKind::kDelete:
         return ApplyDelete(op, has_entry, fr, out);
+      case OpKind::kCompact:  // dispatched above: a case here costs
+        break;                // Upsert 16 bytes (GCC's register choice)
     }
     return false;  // unreachable
   }
@@ -1416,6 +1355,72 @@ class FasterKv {
     });
   }
 
+  /// One CompactLog pass, its compaction ops' user context: the fresh
+  /// op's candidate (at `at`; `rec`, WalkLog's copy), the ops in flight,
+  /// what they found, and the address the pass truncates below.
+  struct CompactPass {
+    Address at{};
+    const RecordT* rec = nullptr;
+    uint32_t in_flight = 0;
+    CompactionStats stats{};
+    Status status = Status::kOk;  // the first failed op's
+    Address keep;
+
+    /// The op of the candidate at `candidate` ended with `s`.
+    void Finish(Address candidate, Status s) {
+      --in_flight;
+      if (s == Status::kOk || s == Status::kNotFound) {
+        ++(s == Status::kOk ? stats.copied : stats.dead_by_trace);
+        return;
+      }
+      if (status == Status::kOk) status = s;
+      keep = std::min(keep, candidate);
+    }
+  };
+
+  /// Compaction's conditional copy (Appendix C), decided by address: the
+  /// candidate at `at` is live iff the walk from its key's index entry
+  /// reaches `at` with no record of the key above it; then it is copied to
+  /// the tail (kOk), else it is dead (kNotFound). A walk that continues on
+  /// storage above `at` goes pending; it ends at the key's first record
+  /// there or at the first hop below `at`, and resumes if that record is
+  /// the candidate, to copy it once its chain bottom has not moved (as a
+  /// resumed RMW's). No op outcome counts it.
+  [[gnu::always_inline]]
+  bool ApplyCompact(ThreadState& ts, const OpRef& op, KeyHash hash,
+                    bool has_entry, HashIndex::FindResult& fr, Outcome* out)
+      FASTER_REQUIRES_EPOCH() {
+    *out = {Status::kNotFound, Ctr::kCount};
+    if (!has_entry) return true;
+    Address start;
+    RecordT* rc_rec = nullptr;  // liveness is decided on the primary chain
+    if (!ResolveEntry(fr, &start, &rc_rec)) return false;
+    PendingContext* ctx = op.resumed();
+    auto* pass = static_cast<CompactPass*>(op.user_context);
+    Address at = ctx != nullptr ? ctx->target : pass->at;
+    if (at < hlog_.begin_address()) return true;  // truncated meanwhile
+    RecordT* rec = nullptr;
+    Address bottom =
+        TraceBack(op.key, start, std::max(hlog_.head_address(), at + 1), &rec);
+    if (rec != nullptr || !bottom.IsValid() || bottom < at) return true;
+    if (bottom != at && (ctx == nullptr || bottom != ctx->chain_bottom)) {
+      if (ctx == nullptr && (ctx = NewContext(ts, op, hash)) == nullptr) {
+        *out = {Status::kOutOfMemory, Ctr::kCount};
+        return true;
+      }
+      ctx->target = at;
+      Await(ts, ctx, Wait::kRead, bottom);
+      *out = {Status::kPending, Ctr::kCount};
+      return true;
+    }
+    const RecordT& body = ctx != nullptr ? *ctx->record() : *pass->rec;
+    *out = {Status::kOk, Ctr::kCount};
+    return Append(fr, Layout::Size(body), nullptr, [&](RecordT* r) {
+      CopyBody(r, body);
+      return RecordInfo{start, false, false};
+    });
+  }
+
   // -------------------------------------------------------------------
   // Pending-operation machinery (Sec. 5.3).
   // -------------------------------------------------------------------
@@ -1444,12 +1449,17 @@ class FasterKv {
   }
 
   /// Reads the record at `addr` (a chain hop), or, with `whole_size`, all
-  /// of a variable-length record the first block cut short.
+  /// of a variable-length record the first block cut short. A first block
+  /// stops at the page end and at the head (below it, all is on storage).
   void IssueIo(PendingContext* ctx, Address addr, uint32_t whole_size = 0) {
     ctx->address = addr;
     if constexpr (kVarLen) {
       ctx->whole.resize(whole_size);
-      ctx->read_len = whole_size != 0 ? whole_size : FirstReadSize(addr);
+      Address end = std::min(addr.NextPageStart(), hlog_.head_address());
+      ctx->read_len = whole_size != 0
+                          ? whole_size
+                          : static_cast<uint32_t>(std::min<uint64_t>(
+                                Layout::kReadBlock, end - addr));
     }
     thread_states_[ctx->owner].counters.Add(Ctr::kIosIssued);
     ctx->clock.Mark(obs::Stage::kIoQueue);
@@ -1503,6 +1513,8 @@ class FasterKv {
     for (size_t i = 0; i < n; ++i) {
       BatchOp& op = ops[i];
       auto kind = static_cast<OpKind>(op.kind);
+      // A batch op is no compaction op: Apply drops that dispatch.
+      if (kind > OpKind::kDelete) __builtin_unreachable();
       obs::StatOpClock clock = chunk_clock.ForOp(
           kind, hashes[i].control(), static_cast<uint32_t>(n));
       Outcome out = Resolve(ts,
@@ -1546,14 +1558,19 @@ class FasterKv {
     return ctx;
   }
 
-  /// Completes a pending op and recycles its context.
+  /// Completes a pending op and recycles its context. A compaction op
+  /// reports to its pass: no completion callback or count sees it.
   void FinishPending(ThreadState& ts, PendingContext* ctx, Status result) {
     bool read = ctx->wait == Wait::kRead;
     Await(ts, ctx, Wait::kNothing);
-    ts.counters.Add(Ctr::kCompleted);
-    ctx->clock.Finish(read ? &Hist(obs::StoreHistogram::kPendingIoNs) : nullptr,
-                      ts.slot);
-    NotifyCompletion(ctx, result);
+    if (ctx->op == OpKind::kCompact) {
+      static_cast<CompactPass*>(ctx->user_context)->Finish(ctx->target, result);
+    } else {
+      ts.counters.Add(Ctr::kCompleted);
+      ctx->clock.Finish(
+          read ? &Hist(obs::StoreHistogram::kPendingIoNs) : nullptr, ts.slot);
+      NotifyCompletion(ctx, result);
+    }
     ctx->next = ts.free;
     ts.free = ctx;
   }
@@ -1606,6 +1623,15 @@ class FasterKv {
           }
           continue;
         }
+        if (ctx->op == OpKind::kCompact) {
+          // The key's newest record: live if it is the candidate itself.
+          if (ctx->address == ctx->target) {
+            Resume<OpKind::kCompact>(ts, ctx, nullptr);
+          } else {
+            FinishPending(ts, ctx, Status::kNotFound);
+          }
+          continue;
+        }
         if (info.tombstone()) {
           EndChain(ts, ctx, /*truncated=*/false);
           continue;
@@ -1626,10 +1652,12 @@ class FasterKv {
         }
       }
       // One hop down the chain: past padding, an invalid record (a lost
-      // CAS), another key's record or a merged delta.
+      // CAS), another key's record or a merged delta. A compaction op's
+      // walk ends below its candidate.
       Address prev =
           info.in_use() ? info.previous_address() : Address::Invalid();
-      if (prev.IsValid() && prev >= hlog_.begin_address()) {
+      if (prev.IsValid() &&
+          prev >= std::max(hlog_.begin_address(), ctx->target)) {
         IssueIo(ctx, prev);
       } else {
         EndChain(ts, ctx, /*truncated=*/prev.IsValid());
@@ -1639,10 +1667,11 @@ class FasterKv {
 
   /// A storage walk that found no record of the key to use ended: at a
   /// tombstone or the chain's end or, if `truncated`, below the begin
-  /// address. An RMW resumes (it chases a chain bottom that moved). A read
-  /// that truncation cut short restarts from the index: a compaction may
-  /// have moved its key to the tail (Appendix C). A mergeable read reports
-  /// what it merged; otherwise the key is absent.
+  /// address (a compaction op's: below its candidate). An RMW resumes (it
+  /// chases a chain bottom that moved). A read that truncation cut short
+  /// restarts from the index: a compaction may have moved its key to the
+  /// tail (Appendix C). A mergeable read reports what it merged; otherwise
+  /// the key is absent, and a compaction op's candidate dead.
   void EndChain(ThreadState& ts, PendingContext* ctx, bool truncated)
       FASTER_REQUIRES_EPOCH() {
     if (ctx->op == OpKind::kRmw) {
@@ -1655,7 +1684,7 @@ class FasterKv {
         FinishPending(ts, ctx, Status::kOk);
         return;
       }
-    } else if (truncated) {
+    } else if (truncated && ctx->op == OpKind::kRead) {
       Resume<OpKind::kRead>(ts, ctx, nullptr);
       return;
     }
@@ -1665,7 +1694,8 @@ class FasterKv {
   /// Resumes a pending op of kind `kKind` through the op engine, in its
   /// own context: an RMW after its fuzzy retry or its storage read
   /// (`disk_value`: the value found, null if the key is absent on
-  /// storage), or a read whose storage walk truncation cut short. Going
+  /// storage), a read whose storage walk truncation cut short, or a
+  /// compaction op whose walk read its candidate. Going
   /// pending again, it waits in the same context; otherwise it completes.
   /// It was counted as it started.
   template <OpKind kKind>

@@ -164,7 +164,8 @@ class HybridLog {
   Status AsyncGetFromDisk(Address address, uint32_t size, void* dst,
                           IoCallback callback, void* context);
 
-  /// Synchronously reads from the stable region (recovery / log scan).
+  /// Synchronously reads from the stable region: FasterKv::WalkLog's page
+  /// reads, which run under no index OpScope.
   Status ReadFromDiskSync(Address address, uint32_t size, void* dst);
 
   /// Moves the read-only offset to the current tail and (once the epoch

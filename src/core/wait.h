@@ -43,7 +43,9 @@ struct WaitSite {
   const char* name;
   uint8_t step;
   uint64_t bound_ns;
+  // order: relaxed fetch_add and loads — statistics, which publish nothing.
   mutable std::atomic<uint64_t> waits{0};  // waits that spun at least once
+  // order: relaxed, as `waits`.
   mutable std::atomic<uint64_t> spins{0};
 };
 
@@ -52,12 +54,13 @@ enum WaitSiteId : uint8_t {
   kWaitShiftReadOnly,   kWaitFlush,              kWaitAlloc,
   kWaitChunkMigrated,   kWaitEpochSlot,          kWaitEpochSafety,
   kWaitBumpAndWait,     kWaitUringSubmit,        kWaitUringDrain,
-  kWaitServerStop,
+  kWaitServerStop,      kWaitCompact,
 };
 
 /// The store's waits, the one table of how each makes progress. A site
-/// that can run under an index OpScope (read_sync, alloc, chunk_migrated)
-/// must not refresh: a trigger action may wait on the scope's chunk pin.
+/// that can run under an index OpScope (alloc, chunk_migrated) must not
+/// refresh: a trigger action may wait on the scope's chunk pin. read_sync
+/// is WalkLog's page read, which runs under none.
 /// Only io_uring needs the polls. The watchdog bounds the waits for other
 /// threads' refreshes and in-memory work, not a wait for the device (nor
 /// the server's, for workers that may wait for it): a slow device may
@@ -76,6 +79,7 @@ inline constexpr WaitSite kWaitSites[] = {
     {"uring_submit", kWaitPoll, 0},
     {"uring_drain", kWaitPollAll, 0},
     {"server_stop", kWaitNone, 0},
+    {"compact", kWaitRefresh, 0},
 };
 
 // One spin: count it, make the site's progress, yield.

@@ -264,6 +264,7 @@ class NoopOpClock {
  public:
   NoopOpClock() = default;
   NoopOpClock(SlowOpKind, uint64_t) {}
+  NoopOpClock(Stage, uint64_t) {}
   static NoopOpClock ForChunk(Stage) { return {}; }
   NoopOpClock ForOp(SlowOpKind, uint64_t, uint32_t) const { return {}; }
   void Mark(Stage, uint64_t = 0) {}

@@ -38,11 +38,14 @@ inline const char* StageName(Stage stage) {
 }
 
 /// The store's op kinds (what a slowlog entry and an op's root span name).
+/// kCompact, compaction's conditional copy, runs on an untimed clock, so
+/// no slowlog entry or span names it.
 enum class SlowOpKind : uint8_t {
   kRead = 0,
   kUpsert = 1,
   kRmw = 2,
   kDelete = 3,
+  kCompact = 4,
 };
 
 inline const char* SlowOpKindName(SlowOpKind kind) {

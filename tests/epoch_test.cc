@@ -275,7 +275,8 @@ TEST(WaitTest, BumpAndWaitRunsItsActionOnceBeforeReturning) {
 // (HybridLogTest.FlushOnASlowDeviceOutlastsAWatchdogBound runs one).
 TEST(WaitTest, DeviceWaitsAreUnbounded) {
   for (WaitSiteId id : {kWaitCompletePending, kWaitReadSync, kWaitFlush,
-                        kWaitUringSubmit, kWaitUringDrain, kWaitServerStop}) {
+                        kWaitUringSubmit, kWaitUringDrain, kWaitServerStop,
+                        kWaitCompact}) {
     EXPECT_EQ(kWaitSites[id].bound_ns, 0u) << kWaitSites[id].name;
   }
 }

@@ -595,7 +595,7 @@ TEST(PendingReadTest, RestartsWhenCompactionMovesItsKey) {
   Status completed = Status::kPending;
   uint64_t out = 0;
   ASSERT_EQ(store.Read(kA, 0, &out, &completed), Status::kPending);
-  device.set_parking(false);  // the compaction reads synchronously
+  device.set_parking(false);  // the compaction's reads complete at submit
   ASSERT_EQ(store.CompactLog(past_both), Status::kOk);
   ASSERT_GE(store.hlog().begin_address(), past_both);
   EXPECT_EQ(device.PollAll(), 1u);

@@ -15,8 +15,8 @@ namespace faster {
 /// then runs it, callback included, on that thread: the queueing shape of
 /// io_uring on any host, so tests can hand a completion across threads.
 /// Writes complete at submit, as on MemoryDevice. A read can be made to
-/// fail at completion instead (FailRead). Shared by faster_test and
-/// stats_test.
+/// fail at completion instead (FailRead). Shared by faster_test,
+/// stats_test and compaction_test.
 class ParkingDevice : public MemoryDevice {
  public:
   Status ReadAsync(uint64_t offset, void* dst, uint32_t len,
@@ -43,8 +43,13 @@ class ParkingDevice : public MemoryDevice {
     return static_cast<uint32_t>(reads.size());
   }
   void Drain() override { PollAll(); }
-  /// While off, reads complete at submit, as on MemoryDevice (say, a
-  /// compaction's synchronous reads); reads parked before stay parked.
+  /// How many reads are parked now.
+  size_t parked() {
+    std::lock_guard<std::mutex> lock{mutex_};
+    return parked_.size();
+  }
+  /// While off, reads complete at submit, as on MemoryDevice; reads
+  /// parked before stay parked.
   void set_parking(bool on) { parking_.store(on, std::memory_order_relaxed); }
   /// The `n`-th read submitted from now on (1: the next) completes with
   /// kIoError and reads nothing: a device that accepted the read, then
