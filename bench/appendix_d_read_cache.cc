@@ -5,6 +5,8 @@
 // read_cache_hit ratio, fewer storage reads, higher throughput); without
 // it, every read below the head pays a storage I/O. Uniform access shows
 // little benefit (nothing is read-hot) — the caveat Appendix D notes.
+// Each case also runs through ExecuteBatch (B:32 in its name), the path
+// the RESP server and the batch benchmarks serve reads through.
 
 #include "common.h"
 
@@ -16,6 +18,7 @@ void BM_ReadCache(benchmark::State& state) {
   bool enable_cache = state.range(0) == 1;
   Distribution dist =
       state.range(1) == 0 ? Distribution::kZipfian : Distribution::kUniform;
+  uint32_t batch = static_cast<uint32_t>(state.range(2));
   // Need a dataset several times the 8 MB (2-page) budget so reads
   // actually hit storage, whatever FASTER_BENCH_KEYS says.
   uint64_t keys = std::max<uint64_t>(BenchKeys(), uint64_t{1} << 20);
@@ -30,8 +33,9 @@ void BM_ReadCache(benchmark::State& state) {
     FasterStoreHolder<CountStoreFunctions> holder{cfg};
     holder.Load(keys);
     FasterAdapter<CountStoreFunctions> adapter{*holder.store};
-    auto r = RunWorkload(adapter, spec, 2, BenchSeconds());
-    Report(state, r);
+    Report(state,
+           RunWorkload(adapter, spec, 2, BenchSeconds(), /*seed=*/1, batch));
+    state.counters["B"] = static_cast<double>(batch);
     auto stats = holder.store->GetStats();
     double reads = static_cast<double>(stats.reads);
     state.counters["storage_reads_pct"] = benchmark::Counter(
@@ -44,15 +48,18 @@ void BM_ReadCache(benchmark::State& state) {
 }
 
 void RegisterAll() {
-  for (int d = 0; d < 2; ++d) {
-    for (int c = 0; c < 2; ++c) {
-      std::string name = std::string("appendixD/") +
-                         (d == 0 ? "zipf" : "uniform") + "/" +
-                         (c == 1 ? "with_cache" : "no_cache");
-      benchmark::RegisterBenchmark(name.c_str(), BM_ReadCache)
-          ->Args({c, d})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+  for (int64_t b : {1, 32}) {
+    for (int d = 0; d < 2; ++d) {
+      for (int c = 0; c < 2; ++c) {
+        std::string name = std::string("appendixD/") +
+                           (d == 0 ? "zipf" : "uniform") + "/" +
+                           (c == 1 ? "with_cache" : "no_cache");
+        if (b > 1) name += "/B:" + std::to_string(b);
+        benchmark::RegisterBenchmark(name.c_str(), BM_ReadCache)
+            ->Args({c, d, b})
+            ->Iterations(1)
+            ->Unit(benchmark::kMillisecond);
+      }
     }
   }
 }

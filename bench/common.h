@@ -2,15 +2,13 @@
 #define FASTER_BENCH_COMMON_H_
 
 #include <benchmark/benchmark.h>
-#include <errno.h>  // program_invocation_short_name (GNU)
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "baselines/minilsm/db.h"
@@ -19,18 +17,17 @@
 #include "core/faster.h"
 #include "core/functions.h"
 #include "device/memory_device.h"
-#include "obs/build_info.h"
 #include "obs/flight_recorder.h"
-#include "obs/perf.h"
-#include "workload/ycsb.h"
+#include "runner.h"
 
 namespace faster {
 namespace bench {
 
-/// Per-case measurement window. The paper runs 30 s per test; this
-/// scaled-down harness defaults to a short window, overridable with
-/// FASTER_BENCH_SECONDS. Malformed or non-positive values fall back to the
-/// default with a warning rather than silently running a 0-second bench.
+/// Measured time per case, cut into 0.1 s windows (runner.h). The paper
+/// runs 30 s per test; this scaled-down harness defaults to a short
+/// phase, overridable with FASTER_BENCH_SECONDS. Malformed or
+/// non-positive values fall back to the default with a warning rather
+/// than silently running a 0-second bench.
 inline double BenchSeconds(double def = 0.6) {
   const char* env = std::getenv("FASTER_BENCH_SECONDS");
   if (env == nullptr) return def;
@@ -62,9 +59,10 @@ inline uint64_t BenchKeys(uint64_t def = uint64_t{1} << 20) {
   return v;
 }
 
-/// Worker-thread counts for "all threads" style experiments (the paper's
-/// machine has 56 hyperthreads; this container is single-core, so thread
-/// sweeps measure contention behaviour rather than parallel speedup).
+/// Worker-thread counts for "all threads" style experiments. The paper's
+/// machine has 56 hyperthreads; the default fits a 4-vCPU host, so only
+/// sweeps past it (fig11 goes to twice this) measure contention rather
+/// than parallel speedup.
 inline uint32_t BenchMaxThreads(uint32_t def = 4) {
   const char* env = std::getenv("FASTER_BENCH_THREADS");
   if (env == nullptr) return def;
@@ -258,157 +256,36 @@ struct LsmAdapter {
   void Idle() {}
 };
 
-/// Accumulates one machine-readable result row per benchmark case and
-/// writes them as a JSON "sidecar" file when the binary exits, so
-/// tools/summarize_bench.py can merge results without scraping console
-/// logs. Destination: $FASTER_BENCH_JSON_DIR/<binary>.stats.json
-/// (default: current directory). Schema: faster-bench-v2 — adds a
-/// "build" block (git sha, build type, feature flags) and a "config"
-/// block (the env knobs that shaped the run) on top of v1's per-case
-/// counters, so tools/bench_compare.py can refuse apples-to-oranges
-/// comparisons. Consumers must keep accepting v1 (old baselines).
-class BenchSidecar {
- public:
-  static BenchSidecar& Instance() {
-    static BenchSidecar s;
-    return s;
-  }
-
-  void Add(const std::string& case_name,
-           std::vector<std::pair<std::string, double>> counters) {
-    std::lock_guard<std::mutex> lock{mutex_};
-    cases_.emplace_back(case_name, std::move(counters));
-  }
-
-  ~BenchSidecar() { Write(); }
-
- private:
-  BenchSidecar() = default;
-
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  void Write() {
-    if (cases_.empty()) return;
-    const char* dir = std::getenv("FASTER_BENCH_JSON_DIR");
-    std::string bench = program_invocation_short_name;
-    std::string path =
-        std::string(dir != nullptr ? dir : ".") + "/" + bench + ".stats.json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench: cannot write sidecar %s\n", path.c_str());
-      return;
-    }
-    std::fprintf(f, "{\"schema\": \"faster-bench-v2\", \"bench\": \"%s\",",
-                 Escape(bench).c_str());
-    std::fprintf(f, "\n \"build\": %s,", obs::BuildInfoJson().c_str());
-    const char* perf_env = std::getenv("FASTER_BENCH_PERF");
-    std::fprintf(f,
-                 "\n \"config\": {\"bench_seconds\": %.17g, "
-                 "\"bench_keys\": %llu, \"bench_threads\": %u, "
-                 "\"perf_counters\": %s},",
-                 BenchSeconds(),
-                 static_cast<unsigned long long>(BenchKeys()),
-                 BenchMaxThreads(),
-                 perf_env != nullptr && perf_env[0] == '1' ? "true" : "false");
-    std::fprintf(f, " \"cases\": [");
-    for (size_t i = 0; i < cases_.size(); ++i) {
-      std::fprintf(f, "%s\n  {\"name\": \"%s\", \"counters\": {",
-                   i == 0 ? "" : ",", Escape(cases_[i].first).c_str());
-      const auto& counters = cases_[i].second;
-      for (size_t j = 0; j < counters.size(); ++j) {
-        std::fprintf(f, "%s\"%s\": %.17g", j == 0 ? "" : ", ",
-                     Escape(counters[j].first).c_str(), counters[j].second);
-      }
-      std::fprintf(f, "}}");
-    }
-    std::fprintf(f, "\n]}\n");
-    std::fclose(f);
-  }
-
-  std::mutex mutex_;
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string, double>>>>
-      cases_;
-};
-
-/// Publishes a RunResult on the benchmark state. Latency percentiles
-/// (sampled 1-in-256, FASTER_STATS builds only; see RunResult) are exposed
-/// as counters so they reach both the console table and the JSON sidecar.
+/// Publishes a RunResult on the benchmark state: Mops (the median window
+/// rate), the number of windows and their interquartile range (% of the
+/// median), and the latency percentiles, so they reach the console table.
 inline void Report(benchmark::State& state, const RunResult& r) {
-  state.counters["Mops"] =
-      benchmark::Counter(r.mops, benchmark::Counter::kAvgThreads);
-  state.counters["total_ops"] = benchmark::Counter(
-      static_cast<double>(r.total_ops), benchmark::Counter::kAvgThreads);
+  auto put = [&state](const char* name, double v) {
+    state.counters[name] =
+        benchmark::Counter(v, benchmark::Counter::kAvgThreads);
+  };
+  put("Mops", r.mops);
+  put("windows", static_cast<double>(r.window_mops.size()));
+  put("iqr_pct", r.iqr_pct);
+  put("total_ops", static_cast<double>(r.total_ops));
+  put("p50_us", r.p50_us);
+  put("p99_us", r.p99_us);
+  put("p999_us", r.p999_us);
   state.SetItemsProcessed(static_cast<int64_t>(r.total_ops));
-  if (r.latency_samples > 0) {
-    state.counters["p50_us"] = benchmark::Counter(
-        static_cast<double>(r.p50_ns) / 1e3, benchmark::Counter::kAvgThreads);
-    state.counters["p99_us"] = benchmark::Counter(
-        static_cast<double>(r.p99_ns) / 1e3, benchmark::Counter::kAvgThreads);
-    state.counters["p999_us"] = benchmark::Counter(
-        static_cast<double>(r.p999_ns) / 1e3, benchmark::Counter::kAvgThreads);
-  }
-  // Hardware-counter efficiency metrics (FASTER_BENCH_PERF=1 runs only).
-  // Published per metric, gated on event availability, so a no-PMU VM run
-  // (task-clock + switches only) still reports what it measured.
-  if (r.perf_mask != 0) {
-    auto put = [&state](const char* name, double v) {
-      state.counters[name] = benchmark::Counter(v,
-                                                benchmark::Counter::kAvgThreads);
-    };
-    obs::PerfDerived d =
-        obs::DerivePerfMetrics(r.perf_counts, r.perf_mask, r.total_ops);
-    if (d.has_ipc) put("ipc", d.ipc);
-    if (d.has_cache_miss_pct) put("cache_miss_pct", d.cache_miss_pct);
-    if (d.has_cycles_per_op) put("cycles_per_op", d.cycles_per_op);
-    if (d.has_branch_miss_per_kop)
-      put("branch_miss_per_kop", d.branch_miss_per_kop);
-    if (d.has_dtlb_miss_per_kop) put("dtlb_miss_per_kop", d.dtlb_miss_per_kop);
-    if (d.has_switches_per_kop) put("switches_per_kop", d.switches_per_kop);
-  }
 }
 
-/// Console reporter that also copies each finished run (name + counters +
-/// items/sec) into the BenchSidecar, so every bench binary emits a JSON
-/// sidecar without per-case plumbing.
-class SidecarReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& reports) override {
-    benchmark::ConsoleReporter::ReportRuns(reports);
-    for (const Run& run : reports) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      std::vector<std::pair<std::string, double>> counters;
-      counters.emplace_back("iterations",
-                            static_cast<double>(run.iterations));
-      counters.emplace_back("real_time_s", run.real_accumulated_time);
-      for (const auto& kv : run.counters) {
-        counters.emplace_back(kv.first, kv.second.value);
-      }
-      BenchSidecar::Instance().Add(run.benchmark_name(),
-                                   std::move(counters));
-    }
-  }
-};
-
-/// Shared main body for all bench binaries: runs google-benchmark with the
-/// sidecar-emitting reporter.
+/// Shared main body for all bench binaries: runs google-benchmark with
+/// its console reporter.
 inline int RunBenchmarks(int argc, char** argv) {
   // CI runs benches with FASTER_FLIGHT_DIR set so a crash mid-bench (e.g.
   // an epoch-check abort under -DFASTER_EPOCH_CHECK) leaves a flight dump
-  // next to the sidecar instead of just an exit code.
+  // instead of just an exit code.
   if (std::getenv("FASTER_FLIGHT_DIR") != nullptr) {
     obs::FlightRecorder::Instance().Install();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  SidecarReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

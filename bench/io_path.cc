@@ -1,4 +1,4 @@
-// I/O-path sidecar: the device I/O paths (DESIGN.md §13) under a
+// I/O-path sweep: the device I/O paths (DESIGN.md §13) under a
 // Fig. 10-style memory-budget sweep. At small budgets a 50:50 zipf
 // workload turns into a pending-read storm, so the per-I/O cost of the
 // completion path dominates throughput. Case names ("polling" is
@@ -68,7 +68,7 @@ void BM_MemoryIoPath(benchmark::State& state) {
 
 void BM_FileIoPath(benchmark::State& state) {
   // File-backed runs are slower per op; shrink the dataset so load +
-  // measure still fits a sidecar-friendly window.
+  // measure still fits a short run.
   uint64_t keys = DatasetKeys() / 4;
   uint64_t budget_mb = static_cast<uint64_t>(state.range(0));
   auto mode = static_cast<IoPathMode>(state.range(1));
@@ -79,7 +79,7 @@ void BM_FileIoPath(benchmark::State& state) {
       FileDevice device{path, 0, mode};
       RunCase(state, &device, keys, budget_mb);
       // kUring falls back to kPolling on old kernels; record which backend
-      // actually ran so the sidecar is honest.
+      // actually ran so the result is honest.
       state.counters["uring_active"] = benchmark::Counter(
           device.mode() == IoPathMode::kUring ? 1.0 : 0.0);
     }

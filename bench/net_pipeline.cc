@@ -13,12 +13,13 @@
 //   * server vs baseline at equal P — the concurrent, batch-executing
 //     server against the paper's Redis stand-in.
 //
-// Counters: P (pipeline depth) and Mops; sidecars via $FASTER_BENCH_JSON_DIR.
+// Counters: P (pipeline depth), Mops (the median window rate) and
+// per-command latency (a batch's round trip over P).
 
-#include <chrono>
 #include <cstdio>
+#include <memory>
+#include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/remote_store.h"
@@ -31,56 +32,50 @@ namespace faster {
 namespace bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr uint32_t kConnections = 2;
 
 uint64_t NetKeys() { return BenchKeys(uint64_t{1} << 17); }
 
-/// Closed loop over loopback TCP: write P RESP commands, frame P replies.
-uint64_t DriveServerConnection(uint16_t port, uint32_t pipeline,
-                               uint64_t keys, uint32_t seed,
-                               double seconds) {
-  net::UniqueFd fd = net::ConnectTcp("127.0.0.1", port);
-  if (!fd) return 0;
-  net::SetNoDelay(fd.get());
-  std::mt19937_64 rng{seed};
-  std::uniform_int_distribution<uint64_t> key_dist{0, keys - 1};
+/// One connection of the closed loop over loopback TCP.
+struct ServerConn {
+  net::UniqueFd fd;
+  std::mt19937_64 rng;
   std::string req, rbuf;
-  char tmp[1 << 16];
-  uint64_t done = 0;
-  auto deadline = Clock::now() + std::chrono::duration<double>(seconds);
-  while (Clock::now() < deadline) {
-    req.clear();
-    for (uint32_t i = 0; i < pipeline; ++i) {
-      char line[64];
-      uint64_t key = key_dist(rng);
-      int n = (i & 1) == 0
-                  ? std::snprintf(line, sizeof(line), "GET %llu\r\n",
-                                  static_cast<unsigned long long>(key))
-                  : std::snprintf(line, sizeof(line), "SET %llu %llu\r\n",
-                                  static_cast<unsigned long long>(key),
-                                  static_cast<unsigned long long>(key));
-      req.append(line, static_cast<size_t>(n));
-    }
-    if (!net::WriteAllFd(fd.get(), req.data(), req.size())) break;
-    uint32_t seen = 0;
-    size_t pos = 0;
-    while (seen < pipeline) {
-      ssize_t got = net::ReadSomeFd(fd.get(), tmp, sizeof(tmp));
-      if (got <= 0) return done;
-      rbuf.append(tmp, static_cast<size_t>(got));
-      for (;;) {
-        size_t next = net::SkipReply(rbuf, pos, nullptr);
-        if (next == std::string::npos) break;
-        pos = next;
-        if (++seen == pipeline) break;
-      }
-    }
-    rbuf.erase(0, pos);
-    done += pipeline;
+};
+
+/// One round trip: writes P RESP commands (50:50 GET/SET), frames P
+/// replies. False on a socket error.
+bool ServerRoundTrip(ServerConn& c, uint32_t pipeline, uint64_t keys) {
+  std::uniform_int_distribution<uint64_t> key_dist{0, keys - 1};
+  c.req.clear();
+  for (uint32_t i = 0; i < pipeline; ++i) {
+    char line[64];
+    uint64_t key = key_dist(c.rng);
+    int n = (i & 1) == 0
+                ? std::snprintf(line, sizeof(line), "GET %llu\r\n",
+                                static_cast<unsigned long long>(key))
+                : std::snprintf(line, sizeof(line), "SET %llu %llu\r\n",
+                                static_cast<unsigned long long>(key),
+                                static_cast<unsigned long long>(key));
+    c.req.append(line, static_cast<size_t>(n));
   }
-  return done;
+  if (!net::WriteAllFd(c.fd.get(), c.req.data(), c.req.size())) return false;
+  char tmp[1 << 16];
+  uint32_t seen = 0;
+  size_t pos = 0;
+  while (seen < pipeline) {
+    ssize_t got = net::ReadSomeFd(c.fd.get(), tmp, sizeof(tmp));
+    if (got <= 0) return false;
+    c.rbuf.append(tmp, static_cast<size_t>(got));
+    for (;;) {
+      size_t next = net::SkipReply(c.rbuf, pos, nullptr);
+      if (next == std::string::npos) break;
+      pos = next;
+      if (++seen == pipeline) break;
+    }
+  }
+  c.rbuf.erase(0, pos);
+  return true;
 }
 
 void BM_FasterServer(benchmark::State& state) {
@@ -96,28 +91,18 @@ void BM_FasterServer(benchmark::State& state) {
       state.SkipWithError(server.error().c_str());
       break;
     }
-    double seconds = BenchSeconds();
-    std::vector<std::thread> clients;
-    std::vector<uint64_t> counts(kConnections, 0);
-    auto t0 = Clock::now();
+    std::vector<ServerConn> conns(kConnections);
     for (uint32_t c = 0; c < kConnections; ++c) {
-      clients.emplace_back([&, c] {
-        counts[c] = DriveServerConnection(server.port(), pipeline, keys,
-                                          0xc0ffee + c, seconds);
-      });
+      conns[c].fd = net::ConnectTcp("127.0.0.1", server.port());
+      if (conns[c].fd) net::SetNoDelay(conns[c].fd.get());
+      conns[c].rng.seed(0xc0ffee + c);
     }
-    for (auto& t : clients) t.join();
-    double elapsed =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    uint64_t total = 0;
-    for (uint64_t c : counts) total += c;
-    state.SetItemsProcessed(static_cast<int64_t>(total));
-    state.counters["Mops"] = benchmark::Counter(
-        static_cast<double>(total) / elapsed / 1e6,
-        benchmark::Counter::kAvgThreads);
-    state.counters["total_ops"] =
-        benchmark::Counter(static_cast<double>(total),
-                           benchmark::Counter::kAvgThreads);
+    Report(state, RunSteps(kConnections, BenchSeconds(), pipeline,
+                           [&](uint32_t tid) {
+                             return conns[tid].fd &&
+                                    ServerRoundTrip(conns[tid], pipeline,
+                                                    keys);
+                           }));
     state.counters["P"] = static_cast<double>(pipeline);
   }
 }
@@ -127,42 +112,30 @@ void BM_RemoteBaseline(benchmark::State& state) {
   uint64_t keys = NetKeys();
   for (auto _ : state) {
     RemoteStore store;
-    double seconds = BenchSeconds();
-    std::vector<std::thread> clients;
-    std::vector<uint64_t> counts(kConnections, 0);
-    auto t0 = Clock::now();
+    struct Client {
+      std::unique_ptr<RemoteStore::Client> conn;
+      std::mt19937_64 rng;
+      std::vector<RemoteStore::Client::Op> ops;
+    };
+    std::vector<Client> clients;
     for (uint32_t c = 0; c < kConnections; ++c) {
-      auto client = store.Connect();
-      clients.emplace_back([&, c, client = std::move(client)] {
-        std::mt19937_64 rng{0xc0ffee + c};
-        std::uniform_int_distribution<uint64_t> key_dist{0, keys - 1};
-        std::vector<RemoteStore::Client::Op> ops(pipeline);
-        auto deadline =
-            Clock::now() + std::chrono::duration<double>(seconds);
-        while (Clock::now() < deadline) {
-          for (uint32_t i = 0; i < pipeline; ++i) {
-            uint64_t key = key_dist(rng);
-            ops[i].is_set = (i & 1) != 0;
-            ops[i].key = key;
-            ops[i].value = key;
-          }
-          if (client->ExecuteBatch(&ops) != Status::kOk) break;
-          counts[c] += pipeline;
-        }
-      });
+      clients.push_back(Client{store.Connect(), std::mt19937_64(0xc0ffee + c),
+                               std::vector<RemoteStore::Client::Op>(pipeline)});
     }
-    for (auto& t : clients) t.join();
-    double elapsed =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    uint64_t total = 0;
-    for (uint64_t c : counts) total += c;
-    state.SetItemsProcessed(static_cast<int64_t>(total));
-    state.counters["Mops"] = benchmark::Counter(
-        static_cast<double>(total) / elapsed / 1e6,
-        benchmark::Counter::kAvgThreads);
-    state.counters["total_ops"] =
-        benchmark::Counter(static_cast<double>(total),
-                           benchmark::Counter::kAvgThreads);
+    Report(state, RunSteps(kConnections, BenchSeconds(), pipeline,
+                           [&](uint32_t tid) {
+                             Client& c = clients[tid];
+                             std::uniform_int_distribution<uint64_t> key_dist{
+                                 0, keys - 1};
+                             for (uint32_t i = 0; i < pipeline; ++i) {
+                               uint64_t key = key_dist(c.rng);
+                               c.ops[i].is_set = (i & 1) != 0;
+                               c.ops[i].key = key;
+                               c.ops[i].value = key;
+                             }
+                             return c.conn->ExecuteBatch(&c.ops) ==
+                                    Status::kOk;
+                           }));
     state.counters["P"] = static_cast<double>(pipeline);
   }
 }

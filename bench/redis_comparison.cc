@@ -8,7 +8,9 @@
 // throughput rises with pipeline depth and saturates well below the
 // embedded FASTER numbers.
 
-#include <thread>
+#include <memory>
+#include <random>
+#include <vector>
 
 #include "baselines/remote_store.h"
 #include "common.h"
@@ -39,34 +41,29 @@ void BM_RemoteStore(benchmark::State& state) {
       }
       if (!batch.empty()) loader->ExecuteBatch(&batch);
     }
-    std::atomic<uint64_t> total_ops{0};
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> clients;
+    struct Client {
+      std::unique_ptr<RemoteStore::Client> conn;
+      std::mt19937_64 rng;
+      std::vector<RemoteStore::Client::Op> batch;
+      uint64_t ops = 0;
+    };
+    std::vector<Client> clients;
     for (uint32_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        auto client = store.Connect();
-        std::mt19937_64 rng(c + 1);
-        std::vector<RemoteStore::Client::Op> batch(pipeline);
-        uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          for (auto& op : batch) {
-            op.is_set = is_set;
-            op.key = rng() % kKeySpace;
-            op.value = ops;
-          }
-          if (client->ExecuteBatch(&batch) != Status::kOk) break;
-          ops += batch.size();
-        }
-        total_ops.fetch_add(ops);
-      });
+      clients.push_back(Client{store.Connect(), std::mt19937_64(c + 1),
+                               std::vector<RemoteStore::Client::Op>(pipeline)});
     }
-    double secs = BenchSeconds();
-    std::this_thread::sleep_for(std::chrono::duration<double>(secs));
-    stop.store(true);
-    for (auto& t : clients) t.join();
-    double mops = static_cast<double>(total_ops.load()) / secs / 1e6;
-    state.counters["Mops"] = benchmark::Counter(mops);
-    state.SetItemsProcessed(static_cast<int64_t>(total_ops.load()));
+    Report(state, RunSteps(kClients, BenchSeconds(), pipeline,
+                           [&](uint32_t tid) {
+                             Client& c = clients[tid];
+                             for (auto& op : c.batch) {
+                               op.is_set = is_set;
+                               op.key = c.rng() % kKeySpace;
+                               op.value = c.ops;
+                             }
+                             c.ops += pipeline;
+                             return c.conn->ExecuteBatch(&c.batch) ==
+                                    Status::kOk;
+                           }));
   }
 }
 

@@ -9,7 +9,9 @@
 //            [--export-port P] [--trace FILE] [--trace-sample N]
 //            [--perf]
 //
-// Prints throughput, log growth, fuzzy-op and storage-read percentages.
+// Prints throughput (the median of 0.1 s windows after a warm-up, with
+// their spread), op latency, log growth, fuzzy-op and storage-read
+// percentages.
 // With --stats, also dumps the store metric registry as Prometheus text
 // periodically during the run and once at the end (a default build carries
 // the always-on op counters; -DFASTER_STATS=ON adds the component counters
@@ -43,7 +45,7 @@
 #include "obs/exporter.h"
 #include "obs/perf.h"
 #include "obs/store_view.h"
-#include "workload/ycsb.h"
+#include "runner.h"
 
 using namespace faster;
 
@@ -340,7 +342,9 @@ int main(int argc, char** argv) {
   double log_mb =
       static_cast<double>(store.hlog().tail_address() - tail_before) /
       (1 << 20);
-  std::printf("throughput:     %.2f Mops/s (%llu ops in %.2fs)\n", r.mops,
+  std::printf("throughput:     %.2f Mops/s (median of %zu windows, IQR "
+              "%.1f%%; %llu ops in %.2fs)\n",
+              r.mops, r.window_mops.size(), r.iqr_pct,
               static_cast<unsigned long long>(r.total_ops), r.seconds);
   std::printf("log growth:     %.1f MB (%.1f MB/s)\n", log_mb,
               log_mb / r.seconds);
@@ -358,14 +362,9 @@ int main(int argc, char** argv) {
                                   static_cast<double>(stats.reads)
                             : 0.0);
   }
-  if (r.latency_samples > 0) {
-    std::printf("op latency:     p50=%.1fus p99=%.1fus p999=%.1fus "
-                "(%llu samples)\n",
-                static_cast<double>(r.p50_ns) / 1e3,
-                static_cast<double>(r.p99_ns) / 1e3,
-                static_cast<double>(r.p999_ns) / 1e3,
-                static_cast<unsigned long long>(r.latency_samples));
-  }
+  std::printf("op latency:     p50=%.2fus p99=%.2fus p999=%.2fus "
+              "(medians over windows)\n",
+              r.p50_us, r.p99_us, r.p999_us);
   if (o.perf) PrintPerfTable();
   if (o.stats) {
     std::printf("--- final stats ---\n%s",

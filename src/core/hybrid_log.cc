@@ -137,13 +137,32 @@ bool HybridLog::NewPage(uint64_t old_page) {
     if (new_head_page < desired_head_page ||
         !PageClosed(new_page - buffer_pages_)) {
       kWaitSites[kWaitAlloc].waits.fetch_add(1, std::memory_order_relaxed);
-      // Rate-limited: a stalled allocator retries this path in a tight
-      // refresh loop; one report per window is plenty.
-      static obs::LogRateLimit stall_limit{100'000'000};  // 100ms
-      obs::LogLimited(stall_limit, obs::LogLevel::kWarn, "hlog",
-                      "allocation stalled on flush or eviction",
-                      obs::LogField{"new_page", new_page},
-                      obs::LogField{"flushed_page", flushed_page});
+      // An ordinary roll stalls here while the flush, then the eviction,
+      // that the frame waits for runs on an epoch refresh: the caller's
+      // next one, or other threads'. Only a stall that this thread meets
+      // unchanged for 100 ms is reported (rate-limited: the caller
+      // retries in a tight refresh loop).
+      struct Stall {
+        const HybridLog* log;
+        uint64_t new_page, flushed_page, head;
+        bool operator==(const Stall&) const = default;
+      };
+      thread_local Stall last_stall{};
+      thread_local uint64_t stalled_since = 0;
+      constexpr uint64_t kStallReportNs = 100'000'000;
+      Stall stall{this, new_page, flushed_page,
+                  head_address_.load(std::memory_order_acquire)};
+      uint64_t now = obs::NowNs();
+      if (!(stall == last_stall)) {
+        last_stall = stall;
+        stalled_since = now;
+      } else if (now - stalled_since >= kStallReportNs) {
+        static obs::LogRateLimit stall_limit{kStallReportNs};
+        obs::LogLimited(stall_limit, obs::LogLevel::kWarn, "hlog",
+                        "allocation stalled on flush or eviction",
+                        obs::LogField{"new_page", new_page},
+                        obs::LogField{"flushed_page", flushed_page});
+      }
       // On io_uring the flush frontier, which eviction waits on too, only
       // advances when someone reaps the queued writes — including writes
       // queued by other (possibly stalled or departed) threads, hence

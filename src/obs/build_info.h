@@ -3,9 +3,7 @@
 
 /// Build attribution: which commit and which compile-time configuration
 /// produced this binary. Surfaces as the `faster_build_info` gauge on
-/// /metrics, the `# Build` fields of INFO, and the `build` block of
-/// bench sidecars — the key that makes a trajectory entry attributable
-/// to a commit.
+/// /metrics, the `# Build` fields of INFO and `/debug/build`.
 
 #include <string>
 

@@ -58,7 +58,8 @@ EventSpec SpecFor(uint32_t slot) {
   return {PERF_TYPE_MAX, 0};
 }
 
-perf_event_attr BaseAttr(uint32_t slot, bool group, bool inherit) {
+/// One event of a thread's counter group.
+perf_event_attr GroupAttr(uint32_t slot) {
   perf_event_attr attr;
   std::memset(&attr, 0, sizeof(attr));
   EventSpec spec = SpecFor(slot);
@@ -68,10 +69,9 @@ perf_event_attr BaseAttr(uint32_t slot, bool group, bool inherit) {
   // paranoid=2 (the common default) permits user-space-only counting.
   attr.exclude_kernel = 1;
   attr.exclude_hv = 1;
-  attr.inherit = inherit ? 1 : 0;
   attr.read_format = PERF_FORMAT_TOTAL_TIME_ENABLED |
-                     PERF_FORMAT_TOTAL_TIME_RUNNING;
-  if (group) attr.read_format |= PERF_FORMAT_GROUP | PERF_FORMAT_ID;
+                     PERF_FORMAT_TOTAL_TIME_RUNNING | PERF_FORMAT_GROUP |
+                     PERF_FORMAT_ID;
   return attr;
 }
 
@@ -129,8 +129,7 @@ void EnsureInit(PerfThread& t) {
   }
 #if defined(__linux__)
   for (uint32_t slot = 0; slot < kNumPerfCounters; ++slot) {
-    perf_event_attr attr =
-        BaseAttr(slot, /*group=*/true, /*inherit=*/false);
+    perf_event_attr attr = GroupAttr(slot);
     int group = slot == 0 ? -1 : t.group_fd;
     if (slot != 0 && t.group_fd < 0) break;  // no leader, no group
     int fd = static_cast<int>(
@@ -356,106 +355,6 @@ void PerfScopeExit() {
   --t.depth;
   // Restart the parent's segment (or close out cleanly at depth 0).
   t.seg_start = now;
-}
-
-// ---------------------------------------------------------------------------
-// Whole-run counters (benchmarks).
-// ---------------------------------------------------------------------------
-
-PerfWholeRun::PerfWholeRun() {
-  for (uint32_t i = 0; i < kNumPerfCounters; ++i) fds_[i] = -1;
-}
-
-PerfWholeRun::~PerfWholeRun() {
-#if defined(__linux__)
-  for (uint32_t i = 0; i < kNumPerfCounters; ++i) {
-    if (fds_[i] >= 0) ::close(fds_[i]);
-  }
-#endif
-}
-
-uint32_t PerfWholeRun::Start() {
-  mask_ = 0;
-  if (g_force_unavailable.load(std::memory_order_relaxed)) {
-    return 0;
-  }
-#if defined(__linux__)
-  for (uint32_t slot = 0; slot < kNumPerfCounters; ++slot) {
-    perf_event_attr attr =
-        BaseAttr(slot, /*group=*/false, /*inherit=*/true);
-    int fd = static_cast<int>(
-        PerfEventOpen(&attr, /*pid=*/0, /*cpu=*/-1, /*group_fd=*/-1, 0));
-    if (fd < 0) continue;
-    ::ioctl(fd, PERF_EVENT_IOC_RESET, 0);
-    fds_[slot] = fd;
-    mask_ |= 1u << slot;
-  }
-#endif
-  return mask_;
-}
-
-void PerfWholeRun::Stop(PerfCounts* out, uint32_t* mask) {
-  *out = PerfCounts{};
-  *mask = mask_;
-#if defined(__linux__)
-  for (uint32_t slot = 0; slot < kNumPerfCounters; ++slot) {
-    if (fds_[slot] < 0) continue;
-    // Non-group layout: value, time_enabled, time_running.
-    uint64_t buf[3] = {0, 0, 0};
-    ssize_t n = ::read(fds_[slot], buf, sizeof(buf));
-    if (n == static_cast<ssize_t>(sizeof(buf))) {
-      out->v[slot] = Scale(buf[0], buf[1], buf[2]);
-    } else {
-      *mask &= ~(1u << slot);
-    }
-    ::close(fds_[slot]);
-    fds_[slot] = -1;
-  }
-#endif
-  mask_ = 0;
-}
-
-PerfDerived DerivePerfMetrics(const PerfCounts& c, uint32_t mask,
-                              uint64_t total_ops) {
-  PerfDerived d;
-  auto has = [mask](uint32_t slot) { return (mask & (1u << slot)) != 0; };
-  if (has(kPerfCycles) && has(kPerfInstructions) &&
-      c.v[kPerfCycles] > 0) {
-    d.has_ipc = true;
-    d.ipc = static_cast<double>(c.v[kPerfInstructions]) /
-            static_cast<double>(c.v[kPerfCycles]);
-  }
-  if (has(kPerfCacheRefs) && has(kPerfCacheMisses) &&
-      c.v[kPerfCacheRefs] > 0) {
-    d.has_cache_miss_pct = true;
-    d.cache_miss_pct = 100.0 *
-                       static_cast<double>(c.v[kPerfCacheMisses]) /
-                       static_cast<double>(c.v[kPerfCacheRefs]);
-  }
-  if (total_ops > 0) {
-    double kops = static_cast<double>(total_ops) / 1000.0;
-    if (has(kPerfBranchMisses)) {
-      d.has_branch_miss_per_kop = true;
-      d.branch_miss_per_kop =
-          static_cast<double>(c.v[kPerfBranchMisses]) / kops;
-    }
-    if (has(kPerfCtxSwitches)) {
-      d.has_switches_per_kop = true;
-      d.switches_per_kop =
-          static_cast<double>(c.v[kPerfCtxSwitches]) / kops;
-    }
-    if (has(kPerfCycles)) {
-      d.has_cycles_per_op = true;
-      d.cycles_per_op = static_cast<double>(c.v[kPerfCycles]) /
-                        static_cast<double>(total_ops);
-    }
-    if (has(kPerfDtlbMisses)) {
-      d.has_dtlb_miss_per_kop = true;
-      d.dtlb_miss_per_kop =
-          static_cast<double>(c.v[kPerfDtlbMisses]) / kops;
-    }
-  }
-  return d;
 }
 
 }  // namespace obs

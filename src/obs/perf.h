@@ -207,52 +207,6 @@ using StatPerfScope = PerfScope;
 using StatPerfScope = NoopPerfScope;
 #endif
 
-// ---------------------------------------------------------------------------
-// Whole-run counters for benchmarks (bench/common.h, workload/ycsb.h).
-// ---------------------------------------------------------------------------
-
-/// Aggregate counters over a multi-threaded run: individual (non-group)
-/// inherit events opened on the coordinating thread *before* workers are
-/// spawned, so children are counted too (inherit is incompatible with
-/// PERF_FORMAT_GROUP reads, hence one fd per event). Used when
-/// FASTER_BENCH_PERF=1.
-class PerfWholeRun {
- public:
-  PerfWholeRun();
-  ~PerfWholeRun();
-  PerfWholeRun(const PerfWholeRun&) = delete;
-  PerfWholeRun& operator=(const PerfWholeRun&) = delete;
-
-  /// Opens and resets the counters; returns the availability mask
-  /// (0 = nothing opened; Stop will report an empty mask).
-  uint32_t Start();
-  /// Reads and closes the counters.
-  void Stop(PerfCounts* out, uint32_t* mask);
-
- private:
-  int fds_[kNumPerfCounters];
-  uint32_t mask_ = 0;
-};
-
-/// Derived metrics for sidecars (only those whose inputs are in `mask`).
-struct PerfDerived {
-  bool has_ipc = false;
-  double ipc = 0.0;  // instructions / cycle
-  bool has_cache_miss_pct = false;
-  double cache_miss_pct = 0.0;  // misses / refs * 100
-  bool has_branch_miss_per_kop = false;
-  double branch_miss_per_kop = 0.0;
-  bool has_switches_per_kop = false;
-  double switches_per_kop = 0.0;
-  bool has_cycles_per_op = false;
-  double cycles_per_op = 0.0;
-  bool has_dtlb_miss_per_kop = false;
-  double dtlb_miss_per_kop = 0.0;
-};
-
-PerfDerived DerivePerfMetrics(const PerfCounts& c, uint32_t mask,
-                              uint64_t total_ops);
-
 }  // namespace obs
 }  // namespace faster
 

@@ -1,18 +1,11 @@
 #ifndef FASTER_WORKLOAD_YCSB_H_
 #define FASTER_WORKLOAD_YCSB_H_
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
+#include <random>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "obs/perf.h"
-#include "obs/stats.h"
 #include "workload/keygen.h"
 
 namespace faster {
@@ -83,156 +76,6 @@ class OpGenerator {
   std::unique_ptr<KeyGenerator> keys_;
   std::mt19937_64 rng_;
 };
-
-/// Result of a timed multi-threaded run.
-struct RunResult {
-  uint64_t total_ops = 0;
-  double seconds = 0;
-  double mops = 0;  // million ops/sec
-  // Sampled per-operation latency (1 op in 256 per thread). Populated only
-  // in FASTER_STATS builds; all zero otherwise. Percentiles are log2-bucket
-  // upper bounds (within 2x of the true quantile).
-  uint64_t latency_samples = 0;
-  uint64_t p50_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t p999_ns = 0;
-  // Whole-run hardware counters (perf_event_open, inherit across workers).
-  // Collected only when FASTER_BENCH_PERF=1 and the kernel grants the
-  // events; perf_mask says which PerfCounterId slots in perf_counts are
-  // valid (0 = none, e.g. perf_event_paranoid too strict or no PMU).
-  uint32_t perf_mask = 0;
-  obs::PerfCounts perf_counts{};
-};
-
-/// Detects the optional batched adapter hook: DoBatch(ops, n) executes
-/// `n` generated ops as one batch. Used when RunWorkload's `batch`
-/// argument exceeds 1; adapters without it always run the single-op loop.
-template <class A>
-concept HasDoBatch =
-    requires(A a, const typename OpGenerator::Op* ops, size_t n) {
-      a.DoBatch(ops, n);
-    };
-
-/// Drives `adapter` with `num_threads` worker threads for ~`seconds`
-/// seconds of the given workload (the paper runs each test for 30 s; the
-/// scaled-down harness defaults to shorter runs). With `batch` > 1 and an
-/// adapter providing DoBatch, ops are issued in batches of that size.
-///
-/// Adapter concept:
-///   void Begin();                 // per-thread session start
-///   void End();                   // per-thread session end
-///   void DoRead(uint64_t key);
-///   void DoUpsert(uint64_t key, uint64_t value_seed);
-///   void DoRmw(uint64_t key);
-///   void Idle();                  // periodic (CompletePending etc.)
-///   void DoBatch(const OpGenerator::Op*, size_t);  // optional, see above
-template <class Adapter>
-RunResult RunWorkload(Adapter& adapter, const WorkloadSpec& spec,
-                      uint32_t num_threads, double seconds,
-                      uint64_t seed = 1, uint32_t batch = 1) {
-  // order: relaxed fetch_add by workers; relaxed load at the end — the
-  // thread joins synchronize the final value.
-  std::atomic<uint64_t> total_ops{0};
-  // order: relaxed store/load — stop flag; workers exit on eventual
-  // visibility and join() provides the final synchronization.
-  std::atomic<bool> stop{false};
-  // Sharded across workers; a no-op (no allocation, no clock reads) unless
-  // built with FASTER_STATS.
-  obs::StatHistogram op_latency;
-  auto worker = [&](uint32_t tid) {
-    OpGenerator gen{spec, seed + tid * 7919};
-    adapter.Begin();
-    uint64_t ops = 0;
-    if constexpr (HasDoBatch<Adapter>) {
-      if (batch > 1) {
-        constexpr uint32_t kMaxBatch = 256;
-        uint32_t b = std::min(batch, kMaxBatch);
-        typename OpGenerator::Op buf[kMaxBatch];
-        while (!stop.load(std::memory_order_relaxed)) {
-          // Same 256-op block structure as the single-op loop, with one
-          // latency sample per block.
-          for (uint32_t done = 0; done < 256; done += b) {
-            uint32_t m = std::min(b, 256u - done);
-            for (uint32_t j = 0; j < m; ++j) buf[j] = gen.Next();
-            uint64_t t0 = 0;
-            if constexpr (obs::kStatsEnabled) {
-              if (done == 0) t0 = obs::NowNs();
-            }
-            adapter.DoBatch(buf, m);
-            if constexpr (obs::kStatsEnabled) {
-              // Attribute the whole batch's latency per-op (divide by the
-              // batch size) so percentiles stay comparable between
-              // --batch 1 and --batch N.
-              if (done == 0) op_latency.Record((obs::NowNs() - t0) / m);
-            }
-            ops += m;
-          }
-          adapter.Idle();
-        }
-        adapter.End();
-        total_ops.fetch_add(ops, std::memory_order_relaxed);
-        return;
-      }
-    }
-    while (!stop.load(std::memory_order_relaxed)) {
-      for (int i = 0; i < 256; ++i) {
-        auto op = gen.Next();
-        uint64_t t0 = 0;
-        if constexpr (obs::kStatsEnabled) {
-          if (i == 0) t0 = obs::NowNs();  // sample 1 op in 256
-        }
-        switch (op.kind) {
-          case OpKind::kRead:
-            adapter.DoRead(op.key);
-            break;
-          case OpKind::kUpsert:
-            adapter.DoUpsert(op.key, ops);
-            break;
-          case OpKind::kRmw:
-            adapter.DoRmw(op.key);
-            break;
-        }
-        if constexpr (obs::kStatsEnabled) {
-          if (i == 0) op_latency.Record(obs::NowNs() - t0);
-        }
-        ++ops;
-      }
-      adapter.Idle();
-    }
-    adapter.End();
-    total_ops.fetch_add(ops, std::memory_order_relaxed);
-  };
-
-  // Whole-run counter group, opened before the workers spawn so every
-  // worker inherits the events (perf_event_attr.inherit). Opt-in via env:
-  // counting is cheap but not free, and most callers (unit tests) don't
-  // want the fds.
-  obs::PerfWholeRun whole_run;
-  const char* perf_env = std::getenv("FASTER_BENCH_PERF");
-  bool want_perf = perf_env != nullptr && perf_env[0] == '1';
-  if (want_perf) whole_run.Start();
-
-  auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (uint32_t t = 0; t < num_threads; ++t) threads.emplace_back(worker, t);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : threads) t.join();
-  auto end = std::chrono::steady_clock::now();
-
-  RunResult r;
-  if (want_perf) whole_run.Stop(&r.perf_counts, &r.perf_mask);
-  r.total_ops = total_ops.load(std::memory_order_relaxed);
-  r.seconds = std::chrono::duration<double>(end - start).count();
-  r.mops = static_cast<double>(r.total_ops) / r.seconds / 1e6;
-  r.latency_samples = op_latency.Count();
-  if (r.latency_samples > 0) {
-    r.p50_ns = op_latency.Percentile(0.50);
-    r.p99_ns = op_latency.Percentile(0.99);
-    r.p999_ns = op_latency.Percentile(0.999);
-  }
-  return r;
-}
 
 /// Computes the exact fraction of operations of each kind for validation.
 struct MixCounts {

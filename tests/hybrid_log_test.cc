@@ -383,6 +383,67 @@ TEST_F(HybridLogTest, FailedFlushWriteLogsAnError) {
   std::remove(path.c_str());
 }
 
+std::string ReadText(const std::string& path) {
+  std::ifstream in{path};
+  return std::string{std::istreambuf_iterator<char>{in}, {}};
+}
+
+// An ordinary page roll stalls on the flush and then the eviction that its
+// frame waits for; the caller's next refresh resolves each stall, so the
+// stalls are counted but none is logged.
+TEST_F(HybridLogTest, OrdinaryPageRollsLogNoStall) {
+  const std::string path = ::testing::TempDir() + "/hlog_rolls.log";
+  std::remove(path.c_str());
+  ASSERT_TRUE(obs::Logger::Global().OpenFile(path));
+  const uint64_t waits =
+      kWaitSites[kWaitAlloc].waits.load(std::memory_order_relaxed);
+  // The stall line is rate-limited process-wide: wait out a window that
+  // an earlier test's stall may have opened, so that a line would show.
+  std::this_thread::sleep_for(std::chrono::milliseconds(110));
+  {
+    HybridLog log{SmallLog(8, 0.9), &device_, &epoch_};
+    while (log.tail_address().page() < 20) MustAllocate(log, epoch_, 4096);
+  }
+  EXPECT_GT(kWaitSites[kWaitAlloc].waits.load(std::memory_order_relaxed),
+            waits);
+  std::string text = ReadText(path);
+  EXPECT_EQ(text.find("allocation stalled"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+// A roll whose frame waits on a flush the device never completes stays
+// stalled however often the caller refreshes, and once it has for 100 ms
+// that is logged.
+TEST_F(HybridLogTest, LongStalledRollLogs) {
+  const std::string path = ::testing::TempDir() + "/hlog_stall.log";
+  std::remove(path.c_str());
+  ASSERT_TRUE(obs::Logger::Global().OpenFile(path));
+  WriteParkingDevice device;
+  HybridLog log{SmallLog(8, 0.9), &device, &epoch_};
+  uint64_t closed_page = 0;
+  while (log.Allocate(4096, &closed_page).IsValid() ||
+         log.NewPage(closed_page)) {
+    epoch_.Refresh();
+  }
+  // The line needs 100 ms of the same stall, and it is rate-limited
+  // process-wide, so retry past both.
+  std::string text;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (text.find("allocation stalled") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
+    epoch_.Refresh();
+    EXPECT_FALSE(log.NewPage(closed_page));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    text = ReadText(path);
+  }
+  EXPECT_NE(text.find(" warn "), std::string::npos) << text;
+  EXPECT_NE(text.find("hlog: allocation stalled on flush or eviction"),
+            std::string::npos)
+      << text;
+  device.Drain();
+  std::remove(path.c_str());
+}
+
 // Flush writes that complete out of order (as io_uring may deliver them)
 // never let the frontier pass a write still in flight, and once every
 // write has completed the frontier reaches the end of what was issued.

@@ -1,10 +1,10 @@
 // Perf-counter stage attribution (src/obs/perf.h): the stage-sum
-// invariant under nesting, the depth cap, the no-perf_event fallback, and
-// the derived sidecar metrics. The deterministic-read-hook tests exercise
-// the real scope machinery (enter/exit, pause/resume, shard
-// accumulation) over synthetic counter values, so they hold on any
-// machine; the real-counter tests GTEST_SKIP where the kernel grants
-// nothing (containers with perf_event_paranoid > 2, seccomp).
+// invariant under nesting, the depth cap and the no-perf_event fallback.
+// The deterministic-read-hook tests exercise the real scope machinery
+// (enter/exit, pause/resume, shard accumulation) over synthetic counter
+// values, so they hold on any machine; the real-counter tests GTEST_SKIP
+// where the kernel grants nothing (containers with perf_event_paranoid >
+// 2, seccomp).
 
 #include "obs/perf.h"
 
@@ -200,80 +200,6 @@ TEST(PerfScopeTest, RealCountersAttributeCpuTime) {
                     [kPerfTaskClockNs],
             0u);
   GlobalPerf().Reset();
-}
-
-TEST(PerfWholeRunTest, ForcedFallbackReportsEmptyMask) {
-  ForcePerfUnavailableForTest(true);
-  PerfWholeRun run;
-  EXPECT_EQ(run.Start(), 0u);
-  PerfCounts counts;
-  uint32_t mask = 0xFFFFFFFF;
-  run.Stop(&counts, &mask);
-  ForcePerfUnavailableForTest(false);
-  EXPECT_EQ(mask, 0u);
-  for (uint32_t c = 0; c < kNumPerfCounters; ++c) {
-    EXPECT_EQ(counts.v[c], 0u);
-  }
-}
-
-TEST(PerfWholeRunTest, CountsInheritAcrossSpawnedThreads) {
-  PerfWholeRun run;
-  uint32_t started = run.Start();
-  if (started == 0) {
-    GTEST_SKIP() << "perf_event_open unavailable (paranoid/seccomp)";
-  }
-  std::thread worker([] {
-    volatile uint64_t sink = 0;
-    for (uint64_t i = 0; i < 20 * 1000 * 1000; ++i) sink = sink + i;
-  });
-  worker.join();
-  PerfCounts counts;
-  uint32_t mask = 0;
-  run.Stop(&counts, &mask);
-  ASSERT_NE(mask & (1u << kPerfTaskClockNs), 0u);
-  // inherit=1: the worker's CPU time lands in the parent's counter.
-  EXPECT_GT(counts.v[kPerfTaskClockNs], 1000u * 1000u);  // > 1ms
-}
-
-TEST(PerfDeriveTest, MetricsGatedOnMask) {
-  PerfCounts c;
-  c.v[kPerfCycles] = 1000;
-  c.v[kPerfInstructions] = 2500;
-  c.v[kPerfCacheRefs] = 200;
-  c.v[kPerfCacheMisses] = 30;
-  c.v[kPerfCtxSwitches] = 7;
-  c.v[kPerfBranchMisses] = 50;
-  c.v[kPerfDtlbMisses] = 12;
-
-  uint32_t full = (1u << kNumPerfCounters) - 1;
-  PerfDerived d = DerivePerfMetrics(c, full, /*total_ops=*/1000);
-  ASSERT_TRUE(d.has_ipc);
-  EXPECT_DOUBLE_EQ(d.ipc, 2.5);
-  ASSERT_TRUE(d.has_cache_miss_pct);
-  EXPECT_DOUBLE_EQ(d.cache_miss_pct, 15.0);
-  ASSERT_TRUE(d.has_cycles_per_op);
-  EXPECT_DOUBLE_EQ(d.cycles_per_op, 1.0);
-  ASSERT_TRUE(d.has_switches_per_kop);
-  EXPECT_DOUBLE_EQ(d.switches_per_kop, 7.0);
-  ASSERT_TRUE(d.has_branch_miss_per_kop);
-  EXPECT_DOUBLE_EQ(d.branch_miss_per_kop, 50.0);
-  ASSERT_TRUE(d.has_dtlb_miss_per_kop);
-  EXPECT_DOUBLE_EQ(d.dtlb_miss_per_kop, 12.0);
-
-  // Software-events-only mask (no PMU): rate metrics that need hardware
-  // inputs must not be fabricated from the zero slots.
-  uint32_t sw_only = (1u << kPerfTaskClockNs) | (1u << kPerfCtxSwitches);
-  d = DerivePerfMetrics(c, sw_only, 1000);
-  EXPECT_FALSE(d.has_ipc);
-  EXPECT_FALSE(d.has_cache_miss_pct);
-  EXPECT_FALSE(d.has_cycles_per_op);
-  EXPECT_TRUE(d.has_switches_per_kop);
-
-  // Zero ops: per-op rates are undefined.
-  d = DerivePerfMetrics(c, full, 0);
-  EXPECT_FALSE(d.has_cycles_per_op);
-  EXPECT_FALSE(d.has_switches_per_kop);
-  EXPECT_TRUE(d.has_ipc);  // ratio metrics do not need an op count
 }
 
 TEST(PerfJsonTest, SnapshotJsonCarriesStagesAndArmedState) {

@@ -108,27 +108,5 @@ TEST(WorkloadSpecTest, Names) {
       "100:0/hotset");
 }
 
-TEST(RunWorkloadTest, DrivesAdapter) {
-  struct CountingAdapter {
-    std::atomic<uint64_t> reads{0}, upserts{0}, rmws{0}, idles{0};
-    void Begin() {}
-    void End() {}
-    void DoRead(uint64_t) { reads.fetch_add(1, std::memory_order_relaxed); }
-    void DoUpsert(uint64_t, uint64_t) {
-      upserts.fetch_add(1, std::memory_order_relaxed);
-    }
-    void DoRmw(uint64_t) { rmws.fetch_add(1, std::memory_order_relaxed); }
-    void Idle() { idles.fetch_add(1, std::memory_order_relaxed); }
-  };
-  CountingAdapter adapter;
-  auto spec = WorkloadSpec::Ycsb(0.5, 0.25, Distribution::kUniform, 1000);
-  auto result = RunWorkload(adapter, spec, 2, 0.2);
-  EXPECT_GT(result.total_ops, 0u);
-  EXPECT_EQ(result.total_ops,
-            adapter.reads + adapter.upserts + adapter.rmws);
-  EXPECT_GT(adapter.idles.load(), 0u);
-  EXPECT_GT(result.mops, 0.0);
-}
-
 }  // namespace
 }  // namespace faster

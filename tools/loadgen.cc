@@ -20,13 +20,6 @@
 // Exit code: 0 only if every connection finished without socket errors,
 // protocol-framing errors, or -ERR replies (--check also verifies reply
 // counts match request counts exactly).
-//
-// Like the bench binaries, a machine-readable sidecar
-// ($FASTER_BENCH_JSON_DIR/loadgen.stats.json, schema faster-bench-v2)
-// records throughput and latency percentiles for
-// tools/summarize_bench.py, plus the full run configuration and the
-// build attribution of this binary so tools/bench_compare.py can refuse
-// comparisons across different setups.
 
 #include <algorithm>
 #include <atomic>
@@ -41,7 +34,6 @@
 
 #include "net/resp.h"
 #include "net/socket.h"
-#include "obs/build_info.h"
 
 namespace {
 
@@ -221,40 +213,6 @@ int main(int argc, char** argv) {
   double p99 = Percentile(&rtts, 0.99) / o.pipeline;
   double ops = elapsed > 0 ? static_cast<double>(total.replies) / elapsed
                            : 0.0;
-
-  // Sidecar for summarize_bench.py (same schema the bench binaries
-  // emit via bench/common.h's BenchSidecar).
-  {
-    const char* dir = std::getenv("FASTER_BENCH_JSON_DIR");
-    std::string path =
-        std::string(dir != nullptr ? dir : ".") + "/loadgen.stats.json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(
-          f,
-          "{\"schema\": \"faster-bench-v2\", \"bench\": \"loadgen\","
-          "\n \"build\": %s,"
-          "\n \"config\": {\"host\": \"%s\", \"port\": %u, "
-          "\"connections\": %u, \"pipeline\": %u, \"seconds\": %.17g, "
-          "\"keys\": %llu, \"get_ratio\": %.17g, "
-          "\"memory_budget_mb\": %llu, \"check\": %s},"
-          "\n \"cases\": [\n"
-          "  {\"name\": \"loadgen/conns:%u/pipeline:%u\", \"counters\": "
-          "{\"Mops\": %.17g, \"total_ops\": %.17g, \"p50_us\": %.17g, "
-          "\"p95_us\": %.17g, \"p99_us\": %.17g, \"elapsed_s\": %.17g}}\n"
-          "]}\n",
-          faster::obs::BuildInfoJson().c_str(), o.host.c_str(), o.port,
-          o.connections, o.pipeline, o.seconds,
-          static_cast<unsigned long long>(o.keys), o.get_ratio,
-          static_cast<unsigned long long>(o.memory_budget_mb),
-          o.check ? "true" : "false", o.connections, o.pipeline, ops / 1e6,
-          static_cast<double>(total.replies), p50, p95, p99, elapsed);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "loadgen: cannot write sidecar %s\n",
-                   path.c_str());
-    }
-  }
 
   std::printf(
       "loadgen: conns=%u pipeline=%u elapsed=%.2fs commands=%llu "

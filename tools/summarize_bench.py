@@ -1,47 +1,33 @@
 #!/usr/bin/env python3
 """Summarize bench/ results into per-figure markdown tables, for building
-EXPERIMENTS.md or eyeballing a run.
-
-Accepts any mix of:
-  - JSON sidecars (*.stats.json) that every bench binary emits (schema
-    "faster-bench-v2", or the older "faster-bench-v1" without the
-    build/config blocks; destination controlled by $FASTER_BENCH_JSON_DIR)
-  - google-benchmark console logs (scraped with a regex, best-effort)
+EXPERIMENTS.md or eyeballing a run. Reads google-benchmark console logs
+(scraped with a regex, best-effort).
 
 Usage:
-  mkdir -p bench-json
-  for b in build/bench/*; do FASTER_BENCH_JSON_DIR=bench-json $b; done
-  tools/summarize_bench.py bench-json/*.stats.json
-
-  # or the legacy console-log path:
   for b in build/bench/*; do $b; done 2>&1 | tee bench.log
   tools/summarize_bench.py bench.log
 
-Exits non-zero (with a message on stderr) if any sidecar is missing,
-unreadable, or does not match the expected schema.
+Exits non-zero (with a message on stderr) if a log is unreadable or has
+no benchmark result lines.
 """
 
-import json
 import re
 import sys
 from collections import defaultdict
 
 
 LINE = re.compile(r"^(\S+)/iterations:1\s+\d+ ms\s+[\d.]+ ms\s+1\s+(.*)$")
-COUNTER = re.compile(r"(\w+)=([\d.]+[kMG]?(?:/s)?)")
+COUNTER = re.compile(r"(\w+)=([\d.]+[kMGmu]?(?:/s)?)")
+# Terminal colour codes, which google-benchmark may write even to a file.
+ANSI = re.compile(r"\x1b\[[0-9;]*m")
 
-# v1 sidecars predate the build/config blocks and hardware-counter
-# metrics; both parse, so old baselines stay comparable.
-SIDECAR_SCHEMAS = ("faster-bench-v1", "faster-bench-v2")
-
-# Counters worth a table column, in display order.
+# Counters worth a table column, in display order. Mops is the median
+# window rate; windows and iqr_pct say how many windows it is the median
+# of and how far they spread.
 INTERESTING = (
-    "B", "P", "Mops", "miss_ratio", "log_growth_MBps", "fuzzy_pct",
-    "log_bw_MBps", "cache_hit_pct", "storage_reads_pct", "p50_us", "p95_us",
-    "p99_us", "p999_us",
-    # Hardware-counter efficiency metrics (FASTER_BENCH_PERF=1 runs).
-    "ipc", "cache_miss_pct", "cycles_per_op", "branch_miss_per_kop",
-    "dtlb_miss_per_kop", "switches_per_kop",
+    "B", "P", "Mops", "windows", "iqr_pct", "miss_ratio", "log_growth_MBps",
+    "fuzzy_pct", "log_bw_MBps", "cache_hit_pct", "storage_reads_pct",
+    "p50_us", "p95_us", "p99_us", "p999_us",
 )
 
 
@@ -49,62 +35,35 @@ class InputError(Exception):
     pass
 
 
+SUFFIX = {"k": 1e3, "M": 1e6, "G": 1e9, "m": 1e-3, "u": 1e-6}
+
+
+def num(cell):
+    """A console counter cell ("1.5", "300m", "2.1M/s") as a float."""
+    cell = cell.removesuffix("/s")
+    if cell and cell[-1] in SUFFIX:
+        return float(cell[:-1]) * SUFFIX[cell[-1]]
+    return float(cell)
+
+
 def parse_log(path):
     """Scrapes google-benchmark console output. Best-effort: unmatched lines
     are skipped, but a log with no benchmark lines at all is an error."""
     rows = []
-    with open(path) as f:
-        for line in f:
-            m = LINE.match(line.strip())
-            if not m:
-                continue
-            name, counters_str = m.groups()
-            counters = dict(COUNTER.findall(counters_str))
-            rows.append((name, counters))
-    if not rows:
-        raise InputError(f"{path}: no benchmark result lines found")
-    return rows
-
-
-def fmt(value):
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return f"{value:.4g}"
-
-
-def parse_sidecar(path):
-    """Loads and validates a faster-bench-v1/v2 JSON sidecar. Any
-    structural problem raises InputError (the caller turns that into exit
-    code 1)."""
     try:
         with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            lines = f.readlines()
+    except OSError as e:
         raise InputError(f"{path}: {e}")
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top-level JSON value is not an object")
-    schema = doc.get("schema")
-    if schema not in SIDECAR_SCHEMAS:
-        raise InputError(
-            f"{path}: schema {schema!r}, expected one of {SIDECAR_SCHEMAS}")
-    if not isinstance(doc.get("bench"), str):
-        raise InputError(f"{path}: missing/invalid 'bench' name")
-    cases = doc.get("cases")
-    if not isinstance(cases, list) or not cases:
-        raise InputError(f"{path}: 'cases' must be a non-empty list")
-    rows = []
-    for i, case in enumerate(cases):
-        if not isinstance(case, dict) or not isinstance(
-                case.get("name"), str):
-            raise InputError(f"{path}: cases[{i}] missing string 'name'")
-        counters = case.get("counters")
-        if not isinstance(counters, dict):
-            raise InputError(f"{path}: cases[{i}] missing 'counters' object")
-        for k, v in counters.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise InputError(
-                    f"{path}: cases[{i}].counters[{k!r}] is not a number")
-        rows.append((case["name"], {k: fmt(v) for k, v in counters.items()}))
+    for line in lines:
+        m = LINE.match(ANSI.sub("", line).strip())
+        if not m:
+            continue
+        name, counters_str = m.groups()
+        counters = dict(COUNTER.findall(counters_str))
+        rows.append((name, counters))
+    if not rows:
+        raise InputError(f"{path}: no benchmark result lines found")
     return rows
 
 
@@ -114,10 +73,7 @@ def main():
         return 2
     rows = []
     for path in sys.argv[1:]:
-        if path.endswith(".stats.json") or path.endswith(".json"):
-            rows.extend(parse_sidecar(path))
-        else:
-            rows.extend(parse_log(path))
+        rows.extend(parse_log(path))
 
     groups = defaultdict(list)
     for name, counters in rows:
@@ -162,7 +118,7 @@ def report_batch_speedup(group):
         case = re.sub(r"(/-?\d+)+(/iterations:\d+)?$", "", case)
         case = re.sub(r"/B:\d+", "", case)
         try:
-            sweeps[case][int(float(c["B"]))] = float(c["Mops"])
+            sweeps[case][int(num(c["B"]))] = num(c["Mops"])
         except ValueError:
             continue
     for case, by_b in sorted(sweeps.items()):
@@ -185,7 +141,7 @@ def _depth_sweeps(group):
         case = re.sub(r"(/-?\d+)+(/iterations:\d+)?$", "", case)
         case = re.sub(r"/P:\d+", "", case)
         try:
-            sweeps[case][int(float(c["P"]))] = float(c["Mops"])
+            sweeps[case][int(num(c["P"]))] = num(c["Mops"])
         except ValueError:
             continue
     return sweeps
@@ -218,7 +174,7 @@ def report_io_path_speedup(group):
         if not m:
             continue
         try:
-            sweeps[int(m.group(1))][parts[1]] = float(c["Mops"])
+            sweeps[int(m.group(1))][parts[1]] = num(c["Mops"])
         except ValueError:
             continue
     for budget, by_mode in sorted(sweeps.items()):
