@@ -21,7 +21,8 @@
 // (plus /vars JSON and /healthz) for the duration of the process.
 // --trace FILE writes operation lifecycle spans as Chrome trace-event JSON
 // after the run (load it in Perfetto, or convert/inspect it with
-// tools/trace2perfetto.py); --trace-sample N samples 1-in-N operations.
+// tools/trace2perfetto.py); --trace-sample N samples 1-in-N operations
+// (default with --trace: 64; the library samples none).
 // --perf (FASTER_STATS builds) arms per-stage hardware counters
 // (perf_event_open) and prints the per-stage attribution table after the
 // run.
@@ -69,7 +70,7 @@ struct Options {
   bool export_enabled = false;
   uint16_t export_port = 0;
   std::string trace_file;
-  uint32_t trace_sample = 0;  // 0: keep the library default
+  uint32_t trace_sample = 0;  // 0: 64 with --trace, else none
   bool perf = false;
 };
 
@@ -252,6 +253,9 @@ int main(int argc, char** argv) {
   // from here on dumps the epoch table, metrics, and recent spans.
   obs::FlightAttachment flight = obs::AttachFlightRecorder(store.view());
 
+  if (obs::kStatsEnabled && o.trace_sample == 0 && !o.trace_file.empty()) {
+    o.trace_sample = 64;
+  }
   if (o.trace_sample > 0) {
     if (!obs::kStatsEnabled) {
       std::fprintf(stderr,

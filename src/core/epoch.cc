@@ -4,6 +4,7 @@
 
 #include "core/epoch_check.h"
 #include "core/wait.h"
+#include "obs/stage.h"
 
 namespace faster {
 
@@ -158,12 +159,16 @@ uint64_t LightEpoch::BumpCurrentEpoch(uint32_t slot,
   uint64_t prior = current_epoch_.fetch_add(1, std::memory_order_seq_cst);
   DrainEntry& entry = drain_list_[slot];
   cell_mut(entry.action) = std::move(action);
-  if constexpr (obs::kStatsEnabled) entry.armed_ns = obs::NowNs();
+  if constexpr (obs::kStatsEnabled) {
+    entry.armed_ns = obs::SinksQuiet() ? 0 : obs::NowNs();
+  }
   entry.epoch.store(prior, std::memory_order_release);
   uint32_t outstanding =
       drain_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
   obs_stats_.bumps.Inc();
-  obs_stats_.drain_occupancy.Record(outstanding);
+  if (obs::kStatsEnabled && entry.armed_ns != 0) {
+    obs_stats_.drain_occupancy.Record(outstanding);
+  }
   return prior + 1;
 }
 
@@ -178,7 +183,7 @@ void LightEpoch::Drain(uint64_t safe_epoch) {
               e, DrainEntry::kLocked, std::memory_order_acq_rel)) {
         std::function<void()> action = std::move(cell_mut(drain_list_[i].action));
         cell_mut(drain_list_[i].action) = nullptr;
-        if constexpr (obs::kStatsEnabled) {
+        if (obs::kStatsEnabled && drain_list_[i].armed_ns != 0) {
           obs_stats_.bump_to_drain_ns.Record(obs::NowNs() -
                                              drain_list_[i].armed_ns);
         }

@@ -139,7 +139,8 @@ class LightEpoch {
   }
 
   /// Observability (compiled out unless FASTER_STATS): drain-list pressure
-  /// and the latency from arming a trigger action to running it.
+  /// and the latency from arming a trigger action to running it (both
+  /// only while some sink is armed).
   struct ObsStats {
     obs::StatCounter bumps;            // BumpCurrentEpoch(action) calls
     obs::StatCounter actions_run;      // trigger actions executed
@@ -196,9 +197,11 @@ class LightEpoch {
     /// Non-atomic payload published through the `epoch` release store;
     /// Cell<> makes that publication edge race-checkable under the model.
     Cell<std::function<void()>> action;
-    /// Stats only: NowNs() when the action was armed. Written while the
-    /// slot is held kLocked by the arming thread and read while held
-    /// kLocked by the draining thread, so a plain field is race-free.
+    /// Stats only: NowNs() when the action was armed while some sink was
+    /// armed, else 0 (obs::SinksQuiet): then neither drain histogram
+    /// records it. Written while the slot is held kLocked by the arming
+    /// thread and read while held kLocked by the draining thread, so a
+    /// plain field is race-free.
     uint64_t armed_ns = 0;
   };
 

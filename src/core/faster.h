@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -471,9 +472,7 @@ class FasterKv {
         pass.rec = &rec;
         ++pass.in_flight;
         const Key& key = Layout::KeyOf(rec);
-        obs::StatOpClock clock{obs::Stage::kExecute, 0};  // untimed
-        OpRef op{OpKind::kCompact, key, &kNoInput, nullptr, nullptr, &pass,
-                 &clock};
+        OpRef op{OpKind::kCompact, key, &kNoInput, nullptr, nullptr, &pass};
         Status s = Resolve(ts, op, Hasher{}(key)).status;
         if (s != Status::kPending) pass.Finish(addr, s);
         if (pass.in_flight == kBatchChunk) drain(kBatchChunk - 1);
@@ -626,7 +625,8 @@ class FasterKv {
     // CompactPass; a resumed op (no clock): its PendingContext, whose clock
     // it runs on.
     void* user_context;
-    obs::StatOpClock* clock = nullptr;  // a fresh op's, set by its entry
+    // A fresh op's: a timed op's, set by its entry, else the untimed one.
+    const obs::StatOpClock* clock = &obs::StatOpClock::Untimed();
 
     /// A resumed op's own context, which it waits in again; null for a
     /// fresh op. Not a field of its own: a 64-byte OpRef costs each batch
@@ -969,19 +969,28 @@ class FasterKv {
   };
 
   /// The single-op entry. The whole op is one execute segment (the batch
-  /// pipeline attributes hash separately), timed by its one clock,
-  /// which also carries the thread slot to the op's statistics.
+  /// pipeline attributes hash separately). An op started while no sink is
+  /// armed (obs::SinksQuiet) is quiet: it runs on the untimed clock and
+  /// records nothing but its outcome's counter. Otherwise RunTimed runs it.
   [[gnu::always_inline]]
   Status RunSingle(const OpRef& op) FASTER_REQUIRES_EPOCH() {
+    if (!obs::SinksQuiet()) [[unlikely]] return RunTimed(op);
+    ThreadState& ts = AutoRefresh(Thread::Id(), 1);
+    Outcome out = Resolve(ts, op, Hasher{}(op.key));
+    ts.counters.Add(out.counter);
+    return out.status;
+  }
+
+  /// RunSingle while some sink is armed: starts the op's clock, which
+  /// decides what the op records, runs the op on it and finishes it. Out
+  /// of line, so a quiet op's frame holds no clock.
+  [[gnu::noinline]] Status RunTimed(OpRef op) FASTER_REQUIRES_EPOCH() {
     uint32_t slot = Thread::Id();
     ThreadState& ts = AutoRefresh(slot, 1);
     KeyHash hash = Hasher{}(op.key);
     obs::StatOpClock clock{op.kind, hash.control()};
-    Outcome out = Resolve(
-        ts,
-        OpRef{op.kind, op.key, op.input, op.value, op.output, op.user_context,
-              &clock},
-        hash);
+    op.clock = &clock;
+    Outcome out = Resolve(ts, op, hash, clock.timed());
     ts.counters.Add(out.counter);
     // A pending op took a copy of the clock, which finishes it.
     clock.Leave(out.status != Status::kPending, ts.slot);
@@ -991,19 +1000,23 @@ class FasterKv {
   /// Resolve for single ops and for each batch op: finds the key's index
   /// entry under an OpScope — or, for upserts and RMWs, the free slot a
   /// new key's record is published into — and applies the op, refreshing
-  /// between attempts, until Apply completes it.
+  /// between attempts, until Apply completes it. A `timed` op's index
+  /// scans record their probe lengths.
   [[gnu::always_inline]]
-  Outcome Resolve(ThreadState& ts, const OpRef& op, KeyHash hash)
-      FASTER_REQUIRES_EPOCH() {
+  Outcome Resolve(ThreadState& ts, const OpRef& op, KeyHash hash,
+                  bool timed = false) FASTER_REQUIRES_EPOCH() {
     Outcome out;
     for (;; RefreshToRetry()) {
-      typename HashIndex::OpScope scope{index_, hash, ts.slot};
+      typename HashIndex::OpScope scope{index_, hash};
       HashIndex::FindResult fr;
       bool has_entry;
       if (op.kind == OpKind::kUpsert || op.kind == OpKind::kRmw) {
-        has_entry = index_.FindSlot(scope, hash, &fr) == Status::kOk;
+        has_entry = (timed ? index_.FindSlot(scope, hash, &fr, ts.slot)
+                           : index_.FindSlot(scope, hash, &fr)) ==
+                    Status::kOk;
       } else {
-        has_entry = index_.FindEntry(scope, hash, &fr);
+        has_entry = timed ? index_.FindEntry(scope, hash, &fr, ts.slot)
+                          : index_.FindEntry(scope, hash, &fr);
       }
       if (Apply(ts, op, hash, has_entry, fr, &out)) break;
     }
@@ -1462,10 +1475,20 @@ class FasterKv {
                                 Layout::kReadBlock, end - addr));
     }
     thread_states_[ctx->owner].counters.Add(Ctr::kIosIssued);
+    if (ctx->clock.timed() || !obs::SinksQuiet()) [[unlikely]] {
+      return TimedSubmit(ctx);
+    }
+    Submit(ctx);
+  }
+  /// IssueIo's submission for a timed op, or while some sink is armed.
+  /// Submission work (and the execution a synchronous device runs under
+  /// it) is io_queue; device paths nest io_exec inside.
+  [[gnu::noinline]] void TimedSubmit(PendingContext* ctx) {
     ctx->clock.Mark(obs::Stage::kIoQueue);
-    // Submission work (and the execution a synchronous device runs under
-    // it) is io_queue; device paths nest io_exec inside.
     obs::StatPerfScope perf{obs::Stage::kIoQueue};
+    Submit(ctx);
+  }
+  void Submit(PendingContext* ctx) {
     Status s = hlog_.AsyncGetFromDisk(ctx->address, ctx->read_len, ctx->dst(),
                                       &FasterKv::IoCallback, ctx);
     // A rejected read never fires its callback: fail it through the
@@ -1477,54 +1500,79 @@ class FasterKv {
   // Batched pipeline internals (see the public batch API above).
   // -------------------------------------------------------------------
 
-  /// The two-stage pipeline over one chunk of at most kBatchChunk ops.
+  /// The two-stage pipeline over one chunk of at most kBatchChunk ops. A
+  /// chunk started while no sink is armed (obs::SinksQuiet) is quiet, like
+  /// a quiet single op: no span, stage segments or clocks, and its ops
+  /// record only their outcomes' counters.
   void ExecuteChunk(BatchOp* ops, size_t n) FASTER_REQUIRES_EPOCH() {
     if (n == 0) return;
+    if (obs::SinksQuiet()) [[likely]] {
+      RunChunk<false>(ops, n);
+    } else {
+      RunChunk<true>(ops, n);
+    }
+  }
+
+  template <bool kTimed>
+  void RunChunk(BatchOp* ops, size_t n) FASTER_REQUIRES_EPOCH() {
     assert(n <= kBatchChunk);
     assert(epoch_.IsProtected());
     // One refresh check covers the chunk (amortized epoch bookkeeping).
     uint32_t slot = Thread::Id();
     ThreadState& ts = AutoRefresh(slot, static_cast<uint32_t>(n));
-    Hist(obs::StoreHistogram::kBatchSizes).Record(n, slot);
-    // The chunk is one trace: the two stages appear as child spans, and
-    // any pending-I/O continuation lands under the same trace id.
-    obs::StatSpan chunk_span{obs::SpanKind::kBatchChunk,
-                             static_cast<uint32_t>(n)};
+    // A timed chunk is one trace: the two stages appear as child spans,
+    // and any pending-I/O continuation lands under the same trace id.
     // Stage 1 is chunk-level, so the chunk's clock shares its cost evenly
     // across its ops; stage 2 times each op on its own clock.
+    std::optional<obs::StatSpan> chunk_span;
+    if constexpr (kTimed) {
+      chunk_span.emplace(obs::SpanKind::kBatchChunk,
+                         static_cast<uint32_t>(n));
+    }
     obs::StatOpClock chunk_clock =
-        obs::StatOpClock::ForChunk(obs::Stage::kHash);
+        kTimed ? obs::StatOpClock::ForChunk(obs::Stage::kHash)
+               : obs::StatOpClock::Untimed();
+    if (chunk_clock.timed()) {
+      Hist(obs::StoreHistogram::kBatchSizes).Record(n, slot);
+    }
+    std::optional<obs::StageScope> stage;
+    if constexpr (kTimed) stage.emplace(obs::Stage::kHash);
 
     // ---- Stage 1: hash every key; prefetch its hash bucket. ----
     KeyHash hashes[kBatchChunk];
-    {
-      obs::StageScope stage{obs::Stage::kHash};
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = Hasher{}(ops[i].key);
-        index_.PrefetchBucket(hashes[i]);
-      }
+    for (size_t i = 0; i < n; ++i) {
+      hashes[i] = Hasher{}(ops[i].key);
+      index_.PrefetchBucket(hashes[i]);
     }
-    chunk_clock.Mark(obs::Stage::kExecute);
 
     // ---- Stage 2: each op in array order, as a single op runs. ----
     // Perf attribution is per-chunk, not per-op; pending submissions nest
     // io_queue.
-    obs::StageScope exec_stage{obs::Stage::kExecute};
+    if constexpr (kTimed) {
+      stage.reset();
+      chunk_clock.Mark(obs::Stage::kExecute);
+      stage.emplace(obs::Stage::kExecute);
+    }
     for (size_t i = 0; i < n; ++i) {
       BatchOp& op = ops[i];
       auto kind = static_cast<OpKind>(op.kind);
       // A batch op is no compaction op: Apply drops that dispatch.
       if (kind > OpKind::kDelete) __builtin_unreachable();
-      obs::StatOpClock clock = chunk_clock.ForOp(
-          kind, hashes[i].control(), static_cast<uint32_t>(n));
-      Outcome out = Resolve(ts,
-                            OpRef{kind, op.key, &op.input, &op.value, op.output,
-                                  op.user_context, &clock},
-                            hashes[i]);
+      OpRef ref{kind, op.key, &op.input, &op.value, op.output,
+                op.user_context};
+      Outcome out;
+      if constexpr (kTimed) {
+        obs::StatOpClock clock = chunk_clock.ForOp(
+            kind, hashes[i].control(), static_cast<uint32_t>(n));
+        ref.clock = &clock;
+        out = Resolve(ts, ref, hashes[i], clock.timed());
+        // A pending op took a copy of the clock, which finishes it.
+        if (out.status != Status::kPending) clock.Finish(nullptr, slot);
+      } else {
+        out = Resolve(ts, ref, hashes[i]);
+      }
       ts.counters.Add(out.counter);
       op.status = out.status;
-      // A pending op took a copy of the clock, which finishes it.
-      if (op.status != Status::kPending) clock.Finish(nullptr, slot);
     }
   }
 
@@ -1534,8 +1582,13 @@ class FasterKv {
                                            uint32_t /*bytes*/) {
     auto* ctx = static_cast<PendingContext*>(context);
     ctx->io_status = result;
-    // Everything from here to the owner processing the completion is
-    // io_complete: the cross-thread hand-off wait.
+    if (ctx->clock.timed()) [[unlikely]] return TimedIoDone(ctx);
+    ctx->store->thread_states_[ctx->owner].ready.Push(ctx);
+  }
+  /// IoCallback for a timed op. Everything from here to the owner
+  /// processing the completion is io_complete: the cross-thread hand-off
+  /// wait.
+  [[gnu::noinline]] static void TimedIoDone(PendingContext* ctx) {
     ctx->clock.MarkIoDone();
     ctx->store->thread_states_[ctx->owner].ready.Push(ctx);
   }
@@ -1567,8 +1620,11 @@ class FasterKv {
       static_cast<CompactPass*>(ctx->user_context)->Finish(ctx->target, result);
     } else {
       ts.counters.Add(Ctr::kCompleted);
-      ctx->clock.Finish(
-          read ? &Hist(obs::StoreHistogram::kPendingIoNs) : nullptr, ts.slot);
+      if (ctx->clock.timed()) [[unlikely]] {
+        ctx->clock.Finish(
+            read ? &Hist(obs::StoreHistogram::kPendingIoNs) : nullptr,
+            ts.slot);
+      }
       NotifyCompletion(ctx, result);
     }
     ctx->next = ts.free;
@@ -1591,8 +1647,19 @@ class FasterKv {
     PendingContext* next = ts.ready.TakeAll();
     if (next == nullptr) return;
     // Gated on non-empty so the CompletePending polling loop stays free
-    // of counter reads between completions.
-    obs::StageScope stage{obs::Stage::kIoComplete};
+    // of counter reads between completions; with no sink armed, one
+    // compare.
+    if (obs::SinksQuiet()) [[likely]] {
+      Continue(ts, next);
+    } else {
+      obs::StageScope stage{obs::Stage::kIoComplete};
+      Continue(ts, next);
+    }
+  }
+
+  /// ProcessReady's loop over the contexts from `next` on.
+  [[gnu::always_inline]] void Continue(ThreadState& ts, PendingContext* next)
+      FASTER_REQUIRES_EPOCH() {
     while (next != nullptr) {
       PendingContext* ctx = std::exchange(next, next->next);
       if (ctx->wait == Wait::kRetry) {

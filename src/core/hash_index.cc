@@ -210,11 +210,11 @@ HashIndex::OpScope::~OpScope() {
 // Lookup / insert (Sec. 3.2).
 // ---------------------------------------------------------------------------
 
-template <bool kFree>
+template <bool kFree, bool kRecord>
 inline bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag,
                                  FindResult* match,
                                  Atomic<uint64_t>** free_slot,
-                                 obs::StatSlot slot) const {
+                                 uint32_t slot) const {
   // One masked compare per entry finds a non-tentative entry with the tag.
   constexpr uint64_t kMask =
       HashBucketEntry::kTentativeBit | HashBucketEntry::kTagMask;
@@ -231,7 +231,7 @@ inline bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag,
         match->slot = &bucket->entries[i];
         match->entry = HashBucketEntry{control};
         match->head = nullptr;
-        RecordScan<kFree>(probes, slot, true);
+        if constexpr (kRecord) RecordScan<kFree>(probes, slot, true);
         return true;
       }
       if (kFree && control == 0 && free == nullptr) free = &bucket->entries[i];
@@ -240,27 +240,39 @@ inline bool HashIndex::ScanChain(HashBucket* bucket, uint16_t tag,
         bucket->overflow.load(std::memory_order_acquire));
   } while (bucket != nullptr);
   if constexpr (kFree) *free_slot = free;
-  RecordScan<kFree>(probes, slot, false);
+  if constexpr (kRecord) RecordScan<kFree>(probes, slot, false);
   return false;
+}
+
+template <bool kRecord>
+inline bool HashIndex::Find(const OpScope& scope, KeyHash hash,
+                            FindResult* out, uint32_t slot) const {
+  FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
+                      "bucket read (FindEntry) without epoch protection");
+  HashBucket* bucket = &scope.table_[hash.Bucket(scope.table_size_)];
+  return ScanChain<false, kRecord>(bucket, EffectiveTag(hash), out, nullptr,
+                                   slot);
 }
 
 bool HashIndex::FindEntry(const OpScope& scope, KeyHash hash,
                           FindResult* out) const {
-  FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
-                      "bucket read (FindEntry) without epoch protection");
-  HashBucket* bucket = &scope.table_[hash.Bucket(scope.table_size_)];
-  return ScanChain<false>(bucket, EffectiveTag(hash), out, nullptr,
-                          scope.slot_);
+  return Find<false>(scope, hash, out, 0);
 }
 
-Status HashIndex::FindSlot(const OpScope& scope, KeyHash hash,
-                           FindResult* out) {
+bool HashIndex::FindEntry(const OpScope& scope, KeyHash hash,
+                          FindResult* out, uint32_t slot) const {
+  return Find<true>(scope, hash, out, slot);
+}
+
+template <bool kRecord>
+inline Status HashIndex::FindFree(const OpScope& scope, KeyHash hash,
+                                  FindResult* out, uint32_t slot) {
   FASTER_EPOCH_VERIFY(epoch_->IsProtected(),
                       "bucket read (FindSlot) without epoch protection");
   uint16_t tag = EffectiveTag(hash);
   HashBucket* head = &scope.table_[hash.Bucket(scope.table_size_)];
   Atomic<uint64_t>* free_slot;
-  if (ScanChain<true>(head, tag, out, &free_slot, scope.slot_)) {
+  if (ScanChain<true, kRecord>(head, tag, out, &free_slot, slot)) {
     return Status::kOk;
   }
   if (free_slot == nullptr) [[unlikely]] {
@@ -270,6 +282,16 @@ Status HashIndex::FindSlot(const OpScope& scope, KeyHash hash,
   out->entry = HashBucketEntry{Address::Invalid(), tag, false};
   out->head = head;
   return Status::kOk;
+}
+
+Status HashIndex::FindSlot(const OpScope& scope, KeyHash hash,
+                           FindResult* out) {
+  return FindFree<false>(scope, hash, out, 0);
+}
+
+Status HashIndex::FindSlot(const OpScope& scope, KeyHash hash,
+                           FindResult* out, uint32_t slot) {
+  return FindFree<true>(scope, hash, out, slot);
 }
 
 Status HashIndex::FindSlotInFullChain(const OpScope& scope, KeyHash hash,

@@ -54,15 +54,10 @@ class HashIndex {
   /// chunk (prepare phase) or helps migrate it (resizing phase).
   class OpScope {
    public:
+    /// Inline for the stable phase; a resize in flight takes Resize().
     [[gnu::always_inline]] OpScope(HashIndex& index, KeyHash hash)
         FASTER_REQUIRES_EPOCH()
-        : OpScope{index, hash, obs::kStatsEnabled ? Thread::Id() : 0} {}
-    /// `slot`: the calling thread's, for the scans' statistics. Inline for
-    /// the stable phase; a resize in flight takes Resize().
-    [[gnu::always_inline]] OpScope(HashIndex& index, KeyHash hash,
-                                   obs::StatSlot slot)
-        FASTER_REQUIRES_EPOCH()
-        : index_{index}, pinned_chunk_{-1}, slot_{slot} {
+        : index_{index}, pinned_chunk_{-1} {
       // Every index operation walks bucket chains whose memory is
       // reclaimed epoch-deferred (Grow retires tables and their overflow
       // segments).
@@ -95,7 +90,6 @@ class HashIndex {
     HashBucket* table_;
     uint64_t table_size_;
     int64_t pinned_chunk_;  // -1 if not pinned
-    [[no_unique_address]] obs::StatSlot slot_;
   };
 
   /// Creates an index with `table_size` buckets (rounded up to a power of
@@ -110,9 +104,12 @@ class HashIndex {
   HashIndex& operator=(const HashIndex&) = delete;
 
   /// Finds the non-tentative entry matching `hash`'s tag, if any.
-  /// Returns false if no such entry exists.
+  /// Returns false if no such entry exists. With `slot` (the calling
+  /// thread's), records the scan in probe_len: a timed op's (obs/clock.h).
   bool FindEntry(const OpScope& scope, KeyHash hash, FindResult* out) const
       FASTER_REQUIRES_EPOCH();
+  bool FindEntry(const OpScope& scope, KeyHash hash, FindResult* out,
+                 uint32_t slot) const FASTER_REQUIRES_EPOCH();
 
   /// Prefetches `hash`'s bucket cache line (batched pipeline stage 1).
   /// No-op while a resize is in flight: the bucket location is
@@ -130,9 +127,11 @@ class HashIndex {
   /// there is none, the chain's first free slot (see FindResult), linking
   /// an overflow bucket to a full chain. Returns kOutOfMemory, with
   /// nothing changed, if the chain is full and no memory can be mapped
-  /// for an overflow bucket.
+  /// for an overflow bucket. `slot` as for FindEntry.
   Status FindSlot(const OpScope& scope, KeyHash hash, FindResult* out)
       FASTER_REQUIRES_EPOCH();
+  Status FindSlot(const OpScope& scope, KeyHash hash, FindResult* out,
+                  uint32_t slot) FASTER_REQUIRES_EPOCH();
 
   /// Points `result`'s entry at `address`, which the caller has filled in
   /// already. An entry found: one CAS from the observed value; on failure
@@ -270,8 +269,9 @@ class HashIndex {
   /// its overflow buckets cannot be mapped.
   Status ReadCheckpoint(int fd);
 
-  /// Observability (compiled out unless FASTER_STATS): probe depth, CAS
-  /// contention, tentative-insert conflicts, and grow progress.
+  /// Observability (compiled out unless FASTER_STATS): probe depth (timed
+  /// ops' scans only), CAS contention, tentative-insert conflicts, and
+  /// grow progress.
   struct ObsStats {
     // Entries examined per chain scan; its rows 1 and 2 hold FindEntry's
     // tag matches and misses, so a find records once.
@@ -372,18 +372,27 @@ class HashIndex {
   /// Walks a bucket chain looking for `tag`; returns slot/value of the
   /// non-tentative match. On a miss with `kFree`, sets `*free_slot` to the
   /// first free slot seen (nullptr if none). Records the scan under `slot`
-  /// (RecordScan). Inlined into each scan.
-  template <bool kFree>
+  /// (RecordScan) with kRecord. Inlined into each scan.
+  template <bool kFree, bool kRecord>
   [[gnu::always_inline]] bool ScanChain(HashBucket* bucket, uint16_t tag,
                                         FindResult* match,
                                         Atomic<uint64_t>** free_slot,
-                                        obs::StatSlot slot) const;
+                                        uint32_t slot) const;
   /// Records a scan's probe length, a find's (not a write's slot scan's)
   /// in probe_len's row of hits or of misses.
   template <bool kFree>
-  void RecordScan(uint64_t probes, obs::StatSlot slot, bool hit) const {
+  void RecordScan(uint64_t probes, uint32_t slot, bool hit) const {
     obs_stats_.probe_len.Record(probes, slot, kFree ? 0 : hit ? 1 : 2);
   }
+  /// FindEntry and FindSlot; kRecord records the scan under `slot`.
+  template <bool kRecord>
+  [[gnu::always_inline]] bool Find(const OpScope& scope, KeyHash hash,
+                                   FindResult* out, uint32_t slot) const
+      FASTER_REQUIRES_EPOCH();
+  template <bool kRecord>
+  [[gnu::always_inline]] Status FindFree(const OpScope& scope, KeyHash hash,
+                                         FindResult* out, uint32_t slot)
+      FASTER_REQUIRES_EPOCH();
 
   /// FindSlot's path for a chain with no free slot: links an overflow
   /// bucket to it and scans again.

@@ -68,8 +68,10 @@ class IDevice {
 };
 
 /// Metrics shared by the concrete devices: bytes written, operation
-/// counts and submit-to-completion latency (on io_uring, includes the time
-/// until a poll reaps it). Every op, whatever its path, finishes here.
+/// counts and the submit-to-completion latency (on io_uring, includes the
+/// time until a poll reaps it) of each op submitted while some sink was
+/// armed (a stamped op, obs::IoStamp). Every op, whatever its path,
+/// finishes here.
 struct DeviceObsStats {
   // order: relaxed fetch_add/load — a monotonically increasing byte
   // counter for stats and tests; no data is published through it.
@@ -79,11 +81,12 @@ struct DeviceObsStats {
   obs::StatHistogram read_ns;
   obs::StatHistogram write_ns;
 
-  /// Counts one finished op submitted at `submit_ns` that moved `bytes`.
+  /// Counts one finished op submitted at `submit_ns` (0: unstamped) that
+  /// moved `bytes`.
   void Finished(bool write, uint64_t submit_ns, uint32_t bytes) {
     if (write) bytes_written.fetch_add(bytes, std::memory_order_relaxed);
     (write ? writes : reads).Inc();
-    if constexpr (obs::kStatsEnabled) {
+    if (submit_ns != 0) [[unlikely]] {
       (write ? write_ns : read_ns).Record(obs::NowNs() - submit_ns);
     }
   }
@@ -99,8 +102,8 @@ struct DeviceObsStats {
 /// How a synchronous device completes an op: `execute(&bytes)` moves the
 /// data and returns the op's status, then `callback` runs, both on the
 /// calling thread before the submitting call returns. Both run under one
-/// I/O stamp (obs::RunIo), so the op's io_queue, io_exec and io_complete
-/// stages are stamped as on io_uring.
+/// I/O stamp (obs::RunIo), so a stamped op's io_queue, io_exec and
+/// io_complete stages are stamped as on io_uring.
 template <class Execute>
 void CompleteAtSubmit(DeviceObsStats& stats, bool write, IoCallback callback,
                       void* context, Execute&& execute) {

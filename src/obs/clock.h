@@ -10,7 +10,10 @@
 /// (perf.h) and the slowlog (slowlog.h).
 ///
 /// Compile-out: the store and devices embed the Stat* aliases, which are
-/// empty no-op twins unless built with -DFASTER_STATS=ON.
+/// empty no-op twins unless built with -DFASTER_STATS=ON. With stats, a
+/// quiet op — one that starts while no sink is armed (SinksQuiet) — builds
+/// no clock: its entry points it at Untimed(), which reads no time and
+/// records nothing.
 
 #include <cstdint>
 
@@ -52,27 +55,24 @@ inline uint64_t& CurrentIoPickupNs() {
 /// the op's latency exactly (a mark earlier than the previous one, read on
 /// another thread, closes a zero-length stage).
 ///
-/// The sinks are decided once, as the clock starts. An op no sink wants —
-/// slowlog and perf disarmed, no trace active, not the thread's N-th root
-/// (SampleRoot) — reads no time: two stores and one branch. Otherwise its
-/// marks read the time, and the same marks feed every sink: the slowlog
-/// entry (if the slowlog was armed at the start) and a traced op's spans,
-/// one per I/O stage it closes, its pending_io span and, for a single op,
-/// its own span. Every op keeps its first I/O issue, for the store's
-/// pending_io_ns histogram. `slot` arguments are the calling thread's.
+/// The sinks are decided once, as the clock starts. A clock no sink
+/// wants — slowlog disarmed, no trace active, not the thread's N-th root
+/// (SampleRoot) — is untimed: it reads no time and records nothing.
+/// Otherwise its marks read the time, and the same marks feed every sink:
+/// the slowlog entry (if the slowlog was armed at the start), the store's
+/// pending_io_ns histogram (from its first I/O issue) and a traced op's
+/// spans, one per I/O stage it closes, its pending_io span and, for a
+/// single op, its own span. `slot` arguments are the calling thread's.
 class OpClock {
  public:
+  /// The clock of a quiet op (and of compaction's): untimed. An op's
+  /// PendingContext copies it as it goes pending.
+  static const OpClock& Untimed();
+
   /// Starts a single op's clock, running `execute`. A traced op takes its
   /// span id now, so its continuations parent under it (trace()). Its perf
   /// segment, if perf is armed, runs until Leave.
-  [[gnu::always_inline]] OpClock(SlowOpKind kind, uint64_t key_hash) {
-    ThreadTrace& t = ThisThreadTrace();
-    // Counts a root as SampleRoot would; the N-th takes Start.
-    if (t.quiet != SinkWord().load(std::memory_order_relaxed) ||
-        --t.left == 0) [[unlikely]] {
-      Start(kind, key_hash);
-    }
-  }
+  OpClock(SlowOpKind kind, uint64_t key_hash) { Start(kind, key_hash); }
   /// Starts a batch chunk's clock in `first` at `start_ns` (0: untimed),
   /// under the ambient trace; each op's clock splits off it with ForOp.
   OpClock(Stage first, uint64_t start_ns) {
@@ -91,8 +91,8 @@ class OpClock {
     if (chunk.timed()) chunk.Begin(SlowOpKind::kRead, 0, first, NowNs());
     return chunk;
   }
-  /// Copies the first issue, and the rest only if the clock is timed.
-  OpClock(const OpClock& o) : flags_{o.flags_}, issue_ns_{o.issue_ns_} {
+  /// Copies the timed state only if the clock is timed.
+  OpClock(const OpClock& o) : flags_{o.flags_} {
     if (o.timed()) t_ = o.t_;
   }
 
@@ -105,8 +105,8 @@ class OpClock {
   }
 
   void Mark(Stage next, uint64_t at_ns, uint32_t slot = Thread::Id()) {
-    if (next == Stage::kIoQueue && issue_ns_ == 0) issue_ns_ = at_ns;
     if (!timed()) return;
+    if (next == Stage::kIoQueue && t_.issue_ns == 0) t_.issue_ns = at_ns;
     if (at_ns > t_.mark_ns) {
       t_.stage_ns[static_cast<uint32_t>(t_.running)] += at_ns - t_.mark_ns;
       if (t_.running >= Stage::kIoQueue) {
@@ -116,30 +116,24 @@ class OpClock {
     }
     t_.running = next;
   }
-  /// Mark at now, reading the clock only when something needs the time.
+  /// Mark at now, reading the clock only when the clock is timed.
   void Mark(Stage next) {
-    if (timed() || (next == Stage::kIoQueue && issue_ns_ == 0)) {
-      Mark(next, NowNs());
-    }
+    if (timed()) [[unlikely]] MarkNow(next);
   }
   /// The completion callback's marks: io_exec from the executor's pickup
   /// (RunIo), io_complete from now.
   void MarkIoDone() {
-    if (!timed()) return;
-    uint64_t now = NowNs();
-    uint64_t pickup = CurrentIoPickupNs();
-    Mark(Stage::kIoExec, pickup != 0 ? pickup : now);
-    Mark(Stage::kIoComplete, now);
+    if (timed()) [[unlikely]] MarkIoDoneNow();
   }
 
   /// Closes the running stage at `now` and feeds the sinks: `pending_io_ns`
   /// (when the op issued I/O), the slowlog entry, and the op's spans.
   void Finish(uint64_t now, Histogram* pending_io_ns = nullptr,
               uint32_t slot = Thread::Id()) {
-    if (issue_ns_ != 0 && pending_io_ns != nullptr) {
-      pending_io_ns->Record(now - issue_ns_, slot);
-    }
     if (!timed()) return;
+    if (t_.issue_ns != 0 && pending_io_ns != nullptr) {
+      pending_io_ns->Record(now - t_.issue_ns, slot);
+    }
     Mark(t_.running, now, slot);
     uint64_t total = 0;
     for (uint64_t ns : t_.stage_ns) total += ns;
@@ -150,25 +144,33 @@ class OpClock {
     }
     if ((flags_ & kTraced) == 0) return;
     uint64_t end = t_.mark_ns;
-    if (issue_ns_ != 0) {
-      RecordSpan(trace(), SpanKind::kPendingIo, issue_ns_, end, 0, slot);
+    if (t_.issue_ns != 0) {
+      RecordSpan(trace(), SpanKind::kPendingIo, t_.issue_ns, end, 0, slot);
     }
     if ((flags_ & kOwnSpan) != 0) {
       GlobalSpanRing().Record(t_.trace_id, t_.span_id, t_.parent_id,
                               end - total, end, 0, SpanKindOf(t_.kind), slot);
     }
   }
-  /// Finish at now, reading the clock only when a sink needs the time.
+  /// Finish at now, reading the clock only when the clock is timed.
   void Finish(Histogram* pending_io_ns = nullptr,
               uint32_t slot = Thread::Id()) {
-    if (timed() || issue_ns_ != 0) Finish(NowNs(), pending_io_ns, slot);
+    if (timed()) [[unlikely]] FinishNow(pending_io_ns, slot);
   }
 
   /// A single op's entry returns: ends its perf segment, and finishes the
   /// op unless it went pending (its PendingContext's copy finishes it).
-  [[gnu::always_inline]] void Leave(bool done, uint32_t slot) {
-    if (flags_ != 0) [[unlikely]] LeaveSlow(done, slot);
+  void Leave(bool done, uint32_t slot) {
+    if (done) Finish(nullptr, slot);
+#ifndef FASTER_MODEL
+    if ((flags_ & kPerf) != 0) PerfScopeExit();
+#endif
   }
+
+  /// True when some sink wants the op: its marks read the time, and the
+  /// op records its statistics (the store's histograms, the index's probe
+  /// lengths).
+  bool timed() const { return (flags_ & (kSlowLog | kTraced)) != 0; }
 
   /// The op's trace position: where the spans of its stages attach.
   TraceContext trace() const {
@@ -183,8 +185,9 @@ class OpClock {
     kOwnSpan = 4,  // a single op: t_.span_id is its own span's
     kPerf = 8,     // a single op's entry holds a perf segment
   };
-  /// What a timed clock holds beyond its first issue.
+  /// What a timed clock holds.
   struct Timed {
+    uint64_t issue_ns;           // first io_queue mark; 0 = no I/O issued
     uint64_t key_hash;
     uint64_t trace_id, span_id;  // kTraced: the op's trace position
     uint64_t parent_id;          // kOwnSpan: its span's parent
@@ -195,8 +198,8 @@ class OpClock {
   };
 
   OpClock() = default;
-
-  bool timed() const { return (flags_ & (kSlowLog | kTraced)) != 0; }
+  struct UntimedTag {};
+  constexpr explicit OpClock(UntimedTag) : t_{} {}
 
   void Begin(SlowOpKind kind, uint64_t key_hash, Stage first,
              uint64_t start_ns) {
@@ -204,12 +207,12 @@ class OpClock {
     t_.key_hash = key_hash;
     t_.running = first;
     t_.mark_ns = start_ns;
+    t_.issue_ns = 0;
     for (uint64_t& ns : t_.stage_ns) ns = 0;
   }
 
-  /// A single op's start when some sink may want it. Leaves the thread
-  /// quiet (ThreadTrace) when no sink is armed and no trace is active.
-  [[gnu::noinline]] void Start(SlowOpKind kind, uint64_t key_hash) {
+  /// A single op's start: decides its sinks.
+  void Start(SlowOpKind kind, uint64_t key_hash) {
     ThreadTrace& t = ThisThreadTrace();
     uint64_t sinks = SinkWord().load(std::memory_order_relaxed);
     uint8_t flags = (sinks & kSinkSlowLog) != 0 ? kSlowLog : 0;
@@ -223,9 +226,6 @@ class OpClock {
       t_.parent_id = 0;
       flags |= kTraced | kOwnSpan;
     }
-    bool quiet = (sinks & (kSinkSlowLog | kSinkPerf)) == 0 &&
-                 t.ambient.trace_id == 0 && t.sinks == sinks;
-    t.quiet = quiet ? sinks : 0;
 #ifndef FASTER_MODEL
     if ((sinks & kSinkPerf) != 0 && PerfScopeEnter(Stage::kExecute)) {
       flags |= kPerf;
@@ -233,6 +233,19 @@ class OpClock {
 #endif
     flags_ = flags;
     if (timed()) Begin(kind, key_hash, Stage::kExecute, NowNs());
+  }
+
+  // The timed bodies, out of line: an untimed clock's caller keeps only
+  // the test of timed().
+  [[gnu::noinline]] void MarkNow(Stage next) { Mark(next, NowNs()); }
+  [[gnu::noinline]] void MarkIoDoneNow() {
+    uint64_t now = NowNs();
+    uint64_t pickup = CurrentIoPickupNs();
+    Mark(Stage::kIoExec, pickup != 0 ? pickup : now);
+    Mark(Stage::kIoComplete, now);
+  }
+  [[gnu::noinline]] void FinishNow(Histogram* pending_io_ns, uint32_t slot) {
+    Finish(NowNs(), pending_io_ns, slot);
   }
 
   [[gnu::noinline]] void Split(const OpClock& chunk, SlowOpKind kind,
@@ -246,17 +259,14 @@ class OpClock {
     }
   }
 
-  [[gnu::noinline]] void LeaveSlow(bool done, uint32_t slot) {
-    if (done) Finish(nullptr, slot);
-#ifndef FASTER_MODEL
-    if ((flags_ & kPerf) != 0) PerfScopeExit();
-#endif
-  }
-
   uint8_t flags_ = 0;
-  uint64_t issue_ns_ = 0;  // first io_queue mark; 0 = no I/O issued
-  Timed t_;                // valid when timed()
+  Timed t_;  // valid when timed()
 };
+
+inline const OpClock& OpClock::Untimed() {
+  static constinit const OpClock untimed{UntimedTag{}};
+  return untimed;
+}
 
 /// No-op twin for stats-off builds (empty, so it costs its embedder no
 /// bytes under [[no_unique_address]]).
@@ -265,6 +275,10 @@ class NoopOpClock {
   NoopOpClock() = default;
   NoopOpClock(SlowOpKind, uint64_t) {}
   NoopOpClock(Stage, uint64_t) {}
+  static const NoopOpClock& Untimed() {
+    static constinit const NoopOpClock untimed;
+    return untimed;
+  }
   static NoopOpClock ForChunk(Stage) { return {}; }
   NoopOpClock ForOp(SlowOpKind, uint64_t, uint32_t) const { return {}; }
   void Mark(Stage, uint64_t = 0) {}
@@ -272,15 +286,20 @@ class NoopOpClock {
   template <class... Args>
   void Finish(Args&&...) {}
   void Leave(bool, uint32_t) {}
+  bool timed() const { return false; }
 };
 
 /// What a device op carries from its submitter to its executor: the
-/// submit time, plus the pickup time its executor stamps (RunIo).
+/// submit time, plus the pickup time its executor stamps (RunIo). Both
+/// stay 0 for an op submitted while no sink is armed: it reads no time,
+/// and records no device latency.
 struct IoStamp {
   uint64_t submit_ns = 0;
   uint64_t pickup_ns = 0;
 
-  static IoStamp Now() { return IoStamp{NowNs(), 0}; }
+  static IoStamp Now() {
+    return SinksQuiet() ? IoStamp{} : IoStamp{NowNs(), 0};
+  }
 };
 
 /// No-op twin for stats-off builds.
@@ -304,26 +323,54 @@ enum class IoHop : uint8_t {
   kDeliver,  // delivers it; an earlier kExecute hop executed it
 };
 
+/// What RunIo holds around a stamped op's `fn`: the pickup it publishes
+/// and, for kExecute, the io_exec perf segment. An unstamped op's scope
+/// tests the stamp and holds nothing; the stamped work is out of line.
+class StampedIo {
+ public:
+  StampedIo(IoStamp& stamp, IoHop hop) {
+    if (stamp.submit_ns != 0) [[unlikely]] Enter(stamp, hop);
+  }
+  ~StampedIo() {
+    if (entered_) [[unlikely]] Exit();
+  }
+  StampedIo(const StampedIo&) = delete;
+  StampedIo& operator=(const StampedIo&) = delete;
+
+ private:
+  [[gnu::noinline]] void Enter(IoStamp& stamp, IoHop hop) {
+    entered_ = true;
+    saved_ = CurrentIoPickupNs();
+    if (hop == IoHop::kExecute) stamp.pickup_ns = NowNs();
+    if (hop == IoHop::kKernel) stamp.pickup_ns = stamp.submit_ns;
+    CurrentIoPickupNs() = stamp.pickup_ns;
+#ifndef FASTER_MODEL
+    perf_ = hop == IoHop::kExecute && PerfAttribution::armed() &&
+            PerfScopeEnter(Stage::kIoExec);
+#endif
+  }
+  [[gnu::noinline]] void Exit() {
+#ifndef FASTER_MODEL
+    if (perf_) PerfScopeExit();
+#endif
+    CurrentIoPickupNs() = saved_;
+  }
+
+  bool entered_ = false;
+  bool perf_ = false;
+  uint64_t saved_ = 0;
+};
+
 /// Runs `fn` — a device op's execution, its completion callback, or both
 /// — under the op's stamp. kExecute stamps the pickup and wraps `fn` in
 /// the io_exec perf segment; kKernel takes the submit as the pickup (the
 /// kernel executed the op). Every hop publishes the pickup to the
 /// callbacks `fn` runs, whose op clocks mark their I/O stages from it
-/// (OpClock::MarkIoDone).
+/// (OpClock::MarkIoDone). An unstamped op just runs `fn`.
 template <class Fn>
 void RunIo(IoStamp& stamp, IoHop hop, Fn&& fn) {
-  uint64_t& published = CurrentIoPickupNs();
-  uint64_t saved = published;
-  if (hop == IoHop::kExecute) stamp.pickup_ns = NowNs();
-  if (hop == IoHop::kKernel) stamp.pickup_ns = stamp.submit_ns;
-  published = stamp.pickup_ns;
-  if (hop == IoHop::kExecute) {
-    StatPerfScope perf{Stage::kIoExec};
-    fn();
-  } else {
-    fn();
-  }
-  published = saved;
+  StampedIo stamped{stamp, hop};
+  fn();
 }
 
 template <class Fn>

@@ -34,6 +34,8 @@
 /// resolves to a no-op twin unless built with -DFASTER_STATS=ON — no clock
 /// reads, no ring writes, no thread-local traffic in default builds. The
 /// real types stay compiled everywhere so tests can drive them directly.
+/// With stats, sampling is off by default, and an op joins a trace only
+/// while some sink is armed (clock.h): a quiet op pays no tracing.
 
 namespace faster {
 namespace obs {
@@ -98,12 +100,16 @@ inline uint64_t NewSpanId() {
   return seq.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Root-span sampling: 1-in-N roots start a trace (0 disables span
-/// recording entirely; tests set 1 for determinism). N lives in the sink
-/// word (stage.h), so a change restarts each thread's countdown.
-inline void SetSpanSampleEvery(uint32_t n) { SetSinks(UINT32_MAX, n); }
+/// Root-span sampling: 1-in-N roots start a trace (0, the default,
+/// disables span recording; tests set 1 for determinism). N lives in the
+/// sink word (stage.h), so a change restarts each thread's countdown.
+inline void SetSpanSampleEvery(uint32_t n) {
+  SetSinks(~uint64_t{0} << kSinkSampleShift,
+           uint64_t{n} << kSinkSampleShift);
+}
 inline uint32_t SpanSampleEvery() {
-  return static_cast<uint32_t>(SinkWord().load(std::memory_order_relaxed));
+  return static_cast<uint32_t>(SinkWord().load(std::memory_order_relaxed) >>
+                               kSinkSampleShift);
 }
 
 /// A trace position: the trace and the span new child work attaches to.
@@ -119,9 +125,6 @@ struct ThreadTrace {
   TraceContext ambient;
   uint64_t sinks = 0;  // the SinkWord() `left` counts under
   uint32_t left = 0;   // roots until the next sampled one
-  // The SinkWord() as an op's clock last found it arming no sink, with no
-  // trace active (OpClock); 0 otherwise. A Span clears it.
-  uint64_t quiet = 0;
 };
 
 inline ThreadTrace& ThisThreadTrace() {
@@ -136,7 +139,7 @@ inline TraceContext& CurrentTrace() { return ThisThreadTrace().ambient; }
 /// SampleRoot past its countdown, or after the sink word changed.
 [[gnu::noinline]] inline bool SampleRootSlow(ThreadTrace& t) {
   uint64_t sinks = SinkWord().load(std::memory_order_relaxed);
-  auto every = static_cast<uint32_t>(sinks);
+  auto every = static_cast<uint32_t>(sinks >> kSinkSampleShift);
   if (t.sinks != sinks) {
     t.sinks = sinks;
     t.left = every;  // the every-th root from here is sampled
@@ -271,9 +274,7 @@ class Span {
 
  private:
   void Open(TraceContext parent, uint64_t span_id) {
-    ThreadTrace& t = ThisThreadTrace();
-    t.quiet = 0;  // ops under this span join its trace
-    TraceContext& cur = t.ambient;
+    TraceContext& cur = CurrentTrace();
     saved_ = cur;
     trace_id_ = parent.trace_id;
     parent_id_ = parent.span_id;

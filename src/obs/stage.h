@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "obs/stats.h"
+
 /// The one stage vocabulary (DESIGN.md §12.2 "Stage clock"). The slowlog
 /// partitions an op's latency over the first kNumOpStages stages, PERF
 /// attributes counters to every stage, and a span record names either a
@@ -55,28 +57,40 @@ inline const char* SlowOpKindName(SlowOpKind kind) {
 }
 
 /// The sinks' settings in the one word an op's clock loads as it starts
-/// (clock.h): the span sampling period N in the low 32 bits (1-in-N roots
-/// start a trace; 0: none), whether the global slowlog and perf are armed,
-/// and above those a change count, so a thread that cached the word
-/// (ThreadTrace, span.h) sees any change.
-inline constexpr uint64_t kSinkSlowLog = uint64_t{1} << 32;
-inline constexpr uint64_t kSinkPerf = uint64_t{1} << 33;
-inline constexpr uint64_t kSinkChange = uint64_t{1} << 34;
+/// (clock.h): a change count in the low 30 bits, so a thread that cached
+/// the word (ThreadTrace, span.h) sees any change; whether the global
+/// slowlog and perf are armed; and the span sampling period N in the high
+/// 32 bits (1-in-N roots start a trace; 0, the default: none). A word
+/// below kSinkSlowLog arms nothing: SinksQuiet.
+inline constexpr uint64_t kSinkChangeMask = (uint64_t{1} << 30) - 1;
+inline constexpr uint64_t kSinkSlowLog = uint64_t{1} << 30;
+inline constexpr uint64_t kSinkPerf = uint64_t{1} << 31;
+inline constexpr uint32_t kSinkSampleShift = 32;
 
 inline std::atomic<uint64_t>& SinkWord() {
   // order: relaxed load/CAS — settings; what a sink records is published
   // by its own ring, not through this word.
-  static std::atomic<uint64_t> word{kSinkChange | 64};
+  static std::atomic<uint64_t> word{0};
   return word;
+}
+
+/// True when no sink is armed and no span is sampled: an op started now
+/// records nothing beyond its exact counts. One compare of the word; a
+/// constant without stats (kStatsEnabled), whose build records nothing.
+[[gnu::always_inline]] inline bool SinksQuiet() {
+  return !kStatsEnabled ||
+         SinkWord().load(std::memory_order_relaxed) < kSinkSlowLog;
 }
 
 /// Sets the sink word's `mask` bits to `bits`, counting a change.
 inline void SetSinks(uint64_t mask, uint64_t bits) {
   std::atomic<uint64_t>& word = SinkWord();
   uint64_t old = word.load(std::memory_order_relaxed);
-  while (!word.compare_exchange_weak(old, ((old + kSinkChange) & ~mask) | bits,
-                                     std::memory_order_relaxed)) {
-  }
+  uint64_t next;
+  do {
+    next = (old & ~(mask | kSinkChangeMask)) | bits |
+           ((old + 1) & kSinkChangeMask);
+  } while (!word.compare_exchange_weak(old, next, std::memory_order_relaxed));
 }
 
 }  // namespace obs

@@ -5,11 +5,14 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/memory_region.h"
 #include "core/thread.h"
 
 /// Per-thread sharded statistics (the observability layer).
@@ -24,6 +27,13 @@
 /// `Thread` registry releases a slot with a release store and re-acquires
 /// it with an acquire CAS, so a new tenant's first increment happens-after
 /// the previous tenant's last one.
+///
+/// Residency: each metric reserves its shard array as zero pages
+/// (MemoryRegion's kArena), so constructing one writes nothing and a
+/// shard's page becomes resident only when its thread first records. What
+/// an op records beyond its exact counts (store_view.h's CounterBlock) is
+/// decided by its clock (clock.h): a quiet op records into no histogram,
+/// so a process that arms no sink touches no histogram page.
 ///
 /// Compile-out: instrumentation sites use the `Stat*` aliases below, which
 /// resolve to the real types only when built with -DFASTER_STATS=ON (the
@@ -92,11 +102,33 @@ struct SlotSum {
   }
 };
 
+/// One shard per Thread::Id() slot, reserved as zero pages: a shard's
+/// page becomes resident when a thread on it first writes. Throws
+/// std::bad_alloc if the shards cannot be mapped.
+template <class Shard>
+class ShardArray {
+ public:
+  ShardArray()
+      : region_{MemoryRegion::Reserve(sizeof(Shard) * Thread::kMaxThreads, 1,
+                                      MemoryRegion::Use::kArena)} {
+    static_assert(std::is_trivially_destructible_v<Shard>);
+    if (!region_) throw std::bad_alloc{};
+  }
+  Shard& operator[](uint32_t slot) const {
+    return region_.As<Shard>()[slot];
+  }
+  /// Bytes of the shards resident in memory (mincore): for tests.
+  uint64_t ResidentBytes() const { return region_.ResidentBytes(0); }
+
+ private:
+  MemoryRegion region_;
+};
+
 /// One cache-line-aligned shard per Thread::Id() slot: the storage of
 /// Counter and Gauge.
 class Sharded {
  public:
-  Sharded() : shards_{new Shard[Thread::kMaxThreads]} {}
+  Sharded() = default;
   Sharded(const Sharded&) = delete;
   Sharded& operator=(const Sharded&) = delete;
 
@@ -110,10 +142,10 @@ class Sharded {
  private:
   struct alignas(64) Shard {
     // order: relaxed (see Counter and Gauge) — statistics; no data is
-    // published through a shard.
-    std::atomic<uint64_t> value{0};
+    // published through a shard. Zero as mapped.
+    std::atomic<uint64_t> value;
   };
-  std::unique_ptr<Shard[]> shards_;
+  ShardArray<Shard> shards_;
 };
 
 /// Monotonic event counter. Increments are owner-shard-only relaxed
@@ -157,7 +189,7 @@ class Histogram {
   static constexpr uint32_t kExact = 8;
   static constexpr uint32_t kRows = 3;
 
-  Histogram() : shards_{new Shard[Thread::kMaxThreads]} {}
+  Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -231,10 +263,11 @@ class Histogram {
     return total;
   }
 
-  /// Upper bound of the bucket containing the q-quantile (0 < q <= 1);
-  /// 0 when the histogram is empty. A log2 histogram bounds the true
-  /// quantile to within 2x, which is the resolution the paper's latency
-  /// discussions need.
+  /// Upper bound of the bucket holding the q-quantile (0 < q <= 1) by
+  /// nearest rank, the ceil(q * n)-th smallest record; 0 when the
+  /// histogram is empty. A log2 histogram bounds the true quantile to
+  /// within 2x, which is the resolution the paper's latency discussions
+  /// need.
   uint64_t Percentile(double q) const {
     uint64_t buckets[kNumBuckets];
     SnapshotBuckets(buckets);
@@ -243,7 +276,10 @@ class Histogram {
     if (total == 0) return 0;
     if (q < 0.0) q = 0.0;
     if (q > 1.0) q = 1.0;
-    uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total));
+    // Shaved by a relative 1e-12 first: q * n may round up past a whole
+    // rank (0.7 * 10 is 7.000000000000001).
+    auto target = static_cast<uint64_t>(
+        std::ceil(q * static_cast<double>(total) * (1 - 1e-12)));
     if (target < 1) target = 1;
     if (target > total) target = total;
     uint64_t cumulative = 0;
@@ -254,22 +290,26 @@ class Histogram {
     return BucketUpperBound(kNumBuckets - 1);
   }
 
+  /// Bytes of the shards resident in memory (mincore): for tests. Any
+  /// read of the histogram maps its shards' pages.
+  uint64_t ResidentBytes() const { return shards_.ResidentBytes(); }
+
  private:
+  // Zero as mapped.
   struct alignas(64) Shard {
-    // order: relaxed fetch_add/load — statistics; no data is published
-    // through the histogram.
-    std::atomic<uint64_t> buckets[kNumBuckets] = {};
-    // order: relaxed load+store by the owner thread, relaxed load in
-    // ValueSum — same discipline as `buckets`.
-    std::atomic<uint64_t> sum{0};
+    // order: relaxed load+store by the owner thread, relaxed loads by
+    // readers — statistics; no data is published through the histogram.
+    std::atomic<uint64_t> buckets[kNumBuckets];
+    // order: relaxed, as `buckets`.
+    std::atomic<uint64_t> sum;
     // order: relaxed, as `buckets`. Per row: the records of each value
     // below kExact, then (rows above 0) of every larger value.
-    std::atomic<uint64_t> rows[kRows][kExact + 1] = {};
+    std::atomic<uint64_t> rows[kRows][kExact + 1];
   };
   static void Bump(std::atomic<uint64_t>& c, uint64_t n) {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
-  std::unique_ptr<Shard[]> shards_;
+  ShardArray<Shard> shards_;
 };
 
 // ---------------------------------------------------------------------------
@@ -304,6 +344,7 @@ class NoopHistogram {
   uint64_t Count() const { return 0; }
   uint64_t ValueSum() const { return 0; }
   uint64_t Percentile(double) const { return 0; }
+  uint64_t ResidentBytes() const { return 0; }
 };
 
 /// Aggregates named metrics into JSON or Prometheus exposition.

@@ -1,6 +1,7 @@
 #include "obs/stats.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -172,6 +173,17 @@ TEST(StatsHistogramTest, PercentileReturnsBucketUpperBound) {
   // The p50 bound is within 2x of the true value.
   EXPECT_GE(h.Percentile(0.50), 10u);
   EXPECT_LT(h.Percentile(0.50), 20u);
+  // Nearest rank: the q-quantile of n records is the ceil(q * n)-th
+  // smallest, so the p50 of three is the second and the p99 the third.
+  Histogram three;
+  for (uint64_t v : {1, 100, 10000}) three.Record(v);
+  EXPECT_EQ(three.Percentile(0.50), 127u);
+  EXPECT_EQ(three.Percentile(0.99), 16383u);
+  // A whole rank stays whole: 0.7 * 10 is 7.000000000000001 in doubles,
+  // and the p70 of ten is the seventh (64: bucket 7).
+  Histogram ten;
+  for (uint64_t v = 1; v <= 512; v *= 2) ten.Record(v);
+  EXPECT_EQ(ten.Percentile(0.70), 127u);
 }
 
 TEST(StatsHistogramTest, AggregatesAcrossThreads) {
@@ -606,9 +618,11 @@ TEST(StatsStoreTest, PrometheusExportsAlwaysOnCounters) {
 }
 
 // index.finds counts FindEntry calls and index.find_hits their tag
-// matches; index.probe_len covers every chain scan, writes' too.
+// matches; index.probe_len covers every chain scan of a timed op, writes'
+// too. Every op here is sampled, so every op is timed.
 TEST(StatsStoreTest, IndexFindsHitsAndProbeLen) {
   if (!obs::kStatsEnabled) GTEST_SKIP() << "index stats compiled out";
+  SpanSampleGuard guard{1};
   MemoryDevice device;
   FasterKv<CountStoreFunctions>::Config cfg;
   cfg.table_size = 2048;
@@ -632,6 +646,110 @@ TEST(StatsStoreTest, IndexFindsHitsAndProbeLen) {
   EXPECT_GE(counters["index.find_hits"], 100u);
   EXPECT_LE(counters["index.find_hits"], 150u);
   EXPECT_EQ(probe_scans, 250u);  // 100 upserts' slot scans, 150 finds
+}
+
+/// Every histogram the store's registry exports, by name.
+std::map<std::string, const obs::Histogram*> StoreHistograms(
+    const obs::StoreView& view) {
+  obs::Registry reg;
+  obs::CollectStats(view, reg);
+  std::map<std::string, const obs::Histogram*> out;
+  reg.ForEach([&](const std::string& name, obs::Registry::Kind kind,
+                  obs::SlotSum, const obs::Histogram* h, uint64_t) {
+    if (kind == obs::Registry::Kind::kHistogram) out[name] = h;
+  });
+  return out;
+}
+
+// A quiet op (no sink armed) counts its outcome and records into no
+// histogram; the same ops sampled 1 in 1 record their index scans.
+TEST(StatsStoreTest, QuietOpsCountButRecordNoHistogram) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "store histograms compiled out";
+  ASSERT_FALSE(obs::GlobalSlowLog().armed());
+  ASSERT_FALSE(obs::PerfAttribution::armed());
+  MemoryDevice device;
+  using Store = FasterKv<CountStoreFunctions>;
+  Store::Config cfg;
+  cfg.table_size = 2048;
+  Store store{cfg, &device};
+  constexpr uint64_t kN = 100;
+  Store::BatchOp batch[kN];
+  uint64_t outs[kN];
+  auto run = [&] {
+    for (uint64_t k = 0; k < kN; ++k) ASSERT_EQ(store.Upsert(k, k), Status::kOk);
+    uint64_t out = 0;
+    for (uint64_t k = 0; k < kN; ++k) {
+      ASSERT_EQ(store.Read(k, 0, &out), Status::kOk);
+    }
+    for (uint64_t k = 0; k < kN; ++k) {
+      batch[k] = {};
+      batch[k].key = k;
+      batch[k].output = &outs[k];
+    }
+    store.ExecuteBatch(batch, kN);
+  };
+  store.StartSession();
+  {
+    SpanSampleGuard quiet{0};
+    run();
+  }
+  EXPECT_EQ(store.GetStats().upserts, kN);
+  EXPECT_EQ(store.GetStats().reads, 2 * kN);
+  for (const auto& [name, h] : StoreHistograms(store.view())) {
+    EXPECT_EQ(h->Count(), 0u) << name;
+  }
+  {
+    SpanSampleGuard sampled{1};
+    run();
+  }
+  store.StopSession();
+  EXPECT_EQ(store.GetStats().upserts, 2 * kN);
+  EXPECT_EQ(store.GetStats().reads, 4 * kN);
+  std::map<std::string, const obs::Histogram*> hists =
+      StoreHistograms(store.view());
+  // Each sampled op scanned its chain once; the batch was two chunks.
+  EXPECT_EQ(hists["index.probe_len"]->Count(), 3 * kN);
+  EXPECT_EQ(hists["store.batch_sizes"]->Count(), 2u);
+}
+
+// A store's histogram shards are zero pages until a timed op records:
+// then only the shard of the recording thread becomes resident. The
+// shards are checked before anything reads them (a read maps them).
+TEST(StatsStoreTest, HistogramShardsResidentOnlyWhenRecorded) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "store histograms compiled out";
+  MemoryDevice device;
+  using Store = FasterKv<CountStoreFunctions>;
+  Store::Config cfg;
+  cfg.table_size = 2048;
+  Store store{cfg, &device};
+  const auto& probe_len = store.index().obs_stats().probe_len;
+  auto store_resident = [&store] {
+    uint64_t bytes = 0;
+    for (size_t i = 0; i < static_cast<size_t>(obs::StoreHistogram::kCount);
+         ++i) {
+      bytes += store.view().histograms[i].ResidentBytes();
+    }
+    return bytes;
+  };
+  EXPECT_EQ(store_resident(), 0u);
+  EXPECT_EQ(probe_len.ResidentBytes(), 0u);
+  store.StartSession();
+  {
+    SpanSampleGuard quiet{0};
+    for (uint64_t k = 0; k < 100; ++k) store.Upsert(k, k);
+  }
+  EXPECT_EQ(probe_len.ResidentBytes(), 0u);
+  {
+    SpanSampleGuard sampled{1};
+    uint64_t out = 0;
+    ASSERT_EQ(store.Read(7, 0, &out), Status::kOk);
+  }
+  store.StopSession();
+  // One shard (under a page) spans at most two pages.
+  uint64_t resident = probe_len.ResidentBytes();
+  EXPECT_GT(resident, 0u);
+  EXPECT_LE(resident, 2 * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)));
+  EXPECT_EQ(store_resident(), 0u);  // a read records no store histogram
 }
 
 // ---------------------------------------------------------------------------

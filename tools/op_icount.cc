@@ -17,13 +17,20 @@
 // a record in the fuzzy region (between the safe read-only and read-only
 // offsets: the read-only offset moved to the tail, and the epoch action
 // that moves the safe one waits for this thread's next refresh), which
-// CompletePending retries until its refresh has run that action.
+// CompletePending retries until its refresh has run that action. Three
+// layer regions follow, on an epoch, index and log of their own: an epoch
+// Protect + Refresh, an index FindSlot + TryPublish of a new key, and one
+// HybridLog::Allocate: they show which layer holds what an op pays.
+// The child runs every region twice, on fresh stores: quiet (no sink
+// armed), then armed (spans sampled 1 in 1, slowlog threshold 0, perf on;
+// in a stats-off build arming changes nothing).
 // Counts repeat exactly for one binary, so two builds' outputs compare op
 // by op. A rep-prefixed string instruction counts once per iteration (the
 // trap flag stops after each one).
 //
-// Prints "op_icount: <op> <instructions>" lines; exits 0 with a skip
-// line where ptrace is refused (a sandbox or ptrace_scope policy).
+// Prints "op_icount: <op> <instructions>" lines for the quiet pass, then
+// "op_icount: armed <op> <instructions>" lines; exits 0 with a skip line
+// where ptrace is refused (a sandbox or ptrace_scope policy).
 // --attribute also prints, under each op, its instructions per function,
 // most first: "op_icount:   <count> <function>". The child is a fork, so
 // its code sits where the parent's does: the parent maps each stepped PC
@@ -51,7 +58,10 @@
 
 #include "core/faster.h"
 #include "core/functions.h"
+#include "core/hash_index.h"
+#include "core/hybrid_log.h"
 #include "device/memory_device.h"
+#include "obs/clock.h"
 
 namespace {
 
@@ -65,7 +75,8 @@ const char* const kOps[] = {
     "insert",        "upsert_inplace", "read",
     "rmw_inplace",   "batch32_get_incr", "upsert_append",
     "delete_append", "rmw_copy",       "batch32_upsert_append",
-    "read_pending",  "rmw_pending",    "rmw_fuzzy_retry"};
+    "read_pending",  "rmw_pending",    "rmw_fuzzy_retry",
+    "epoch_protect_refresh", "index_insert", "hlog_allocate"};
 constexpr size_t kNumOps = sizeof(kOps) / sizeof(kOps[0]);
 
 [[gnu::noinline]] void Marker() { ::raise(SIGSTOP); }
@@ -91,13 +102,10 @@ template <class Setup, class Op>
   Marker();
 }
 
-/// The traced child: sets up the store, then runs each op's region.
-/// Region 0 is empty: the markers' own cost.
-[[noreturn]] void RunChild() {
-  if (::ptrace(PTRACE_TRACEME, 0, nullptr, nullptr) != 0) {
-    ::_exit(kChildRefused);
-  }
-  Marker();  // the parent attaches here; not a region
+/// One pass over every region, on fresh stores. Region 0 is empty: the
+/// markers' own cost. `armed`: the sinks are armed, so the index region
+/// records its scan as a timed op's does.
+void RunRegions(bool armed) {
   faster::MemoryDevice device;
   Store::Config cfg;
   cfg.table_size = 4096;
@@ -174,6 +182,45 @@ template <class Setup, class Op>
         }
       });
   cold.StopSession();
+
+  faster::LightEpoch epoch;
+  faster::HashIndex index{4096, &epoch};
+  faster::MemoryDevice log_device;
+  faster::HybridLog log{faster::LogConfig{}, &log_device, &epoch};
+  epoch.Protect();
+  Region([&] { epoch.Unprotect(); },
+         [&] {
+           epoch.Protect();
+           epoch.Refresh();
+         });
+  uint32_t slot = faster::Thread::Id();
+  uint64_t index_key = 0;  // a new key each run
+  Region([&] {
+    faster::KeyHash hash = faster::DefaultKeyHasher<uint64_t>{}(++index_key);
+    faster::HashIndex::OpScope scope{index, hash};
+    faster::HashIndex::FindResult fr;
+    faster::Status found = armed ? index.FindSlot(scope, hash, &fr, slot)
+                                 : index.FindSlot(scope, hash, &fr);
+    if (found == faster::Status::kOk) {
+      index.TryPublish(&fr, faster::Address{1, 64});
+    }
+  });
+  uint64_t closed_page = 0;
+  Region([&] { log.Allocate(24, &closed_page); });
+  epoch.Unprotect();
+}
+
+/// The traced child: runs every region quiet, then armed.
+[[noreturn]] void RunChild() {
+  if (::ptrace(PTRACE_TRACEME, 0, nullptr, nullptr) != 0) {
+    ::_exit(kChildRefused);
+  }
+  Marker();  // the parent attaches here; not a region
+  RunRegions(/*armed=*/false);
+  faster::obs::SetSpanSampleEvery(1);
+  faster::obs::GlobalSlowLog().set_threshold_ns(0);
+  faster::obs::PerfAttribution::Arm(true);
+  RunRegions(/*armed=*/true);
   ::_exit(0);
 }
 
@@ -323,23 +370,26 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (regions.size() != kNumOps + 1) {
+  if (regions.size() != 2 * (kNumOps + 1)) {
     std::fprintf(stderr, "op_icount: %zu regions, expected %zu\n",
-                 regions.size(), kNumOps + 1);
+                 regions.size(), 2 * (kNumOps + 1));
     return 1;
   }
   uint64_t marker = regions[0];
   std::printf("op_icount: marker %llu (subtracted below)\n",
               static_cast<unsigned long long>(marker));
-  for (size_t i = 0; i < kNumOps; ++i) {
-    uint64_t n = regions[i + 1] - marker;
-    std::printf("op_icount: %s %llu", kOps[i],
-                static_cast<unsigned long long>(n));
-    if (std::strncmp(kOps[i], "batch32_", 8) == 0) {
-      std::printf(" (%.1f/op)", static_cast<double>(n) / kBatch);
+  for (size_t pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < kNumOps; ++i) {
+      size_t r = pass * (kNumOps + 1) + i + 1;
+      uint64_t n = regions[r] - marker;
+      std::printf("op_icount: %s%s %llu", pass == 0 ? "" : "armed ",
+                  kOps[i], static_cast<unsigned long long>(n));
+      if (std::strncmp(kOps[i], "batch32_", 8) == 0) {
+        std::printf(" (%.1f/op)", static_cast<double>(n) / kBatch);
+      }
+      std::printf("\n");
+      if (attribute) PrintAttribution(region_pcs[r]);
     }
-    std::printf("\n");
-    if (attribute) PrintAttribution(region_pcs[i + 1]);
   }
   if (attribute) {
     std::printf("op_icount: marker, attributed\n");
